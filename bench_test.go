@@ -179,31 +179,13 @@ func BenchmarkExtDSlackSweep(b *testing.B) {
 	b.ReportMetric(float64(points), "points")
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed: committed
+// BenchmarkBlackJackThroughput measures raw simulation speed: committed
 // instructions per wall-clock second on the full BlackJack configuration.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	p := prog.MustBenchmark("gcc")
-	const n = 20000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := pipeline.New(pipeline.DefaultConfig(), pipeline.ModeBlackJack, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := m.Run(n)
-		if st.Deadlocked {
-			b.Fatal("deadlocked")
-		}
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkBlackJackThroughput is BenchmarkSimulatorThroughput under the name
-// the observability layer's acceptance criterion tracks: with tracing and
-// metrics disabled (the default — no sink attached), this must stay within 2%
-// of the BENCH_campaign.json ns_per_instr baseline. The disabled path is a
-// handful of nil checks per stage hook plus one per Tick; compare against
-// BenchmarkBlackJackThroughputObserved for the enabled-path cost.
+// With tracing and metrics disabled (the default — no sink attached), this
+// must stay within 2% of the BENCH_campaign.json ns_per_instr baseline. The
+// disabled path is a handful of nil checks per stage hook plus one per Tick;
+// compare against BenchmarkBlackJackThroughputObserved for the enabled-path
+// cost.
 func BenchmarkBlackJackThroughput(b *testing.B) {
 	p := prog.MustBenchmark("gcc")
 	const n = 20000

@@ -62,8 +62,15 @@ type Entry struct {
 // head packet has committed. Squashed wrong-path entries are removed so the
 // DTQ holds only instructions that will commit.
 type DTQ struct {
-	ring  *queues.Ring[*Entry]
-	index map[uint64]*Entry // Seq -> entry, for commit-time updates
+	ring *queues.Ring[*Entry]
+	// bySeq finds an entry by Seq for commit-time updates: entry e sits at
+	// bySeq[e.Seq&seqMask] unless a later allocation took the slot. Only
+	// uncommitted entries are looked up, and their Seqs lie within one
+	// active-list window, so they collide only when the active list exceeds
+	// the table (a power of two >= capacity); a lookup that misses falls
+	// back to a ring scan.
+	bySeq   []*Entry
+	seqMask uint64
 	// scratch backs the slice HeadPacket returns; the queue is polled every
 	// cycle, so the backing array is reused instead of reallocated.
 	scratch []*Entry
@@ -71,9 +78,14 @@ type DTQ struct {
 
 // NewDTQ builds a DTQ with the given capacity (Table 1: 1024 instructions).
 func NewDTQ(capacity int) *DTQ {
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
 	return &DTQ{
-		ring:  queues.NewRing[*Entry](capacity),
-		index: make(map[uint64]*Entry, capacity),
+		ring:    queues.NewRing[*Entry](capacity),
+		bySeq:   make([]*Entry, n),
+		seqMask: uint64(n - 1),
 	}
 }
 
@@ -90,16 +102,36 @@ func (q *DTQ) Allocate(e *Entry) bool {
 	if !q.ring.Push(e) {
 		return false
 	}
-	q.index[e.Seq] = e
+	q.bySeq[e.Seq&q.seqMask] = e
 	return true
+}
+
+// forget clears e's lookup slot if e still holds it.
+func (q *DTQ) forget(e *Entry) {
+	if i := e.Seq & q.seqMask; q.bySeq[i] == e {
+		q.bySeq[i] = nil
+	}
+}
+
+// find returns the queued entry with the given Seq, or nil.
+func (q *DTQ) find(seq uint64) *Entry {
+	if e := q.bySeq[seq&q.seqMask]; e != nil && e.Seq == seq {
+		return e
+	}
+	for i := 0; i < q.ring.Len(); i++ {
+		if e := q.ring.At(i); e.Seq == seq {
+			return e
+		}
+	}
+	return nil
 }
 
 // MarkCommitted fills in the program-order information when the leading
 // instruction commits. It reports false when the entry does not exist
 // (indicating a bookkeeping bug).
 func (q *DTQ) MarkCommitted(seq, virtAL, virtLSQ, loadSeq, storeSeq uint64, halt bool) bool {
-	e, ok := q.index[seq]
-	if !ok {
+	e := q.find(seq)
+	if e == nil {
 		return false
 	}
 	e.Committed = true
@@ -113,29 +145,39 @@ func (q *DTQ) MarkCommitted(seq, virtAL, virtLSQ, loadSeq, storeSeq uint64, halt
 
 // SquashYounger removes entries with Seq > seq (wrong-path instructions
 // squashed by a leading branch misprediction) and returns how many were
-// dropped.
+// dropped. The queue is in issue order, and an older instruction may issue
+// after a younger wrong-path one, so the younger entries need not form a
+// suffix: the survivors are compacted in place and the tail truncated.
 func (q *DTQ) SquashYounger(seq uint64) int {
-	return q.ring.RemoveIf(func(e *Entry) bool {
+	n := q.ring.Len()
+	w := 0
+	for i := 0; i < n; i++ {
+		e := q.ring.At(i)
 		if e.Seq > seq {
-			delete(q.index, e.Seq)
-			return false
+			q.forget(e)
+			continue
 		}
-		return true
-	})
+		if w != i {
+			q.ring.SetAt(w, e)
+		}
+		w++
+	}
+	q.ring.Truncate(w)
+	return n - w
 }
 
 // Clone returns an independent deep copy of the DTQ (nil-safe). Entries are
 // owned by the machine, so the caller supplies remap to translate each entry
-// pointer into its copy; the Seq index is rebuilt from the remapped ring.
+// pointer into its copy; the Seq table is rebuilt from the remapped ring.
 func (q *DTQ) Clone(remap func(*Entry) *Entry) *DTQ {
 	if q == nil {
 		return nil
 	}
-	c := &DTQ{ring: q.ring.Clone(), index: make(map[uint64]*Entry, q.ring.Len())}
+	c := &DTQ{ring: q.ring.Clone(), bySeq: make([]*Entry, len(q.bySeq)), seqMask: q.seqMask}
 	for i := 0; i < c.ring.Len(); i++ {
 		e := remap(c.ring.At(i))
 		c.ring.SetAt(i, e)
-		c.index[e.Seq] = e
+		c.bySeq[e.Seq&c.seqMask] = e
 	}
 	return c
 }
@@ -199,6 +241,6 @@ func (q *DTQ) PopPacket(n int) {
 		if !ok {
 			return
 		}
-		delete(q.index, e.Seq)
+		q.forget(e)
 	}
 }

@@ -71,12 +71,31 @@ func TestDTQSquashYounger(t *testing.T) {
 	if q.Len() != 3 {
 		t.Errorf("Len = %d, want 3", q.Len())
 	}
-	// Squashed entries must also leave the index.
+	// Squashed entries must also leave the seq table.
 	if q.MarkCommitted(5, 0, 0, 0, 0, false) {
 		t.Error("squashed entry still committable")
 	}
 	if !q.MarkCommitted(3, 0, 0, 0, 0, false) {
 		t.Error("surviving entry not committable")
+	}
+}
+
+// Seqs that share a lookup slot (here 1 and 5 in a 4-slot table) must both
+// stay committable: the later allocation takes the slot, the earlier entry
+// is found by the ring scan, and popping either leaves the other findable.
+func TestDTQSeqCollisionFallsBackToScan(t *testing.T) {
+	q := NewDTQ(4)
+	q.Allocate(&Entry{Seq: 1, PacketID: 0})
+	q.Allocate(&Entry{Seq: 5, PacketID: 1})
+	if !q.MarkCommitted(1, 0, 0, 0, 0, false) {
+		t.Fatal("MarkCommitted(1) failed after seq 5 took its slot")
+	}
+	q.PopPacket(len(q.HeadPacket()))
+	if !q.MarkCommitted(5, 1, 0, 0, 0, false) {
+		t.Fatal("MarkCommitted(5) failed after seq 1 was popped")
+	}
+	if q.MarkCommitted(9, 0, 0, 0, 0, false) {
+		t.Error("MarkCommitted succeeded for a seq never allocated")
 	}
 }
 
@@ -111,7 +130,7 @@ func TestDTQPacketBoundaryRespectedAfterSquash(t *testing.T) {
 
 // Cycling many packets through a small DTQ exercises the ring's wraparound
 // paths: allocate/pop repeatedly past the capacity boundary and verify packet
-// grouping, index bookkeeping, and Free accounting all stay consistent.
+// grouping, seq-table bookkeeping, and Free accounting all stay consistent.
 func TestDTQWraparound(t *testing.T) {
 	const cap = 5 // deliberately not a multiple of the packet size
 	q := NewDTQ(cap)
@@ -149,8 +168,10 @@ func TestDTQWraparound(t *testing.T) {
 			t.Fatalf("packet %d: Len=%d Free=%d after pop, want 0/%d", pkt, q.Len(), q.Free(), cap)
 		}
 	}
-	if len(q.index) != 0 {
-		t.Errorf("index retains %d entries after full drain", len(q.index))
+	for i, e := range q.bySeq {
+		if e != nil {
+			t.Errorf("seq table slot %d retains seq %d after full drain", i, e.Seq)
+		}
 	}
 }
 
@@ -181,7 +202,7 @@ func TestDTQSquashAcrossWraparound(t *testing.T) {
 	if len(head) != 1 || head[0].Seq != 10 {
 		t.Fatalf("HeadPacket = %v, want surviving seq 10", head)
 	}
-	// Squashed seqs must be gone from the index: re-marking them fails.
+	// Squashed seqs must be gone from the seq table: re-marking them fails.
 	if q.MarkCommitted(12, 0, 0, 0, 0, false) {
 		t.Error("MarkCommitted succeeded for squashed seq 12")
 	}

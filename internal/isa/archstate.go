@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"sort"
 	"sync"
 )
@@ -12,8 +11,7 @@ import (
 // emulator — roughly two orders of magnitude faster than the cycle-accurate
 // pipeline — up to a handoff instruction, captures the architectural state
 // here, and seeds a warm pipeline.Machine from it. A pool of reusable
-// machines keeps the memory slab and register scratch off the per-run
-// allocation path.
+// machines keeps memory pages off the per-run allocation path.
 
 // ArchState is one architectural snapshot of a Machine: everything the ISA
 // defines (PC, registers, memory) plus the store-stream accounting needed to
@@ -28,7 +26,7 @@ type ArchState struct {
 
 	IntReg [NumIntRegs]uint64
 	FPReg  [NumFPRegs]uint64
-	Mem    []byte
+	Mem    *Memory
 }
 
 // Reg returns the architectural register value in the snapshot.
@@ -43,8 +41,8 @@ func (a *ArchState) Reg(r Reg) uint64 {
 }
 
 // CaptureArch snapshots the machine's architectural state. The snapshot owns
-// a private copy of the memory image, so it stays valid as the machine runs
-// on.
+// a private copy of the machine's written memory pages, so it stays valid as
+// the machine runs on.
 func (m *Machine) CaptureArch() *ArchState {
 	return &ArchState{
 		PC:      m.pc,
@@ -54,7 +52,7 @@ func (m *Machine) CaptureArch() *ArchState {
 		Sig:     m.sig,
 		IntReg:  m.intReg,
 		FPReg:   m.fpReg,
-		Mem:     append([]byte(nil), m.mem...),
+		Mem:     m.mem.Clone(),
 	}
 }
 
@@ -68,17 +66,12 @@ func (m *Machine) RestoreArch(a *ArchState) {
 	m.sig = a.Sig
 	m.intReg = a.IntReg
 	m.fpReg = a.FPReg
-	if cap(m.mem) >= len(a.Mem) {
-		m.mem = m.mem[:len(a.Mem)]
-	} else {
-		m.mem = make([]byte, len(a.Mem))
-	}
-	copy(m.mem, a.Mem)
+	m.mem.CopyFrom(a.Mem)
 }
 
 // ResetTo reinitializes the machine to execute p from instruction 0 with a
-// zeroed register file, reusing the memory slab when it is large enough. A
-// program the machine was already running is not re-validated.
+// zeroed register file, keeping its memory pages for reuse. A program the
+// machine was already running is not re-validated.
 func (m *Machine) ResetTo(p *Program) error {
 	if p == nil || len(p.Code) == 0 {
 		return ErrNoProgram
@@ -88,16 +81,7 @@ func (m *Machine) ResetTo(p *Program) error {
 			return err
 		}
 	}
-	size := p.dataBytes()
-	if cap(m.mem) >= size {
-		m.mem = m.mem[:size]
-		clear(m.mem)
-	} else {
-		m.mem = make([]byte, size)
-	}
-	for i, w := range p.Init {
-		binary.LittleEndian.PutUint64(m.mem[8*i:], w)
-	}
+	m.mem.Reset(p.dataBytes(), p.Init)
 	m.prog = p
 	m.intReg = [NumIntRegs]uint64{}
 	m.fpReg = [NumFPRegs]uint64{}
@@ -110,13 +94,12 @@ func (m *Machine) ResetTo(p *Program) error {
 	return nil
 }
 
-// machinePool recycles functional machines: the memory slab dominates the
-// per-NewMachine allocation cost, and campaigns rewind the golden model
-// constantly.
+// machinePool recycles functional machines, and with them the memory pages
+// their runs created: campaigns rewind the golden model constantly.
 var machinePool sync.Pool
 
 // AcquireMachine returns a machine ready to execute p from instruction 0,
-// reusing a pooled machine's memory slab when one is available. Pair with
+// reusing a pooled machine's memory pages when one is available. Pair with
 // ReleaseMachine.
 func AcquireMachine(p *Program) (*Machine, error) {
 	if v := machinePool.Get(); v != nil {

@@ -124,17 +124,20 @@ func TestArchStateSnapshotIsolation(t *testing.T) {
 	}
 	m.Run(10)
 	snap := m.CaptureArch()
-	memBefore := append([]byte(nil), snap.Mem...)
+	memBefore := make([]uint64, snap.Mem.Size()/8)
+	for i := range memBefore {
+		memBefore[i] = snap.Mem.Load(uint64(8 * i))
+	}
 	m.Run(1 << 20) // stores into memory
-	for i := range snap.Mem {
-		if snap.Mem[i] != memBefore[i] {
-			t.Fatalf("snapshot memory mutated at byte %d", i)
+	for i, w := range memBefore {
+		if got := snap.Mem.Load(uint64(8 * i)); got != w {
+			t.Fatalf("snapshot memory mutated at word %d: %#x, want %#x", i, got, w)
 		}
 	}
 }
 
-// TestResetToReusesSlab: resetting to the same program reuses the memory
-// slab and restores pristine initial state.
+// TestResetToReusesSlab: resetting to the same program keeps the memory
+// pages for reuse and restores pristine initial state.
 func TestResetToReusesSlab(t *testing.T) {
 	p := &Program{
 		Name:     "init",

@@ -26,7 +26,8 @@ type Program struct {
 	Name string
 	// Code is the instruction sequence.
 	Code []Inst
-	// DataSize is the size in bytes of the zero-initialized data segment.
+	// DataSize is the size in bytes of the zero-initialized data segment: a
+	// multiple of 8 (0 means one word).
 	DataSize int
 	// Init seeds data-segment words before execution: Init[i] is written to
 	// byte offset 8*i.
@@ -58,14 +59,23 @@ func (p *Program) Validate() error {
 	if p.DataSize < 0 {
 		return fmt.Errorf("isa: negative data size %d", p.DataSize)
 	}
+	if p.DataSize%8 != 0 {
+		return fmt.Errorf("isa: data size %d is not a multiple of 8", p.DataSize)
+	}
 	if len(p.Init)*8 > p.dataBytes() {
 		return fmt.Errorf("isa: %d init words exceed data segment of %d bytes", len(p.Init), p.dataBytes())
 	}
 	return nil
 }
 
+// NewMemory returns a fresh data segment for the program over its shared,
+// read-only Init image.
+func (p *Program) NewMemory() *Memory { return NewMemory(p.dataBytes(), p.Init) }
+
+// dataBytes returns the size of the program's data segment in bytes:
+// DataSize, or one word when DataSize is 0.
 func (p *Program) dataBytes() int {
-	if p.DataSize < 8 {
+	if p.DataSize == 0 {
 		return 8
 	}
 	return p.DataSize
@@ -81,7 +91,7 @@ type Machine struct {
 
 	intReg [NumIntRegs]uint64
 	fpReg  [NumFPRegs]uint64
-	mem    []byte
+	mem    *Memory
 
 	pc     int
 	halted bool
@@ -103,11 +113,7 @@ func NewMachine(p *Program) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: p, mem: make([]byte, p.dataBytes())}
-	for i, w := range p.Init {
-		binary.LittleEndian.PutUint64(m.mem[8*i:], w)
-	}
-	return m, nil
+	return &Machine{prog: p, mem: p.NewMemory()}, nil
 }
 
 // ClampAddr maps an arbitrary effective address onto a data segment of the
@@ -124,12 +130,12 @@ func clampAddr(addr uint64, size int) uint64 { return ClampAddr(addr, size) }
 
 // ReadMem returns the 8-byte word at the (clamped) address.
 func (m *Machine) ReadMem(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(m.mem[clampAddr(addr, len(m.mem)):])
+	return m.mem.Load(clampAddr(addr, m.mem.Size()))
 }
 
 // WriteMem stores a 8-byte word at the (clamped) address.
 func (m *Machine) WriteMem(addr uint64, v uint64) {
-	binary.LittleEndian.PutUint64(m.mem[clampAddr(addr, len(m.mem)):], v)
+	m.mem.Store(clampAddr(addr, m.mem.Size()), v)
 }
 
 // Reg returns the current value of an architectural register.
@@ -222,8 +228,8 @@ func (m *Machine) Step() {
 	case in.IsLoad():
 		m.SetReg(in.Rd, m.ReadMem(out.Addr))
 	case in.IsStore():
-		a := clampAddr(out.Addr, len(m.mem))
-		m.WriteMem(a, out.StoreValue)
+		a := clampAddr(out.Addr, m.mem.Size())
+		m.mem.Store(a, out.StoreValue)
 		m.recordStore(a, out.StoreValue)
 	case in.IsBranch():
 		if out.Taken {

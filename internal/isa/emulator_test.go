@@ -165,6 +165,9 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"bad opcode", Program{Code: []Inst{{Op: Op(200)}}}},
 		{"bad register", Program{Code: []Inst{{Op: OpAdd, Rd: 99}}}},
 		{"negative data size", Program{Code: []Inst{{Op: OpHalt}}, DataSize: -1}},
+		// A partial last word would let ClampAddr return an address whose
+		// 8-byte access runs off the segment.
+		{"data size not a word multiple", Program{Code: []Inst{{Op: OpLd, Rd: 1, Rs1: ZeroReg, Imm: 8}, {Op: OpHalt}}, DataSize: 12}},
 		{"too many init words", Program{Code: []Inst{{Op: OpHalt}}, DataSize: 8, Init: []uint64{1, 2, 3}}},
 	}
 	for _, tt := range tests {

@@ -30,7 +30,7 @@ func NewFromArch(cfg Config, mode Mode, prog *isa.Program, arch *isa.ArchState, 
 
 // seedArch installs the snapshot into a freshly constructed machine.
 func (m *Machine) seedArch(arch *isa.ArchState) {
-	copy(m.mem, arch.Mem)
+	m.mem.CopyFrom(arch.Mem)
 	// Each context's initial architectural mappings were set by New (and, in
 	// DTQ modes, seeded into the double-rename and order-check tables);
 	// writing the snapshot's values through the rename maps keeps every

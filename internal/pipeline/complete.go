@@ -1,7 +1,5 @@
 package pipeline
 
-import "container/heap"
-
 // resolveCompletions drains execution-complete events up to the current
 // cycle. Its real work is branch resolution for the leading/single thread:
 // training the predictor and squashing + redirecting on a misprediction.
@@ -9,7 +7,7 @@ import "container/heap"
 // (BOQ in SRT, the program-order check in BlackJack).
 func (m *Machine) resolveCompletions() {
 	for len(m.events) > 0 && m.events[0].DoneCycle <= m.cycle {
-		u := heap.Pop(&m.events).(*UOp)
+		u := m.events.pop()
 		u.InEvents = false
 		if u.Squashed {
 			// The heap held the last reference to an issued-then-squashed uop

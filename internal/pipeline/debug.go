@@ -16,7 +16,7 @@ func (m *Machine) ArchReg(th int, r isa.Reg) uint64 {
 func (m *Machine) MemWord(addr uint64) uint64 { return m.readMem(addr) }
 
 // MemSize returns the size in bytes of the machine's memory image.
-func (m *Machine) MemSize() int { return len(m.mem) }
+func (m *Machine) MemSize() int { return m.mem.Size() }
 
 // SquashSpeculative discards thread th's in-flight speculative work, rolling
 // the rename map back to the last committed instruction so that ArchReg

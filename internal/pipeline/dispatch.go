@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
 )
@@ -33,8 +35,7 @@ func (m *Machine) dispatchStage() {
 				continue
 			}
 			for i := 0; i < n; i++ {
-				item, _ := t.fetchQ.Peek()
-				if !m.dispatchOne(t, item) {
+				if !m.dispatchOne(t, t.fetchQ.PeekRef()) {
 					break
 				}
 				t.fetchQ.Pop()
@@ -43,8 +44,8 @@ func (m *Machine) dispatchStage() {
 			continue
 		}
 		for budget > 0 {
-			item, ok := t.fetchQ.Peek()
-			if !ok {
+			item := t.fetchQ.PeekRef()
+			if item == nil {
 				break
 			}
 			if !m.dispatchOne(t, item) {
@@ -62,10 +63,10 @@ func (m *Machine) headPacketSize(t *thread) int {
 	if t.fetchQ.Empty() {
 		return 0
 	}
-	id := t.fetchQ.At(0).packetID
+	id := t.fetchQ.PeekRef().packetID
 	n := 0
 	for i := 0; i < t.fetchQ.Len(); i++ {
-		if t.fetchQ.At(i).packetID != id {
+		if t.fetchQ.AtRef(i).packetID != id {
 			break
 		}
 		n++
@@ -73,50 +74,49 @@ func (m *Machine) headPacketSize(t *thread) int {
 	return n
 }
 
-// iqFree reports whether the issue queue has a free entry and returns the
-// payload slot to use.
-func (m *Machine) iqFree() (slot int, ok bool) {
+// newSlotMask returns a payload-slot bitset with the first n slots free.
+func newSlotMask(n int) []uint64 {
+	mask := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		mask[i>>6] |= 1 << (uint(i) & 63)
+	}
+	return mask
+}
+
+// freeSlot reports whether the issue queue has a free entry and returns the
+// lowest free payload slot to use.
+func (m *Machine) freeSlot() (slot int, ok bool) {
 	if len(m.iq) >= m.cfg.IssueQueue {
 		return 0, false
 	}
-	for i, used := range m.iqSlots {
-		if !used {
-			return i, true
+	for i, w := range m.iqFree {
+		if w != 0 {
+			return i<<6 | bits.TrailingZeros64(w), true
 		}
 	}
 	return 0, false
 }
 
 // dispatchOne attempts to rename and dispatch one fetch item, returning false
-// when a structural hazard stalls the thread this cycle.
-func (m *Machine) dispatchOne(t *thread, item fetchItem) bool {
+// when a structural hazard stalls the thread this cycle. The item is read in
+// place; the caller pops it after a successful dispatch.
+func (m *Machine) dispatchOne(t *thread, item *fetchItem) bool {
 	if m.mode.UsesDTQ() && t.id == trailThread {
 		return m.dispatchTrailingBJ(t, item)
 	}
 	return m.dispatchInOrder(t, item)
 }
 
-// leadingInIQ counts leading-thread entries currently in the issue queue.
-func (m *Machine) leadingInIQ() int {
-	n := 0
-	for _, u := range m.iq {
-		if u.InIQ && !u.Squashed && u.Thread == leadThread {
-			n++
-		}
-	}
-	return n
-}
-
 // dispatchInOrder handles the leading, single and SRT-trailing threads:
 // conventional in-order rename against the thread's architectural map.
-func (m *Machine) dispatchInOrder(t *thread, item fetchItem) bool {
+func (m *Machine) dispatchInOrder(t *thread, item *fetchItem) bool {
 	// Deadlock avoidance (BlackJack modes): a leading instruction may only
 	// enter the issue queue if the DTQ can absorb every leading instruction
 	// already there plus this one. Otherwise DTQ-blocked leading
 	// instructions could fill the unified IQ, blocking trailing dispatch —
 	// and the trailing side is what ultimately drains the DTQ (shuffle →
 	// packet queue → trailing fetch → dispatch).
-	if m.mode.UsesDTQ() && t.id == leadThread && m.dtq.Free() <= m.leadingInIQ() {
+	if m.mode.UsesDTQ() && t.id == leadThread && m.dtq.Free() <= m.leadInIQ {
 		return false
 	}
 	// Leading memory operations reserve their commit-side queue slot at
@@ -138,7 +138,7 @@ func (m *Machine) dispatchInOrder(t *thread, item fetchItem) bool {
 		inst = m.inj.CorruptDecode(item.way, inst)
 	}
 
-	slot, ok := m.iqFree()
+	slot, ok := m.freeSlot()
 	if !ok {
 		return false
 	}
@@ -226,7 +226,7 @@ func (m *Machine) dispatchInOrder(t *thread, item fetchItem) bool {
 
 // traceFetchDispatch emits the fetch (back-dated to the fetch cycle) and
 // dispatch events for a uop entering the issue queue.
-func (m *Machine) traceFetchDispatch(item fetchItem, u *UOp) {
+func (m *Machine) traceFetchDispatch(item *fetchItem, u *UOp) {
 	if m.tracer == nil && m.otr == nil {
 		return
 	}
@@ -237,8 +237,8 @@ func (m *Machine) traceFetchDispatch(item fetchItem, u *UOp) {
 // dispatchTrailingBJ handles the BlackJack trailing thread: double rename
 // (leading physical -> trailing physical) and virtual-to-physical active
 // list / LSQ index translation; NOPs occupy only an issue-queue slot.
-func (m *Machine) dispatchTrailingBJ(t *thread, item fetchItem) bool {
-	slot, ok := m.iqFree()
+func (m *Machine) dispatchTrailingBJ(t *thread, item *fetchItem) bool {
+	slot, ok := m.freeSlot()
 	if !ok {
 		return false
 	}
@@ -353,7 +353,20 @@ func (m *Machine) enqueueIQ(u *UOp, slot int) {
 	u.GSeq = m.gseq
 	u.InIQ = true
 	u.IQSlot = slot
-	m.iqSlots[slot] = true
+	m.iqFree[slot>>6] &^= 1 << (uint(slot) & 63)
+	if u.Thread == leadThread {
+		m.leadInIQ++
+	}
 	m.iq = append(m.iq, u)
 	m.registerWakeup(u)
+}
+
+// leaveIQ releases u's issue-queue entry and payload slot, at issue or on a
+// squash. The uop itself leaves m.iq at the next compaction.
+func (m *Machine) leaveIQ(u *UOp) {
+	u.InIQ = false
+	m.iqFree[u.IQSlot>>6] |= 1 << (uint(u.IQSlot) & 63)
+	if u.Thread == leadThread {
+		m.leadInIQ--
+	}
 }

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"container/heap"
-
 	"blackjack/internal/core"
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
@@ -30,9 +28,8 @@ func (m *Machine) issueStage() {
 		if selected >= m.cfg.IssueWidth {
 			break
 		}
-		if u.Squashed || !u.InIQ {
-			continue
-		}
+		// Every queued uop is live: squash and the compaction below drop
+		// issued and squashed uops before the next select.
 		if !m.slotReady(u.IQSlot) {
 			continue
 		}
@@ -189,8 +186,7 @@ func (m *Machine) freeWay(class isa.UnitClass) (int, bool) {
 // values; availability timing is tracked separately by ready cycles).
 func (m *Machine) issueUOp(u *UOp, way int) {
 	u.Issued = true
-	u.InIQ = false
-	m.iqSlots[u.IQSlot] = false
+	m.leaveIQ(u)
 	m.clearSlotReady(u.IQSlot)
 	u.BackWay = way
 	m.trace(TraceIssue, u)
@@ -289,7 +285,7 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 	}
 
 	u.InEvents = true
-	heap.Push(&m.events, u)
+	m.events.push(u)
 }
 
 // issueLoad performs the memory access (cache for the leading/single thread,

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"blackjack/internal/area"
@@ -43,24 +42,58 @@ type Injector interface {
 	CorruptRegRead(p rename.PhysReg, v uint64) uint64
 }
 
-// eventHeap orders in-flight UOps by completion cycle.
+// eventHeap is a binary min-heap of in-flight UOps ordered by (DoneCycle,
+// GSeq). GSeq is unique, so the order is total and the pop sequence does not
+// depend on the heap's internal layout.
 type eventHeap []*UOp
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].DoneCycle != h[j].DoneCycle {
-		return h[i].DoneCycle < h[j].DoneCycle
+// before reports whether a resolves before b: earlier completion first, the
+// older uop on ties.
+func before(a, b *UOp) bool {
+	if a.DoneCycle != b.DoneCycle {
+		return a.DoneCycle < b.DoneCycle
 	}
-	return h[i].GSeq < h[j].GSeq // older resolves first on ties
+	return a.GSeq < b.GSeq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*UOp)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	u := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// push inserts u.
+func (h *eventHeap) push(u *UOp) {
+	q := append(*h, u)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !before(q[i], q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+// pop removes and returns the first uop to resolve; the heap must be
+// non-empty.
+func (h *eventHeap) pop() *UOp {
+	q := *h
+	n := len(q) - 1
+	u := q[0]
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
 	return u
 }
 
@@ -69,14 +102,15 @@ type Machine struct {
 	cfg  Config
 	mode Mode
 	prog *isa.Program
-	mem  []byte
+	mem  *isa.Memory
 
 	rf       *rename.RegFile
 	freeList *rename.FreeList
 	threads  []*thread
 
-	iq         []*UOp // dispatch order == GSeq order
-	iqSlots    []bool // payload RAM slot occupancy
+	iq         []*UOp   // dispatch order == GSeq order
+	iqFree     []uint64 // payload RAM slots: bit set = slot free
+	leadInIQ   int      // leading-thread uops in iq
 	unitFreeAt [isa.NumUnitClasses][]int64
 
 	// Wakeup machinery (see wakeup.go): one ready bit per payload slot, the
@@ -288,7 +322,7 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 		rf:        rename.NewRegFile(cfg.PhysRegs),
 		pred:      bpred.New(cfg.Bpred),
 		dcache:    cache.New(cfg.Cache),
-		iqSlots:   make([]bool, cfg.IssueQueue),
+		iqFree:    newSlotMask(cfg.IssueQueue),
 		areaModel: area.Default(),
 		// Steady-state capacities: the issue queue is bounded by config; the
 		// event heap holds at most the issued-in-flight population of both
@@ -308,15 +342,7 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 	if m.sink == nil {
 		m.sink = &detect.Sink{}
 	}
-
-	size := prog.DataSize
-	if size < 8 {
-		size = 8
-	}
-	m.mem = make([]byte, size)
-	for i, w := range prog.Init {
-		binary.LittleEndian.PutUint64(m.mem[8*i:], w)
-	}
+	m.mem = prog.NewMemory()
 
 	for cl := isa.UnitClass(0); cl < isa.NumUnitClasses; cl++ {
 		m.unitFreeAt[cl] = make([]int64, cfg.Units[cl])
@@ -379,26 +405,19 @@ func (m *Machine) Cycle() int64 { return m.cycle }
 func (m *Machine) Sink() *detect.Sink { return m.sink }
 
 // readMem returns the 8-byte word at the (clamped) address.
-func (m *Machine) readMem(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(m.mem[isa.ClampAddr(addr, len(m.mem)):])
-}
-
-// writeMem stores the word at the (clamped) address.
-func (m *Machine) writeMem(addr, v uint64) {
-	binary.LittleEndian.PutUint64(m.mem[isa.ClampAddr(addr, len(m.mem)):], v)
-}
+func (m *Machine) readMem(addr uint64) uint64 { return m.mem.Load(m.clamp(addr)) }
 
 // releaseStore applies an architecturally final store to memory and extends
 // the output signature.
 func (m *Machine) releaseStore(addr, v uint64) {
-	a := isa.ClampAddr(addr, len(m.mem))
-	m.writeMem(a, v)
+	a := m.clamp(addr)
+	m.mem.Store(a, v)
 	m.storeSig = isa.ChainStoreSig(m.storeSig, a, v)
 	m.stats.ReleasedStores++
 }
 
 // clamp maps an effective address onto the memory image.
-func (m *Machine) clamp(addr uint64) uint64 { return isa.ClampAddr(addr, len(m.mem)) }
+func (m *Machine) clamp(addr uint64) uint64 { return isa.ClampAddr(addr, m.mem.Size()) }
 
 // areaPairCoverage applies the area model to one pair's diversity outcome.
 func (m *Machine) areaPairCoverage(fe, be bool) float64 {
@@ -563,8 +582,7 @@ func (m *Machine) squash(t *thread, afterSeq uint64, newPC int) {
 			t.lsq.shrinkTail(u.VirtLSQ)
 		}
 		if u.InIQ {
-			u.InIQ = false
-			m.iqSlots[u.IQSlot] = false
+			m.leaveIQ(u)
 			m.unwireWakeup(u)
 		}
 		u.Squashed = true

@@ -87,7 +87,7 @@ func (m *Machine) clone() *Machine {
 		return v
 	}
 
-	c.mem = append([]byte(nil), m.mem...)
+	c.mem = m.mem.Clone()
 	c.rf = m.rf.Clone()
 	c.freeList = m.freeList.Clone()
 
@@ -100,7 +100,7 @@ func (m *Machine) clone() *Machine {
 	for i, u := range m.iq {
 		c.iq[i] = cu(u)
 	}
-	c.iqSlots = append([]bool(nil), m.iqSlots...)
+	c.iqFree = append([]uint64(nil), m.iqFree...)
 	for cl := range m.unitFreeAt {
 		c.unitFreeAt[cl] = append([]int64(nil), m.unitFreeAt[cl]...)
 	}

@@ -202,7 +202,7 @@ func TestForkStateComparisonCatchesMutation(t *testing.T) {
 	// Corrupt a memory word the program never writes, behind the pipeline's
 	// back. (A register corruption can die silently: consumers capture values
 	// at issue and the loop remaps its registers every iteration.)
-	f.mem[8] ^= 0xff
+	f.mem.Store(8, f.mem.Load(8)^0xff)
 	fSt := f.Run(n)
 
 	same := reflect.DeepEqual(refSt, fSt)

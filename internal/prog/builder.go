@@ -59,7 +59,7 @@ func (b *Builder) Data(size int) *Builder {
 		b.failf("negative data size %d", size)
 		return b
 	}
-	b.dataSize = size
+	b.dataSize = (size + 7) &^ 7
 	return b
 }
 

@@ -40,12 +40,21 @@ func (r *Ring[T]) Full() bool { return r.n == len(r.buf) }
 // Free returns the number of unused slots.
 func (r *Ring[T]) Free() int { return len(r.buf) - r.n }
 
+// slot maps the i-th oldest position (0 <= i < Cap) to its buffer index.
+func (r *Ring[T]) slot(i int) int {
+	j := r.head + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return j
+}
+
 // Push appends v; it reports false (and queues nothing) when full.
 func (r *Ring[T]) Push(v T) bool {
 	if r.Full() {
 		return false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.buf[r.slot(r.n)] = v
 	r.n++
 	return true
 }
@@ -58,7 +67,7 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	v = r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = r.slot(1)
 	r.n--
 	return v, true
 }
@@ -72,31 +81,53 @@ func (r *Ring[T]) Peek() (v T, ok bool) {
 	return r.buf[r.head], true
 }
 
+// PeekRef returns a pointer to the oldest element, or nil when empty. The
+// pointer is valid until the element is popped; it lets callers read large
+// elements in place instead of copying them.
+func (r *Ring[T]) PeekRef() *T {
+	if r.n == 0 {
+		return nil
+	}
+	return &r.buf[r.head]
+}
+
 // At returns the i-th oldest element (0 = head). It panics when i is out of
 // range, mirroring slice indexing.
-func (r *Ring[T]) At(i int) T {
+func (r *Ring[T]) At(i int) T { return *r.AtRef(i) }
+
+// AtRef returns a pointer to the i-th oldest element (0 = head), valid until
+// that element is popped. It panics when i is out of range.
+func (r *Ring[T]) AtRef(i int) *T {
 	if i < 0 || i >= r.n {
 		panic(fmt.Sprintf("queues: index %d out of range [0,%d)", i, r.n))
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return &r.buf[r.slot(i)]
 }
 
 // SetAt replaces the i-th oldest element (0 = head). It panics when i is out
 // of range.
-func (r *Ring[T]) SetAt(i int, v T) {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("queues: index %d out of range [0,%d)", i, r.n))
-	}
-	r.buf[(r.head+i)%len(r.buf)] = v
-}
+func (r *Ring[T]) SetAt(i int, v T) { *r.AtRef(i) = v }
 
 // Reset empties the ring.
 func (r *Ring[T]) Reset() {
 	var zero T
 	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = zero
+		r.buf[r.slot(i)] = zero
 	}
 	r.head, r.n = 0, 0
+}
+
+// Truncate keeps the n oldest elements and drops the rest. It panics when n
+// is out of range [0, Len].
+func (r *Ring[T]) Truncate(n int) {
+	if n < 0 || n > r.n {
+		panic(fmt.Sprintf("queues: truncate to %d out of range [0,%d]", n, r.n))
+	}
+	var zero T
+	for i := n; i < r.n; i++ {
+		r.buf[r.slot(i)] = zero
+	}
+	r.n = n
 }
 
 // Clone returns an independent copy of the ring. Elements are copied by
@@ -107,29 +138,4 @@ func (r *Ring[T]) Clone() *Ring[T] {
 	c := &Ring[T]{buf: make([]T, len(r.buf)), head: r.head, n: r.n}
 	copy(c.buf, r.buf)
 	return c
-}
-
-// RemoveIf deletes every element for which keep returns false, preserving
-// FIFO order of the survivors, and returns the number removed. It is used to
-// drop squashed wrong-path entries from queues allocated in issue order (the
-// DTQ case in Section 4.2.1 of the paper).
-func (r *Ring[T]) RemoveIf(keep func(T) bool) int {
-	removed := 0
-	w := 0
-	for i := 0; i < r.n; i++ {
-		v := r.buf[(r.head+i)%len(r.buf)]
-		if keep(v) {
-			r.buf[(r.head+w)%len(r.buf)] = v
-			w++
-		} else {
-			removed++
-		}
-	}
-	// Zero the vacated tail slots.
-	var zero T
-	for i := w; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = zero
-	}
-	r.n = w
-	return removed
 }

@@ -107,46 +107,51 @@ func TestRingReset(t *testing.T) {
 	}
 }
 
-func TestRingRemoveIf(t *testing.T) {
-	r := NewRing[int](8)
+func TestRingTruncate(t *testing.T) {
+	r := NewRing[int](4)
 	r.Push(0)
-	r.Pop() // move head off zero so removal crosses internal offsets
-	for i := 1; i <= 6; i++ {
+	r.Pop() // move head off zero so truncation crosses the wrap
+	for i := 1; i <= 4; i++ {
 		r.Push(i)
 	}
-	removed := r.RemoveIf(func(v int) bool { return v%2 == 0 })
-	if removed != 3 {
-		t.Errorf("removed = %d, want 3", removed)
+	r.Truncate(2)
+	if r.Len() != 2 || r.At(0) != 1 || r.At(1) != 2 {
+		t.Fatalf("after Truncate(2): len=%d", r.Len())
 	}
-	want := []int{2, 4, 6}
-	if r.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
+	// Ring must remain fully usable afterwards.
+	r.Push(5)
+	r.Push(6)
+	for i, w := range []int{1, 2, 5, 6} {
 		if got := r.At(i); got != w {
 			t.Errorf("At(%d) = %d, want %d", i, got, w)
 		}
 	}
-	// Ring must remain fully usable afterwards.
-	for i := 10; i < 15; i++ {
-		if !r.Push(i) {
-			t.Fatalf("Push(%d) failed after RemoveIf", i)
+	r.Truncate(0)
+	if !r.Empty() {
+		t.Error("Truncate(0) left elements")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Truncate beyond Len did not panic")
 		}
-	}
-	if r.Len() != 8 {
-		t.Errorf("len = %d, want 8", r.Len())
-	}
+	}()
+	r.Truncate(1)
 }
 
-func TestRingRemoveIfAll(t *testing.T) {
-	r := NewRing[int](4)
-	r.Push(1)
-	r.Push(2)
-	if got := r.RemoveIf(func(int) bool { return false }); got != 2 {
-		t.Errorf("removed = %d, want 2", got)
+func TestRingRefsAlias(t *testing.T) {
+	r := NewRing[[2]int](3)
+	if r.PeekRef() != nil {
+		t.Fatal("PeekRef on empty ring is non-nil")
 	}
-	if !r.Empty() {
-		t.Error("ring should be empty")
+	r.Push([2]int{1, 1})
+	r.Push([2]int{2, 2})
+	r.AtRef(1)[0] = 9
+	r.PeekRef()[1] = 7
+	if got := r.At(0); got != [2]int{1, 7} {
+		t.Errorf("At(0) = %v, want [1 7]", got)
+	}
+	if got := r.At(1); got != [2]int{9, 2} {
+		t.Errorf("At(1) = %v, want [9 2]", got)
 	}
 }
 

@@ -13,6 +13,8 @@
 // exactly the entry it read and repairs the history on a misprediction.
 package bpred
 
+import "bytes"
+
 // Config sizes the predictor.
 type Config struct {
 	// HistoryBits is the global-history length; the pattern table has
@@ -110,4 +112,12 @@ func (p *Predictor) Clone() *Predictor {
 	}
 	copy(c.counters, p.counters)
 	return c
+}
+
+// Equal reports whether p and o hold the same counters, history and
+// statistics, so they predict identically from here on.
+func (p *Predictor) Equal(o *Predictor) bool {
+	return p.history == o.history && p.mask == o.mask &&
+		p.predicts == o.predicts && p.mispredicts == o.mispredicts &&
+		bytes.Equal(p.counters, o.counters)
 }

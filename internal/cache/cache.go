@@ -9,7 +9,10 @@
 // diversity the paper measures.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes the hierarchy. The zero value is not useful; start from
 // DefaultConfig.
@@ -145,6 +148,14 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	}
 }
 
+// Equal reports whether h and o hold the same configuration, tags, LRU
+// state, port counters and statistics, so every later access sees the same
+// latency in both.
+func (h *Hierarchy) Equal(o *Hierarchy) bool {
+	return h.cfg == o.cfg && h.portCycle == o.portCycle && h.portsUsed == o.portsUsed &&
+		h.stats == o.stats && h.l1.equal(o.l1) && h.l2.equal(o.l2)
+}
+
 // Probe reports the latency an access would see without performing it (no
 // LRU update, no port use). Used by tests and diagnostics.
 func (h *Hierarchy) Probe(addr uint64) int {
@@ -205,6 +216,12 @@ func (c *setAssoc) clone() *setAssoc {
 	copy(n.valid, c.valid)
 	copy(n.lru, c.lru)
 	return n
+}
+
+func (c *setAssoc) equal(o *setAssoc) bool {
+	return c.sets == o.sets && c.ways == o.ways && c.lineShift == o.lineShift &&
+		c.clock == o.clock && slices.Equal(c.tags, o.tags) &&
+		slices.Equal(c.valid, o.valid) && slices.Equal(c.lru, o.lru)
 }
 
 func (c *setAssoc) index(addr uint64) (set int, tag uint64) {

@@ -52,6 +52,14 @@ func (d *DoubleRename) Clone() *DoubleRename {
 	return &DoubleRename{table: d.table.Clone()}
 }
 
+// Equal reports whether d and o hold the same mappings (nil-safe).
+func (d *DoubleRename) Equal(o *DoubleRename) bool {
+	if d == nil || o == nil {
+		return d == o
+	}
+	return d.table.Equal(o.table)
+}
+
 // OrderChecker implements BlackJack's commit-time validation of the
 // information borrowed from the leading thread (Section 4.4):
 //
@@ -113,6 +121,17 @@ func (c *OrderChecker) Clone() *OrderChecker {
 		depChecks:  c.depChecks,
 		pcChecks:   c.pcChecks,
 	}
+}
+
+// Equal reports whether c and o are in the same checking state (nil-safe).
+func (c *OrderChecker) Equal(o *OrderChecker) bool {
+	if c == nil || o == nil {
+		return c == o
+	}
+	return c.havePrev == o.havePrev && c.prevPC == o.prevPC &&
+		c.prevTaken == o.prevTaken && c.prevTarget == o.prevTarget &&
+		c.depChecks == o.depChecks && c.pcChecks == o.pcChecks &&
+		c.second.Equal(o.second)
 }
 
 // CommitInfo describes one trailing instruction at commit.

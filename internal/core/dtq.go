@@ -182,6 +182,28 @@ func (q *DTQ) Clone(remap func(*Entry) *Entry) *DTQ {
 	return c
 }
 
+// Equal reports whether q and o hold equal entries, by value, in the same
+// order (nil-safe). The Seq table is a lookup cache over the ring (a stale
+// or missing slot only sends find to its scan), and the scratch slice is
+// per-call state, so neither is compared.
+func (q *DTQ) Equal(o *DTQ) bool {
+	if q == nil || o == nil {
+		return q == o
+	}
+	return q.seqMask == o.seqMask && q.ring.EqualFunc(o.ring, entryPtrEqual)
+}
+
+// entryPtrEqual compares two ring slots holding entry pointers by value.
+func entryPtrEqual(a, b **Entry) bool { return entryEqual(*a, *b) }
+
+// entryEqual reports whether a and b are both nil or equal by value.
+func entryEqual(a, b *Entry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
 // HeadPacket returns the instructions of the oldest-issued packet if every
 // one of them has committed, without consuming them. It returns nil while the
 // packet is incomplete or the queue is empty. The returned slice shares a

@@ -23,6 +23,21 @@ type Packet struct {
 	Slots []Slot
 }
 
+// Equal reports whether p and o have the same ID and slots, comparing the
+// slots' entries by value.
+func (p *Packet) Equal(o *Packet) bool {
+	if p.ID != o.ID || len(p.Slots) != len(o.Slots) {
+		return false
+	}
+	for i := range p.Slots {
+		a, b := &p.Slots[i], &o.Slots[i]
+		if a.IsNOP != b.IsNOP || a.NopClass != b.NopClass || !entryEqual(a.Entry, b.Entry) {
+			return false
+		}
+	}
+	return true
+}
+
 // Insts returns the number of real instructions in the packet.
 func (p Packet) Insts() int {
 	n := 0
@@ -117,6 +132,18 @@ func (s *Shuffler) Clone() *Shuffler {
 		splits:        s.splits,
 		nops:          s.nops,
 	}
+}
+
+// Equal reports whether s and o have the same configuration, packet-ID
+// counter and statistics (nil-safe). The slot free list and output scratch
+// are not compared.
+func (s *Shuffler) Equal(o *Shuffler) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
+	return s.Width == o.Width && s.Units == o.Units && s.Disabled == o.Disabled &&
+		s.nextID == o.nextID && s.inputPackets == o.inputPackets &&
+		s.outputPackets == o.outputPackets && s.splits == o.splits && s.nops == o.nops
 }
 
 // newSlots returns a zeroed Width-sized slot array, reusing a recycled one

@@ -7,7 +7,10 @@
 // detection of the injected hard error.
 package detect
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Checker identifies which redundancy mechanism raised an event.
 type Checker uint8
@@ -144,4 +147,10 @@ func (s *Sink) Clone() *Sink {
 		c.events = append([]Event(nil), s.events...)
 	}
 	return c
+}
+
+// Equal reports whether s and o recorded the same events under the same
+// limit. The Observer is harness state and is not compared.
+func (s *Sink) Equal(o *Sink) bool {
+	return s.total == o.total && s.Limit == o.Limit && slices.Equal(s.events, o.events)
 }

@@ -264,6 +264,22 @@ func (inj *Injector) activate() {
 	}
 }
 
+// Spent reports whether the injector can never corrupt again: every site is
+// a one-shot transient whose shot use has passed. A run whose injector is
+// spent continues exactly as a fault-free run from the same state would.
+func (inj *Injector) Spent() bool {
+	for i := range inj.Sites {
+		var n uint64
+		if i < len(inj.uses) {
+			n = inj.uses[i]
+		}
+		if !inj.Sites[i].spentAfter(n) {
+			return false
+		}
+	}
+	return true
+}
+
 // SeedUses pre-loads the per-site eligible-use counters, so an injector
 // installed on a machine forked from a mid-run checkpoint counts transient
 // uses as if it had been present from cycle 0. counts must come from a

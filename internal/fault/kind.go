@@ -108,11 +108,7 @@ func (s *Site) counted() bool {
 func (s *Site) firesAt(n uint64) bool {
 	switch s.kind() {
 	case KindTransient:
-		at := s.FireAt
-		if at == 0 {
-			at = 1
-		}
-		return n == at
+		return n == s.shotAt()
 	case KindIntermittent:
 		return s.dutyFires(n)
 	}
@@ -120,6 +116,21 @@ func (s *Site) firesAt(n uint64) bool {
 		return n >= s.ArmAt
 	}
 	return true
+}
+
+// shotAt returns the eligible use (1-based) a one-shot transient corrupts.
+func (s *Site) shotAt() uint64 {
+	if s.FireAt == 0 {
+		return 1
+	}
+	return s.FireAt
+}
+
+// spentAfter reports whether no eligible use after the n-th can fire: true
+// only for a one-shot transient whose shot is at or before use n.
+// Intermittent, arming, permanent and control-flow sites never run out.
+func (s *Site) spentAfter(n uint64) bool {
+	return s.kind() == KindTransient && n >= s.shotAt()
 }
 
 // dutyFires implements the intermittent window math: use n (1-based) lands in

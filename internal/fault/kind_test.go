@@ -329,3 +329,48 @@ func TestValidateEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// Spent holds only once every site is a one-shot transient past its shot
+// use; the kinds that can fire again never run out.
+func TestInjectorSpent(t *testing.T) {
+	alu := Site{Class: BackendWay, Unit: isa.UnitIntALU, Way: 0, BitMask: 1}
+	shot := alu
+	shot.Transient, shot.FireAt = true, 3
+	use := func(inj *Injector, n int) {
+		for i := 0; i < n; i++ {
+			inj.CorruptResult(isa.UnitIntALU, 0, isa.Inst{Op: isa.OpAdd}, 0)
+		}
+	}
+
+	inj := &Injector{Sites: []Site{shot}}
+	use(inj, 2)
+	if inj.Spent() {
+		t.Fatal("transient spent before its shot")
+	}
+	use(inj, 1)
+	if !inj.Spent() || inj.Activations() != 1 {
+		t.Fatalf("after the shot: spent=%v activations=%d", inj.Spent(), inj.Activations())
+	}
+
+	seeded := &Injector{Sites: []Site{shot, shot}}
+	seeded.SeedUses([]uint64{5, 2})
+	if seeded.Spent() {
+		t.Fatal("a site short of its shot left the injector spent")
+	}
+	seeded.SeedUses([]uint64{5, 3})
+	if !seeded.Spent() {
+		t.Fatal("two transients past their shots are not spent")
+	}
+
+	armed, duty, cfe := alu, alu, alu
+	armed.ArmAt = 2
+	duty.Kind, duty.DutyPeriod, duty.DutyOn = KindIntermittent, 4, 1
+	cfe.Kind, cfe.Transient = KindControlFlow, true
+	for _, s := range []Site{alu, armed, duty, cfe} {
+		inj := &Injector{Sites: []Site{shot, s}}
+		inj.SeedUses([]uint64{1 << 20, 1 << 20})
+		if inj.Spent() {
+			t.Errorf("site %v (kind %v) counted as spent", s, s.EffectiveKind())
+		}
+	}
+}

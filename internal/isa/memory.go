@@ -157,3 +157,43 @@ func (m *Memory) CopyFrom(src *Memory) {
 		}
 	}
 }
+
+// Equal reports whether m and o have the same size and hold the same word
+// at every address. Which pages exist, and spare page storage, do not
+// matter. Both are only read.
+func (m *Memory) Equal(o *Memory) bool {
+	if m.size != o.size {
+		return false
+	}
+	sameInit := len(m.init) == len(o.init) && (len(m.init) == 0 || &m.init[0] == &o.init[0])
+	for i, p := range m.pages {
+		q := o.pages[i]
+		switch {
+		case p != nil && q != nil:
+			if *p != *q {
+				return false
+			}
+		case p == nil && q == nil && sameInit:
+		default:
+			lo := i << pageShift
+			for w := lo; w < lo+pageWords; w++ {
+				if m.word(p, w) != o.word(q, w) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// word returns word w, which lies in page p (nil when the page was never
+// written).
+func (m *Memory) word(p *page, w int) uint64 {
+	if p != nil {
+		return p[w&pageMask]
+	}
+	if w < len(m.init) {
+		return m.init[w]
+	}
+	return 0
+}

@@ -204,28 +204,28 @@ func (m *Machine) shuffleStage() {
 	if pkt == nil {
 		return
 	}
-	consumed := len(pkt)
 	// Merging shuffle (optional extension): pull the next committed packet
 	// in as well when the DTQ proves the two are independent and the merged
 	// packet can still co-issue whole.
+	var next []*core.Entry
 	if m.cfg.MergePackets {
 		if pkts := m.dtq.HeadPackets(2); len(pkts) == 2 &&
 			core.MergeBudget(pkts[0], pkts[1], m.cfg.FetchWidth, m.cfg.Units) &&
 			core.CanMerge(pkts[0], pkts[1]) {
-			merged := make([]*core.Entry, 0, len(pkts[0])+len(pkts[1]))
-			merged = append(merged, pkts[0]...)
-			merged = append(merged, pkts[1]...)
-			pkt = merged
-			consumed = len(merged)
-			m.stats.MergedPackets++
+			next = pkts[1]
 		}
 	}
 	// A shuffle never produces more output packets than input instructions,
-	// so this conservative space check avoids shuffling twice.
-	if m.packets.Free() < len(pkt) {
+	// so this conservative space check avoids shuffling twice. A merge
+	// waiting for space is neither built nor counted until it happens.
+	if m.packets.Free() < len(pkt)+len(next) {
 		return
 	}
-	m.dtq.PopPacket(consumed)
+	if next != nil {
+		pkt = append(append(make([]*core.Entry, 0, len(pkt)+len(next)), pkt...), next...)
+		m.stats.MergedPackets++
+	}
+	m.dtq.PopPacket(len(pkt))
 	out := m.shuffler.Shuffle(pkt)
 	if m.shuffleObs != nil {
 		m.shuffleObs(m.cycle, pkt, out)

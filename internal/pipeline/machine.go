@@ -183,6 +183,9 @@ type Machine struct {
 	// stopOnDetect makes the run loop stop at the first detection event
 	// (see WithStopOnDetect).
 	stopOnDetect bool
+	// stop ends the current run after the checkpoint hook that set it (see
+	// Stop).
+	stop bool
 
 	// Dispatch-time reservations of commit-side redundancy queues. A leading
 	// load/store may only DISPATCH with an LVQ / store-buffer slot reserved:
@@ -453,10 +456,11 @@ func (m *Machine) Run(maxLeading int) *Stats {
 
 // RunWithCheckpoints runs like Run, additionally invoking hook every interval
 // cycles (after the cycle's Tick and livelock check) so callers can take
-// periodic Snapshots. An interval <= 0 or nil hook disables checkpointing —
-// the loop is then exactly Run. The cycle limit and the progress backstop use
-// absolute cycle numbers, so a machine forked from a checkpoint and a cold
-// run continue through identical loop decisions.
+// periodic Snapshots, or compare against them with Matches. A hook that
+// calls Stop ends the run there. An interval <= 0 or nil hook disables
+// checkpointing — the loop is then exactly Run. The cycle limit and the
+// progress backstop use absolute cycle numbers, so a machine forked from a
+// checkpoint and a cold run continue through identical loop decisions.
 func (m *Machine) RunWithCheckpoints(maxLeading int, interval int64, hook func(*Machine)) *Stats {
 	// maxLeading is in whole-program terms; an arch-seeded machine already
 	// covered archBase instructions functionally, so the machine-local target
@@ -474,6 +478,7 @@ func (m *Machine) RunWithCheckpoints(maxLeading int, interval int64, hook func(*
 		m.leadStopped = true
 	}
 	m.cap = uint64(target)
+	m.stop = false
 	limit := m.cfg.MaxCycles
 	if limit == 0 {
 		limit = int64(maxLeading)*300 + 1_000_000
@@ -498,11 +503,20 @@ func (m *Machine) RunWithCheckpoints(maxLeading int, interval int64, hook func(*
 		}
 		if interval > 0 && hook != nil && m.cycle%interval == 0 {
 			hook(m)
+			if m.stop {
+				break
+			}
 		}
 	}
 	m.finalizeStats()
 	return &m.stats
 }
+
+// Stop ends the RunWithCheckpoints in progress once the hook calling it
+// returns. The run returns finalized statistics of the partial run; the
+// caller decides what they stand for (a campaign run that reconverged with
+// its golden warmup is served the warmup's result).
+func (m *Machine) Stop() { m.stop = true }
 
 func (m *Machine) totalCommitted() uint64 {
 	n := uint64(0)

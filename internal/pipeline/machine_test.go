@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"blackjack/internal/core"
 	"blackjack/internal/isa"
 	"blackjack/internal/prog"
 )
@@ -420,5 +421,31 @@ func TestMergingShuffleCorrectAndEffective(t *testing.T) {
 	}
 	if merged.Coverage() < base.Coverage()-0.03 {
 		t.Errorf("merging cost too much coverage: %.3f vs %.3f", merged.Coverage(), base.Coverage())
+	}
+}
+
+// MergedPackets counts merges that happened: each is exactly one shuffle
+// whose input spans two DTQ packets. A merge that waits for packet-queue
+// space must not count again on every retry cycle.
+func TestMergedPacketsCountsPerformedMerges(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		n     int
+	}{{"gzip", 300}, {"sixtrack", 8000}} {
+		cfg := DefaultConfig()
+		cfg.MergePackets = true
+		spanning := uint64(0)
+		m, err := New(cfg, ModeBlackJack, prog.MustBenchmark(c.bench), WithShuffleObserver(func(_ int64, in []*core.Entry, _ []core.Packet) {
+			if in[0].PacketID != in[len(in)-1].PacketID {
+				spanning++
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := m.Run(c.n)
+		if spanning == 0 || st.MergedPackets != spanning {
+			t.Errorf("%s: MergedPackets = %d, shuffles spanning two packets = %d", c.bench, st.MergedPackets, spanning)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"blackjack/internal/core"
 	"blackjack/internal/queues"
 )
@@ -214,4 +216,99 @@ func clonePacketQueue(r *queues.Ring[core.Packet], ce func(*core.Entry) *core.En
 		c.SetAt(i, p)
 	}
 	return c
+}
+
+// Matches reports whether the machine's state equals the checkpoint's, so
+// that both, run on from here under injectors that corrupt nothing more,
+// replay the same cycles, statistics, stores and detections.
+//
+// It compares live state only: ring contents between head and tail, memory
+// words whatever pages back them, and the uops and DTQ entries every
+// structure holds, by value (GSeq is unique among live uops, so equal values
+// imply equal aliasing). It skips what cannot steer the run: record free
+// pools, scratch buffers, the DTQ's Seq lookup table and backing arrays past
+// their length. It also skips harness state, which is not machine state:
+// the injector, tracers, metrics, run context, shuffle observer,
+// stop-on-detect and Stop. Cheap scalars and the statistics go first, so a
+// mismatch usually exits early. Matches allocates nothing and only reads cp,
+// so any number of machines may compare against one checkpoint at once.
+func (m *Machine) Matches(cp *Checkpoint) bool {
+	o := cp.m
+	if m.cycle != o.cycle || m.gseq != o.gseq || m.storeSig != o.storeSig ||
+		m.cap != o.cap || m.leadStopped != o.leadStopped || m.archBase != o.archBase ||
+		m.lvqInFlight != o.lvqInFlight || m.sbInFlight != o.sbInFlight ||
+		m.lastCommitTotal != o.lastCommitTotal || m.lastProgressCycle != o.lastProgressCycle ||
+		m.leadInIQ != o.leadInIQ || m.calMask != o.calMask || m.mode != o.mode ||
+		m.prog != o.prog || m.cfg != o.cfg || m.areaModel != o.areaModel ||
+		!statsEqual(&m.stats, &o.stats) {
+		return false
+	}
+	if !slices.EqualFunc(m.threads, o.threads, (*thread).equal) ||
+		!uopsEqual(m.iq, o.iq) || !uopsEqual(m.events, o.events) ||
+		!slices.Equal(m.iqFree, o.iqFree) || !slices.Equal(m.readyMask, o.readyMask) ||
+		!m.packetPending.equal(o.packetPending) {
+		return false
+	}
+	for cl := range m.unitFreeAt {
+		if !slices.Equal(m.unitFreeAt[cl], o.unitFreeAt[cl]) {
+			return false
+		}
+	}
+	if !slices.EqualFunc(m.regWaiters, o.regWaiters, uopsEqual) ||
+		!slices.EqualFunc(m.cal, o.cal, uopsEqual) {
+		return false
+	}
+	return m.rf.Equal(o.rf) && m.freeList.Equal(o.freeList) &&
+		m.pred.Equal(o.pred) && m.sink.Equal(o.sink) &&
+		m.boq.Equal(o.boq) && m.lvq.Equal(o.lvq) && m.sb.Equal(o.sb) &&
+		m.stream.Equal(o.stream) && m.dtq.Equal(o.dtq) &&
+		m.shuffler.Equal(o.shuffler) && m.dr.Equal(o.dr) && m.oc.Equal(o.oc) &&
+		m.packets.EqualFunc(o.packets, (*core.Packet).Equal) &&
+		m.dcache.Equal(o.dcache) && m.mem.Equal(o.mem)
+}
+
+// statsEqual compares statistics, the first detection event by value.
+func statsEqual(a, b *Stats) bool {
+	x, y := *a, *b
+	x.FirstEvent, y.FirstEvent = nil, nil
+	if x != y {
+		return false
+	}
+	if a.FirstEvent == nil || b.FirstEvent == nil {
+		return a.FirstEvent == b.FirstEvent
+	}
+	return *a.FirstEvent == *b.FirstEvent
+}
+
+// uopEqual reports whether a and b are both nil or equal by value.
+func uopEqual(a, b *UOp) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+func uopsEqual(a, b []*UOp) bool { return slices.EqualFunc(a, b, uopEqual) }
+
+// equal compares two threads: scalars, rename map, fetch buffer and the
+// live entries of both windows.
+func (t *thread) equal(o *thread) bool {
+	x, y := *t, *o
+	x.rob, x.lsq, x.rmap, x.fetchQ = nil, nil, nil, nil
+	y.rob, y.lsq, y.rmap, y.fetchQ = nil, nil, nil, nil
+	return x == y && t.rmap.Equal(o.rmap) && queues.Equal(t.fetchQ, o.fetchQ) &&
+		t.rob.equal(o.rob) && t.lsq.equal(o.lsq)
+}
+
+// equal compares two windows' bounds and live entries [head, tail).
+func (w *window) equal(o *window) bool {
+	if w.head != o.head || w.tail != o.tail || w.count != o.count || len(w.slots) != len(o.slots) {
+		return false
+	}
+	for v := w.head; v < w.tail; v++ {
+		if !uopEqual(w.at(v), o.at(v)) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
 )
@@ -274,4 +276,12 @@ func (t *pendTable) clone() *pendTable {
 		ids:    append([]uint64(nil), t.ids...),
 		counts: append([]int32(nil), t.counts...),
 	}
+}
+
+// equal compares two tables entry by entry, in order (nil-safe).
+func (t *pendTable) equal(o *pendTable) bool {
+	if t == nil || o == nil {
+		return t == o
+	}
+	return slices.Equal(t.ids, o.ids) && slices.Equal(t.counts, o.counts)
 }

@@ -139,3 +139,27 @@ func (r *Ring[T]) Clone() *Ring[T] {
 	copy(c.buf, r.buf)
 	return c
 }
+
+// EqualFunc reports whether r and o hold the same number of elements and eq
+// holds for each pair, oldest first. Only live elements count: where each
+// ring's head sits in its buffer, and what dead slots hold, are not
+// compared. Two nil rings are equal.
+func (r *Ring[T]) EqualFunc(o *Ring[T], eq func(a, b *T) bool) bool {
+	if r == nil || o == nil {
+		return r == o
+	}
+	if len(r.buf) != len(o.buf) || r.n != o.n {
+		return false
+	}
+	for i := 0; i < r.n; i++ {
+		if !eq(&r.buf[r.slot(i)], &o.buf[o.slot(i)]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal is EqualFunc with ==, for rings of comparable elements.
+func Equal[T comparable](a, b *Ring[T]) bool {
+	return a.EqualFunc(b, func(x, y *T) bool { return *x == *y })
+}

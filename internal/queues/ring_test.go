@@ -194,3 +194,32 @@ func TestQuickRingMatchesSliceModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Equal compares live elements only: rings holding the same sequence at
+// different buffer offsets are equal, and any differing element, length or
+// capacity makes them unequal.
+func TestRingEqualComparesLiveElements(t *testing.T) {
+	a, b := NewRing[int](4), NewRing[int](4)
+	for _, v := range []int{9, 9, 1, 2} {
+		a.Push(v)
+	}
+	a.Pop()
+	a.Pop()
+	b.Push(1)
+	b.Push(2)
+	if !Equal(a, b) {
+		t.Fatal("rings holding 1,2 at different offsets compare unequal")
+	}
+	b.SetAt(1, 3)
+	if Equal(a, b) {
+		t.Fatal("differing element not detected")
+	}
+	b.SetAt(1, 2)
+	b.Push(5)
+	if Equal(a, b) {
+		t.Fatal("differing length not detected")
+	}
+	if Equal(a, NewRing[int](5)) || !Equal[int](nil, nil) || Equal(a, nil) {
+		t.Fatal("capacity or nil handling wrong")
+	}
+}

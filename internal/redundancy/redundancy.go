@@ -74,6 +74,14 @@ func (q *BOQ) Clone() *BOQ {
 	return &BOQ{ring: q.ring.Clone()}
 }
 
+// Equal reports whether q and o hold the same outcomes (nil-safe).
+func (q *BOQ) Equal(o *BOQ) bool {
+	if q == nil || o == nil {
+		return q == o
+	}
+	return queues.Equal(q.ring, o.ring)
+}
+
 // LoadValue is one leading load result forwarded to the trailing thread.
 type LoadValue struct {
 	Seq   uint64 // per-thread load ordinal, program order
@@ -171,6 +179,14 @@ func (q *LVQ) Clone() *LVQ {
 	return &LVQ{ring: q.ring.Clone(), headSeq: q.headSeq}
 }
 
+// Equal reports whether q and o hold the same load values (nil-safe).
+func (q *LVQ) Equal(o *LVQ) bool {
+	if q == nil || o == nil {
+		return q == o
+	}
+	return q.headSeq == o.headSeq && queues.Equal(q.ring, o.ring)
+}
+
 // PendingStore is a committed leading store awaiting its trailing copy.
 type PendingStore struct {
 	Seq   uint64 // per-thread store ordinal, program order
@@ -254,6 +270,14 @@ func (b *StoreBuffer) Clone() *StoreBuffer {
 	return &StoreBuffer{ring: b.ring.Clone()}
 }
 
+// Equal reports whether b and o hold the same pending stores (nil-safe).
+func (b *StoreBuffer) Equal(o *StoreBuffer) bool {
+	if b == nil || o == nil {
+		return b == o
+	}
+	return queues.Equal(b.ring, o.ring)
+}
+
 // StreamEntry is one committed leading instruction, as fed to the SRT
 // trailing thread's fetch. It carries the leading thread's resource usage so
 // coverage can be computed when the pair completes.
@@ -308,6 +332,15 @@ func (s *Stream) Clone() *Stream {
 		return nil
 	}
 	return &Stream{ring: s.ring.Clone()}
+}
+
+// Equal reports whether s and o hold the same committed entries
+// (nil-safe). The fetch-group scratch is not compared.
+func (s *Stream) Equal(o *Stream) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
+	return queues.Equal(s.ring, o.ring)
 }
 
 // FetchGroup pops up to width consecutive entries that lie in the same

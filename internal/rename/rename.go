@@ -9,6 +9,7 @@ package rename
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"blackjack/internal/queues"
 )
@@ -65,6 +66,11 @@ func (f *RegFile) Clone() *RegFile {
 	copy(c.vals, f.vals)
 	copy(c.readyAt, f.readyAt)
 	return c
+}
+
+// Equal reports whether f and o hold the same values and ready cycles.
+func (f *RegFile) Equal(o *RegFile) bool {
+	return slices.Equal(f.vals, o.vals) && slices.Equal(f.readyAt, o.readyAt)
 }
 
 // FreeList hands out physical registers.
@@ -134,6 +140,10 @@ func (fl *FreeList) Clone() *FreeList {
 	return c
 }
 
+// Equal reports whether fl and o hand out the same registers in the same
+// order. The double-free checking map mirrors the list and is not compared.
+func (fl *FreeList) Equal(o *FreeList) bool { return queues.Equal(fl.ring, o.ring) }
+
 // Snapshot returns the registers currently on the free list, oldest first.
 // Intended for diagnostics and invariant-checking tests.
 func (fl *FreeList) Snapshot() []PhysReg {
@@ -179,6 +189,9 @@ func (m *Map) Clone() *Map {
 	copy(c.entries, m.entries)
 	return c
 }
+
+// Equal reports whether m and o hold the same mappings.
+func (m *Map) Equal(o *Map) bool { return slices.Equal(m.entries, o.entries) }
 
 // Reset sets every entry to None.
 func (m *Map) Reset() {

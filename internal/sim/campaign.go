@@ -101,7 +101,7 @@ func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts Inj
 	live := func() (InjectionResult, error) {
 		ctx, cancel := cfg.runContext()
 		defer cancel()
-		res, _, err := injectSites(ctx, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward)
+		res, _, err := injectSites(ctx, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward, nil)
 		return res, err
 	}
 	// Standalone injections honor Trace/Metrics, so the cache gate matches
@@ -118,15 +118,43 @@ func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts Inj
 // own, exactly the standalone behavior — and, being a single-machine run,
 // the standalone path also honors cfg.Trace/cfg.Metrics. A non-nil ctx
 // bounds the run's wall clock: an expired budget surfaces as
-// *InterruptedError, never as a (mis)classified outcome.
+// *InterruptedError, never as a (mis)classified outcome. A non-nil plan
+// lets the run end where it reconverges with the plan's warmup (see
+// CampaignPlan.run); an observed run always runs to the end.
 //
 // stopOnDetect (sampled campaigns, and cold fallbacks within them) ends the
 // run at its first detection event: a cold run is bit-identical to the full
 // run up to the stop, and both the first activation and the first detection
 // precede it, so Outcome, Activations>0 and DetectionLatency are exact —
 // only Cycles and post-detection activation counts are truncated.
-func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, sink *detect.Sink, oracle *goldenOracle, stopOnDetect bool) (res InjectionResult, earlyStop bool, err error) {
+func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, sink *detect.Sink, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
 	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
+	mopts := runOptions(ctx, inj, sink, stopOnDetect)
+	observed := sink == nil && (cfg.Trace != nil || cfg.Metrics != nil)
+	if observed {
+		mopts = append(mopts, cfg.obsOptions()...)
+		pl = nil
+	}
+	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, mopts...)
+	if err != nil {
+		return InjectionResult{}, pathInfo{}, err
+	}
+	var export *obs.Registry
+	if observed {
+		cfg.observeDetections(m)
+		cfg.observeActivations(inj)
+		export = cfg.Metrics
+	}
+	r, pi, err := execute(ctx, cfg, p.Name, m, inj, sites[0], oracle, pl, export)
+	pi.Path = pathCold
+	return r, pi, err
+}
+
+// runOptions assembles the machine options every injection path shares: the
+// injector, the optional stop at the first detection, the run budget (nil
+// ctx: unbudgeted) and a reused sink, reset here (nil: the machine
+// allocates its own).
+func runOptions(ctx context.Context, inj *fault.Injector, sink *detect.Sink, stopOnDetect bool) []pipeline.Option {
 	mopts := []pipeline.Option{pipeline.WithInjector(inj)}
 	if stopOnDetect {
 		mopts = append(mopts, pipeline.WithStopOnDetect())
@@ -134,48 +162,52 @@ func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.
 	if ctx != nil {
 		mopts = append(mopts, pipeline.WithRunContext(ctx))
 	}
-	standalone := sink == nil
-	if !standalone {
+	if sink != nil {
 		sink.Reset()
 		mopts = append(mopts, pipeline.WithSink(sink))
-	} else {
-		mopts = append(mopts, cfg.obsOptions()...)
 	}
-	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, mopts...)
-	if err != nil {
-		return InjectionResult{}, false, err
-	}
-	inj.Now = m.Cycle
-	if standalone {
-		cfg.observeDetections(m)
-		cfg.observeActivations(inj)
-	}
-	res = InjectionResult{Site: sites[0], Mode: cfg.Mode, DetectionLatency: -1}
+	return mopts
+}
 
+// execute is the one run body behind the cold, forked and fast-forwarded
+// paths: it runs m, with inj installed, to the end and classifies the
+// outcome against oracle, so the paths agree exactly. A panic inside the
+// machine is an observable hang, not silent corruption: a fault can wedge
+// bookkeeping the hardware would also wedge (e.g. a corrupted instruction
+// class desynchronizing queue pairing). An expired run budget surfaces as
+// *InterruptedError. With a plan the run may end early where it reconverges
+// with the warmup, and is then served the warmup's result (see
+// CampaignPlan.run). export, when non-nil, receives the final statistics.
+// The returned pathInfo carries the early-stop and convergence notes; the
+// caller fills in the path.
+func execute(ctx context.Context, cfg Config, bench string, m *pipeline.Machine, inj *fault.Injector, site fault.Site, oracle *goldenOracle, pl *CampaignPlan, export *obs.Registry) (res InjectionResult, pi pathInfo, err error) {
+	inj.Now = m.Cycle
+	res = InjectionResult{Site: site, Mode: cfg.Mode, DetectionLatency: -1}
 	defer func() {
 		if r := recover(); r != nil {
-			// A fault can wedge bookkeeping the hardware would also wedge
-			// (e.g. a corrupted instruction class desynchronizing queue
-			// pairing). That is an observable hang, not silent corruption.
 			res.Outcome = OutcomeWedged
 			res.Activations = inj.Activations()
-			err = nil
+			pi, err = pathInfo{}, nil
 		}
 	}()
-
-	st := m.Run(cfg.MaxInstructions)
-	if standalone && cfg.Metrics != nil {
-		st.Export(cfg.Metrics)
+	st, converged := pl.run(m, inj, cfg.MaxInstructions)
+	if export != nil {
+		st.Export(export)
 	}
 	if st.Interrupted {
-		return InjectionResult{}, false, &InterruptedError{
-			Benchmark: p.Name, Mode: cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err(),
+		return InjectionResult{}, pathInfo{}, &InterruptedError{
+			Benchmark: bench, Mode: cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err(),
 		}
 	}
-	if cerr := classify(&res, st, inj, oracle); cerr != nil {
-		return InjectionResult{}, false, cerr
+	if converged {
+		pi.Converged, pi.ConvergedAt = true, st.Cycles
+		st = &pl.warm
 	}
-	return res, st.StoppedOnDetect, nil
+	if cerr := classify(&res, st, inj, oracle); cerr != nil {
+		return InjectionResult{}, pathInfo{}, cerr
+	}
+	pi.EarlyStop = st.StoppedOnDetect
+	return res, pi, nil
 }
 
 // Inject runs a built-in benchmark with one fault.
@@ -475,7 +507,8 @@ func Campaign(cfg Config, benchmark string, sites []fault.Site, opts InjectOptio
 
 // Campaign-metrics histogram bounds: detection latency in cycles from first
 // activation to first detection, and the warmup cycle each forked run
-// resumed from.
+// resumed from (also used for the cycles a run cut at reconvergence did
+// not simulate).
 var (
 	detectLatencyBounds = []float64{0, 10, 25, 50, 100, 250, 500, 1000, 2500, 10000}
 	forkCycleBounds     = []float64{0, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
@@ -540,6 +573,10 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 	}
 	if rec.EarlyStop {
 		w.reg.Counter("campaign.ff.early_stops").Inc()
+	}
+	if rec.Converged {
+		w.reg.Counter("campaign.converged.runs").Inc()
+		w.reg.Histogram("campaign.converged.saved_cycles", forkCycleBounds).Observe(float64(rec.Result.Cycles - rec.ConvergedAt))
 	}
 	if rec.Failure != nil {
 		w.reg.Counter("campaign.quarantined").Inc()
@@ -610,8 +647,7 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 	} else {
 		oracle := newGoldenOracle(p)
 		runner.attempt = func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error) {
-			r, _, err := injectSites(runCtx, cfg, p, sites[i:i+1], opts, w.sink, oracle, false)
-			return r, pathInfo{Path: pathCold}, err
+			return injectSites(runCtx, cfg, p, sites[i:i+1], opts, w.sink, oracle, false, nil)
 		}
 	}
 

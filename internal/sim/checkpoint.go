@@ -287,18 +287,14 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.
 		}
 		if pl.cfg.FastForward && pl.ffEligible(lo, hi) {
 			if handoff, uses, ok := pl.ffHandoff(minFire); ok {
-				r, early, err := pl.ffRun(ctx, lo, hi, handoff, uses, sink)
-				return r, pathInfo{Path: pathFF, FFSkipped: int64(handoff), EarlyStop: early}, err
+				return pl.ffRun(ctx, lo, hi, handoff, uses, sink)
 			}
 		}
 	}
-	cp := pl.latestBefore(minFire)
-	if cp == nil {
-		r, early, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, sink, pl.oracle, pl.cfg.FastForward)
-		return r, pathInfo{Path: pathCold, EarlyStop: early}, err
+	if cp := pl.latestBefore(minFire); cp != nil {
+		return pl.forkRun(ctx, cp, lo, hi, sink)
 	}
-	r, early, err := pl.forkRun(ctx, cp, lo, hi, sink)
-	return r, pathInfo{Path: pathForked, ForkCycle: cp.cycle, EarlyStop: early}, err
+	return injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, sink, pl.oracle, pl.cfg.FastForward, pl)
 }
 
 // ffEligible reports whether sites[lo:hi] may be served by fast-forward.
@@ -359,47 +355,24 @@ func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64,
 // ffRun serves one injection by sampled simulation: functional golden state
 // at the handoff, a warm arch-seeded machine, and a cycle-accurate run over
 // just the remainder — stopping at the first detection event, whose outcome
-// is already decided. Classification matches injectSites/forkRun exactly;
-// Cycles, Activations and DetectionLatency are window-relative.
-func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, uses []uint64, sink *detect.Sink) (res InjectionResult, earlyStop bool, err error) {
+// is already decided. Classification matches the cold and forked paths
+// exactly; Cycles, Activations and DetectionLatency are window-relative, so
+// the warmup's checkpoints are no convergence reference here.
+func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, uses []uint64, sink *detect.Sink) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	arch, err := pl.oracle.archAt(handoff)
 	if err != nil {
-		return InjectionResult{}, false, err
+		return InjectionResult{}, pathInfo{}, err
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	mopts := []pipeline.Option{pipeline.WithInjector(inj), pipeline.WithStopOnDetect()}
-	if ctx != nil {
-		mopts = append(mopts, pipeline.WithRunContext(ctx))
-	}
-	if sink != nil {
-		sink.Reset()
-		mopts = append(mopts, pipeline.WithSink(sink))
-	}
-	m, err := pipeline.NewFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, mopts...)
+	m, err := pipeline.NewFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, sink, true)...)
 	if err != nil {
-		return InjectionResult{}, false, err
+		return InjectionResult{}, pathInfo{}, err
 	}
-	inj.Now = m.Cycle
-	res = InjectionResult{Site: subset[0], Mode: pl.cfg.Mode, DetectionLatency: -1}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Outcome = OutcomeWedged
-			res.Activations = inj.Activations()
-			err = nil
-		}
-	}()
-	st := m.Run(pl.cfg.MaxInstructions)
-	if st.Interrupted {
-		return InjectionResult{}, false, &InterruptedError{
-			Benchmark: pl.prog.Name, Mode: pl.cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err(),
-		}
-	}
-	if cerr := classify(&res, st, inj, pl.oracle); cerr != nil {
-		return InjectionResult{}, false, cerr
-	}
-	return res, st.StoppedOnDetect, nil
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, nil, nil)
+	pi.Path, pi.FFSkipped = pathFF, int64(handoff)
+	return r, pi, err
 }
 
 // latestBefore returns the newest checkpoint strictly before the given
@@ -417,42 +390,54 @@ func (pl *CampaignPlan) latestBefore(cycle int64) *planCheckpoint {
 
 // forkRun resumes the warmup from a checkpoint with a real injector
 // installed, seeded so transient use counting continues where the probe's
-// left off. Mirrors injectSites' classification, budget and panic handling
-// exactly. Under fast-forward the fork also stops at its first detection —
+// left off. Under fast-forward the fork also stops at its first detection —
 // same sampled-campaign semantics, applied to the fork fallback.
-func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, sink *detect.Sink) (res InjectionResult, earlyStop bool, err error) {
+func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, sink *detect.Sink) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	mopts := []pipeline.Option{pipeline.WithInjector(inj)}
-	if pl.cfg.FastForward {
-		mopts = append(mopts, pipeline.WithStopOnDetect())
+	m := pipeline.Fork(cp.snap, runOptions(ctx, inj, sink, pl.cfg.FastForward)...)
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, pl, nil)
+	pi.Path, pi.ForkCycle = pathForked, cp.cycle
+	return r, pi, err
+}
+
+// run runs m, with injector inj installed, to the end of its instruction
+// budget — or until it reconverges with the golden warmup: at a
+// checkpoint cycle, inj can never corrupt again (fault.Injector.Spent) and
+// m's whole state equals the checkpoint's (pipeline.Machine.Matches). It
+// reports whether the run was cut there.
+//
+// The cut is exact. The machine is deterministic, so from equal state at an
+// equal cycle, with an injector that corrupts nothing, the run replays the
+// warmup's tail cycle for cycle: the same statistics, the same stores and
+// no detection. A cut run is therefore served the warmup's final
+// statistics, and its own injector's activation count. A warmup that
+// reported a detection is never a reference, so a run that stops at its
+// first detection cannot be cut where it would have stopped later.
+// Without a plan or checkpoints, run is m.Run.
+func (pl *CampaignPlan) run(m *pipeline.Machine, inj *fault.Injector, maxInstrs int) (st *pipeline.Stats, converged bool) {
+	if pl == nil || len(pl.cps) == 0 || pl.warm.Detections > 0 {
+		return m.Run(maxInstrs), false
 	}
-	if ctx != nil {
-		mopts = append(mopts, pipeline.WithRunContext(ctx))
-	}
-	if sink != nil {
-		sink.Reset()
-		mopts = append(mopts, pipeline.WithSink(sink))
-	}
-	m := pipeline.Fork(cp.snap, mopts...)
-	inj.Now = m.Cycle
-	res = InjectionResult{Site: subset[0], Mode: pl.cfg.Mode, DetectionLatency: -1}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Outcome = OutcomeWedged
-			res.Activations = inj.Activations()
-			err = nil
+	st = m.RunWithCheckpoints(maxInstrs, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
+		if !inj.Spent() {
+			return
 		}
-	}()
-	st := m.Run(pl.cfg.MaxInstructions)
-	if st.Interrupted {
-		return InjectionResult{}, false, &InterruptedError{
-			Benchmark: pl.prog.Name, Mode: pl.cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err(),
+		if cp := pl.checkpointAt(live.Cycle()); cp != nil && live.Matches(cp.snap) {
+			converged = true
+			live.Stop()
 		}
+	})
+	return st, converged
+}
+
+// checkpointAt returns the checkpoint taken at exactly the given cycle, or
+// nil.
+func (pl *CampaignPlan) checkpointAt(cycle int64) *planCheckpoint {
+	j := sort.Search(len(pl.cps), func(i int) bool { return pl.cps[i].cycle >= cycle })
+	if j < len(pl.cps) && pl.cps[j].cycle == cycle {
+		return &pl.cps[j]
 	}
-	if cerr := classify(&res, st, inj, pl.oracle); cerr != nil {
-		return InjectionResult{}, false, cerr
-	}
-	return res, st.StoppedOnDetect, nil
+	return nil
 }

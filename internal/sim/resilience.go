@@ -141,26 +141,28 @@ const (
 
 // pathInfo describes how a campaign run was served: the path plus that
 // path's parameters (fork cycle, functionally skipped instructions,
-// early-stop). It is what injectCtx reports and what runRecord journals.
+// early-stop, the cycle it reconverged with the warmup at). It is what
+// injectCtx reports and what runRecord journals.
 type pathInfo struct {
-	Path      runPath
-	ForkCycle int64
-	FFSkipped int64
-	EarlyStop bool
+	Path      runPath `json:"path,omitempty"`
+	ForkCycle int64   `json:"fork_cycle,omitempty"`
+	FFSkipped int64   `json:"ff_skipped,omitempty"`
+	EarlyStop bool    `json:"early_stop,omitempty"`
+	// Converged marks a run cut at ConvergedAt, the checkpoint cycle where
+	// it reconverged with the golden warmup (see CampaignPlan.run).
+	Converged   bool  `json:"converged,omitempty"`
+	ConvergedAt int64 `json:"converged_at,omitempty"`
 }
 
 // runRecord is one completed campaign run as journaled: the classified
 // result plus everything needed to replay the run's registry contributions
-// byte-identically on resume. The fast-forward fields are additive —
-// journals written before sampled campaigns existed still replay.
+// byte-identically on resume. The path fields after the first are additive
+// and omitted when zero, so older journals still replay.
 type runRecord struct {
-	Result    InjectionResult `json:"result"`
-	Path      runPath         `json:"path,omitempty"`
-	ForkCycle int64           `json:"fork_cycle,omitempty"`
-	FFSkipped int64           `json:"ff_skipped,omitempty"`
-	EarlyStop bool            `json:"early_stop,omitempty"`
-	Retries   int             `json:"retries,omitempty"`
-	Failure   *RunFailure     `json:"failure,omitempty"`
+	Result InjectionResult `json:"result"`
+	pathInfo
+	Retries int         `json:"retries,omitempty"`
+	Failure *RunFailure `json:"failure,omitempty"`
 }
 
 // CampaignJournal is the durable completed-run log of one campaign. Open it
@@ -334,10 +336,7 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 			if attempt > 0 {
 				c.retried.Add(int64(attempt))
 			}
-			return runRecord{
-				Result: r, Path: pi.Path, ForkCycle: pi.ForkCycle,
-				FFSkipped: pi.FFSkipped, EarlyStop: pi.EarlyStop, Retries: attempt,
-			}, nil
+			return runRecord{Result: r, pathInfo: pi, Retries: attempt}, nil
 		}
 		if c.cfg.Ctx != nil && c.cfg.Ctx.Err() != nil {
 			// Campaign-level shutdown (SIGINT): not a run failure. Surface

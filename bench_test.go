@@ -16,6 +16,7 @@ import (
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
+	"blackjack/internal/runcache"
 )
 
 // benchOpts is the reduced-scale setup the figure benches share: one low-IPC
@@ -312,7 +313,7 @@ func BenchmarkCampaignFF16(b *testing.B) { benchCampaign16(b, 0, true) }
 // same sweep cold) for the cache speedup; the warm/cold wall-clock pair is
 // also recorded in the BENCH_campaign.json trajectory by bjexp -bench-json.
 func BenchmarkSweepWarmCache(b *testing.B) {
-	cache, err := OpenRunCache(b.TempDir(), 0)
+	cache, err := runcache.Open(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

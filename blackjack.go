@@ -35,16 +35,12 @@ package blackjack
 import (
 	"io"
 
-	"blackjack/internal/calib"
-	"blackjack/internal/detect"
-	"blackjack/internal/diffcheck"
 	"blackjack/internal/experiments"
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
-	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 )
 
@@ -56,8 +52,6 @@ type (
 	// MachineConfig holds every core parameter (Table 1 defaults via
 	// DefaultMachineConfig).
 	MachineConfig = pipeline.Config
-	// Stats are the measurements a run produces.
-	Stats = pipeline.Stats
 )
 
 // The four machine configurations of the paper's evaluation.
@@ -150,10 +144,6 @@ type (
 	InjectOptions = sim.InjectOptions
 	// CampaignSummary aggregates a multi-site campaign.
 	CampaignSummary = sim.CampaignSummary
-	// Outcome classifies a fault run (detected / silent / benign / wedged).
-	Outcome = sim.Outcome
-	// DetectionEvent is one redundancy-check firing.
-	DetectionEvent = detect.Event
 )
 
 // Fault site classes.
@@ -171,9 +161,6 @@ type (
 	// stuck-at/flip patterns, or control-flow errors corrupting branch
 	// redirects.
 	FaultKind = fault.Kind
-	// FaultSiteError is the typed validation error FaultSite.Validate and
-	// campaign admission return for contradictory site descriptions.
-	FaultSiteError = fault.SiteError
 )
 
 // The fault kinds a FaultSite can model.
@@ -182,28 +169,16 @@ const (
 	FaultKindTransient    = fault.KindTransient
 	FaultKindIntermittent = fault.KindIntermittent
 	FaultKindMultiBit     = fault.KindMultiBit
-	FaultKindControlFlow  = fault.KindControlFlow
 )
-
-// FaultKinds lists every fault kind in declaration order.
-func FaultKinds() []FaultKind { return fault.Kinds() }
 
 // ParseFaultKind resolves a fault-kind name ("permanent", "transient",
 // "intermittent", "multi-bit", "control-flow").
 func ParseFaultKind(s string) (FaultKind, error) { return fault.ParseKind(s) }
 
-// ValidateFaultSites rejects contradictory site descriptions with a
-// *FaultSiteError before any simulation runs; campaign entry points call it
-// at admission.
-func ValidateFaultSites(sites []FaultSite) error { return fault.ValidateSites(sites) }
-
 // Fault run outcomes.
 const (
-	OutcomeBenign      = sim.OutcomeBenign
-	OutcomeDetected    = sim.OutcomeDetected
-	OutcomeSilent      = sim.OutcomeSilent
-	OutcomeWedged      = sim.OutcomeWedged
-	OutcomeQuarantined = sim.OutcomeQuarantined
+	OutcomeDetected = sim.OutcomeDetected
+	OutcomeSilent   = sim.OutcomeSilent
 )
 
 // Resilience and crash recovery.
@@ -212,21 +187,9 @@ type (
 	// the hung-worker watchdog of campaign entry points. Attach via
 	// Config.Resilience.
 	Resilience = sim.Resilience
-	// RunFailure describes one quarantined campaign run, including the
-	// command that reproduces it standalone.
-	RunFailure = sim.RunFailure
 	// CampaignJournal is the durable completed-run log of a fault campaign;
 	// attach via Config.Journal to make the campaign crash-resumable.
 	CampaignJournal = sim.CampaignJournal
-	// FuzzJournal is the durable completed-program log of a fuzz session;
-	// attach via FuzzOptions.Journal.
-	FuzzJournal = diffcheck.FuzzJournal
-	// DeadlockError is returned by single-run entry points when the machine
-	// wedges before exhausting its instruction budget.
-	DeadlockError = sim.DeadlockError
-	// InterruptedError is returned when a run is stopped by its context or
-	// per-run wall-clock budget.
-	InterruptedError = sim.InterruptedError
 )
 
 // OpenCampaignJournal opens (creating or resuming) the campaign journal at
@@ -234,11 +197,6 @@ type (
 // with a different program, mode, budget or site list is refused.
 func OpenCampaignJournal(path string, cfg Config, benchmark string, sites []FaultSite, opts InjectOptions) (*CampaignJournal, error) {
 	return sim.OpenCampaignJournal(path, cfg, benchmark, sites, opts)
-}
-
-// OpenFuzzJournal opens (creating or resuming) the fuzz journal at path.
-func OpenFuzzJournal(path string, opts FuzzOptions) (*FuzzJournal, error) {
-	return diffcheck.OpenFuzzJournal(path, opts)
 }
 
 // Inject runs a benchmark with one hard fault installed.
@@ -256,11 +214,6 @@ func Campaign(cfg Config, benchmark string, sites []FaultSite, opts InjectOption
 	return sim.Campaign(cfg, benchmark, sites, opts)
 }
 
-// RunProgress is one completed campaign run as delivered to
-// Config.OnProgress — the job-level progress hook campaign services stream
-// events from.
-type RunProgress = sim.RunProgress
-
 // FormatInjectionResult renders one campaign row exactly as bjfault prints
 // it (site, outcome, activations, first detection event).
 func FormatInjectionResult(r InjectionResult) string { return sim.FormatInjectionResult(r) }
@@ -270,12 +223,6 @@ func FormatInjectionResult(r InjectionResult) string { return sim.FormatInjectio
 // served executions of the same work are diffable.
 func WriteCampaignTable(w io.Writer, mode Mode, benchmark string, sum *CampaignSummary) error {
 	return sim.WriteCampaignTable(w, mode, benchmark, sum)
-}
-
-// IsLatentCampaign reports whether sites is exactly the canonical 16-site
-// latent campaign for the machine.
-func IsLatentCampaign(machine MachineConfig, sites []FaultSite) bool {
-	return sim.IsLatentCampaign(machine, sites)
 }
 
 // StandardFaultSites returns the canonical campaign for a machine: every
@@ -294,66 +241,6 @@ func FaultSitesForKind(machine MachineConfig, kind FaultKind) ([]FaultSite, erro
 	return sim.SitesForKind(machine, kind)
 }
 
-// Differential verification (the bjfuzz harness).
-type (
-	// FuzzOptions configure a differential fuzzing campaign: random programs
-	// cross-checked against the ISA golden model under every machine variant,
-	// with structural safe-shuffle/DTQ invariants enforced during execution.
-	FuzzOptions = diffcheck.FuzzOptions
-	// FuzzSummary aggregates a campaign, including minimized failures.
-	FuzzSummary = diffcheck.FuzzSummary
-	// CoverageMatrixOptions configure the fault-coverage matrix.
-	CoverageMatrixOptions = diffcheck.MatrixOptions
-	// FaultCoverageMatrix asserts every fault class × pipeline structure is
-	// exercised and detected (or explicitly benign).
-	FaultCoverageMatrix = diffcheck.Matrix
-)
-
-// FuzzPrograms runs a differential fuzzing campaign.
-func FuzzPrograms(opts FuzzOptions) (*FuzzSummary, error) { return diffcheck.Fuzz(opts) }
-
-// CheckProgramAllModes differentially checks one program under every machine
-// variant against the golden model and returns any divergences.
-func CheckProgramAllModes(machine MachineConfig, p *Program, maxInstructions int) []string {
-	rep := diffcheck.CheckProgram(machine, p, maxInstructions)
-	var out []string
-	for _, d := range rep.Divergences {
-		out = append(out, d.String())
-	}
-	return out
-}
-
-// RunCoverageMatrix runs the fault-injection coverage matrix.
-func RunCoverageMatrix(opts CoverageMatrixOptions) (*FaultCoverageMatrix, error) {
-	return diffcheck.CoverageMatrix(opts)
-}
-
-// Run cache.
-type (
-	// RunCache is the on-disk content-addressable run cache: entries are
-	// keyed by the full identity of a run (program content, machine
-	// configuration, mode, budget, fault site, execution plan) and served
-	// in place of re-execution. Attach via Config.Cache; tune sampled
-	// re-verification of hits via Config.CacheVerify.
-	RunCache = runcache.Store
-	// RunCacheStats snapshots a cache's hit/miss/eviction counters.
-	RunCacheStats = runcache.Stats
-)
-
-// CacheEnvDir is the environment variable that opts a machine into caching:
-// when set, the CLIs default -cache-dir to its value.
-const CacheEnvDir = runcache.EnvDir
-
-// OpenRunCache opens (creating if needed) the run cache rooted at dir.
-// maxBytes <= 0 selects the default size bound before LRU eviction.
-func OpenRunCache(dir string, maxBytes int64) (*RunCache, error) {
-	return runcache.Open(dir, maxBytes)
-}
-
-// DefaultCacheDir returns the environment opt-in cache directory ("" when
-// the machine has not opted in via CacheEnvDir).
-func DefaultCacheDir() string { return runcache.DefaultDir() }
-
 // Observability.
 type (
 	// Tracer records structured pipeline events into a fixed ring and exports
@@ -363,8 +250,6 @@ type (
 	// Metrics is a counter/gauge/histogram registry with deterministic text
 	// and JSON export. Attach via Config.Metrics.
 	Metrics = obs.Registry
-	// TraceKind tags a structured trace event.
-	TraceKind = obs.Kind
 )
 
 // NewTracer returns a tracer holding the last capacity events (<= 0 uses the
@@ -376,9 +261,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WriteTraceFile writes a tracer's Chrome trace JSON to path.
 func WriteTraceFile(path string, t *Tracer) error { return obs.WriteTraceFile(path, t) }
-
-// WriteMetricsFile writes a registry's JSON snapshot to path.
-func WriteMetricsFile(path string, r *Metrics) error { return obs.WriteMetricsFile(path, r) }
 
 // Experiments.
 type (
@@ -397,51 +279,3 @@ func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOp
 func RunExperimentSuite(opts ExperimentOptions) (*ExperimentSuite, error) {
 	return experiments.RunSuite(opts)
 }
-
-// Calibration: every paper claim as a typed, executable assertion
-// (internal/calib), plus trend gating over BENCH_*.json trajectories.
-type (
-	// CalibClaim is one paper claim: metric key, paper value, tolerance
-	// band.
-	CalibClaim = calib.Claim
-	// CalibSpec is a named set of claims.
-	CalibSpec = calib.Spec
-	// CalibReport is an evaluated spec with per-claim PASS/DRIFT/FAIL
-	// verdicts and deterministic text/JSON rendering.
-	CalibReport = calib.Report
-	// CalibMeasurements maps metric keys to measured scalars.
-	CalibMeasurements = calib.Measurements
-	// CalibVerdict classifies one evaluated claim.
-	CalibVerdict = calib.Verdict
-	// TrendReport is an evaluated BENCH trajectory: the newest record
-	// gated against the median of the records preceding it, per metric.
-	TrendReport = calib.TrendReport
-	// TrajectoryMismatchError is the typed refusal to append a record to a
-	// trajectory recorded for a different workload.
-	TrajectoryMismatchError = calib.TrajectoryMismatchError
-)
-
-// Calibration verdicts.
-const (
-	CalibPass  = calib.Pass
-	CalibDrift = calib.Drift
-	CalibFail  = calib.Fail
-)
-
-// PaperCalibrationSpec returns the executable form of the EXPERIMENTS.md
-// paper-vs-measured comparison.
-func PaperCalibrationSpec() CalibSpec { return calib.PaperSpec() }
-
-// Calibrate runs the figure suite plus one metrics-attached representative
-// run and evaluates the paper calibration spec.
-func Calibrate(opts ExperimentOptions) (*CalibReport, error) { return experiments.Calibrate(opts) }
-
-// AppendBenchTrajectory appends a flat JSON-marshalable record to the
-// trajectory array at path, migrating legacy single-object files and
-// refusing records whose benchmark/mode/sites identity mismatches the
-// existing records.
-func AppendBenchTrajectory(path string, rec any) error { return calib.AppendTrajectory(path, rec) }
-
-// EvalBenchTrend gates the BENCH trajectory at path with the default trend
-// tolerance windows.
-func EvalBenchTrend(path string) (*TrendReport, error) { return calib.EvalTrendFile(path) }

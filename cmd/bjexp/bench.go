@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"blackjack"
+	"blackjack/internal/calib"
+	"blackjack/internal/cli"
+	"blackjack/internal/runcache"
 )
 
 // campaignBench is one record of the BENCH_*.json trajectory: a timestamped
@@ -129,7 +132,7 @@ func runBenchJSON(path, bench string, n, par int, interval int64, ffWarmup int) 
 		return err
 	}
 	defer os.RemoveAll(cacheDir)
-	store, err := blackjack.OpenRunCache(cacheDir, 0)
+	store, err := runcache.Open(cacheDir, 0)
 	if err != nil {
 		return err
 	}
@@ -181,10 +184,10 @@ func runBenchJSON(path, bench string, n, par int, interval int64, ffWarmup int) 
 	// benchmark/mode/sites identity mismatches the records already there: a
 	// trajectory tracks one workload configuration over time, and a mixed
 	// file would corrupt every trend fitted over it.
-	if err := blackjack.AppendBenchTrajectory(path, b); err != nil {
+	if err := calib.AppendTrajectory(path, b); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bjexp: %d-site campaign on %q: cold %.0fms, checkpointed %.0fms (%.1fx), fast-forwarded %.0fms (%.1fx cold, %.1fx ckpt), cache-warm %.0fms (%.1fx cold, %d hits), %.0f ns/instr -> %s\n",
+	cli.Logf("%d-site campaign on %q: cold %.0fms, checkpointed %.0fms (%.1fx), fast-forwarded %.0fms (%.1fx cold, %.1fx ckpt), cache-warm %.0fms (%.1fx cold, %d hits), %.0f ns/instr -> %s",
 		b.Sites, bench, b.ColdCampaignMs, b.CkptCampaignMs, b.Speedup,
 		b.FFCampaignMs, b.FFSpeedup, b.FFSpeedupVsCkpt,
 		b.WarmCacheCampaignMs, b.CacheSpeedup, b.CacheHits, b.NsPerInstr, path)

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"strings"
 
 	"blackjack/internal/calib"
+	"blackjack/internal/cli"
 	"blackjack/internal/experiments"
 )
 
@@ -13,32 +13,31 @@ import (
 // run, rendering the per-claim verdict table to stdout (and JSON to
 // jsonPath when set). DRIFT verdicts warn on stderr; any FAIL exits 5.
 func runCalibrate(opts experiments.Options, jsonPath string) {
-	fmt.Fprintf(os.Stderr, "bjexp: calibrating %d claims against %d benchmarks x 4 modes x %d instructions...\n",
+	cli.Logf("calibrating %d claims against %d benchmarks x 4 modes x %d instructions...",
 		len(calib.PaperSpec().Claims), len(opts.Benchmarks), opts.Instructions)
 	rep, err := experiments.Calibrate(opts)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	rep.Table().Render(os.Stdout)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := rep.WriteJSON(f); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "bjexp: wrote calibration report to %s\n", jsonPath)
+		cli.Logf("wrote calibration report to %s", jsonPath)
 	}
 	if drifting := rep.Drifting(); len(drifting) > 0 {
-		fmt.Fprintf(os.Stderr, "bjexp: calibration drift on %s\n", strings.Join(drifting, ", "))
+		cli.Logf("calibration drift on %s", strings.Join(drifting, ", "))
 	}
 	if rep.Failed() {
-		fmt.Fprintln(os.Stderr, "bjexp: calibration FAILED")
-		os.Exit(5)
+		cli.Exitf(cli.ExitFail, "calibration FAILED")
 	}
 }
 
@@ -47,14 +46,13 @@ func runCalibrate(opts experiments.Options, jsonPath string) {
 func runTrendGate(path string) {
 	rep, err := calib.EvalTrendFile(path)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	rep.Table().Render(os.Stdout)
 	if drifting := rep.Drifting(); len(drifting) > 0 {
-		fmt.Fprintf(os.Stderr, "bjexp: trend drift on %s\n", strings.Join(drifting, ", "))
+		cli.Logf("trend drift on %s", strings.Join(drifting, ", "))
 	}
 	if rep.Failed() {
-		fmt.Fprintln(os.Stderr, "bjexp: trend gate FAILED")
-		os.Exit(5)
+		cli.Exitf(cli.ExitFail, "trend gate FAILED")
 	}
 }

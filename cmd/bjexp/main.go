@@ -16,21 +16,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"blackjack/internal/cli"
 	"blackjack/internal/experiments"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
-	"blackjack/internal/profiling"
-	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 )
 
@@ -55,32 +49,20 @@ func main() {
 		calibrate = flag.Bool("calibrate", false, "run the figure suite, evaluate every paper claim of the calibration spec (PASS/DRIFT/FAIL per claim) and exit; any FAIL exits with code 5")
 		calibJSON = flag.String("calib-json", "", "with -calibrate, also write the calibration report as JSON to this file")
 		trendGate = flag.String("trend-gate", "", "gate the BENCH trajectory at this path (newest record vs the median of the previous records, per metric) and exit; any regression beyond the drift band exits with code 5")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		journalDir = flag.String("journal-dir", "", "journal every fault campaign's completed runs into this directory; re-running with the same directory resumes")
-		isolate    = flag.Bool("isolate", false, "quarantine panicking or over-budget runs/cells (with repro commands) instead of aborting the experiment")
-		retries    = flag.Int("retries", 0, "re-run a failing campaign injection up to this many times with doubling budgets before quarantining it")
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = unbudgeted); exceeded runs are quarantined when -isolate is set")
 
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of one representative run (-bench under blackjack mode at the suite budget) to this file")
-		metricsOut = flag.String("metrics-out", "", "write the experiment's merged metrics registry as JSON to this file")
-
-		cacheDir = flag.String("cache-dir", runcache.DefaultDir(), "content-addressable run cache directory (default: $"+runcache.EnvDir+"; empty disables caching)")
-		cacheOn  = flag.Bool("cache", true, "serve suite cells, sweep points and campaign cells whose full identity matches a cached entry from -cache-dir instead of re-executing (incremental sweeps)")
-		cacheVer = flag.Float64("cache-verify", 0, "re-execute this fraction of cache hits and diff against the stored outcome; any divergence exits non-zero (0 trusts hits, 1 recomputes all)")
+		resilience = cli.ResilienceFlags()
+		out        = cli.OutputFlags()
+		cache      = cli.CacheFlags()
 	)
-	flag.Parse()
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+	cli.ProfileFlags()
+	cli.Parse("bjexp")
+	defer cli.Cleanup()
 
 	// SIGTERM (the plain `kill` default) drains exactly like SIGINT:
 	// journals flush, partial metrics merge, exit 130 with a resume hint.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	opts := experiments.DefaultOptions()
@@ -91,33 +73,21 @@ func main() {
 	opts.FFWarmup = *ffWarm
 	opts.Ctx = ctx
 	opts.JournalDir = *journalDir
-	opts.Resilience = sim.Resilience{
-		Isolate:    *isolate,
-		Retries:    *retries,
-		RunTimeout: *runTimeout,
-		StallAfter: 30 * time.Second,
-	}
+	opts.Resilience = resilience.Settings()
 	if *journalDir != "" {
 		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
+		cli.SetResumeHint(fmt.Sprintf("completed campaign runs journaled under %s; re-run with the same -journal-dir to resume", *journalDir))
 	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
-	var cache *runcache.Store
-	if *cacheOn && *cacheDir != "" {
-		cache, err = runcache.Open(*cacheDir, 0)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Cache = cache
-		opts.CacheVerify = *cacheVer
-	}
+	opts.Cache, opts.CacheVerify = cache.Open()
 
 	if *bjJSON != "" {
 		if err := runBenchJSON(*bjJSON, *bench, *n, *par, *ckpt, *ffWarm); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
@@ -127,18 +97,18 @@ func main() {
 	}
 	if *calibrate {
 		runCalibrate(opts, *calibJSON)
-		reportCache(cache)
+		cache.Report()
 		return
 	}
 
 	var metrics *obs.Registry
-	if *metricsOut != "" {
+	if out.Metrics != "" {
 		metrics = obs.NewRegistry()
 		opts.Metrics = metrics
 	}
-	if *traceOut != "" {
-		if err := writeRepresentativeTrace(*traceOut, opts, *bench); err != nil {
-			fatal(err)
+	if out.Trace != "" {
+		if err := writeRepresentativeTrace(out.Trace, opts, *bench); err != nil {
+			cli.Fatal(err)
 		}
 	}
 
@@ -190,39 +160,14 @@ func main() {
 		fmt.Println()
 		runExtI(opts, *bench)
 	default:
-		fatal(fmt.Errorf("unknown experiment %q (known: %s)", *exp, strings.Join(experimentNames, ", ")))
+		cli.Fatal(fmt.Errorf("unknown experiment %q (known: %s)", *exp, strings.Join(experimentNames, ", ")))
 	}
 
 	if metrics != nil {
-		if cache != nil {
-			cache.Export(metrics)
-		}
-		if err := obs.WriteMetricsFile(*metricsOut, metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bjexp: wrote metrics to %s\n", *metricsOut)
+		out.WriteMetrics(metrics, cache)
+		cli.Logf("wrote metrics to %s", out.Metrics)
 	}
-	reportCache(cache)
-}
-
-// reportCache prints cache traffic to stderr (stdout tables stay
-// byte-identical to an uncached run) and fails the invocation when sampled
-// verification found a stored outcome diverging from live re-execution.
-func reportCache(c *runcache.Store) {
-	if c == nil {
-		return
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "bjexp: cache: %d hits, %d misses, %d evictions, %d bytes\n",
-		st.Hits, st.Misses, st.Evictions, st.Bytes)
-	if st.VerifyDivergences > 0 {
-		fmt.Fprintf(os.Stderr, "bjexp: cache verification: %d of %d recomputed hits diverged\n",
-			st.VerifyDivergences, st.VerifyRuns)
-		os.Exit(4)
-	}
+	cache.Report()
 }
 
 // writeRepresentativeTrace runs the named benchmark once under BlackJack mode
@@ -238,39 +183,25 @@ func writeRepresentativeTrace(path string, opts experiments.Options, bench strin
 	if err := obs.WriteTraceFile(path, tr); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bjexp: wrote trace of %s (blackjack) to %s\n", bench, path)
+	cli.Logf("wrote trace of %s (blackjack) to %s", bench, path)
 	return nil
 }
 
 func mustSuite(opts experiments.Options) *experiments.Suite {
-	fmt.Fprintf(os.Stderr, "bjexp: running %d benchmarks x 4 modes x %d instructions...\n",
+	cli.Logf("running %d benchmarks x 4 modes x %d instructions...",
 		len(opts.Benchmarks), opts.Instructions)
 	s, err := experiments.RunSuite(opts)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	if len(s.Failures) > 0 {
 		// Figures below aggregate only over benchmarks whose every cell
 		// succeeded; list what was dropped and how to reproduce it.
-		fmt.Fprintf(os.Stderr, "bjexp: %d cells quarantined; figures aggregate the remaining complete benchmarks\n", len(s.Failures))
+		cli.Logf("%d cells quarantined; figures aggregate the remaining complete benchmarks", len(s.Failures))
 		s.FailuresTable().Render(os.Stdout)
 		fmt.Println()
 	}
 	return s
-}
-
-// fatalCampaign handles an experiment error, turning a SIGINT cancellation
-// into the conventional 130 exit with a resume hint when runs were journaled.
-func fatalCampaign(err error, opts experiments.Options) {
-	if errors.Is(err, context.Canceled) {
-		if opts.JournalDir != "" {
-			fmt.Fprintf(os.Stderr, "bjexp: interrupted; completed campaign runs journaled under %s; re-run with the same -journal-dir to resume\n", opts.JournalDir)
-		} else {
-			fmt.Fprintln(os.Stderr, "bjexp: interrupted")
-		}
-		os.Exit(130)
-	}
-	fatal(err)
 }
 
 func renderFromSuite(s *experiments.Suite, exp string) {
@@ -298,9 +229,9 @@ func writeSVGs(suite *experiments.Suite, dir string) {
 	}
 	paths, err := suite.WriteSVGs(dir)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "bjexp: wrote %d SVG figures to %s\n", len(paths), dir)
+	cli.Logf("wrote %d SVG figures to %s", len(paths), dir)
 }
 
 func runExtA(opts experiments.Options, bench string) {
@@ -310,7 +241,7 @@ func runExtA(opts experiments.Options, bench string) {
 	campaign.Instructions = min(opts.Instructions, 30_000)
 	rows, err := experiments.ExtAFaultInjection(campaign, bench)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtATable(rows, bench).Render(os.Stdout)
 }
@@ -320,7 +251,7 @@ func runExtC(opts experiments.Options) {
 	campaign.Instructions = min(opts.Instructions, 20_000)
 	rows, err := experiments.ExtCPayloadRAM(campaign, []string{"gzip", "equake"})
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtCTable(rows).Render(os.Stdout)
 }
@@ -328,7 +259,7 @@ func runExtC(opts experiments.Options) {
 func runExtD(opts experiments.Options, bench string) {
 	rows, err := experiments.ExtDSweep(opts, bench, nil, nil)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtDTable(rows).Render(os.Stdout)
 }
@@ -336,7 +267,7 @@ func runExtD(opts experiments.Options, bench string) {
 func runExtE(opts experiments.Options) {
 	rows, err := experiments.ExtEMergingShuffle(opts, nil)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtETable(rows).Render(os.Stdout)
 }
@@ -346,7 +277,7 @@ func runExtF(opts experiments.Options, bench string) {
 	campaign.Instructions = min(opts.Instructions, 20_000)
 	rows, err := experiments.ExtFMultiFault(campaign, bench, 3)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtFTable(rows, bench).Render(os.Stdout)
 }
@@ -356,7 +287,7 @@ func runExtG(opts experiments.Options, bench string) {
 	campaign.Instructions = min(opts.Instructions, 30_000)
 	rows, err := experiments.ExtGSoftErrors(campaign, bench)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtGTable(rows, bench).Render(os.Stdout)
 }
@@ -368,7 +299,7 @@ func runExtI(opts experiments.Options, bench string) {
 	campaign.Instructions = min(opts.Instructions, 20_000)
 	rows, err := experiments.ExtISoftIntermittent(campaign, bench)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtITable(rows, bench).Render(os.Stdout)
 }
@@ -381,12 +312,7 @@ func runExtH(opts experiments.Options) {
 	study.Instructions = min(opts.Instructions, 60_000)
 	rows, err := experiments.ExtHSeedRobustness(study, nil)
 	if err != nil {
-		fatalCampaign(err, opts)
+		cli.Fatal(err)
 	}
 	experiments.ExtHTable(rows, study.Benchmarks).Render(os.Stdout)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjexp:", err)
-	os.Exit(1)
 }

@@ -29,16 +29,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	"blackjack"
+	"blackjack/internal/cli"
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
-	"blackjack/internal/profiling"
 	"blackjack/internal/rename"
 )
 
@@ -62,43 +59,30 @@ func main() {
 		ckpt    = flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles; injections fork from the latest snapshot before their fault fires (0 = every run cold; output is identical at any value)")
 		ff      = flag.Bool("ff", false, "sampled campaign: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)")
 		ffWarm  = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		siteIndex  = flag.Int("site-index", -1, "replay run i of the standard campaign site list (the index quarantine repro commands print)")
-		journal    = flag.String("journal", "", "journal completed campaign runs to this file (fsync'd batches; campaigns only)")
-		resume     = flag.Bool("resume", false, "resume from an existing -journal file instead of starting fresh")
-		isolate    = flag.Bool("isolate", false, "quarantine panicking or over-budget runs (with repro commands) instead of aborting the campaign")
-		retries    = flag.Int("retries", 0, "re-run a failing injection up to this many times with doubling budgets before quarantining it")
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = unbudgeted); exceeded runs are quarantined when -isolate is set")
+		siteIndex = flag.Int("site-index", -1, "replay run i of the standard campaign site list (the index quarantine repro commands print)")
 
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (single -site runs only)")
-		metricsOut = flag.String("metrics-out", "", "write campaign/run metrics as JSON to this file")
-
-		cacheDir = flag.String("cache-dir", blackjack.DefaultCacheDir(), "content-addressable run cache directory (default: $"+blackjack.CacheEnvDir+"; empty disables caching)")
-		cacheOn  = flag.Bool("cache", true, "serve campaign cells whose full identity matches a cached entry from -cache-dir instead of re-executing")
-		cacheVer = flag.Float64("cache-verify", 0, "re-execute this fraction of cache hits and diff against the stored outcome; any divergence exits non-zero (0 trusts hits, 1 recomputes all)")
+		journal    = cli.JournalFlags()
+		resilience = cli.ResilienceFlags()
+		out        = cli.OutputFlags()
+		cache      = cli.CacheFlags()
 	)
-	flag.Parse()
-
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+	cli.ProfileFlags()
+	cli.Parse("bjfault")
+	defer cli.Cleanup()
 
 	m, err := blackjack.ParseMode(*mode)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	kind, err := blackjack.ParseFaultKind(*kindStr)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// SIGTERM (the plain `kill` default, and what most supervisors send)
 	// takes the same drain-and-resume path as SIGINT: stop new runs, flush
 	// journal and metrics, exit 130 with a resume hint.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	cfg := blackjack.DefaultConfig(m, *n)
 	cfg.Parallel = *par
@@ -106,161 +90,97 @@ func main() {
 	cfg.FastForward = *ff
 	cfg.FFWarmup = *ffWarm
 	cfg.Ctx = ctx
-	cfg.Resilience = blackjack.Resilience{
-		Isolate:    *isolate,
-		Retries:    *retries,
-		RunTimeout: *runTimeout,
-		StallAfter: 30 * time.Second,
-	}
+	cfg.Resilience = resilience.Settings()
 	opts := blackjack.InjectOptions{SplitPayload: *split}
-	cache := openCache(*cacheDir, *cacheOn, *cacheVer, &cfg)
-	defer reportCache(cache)
+	// A campaign cell (or single injection) whose full identity — program
+	// content, machine, mode, budget, site, execution plan — matches a
+	// stored entry is served from disk instead of re-simulated.
+	cfg.Cache, cfg.CacheVerify = cache.Open()
+	defer cache.Report()
 
-	if *traceOut != "" && *site == "" {
-		fatal(fmt.Errorf("-trace-out needs a single -site run (campaigns run many machines)"))
+	if out.Trace != "" && *site == "" {
+		cli.Fatal(fmt.Errorf("-trace-out needs a single -site run (campaigns run many machines)"))
 	}
 	var otr *blackjack.Tracer
-	if *traceOut != "" {
+	if out.Trace != "" {
 		otr = blackjack.NewTracer(0)
 		cfg.Trace = otr
 	}
+	// Campaigns merge their per-worker registries into metrics before
+	// writeMetrics runs.
 	var metrics *blackjack.Metrics
-	if *metricsOut != "" {
+	writeMetrics := func() {}
+	if out.Metrics != "" {
 		metrics = blackjack.NewMetrics()
 		cfg.Metrics = metrics
+		writeMetrics = func() {
+			out.WriteMetrics(metrics, cache)
+			fmt.Printf("metrics written to %s\n", out.Metrics)
+		}
 	}
 
 	if *siteIndex >= 0 {
 		sites, err := selectSites(cfg.Machine, kind, *sitesel)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if *siteIndex >= len(sites) {
-			fatal(fmt.Errorf("-site-index %d out of range [0,%d)", *siteIndex, len(sites)))
+			cli.Fatal(fmt.Errorf("-site-index %d out of range [0,%d)", *siteIndex, len(sites)))
 		}
 		r, err := blackjack.Inject(cfg, *bench, sites[*siteIndex], opts)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		printOne(r)
-		writeMetrics(*metricsOut, metrics, cache)
+		writeMetrics()
 		return
 	}
 
 	if *site != "" {
 		s, err := buildSite(*site, *way, *unit, *slot, *reg)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if s, err = applyKind(s, kind, *duty, *mask); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		r, err := blackjack.Inject(cfg, *bench, s, opts)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		printOne(r)
 		if otr != nil {
-			if err := blackjack.WriteTraceFile(*traceOut, otr); err != nil {
-				fatal(err)
+			if err := blackjack.WriteTraceFile(out.Trace, otr); err != nil {
+				cli.Fatal(err)
 			}
 		}
-		writeMetrics(*metricsOut, metrics, cache)
+		writeMetrics()
 		return
 	}
 
 	sites, err := selectSites(cfg.Machine, kind, *sitesel)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *compare {
+		// Each mode's campaign has a distinct identity and needs its own
+		// journal.
 		for _, mm := range []blackjack.Mode{blackjack.ModeSRT, blackjack.ModeBlackJack} {
 			c := cfg
 			c.Mode = mm
-			runCampaign(c, *bench, sites, opts, journalPath(*journal, "-"+mm.String()), *resume, *metricsOut, metrics, cache)
+			runCampaign(c, *bench, sites, opts, journal.Prepare("-"+mm.String()), writeMetrics)
 		}
-		writeMetrics(*metricsOut, metrics, cache)
-		return
+	} else {
+		runCampaign(cfg, *bench, sites, opts, journal.Prepare(""), writeMetrics)
 	}
-	runCampaign(cfg, *bench, sites, opts, *journal, *resume, *metricsOut, metrics, cache)
-	writeMetrics(*metricsOut, metrics, cache)
+	writeMetrics()
 }
 
-// openCache attaches the content-addressable run cache when enabled: a
-// campaign cell (or single injection) whose full identity — program
-// content, machine, mode, budget, site, execution plan — matches a stored
-// entry is served from disk instead of re-simulated. Tracing and metrics
-// runs bypass the cache for single injections because they want live
-// pipeline internals.
-func openCache(dir string, enabled bool, verify float64, cfg *blackjack.Config) *blackjack.RunCache {
-	if !enabled || dir == "" {
-		return nil
-	}
-	c, err := blackjack.OpenRunCache(dir, 0)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Cache = c
-	cfg.CacheVerify = verify
-	return c
-}
-
-// reportCache prints cache traffic to stderr (stdout tables stay
-// byte-identical to an uncached campaign) and fails the invocation when
-// sampled verification found a stored outcome diverging from live
-// re-execution.
-func reportCache(c *blackjack.RunCache) {
-	if c == nil {
-		return
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "bjfault: cache: %d hits, %d misses, %d evictions, %d bytes\n",
-		st.Hits, st.Misses, st.Evictions, st.Bytes)
-	if st.VerifyDivergences > 0 {
-		fmt.Fprintf(os.Stderr, "bjfault: cache verification: %d of %d recomputed hits diverged\n",
-			st.VerifyDivergences, st.VerifyRuns)
-		os.Exit(4)
-	}
-}
-
-// journalPath derives a per-mode journal name for -compare runs (each mode
-// campaign has a distinct identity and needs its own journal).
-func journalPath(base, suffix string) string {
-	if base == "" {
-		return ""
-	}
-	return base + suffix
-}
-
-// writeMetrics writes the registry if the flag was given; campaigns merge
-// their per-worker registries into it before this runs, and the run cache
-// (when attached) exports its hit/miss/eviction counters under runcache.*.
-func writeMetrics(path string, m *blackjack.Metrics, c *blackjack.RunCache) {
-	if path == "" {
-		return
-	}
-	if c != nil {
-		c.Export(m)
-	}
-	if err := blackjack.WriteMetricsFile(path, m); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics written to %s\n", path)
-}
-
-func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite, opts blackjack.InjectOptions, journal string, resume bool, metricsOut string, metrics *blackjack.Metrics, cache *blackjack.RunCache) {
+func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite, opts blackjack.InjectOptions, journal string, writeMetrics func()) {
 	if journal != "" {
-		if !resume {
-			if err := os.Remove(journal); err != nil && !os.IsNotExist(err) {
-				fatal(err)
-			}
-		}
 		cj, err := blackjack.OpenCampaignJournal(journal, cfg, bench, sites, opts)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer cj.Close()
 		cfg.Journal = cj
@@ -268,32 +188,31 @@ func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite
 	sum, err := blackjack.Campaign(cfg, bench, sites, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) && journal != "" {
-			// Partial results are durable: flush metrics and point at -resume.
-			writeMetrics(metricsOut, metrics, cache)
-			fmt.Fprintf(os.Stderr, "bjfault: interrupted; completed runs journaled to %s; re-run with -resume to continue\n", journal)
-			os.Exit(130)
+			// Partial results are durable: flush metrics before Fatal
+			// exits 130 pointing at -resume.
+			writeMetrics()
 		}
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if err := blackjack.WriteCampaignTable(os.Stdout, cfg.Mode, bench, sum); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// Operational annotations go to stderr so stdout tables stay
 	// byte-identical across fresh, resumed and retried sessions.
 	if sum.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "bjfault: %d runs resumed from journal, %d executed\n", sum.Resumed, len(sum.Results)-sum.Resumed)
+		cli.Logf("%d runs resumed from journal, %d executed", sum.Resumed, len(sum.Results)-sum.Resumed)
 	}
 	if sum.CacheHits > 0 {
-		fmt.Fprintf(os.Stderr, "bjfault: %d runs served from cache, %d executed\n", sum.CacheHits, len(sum.Results)-sum.Resumed-sum.CacheHits)
+		cli.Logf("%d runs served from cache, %d executed", sum.CacheHits, len(sum.Results)-sum.Resumed-sum.CacheHits)
 	}
 	if sum.Retried > 0 {
-		fmt.Fprintf(os.Stderr, "bjfault: %d retries\n", sum.Retried)
+		cli.Logf("%d retries", sum.Retried)
 	}
 	if sum.WatchdogStalls > 0 {
-		fmt.Fprintf(os.Stderr, "bjfault: watchdog reported %d stalled workers\n", sum.WatchdogStalls)
+		cli.Logf("watchdog reported %d stalled workers", sum.WatchdogStalls)
 	}
 	for _, f := range sum.Quarantined {
-		fmt.Fprintf(os.Stderr, "bjfault: quarantined run %d (%s after %d attempts): %s\n  repro: %s\n",
+		cli.Logf("quarantined run %d (%s after %d attempts): %s\n  repro: %s",
 			f.Index, f.Reason, f.Attempts, f.Detail, f.Repro)
 	}
 }
@@ -403,9 +322,4 @@ func parseDuty(s string) (period, on uint64, prob uint8, err error) {
 		return 0, 0, 0, fmt.Errorf("bad -duty on-window in %q", s)
 	}
 	return period, on, prob, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjfault:", err)
-	os.Exit(1)
 }

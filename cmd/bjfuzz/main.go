@@ -24,16 +24,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
 	"blackjack"
+	"blackjack/internal/cli"
 	"blackjack/internal/diffcheck"
 	"blackjack/internal/pipeline"
 )
@@ -60,53 +57,31 @@ func main() {
 		emitCorpus = flag.Int("emit-corpus", 0, "write this many generator seeds as corpus files and exit")
 		corpusDir  = flag.String("corpus-dir", "internal/diffcheck/testdata/corpus", "corpus directory for -emit-corpus")
 
-		journal = flag.String("journal", "", "journal completed programs to this file (fsync'd batches; fuzzing runs only)")
-		resume  = flag.Bool("resume", false, "resume from an existing -journal file instead of starting fresh")
-
-		metricsOut = flag.String("metrics-out", "", "write the campaign's summary counters as metrics JSON to this file (fuzzing runs only)")
-
-		cacheDir = flag.String("cache-dir", blackjack.DefaultCacheDir(), "content-addressable run cache directory for -sampled campaigns (default: $"+blackjack.CacheEnvDir+"; empty disables caching)")
-		cacheOn  = flag.Bool("cache", true, "serve -sampled campaign cells whose full identity matches a cached entry from -cache-dir instead of re-executing")
-		cacheVer = flag.Float64("cache-verify", 0, "re-execute this fraction of cache hits and diff against the stored outcome (0 trusts hits, 1 recomputes all)")
+		journal = cli.JournalFlags()
+		out     = cli.MetricsOutputFlag()
+		cache   = cli.CacheFlags()
 	)
-	flag.Parse()
+	cli.Parse("bjfuzz")
+	defer cli.Cleanup()
 
 	switch {
 	case *matrix:
 		runMatrix(*matrixMode, *faultKind, *maxInstr, *seed, *par)
 	case *sampled:
-		runSampled(*matrixMode, *sampledBench, *sampledN, *par, *cacheDir, *cacheOn, *cacheVer)
+		runSampled(*matrixMode, *sampledBench, *sampledN, *par, cache)
 	case *replay != "":
 		runReplay(*replay, *maxInstr)
 	case *emitCorpus > 0:
 		runEmit(*emitCorpus, *seed, *corpusDir)
 	default:
-		runFuzz(*n, *seed, *maxInstr, *variant, *par, !*noShrink, *reproDir, *journal, *resume, *metricsOut)
+		runFuzz(*n, *seed, *maxInstr, *variant, *par, !*noShrink, *reproDir, journal, out)
 	}
 }
 
-// writeFuzzMetrics exports the campaign summary as registry counters, so a CI
-// run's fuzz volume is inspectable with the same tooling as simulator metrics.
-func writeFuzzMetrics(path string, sum *blackjack.FuzzSummary) {
-	if path == "" {
-		return
-	}
-	reg := blackjack.NewMetrics()
-	reg.Counter("fuzz.programs").Add(uint64(sum.Programs))
-	reg.Counter("fuzz.runs").Add(uint64(sum.Runs))
-	reg.Counter("fuzz.shuffles").Add(uint64(sum.Shuffles))
-	reg.Counter("fuzz.dtq_entries").Add(uint64(sum.Entries))
-	reg.Counter("fuzz.failures").Add(uint64(len(sum.Failures)))
-	if err := blackjack.WriteMetricsFile(path, reg); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("bjfuzz: wrote metrics to %s\n", path)
-}
-
-func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shrink bool, reproDir, journal string, resume bool, metricsOut string) {
+func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shrink bool, reproDir string, journal *cli.Journal, out *cli.Outputs) {
 	// SIGTERM (the plain `kill` default) drains exactly like SIGINT:
 	// completed programs flush to the journal, exit 130 with a resume hint.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	opts := diffcheck.FuzzOptions{
 		Programs: n,
@@ -119,39 +94,39 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 	if variantName != "" {
 		v, err := diffcheck.VariantByName(variantName)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		opts.Variant = &v
 	}
-	if journal != "" {
-		if !resume {
-			if err := os.Remove(journal); err != nil && !os.IsNotExist(err) {
-				fatal(err)
-			}
-		}
-		fj, err := diffcheck.OpenFuzzJournal(journal, opts)
+	if path := journal.Prepare(""); path != "" {
+		fj, err := diffcheck.OpenFuzzJournal(path, opts)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer fj.Close()
 		opts.Journal = fj
 	}
 	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) && journal != "" {
-			// Completed programs are durable: point at -resume and exit with
-			// the conventional SIGINT status.
-			fmt.Fprintf(os.Stderr, "bjfuzz: interrupted; completed programs journaled to %s; re-run with -resume to continue\n", journal)
-			os.Exit(130)
-		}
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if sum.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "bjfuzz: %d programs resumed from journal, %d executed\n", sum.Resumed, sum.Programs-sum.Resumed)
+		cli.Logf("%d programs resumed from journal, %d executed", sum.Resumed, sum.Programs-sum.Resumed)
 	}
 	fmt.Printf("bjfuzz: %d programs, %d variant runs, %d shuffle calls (%d DTQ entries) validated\n",
 		sum.Programs, sum.Runs, sum.Shuffles, sum.Entries)
-	writeFuzzMetrics(metricsOut, sum)
+	if out.Metrics != "" {
+		// The summary as registry counters, so a CI run's fuzz volume is
+		// inspectable with the same tooling as simulator metrics.
+		reg := blackjack.NewMetrics()
+		reg.Counter("fuzz.programs").Add(uint64(sum.Programs))
+		reg.Counter("fuzz.runs").Add(uint64(sum.Runs))
+		reg.Counter("fuzz.shuffles").Add(uint64(sum.Shuffles))
+		reg.Counter("fuzz.dtq_entries").Add(uint64(sum.Entries))
+		reg.Counter("fuzz.failures").Add(uint64(len(sum.Failures)))
+		out.WriteMetrics(reg, nil)
+		fmt.Printf("bjfuzz: wrote metrics to %s\n", out.Metrics)
+	}
 	if !sum.Failed() {
 		fmt.Println("bjfuzz: zero oracle divergences, zero invariant violations")
 		return
@@ -166,22 +141,22 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 		}
 		if f.Encoded != nil && reproDir != "" {
 			if err := os.MkdirAll(reproDir, 0o755); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			path := filepath.Join(reproDir, fmt.Sprintf("fail-%#x", f.Seed))
 			if err := diffcheck.WriteCorpusFile(path, f.Encoded); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			fmt.Printf("  reproducer written to %s\n", path)
 		}
 	}
-	os.Exit(1)
+	cli.Exit(cli.ExitError)
 }
 
 func runMatrix(modeName, kindName string, maxInstr int, seed uint64, par int) {
 	mode, err := blackjack.ParseMode(modeName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	opts := diffcheck.MatrixOptions{
 		Mode:     mode,
@@ -192,20 +167,20 @@ func runMatrix(modeName, kindName string, maxInstr int, seed uint64, par int) {
 	if kindName != "" {
 		kind, err := blackjack.ParseFaultKind(kindName)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		opts.Kinds = []blackjack.FaultKind{kind}
 	}
 	m, err := diffcheck.CoverageMatrix(opts)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Print(m)
 	if !m.OK() {
 		for _, p := range m.Problems() {
 			fmt.Printf("PROBLEM: %s\n", p)
 		}
-		os.Exit(1)
+		cli.Exit(cli.ExitError)
 	}
 	fmt.Println("coverage matrix: every fault class x structure exercised; no silent corruption")
 }
@@ -216,38 +191,27 @@ func runMatrix(modeName, kindName string, maxInstr int, seed uint64, par int) {
 // full and fast-forwarded campaigns separately (ff is part of every cell's
 // identity), so a warm cache replays both sides of the comparison without
 // weakening it.
-func runSampled(modeName, bench string, n, par int, cacheDir string, cacheOn bool, cacheVer float64) {
+func runSampled(modeName, bench string, n, par int, cache *cli.Cache) {
 	mode, err := blackjack.ParseMode(modeName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	cfg := blackjack.DefaultConfig(mode, n)
 	cfg.Parallel = par
-	if cacheOn && cacheDir != "" {
-		cache, err := blackjack.OpenRunCache(cacheDir, 0)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Cache = cache
-		cfg.CacheVerify = cacheVer
-		defer func() {
-			if st := cache.Stats(); st.Hits+st.Misses > 0 {
-				fmt.Fprintf(os.Stderr, "bjfuzz: cache: %d hits, %d misses\n", st.Hits, st.Misses)
-			}
-		}()
-	}
+	cfg.Cache, cfg.CacheVerify = cache.Open()
 	p, err := blackjack.BenchmarkProgram(bench)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	sites := blackjack.LatentFaultSites(cfg.Machine)
 	rep, err := diffcheck.CompareSampledCampaign(cfg, p, sites, blackjack.InjectOptions{SplitPayload: true})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Print(rep)
+	cache.Report()
 	if !rep.OK() {
-		os.Exit(1)
+		cli.Exit(cli.ExitError)
 	}
 	fmt.Println("sampled equivalence: every site classified identically under full and fast-forwarded simulation")
 }
@@ -255,7 +219,7 @@ func runSampled(modeName, bench string, n, par int, cacheDir string, cacheOn boo
 func runReplay(dir string, maxInstr int) {
 	seeds, err := diffcheck.ReadCorpusDir(dir)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	cfg := pipeline.DefaultConfig()
 	bad := 0
@@ -269,19 +233,19 @@ func runReplay(dir string, maxInstr int) {
 	}
 	fmt.Printf("bjfuzz: replayed %d corpus seeds, %d divergences\n", len(seeds), bad)
 	if bad > 0 {
-		os.Exit(1)
+		cli.Exit(cli.ExitError)
 	}
 }
 
 func runEmit(n int, seed uint64, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	written := 0
 	for i := 0; written < n; i++ {
 		p, source, err := diffcheck.GenerateProgram(seed, i)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		enc, err := diffcheck.EncodeProgram(p)
 		if err != nil || len(enc) > 16<<10 {
@@ -289,14 +253,9 @@ func runEmit(n int, seed uint64, dir string) {
 		}
 		path := filepath.Join(dir, fmt.Sprintf("seed-%02d-%s", i, source))
 		if err := diffcheck.WriteCorpusFile(path, enc); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		written++
 	}
 	fmt.Printf("bjfuzz: wrote %d corpus seeds to %s\n", written, dir)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjfuzz:", err)
-	os.Exit(1)
 }

@@ -9,26 +9,24 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"blackjack"
+	"blackjack/internal/cli"
 	"blackjack/internal/isa"
 )
 
 func main() {
 	var (
-		bench      = flag.String("bench", "gzip", "benchmark name")
-		disasm     = flag.Int("disasm", 0, "print the first N instructions")
-		run        = flag.Int("run", 50_000, "functionally execute N instructions on the golden model")
-		list       = flag.Bool("list", false, "list benchmarks and exit")
-		metricsOut = flag.String("metrics-out", "", "write the workload's static-mix and golden-run counters as metrics JSON to this file")
+		bench  = flag.String("bench", "gzip", "benchmark name")
+		disasm = flag.Int("disasm", 0, "print the first N instructions")
+		run    = flag.Int("run", 50_000, "functionally execute N instructions on the golden model")
+		list   = flag.Bool("list", false, "list benchmarks and exit")
+		out    = cli.MetricsOutputFlag()
 	)
-	flag.Parse()
+	cli.Parse("bjgen")
+	defer cli.Cleanup()
 
 	if *list {
 		for _, b := range blackjack.Benchmarks() {
@@ -42,18 +40,17 @@ func main() {
 	// SIGINT and SIGTERM behave identically: bjgen finishes the phase in
 	// flight, skips the remaining ones, and exits 130. Phases are short, so a
 	// checkpoint between each is enough for a prompt, clean stop.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 	checkpoint := func() {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "bjgen: interrupted")
-			os.Exit(130)
+		if err := ctx.Err(); err != nil {
+			cli.Fatal(err)
 		}
 	}
 
 	p, err := blackjack.BenchmarkProgram(*bench)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("benchmark %s: %d static instructions, %d KB data segment\n",
 		p.Name, len(p.Code), p.DataSize/1024)
@@ -88,7 +85,7 @@ func main() {
 	}
 
 	var reg *blackjack.Metrics
-	if *metricsOut != "" {
+	if out.Metrics != "" {
 		reg = blackjack.NewMetrics()
 		reg.Counter("gen.static_instructions").Add(uint64(len(p.Code)))
 		reg.Counter("gen.data_bytes").Add(uint64(p.DataSize))
@@ -104,7 +101,7 @@ func main() {
 	if *run > 0 {
 		m, err := isa.NewMachine(p)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		got := m.Run(*run)
 		fmt.Printf("golden run: %d instructions, %d stores, signature %#x\n",
@@ -117,14 +114,7 @@ func main() {
 
 	checkpoint()
 	if reg != nil {
-		if err := blackjack.WriteMetricsFile(*metricsOut, reg); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+		out.WriteMetrics(reg, nil)
+		fmt.Printf("metrics written to %s\n", out.Metrics)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjgen:", err)
-	os.Exit(1)
 }

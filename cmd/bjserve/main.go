@@ -1,12 +1,12 @@
 // Command bjserve runs the campaign service: an HTTP server that accepts
-// declarative campaign/sweep/fuzz job specs (YAML or JSON), executes them
+// declarative campaign/sweep/fuzz job specs (JSON), executes them
 // with crash-safe journals under a state directory, and streams progress as
 // NDJSON/SSE events.
 //
 // Usage:
 //
 //	bjserve -state-dir /var/lib/bjserve -addr :8080
-//	curl -d @campaign.yaml localhost:8080/api/v1/jobs
+//	curl -d @campaign.json localhost:8080/api/v1/jobs
 //	curl localhost:8080/api/v1/jobs/j000001/events       # NDJSON stream
 //	curl localhost:8080/api/v1/jobs/j000001/result
 //
@@ -21,15 +21,11 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"blackjack"
+	"blackjack/internal/cli"
 	"blackjack/internal/serve"
 )
 
@@ -40,13 +36,13 @@ func main() {
 		workers  = flag.Int("workers", 2, "executor slots (jobs running concurrently)")
 		queueCap = flag.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
 		runPar   = flag.Int("run-parallel", 0, "default per-job worker fan-out when a spec leaves parallel unset (0 = NumCPU)")
-		cacheDir = flag.String("cache-dir", blackjack.DefaultCacheDir(), "content-addressable run cache directory (default: $"+blackjack.CacheEnvDir+"; empty disables caching)")
+		cacheDir = cli.CacheDirFlag()
 		deadline = flag.Duration("default-deadline", 0, "per-attempt deadline for jobs whose spec has none (0 = unbounded)")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "bounded-drain budget on SIGINT/SIGTERM before exiting anyway")
 	)
-	flag.Parse()
+	cli.Parse("bjserve")
 	if *stateDir == "" {
-		fatal(errors.New("-state-dir is required (job state must survive restarts)"))
+		cli.Fatal(errors.New("-state-dir is required (job state must survive restarts)"))
 	}
 
 	srv, err := serve.New(serve.Options{
@@ -58,14 +54,14 @@ func main() {
 		DefaultDeadline: *deadline,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "bjserve: listening on %s, state dir %s\n", ln.Addr(), *stateDir)
+	cli.Logf("listening on %s, state dir %s", ln.Addr(), *stateDir)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	httpErr := make(chan error, 1)
@@ -75,28 +71,23 @@ func main() {
 	// SIGINT and SIGTERM both take the bounded drain: stop admitting,
 	// checkpoint running jobs (journals flush), exit 130 with a resume
 	// hint.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	select {
 	case err := <-httpErr:
-		fatal(err)
+		cli.Fatal(err)
 	case <-ctx.Done():
 	}
 	stop()
-	fmt.Fprintf(os.Stderr, "bjserve: draining (budget %s)...\n", *drainFor)
+	cli.Logf("draining (budget %s)...", *drainFor)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
 	httpSrv.Shutdown(drainCtx)
 	incomplete := srv.Drain(drainCtx)
 	if incomplete > 0 {
-		fmt.Fprintf(os.Stderr, "bjserve: %d jobs incomplete; restart with -state-dir %s to resume them\n", incomplete, *stateDir)
+		cli.Logf("%d jobs incomplete; restart with -state-dir %s to resume them", incomplete, *stateDir)
 	} else {
-		fmt.Fprintln(os.Stderr, "bjserve: all jobs settled")
+		cli.Logf("all jobs settled")
 	}
-	os.Exit(130)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjserve:", err)
-	os.Exit(1)
+	cli.Exit(cli.ExitInterrupted)
 }

@@ -2,8 +2,9 @@
 // detailed statistics.
 //
 // Exit codes: 0 success, 1 usage or simulation error, 3 the machine
-// deadlocked before exhausting its instruction budget, 130 the run was
-// stopped by SIGINT or SIGTERM.
+// deadlocked before exhausting its instruction budget, 4 cache verification
+// found a diverging stored outcome, 130 the run was stopped by SIGINT or
+// SIGTERM.
 //
 // Usage:
 //
@@ -11,18 +12,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"blackjack"
+	"blackjack/internal/cli"
 	"blackjack/internal/pipeline"
-	"blackjack/internal/profiling"
 )
 
 func main() {
@@ -38,62 +35,56 @@ func main() {
 		ff     = flag.Int("ff", 0, "sampled run: fast-forward to this committed-instruction offset on the functional model, handing off one warmup lead earlier, and simulate only the rest cycle-accurately (0 = whole run cycle-accurate)")
 		ffWarm = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the -ff offset (0 = default)")
 
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 		traceEvents = flag.Int("trace-events", 0, "structured-trace ring capacity in events (0 = 65536); the ring keeps the last N events")
-		metricsOut  = flag.String("metrics-out", "", "write the run's metrics registry as JSON to this file")
-
-		runTimeout = flag.Duration("run-timeout", 0, "wall-clock budget for the run (0 = unbudgeted); an exceeded budget exits non-zero")
-
-		cacheDir = flag.String("cache-dir", blackjack.DefaultCacheDir(), "content-addressable run cache directory (default: $"+blackjack.CacheEnvDir+"; empty disables caching)")
-		cacheOn  = flag.Bool("cache", true, "serve runs whose full identity matches a cached entry from -cache-dir instead of re-executing")
-		cacheVer = flag.Float64("cache-verify", 0, "re-execute this fraction of cache hits and diff against the stored outcome; any divergence exits non-zero (0 trusts hits, 1 recomputes all)")
 
 		allModes = flag.Bool("all-modes", false, "run all four modes concurrently and print each result")
 		par      = flag.Int("parallel", 0, "worker pool size for batch entry points (0 = NumCPU; a plain single run always uses one machine)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+
+		out        = cli.OutputFlags()
+		runTimeout = cli.RunTimeoutFlag()
+		cache      = cli.CacheFlags()
 	)
-	flag.Parse()
+	cli.ProfileFlags()
+	cli.Parse("bjsim")
+	defer cli.Cleanup()
 
 	if *list {
 		fmt.Println(strings.Join(blackjack.Benchmarks(), "\n"))
 		return
 	}
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
 	m, err := blackjack.ParseMode(*mode)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// SIGINT and SIGTERM both cancel the run context: the simulator stops at
-	// the next poll point with a typed *InterruptedError and bjsim exits 130.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// the next poll point and bjsim exits 130.
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 	cfg := blackjack.DefaultConfig(m, *n)
 	cfg.Ctx = ctx
 	cfg.Parallel = *par
 	cfg.Resilience = blackjack.Resilience{RunTimeout: *runTimeout}
-	cache := openCache(*cacheDir, *cacheOn, *cacheVer, &cfg)
+	// A run whose full identity (program content, machine, mode, budget,
+	// sampling plan) matches a stored entry is served from disk; tracing and
+	// metrics runs bypass the cache because they want live pipeline
+	// internals.
+	cfg.Cache, cfg.CacheVerify = cache.Open()
 	if *slack > 0 {
 		cfg.Machine.Slack = *slack
 	}
 	if *iq > 0 {
 		cfg.Machine.IssueQueue = *iq
 	}
-	if (*traceOut != "" || *metricsOut != "") && (*allModes || *trace > 0) {
-		fatal(fmt.Errorf("-trace-out/-metrics-out apply to a plain single run (not -all-modes or -trace)"))
+	if (out.Trace != "" || out.Metrics != "") && (*allModes || *trace > 0) {
+		cli.Fatal(fmt.Errorf("-trace-out/-metrics-out apply to a plain single run (not -all-modes or -trace)"))
 	}
 	var otr *blackjack.Tracer
-	if *traceOut != "" {
+	if out.Trace != "" {
 		otr = blackjack.NewTracer(*traceEvents)
 		cfg.Trace = otr
 	}
 	var reg *blackjack.Metrics
-	if *metricsOut != "" {
+	if out.Metrics != "" {
 		reg = blackjack.NewMetrics()
 		cfg.Metrics = reg
 	}
@@ -102,12 +93,12 @@ func main() {
 		return
 	}
 	if *ff > 0 && *allModes {
-		fatal(fmt.Errorf("-ff applies to a plain single run (not -all-modes)"))
+		cli.Fatal(fmt.Errorf("-ff applies to a plain single run (not -all-modes)"))
 	}
 	if *allModes {
 		rs, err := blackjack.RunAllModes(cfg.Machine, *bench, cfg.MaxInstructions)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		for i, mm := range []blackjack.Mode{
 			blackjack.ModeSingle, blackjack.ModeSRT,
@@ -133,72 +124,22 @@ func main() {
 	}
 	res, err := run()
 	if err != nil {
-		// A deadlock is a distinct, scriptable failure: the machine wedged
-		// before exhausting its budget (the condition campaigns classify as
-		// OutcomeWedged).
-		var dead *blackjack.DeadlockError
-		if errors.As(err, &dead) {
-			fmt.Fprintln(os.Stderr, "bjsim:", err)
-			os.Exit(3)
-		}
-		var intr *blackjack.InterruptedError
-		if errors.As(err, &intr) && ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "bjsim: interrupted:", err)
-			os.Exit(130)
-		}
-		fatal(err)
+		// A deadlock exits 3: the machine wedged before exhausting its
+		// budget, the condition campaigns classify as a wedged outcome.
+		cli.Fatal(err)
 	}
 	printResult(res)
 	if otr != nil {
-		if err := blackjack.WriteTraceFile(*traceOut, otr); err != nil {
-			fatal(err)
+		if err := blackjack.WriteTraceFile(out.Trace, otr); err != nil {
+			cli.Fatal(err)
 		}
-		fmt.Printf("trace            %s (%d events, %d dropped)\n", *traceOut, otr.Len(), otr.Dropped())
+		fmt.Printf("trace            %s (%d events, %d dropped)\n", out.Trace, otr.Len(), otr.Dropped())
 	}
 	if reg != nil {
-		if err := blackjack.WriteMetricsFile(*metricsOut, reg); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics          %s\n", *metricsOut)
+		out.WriteMetrics(reg, cache)
+		fmt.Printf("metrics          %s\n", out.Metrics)
 	}
-	reportCache(cache)
-}
-
-// openCache attaches the content-addressable run cache when enabled. A run
-// whose full identity (program content, machine, mode, budget, sampling
-// plan) matches a stored entry is served from disk; tracing and metrics
-// runs bypass the cache because they want live pipeline internals.
-func openCache(dir string, enabled bool, verify float64, cfg *blackjack.Config) *blackjack.RunCache {
-	if !enabled || dir == "" {
-		return nil
-	}
-	c, err := blackjack.OpenRunCache(dir, 0)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Cache = c
-	cfg.CacheVerify = verify
-	return c
-}
-
-// reportCache prints cache traffic to stderr (stdout stays byte-identical
-// to an uncached run) and fails the invocation when sampled verification
-// found a stored outcome diverging from live re-execution.
-func reportCache(c *blackjack.RunCache) {
-	if c == nil {
-		return
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "bjsim: cache: %d hits, %d misses, %d evictions, %d bytes\n",
-		st.Hits, st.Misses, st.Evictions, st.Bytes)
-	if st.VerifyDivergences > 0 {
-		fmt.Fprintf(os.Stderr, "bjsim: cache verification: %d of %d recomputed hits diverged\n",
-			st.VerifyDivergences, st.VerifyRuns)
-		os.Exit(4)
-	}
+	cache.Report()
 }
 
 // runTraced runs with a pipeline tracer attached and prints the
@@ -206,12 +147,12 @@ func reportCache(c *blackjack.RunCache) {
 func runTraced(cfg blackjack.Config, bench string, events int) {
 	p, err := blackjack.BenchmarkProgram(bench)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	tr := &pipeline.Tracer{MaxEvents: events}
 	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, pipeline.WithTracer(tr))
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	m.Run(cfg.MaxInstructions)
 	tr.Render(os.Stdout)
@@ -259,9 +200,4 @@ func matchWord(ok bool) string {
 		return "matches"
 	}
 	return "DIFFERS FROM"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bjsim:", err)
-	os.Exit(1)
 }

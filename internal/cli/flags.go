@@ -1,0 +1,220 @@
+package cli
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"time"
+
+	"blackjack/internal/obs"
+	"blackjack/internal/runcache"
+	"blackjack/internal/sim"
+)
+
+// profile is the profile group (-cpuprofile, -memprofile) once a tool
+// registers it; Parse starts the profiles it names.
+var profile *struct{ cpu, mem *string }
+
+// ProfileFlags registers -cpuprofile and -memprofile.
+func ProfileFlags() {
+	profile = &struct{ cpu, mem *string }{
+		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
+	}
+}
+
+// startProfiles begins CPU profiling into cpuPath and arranges a heap
+// profile to be written to memPath; either path may be empty to skip that
+// profile. Both are flushed by Cleanup or Exit, whichever comes first, and
+// errors writing them go to stderr.
+func startProfiles(cpuPath, memPath string) error {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		var err error
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return fmt.Errorf("profiling: %w", err)
+		}
+	}
+	onExit(func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				Logf("profiling: %v", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			Logf("profiling: %v", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // get up-to-date allocation statistics
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			Logf("profiling: %v", err)
+		}
+	})
+	return nil
+}
+
+// CacheDirFlag registers -cache-dir alone, for a tool that opens its own
+// stores from it.
+func CacheDirFlag() *string {
+	return flag.String("cache-dir", runcache.DefaultDir(),
+		"content-addressable run cache directory (default: $"+runcache.EnvDir+"; empty disables caching)")
+}
+
+// Cache is the run cache group: -cache-dir and -cache-verify, and the store
+// they open.
+type Cache struct {
+	dir    *string
+	verify *float64
+	store  *runcache.Store
+}
+
+// CacheFlags registers -cache-dir and -cache-verify.
+func CacheFlags() *Cache {
+	return &Cache{
+		dir: CacheDirFlag(),
+		verify: flag.Float64("cache-verify", 0,
+			"re-execute this fraction of cache hits and diff against the stored outcome; any divergence exits 4 (0 trusts hits, 1 recomputes all)"),
+	}
+}
+
+// Open opens the store -cache-dir names and returns it with the
+// -cache-verify fraction, ready for a config's Cache and CacheVerify
+// fields. With no directory it returns a nil store: caching is off.
+func (c *Cache) Open() (*runcache.Store, float64) {
+	if *c.dir == "" {
+		return nil, 0
+	}
+	s, err := runcache.Open(*c.dir, 0)
+	if err != nil {
+		Fatal(err)
+	}
+	c.store = s
+	return s, *c.verify
+}
+
+// Report prints the store's traffic to stderr, so stdout stays
+// byte-identical to an uncached run, and exits ExitDiverged when
+// verification found a stored outcome diverging from live re-execution.
+func (c *Cache) Report() {
+	if c.store == nil {
+		return
+	}
+	st := c.store.Stats()
+	if st.Hits+st.Misses > 0 {
+		Logf("cache: %d hits, %d misses, %d evictions, %d bytes", st.Hits, st.Misses, st.Evictions, st.Bytes)
+	}
+	if st.VerifyDivergences > 0 {
+		Exitf(ExitDiverged, "cache verification: %d of %d recomputed hits diverged", st.VerifyDivergences, st.VerifyRuns)
+	}
+}
+
+// RunTimeoutFlag registers -run-timeout alone, for a tool that runs one
+// simulation and so has nothing to isolate or retry.
+func RunTimeoutFlag() *time.Duration {
+	return flag.Duration("run-timeout", 0,
+		"per-run wall-clock budget (0 = unbudgeted); an exceeded run fails, or is quarantined when -isolate is set")
+}
+
+// Resilience is the campaign resilience group: -isolate, -retries and
+// -run-timeout.
+type Resilience struct {
+	isolate *bool
+	retries *int
+	timeout *time.Duration
+}
+
+// ResilienceFlags registers -isolate, -retries and -run-timeout.
+func ResilienceFlags() *Resilience {
+	return &Resilience{
+		isolate: flag.Bool("isolate", false, "quarantine panicking or over-budget runs (with repro commands) instead of aborting"),
+		retries: flag.Int("retries", 0, "re-run a failing injection up to this many times with doubling budgets before quarantining it"),
+		timeout: RunTimeoutFlag(),
+	}
+}
+
+// Settings returns the sim.Resilience the flags select, with a 30 s
+// hung-worker watchdog.
+func (r *Resilience) Settings() sim.Resilience {
+	return sim.Resilience{
+		Isolate:    *r.isolate,
+		Retries:    *r.retries,
+		RunTimeout: *r.timeout,
+		StallAfter: 30 * time.Second,
+	}
+}
+
+// Journal is the journal group: -journal and -resume.
+type Journal struct {
+	path   *string
+	resume *bool
+}
+
+// JournalFlags registers -journal and -resume.
+func JournalFlags() *Journal {
+	return &Journal{
+		path:   flag.String("journal", "", "journal completed runs to this file (fsync'd batches) so an interrupted session can resume"),
+		resume: flag.Bool("resume", false, "resume from an existing -journal file instead of starting fresh"),
+	}
+}
+
+// Prepare returns the journal path with suffix appended, or "" when
+// -journal is unset. Without -resume it first removes any journal already
+// there. It also makes Fatal's interrupted message point at the journal.
+func (j *Journal) Prepare(suffix string) string {
+	if *j.path == "" {
+		return ""
+	}
+	path := *j.path + suffix
+	if !*j.resume {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			Fatal(err)
+		}
+	}
+	SetResumeHint(fmt.Sprintf("completed runs journaled to %s; re-run with -resume to continue", path))
+	return path
+}
+
+// Outputs is the output group: -metrics-out, and -trace-out for tools that
+// trace a run.
+type Outputs struct {
+	Metrics string
+	Trace   string
+}
+
+// OutputFlags registers -metrics-out and -trace-out.
+func OutputFlags() *Outputs {
+	o := MetricsOutputFlag()
+	flag.StringVar(&o.Trace, "trace-out", "", "write a Chrome trace-event JSON of a single run to this file (open in chrome://tracing or Perfetto)")
+	return o
+}
+
+// MetricsOutputFlag registers -metrics-out alone.
+func MetricsOutputFlag() *Outputs {
+	o := &Outputs{}
+	flag.StringVar(&o.Metrics, "metrics-out", "", "write the metrics registry as JSON to this file")
+	return o
+}
+
+// WriteMetrics writes reg to the -metrics-out file, first folding in the
+// runcache.* counters when cache has a store open (cache may be nil). An
+// I/O error is fatal.
+func (o *Outputs) WriteMetrics(reg *obs.Registry, cache *Cache) {
+	if cache != nil && cache.store != nil {
+		cache.store.Export(reg)
+	}
+	if err := obs.WriteMetricsFile(o.Metrics, reg); err != nil {
+		Fatal(err)
+	}
+}

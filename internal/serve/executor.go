@@ -8,8 +8,10 @@ import (
 	"strings"
 	"time"
 
-	"blackjack"
 	"blackjack/internal/diffcheck"
+	"blackjack/internal/fault"
+	"blackjack/internal/pipeline"
+	"blackjack/internal/sim"
 )
 
 // runJob executes one attempt of a job and settles its next state:
@@ -126,14 +128,14 @@ func (s *Server) execute(ctx context.Context, j *Job) (string, error) {
 
 // baseConfig translates the spec into the harness Config with the full
 // Resilience envelope attached.
-func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode blackjack.Mode) blackjack.Config {
-	cfg := blackjack.DefaultConfig(mode, spec.Instructions)
+func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode pipeline.Mode) sim.Config {
+	cfg := sim.Default(mode, spec.Instructions)
 	cfg.Ctx = ctx
 	cfg.Parallel = spec.Parallel
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = s.opts.RunParallel
 	}
-	cfg.Resilience = blackjack.Resilience{
+	cfg.Resilience = sim.Resilience{
 		Isolate:    true, // a panicking run must never take the server down
 		Retries:    spec.RunRetries,
 		RunTimeout: time.Duration(spec.RunTimeout),
@@ -152,23 +154,23 @@ func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode blackjack.Mode
 // journal and streams per-run progress. The rendered table is byte-for-byte
 // what `bjfault` prints for the same work.
 func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder, bench, modeName, journalName string, totalBase int) error {
-	mode, err := blackjack.ParseMode(modeName)
+	mode, err := pipeline.ParseMode(modeName)
 	if err != nil {
 		return err
 	}
-	kind, err := blackjack.ParseFaultKind(j.Spec.FaultKind)
+	kind, err := fault.ParseKind(j.Spec.FaultKind)
 	if err != nil {
 		return err
 	}
 	cfg := s.baseConfig(ctx, j.Spec, mode)
-	var sites []blackjack.FaultSite
+	var sites []fault.Site
 	if j.Spec.Sites == "latent" {
-		sites = blackjack.LatentFaultSites(cfg.Machine)
-	} else if sites, err = blackjack.FaultSitesForKind(cfg.Machine, kind); err != nil {
+		sites = sim.LatentSites(cfg.Machine)
+	} else if sites, err = sim.SitesForKind(cfg.Machine, kind); err != nil {
 		return err
 	}
 	h := s.hub(j.ID)
-	cfg.OnProgress = func(p blackjack.RunProgress) {
+	cfg.OnProgress = func(p sim.RunProgress) {
 		h.publish(Event{Job: j.ID, Kind: "run", At: time.Now(),
 			Index: totalBase + p.Index, Total: totalBase + p.Total,
 			Site: p.Result.Site.String(), Outcome: p.Result.Outcome.String(), Served: p.Served})
@@ -179,18 +181,18 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 	// flock means a second server on the same state dir fails fast here
 	// instead of interleaving appends. Every record fsyncs before its
 	// progress event fires — SIGKILL at any instant loses nothing.
-	cj, err := blackjack.OpenCampaignJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), journalName), cfg, bench, sites, blackjack.InjectOptions{SplitPayload: true})
+	cj, err := sim.OpenCampaignJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), journalName), cfg, bench, sites, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return err
 	}
 	defer cj.Close()
 	cj.SetSyncEvery(1)
 	cfg.Journal = cj
-	sum, err := blackjack.Campaign(cfg, bench, sites, blackjack.InjectOptions{SplitPayload: true})
+	sum, err := sim.Campaign(cfg, bench, sites, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return err
 	}
-	return blackjack.WriteCampaignTable(out, cfg.Mode, bench, sum)
+	return sim.WriteCampaignTable(out, cfg.Mode, bench, sum)
 }
 
 // execSweep runs the benchmarks × modes grid as independent campaign cells,
@@ -214,7 +216,7 @@ func (s *Server) execSweep(ctx context.Context, j *Job) (string, error) {
 // execFuzz runs a differential-fuzzing session with a crash-safe journal,
 // rendering the summary lines bjfuzz prints.
 func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
-	opts := blackjack.FuzzOptions{
+	opts := diffcheck.FuzzOptions{
 		Programs: j.Spec.Programs,
 		Seed:     j.Spec.Seed,
 		MaxInstr: j.Spec.Instructions,
@@ -245,14 +247,14 @@ func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
 			Index: index, Total: j.Spec.Programs, Outcome: outcome, Served: served})
 		s.noteRun(j, j.Spec.Programs)
 	}
-	fj, err := blackjack.OpenFuzzJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), "fuzz.journal"), opts)
+	fj, err := diffcheck.OpenFuzzJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), "fuzz.journal"), opts)
 	if err != nil {
 		return "", err
 	}
 	defer fj.Close()
 	fj.SetSyncEvery(1) // every completed program durable before its event fires
 	opts.Journal = fj
-	sum, err := blackjack.FuzzPrograms(opts)
+	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
 		return "", err
 	}

@@ -11,14 +11,14 @@ import (
 	"strconv"
 )
 
-// maxSpecBytes bounds request bodies: a job spec is a page of YAML, so
+// maxSpecBytes bounds request bodies: a job spec is a page of JSON, so
 // anything larger is rejected before it touches memory proportional to the
 // client's appetite.
 const maxSpecBytes = 1 << 20
 
 // Handler returns the service's HTTP API:
 //
-//	POST /api/v1/jobs              submit a spec (YAML or JSON body)
+//	POST /api/v1/jobs              submit a spec (JSON body)
 //	GET  /api/v1/jobs              list jobs
 //	GET  /api/v1/jobs/{id}         one job's state
 //	GET  /api/v1/jobs/{id}/events  progress stream: NDJSON, or SSE when
@@ -64,7 +64,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": fmt.Sprintf("spec exceeds %d bytes", maxSpecBytes)})
 		return
 	}
-	spec, err := Parse(body, r.Header.Get("Content-Type"))
+	spec, err := Parse(body)
 	if err != nil {
 		var se *SpecError
 		if errors.As(err, &se) {

@@ -5,59 +5,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 )
 
-// Parse decodes a job spec from YAML or JSON, rejects unknown fields with a
-// typed *SpecError naming the nearest valid field, normalizes defaults, and
-// validates. The format is sniffed from the payload (a '{' prefix means
-// JSON) unless contentType says otherwise.
-func Parse(data []byte, contentType string) (*Spec, error) {
+// Parse decodes a JSON job spec, rejects unknown fields with a typed
+// *SpecError naming the nearest valid field, normalizes defaults, and
+// validates. A body that is not JSON is a *SpecError on "(body)".
+func Parse(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimSpace(data)
 	if len(trimmed) == 0 {
 		return nil, &SpecError{Field: "(body)", Reason: "empty job spec"}
 	}
-	isJSON := strings.Contains(contentType, "json") ||
-		(!strings.Contains(contentType, "yaml") && trimmed[0] == '{')
 	var m map[string]any
-	if isJSON {
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.UseNumber()
-		if err := dec.Decode(&m); err != nil {
-			return nil, &SpecError{Field: "(body)", Reason: "invalid JSON: " + err.Error()}
-		}
-	} else {
-		var err error
-		if m, err = parseYAML(trimmed); err != nil {
-			return nil, err
-		}
-	}
-	return specFromMap(m)
-}
-
-// specFromMap is the shared admission path for both formats: unknown-field
-// detection with suggestions, then a strict decode into Spec, then
-// Normalize + Validate.
-func specFromMap(m map[string]any) (*Spec, error) {
-	known := map[string]bool{}
-	for _, f := range specFields {
-		known[f] = true
+	if err := json.NewDecoder(bytes.NewReader(trimmed)).Decode(&m); err != nil {
+		return nil, &SpecError{Field: "(body)", Reason: "invalid JSON: " + err.Error()}
 	}
 	for k := range m {
-		if !known[k] {
+		if !slices.Contains(specFields, k) {
 			return nil, &SpecError{Field: k, Reason: "unknown field",
 				Suggestion: nearestField(k, specFields)}
 		}
 	}
-	// Round-trip through JSON so YAML scalars and json.Numbers land in the
-	// typed struct through one code path.
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return nil, &SpecError{Field: "(body)", Reason: err.Error()}
-	}
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	if err := dec.Decode(&s); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(trimmed)).Decode(&s); err != nil {
 		var te *json.UnmarshalTypeError
 		if errors.As(err, &te) {
 			return nil, &SpecError{Field: te.Field, Value: te.Value,

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"blackjack"
 	"blackjack/internal/obs"
+	"blackjack/internal/runcache"
 )
 
 // Options configures a Server. The zero value is usable for tests: jobs run
@@ -57,7 +57,7 @@ var ErrDraining = errors.New("serve: server is draining")
 // Create with New, start the executor with Start, stop with Drain.
 type Server struct {
 	opts  Options
-	cache *blackjack.RunCache
+	cache *runcache.Store
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -108,7 +108,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.rootCtx, s.cancel = context.WithCancel(context.Background())
 	if opts.CacheDir != "" {
-		c, err := blackjack.OpenRunCache(opts.CacheDir, 0)
+		c, err := runcache.Open(opts.CacheDir, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -392,15 +392,17 @@ func TestRestartResumesQueuedJob(t *testing.T) {
 	s1.Drain(context.Background()) // job still queued: Start was never called
 
 	s2 := newTestServer(t, Options{StateDir: dir, Workers: 2})
-	s2.Start()
-	defer s2.Drain(context.Background())
 	got, ok := s2.Job(j.ID)
 	if !ok {
 		t.Fatalf("restart lost job %s", j.ID)
 	}
+	// Read the reloaded state before Start: once the executor runs, it may
+	// already have picked the job up.
 	if got.State != StateQueued {
 		t.Fatalf("restarted job state = %s, want queued", got.State)
 	}
+	s2.Start()
+	defer s2.Drain(context.Background())
 	waitState(t, s2, j.ID, StateDone)
 }
 
@@ -428,6 +430,33 @@ func TestSubmitRejectsBadSpecWithSuggestion(t *testing.T) {
 	}
 	if body.SpecError == nil || body.SpecError.Field != "benchmrak" || body.SpecError.Suggestion != "benchmark" {
 		t.Errorf("spec_error = %+v", body.SpecError)
+	}
+}
+
+// Specs are JSON only: any other body is a typed error on "(body)" and a
+// 400, whatever Content-Type it claims.
+func TestSubmitRejectsNonJSONSpec(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/yaml",
+		strings.NewReader("benchmark: gcc\nsites: latent\n"))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	var body struct {
+		SpecError *SpecError `json:"spec_error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if body.SpecError == nil || body.SpecError.Field != "(body)" {
+		t.Errorf("spec_error = %+v, want a (body) error", body.SpecError)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package serve turns the batch simulation harness into a long-running,
 // crash-safe campaign service. It accepts declarative campaign/sweep/fuzz
-// job specs (YAML or JSON), validates them on admission with typed
+// job specs (JSON), validates them on admission with typed
 // field-level errors, runs them on a bounded executor whose per-job fan-out
 // is the same internal/parallel pool the CLIs use, and streams progress as
 // NDJSON/SSE events sourced from the journal records each job writes.
@@ -33,7 +33,9 @@ import (
 	"strings"
 	"time"
 
-	"blackjack"
+	"blackjack/internal/fault"
+	"blackjack/internal/pipeline"
+	"blackjack/internal/prog"
 )
 
 // JobType selects a job's execution shape.
@@ -277,7 +279,7 @@ func (s *Spec) Validate() error {
 			Reason:     "unknown job type (want campaign, sweep, or fuzz)",
 			Suggestion: nearestField(string(s.Type), []string{"campaign", "sweep", "fuzz"})}
 	}
-	benches := blackjack.Benchmarks()
+	benches := prog.BenchmarkNames()
 	checkBench := func(field, name string) error {
 		for _, b := range benches {
 			if b == name {
@@ -295,7 +297,7 @@ func (s *Spec) Validate() error {
 			}
 		}
 		for _, m := range s.Modes {
-			if _, err := blackjack.ParseMode(m); err != nil {
+			if _, err := pipeline.ParseMode(m); err != nil {
 				return &SpecError{Field: "modes", Value: m, Reason: "unknown machine mode",
 					Suggestion: nearestField(m, modeNames())}
 			}
@@ -304,12 +306,12 @@ func (s *Spec) Validate() error {
 		if err := checkBench("benchmark", s.Benchmark); err != nil {
 			return err
 		}
-		if _, err := blackjack.ParseMode(s.Mode); err != nil {
+		if _, err := pipeline.ParseMode(s.Mode); err != nil {
 			return &SpecError{Field: "mode", Value: s.Mode, Reason: "unknown machine mode",
 				Suggestion: nearestField(s.Mode, modeNames())}
 		}
 	}
-	kind, err := blackjack.ParseFaultKind(s.FaultKind)
+	kind, err := fault.ParseKind(s.FaultKind)
 	if err != nil {
 		return &SpecError{Field: "fault_kind", Value: s.FaultKind, Reason: "unknown fault kind",
 			Suggestion: nearestField(s.FaultKind, faultKindNames())}
@@ -317,7 +319,7 @@ func (s *Spec) Validate() error {
 	switch s.Sites {
 	case "standard":
 	case "latent":
-		if kind != blackjack.FaultKindPermanent {
+		if kind != fault.KindPermanent {
 			return &SpecError{Field: "sites", Value: "latent",
 				Reason: fmt.Sprintf("the latent campaign models permanent defects (fault_kind %q is incompatible)", s.FaultKind)}
 		}
@@ -374,7 +376,7 @@ func modeNames() []string {
 }
 
 func faultKindNames() []string {
-	kinds := blackjack.FaultKinds()
+	kinds := fault.Kinds()
 	names := make([]string, len(kinds))
 	for i, k := range kinds {
 		names[i] = k.String()

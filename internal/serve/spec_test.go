@@ -18,7 +18,7 @@ func TestParseJSONSpec(t *testing.T) {
 		"weight": 3,
 		"deadline": "90s",
 		"seed": 18446744073709551615
-	}`), "application/json")
+	}`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -36,37 +36,8 @@ func TestParseJSONSpec(t *testing.T) {
 	}
 }
 
-func TestParseYAMLSpec(t *testing.T) {
-	spec, err := Parse([]byte(`
-# a sweep over two benchmarks and two variants
-type: sweep
-benchmarks: [gzip, gcc]   # flow list
-modes:                    # block list
-  - srt
-  - blackjack
-instructions: 8000
-deadline: "3m"
-cache: verify
-`), "application/yaml")
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if got := strings.Join(spec.Benchmarks, ","); got != "gzip,gcc" {
-		t.Errorf("benchmarks = %q", got)
-	}
-	if got := strings.Join(spec.Modes, ","); got != "srt,blackjack" {
-		t.Errorf("modes = %q", got)
-	}
-	if time.Duration(spec.Deadline) != 3*time.Minute {
-		t.Errorf("deadline = %v", time.Duration(spec.Deadline))
-	}
-	if spec.Cache != "verify" || spec.CacheVerify != 0.1 {
-		t.Errorf("cache policy: %q verify=%g", spec.Cache, spec.CacheVerify)
-	}
-}
-
 func TestParseDefaults(t *testing.T) {
-	spec, err := Parse([]byte(`{}`), "application/json")
+	spec, err := Parse([]byte(`{}`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -84,11 +55,11 @@ func TestUnknownFieldSuggestion(t *testing.T) {
 	cases := []struct{ body, field, want string }{
 		{`{"benchmrak": "gcc"}`, "benchmrak", "benchmark"},
 		{`{"fault_kin": "transient"}`, "fault_kin", "fault_kind"},
-		{`bnechmark: gcc`, "bnechmark", "benchmark"},
+		{`{"bnechmark": "gcc"}`, "bnechmark", "benchmark"},
 		{`{"run_timeot": "5s"}`, "run_timeot", "run_timeout"},
 	}
 	for _, c := range cases {
-		_, err := Parse([]byte(c.body), "")
+		_, err := Parse([]byte(c.body))
 		var se *SpecError
 		if !errors.As(err, &se) {
 			t.Fatalf("%s: err = %v, want *SpecError", c.body, err)
@@ -114,7 +85,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{`{"type": "fuzz", "variant": "blackjak"}`, "variant"},
 	}
 	for _, c := range cases {
-		_, err := Parse([]byte(c.body), "application/json")
+		_, err := Parse([]byte(c.body))
 		var se *SpecError
 		if !errors.As(err, &se) {
 			t.Fatalf("%s: err = %v, want *SpecError", c.body, err)
@@ -126,7 +97,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 }
 
 func TestSpecErrorMessageNamesFieldAndSuggestion(t *testing.T) {
-	_, err := Parse([]byte(`{"mode": "blackjac"}`), "application/json")
+	_, err := Parse([]byte(`{"mode": "blackjac"}`))
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -138,16 +109,8 @@ func TestSpecErrorMessageNamesFieldAndSuggestion(t *testing.T) {
 	}
 }
 
-func TestYAMLRejectsNesting(t *testing.T) {
-	_, err := Parse([]byte("campaign:\n  benchmark: gcc"), "application/yaml")
-	var se *SpecError
-	if !errors.As(err, &se) || !strings.Contains(se.Reason, "nested") {
-		t.Fatalf("err = %v, want nested-mapping rejection", err)
-	}
-}
-
-func TestYAMLTypeMismatchIsTyped(t *testing.T) {
-	_, err := Parse([]byte(`{"weight": "heavy"}`), "application/json")
+func TestTypeMismatchIsTyped(t *testing.T) {
+	_, err := Parse([]byte(`{"weight": "heavy"}`))
 	var se *SpecError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *SpecError", err)

@@ -128,32 +128,29 @@ func jsonCacheEqual(a, b any) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-// cachedResult serves one single-run entry point through the cache: hit →
-// stored Result (with sampled trust-but-verify recomputation), miss → live
-// run then fill. Cache I/O failures degrade to live execution; they never
-// fail the run.
-func cachedResult(cfg Config, id *runcache.Identity, live func() (*Result, error)) (*Result, error) {
-	var cached Result
-	if cfg.Cache.Get(id, &cached) {
-		if !runcache.ShouldVerify(id, cfg.CacheVerify) {
-			return &cached, nil
-		}
-		res, err := live()
-		if err != nil {
-			return nil, err
-		}
-		diverged := !jsonCacheEqual(res, &cached)
-		cfg.Cache.CountVerify(diverged)
-		if diverged {
-			_ = cfg.Cache.Put(id, res) // heal the entry; best-effort
-		}
-		return res, nil
+// cached serves one single-run entry point (a *Result run or a standalone
+// injection) through the cache: hit → stored outcome (with sampled
+// trust-but-verify recomputation), miss → live run then fill. Cache I/O
+// failures degrade to live execution; they never fail the run.
+func cached[T any](cfg Config, id *runcache.Identity, live func() (T, error)) (T, error) {
+	var stored T
+	hit := cfg.Cache.Get(id, &stored)
+	if hit && !runcache.ShouldVerify(id, cfg.CacheVerify) {
+		return stored, nil
 	}
 	res, err := live()
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	_ = cfg.Cache.Put(id, res) // best-effort fill
+	if hit {
+		diverged := !jsonCacheEqual(res, stored)
+		cfg.Cache.CountVerify(diverged)
+		if !diverged {
+			return res, nil
+		}
+	}
+	_ = cfg.Cache.Put(id, res) // fill, or heal a diverged entry; best-effort
 	return res, nil
 }
 
@@ -166,30 +163,4 @@ func cacheSanitizedRecord(rec runRecord) runRecord {
 	rec.Retries = 0
 	rec.Failure = nil
 	return rec
-}
-
-// cachedInjection mirrors cachedResult for standalone injections.
-func cachedInjection(cfg Config, id *runcache.Identity, live func() (InjectionResult, error)) (InjectionResult, error) {
-	var cached InjectionResult
-	if cfg.Cache.Get(id, &cached) {
-		if !runcache.ShouldVerify(id, cfg.CacheVerify) {
-			return cached, nil
-		}
-		res, err := live()
-		if err != nil {
-			return InjectionResult{}, err
-		}
-		diverged := !jsonCacheEqual(res, cached)
-		cfg.Cache.CountVerify(diverged)
-		if diverged {
-			_ = cfg.Cache.Put(id, res)
-		}
-		return res, nil
-	}
-	res, err := live()
-	if err != nil {
-		return InjectionResult{}, err
-	}
-	_ = cfg.Cache.Put(id, res)
-	return res, nil
 }

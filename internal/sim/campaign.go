@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,7 +108,7 @@ func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts Inj
 	// Standalone injections honor Trace/Metrics, so the cache gate matches
 	// the single-run rule: live observability cannot be replayed.
 	if cfg.cacheableSingle() {
-		return cachedInjection(cfg, injectIdentity(cfg, p, sites, opts), live)
+		return cached(cfg, injectIdentity(cfg, p, sites, opts), live)
 	}
 	return live()
 }
@@ -405,18 +406,9 @@ func SitesForKind(cfg pipeline.Config, kind fault.Kind) ([]fault.Site, error) {
 
 // IsLatentCampaign reports whether the site list is exactly the canonical
 // 16-site latent campaign for the machine — how quarantine repro commands
-// (and the serve layer's spec round-trip) know to say `-sites latent`.
+// know to say `-sites latent`.
 func IsLatentCampaign(cfg pipeline.Config, sites []fault.Site) bool {
-	ref := LatentSites(cfg)
-	if len(ref) != len(sites) {
-		return false
-	}
-	for i := range ref {
-		if ref[i] != sites[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(LatentSites(cfg), sites)
 }
 
 // canonicalKind reports which kind's canonical campaign (SitesForKind)
@@ -424,18 +416,7 @@ func IsLatentCampaign(cfg pipeline.Config, sites []fault.Site) bool {
 // know to include -fault-kind.
 func canonicalKind(cfg pipeline.Config, sites []fault.Site) (fault.Kind, bool) {
 	for _, k := range fault.Kinds() {
-		ref, err := SitesForKind(cfg, k)
-		if err != nil || len(ref) != len(sites) {
-			continue
-		}
-		match := true
-		for i := range ref {
-			if ref[i] != sites[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if ref, err := SitesForKind(cfg, k); err == nil && slices.Equal(ref, sites) {
 			return k, true
 		}
 	}

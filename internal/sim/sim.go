@@ -285,7 +285,7 @@ func RunProgram(cfg Config, p *isa.Program) (*Result, error) {
 		return nil, err
 	}
 	if cfg.cacheableSingle() {
-		return cachedResult(cfg, runIdentity(cfg, p, 0), func() (*Result, error) {
+		return cached(cfg, runIdentity(cfg, p, 0), func() (*Result, error) {
 			return runProgramLive(cfg, p)
 		})
 	}
@@ -363,7 +363,7 @@ func RunSampledProgram(cfg Config, p *isa.Program, skip int) (*Result, error) {
 		skip = cfg.MaxInstructions
 	}
 	if cfg.cacheableSingle() {
-		return cachedResult(cfg, runIdentity(cfg, p, skip), func() (*Result, error) {
+		return cached(cfg, runIdentity(cfg, p, skip), func() (*Result, error) {
 			return runSampledLive(cfg, p, skip)
 		})
 	}

@@ -207,7 +207,7 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 
 	results, err := parallel.MapCtx(o.Ctx, o.Workers, o.Programs, func(i int) (*outcome, error) {
 		if o.Journal != nil {
-			if rec, ok := o.Journal.done[i]; ok {
+			if rec, ok := o.Journal.Replayed(i); ok {
 				if o.OnProgress != nil {
 					o.OnProgress(i, true, len(rec.Divergences))
 				}
@@ -229,7 +229,7 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 			}
 		}
 		if o.Journal != nil {
-			if err := o.Journal.j.Append(i, out.rec); err != nil {
+			if err := o.Journal.Append(i, out.rec); err != nil {
 				return nil, fmt.Errorf("diffcheck: journal program %d: %w", i, err)
 			}
 		}
@@ -238,17 +238,15 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		// Flush completed records so a cancelled campaign resumes cleanly.
-		if o.Journal != nil {
-			o.Journal.Sync()
-		}
-		return nil, err
-	}
+	// Flush completed records, also on error, so a cancelled campaign
+	// resumes cleanly.
 	if o.Journal != nil {
-		if serr := o.Journal.Sync(); serr != nil {
-			return nil, serr
+		if serr := o.Journal.Sync(); serr != nil && err == nil {
+			err = serr
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	sum := &FuzzSummary{Programs: o.Programs}

@@ -25,10 +25,7 @@ type fuzzRecord struct {
 
 // FuzzJournal is the durable completed-program log of one fuzz session.
 // Open it with OpenFuzzJournal and attach it via FuzzOptions.Journal.
-type FuzzJournal struct {
-	j    *journal.Journal[fuzzRecord]
-	done map[int]fuzzRecord
-}
+type FuzzJournal = journal.Journal[fuzzRecord]
 
 // fuzzJournalVersion is bumped when fuzzRecord or the identity schema
 // changes incompatibly. v2: keys fold through the canonical runcache
@@ -53,29 +50,12 @@ func OpenFuzzJournal(path string, opts FuzzOptions) (*FuzzJournal, error) {
 		Addf("maxinstr", "%d", o.MaxInstr).
 		Add("variant", variant).
 		Addf("shrink", "%v/%d", o.Shrink, o.ShrinkTests)
-	j, done, err := journal.Open[fuzzRecord](path, journal.Header{
+	j, _, err := journal.Open[fuzzRecord](path, journal.Header{
 		Kind: "fuzz", Key: id.Hash64(), Version: fuzzJournalVersion,
 		Parts: id.Parts(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &FuzzJournal{j: j, done: done}, nil
+	return j, err
 }
-
-// Done returns how many completed programs the journal already holds.
-func (fj *FuzzJournal) Done() int { return len(fj.done) }
-
-// SetSyncEvery overrides the fsync cadence: 1 makes every completed program
-// durable before its Append returns (service posture — a SIGKILL at any
-// instant loses nothing), <= 0 restores batched fsyncs.
-func (fj *FuzzJournal) SetSyncEvery(n int) { fj.j.SetSyncEvery(n) }
-
-// Sync flushes and fsyncs pending records (graceful-shutdown path).
-func (fj *FuzzJournal) Sync() error { return fj.j.Sync() }
-
-// Close flushes, fsyncs and closes the journal.
-func (fj *FuzzJournal) Close() error { return fj.j.Close() }
 
 // harnessVariant labels divergences that come from the checking machinery
 // itself (a panic in a variant run), not from a specific machine variant.

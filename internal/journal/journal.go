@@ -28,10 +28,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sync"
+
+	"blackjack/internal/runcache"
 )
 
 // Header is the first line of every journal file.
@@ -64,20 +65,8 @@ func diffParts(have, want []string) string {
 	if len(have) == 0 || len(want) == 0 {
 		return ""
 	}
-	n := len(have)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if have[i] != want[i] {
-			return fmt.Sprintf("; parameter changed: file has %q, workload has %q", have[i], want[i])
-		}
-	}
-	switch {
-	case len(have) < len(want):
-		return fmt.Sprintf("; workload adds parameter %q", want[n])
-	case len(have) > len(want):
-		return fmt.Sprintf("; file has extra parameter %q", have[n])
+	if d := runcache.DiffParts(have, want); d != "" {
+		return "; " + d
 	}
 	return ""
 }
@@ -94,9 +83,11 @@ type envelope struct {
 // runs; large enough that fsync never dominates a fast campaign.
 const SyncEvery = 32
 
-// Journal is an append-only JSONL run log. Append is safe for concurrent
-// use; Open/Close are not.
+// Journal is an append-only JSONL run log plus the records it replayed on
+// open. Append is safe for concurrent use; Open/Close are not.
 type Journal[R any] struct {
+	done map[int]R // records present when the journal was opened
+
 	mu        sync.Mutex
 	f         *os.File
 	w         *bufio.Writer
@@ -130,57 +121,66 @@ var ErrLocked = errors.New("journal: journal is locked by another process")
 
 // Open opens (creating if absent) the journal at path for the given
 // workload identity and returns the journal plus the records already
-// present, keyed by item index. A fresh file gets the header written
-// immediately; an existing file is validated against hdr and scanned.
-// A torn trailing line — the in-flight write of a crashed process — is
-// discarded; corruption anywhere else is an error.
+// present, keyed by item index. The journal keeps those records for replay
+// (see Replayed); the returned map is the same one, read-only. A fresh file
+// gets the header written immediately; an existing file is validated
+// against hdr and scanned. A torn trailing line — the in-flight write of a
+// crashed process — is discarded; corruption anywhere else is an error.
 func Open[R any](path string, hdr Header) (*Journal[R], map[int]R, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := lockFile(f); err != nil {
+	j, err := open[R](f, hdr)
+	if err != nil {
 		f.Close()
 		return nil, nil, err
+	}
+	return j, j.done, nil
+}
+
+// open is Open past the file open; the caller closes f on error.
+func open[R any](f *os.File, hdr Header) (*Journal[R], error) {
+	if err := lockFile(f); err != nil {
+		return nil, err
 	}
 	info, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	j := &Journal[R]{f: f, w: bufio.NewWriter(f)}
+	j := &Journal[R]{done: map[int]R{}, f: f, w: bufio.NewWriter(f)}
 	if info.Size() == 0 {
 		line, err := json.Marshal(hdr)
 		if err != nil {
-			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		if _, err := f.Write(append(line, '\n')); err != nil {
-			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return j, map[int]R{}, nil
+		return j, f.Sync()
 	}
 	done, good, err := scan[R](f, hdr)
 	if err != nil {
-		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
+	j.done = done
 	// Truncate any torn trailing line and position the write cursor at the
 	// end of the last intact record, so the next append starts a clean line.
 	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return j, done, nil
+	_, err = f.Seek(good, io.SeekStart)
+	return j, err
+}
+
+// Done returns how many completed records the journal held when opened.
+func (j *Journal[R]) Done() int { return len(j.done) }
+
+// Replayed returns the record item i completed with in an earlier session,
+// if the journal held one when opened.
+func (j *Journal[R]) Replayed(i int) (R, bool) {
+	r, ok := j.done[i]
+	return r, ok
 }
 
 // scan reads and validates an existing journal, returning the completed
@@ -315,26 +315,9 @@ func (j *Journal[R]) Close() error {
 		return nil
 	}
 	j.closed = true
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
+	err := j.syncLocked()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
-}
-
-// KeyHash builds a workload key by folding the given strings through
-// FNV-64a. Callers stringify every parameter that defines run identity
-// (benchmark, mode, budget, site list, ...) and must NOT include
-// parameters that may legitimately differ across resume (worker count).
-func KeyHash(parts ...string) uint64 {
-	h := fnv.New64a()
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
+	return err
 }

@@ -88,7 +88,7 @@ func TestKeyMismatchRefused(t *testing.T) {
 
 func TestKeyMismatchNamesChangedParameter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	wrote := Header{Kind: "campaign", Key: KeyHash("bench=gcc", "n=8000"), Version: 1,
+	wrote := Header{Kind: "campaign", Key: 0x8000, Version: 1,
 		Parts: []string{"bench=gcc", "n=8000"}}
 	j, _, err := Open[rec](path, wrote)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestKeyMismatchNamesChangedParameter(t *testing.T) {
 	}
 	j.Close()
 
-	resume := Header{Kind: "campaign", Key: KeyHash("bench=gcc", "n=9000"), Version: 1,
+	resume := Header{Kind: "campaign", Key: 0x9000, Version: 1,
 		Parts: []string{"bench=gcc", "n=9000"}}
 	_, _, err = Open[rec](path, resume)
 	if !errors.Is(err, ErrKeyMismatch) {
@@ -245,20 +245,6 @@ func TestSyncFlushesPartialBatch(t *testing.T) {
 		t.Fatalf("after Sync, the file holds %d complete lines, want 6 (header + 5 records)", lines)
 	}
 	j.Close()
-}
-
-func TestKeyHash(t *testing.T) {
-	a := KeyHash("bench", "blackjack", "5000")
-	if a != KeyHash("bench", "blackjack", "5000") {
-		t.Error("KeyHash not deterministic")
-	}
-	if a == KeyHash("bench", "blackjack", "5001") {
-		t.Error("KeyHash ignores parameter change")
-	}
-	// The separator must keep ("ab","c") distinct from ("a","bc").
-	if KeyHash("ab", "c") == KeyHash("a", "bc") {
-		t.Error("KeyHash concatenation ambiguity")
-	}
 }
 
 func TestSecondOpenFailsFastWhileLocked(t *testing.T) {

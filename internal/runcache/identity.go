@@ -11,8 +11,8 @@
 //
 // The same Identity feeds three consumers:
 //
-//   - Hash64 folds the parts through FNV-64a with NUL separators — the same
-//     folding discipline as journal.KeyHash — for the journal header key.
+//   - Hash64 folds the parts through FNV-64a with NUL separators for the
+//     journal header key.
 //   - Parts returns the human-readable parts so journal headers can report
 //     *which* parameter changed on a resume mismatch.
 //   - ID hashes the parts through SHA-256 for cache entry addressing.
@@ -73,8 +73,7 @@ func (id *Identity) Parts() []string {
 }
 
 // Hash64 folds the parts through FNV-64a with NUL separators between
-// parts — identical folding to journal.KeyHash, so journal headers keyed
-// on an Identity are stable across both layers.
+// parts: the journal header key.
 func (id *Identity) Hash64() uint64 {
 	h := fnv.New64a()
 	for _, p := range id.parts {

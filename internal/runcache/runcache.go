@@ -21,7 +21,9 @@ import (
 // FormatEpoch is the cache-format epoch. Bump it whenever the semantics of
 // a cached outcome change (record schema, classification rules, pipeline
 // timing) so every stale entry is refused on read and refilled live.
-const FormatEpoch = 2
+// 3: campaign records carry their path reason, and keys follow the shared
+// campaign identity schema.
+const FormatEpoch = 3
 
 // EnvDir is the environment variable that opts a machine into caching:
 // when set, the CLIs default -cache-dir to its value.

@@ -45,6 +45,9 @@ func TestIdentityEncoding(t *testing.T) {
 	if NewIdentity("ab", "c").Hash64() == NewIdentity("a", "bc").Hash64() {
 		t.Fatal("part boundary not separated in Hash64")
 	}
+	if NewIdentity("program=gcc", "n=8001").Hash64() == a.Hash64() {
+		t.Fatal("Hash64 ignores a changed value")
+	}
 	if got := a.Parts(); len(got) != 2 || got[0] != "program=gcc" || got[1] != "n=8000" {
 		t.Fatalf("Parts() = %v", got)
 	}

@@ -24,7 +24,7 @@ type Event struct {
 	// State accompanies kind "state".
 	State State `json:"state,omitempty"`
 
-	// Index/Total/Site/Outcome/Served accompany kind "run".
+	// Index/Total/Site/Outcome/Served/Reason accompany kind "run".
 	Index   int    `json:"index,omitempty"`
 	Total   int    `json:"total,omitempty"`
 	Site    string `json:"site,omitempty"`
@@ -33,6 +33,8 @@ type Event struct {
 	// fast-forward (live execution paths), journal (resume replay), or
 	// cache (run-cache hit).
 	Served string `json:"served,omitempty"`
+	// Reason says why a campaign run took its path (sim.RunProgress.Reason).
+	Reason string `json:"reason,omitempty"`
 
 	// Detail carries free-form text for "log" and failure states.
 	Detail string `json:"detail,omitempty"`

@@ -173,7 +173,8 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 	cfg.OnProgress = func(p sim.RunProgress) {
 		h.publish(Event{Job: j.ID, Kind: "run", At: time.Now(),
 			Index: totalBase + p.Index, Total: totalBase + p.Total,
-			Site: p.Result.Site.String(), Outcome: p.Result.Outcome.String(), Served: p.Served})
+			Site: p.Result.Site.String(), Outcome: p.Result.Outcome.String(),
+			Served: p.Served, Reason: p.Reason})
 		s.noteRun(j, totalBase+p.Total)
 	}
 	// The journal is opened resuming: a prior attempt's (or prior server

@@ -160,7 +160,8 @@ func (s *Server) Start() {
 }
 
 // Submit admits one parsed spec: capacity check, durable persist, enqueue.
-// It returns the new job and, on ErrOverCapacity, a Retry-After estimate.
+// It returns a copy of the new job and, on ErrOverCapacity, a Retry-After
+// estimate.
 func (s *Server) Submit(spec *Spec) (*Job, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,7 +192,9 @@ func (s *Server) Submit(spec *Spec) (*Job, time.Duration, error) {
 	s.metrics.Counter("serve.tenant." + spec.Tenant + ".jobs").Inc()
 	s.metrics.Gauge("serve.queue.depth").Set(float64(s.sched.depth))
 	s.wakeup()
-	return j, 0, nil
+	// A copy: the executor mutates the live job as soon as the lock drops.
+	view := *j
+	return &view, 0, nil
 }
 
 // retryAfterLocked estimates when capacity frees up: the queue ahead of the

@@ -14,10 +14,9 @@ import (
 
 // This file wires the content-addressable run cache (internal/runcache)
 // into the simulation entry points. The canonical identity of a run is
-// built here — one schema shared by single runs, standalone injections and
-// campaign cells — and the same encoder keys the campaign journal (see
-// OpenCampaignJournal), replacing the ad-hoc string folding that used to
-// live next to journal.KeyHash.
+// built here — one schema shared by single runs, standalone injections,
+// campaign cells and the campaign journal key (see campaignIdentity) — and
+// cachedRun is the one cache tier every entry point goes through.
 //
 // Soundness rests on determinism: given equal (program content, machine
 // config, mode, budget, fault site, execution plan) the simulator produces
@@ -52,20 +51,14 @@ func programFingerprint(p *isa.Program) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// cacheableSingle reports whether a single-machine run may use the cache:
-// a tracer or metrics registry wants live pipeline internals (occupancy
-// histograms, event streams) that a cached outcome cannot replay.
-func (c Config) cacheableSingle() bool {
-	return c.Cache != nil && c.Trace == nil && c.Metrics == nil
-}
-
-// coreIdentity encodes the parameters every cached run shares: program
-// content, machine configuration, mode and instruction budget.
-func (c Config) coreIdentity(kind string, p *isa.Program) *runcache.Identity {
+// identity encodes the parameters every run shares: kind, program name,
+// machine configuration, mode and instruction budget. Structs go through
+// AddJSON: fmt's %+v would call lossy String methods and alias distinct
+// configurations.
+func (c Config) identity(kind, program string) *runcache.Identity {
 	return runcache.NewIdentity().
 		Add("kind", kind).
-		Add("program", p.Name).
-		Add("prog_fp", programFingerprint(p)).
+		Add("program", program).
 		AddJSON("machine", c.Machine).
 		Addf("mode", "%v", c.Mode).
 		Addf("n", "%d", c.MaxInstructions)
@@ -73,7 +66,7 @@ func (c Config) coreIdentity(kind string, p *isa.Program) *runcache.Identity {
 
 // runIdentity is the identity of one fault-free (possibly sampled) run.
 func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
-	id := cfg.coreIdentity("run", p)
+	id := cfg.identity("run", p.Name).Add("prog_fp", programFingerprint(p))
 	if skip > 0 {
 		id.Addf("skip", "%d", skip)
 	}
@@ -81,10 +74,12 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 }
 
 // injectIdentity is the identity of one standalone (multi-)fault
-// injection: the core plus the execution-plan parameters that shape the
-// recorded outcome and every injected site.
+// injection: the shared parameters, the program content, the
+// execution-plan parameters that shape the recorded outcome and every
+// injected site.
 func injectIdentity(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) *runcache.Identity {
-	id := cfg.coreIdentity("inject", p).
+	id := cfg.identity("inject", p.Name).
+		Add("prog_fp", programFingerprint(p)).
 		Addf("split", "%v", opts.SplitPayload).
 		Addf("ff", "%v", cfg.FastForward)
 	for _, s := range sites {
@@ -93,26 +88,25 @@ func injectIdentity(cfg Config, p *isa.Program, sites []fault.Site, opts InjectO
 	return id
 }
 
-// campaignCellIdentity is the identity of one campaign cell: the core plus
-// the campaign execution plan (checkpoint interval, fast-forward and its
-// warmup lead — cached records carry path-choice figures like ForkCycle
-// and FFSkipped, which those parameters determine) and the cell's site.
-// The surrounding site list is deliberately NOT part of a cell's identity:
-// path choice depends only on the cell's own site and the plan cadence, so
-// equal cells are shared across campaigns and sweeps — the incremental-
-// sweep property (a one-parameter edit re-executes only its own column).
-func campaignCellIdentity(base *runcache.Identity, site fault.Site) *runcache.Identity {
-	return runcache.NewIdentity(base.Parts()...).AddJSON("site", site)
-}
-
-// campaignBaseIdentity is the shared prefix of every cell identity of one
-// campaign.
-func campaignBaseIdentity(cfg Config, p *isa.Program, opts InjectOptions) *runcache.Identity {
-	id := cfg.coreIdentity("campaign", p).
+// campaignIdentity is the identity prefix of one campaign: the shared
+// parameters plus the campaign execution plan (checkpoint interval,
+// fast-forward and its warmup lead — records carry path-choice figures
+// like ForkCycle and FFSkipped, which those parameters determine). The
+// journal key extends it with every site of the list (OpenCampaignJournal);
+// each cache cell key extends it with the program content and the cell's
+// own site (campaignRunner.serve). The surrounding site list is
+// deliberately NOT part of a cell's identity: path choice depends only on
+// the cell's own site and the plan cadence, so equal cells are shared
+// across campaigns and sweeps — the incremental-sweep property (a
+// one-parameter edit re-executes only its own column).
+func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.Identity {
+	id := cfg.identity("campaign", program).
 		Addf("split", "%v", opts.SplitPayload).
 		Addf("ckpt", "%d", cfg.CheckpointInterval).
 		Addf("ff", "%v", cfg.FastForward)
 	if cfg.FastForward {
+		// Sampled campaigns report window-relative figures, so a sampled
+		// record must not stand in for a full one across warmup leads.
 		id.Addf("ffw", "%d", cfg.ffWarmup())
 	}
 	return id
@@ -128,39 +122,60 @@ func jsonCacheEqual(a, b any) bool {
 	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
 }
 
-// cached serves one single-run entry point (a *Result run or a standalone
-// injection) through the cache: hit → stored outcome (with sampled
-// trust-but-verify recomputation), miss → live run then fill. Cache I/O
-// failures degrade to live execution; they never fail the run.
-func cached[T any](cfg Config, id *runcache.Identity, live func() (T, error)) (T, error) {
+// cachedRun is the cache tier of every result chain. A hit is served as
+// stored, except for the trust-but-verify share (cfg.CacheVerify), which
+// is recomputed live, counted on the store, compared through the cached
+// form and healed on divergence; a miss runs live and fills. form maps a
+// live result to the form the cache holds and reports whether it may be
+// cached at all (nil: as is). A hit is always served in cache form; a miss
+// serves the live result itself. Cache I/O failures degrade to live
+// execution; they never fail the run.
+func cachedRun[T any](cfg Config, id *runcache.Identity, live func() (T, error), form func(T) (T, bool)) (res T, hit, diverged bool, err error) {
 	var stored T
-	hit := cfg.Cache.Get(id, &stored)
+	hit = cfg.Cache.Get(id, &stored)
 	if hit && !runcache.ShouldVerify(id, cfg.CacheVerify) {
-		return stored, nil
+		return stored, true, false, nil
 	}
-	res, err := live()
+	res, err = live()
 	if err != nil {
 		var zero T
-		return zero, err
+		return zero, hit, false, err
+	}
+	cacheable, ok := res, true
+	if form != nil {
+		cacheable, ok = form(res)
 	}
 	if hit {
-		diverged := !jsonCacheEqual(res, stored)
+		diverged = !jsonCacheEqual(cacheable, stored)
 		cfg.Cache.CountVerify(diverged)
-		if !diverged {
-			return res, nil
-		}
+		res = cacheable
 	}
-	_ = cfg.Cache.Put(id, res) // fill, or heal a diverged entry; best-effort
-	return res, nil
+	if ok && (!hit || diverged) {
+		_ = cfg.Cache.Put(id, cacheable) // fill, or heal a diverged entry; best-effort
+	}
+	return res, hit, diverged, nil
 }
 
-// cacheSanitizedRecord strips the wall-clock-dependent fields from a run
-// record before it enters the cache: retry counts describe one process's
-// scheduling luck, not the run's deterministic outcome. Quarantined
-// records (Failure != nil) must never reach the cache at all — callers
-// gate on that before putting.
-func cacheSanitizedRecord(rec runRecord) runRecord {
+// cachedSingle serves a single-run entry point (a *Result run or a
+// standalone injection) through the cache tier, unless a tracer or metrics
+// registry is attached: those want live pipeline internals (occupancy
+// histograms, event streams) that a cached outcome cannot replay.
+func cachedSingle[T any](cfg Config, id func() *runcache.Identity, live func() (T, error)) (T, error) {
+	if cfg.Cache == nil || cfg.Trace != nil || cfg.Metrics != nil {
+		return live()
+	}
+	res, _, _, err := cachedRun(cfg, id(), live, nil)
+	return res, err
+}
+
+// cacheForm is the campaign cache tier's form: quarantined records (panic,
+// exhausted budget) describe one process's misfortune, not the run's
+// deterministic outcome, so they are never cached; retry counts describe
+// one process's scheduling luck, so they are stripped.
+func cacheForm(rec runRecord) (runRecord, bool) {
+	if rec.Failure != nil {
+		return rec, false
+	}
 	rec.Retries = 0
-	rec.Failure = nil
-	return rec
+	return rec, true
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"blackjack/internal/detect"
 	"blackjack/internal/fault"
@@ -90,27 +89,33 @@ func InjectProgram(cfg Config, p *isa.Program, site fault.Site, opts InjectOptio
 // faults — the multi-error scenario of Section 4.5 — and classifies the
 // combined outcome. The reported Site is the first one.
 func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (InjectionResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateInjection(cfg, sites); err != nil {
 		return InjectionResult{}, err
 	}
-	if len(sites) == 0 {
-		return InjectionResult{}, fmt.Errorf("sim: no fault sites")
-	}
-	if err := fault.ValidateSites(sites); err != nil {
-		return InjectionResult{}, fmt.Errorf("sim: %w", err)
-	}
 	live := func() (InjectionResult, error) {
-		ctx, cancel := cfg.runContext()
+		ctx, cancel := cfg.runContext(0)
 		defer cancel()
 		res, _, err := injectSites(ctx, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward, nil)
 		return res, err
 	}
 	// Standalone injections honor Trace/Metrics, so the cache gate matches
 	// the single-run rule: live observability cannot be replayed.
-	if cfg.cacheableSingle() {
-		return cached(cfg, injectIdentity(cfg, p, sites, opts), live)
+	return cachedSingle(cfg, func() *runcache.Identity { return injectIdentity(cfg, p, sites, opts) }, live)
+}
+
+// validateInjection reports the configuration and site-list errors every
+// injection entry point refuses.
+func validateInjection(cfg Config, sites []fault.Site) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return live()
+	if len(sites) == 0 {
+		return fmt.Errorf("sim: no fault sites")
+	}
+	if err := fault.ValidateSites(sites); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
 }
 
 // injectSites is the cold injection path: a fresh machine from cycle 0 with
@@ -512,20 +517,6 @@ type campaignWorker struct {
 	ff bool
 }
 
-// record accumulates one classified run into the worker's registry.
-func (w *campaignWorker) record(r InjectionResult) {
-	if w.reg == nil {
-		return
-	}
-	w.reg.Counter("campaign.runs").Inc()
-	w.reg.Counter("campaign.outcome." + r.Outcome.String()).Inc()
-	w.reg.Counter("campaign.activations").Add(r.Activations)
-	w.reg.Counter("campaign.detections").Add(r.Detections)
-	if r.DetectionLatency >= 0 {
-		w.reg.Histogram("campaign.detect.latency", detectLatencyBounds).Observe(float64(r.DetectionLatency))
-	}
-}
-
 // recordRecord accumulates one journalable run record: the classified
 // result plus path-choice and retry counters. This is the single place a
 // campaign run touches the registry, for both live and journal-replayed
@@ -569,7 +560,14 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 	if rec.Retries > 0 {
 		w.reg.Counter("campaign.retries").Add(uint64(rec.Retries))
 	}
-	w.record(rec.Result)
+	r := rec.Result
+	w.reg.Counter("campaign.runs").Inc()
+	w.reg.Counter("campaign.outcome." + r.Outcome.String()).Inc()
+	w.reg.Counter("campaign.activations").Add(r.Activations)
+	w.reg.Counter("campaign.detections").Add(r.Detections)
+	if r.DetectionLatency >= 0 {
+		w.reg.Histogram("campaign.detect.latency", detectLatencyBounds).Observe(float64(r.DetectionLatency))
+	}
 }
 
 // CampaignProgram is Campaign over an explicit program. With
@@ -587,14 +585,8 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 // registries into cfg.Metrics and syncs the journal before returning the
 // context's error.
 func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignSummary, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
-	}
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("sim: no fault sites")
-	}
-	if err := fault.ValidateSites(sites); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 	newWorker := func() *campaignWorker {
 		w := &campaignWorker{sink: &detect.Sink{}, ff: cfg.FastForward}
@@ -609,15 +601,7 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 		// The plan's warmup is a full fault-free simulation — deferred until
 		// the first live run actually needs it, so a fully-cached (or fully
 		// journal-resumed) campaign never pays for it.
-		var (
-			planOnce sync.Once
-			pl       *CampaignPlan
-			planErr  error
-		)
-		plan := func() (*CampaignPlan, error) {
-			planOnce.Do(func() { pl, planErr = NewCampaignPlan(cfg, p, sites, opts) })
-			return pl, planErr
-		}
+		plan := sync.OnceValues(func() (*CampaignPlan, error) { return NewCampaignPlan(cfg, p, sites, opts) })
 		runner.attempt = func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error) {
 			pl, err := plan()
 			if err != nil {
@@ -628,7 +612,9 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 	} else {
 		oracle := newGoldenOracle(p)
 		runner.attempt = func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error) {
-			return injectSites(runCtx, cfg, p, sites[i:i+1], opts, w.sink, oracle, false, nil)
+			r, pi, err := injectSites(runCtx, cfg, p, sites[i:i+1], opts, w.sink, oracle, false, nil)
+			pi.Reason = reasonNoPlan
+			return r, pi, err
 		}
 	}
 
@@ -636,98 +622,32 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 	if cfg.Resilience.watchdogArmed() {
 		wd = parallel.NewWatchdog(cfg.Resilience.StallAfter, cfg.Resilience.OnStall)
 	}
-	var cacheHits atomic.Int64
-	var cacheBase *runcache.Identity
 	if cfg.Cache != nil {
-		cacheBase = campaignBaseIdentity(cfg, p, opts)
-	}
-	report := func(i int, rec runRecord, served string) {
-		if cfg.OnProgress == nil {
-			return
-		}
-		cfg.OnProgress(RunProgress{
-			Index: i, Total: len(sites), Result: rec.Result, Served: served,
-			Retries: rec.Retries, Quarantined: rec.Failure != nil,
-		})
+		runner.cell = campaignIdentity(cfg, p.Name, opts).Add("prog_fp", programFingerprint(p))
 	}
 	runOne := func(w *campaignWorker, worker, i int) (InjectionResult, error) {
 		if wd != nil {
 			wd.Begin(worker, i)
 			defer wd.End(worker)
 		}
-		var rec runRecord
-		if cfg.Journal != nil {
-			if done, ok := cfg.Journal.done[i]; ok {
-				// Journal replay: contribute to the registry and summary
-				// exactly as the original execution did.
-				rec = done
-				runner.resumed.Add(1)
-				if rec.Retries > 0 {
-					runner.retried.Add(int64(rec.Retries))
-				}
-				if rec.Failure != nil {
-					runner.mu.Lock()
-					runner.failures = append(runner.failures, *rec.Failure)
-					runner.mu.Unlock()
-				}
-				w.recordRecord(rec)
-				report(i, rec, "journal")
-				return rec.Result, nil
-			}
-		}
-		var cid *runcache.Identity
-		if cfg.Cache != nil {
-			cid = campaignCellIdentity(cacheBase, sites[i])
-			if cfg.Cache.Get(cid, &rec) {
-				if runcache.ShouldVerify(cid, cfg.CacheVerify) {
-					liveRec, err := runner.run(w, i)
-					if err != nil {
-						return InjectionResult{}, err
-					}
-					if liveRec.Failure == nil {
-						liveRec = cacheSanitizedRecord(liveRec)
-					}
-					diverged := !jsonCacheEqual(liveRec, rec)
-					cfg.Cache.CountVerify(diverged)
-					if diverged {
-						// Serve the live result; heal the entry unless the
-						// live run itself failed to classify.
-						if liveRec.Failure == nil {
-							_ = cfg.Cache.Put(cid, liveRec)
-						}
-						rec = liveRec
-					}
-				}
-				cacheHits.Add(1)
-				// Journal the served run too, so a later resume without the
-				// cache still replays it.
-				if cfg.Journal != nil {
-					if jerr := cfg.Journal.j.Append(i, rec); jerr != nil {
-						return InjectionResult{}, jerr
-					}
-				}
-				w.recordRecord(rec)
-				report(i, rec, "cache")
-				return rec.Result, nil
-			}
-		}
-		rec, err := runner.run(w, i)
+		rec, served, err := runner.serve(w, i)
 		if err != nil {
 			return InjectionResult{}, err
 		}
-		if cfg.Cache != nil && rec.Failure == nil {
-			// Quarantined runs (panic, exhausted budget) describe one
-			// process's misfortune, not the run's deterministic outcome —
-			// they are never cached.
-			_ = cfg.Cache.Put(cid, cacheSanitizedRecord(rec))
-		}
-		if cfg.Journal != nil {
-			if jerr := cfg.Journal.j.Append(i, rec); jerr != nil {
-				return InjectionResult{}, jerr
+		// Journal cache-served runs too, so a later resume without the
+		// cache still replays them.
+		if cfg.Journal != nil && served != "journal" {
+			if err := cfg.Journal.Append(i, rec); err != nil {
+				return InjectionResult{}, err
 			}
 		}
 		w.recordRecord(rec)
-		report(i, rec, string(rec.Path))
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(RunProgress{
+				Index: i, Total: len(sites), Result: rec.Result, Served: served,
+				Reason: rec.Reason, Retries: rec.Retries, Quarantined: rec.Failure != nil,
+			})
+		}
 		return rec.Result, nil
 	}
 	results, states, err := parallel.MapWorkerStateCtx(cfg.Ctx, cfg.Parallel, len(sites), newWorker, runOne)
@@ -759,7 +679,7 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 		Resumed:        int(runner.resumed.Load()),
 		Retried:        int(runner.retried.Load()),
 		WatchdogStalls: stalls,
-		CacheHits:      int(cacheHits.Load()),
+		CacheHits:      int(runner.cacheHits.Load()),
 	}
 	for _, r := range results {
 		sum.Counts[r.Outcome]++

@@ -128,7 +128,7 @@ const ffMarkInterval = 500
 
 // CampaignPlan amortizes a fault campaign's shared fault-free prefix: build
 // it once per (config, mode, program, site list), then run each injection
-// with Inject (or InjectRange for simultaneous multi-fault subsets).
+// (CampaignProgram) or simultaneous multi-fault subset (InjectRange).
 type CampaignPlan struct {
 	cfg   Config
 	prog  *isa.Program
@@ -148,14 +148,8 @@ type CampaignPlan struct {
 // interval <= 0 takes no snapshots — every injection then runs cold, but the
 // never-fires shortcut and the memoized oracle still apply.
 func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignPlan, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
-	}
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("sim: no fault sites")
-	}
-	if err := fault.ValidateSites(sites); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 	pl := &CampaignPlan{
 		cfg: cfg, prog: p, sites: sites, opts: opts,
@@ -232,16 +226,6 @@ func (pl *CampaignPlan) NumSites() int { return len(pl.sites) }
 // Checkpoints returns how many warmup snapshots the plan holds.
 func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 
-// Inject classifies site i alone, choosing the cheapest sound path:
-// warm-served, fast-forwarded, checkpoint-forked or cold.
-func (pl *CampaignPlan) Inject(i int) (InjectionResult, error) {
-	if i < 0 || i >= len(pl.sites) {
-		return InjectionResult{}, fmt.Errorf("sim: site index %d out of range [0,%d)", i, len(pl.sites))
-	}
-	r, _, err := pl.injectCtx(nil, i, i+1, nil)
-	return r, err
-}
-
 // InjectRange classifies the simultaneous (uncorrelated) faults
 // sites[lo:hi] — the multi-error scenario of Section 4.5 — forking from the
 // latest checkpoint preceding the subset's earliest possible activation.
@@ -256,19 +240,21 @@ func (pl *CampaignPlan) InjectRange(lo, hi int) (InjectionResult, error) {
 // injectCtx runs the subset sites[lo:hi] with a reusable sink (nil: the
 // machine allocates its own) under an optional run context (nil:
 // unbudgeted). It reports which path served the run — warm, fast-forwarded,
-// forked or cold, with that path's parameters — so callers can record and
-// journal path-choice metrics that replay identically on resume.
+// forked or cold, with that path's parameters and the reason it took it —
+// so callers can record and journal path-choice metrics that replay
+// identically on resume.
 //
 // Path policy: a subset no member of which can ever corrupt is served from
 // the warmup result. Otherwise, with fast-forward on, the functional model
 // skips to a handoff one warmup lead before the subset's earliest
 // activation cycle — the cheapest path, since skipped instructions cost
-// ~1% of cycle-accurate ones. When no usable handoff exists (activation too
-// close to reset, or the warmup failed), the plan falls back to a
-// checkpoint fork, then to a cold run.
+// ~1% of cycle-accurate ones. When no usable handoff exists (a
+// timing-sensitive kind, activation too close to reset, or the warmup
+// failed), the plan falls back to a checkpoint fork, then to a cold run.
 func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.Sink) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	minFire := int64(-1)
+	reason := reasonWarmupInvalid
 	if pl.warmValid {
 		fires := false
 		for i := lo; i < hi; i++ {
@@ -283,22 +269,33 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.
 			if err := classify(&res, &pl.warm, &fault.Injector{}, pl.oracle); err != nil {
 				return InjectionResult{}, pathInfo{}, err
 			}
-			return res, pathInfo{Path: pathWarm}, nil
+			return res, pathInfo{Path: pathWarm, Reason: reasonNeverFires}, nil
 		}
-		if pl.cfg.FastForward && pl.ffEligible(lo, hi) {
-			if handoff, uses, ok := pl.ffHandoff(minFire); ok {
-				return pl.ffRun(ctx, lo, hi, handoff, uses, sink)
+		reason = ""
+		if pl.cfg.FastForward {
+			reason = pl.ffIneligible(lo, hi)
+			if reason == "" {
+				if handoff, uses, ok := pl.ffHandoff(minFire); ok {
+					return pl.ffRun(ctx, lo, hi, handoff, uses, sink)
+				}
+				reason = reasonBeforeFirstMark
 			}
 		}
 	}
 	if cp := pl.latestBefore(minFire); cp != nil {
-		return pl.forkRun(ctx, cp, lo, hi, sink)
+		return pl.forkRun(ctx, cp, lo, hi, sink, reason)
 	}
-	return injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, sink, pl.oracle, pl.cfg.FastForward, pl)
+	if pl.warmValid && pl.cfg.CheckpointInterval > 0 {
+		reason = reasonNoCheckpoint
+	}
+	r, pi, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, sink, pl.oracle, pl.cfg.FastForward, pl)
+	pi.Reason = reason
+	return r, pi, err
 }
 
-// ffEligible reports whether sites[lo:hi] may be served by fast-forward.
-// Timing-sensitive kinds are excluded (fault.Site.FFEligible): a one-shot
+// ffIneligible reports why sites[lo:hi] may not be served by fast-forward
+// ("" when they may): the reasonFFIneligible prefix plus the kind of the
+// first timing-sensitive site (fault.Site.FFEligible). A one-shot
 // transient's outcome depends on the exact dynamic use its shot corrupts, an
 // intermittent's duty windows are indexed by exact eligible-use counts, and
 // a control-flow error's outcome depends on speculative wrong-path state —
@@ -307,13 +304,13 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.
 // multi-bit) corrupt every eligible use once active, so their
 // classification is robust to the handoff's timing perturbation — the
 // property diffcheck's sampled mode verifies per campaign.
-func (pl *CampaignPlan) ffEligible(lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		if !pl.sites[i].FFEligible() {
-			return false
+func (pl *CampaignPlan) ffIneligible(lo, hi int) string {
+	for _, s := range pl.sites[lo:hi] {
+		if !s.FFEligible() {
+			return reasonFFIneligible + s.EffectiveKind().String()
 		}
 	}
-	return true
+	return ""
 }
 
 // ffHandoff maps a subset's earliest possible activation cycle to a
@@ -390,15 +387,16 @@ func (pl *CampaignPlan) latestBefore(cycle int64) *planCheckpoint {
 
 // forkRun resumes the warmup from a checkpoint with a real injector
 // installed, seeded so transient use counting continues where the probe's
-// left off. Under fast-forward the fork also stops at its first detection —
-// same sampled-campaign semantics, applied to the fork fallback.
-func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, sink *detect.Sink) (InjectionResult, pathInfo, error) {
+// left off, and reports reason as the run's path reason. Under
+// fast-forward the fork also stops at its first detection — same
+// sampled-campaign semantics, applied to the fork fallback.
+func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, sink *detect.Sink, reason string) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
 	m := pipeline.Fork(cp.snap, runOptions(ctx, inj, sink, pl.cfg.FastForward)...)
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, pl, nil)
-	pi.Path, pi.ForkCycle = pathForked, cp.cycle
+	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err
 }
 

@@ -139,10 +139,38 @@ const (
 	pathFF     runPath = "fast-forward"
 )
 
+// Path reasons: why a run took its path, i.e. why it did not take the
+// cheaper one ahead of it (warm, fast-forward, fork, cold). They are
+// journaled and reported with each run, and stay out of the metrics
+// registry.
+const (
+	// reasonNeverFires: no site of the run can ever corrupt a value on the
+	// warmup trajectory, so the warmup's result serves it.
+	reasonNeverFires = "never-fires"
+	// reasonFFIneligible prefixes the first site kind fast-forward cannot
+	// serve (fault.Site.FFEligible), e.g. "ff-ineligible:transient".
+	reasonFFIneligible = "ff-ineligible:"
+	// reasonBeforeFirstMark: the run's first activation comes too early for
+	// a fast-forward handoff one warmup lead before it.
+	reasonBeforeFirstMark = "activation-before-first-mark"
+	// reasonNoCheckpoint: no warmup checkpoint precedes the first
+	// activation, so the run cannot fork and runs cold.
+	reasonNoCheckpoint = "no-checkpoint-before-activation"
+	// reasonWarmupInvalid: the plan's warmup failed, so every run is cold.
+	reasonWarmupInvalid = "warmup-invalid"
+	// reasonNoPlan: the campaign neither checkpoints nor fast-forwards, so
+	// every run is cold.
+	reasonNoPlan = "no-plan"
+	// reasonCacheDivergence: the run was a verified cache hit whose stored
+	// record differed from the live one, which is served instead.
+	reasonCacheDivergence = "cache-verify-divergence"
+)
+
 // pathInfo describes how a campaign run was served: the path plus that
 // path's parameters (fork cycle, functionally skipped instructions,
-// early-stop, the cycle it reconverged with the warmup at). It is what
-// injectCtx reports and what runRecord journals.
+// early-stop, the cycle it reconverged with the warmup at) and the reason
+// it took that path. It is what injectCtx reports and what runRecord
+// journals.
 type pathInfo struct {
 	Path      runPath `json:"path,omitempty"`
 	ForkCycle int64   `json:"fork_cycle,omitempty"`
@@ -152,6 +180,9 @@ type pathInfo struct {
 	// it reconverged with the golden warmup (see CampaignPlan.run).
 	Converged   bool  `json:"converged,omitempty"`
 	ConvergedAt int64 `json:"converged_at,omitempty"`
+	// Reason is one of the path reasons above ("" for a run on the
+	// cheapest path its plan offers).
+	Reason string `json:"reason,omitempty"`
 }
 
 // runRecord is one completed campaign run as journaled: the classified
@@ -169,68 +200,36 @@ type runRecord struct {
 // with OpenCampaignJournal, attach it via Config.Journal, and a crashed or
 // interrupted campaign resumes by skipping (and replaying) the journaled
 // runs.
-type CampaignJournal struct {
-	j    *journal.Journal[runRecord]
-	done map[int]runRecord
-}
+type CampaignJournal = journal.Journal[runRecord]
 
 // campaignJournalVersion is bumped when runRecord or the identity schema
 // changes incompatibly. v2: keys fold through the canonical runcache
 // identity encoder (adding the machine configuration) and headers record
-// the human-readable parts.
-const campaignJournalVersion = 2
+// the human-readable parts. v3: the key is campaignIdentity plus every
+// site in canonical JSON — v2 formatted sites with their lossy String
+// method, so lists differing only in kind, shot, trigger or duty fields
+// shared one key.
+const campaignJournalVersion = 3
 
 // OpenCampaignJournal opens (creating or resuming) the campaign journal at
-// path. The journal is keyed by everything that defines run identity —
-// program, machine, mode, instruction budget, split-payload option,
-// checkpoint/fast-forward plan and the exact site list — folded through
-// the canonical identity encoder shared with the run cache
-// (runcache.Identity), and refuses to resume a journal written for a
-// different campaign, naming the changed parameter. Worker count is
-// deliberately not part of the key: a campaign journaled under one
-// -parallel value resumes under any other.
+// path. The journal is keyed by campaignIdentity — program, machine, mode,
+// instruction budget, split-payload option and checkpoint/fast-forward
+// plan, the schema shared with the run cache — plus the exact site list,
+// and refuses to resume a journal written for a different campaign,
+// naming the changed parameter. Worker count is deliberately not part of
+// the key: a campaign journaled under one -parallel value resumes under
+// any other.
 func OpenCampaignJournal(path string, cfg Config, program string, sites []fault.Site, opts InjectOptions) (*CampaignJournal, error) {
-	id := runcache.NewIdentity().
-		Add("kind", "campaign").
-		Add("program", program).
-		Addf("machine", "%+v", cfg.Machine).
-		Addf("mode", "%v", cfg.Mode).
-		Addf("n", "%d", cfg.MaxInstructions).
-		Addf("split", "%v", opts.SplitPayload).
-		Addf("ckpt", "%d", cfg.CheckpointInterval).
-		Addf("ff", "%v", cfg.FastForward)
-	if cfg.FastForward {
-		// Sampled campaigns report window-relative figures, so a sampled
-		// journal must not resume a full campaign across warmup leads.
-		id.Addf("ffw", "%d", cfg.ffWarmup())
-	}
-	id.Addf("sites", "%d", len(sites))
+	id := campaignIdentity(cfg, program, opts)
 	for _, s := range sites {
-		id.Addf("site", "%+v", s)
+		id.AddJSON("site", s)
 	}
-	j, done, err := journal.Open[runRecord](path, journal.Header{
+	j, _, err := journal.Open[runRecord](path, journal.Header{
 		Kind: "campaign", Key: id.Hash64(), Version: campaignJournalVersion,
 		Parts: id.Parts(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &CampaignJournal{j: j, done: done}, nil
+	return j, err
 }
-
-// Done returns how many completed runs the journal already holds.
-func (cj *CampaignJournal) Done() int { return len(cj.done) }
-
-// SetSyncEvery overrides the fsync cadence: 1 makes every completed run
-// durable before its Append returns (service posture — a SIGKILL at any
-// instant loses nothing), <= 0 restores batched fsyncs.
-func (cj *CampaignJournal) SetSyncEvery(n int) { cj.j.SetSyncEvery(n) }
-
-// Sync flushes and fsyncs pending records (graceful-shutdown path).
-func (cj *CampaignJournal) Sync() error { return cj.j.Sync() }
-
-// Close flushes, fsyncs and closes the journal.
-func (cj *CampaignJournal) Close() error { return cj.j.Close() }
 
 // campaignTestHook, when non-nil, runs at the start of every campaign run
 // attempt with the attempt's run context and the site index. It exists so
@@ -250,8 +249,12 @@ type campaignRunner struct {
 	// and reports which path served it.
 	attempt func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error)
 
-	resumed atomic.Int64
-	retried atomic.Int64
+	// cell is the cache cell identity prefix (nil without a cache).
+	cell *runcache.Identity
+
+	resumed   atomic.Int64
+	retried   atomic.Int64
+	cacheHits atomic.Int64
 
 	mu       sync.Mutex
 	failures []RunFailure
@@ -282,22 +285,11 @@ func (c *campaignRunner) repro(i int) string {
 }
 
 // attemptOnce runs one attempt of item i: derives the attempt's budget
-// (RunTimeout << attempt), installs the isolation recover barrier, and
+// (Config.runContext), installs the isolation recover barrier, and
 // fires the test seam.
 func (c *campaignRunner) attemptOnce(w *campaignWorker, i, attempt int) (res InjectionResult, pi pathInfo, err error) {
-	var runCtx context.Context
-	if c.cfg.Ctx != nil {
-		runCtx = c.cfg.Ctx
-	}
-	if d := c.cfg.Resilience.RunTimeout; d > 0 {
-		base := runCtx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(base, d<<uint(attempt))
-		defer cancel()
-	}
+	runCtx, cancel := c.cfg.runContext(attempt)
+	defer cancel()
 	if c.cfg.Resilience.Isolate {
 		defer func() {
 			if r := recover(); r != nil {
@@ -372,6 +364,43 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 			Failure: &f,
 		}, nil
 	}
+}
+
+// serve returns item i's record from the first source that has it: the
+// journal (a record replayed from an earlier session), then the cache,
+// then a live run. It also names the source as RunProgress.Served does:
+// "journal", "cache" or the live path.
+func (c *campaignRunner) serve(w *campaignWorker, i int) (runRecord, string, error) {
+	if c.cfg.Journal != nil {
+		if rec, ok := c.cfg.Journal.Replayed(i); ok {
+			// Contribute to the summary exactly as the original execution did.
+			c.resumed.Add(1)
+			c.retried.Add(int64(rec.Retries))
+			if rec.Failure != nil {
+				c.mu.Lock()
+				c.failures = append(c.failures, *rec.Failure)
+				c.mu.Unlock()
+			}
+			return rec, "journal", nil
+		}
+	}
+	if c.cell == nil {
+		rec, err := c.run(w, i)
+		return rec, string(rec.Path), err
+	}
+	id := runcache.NewIdentity(c.cell.Parts()...).AddJSON("site", c.sites[i])
+	rec, hit, diverged, err := cachedRun(c.cfg, id, func() (runRecord, error) { return c.run(w, i) }, cacheForm)
+	switch {
+	case err != nil:
+		return runRecord{}, "", err
+	case !hit:
+		return rec, string(rec.Path), nil
+	}
+	c.cacheHits.Add(1)
+	if diverged {
+		rec.Reason = reasonCacheDivergence
+	}
+	return rec, "cache", nil
 }
 
 // quarantined returns the accumulated failures sorted by site index (the

@@ -124,6 +124,10 @@ type RunProgress struct {
 	// resume), "cache" (content-addressable hit), or the live execution
 	// path ("cold", "forked", "warm", "fast-forward").
 	Served string
+	// Reason says why the run took its path, e.g. "never-fires",
+	// "ff-ineligible:transient" or "cache-verify-divergence" ("" when it
+	// took the cheapest path its plan offers).
+	Reason string
 	// Retries counts re-executions beyond the run's first attempt.
 	Retries int
 	// Quarantined marks runs excluded by the resilience layer.
@@ -195,20 +199,20 @@ func (r *Result) NormalizedPerf(baseline *Result) float64 {
 	return float64(baseline.Stats.Cycles) / float64(r.Stats.Cycles)
 }
 
-// runContext derives a single run's context from the config: cfg.Ctx plus
-// the per-run wall-clock budget. The returned context is nil — meaning "no
-// polling at all" — when neither is configured, preserving the legacy
-// hot-loop exactly.
-func (c Config) runContext() (context.Context, context.CancelFunc) {
-	ctx := c.Ctx
-	if c.Resilience.RunTimeout > 0 {
-		base := ctx
+// runContext derives one run attempt's context from the config: cfg.Ctx
+// plus the per-run wall-clock budget, doubled per retry (attempt k runs
+// under RunTimeout<<k). The returned context is nil — meaning "no polling
+// at all" — when neither is configured, preserving the legacy hot-loop
+// exactly.
+func (c Config) runContext(attempt int) (context.Context, context.CancelFunc) {
+	if d := c.Resilience.RunTimeout; d > 0 {
+		base := c.Ctx
 		if base == nil {
 			base = context.Background()
 		}
-		return context.WithTimeout(base, c.Resilience.RunTimeout)
+		return context.WithTimeout(base, d<<uint(attempt))
 	}
-	return ctx, func() {}
+	return c.Ctx, func() {}
 }
 
 // obsOptions translates the config's observability attachments into machine
@@ -281,26 +285,33 @@ func (c Config) observeActivations(inj *fault.Injector) {
 // typed *DeadlockError; a run stopped by cfg.Ctx or the per-run budget
 // returns a typed *InterruptedError.
 func RunProgram(cfg Config, p *isa.Program) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.cacheableSingle() {
-		return cached(cfg, runIdentity(cfg, p, 0), func() (*Result, error) {
-			return runProgramLive(cfg, p)
-		})
-	}
-	return runProgramLive(cfg, p)
+	return RunSampledProgram(cfg, p, 0)
 }
 
-// runProgramLive is RunProgram past validation and cache lookup.
-func runProgramLive(cfg Config, p *isa.Program) (*Result, error) {
+// runLive is RunSampledProgram past validation, clamping and cache lookup
+// (skip is in [0, budget]): the golden emulator retires the first skip
+// instructions, and the pipeline simulates the rest.
+func runLive(cfg Config, p *isa.Program, skip int) (*Result, error) {
 	mopts := cfg.obsOptions()
-	ctx, cancel := cfg.runContext()
+	ctx, cancel := cfg.runContext(0)
 	defer cancel()
 	if ctx != nil {
 		mopts = append(mopts, pipeline.WithRunContext(ctx))
 	}
-	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, mopts...)
+	var m *pipeline.Machine
+	var err error
+	if skip == 0 {
+		m, err = pipeline.New(cfg.Machine, cfg.Mode, p, mopts...)
+	} else {
+		g, gerr := isa.AcquireMachine(p)
+		if gerr != nil {
+			return nil, gerr
+		}
+		g.Run(skip)
+		arch := g.CaptureArch()
+		isa.ReleaseMachine(g)
+		m, err = pipeline.NewFromArch(cfg.Machine, cfg.Mode, p, arch, mopts...)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -356,65 +367,15 @@ func RunSampledProgram(cfg Config, p *isa.Program, skip int) (*Result, error) {
 	if skip < 0 {
 		return nil, fmt.Errorf("sim: negative fast-forward skip %d", skip)
 	}
-	if skip == 0 {
-		return RunProgram(cfg, p)
-	}
-	if skip > cfg.MaxInstructions {
-		skip = cfg.MaxInstructions
-	}
-	if cfg.cacheableSingle() {
-		return cached(cfg, runIdentity(cfg, p, skip), func() (*Result, error) {
-			return runSampledLive(cfg, p, skip)
-		})
-	}
-	return runSampledLive(cfg, p, skip)
-}
-
-// runSampledLive is RunSampledProgram past validation, clamping and cache
-// lookup (skip is positive and already clamped to the budget).
-func runSampledLive(cfg Config, p *isa.Program, skip int) (*Result, error) {
-	g, err := isa.AcquireMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	g.Run(skip)
-	arch := g.CaptureArch()
-	isa.ReleaseMachine(g)
-
-	mopts := cfg.obsOptions()
-	ctx, cancel := cfg.runContext()
-	defer cancel()
-	if ctx != nil {
-		mopts = append(mopts, pipeline.WithRunContext(ctx))
-	}
-	m, err := pipeline.NewFromArch(cfg.Machine, cfg.Mode, p, arch, mopts...)
-	if err != nil {
-		return nil, err
-	}
-	cfg.observeDetections(m)
-	st := m.Run(cfg.MaxInstructions)
-	if cfg.Metrics != nil {
-		st.Export(cfg.Metrics)
-	}
-	if st.Interrupted {
-		return nil, &InterruptedError{Benchmark: p.Name, Mode: cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err()}
-	}
-	if st.Deadlocked {
-		return nil, &DeadlockError{
-			Benchmark: p.Name, Mode: cfg.Mode, Cycle: st.Cycles,
-			Committed: st.Committed[0], Budget: cfg.MaxInstructions,
-		}
-	}
-	return verifyGolden(cfg, p, st)
+	skip = min(skip, cfg.MaxInstructions)
+	return cachedSingle(cfg,
+		func() *runcache.Identity { return runIdentity(cfg, p, skip) },
+		func() (*Result, error) { return runLive(cfg, p, skip) })
 }
 
 // Run executes one built-in benchmark.
 func Run(cfg Config, benchmark string) (*Result, error) {
-	p, err := prog.Benchmark(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	return RunProgram(cfg, p)
+	return RunSampled(cfg, benchmark, 0)
 }
 
 // RunSampled is RunSampledProgram over a built-in benchmark.

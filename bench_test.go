@@ -182,11 +182,11 @@ func BenchmarkExtDSlackSweep(b *testing.B) {
 
 // BenchmarkBlackJackThroughput measures raw simulation speed: committed
 // instructions per wall-clock second on the full BlackJack configuration.
-// With tracing and metrics disabled (the default — no sink attached), this
-// must stay within 2% of the BENCH_campaign.json ns_per_instr baseline. The
+// With tracing and metrics disabled (the default — no sink attached), the
 // disabled path is a handful of nil checks per stage hook plus one per Tick;
 // compare against BenchmarkBlackJackThroughputObserved for the enabled-path
-// cost.
+// cost. bjbench's pipeline.blackjack.instr_per_s is the gated measurement
+// of the same rate (bounds in BENCHMARK.json).
 func BenchmarkBlackJackThroughput(b *testing.B) {
 	p := prog.MustBenchmark("gcc")
 	const n = 20000
@@ -227,11 +227,11 @@ func BenchmarkBlackJackThroughputObserved(b *testing.B) {
 }
 
 // TestRunAllocBudget guards the disabled-path allocation criterion: a run
-// without observability sinks must not allocate more than the seed baseline
-// (BENCH_campaign.json cold_allocs_per_run was 6508 at 30k instructions;
-// the budget below scales that to this test's 5k with generous headroom,
-// since the point is catching per-instruction or per-cycle allocations,
-// which would add tens of thousands).
+// without observability sinks must stay within a fixed allocation budget.
+// The budget is generous, since the point is catching per-instruction or
+// per-cycle allocations, which would add tens of thousands. Campaign runs
+// have tighter per-run budgets in internal/sim's TestCampaignWorkFloors
+// (8,012 cold allocations per run at 30k instructions, 10% headroom).
 func TestRunAllocBudget(t *testing.T) {
 	p := prog.MustBenchmark("gcc")
 	const n = 5000
@@ -310,8 +310,7 @@ func BenchmarkCampaignFF16(b *testing.B) { benchCampaign16(b, 0, true) }
 // BenchmarkSweepWarmCache measures a fully-warm Ext-A sweep: every campaign
 // cell of every mode is served from the content-addressable run cache
 // instead of re-simulated. Compare against BenchmarkExtAFaultInjection (the
-// same sweep cold) for the cache speedup; the warm/cold wall-clock pair is
-// also recorded in the BENCH_campaign.json trajectory by bjexp -bench-json.
+// same sweep cold) for the cache speedup.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	cache, err := runcache.Open(b.TempDir(), 0)
 	if err != nil {

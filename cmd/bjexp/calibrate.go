@@ -40,19 +40,3 @@ func runCalibrate(opts experiments.Options, jsonPath string) {
 		cli.Exitf(cli.ExitFail, "calibration FAILED")
 	}
 }
-
-// runTrendGate evaluates the BENCH trajectory at path against the default
-// trend tolerance windows. DRIFT warns on stderr; any FAIL exits 5.
-func runTrendGate(path string) {
-	rep, err := calib.EvalTrendFile(path)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	rep.Table().Render(os.Stdout)
-	if drifting := rep.Drifting(); len(drifting) > 0 {
-		cli.Logf("trend drift on %s", strings.Join(drifting, ", "))
-	}
-	if rep.Failed() {
-		cli.Exitf(cli.ExitFail, "trend gate FAILED")
-	}
-}

@@ -44,11 +44,9 @@ func main() {
 		ckpt    = flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles for the fault-injection experiments (0 = every run cold; output is identical at any value)")
 		ff      = flag.Bool("ff", false, "sampled fault campaigns: fast-forward each injection's fault-free prefix on the functional model (outcome tables match full simulation; cycle-based columns of fast-forwarded runs are window-relative)")
 		ffWarm  = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions (0 = default)")
-		bjJSON  = flag.String("bench-json", "", "measure campaign wall-clock (cold vs checkpointed vs fast-forwarded), ns/instr and allocs/run, write JSON here (e.g. BENCH_campaign.json) and exit")
 
 		calibrate = flag.Bool("calibrate", false, "run the figure suite, evaluate every paper claim of the calibration spec (PASS/DRIFT/FAIL per claim) and exit; any FAIL exits with code 5")
 		calibJSON = flag.String("calib-json", "", "with -calibrate, also write the calibration report as JSON to this file")
-		trendGate = flag.String("trend-gate", "", "gate the BENCH trajectory at this path (newest record vs the median of the previous records, per metric) and exit; any regression beyond the drift band exits with code 5")
 
 		journalDir = flag.String("journal-dir", "", "journal every fault campaign's completed runs into this directory; re-running with the same directory resumes")
 
@@ -85,16 +83,6 @@ func main() {
 	}
 	opts.Cache, opts.CacheVerify = cache.Open()
 
-	if *bjJSON != "" {
-		if err := runBenchJSON(*bjJSON, *bench, *n, *par, *ckpt, *ffWarm); err != nil {
-			cli.Fatal(err)
-		}
-		return
-	}
-	if *trendGate != "" {
-		runTrendGate(*trendGate)
-		return
-	}
 	if *calibrate {
 		runCalibrate(opts, *calibJSON)
 		cache.Report()

@@ -9,10 +9,9 @@
 // that silently shifts a figure fails CI instead of waiting for a human to
 // reread the prose.
 //
-// The package also gates the BENCH_*.json performance trajectories: the
-// trend layer (trend.go) fits a tolerance window over the last K records
-// (median ± relative band per metric) and flags the newest record when a
-// speedup falls or a cost rises beyond the window.
+// Performance is not gated here: bjbench measures it against the bounds in
+// BENCHMARK.json, and the campaign fast paths are gated on exact simulated
+// cycles by internal/sim's TestCampaignWorkFloors.
 package calib
 
 import (

@@ -45,17 +45,6 @@ func goldenReport() *Report {
 	})
 }
 
-func goldenTrendReport() *TrendReport {
-	records := []Record{
-		{Fields: map[string]float64{"speedup": 3.6, "ns_per_instr": 2200}},
-		{Fields: map[string]float64{"speedup": 3.5, "ns_per_instr": 2250}},
-		{Fields: map[string]float64{"speedup": 3.55, "ns_per_instr": 2225, "cache_speedup": 230}},
-	}
-	rep := EvalTrend(records, DefaultTrendSpec())
-	rep.Path = "testdata/example.json"
-	return rep
-}
-
 func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
 	if *update {
@@ -91,19 +80,6 @@ func TestGoldenReportRendering(t *testing.T) {
 	}
 	checkGolden(t, filepath.Join("testdata", "golden", "report.txt"), text.Bytes())
 	checkGolden(t, filepath.Join("testdata", "golden", "report.json"), js.Bytes())
-}
-
-func TestGoldenTrendRendering(t *testing.T) {
-	rep := goldenTrendReport()
-	var text, js bytes.Buffer
-	if err := rep.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, filepath.Join("testdata", "golden", "trend.txt"), text.Bytes())
-	checkGolden(t, filepath.Join("testdata", "golden", "trend.json"), js.Bytes())
 }
 
 // Rendering is deterministic: two renders of the same report are

@@ -29,7 +29,7 @@ const (
 	ExitError       = 1   // usage, I/O or simulation error
 	ExitDeadlock    = 3   // the machine wedged before exhausting its budget
 	ExitDiverged    = 4   // cache verification found a stored outcome diverging from live re-execution
-	ExitFail        = 5   // a calibration claim or trend metric FAILed
+	ExitFail        = 5   // a calibration claim FAILed
 	ExitInterrupted = 130 // stopped by SIGINT or SIGTERM
 )
 

@@ -561,6 +561,7 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 		w.reg.Counter("campaign.retries").Add(uint64(rec.Retries))
 	}
 	r := rec.Result
+	w.reg.Counter("campaign.simulated_cycles").Add(rec.simulatedCycles())
 	w.reg.Counter("campaign.runs").Inc()
 	w.reg.Counter("campaign.outcome." + r.Outcome.String()).Inc()
 	w.reg.Counter("campaign.activations").Add(r.Activations)

@@ -196,6 +196,23 @@ type runRecord struct {
 	Failure *RunFailure `json:"failure,omitempty"`
 }
 
+// simulatedCycles is the number of cycle-accurate cycles the run stepped:
+// from its fork cycle (0 for cold and fast-forwarded machines) to where it
+// stopped — its convergence cut, else its final cycle. It is derived from
+// journaled fields only, so it replays identically from the journal and
+// the cache. Warm-served runs stepped nothing. A run that wedged by panic
+// records no final cycle and counts 0.
+func (rec runRecord) simulatedCycles() uint64 {
+	if rec.Path == pathWarm {
+		return 0
+	}
+	end := rec.Result.Cycles
+	if rec.Converged {
+		end = rec.ConvergedAt
+	}
+	return uint64(max(end-rec.ForkCycle, 0))
+}
+
 // CampaignJournal is the durable completed-run log of one campaign. Open it
 // with OpenCampaignJournal, attach it via Config.Journal, and a crashed or
 // interrupted campaign resumes by skipping (and replaying) the journaled

@@ -170,15 +170,26 @@ func (h *Hierarchy) Probe(addr uint64) int {
 	return lat + h.cfg.MemLat
 }
 
-// setAssoc is an LRU set-associative tag array.
+// setsPerPage is the number of sets one tag page holds, and pagesPerChunk
+// the number of pages allocated at once.
+const (
+	setsPerPage   = 16
+	pagesPerChunk = 8
+)
+
+// setAssoc is an LRU set-associative tag array. Its tags and recency stamps
+// live in pages of setsPerPage sets, each created on the first fill of one of
+// its sets, so building, cloning and comparing an array costs only the sets a
+// run touched. A way holds a line when its stamp is non-zero: the clock
+// advances before every access, so stamps start at 1.
 type setAssoc struct {
 	sets      int
 	ways      int
 	lineShift uint
-	// tags[set*ways+way]; lru[set*ways+way] holds a recency stamp.
-	tags  []uint64
-	valid []bool
-	lru   []uint64
+	// pages[set/setsPerPage] holds the (tag, stamp) pair of way w of a set at
+	// 2*((set%setsPerPage)*ways+w); nil until one of its sets is filled.
+	pages [][]uint64
+	spare []uint64 // unused rest of the last page chunk
 	clock uint64
 }
 
@@ -196,32 +207,47 @@ func newSetAssoc(sizeBytes, ways, lineBytes int) *setAssoc {
 		sets:      sets,
 		ways:      ways,
 		lineShift: shift,
-		tags:      make([]uint64, sets*ways),
-		valid:     make([]bool, sets*ways),
-		lru:       make([]uint64, sets*ways),
+		pages:     make([][]uint64, (sets+setsPerPage-1)/setsPerPage),
 	}
 }
 
+// pageLen is the number of words in one page.
+func (c *setAssoc) pageLen() int { return 2 * setsPerPage * c.ways }
+
+// clone copies the array; the existing pages share one fresh backing array.
 func (c *setAssoc) clone() *setAssoc {
-	n := &setAssoc{
-		sets:      c.sets,
-		ways:      c.ways,
-		lineShift: c.lineShift,
-		tags:      make([]uint64, len(c.tags)),
-		valid:     make([]bool, len(c.valid)),
-		lru:       make([]uint64, len(c.lru)),
-		clock:     c.clock,
+	n := *c
+	n.spare = nil
+	n.pages = make([][]uint64, len(c.pages))
+	used := 0
+	for _, p := range c.pages {
+		if p != nil {
+			used++
+		}
 	}
-	copy(n.tags, c.tags)
-	copy(n.valid, c.valid)
-	copy(n.lru, c.lru)
-	return n
+	backing := make([]uint64, used*c.pageLen())
+	for i, p := range c.pages {
+		if p == nil {
+			continue
+		}
+		n.pages[i] = backing[:len(p):len(p)]
+		backing = backing[len(p):]
+		copy(n.pages[i], p)
+	}
+	return &n
 }
 
+// equal compares geometry, clocks and pages. A page exists exactly when one
+// of its sets holds a line (fills are never undone), so equal tag state has
+// equal pages.
 func (c *setAssoc) equal(o *setAssoc) bool {
 	return c.sets == o.sets && c.ways == o.ways && c.lineShift == o.lineShift &&
-		c.clock == o.clock && slices.Equal(c.tags, o.tags) &&
-		slices.Equal(c.valid, o.valid) && slices.Equal(c.lru, o.lru)
+		c.clock == o.clock && slices.EqualFunc(c.pages, o.pages, func(a, b []uint64) bool {
+		if a == nil || b == nil {
+			return a == nil && b == nil
+		}
+		return slices.Equal(a, b)
+	})
 }
 
 func (c *setAssoc) index(addr uint64) (set int, tag uint64) {
@@ -229,36 +255,54 @@ func (c *setAssoc) index(addr uint64) (set int, tag uint64) {
 	return int(line % uint64(c.sets)), line / uint64(c.sets)
 }
 
-// access looks up addr, fills on miss, and returns whether it hit.
+// set returns the (tag, stamp) pairs of a set's ways, or nil when its page
+// does not exist yet.
+func (c *setAssoc) set(set int) []uint64 {
+	p := c.pages[set/setsPerPage]
+	if p == nil {
+		return nil
+	}
+	off := 2 * (set % setsPerPage) * c.ways
+	return p[off : off+2*c.ways]
+}
+
+// access looks up addr, fills on miss, and returns whether it hit. The victim
+// of a fill is the last empty way, else the least recently used one.
 func (c *setAssoc) access(addr uint64) bool {
 	set, tag := c.index(addr)
 	c.clock++
-	base := set * c.ways
-	victim, oldest := base, c.lru[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.lru[i] = c.clock
+	ways := c.set(set)
+	if ways == nil {
+		n := c.pageLen()
+		if len(c.spare) < n {
+			c.spare = make([]uint64, pagesPerChunk*n)
+		}
+		c.pages[set/setsPerPage], c.spare = c.spare[:n:n], c.spare[n:]
+		ways = c.set(set)
+	}
+	victim, oldest := 0, ways[1]
+	for w := 0; w < len(ways); w += 2 {
+		stamp := ways[w+1]
+		if stamp != 0 && ways[w] == tag {
+			ways[w+1] = c.clock
 			return true
 		}
-		if !c.valid[i] {
-			victim, oldest = i, 0
-		} else if c.lru[i] < oldest {
-			victim, oldest = i, c.lru[i]
+		if stamp == 0 {
+			victim, oldest = w, 0
+		} else if stamp < oldest {
+			victim, oldest = w, stamp
 		}
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.lru[victim] = c.clock
+	ways[victim] = tag
+	ways[victim+1] = c.clock
 	return false
 }
 
 func (c *setAssoc) probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+	ways := c.set(set)
+	for w := 0; w < len(ways); w += 2 {
+		if ways[w+1] != 0 && ways[w] == tag {
 			return true
 		}
 	}

@@ -49,10 +49,11 @@ func (m *Machine) commitThread(t *thread) {
 			t.halted = true
 			t.fetchStopped = true
 		}
-		// The committed uop has left every structure: the event heap drained
-		// it earlier this cycle (resolveCompletions runs first in Tick and
-		// done() requires DoneCycle <= cycle), issue removed it from the
-		// issue queue, and the window/LSQ slots were just popped.
+		// The committed uop has left every structure: the completion
+		// calendar released it earlier this cycle (resolveCompletions runs
+		// first in Tick and done() requires DoneCycle <= cycle), issue
+		// removed it from the issue queue, and the window/LSQ slots were
+		// just popped.
 		m.recycleUOp(u)
 	}
 }

@@ -5,20 +5,27 @@ package pipeline
 // training the predictor and squashing + redirecting on a misprediction.
 // Trailing branches never redirect — their outcomes are validated at commit
 // (BOQ in SRT, the program-order check in BlackJack).
+//
+// The events are the current cycle's completion-calendar bucket, already in
+// GSeq order. A squash below marks younger uops of the bucket Squashed but
+// leaves the bucket itself alone; issue, the only producer, runs later in the
+// cycle.
 func (m *Machine) resolveCompletions() {
-	for len(m.events) > 0 && m.events[0].DoneCycle <= m.cycle {
-		u := m.events.pop()
+	idx := m.cycle & m.calMask
+	due := m.doneCal[idx]
+	for _, u := range due {
 		u.InEvents = false
 		if u.Squashed {
-			// The heap held the last reference to an issued-then-squashed uop
-			// (squash already removed it from the window and issue queue).
+			// The calendar held the last reference to an issued-then-squashed
+			// uop (squash already removed it from the window and issue queue).
 			m.recycleUOp(u)
 			continue
 		}
 		m.trace(TraceComplete, u)
 		if u.IsNOP {
-			// Shuffle NOPs live only in the issue queue and this heap (they
-			// never enter the active list); this pop is their last reference.
+			// Shuffle NOPs live only in the issue queue and this calendar
+			// (they never enter the active list); this is their last
+			// reference.
 			m.recycleUOp(u)
 			continue
 		}
@@ -39,4 +46,24 @@ func (m *Machine) resolveCompletions() {
 			m.squash(m.threads[u.Thread], u.Seq, next)
 		}
 	}
+	m.doneCal[idx] = due[:0]
+}
+
+// scheduleDone files an issued uop in the completion-calendar bucket of its
+// DoneCycle. Issue visits uops oldest first, so an insertion usually lands at
+// the bucket's end; an older uop issued in a later cycle with a shorter
+// latency steps back past the younger ones.
+func (m *Machine) scheduleDone(u *UOp) {
+	if u.DoneCycle-m.cycle > m.calMask {
+		m.internalError("completion calendar horizon exceeded")
+	}
+	u.InEvents = true
+	idx := u.DoneCycle & m.calMask
+	b := append(m.doneCal[idx], u)
+	i := len(b) - 1
+	for ; i > 0 && b[i-1].GSeq > u.GSeq; i-- {
+		b[i] = b[i-1]
+	}
+	b[i] = u
+	m.doneCal[idx] = b
 }

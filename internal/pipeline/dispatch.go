@@ -31,7 +31,7 @@ func (m *Machine) dispatchStage() {
 		// safe-shuffle's backend way plan.
 		if m.mode.UsesDTQ() && id == trailThread {
 			n := m.headPacketSize(t)
-			if n == 0 || budget < n || m.cfg.IssueQueue-len(m.iq) < n {
+			if n == 0 || budget < n || m.cfg.IssueQueue-m.iqLen() < n {
 				continue
 			}
 			for i := 0; i < n; i++ {
@@ -83,12 +83,18 @@ func newSlotMask(n int) []uint64 {
 	return mask
 }
 
+// iqLen returns the number of uops in the issue queue.
+func (m *Machine) iqLen() int {
+	free := 0
+	for _, w := range m.iqFree {
+		free += bits.OnesCount64(w)
+	}
+	return m.cfg.IssueQueue - free
+}
+
 // freeSlot reports whether the issue queue has a free entry and returns the
 // lowest free payload slot to use.
 func (m *Machine) freeSlot() (slot int, ok bool) {
-	if len(m.iq) >= m.cfg.IssueQueue {
-		return 0, false
-	}
 	for i, w := range m.iqFree {
 		if w != 0 {
 			return i<<6 | bits.TrailingZeros64(w), true
@@ -346,25 +352,28 @@ func (m *Machine) doubleLookup(leadP rename.PhysReg) rename.PhysReg {
 	return rename.PhysReg(isa.NumArchRegs)
 }
 
-// enqueueIQ inserts the uop into the unified issue queue in dispatch order
-// and wires it into the wakeup machinery.
+// enqueueIQ inserts the uop into payload slot `slot` of the unified issue
+// queue, stamps its dispatch order and wires it into the wakeup machinery.
 func (m *Machine) enqueueIQ(u *UOp, slot int) {
 	m.gseq++
 	u.GSeq = m.gseq
 	u.InIQ = true
 	u.IQSlot = slot
+	m.iq[slot] = u
+	m.slotGSeq[slot] = u.GSeq
 	m.iqFree[slot>>6] &^= 1 << (uint(slot) & 63)
 	if u.Thread == leadThread {
 		m.leadInIQ++
 	}
-	m.iq = append(m.iq, u)
 	m.registerWakeup(u)
 }
 
 // leaveIQ releases u's issue-queue entry and payload slot, at issue or on a
-// squash. The uop itself leaves m.iq at the next compaction.
+// squash.
 func (m *Machine) leaveIQ(u *UOp) {
 	u.InIQ = false
+	m.iq[u.IQSlot] = nil
+	m.slotGSeq[u.IQSlot] = 0
 	m.iqFree[u.IQSlot>>6] |= 1 << (uint(u.IQSlot) & 63)
 	if u.Thread == leadThread {
 		m.leadInIQ--

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"blackjack/internal/core"
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
@@ -24,15 +26,11 @@ func (m *Machine) issueStage() {
 	usesDTQ := m.mode.UsesDTQ()
 
 	m.drainWakeups()
-	for _, u := range m.iq {
+	for _, slot := range m.readySlots() {
 		if selected >= m.cfg.IssueWidth {
 			break
 		}
-		// Every queued uop is live: squash and the compaction below drop
-		// issued and squashed uops before the next select.
-		if !m.slotReady(u.IQSlot) {
-			continue
-		}
+		u := m.iq[slot]
 		// Trailing packets wake as a gang: a member (or typed NOP, which has
 		// no operands of its own) becomes eligible only when every member of
 		// its packet still in the queue is ready. Without this, NOPs and
@@ -87,17 +85,6 @@ func (m *Machine) issueStage() {
 		}
 	}
 
-	// Compact the issue queue.
-	if selected > 0 {
-		live := m.iq[:0]
-		for _, u := range m.iq {
-			if u.InIQ && !u.Squashed {
-				live = append(live, u)
-			}
-		}
-		m.iq = live
-	}
-
 	// Issue-cycle classification.
 	if leadIssued+trailIssued > 0 {
 		m.stats.IssueCycles++
@@ -114,13 +101,36 @@ func (m *Machine) issueStage() {
 	}
 }
 
+// readySlots returns the operand-ready payload slots oldest (lowest GSeq)
+// first: the candidates the select loop above visits, in its order. Issuing
+// a candidate never readies another in the same cycle (every latency is at
+// least one cycle), so the list stays exact through the loop. It lives in
+// machine scratch until the next call.
+func (m *Machine) readySlots() []int {
+	s := m.selScratch[:0]
+	for w, word := range m.readyMask {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			g := m.slotGSeq[slot]
+			s = append(s, slot)
+			i := len(s) - 1
+			for ; i > 0 && m.slotGSeq[s[i-1]] > g; i-- {
+				s[i] = s[i-1]
+			}
+			s[i] = slot
+		}
+	}
+	m.selScratch = s
+	return s
+}
+
 // Operand readiness is tracked event-driven (wakeup.go): the ready bit of a
-// uop's payload slot is set the cycle both sources are available, so the
-// select loop above tests a bit instead of rescanning ready cycles. Stores
-// still issue exactly once, with address AND data ready: BlackJack's
-// correctness rests on the leading issue order being a valid dependence order
-// (the DTQ is consumed in that order by the trailing thread's double rename),
-// so a store must not enter the order before its data producer.
+// uop's payload slot is set the cycle both sources are available, so select
+// walks ready bits instead of rescanning ready cycles. Stores still issue
+// exactly once, with address AND data ready: BlackJack's correctness rests on
+// the leading issue order being a valid dependence order (the DTQ is consumed
+// in that order by the trailing thread's double rename), so a store must not
+// enter the order before its data producer.
 
 // loadReady reports whether a cache-side load may issue. The LSQ computes
 // store addresses early — as soon as a store's base register is ready, before
@@ -139,12 +149,8 @@ func (m *Machine) loadReady(u *UOp) bool {
 		v1 = m.rf.Value(u.PSrc1)
 	}
 	addr := m.clamp(isa.Eval(u.Inst, v1, 0).Addr)
-	for v := u.VirtLSQ; v > t.lsq.head; {
-		v--
+	for v, ok := t.lsq.prevStore(u.VirtLSQ); ok; v, ok = t.lsq.prevStore(v) {
 		s := t.lsq.at(v)
-		if s == nil || !s.Inst.IsStore() {
-			continue
-		}
 		if s.Issued {
 			if s.Addr == addr {
 				return true // forwarding source with data in hand
@@ -284,8 +290,7 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 		}
 	}
 
-	u.InEvents = true
-	m.events.push(u)
+	m.scheduleDone(u)
 }
 
 // issueLoad performs the memory access (cache for the leading/single thread,
@@ -333,13 +338,8 @@ func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
 // in the thread's LSQ, then the store buffer (committed but unreleased
 // leading stores), then memory.
 func (m *Machine) loadValue(t *thread, u *UOp) uint64 {
-	for v := u.VirtLSQ; v > t.lsq.head; {
-		v--
-		s := t.lsq.at(v)
-		if s == nil || !s.Inst.IsStore() || !s.Issued {
-			continue
-		}
-		if s.Addr == u.Addr {
+	for v, ok := t.lsq.prevStore(u.VirtLSQ); ok; v, ok = t.lsq.prevStore(v) {
+		if s := t.lsq.at(v); s.Issued && s.Addr == u.Addr {
 			return s.StoreVal
 		}
 	}

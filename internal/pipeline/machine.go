@@ -42,61 +42,6 @@ type Injector interface {
 	CorruptRegRead(p rename.PhysReg, v uint64) uint64
 }
 
-// eventHeap is a binary min-heap of in-flight UOps ordered by (DoneCycle,
-// GSeq). GSeq is unique, so the order is total and the pop sequence does not
-// depend on the heap's internal layout.
-type eventHeap []*UOp
-
-// before reports whether a resolves before b: earlier completion first, the
-// older uop on ties.
-func before(a, b *UOp) bool {
-	if a.DoneCycle != b.DoneCycle {
-		return a.DoneCycle < b.DoneCycle
-	}
-	return a.GSeq < b.GSeq
-}
-
-// push inserts u.
-func (h *eventHeap) push(u *UOp) {
-	q := append(*h, u)
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !before(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-// pop removes and returns the first uop to resolve; the heap must be
-// non-empty.
-func (h *eventHeap) pop() *UOp {
-	q := *h
-	n := len(q) - 1
-	u := q[0]
-	q[0] = q[n]
-	q[n] = nil
-	q = q[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && before(q[r], q[c]) {
-			c = r
-		}
-		if !before(q[c], q[i]) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	*h = q
-	return u
-}
-
 // Machine is one simulated SMT core running one program in one mode.
 type Machine struct {
 	cfg  Config
@@ -108,7 +53,11 @@ type Machine struct {
 	freeList *rename.FreeList
 	threads  []*thread
 
-	iq         []*UOp   // dispatch order == GSeq order
+	// The unified issue queue, indexed by payload RAM slot: the queued uop
+	// and its GSeq (nil and 0 when the slot is free). Select orders the
+	// ready slots by slotGSeq.
+	iq         []*UOp
+	slotGSeq   []uint64
 	iqFree     []uint64 // payload RAM slots: bit set = slot free
 	leadInIQ   int      // leading-thread uops in iq
 	unitFreeAt [isa.NumUnitClasses][]int64
@@ -125,6 +74,12 @@ type Machine struct {
 	cal           [][]*UOp
 	calMask       int64
 	packetPending *pendTable
+
+	// doneCal is the completion calendar: issued uops filed by DoneCycle &
+	// calMask (the wakeup calendar's horizon bounds every latency), each
+	// bucket in GSeq order, so completions resolve in (DoneCycle, GSeq)
+	// order.
+	doneCal [][]*UOp
 
 	pred   *bpred.Predictor
 	dcache *cache.Hierarchy
@@ -160,16 +115,18 @@ type Machine struct {
 	hBOQ    *obs.Histogram
 	hLVQ    *obs.Histogram
 
-	events eventHeap
-	cycle  int64
-	gseq   uint64
+	cycle int64
+	gseq  uint64
 
-	// Free lists for the per-instruction hot-path records. Strictly
-	// per-machine state — no globals, no sync — so machines stay independent
-	// under the parallel harness. A recycled record is fully overwritten at
-	// its next allocation site.
-	uopFree   []*UOp
-	entryFree []*core.Entry
+	// Free lists and slabs for the per-instruction hot-path records, and the
+	// select scratch list. Strictly per-machine state — no globals, no sync
+	// — so machines stay independent under the parallel harness. A recycled
+	// record is fully overwritten at its next allocation site.
+	uopFree    []*UOp
+	entryFree  []*core.Entry
+	uopSlab    slab[UOp]
+	entrySlab  slab[core.Entry]
+	selScratch []int
 
 	cap         uint64 // leading-commit target for this run (machine-local)
 	leadStopped bool
@@ -291,7 +248,7 @@ func (m *Machine) initObs() {
 // sampleDepths records the cycle's queue occupancies. Only called with
 // metrics attached.
 func (m *Machine) sampleDepths() {
-	m.hIQ.Observe(float64(len(m.iq)))
+	m.hIQ.Observe(float64(m.iqLen()))
 	if m.hDTQ != nil {
 		m.hDTQ.Observe(float64(m.dtq.Len()))
 	}
@@ -325,15 +282,11 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 		rf:        rename.NewRegFile(cfg.PhysRegs),
 		pred:      bpred.New(cfg.Bpred),
 		dcache:    cache.New(cfg.Cache),
+		iq:        make([]*UOp, cfg.IssueQueue),
+		slotGSeq:  make([]uint64, cfg.IssueQueue),
 		iqFree:    newSlotMask(cfg.IssueQueue),
-		areaModel: area.Default(),
-		// Steady-state capacities: the issue queue is bounded by config; the
-		// event heap holds at most the issued-in-flight population of both
-		// threads' active lists.
-		iq:     make([]*UOp, 0, cfg.IssueQueue),
-		events: make(eventHeap, 0, 2*cfg.ActiveList),
-
 		readyMask: make([]uint64, (cfg.IssueQueue+63)/64),
+		areaModel: area.Default(),
 	}
 	m.initWakeup()
 	if mode.UsesDTQ() {
@@ -604,9 +557,9 @@ func (m *Machine) squash(t *thread, afterSeq uint64, newPC int) {
 		m.stats.Squashed++
 		t.rob.clearAt(v - 1)
 		t.rob.shrinkTail(v - 1)
-		// A squashed uop not in the event heap has no remaining references
-		// once the issue-queue compaction below drops it; issued ones are
-		// recycled when resolveCompletions pops them.
+		// A squashed uop not in the completion calendar has no remaining
+		// references; issued ones are recycled when resolveCompletions
+		// reaches them.
 		if !u.InEvents {
 			m.recycleUOp(u)
 		}
@@ -620,27 +573,36 @@ func (m *Machine) squash(t *thread, afterSeq uint64, newPC int) {
 			t.fetchStopped = true
 		}
 	}
-	// Drop squashed entries from the issue queue and, in BlackJack modes,
-	// from the DTQ.
-	live := m.iq[:0]
-	for _, u := range m.iq {
-		if !u.Squashed {
-			live = append(live, u)
-		}
-	}
-	m.iq = live
+	// Drop squashed entries from the DTQ in BlackJack modes.
 	if m.dtq != nil && t.id == leadThread {
 		m.dtq.SquashYounger(afterSeq)
 	}
 }
 
-// allocUOp takes a UOp from the machine's free list (or the heap). Every
+// slabChunk is the number of records a slab allocates at once.
+const slabChunk = 64
+
+// slab hands out zeroed records carved from chunks: one heap allocation per
+// chunk instead of one per record.
+type slab[T any] struct{ rest []T }
+
+// alloc returns the next unused record.
+func (s *slab[T]) alloc() *T {
+	if len(s.rest) == 0 {
+		s.rest = make([]T, slabChunk)
+	}
+	p := &s.rest[0]
+	s.rest = s.rest[1:]
+	return p
+}
+
+// allocUOp takes a UOp from the machine's free list (or its slab). Every
 // call site fully overwrites the record with a struct-literal assignment, so
 // no stale state survives recycling.
 func (m *Machine) allocUOp() *UOp {
 	n := len(m.uopFree)
 	if n == 0 {
-		return &UOp{}
+		return m.uopSlab.alloc()
 	}
 	u := m.uopFree[n-1]
 	m.uopFree = m.uopFree[:n-1]
@@ -649,18 +611,18 @@ func (m *Machine) allocUOp() *UOp {
 
 // recycleUOp returns a dead uop to the free list. Callers guarantee the uop
 // has left every machine structure: the active list and LSQ (popped or
-// cleared), the issue queue (issue or squash compaction), and the event heap
+// cleared), the issue queue (issue or squash) and the completion calendar
 // (InEvents false).
 func (m *Machine) recycleUOp(u *UOp) {
 	m.uopFree = append(m.uopFree, u)
 }
 
-// allocEntry takes a DTQ entry from the free list (or the heap); the caller
+// allocEntry takes a DTQ entry from the free list (or the slab); the caller
 // fully overwrites it.
 func (m *Machine) allocEntry() *core.Entry {
 	n := len(m.entryFree)
 	if n == 0 {
-		return &core.Entry{}
+		return m.entrySlab.alloc()
 	}
 	e := m.entryFree[n-1]
 	m.entryFree = m.entryFree[:n-1]

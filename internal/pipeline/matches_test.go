@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -22,18 +23,18 @@ import (
 var (
 	matchedFields = []string{
 		"cfg", "mode", "prog", "mem", "rf", "freeList", "threads",
-		"iq", "iqFree", "leadInIQ", "unitFreeAt",
-		"readyMask", "regWaiters", "cal", "calMask", "packetPending",
+		"iq", "slotGSeq", "iqFree", "leadInIQ", "unitFreeAt",
+		"readyMask", "regWaiters", "cal", "calMask", "packetPending", "doneCal",
 		"pred", "dcache", "boq", "lvq", "sb", "stream",
 		"dtq", "shuffler", "packets", "dr", "oc", "sink", "areaModel",
-		"events", "cycle", "gseq", "cap", "leadStopped", "archBase",
+		"cycle", "gseq", "cap", "leadStopped", "archBase",
 		"lvqInFlight", "sbInFlight", "lastCommitTotal", "lastProgressCycle",
 		"stats", "storeSig",
 	}
 	harnessFields = []string{
 		"inj", "tracer", "shuffleObs", "otr", "metrics",
 		"hIQ", "hDTQ", "hBOQ", "hLVQ", "runCtx", "stopOnDetect", "stop",
-		"uopFree", "entryFree",
+		"uopFree", "entryFree", "uopSlab", "entrySlab", "selScratch",
 	}
 )
 
@@ -241,8 +242,36 @@ func TestMatchesCatchesMutations(t *testing.T) {
 	}{
 		{"memory word", func(f *Machine) { f.mem.Store(8, f.mem.Load(8)^1) }},
 		{"cache tag", func(f *Machine) {
-			tags := field(f.dcache, "l1", "tags")
-			tags.Index(0).SetUint(tags.Index(0).Uint() ^ 1)
+			// The tag word of the first valid way in the first L1 tag page.
+			pages := field(f.dcache, "l1", "pages")
+			for i := 0; i < pages.Len(); i++ {
+				pg := pages.Index(i)
+				for w := 0; w < pg.Len(); w += 2 {
+					if pg.Index(w+1).Uint() != 0 {
+						pg.Index(w).SetUint(pg.Index(w).Uint() ^ 1)
+						return
+					}
+				}
+			}
+			t.Fatal("no valid L1 line at the checkpoint")
+		}},
+		{"completion bucket", func(f *Machine) {
+			for i, b := range f.doneCal {
+				if len(b) > 0 {
+					f.doneCal[i] = b[:len(b)-1]
+					return
+				}
+			}
+			t.Fatal("no completion pending at the checkpoint")
+		}},
+		{"slot GSeq", func(f *Machine) {
+			for slot, u := range f.iq {
+				if u != nil {
+					f.slotGSeq[slot]++
+					return
+				}
+			}
+			t.Fatal("empty issue queue at the checkpoint")
 		}},
 		{"predictor counter", func(f *Machine) {
 			c := field(f.pred, "counters").Index(7)
@@ -297,6 +326,42 @@ func TestMatchesAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Forks of one shared checkpoint run at once, each comparing itself against
+// the shared warmup checkpoints as it goes: under the race detector this
+// shows that tag pages, calendar buckets, slabs and every other forked
+// structure are copied, never shared mutably, and that Matches only reads.
+func TestConcurrentForksMatchSharedCheckpoints(t *testing.T) {
+	const n, interval, workers = 3000, 250, 4
+	p := prog.MustBenchmark("gcc")
+	cps := warmupCheckpoints(t, DefaultConfig(), ModeBlackJack, p, n, interval)
+	byCycle := map[int64]*Checkpoint{}
+	for _, cp := range cps {
+		byCycle[cp.Cycle()] = cp
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var opts []Option
+			if w%2 == 1 {
+				opts = append(opts, WithInjector(oneShot(uint64(50*w))))
+			}
+			f := Fork(cps[0], opts...)
+			matched := 0
+			f.RunWithCheckpoints(n, interval, func(live *Machine) {
+				if ref := byCycle[live.Cycle()]; ref != nil && live.Matches(ref) {
+					matched++
+				}
+			})
+			if w%2 == 0 && matched != len(cps)-1 {
+				t.Errorf("fault-free fork %d matched %d of %d later checkpoints", w, matched, len(cps)-1)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // Stop ends RunWithCheckpoints after the hook that calls it.

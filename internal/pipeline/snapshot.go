@@ -53,16 +53,36 @@ func Fork(cp *Checkpoint, opts ...Option) *Machine {
 
 // clone deep-copies every live machine structure. UOps and DTQ entries are
 // shared by multiple structures (a uop sits in its window, the issue queue,
-// the event heap, waiter lists and the calendar at once), so identity is
-// preserved through translation maps. The program is immutable and shared;
-// free-list pools and scratch buffers start empty (recycled records are
-// fully overwritten at allocation, so an empty pool only costs allocations);
-// the tracer is dropped (trace state is not part of machine state).
+// a calendar bucket and waiter lists at once), so identity is preserved
+// through translation maps, and the copies come from slabs sized to the live
+// population. The program is immutable and shared; free lists and scratch
+// buffers start empty (recycled records are fully overwritten at
+// allocation, so an empty pool only costs allocations); the tracer is
+// dropped (trace state is not part of machine state).
 func (m *Machine) clone() *Machine {
 	c := &Machine{}
 	*c = *m // scalars, config, stats; pointers fixed up below
 
-	uops := make(map[*UOp]*UOp)
+	// Every live uop is in an active list, the issue queue (shuffle NOPs) or
+	// the completion calendar (NOPs and squashed uops), and every live DTQ
+	// entry in the DTQ or a trailing packet, so these counts bound the
+	// copies; an unused remainder serves the copy's own later allocations.
+	nu, ne := m.iqLen(), 0
+	for _, t := range m.threads {
+		nu += t.rob.occupancy()
+	}
+	for _, b := range m.doneCal {
+		nu += len(b)
+	}
+	if m.dtq != nil {
+		ne = m.dtq.Len()
+		for i := 0; i < m.packets.Len(); i++ {
+			ne += len(m.packets.At(i).Slots)
+		}
+	}
+	c.uopSlab = slab[UOp]{rest: make([]UOp, nu)}
+	c.entrySlab = slab[core.Entry]{rest: make([]core.Entry, ne)}
+	uops := make(map[*UOp]*UOp, nu)
 	cu := func(u *UOp) *UOp {
 		if u == nil {
 			return nil
@@ -70,12 +90,12 @@ func (m *Machine) clone() *Machine {
 		if v, ok := uops[u]; ok {
 			return v
 		}
-		v := &UOp{}
+		v := c.uopSlab.alloc()
 		*v = *u
 		uops[u] = v
 		return v
 	}
-	entries := make(map[*core.Entry]*core.Entry)
+	entries := make(map[*core.Entry]*core.Entry, ne)
 	ce := func(e *core.Entry) *core.Entry {
 		if e == nil {
 			return nil
@@ -83,7 +103,7 @@ func (m *Machine) clone() *Machine {
 		if v, ok := entries[e]; ok {
 			return v
 		}
-		v := &core.Entry{}
+		v := c.entrySlab.alloc()
 		*v = *e
 		entries[e] = v
 		return v
@@ -98,10 +118,11 @@ func (m *Machine) clone() *Machine {
 		c.threads[i] = t.clone(cu)
 	}
 
-	c.iq = make([]*UOp, len(m.iq), cap(m.iq))
+	c.iq = make([]*UOp, len(m.iq))
 	for i, u := range m.iq {
 		c.iq[i] = cu(u)
 	}
+	c.slotGSeq = append([]uint64(nil), m.slotGSeq...)
 	c.iqFree = append([]uint64(nil), m.iqFree...)
 	for cl := range m.unitFreeAt {
 		c.unitFreeAt[cl] = append([]int64(nil), m.unitFreeAt[cl]...)
@@ -130,44 +151,19 @@ func (m *Machine) clone() *Machine {
 	// context (or none) via WithRunContext in its option list.
 	c.runCtx = nil
 
-	// The completion-event heap: same order, remapped uops (the heap
-	// invariant depends only on DoneCycle/GSeq, which the copies share).
-	c.events = make(eventHeap, len(m.events), cap(m.events))
-	for i, u := range m.events {
-		c.events[i] = cu(u)
-	}
-
-	// Wakeup state.
+	// Calendars and wakeup state, in the same order, remapped.
+	c.doneCal = carveLists(m.doneCal, bucketCap, cu)
+	c.cal = carveLists(m.cal, bucketCap, cu)
+	c.regWaiters = carveLists(m.regWaiters, waiterCap, cu)
 	c.readyMask = append([]uint64(nil), m.readyMask...)
-	c.regWaiters = make([][]*UOp, len(m.regWaiters))
-	for p, ws := range m.regWaiters {
-		if len(ws) == 0 {
-			continue
-		}
-		nw := make([]*UOp, len(ws))
-		for i, u := range ws {
-			nw[i] = cu(u)
-		}
-		c.regWaiters[p] = nw
-	}
-	c.cal = make([][]*UOp, len(m.cal))
-	for idx, lst := range m.cal {
-		if len(lst) == 0 {
-			continue
-		}
-		nl := make([]*UOp, len(lst))
-		for i, u := range lst {
-			nl[i] = cu(u)
-		}
-		c.cal[idx] = nl
-	}
 	if m.packetPending != nil {
 		c.packetPending = m.packetPending.clone()
 	}
 
-	// Hot-path record pools start empty in the copy.
+	// Free lists and scratch start empty in the copy.
 	c.uopFree = nil
 	c.entryFree = nil
+	c.selScratch = nil
 	return c
 }
 
@@ -187,10 +183,11 @@ func (t *thread) clone(cu func(*UOp) *UOp) *thread {
 // clone deep-copies a window through the uop translation map.
 func (w *window) clone(cu func(*UOp) *UOp) *window {
 	n := &window{
-		slots: make([]*UOp, len(w.slots)),
-		head:  w.head,
-		tail:  w.tail,
-		count: w.count,
+		slots:  make([]*UOp, len(w.slots)),
+		stores: append([]uint64(nil), w.stores...),
+		head:   w.head,
+		tail:   w.tail,
+		count:  w.count,
 	}
 	for i, u := range w.slots {
 		n.slots[i] = cu(u)
@@ -223,11 +220,12 @@ func clonePacketQueue(r *queues.Ring[core.Packet], ce func(*core.Entry) *core.En
 // replay the same cycles, statistics, stores and detections.
 //
 // It compares live state only: ring contents between head and tail, memory
-// words whatever pages back them, and the uops and DTQ entries every
-// structure holds, by value (GSeq is unique among live uops, so equal values
-// imply equal aliasing). It skips what cannot steer the run: record free
-// pools, scratch buffers, the DTQ's Seq lookup table and backing arrays past
-// their length. It also skips harness state, which is not machine state:
+// words and cache tags whatever pages back them, and the uops and DTQ
+// entries every structure holds, by value (GSeq is unique among live uops,
+// so equal values imply equal aliasing). It skips what cannot steer the run:
+// record free lists and slabs, scratch buffers, the DTQ's Seq lookup table,
+// the LSQ store bitmaps (derived from the live entries) and backing arrays
+// past their length. It also skips harness state, which is not machine state:
 // the injector, tracers, metrics, run context, shuffle observer,
 // stop-on-detect and Stop. Cheap scalars and the statistics go first, so a
 // mismatch usually exits early. Matches allocates nothing and only reads cp,
@@ -244,7 +242,7 @@ func (m *Machine) Matches(cp *Checkpoint) bool {
 		return false
 	}
 	if !slices.EqualFunc(m.threads, o.threads, (*thread).equal) ||
-		!uopsEqual(m.iq, o.iq) || !uopsEqual(m.events, o.events) ||
+		!uopsEqual(m.iq, o.iq) || !slices.Equal(m.slotGSeq, o.slotGSeq) ||
 		!slices.Equal(m.iqFree, o.iqFree) || !slices.Equal(m.readyMask, o.readyMask) ||
 		!m.packetPending.equal(o.packetPending) {
 		return false
@@ -255,7 +253,8 @@ func (m *Machine) Matches(cp *Checkpoint) bool {
 		}
 	}
 	if !slices.EqualFunc(m.regWaiters, o.regWaiters, uopsEqual) ||
-		!slices.EqualFunc(m.cal, o.cal, uopsEqual) {
+		!slices.EqualFunc(m.cal, o.cal, uopsEqual) ||
+		!slices.EqualFunc(m.doneCal, o.doneCal, uopsEqual) {
 		return false
 	}
 	return m.rf.Equal(o.rf) && m.freeList.Equal(o.freeList) &&

@@ -68,7 +68,7 @@ func newThread(id int, cfg *Config) *thread {
 	return &thread{
 		id:     id,
 		rob:    newWindow(cfg.ActiveList),
-		lsq:    newWindow(cfg.LSQ),
+		lsq:    newLSQ(cfg.LSQ),
 		rmap:   rename.NewMap(isa.NumArchRegs),
 		fetchQ: queues.NewRing[fetchItem](cfg.FetchQueue),
 	}

@@ -39,9 +39,10 @@ type UOp struct {
 	Issued    bool
 	DoneCycle int64
 	Squashed  bool
-	// InEvents tracks membership in the machine's completion-event heap; the
+	// InEvents tracks membership in the machine's completion calendar; the
 	// uop free list relies on it to know when a squashed uop's last reference
-	// is gone (issued uops stay in the heap until their completion cycle).
+	// is gone (issued uops stay in the calendar until their completion
+	// cycle).
 	InEvents bool
 
 	// Branch state.

@@ -17,13 +17,13 @@ import (
 // into a per-slot ready bitmask. Wakeup work is O(uops woken), and the gang
 // condition for trailing packets is a counter lookup instead of a scan.
 
-// initWakeup sizes the waiter lists and the calendar ring. The ring must span
-// strictly more cycles than the largest gap between an insertion cycle and
-// the target ready cycle; that gap is bounded by the worst-case execution
-// latency (a ready cycle is always some producer's DoneCycle, set at most one
-// full latency after the current cycle). Buckets are drained every cycle, so
-// a ring larger than the horizon means a bucket can never hold entries for
-// two different cycles.
+// initWakeup sizes the waiter lists and the two calendar rings: wakeup and
+// completion. A ring must span strictly more cycles than the largest gap
+// between an insertion cycle and the target cycle; that gap is bounded by the
+// worst-case execution latency (a ready cycle is always some producer's
+// DoneCycle, set at most one full latency after the current cycle). Buckets
+// are drained every cycle, so a ring larger than the horizon means a bucket
+// can never hold entries for two different cycles.
 func (m *Machine) initWakeup() {
 	maxLat := m.cfg.FDivLat
 	if m.cfg.LVQLat > maxLat {
@@ -41,28 +41,39 @@ func (m *Machine) initWakeup() {
 	for size < int64(maxLat)+2 {
 		size <<= 1
 	}
-	m.cal = make([][]*UOp, size)
 	m.calMask = size - 1
-	// Pre-carve a small capacity for every bucket (same trick as the waiter
-	// lists below): buckets rarely hold more than an issue width of wakes.
-	calBacking := make([]*UOp, 4*size)
-	for i := range m.cal {
-		m.cal[i] = calBacking[4*i : 4*i : 4*i+4]
-	}
-
-	// One backing array carves an initial capacity for every waiter list;
-	// lists that outgrow it reallocate individually, and a drained list is
-	// reused via ws[:0].
-	m.regWaiters = make([][]*UOp, m.cfg.PhysRegs)
-	backing := make([]*UOp, 2*m.cfg.PhysRegs)
-	for i := range m.regWaiters {
-		m.regWaiters[i] = backing[2*i : 2*i : 2*i+2]
-	}
+	m.cal = carveLists(make([][]*UOp, size), bucketCap, nil)
+	m.doneCal = carveLists(make([][]*UOp, size), bucketCap, nil)
+	m.regWaiters = carveLists(make([][]*UOp, m.cfg.PhysRegs), waiterCap, nil)
 }
 
-// slotReady reports whether the uop in payload slot is operand-ready.
-func (m *Machine) slotReady(slot int) bool {
-	return m.readyMask[slot>>6]>>(uint(slot)&63)&1 != 0
+// Initial capacities of a calendar bucket (buckets rarely hold more than two
+// issue widths of uops) and of a register's waiter list.
+const (
+	bucketCap = 8
+	waiterCap = 4
+)
+
+// carveLists copies lists, each uop mapped through cu, into one fresh
+// backing array that gives every list its old capacity, and at least minCap.
+// A list that outgrows its share reallocates individually, and a drained
+// list is reused via l[:0].
+func carveLists(lists [][]*UOp, minCap int, cu func(*UOp) *UOp) [][]*UOp {
+	total := 0
+	for _, l := range lists {
+		total += max(cap(l), minCap)
+	}
+	backing := make([]*UOp, total)
+	out := make([][]*UOp, len(lists))
+	for i, l := range lists {
+		n := max(cap(l), minCap)
+		out[i] = backing[:len(l):n]
+		backing = backing[n:]
+		for j, u := range l {
+			out[i][j] = cu(u)
+		}
+	}
+	return out
 }
 
 func (m *Machine) setSlotReady(slot int)   { m.readyMask[slot>>6] |= 1 << (uint(slot) & 63) }

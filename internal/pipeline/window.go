@@ -1,6 +1,9 @@
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // window is a virtual-index-addressed circular instruction window, used for
 // both the active list and the load/store queue of each thread context.
@@ -14,9 +17,12 @@ import "fmt"
 // of early-fetched instructions.
 type window struct {
 	slots []*UOp
-	head  uint64 // virtual index of the oldest live entry
-	tail  uint64 // next in-order virtual index (in-order allocators only)
-	count int
+	// stores, in a load/store queue only, has the bit of every slot holding
+	// a store set, so store-to-load checks step over stores alone.
+	stores []uint64
+	head   uint64 // virtual index of the oldest live entry
+	tail   uint64 // next in-order virtual index (in-order allocators only)
+	count  int
 }
 
 func newWindow(n int) *window {
@@ -24,6 +30,13 @@ func newWindow(n int) *window {
 		panic(fmt.Sprintf("pipeline: invalid window size %d", n))
 	}
 	return &window{slots: make([]*UOp, n)}
+}
+
+// newLSQ returns a window that also tracks which of its slots hold stores.
+func newLSQ(n int) *window {
+	w := newWindow(n)
+	w.stores = make([]uint64, (n+63)/64)
+	return w
 }
 
 func (w *window) size() int { return len(w.slots) }
@@ -44,6 +57,9 @@ func (w *window) place(v uint64, u *UOp) {
 		panic(fmt.Sprintf("pipeline: slot for virtual index %d occupied", v))
 	}
 	w.slots[i] = u
+	if w.stores != nil && u.Inst.IsStore() {
+		w.stores[i>>6] |= 1 << (i & 63)
+	}
 	w.count++
 	if v >= w.tail {
 		w.tail = v + 1
@@ -78,6 +94,7 @@ func (w *window) popHead() {
 		panic("pipeline: popHead on empty head slot")
 	}
 	w.slots[i] = nil
+	w.clearStore(i)
 	w.count--
 	w.head++
 	if w.tail < w.head {
@@ -90,8 +107,35 @@ func (w *window) clearAt(v uint64) {
 	i := v % uint64(len(w.slots))
 	if w.slots[i] != nil {
 		w.slots[i] = nil
+		w.clearStore(i)
 		w.count--
 	}
+}
+
+// clearStore clears physical slot i's store bit.
+func (w *window) clearStore(i uint64) {
+	if w.stores != nil {
+		w.stores[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// prevStore returns the virtual index of the youngest store older than v:
+// the largest index in [head, v) whose slot holds a store. It visits the
+// store bitmap a word at a time, down from v and around the ring.
+func (w *window) prevStore(v uint64) (uint64, bool) {
+	n := uint64(len(w.slots))
+	for v > w.head {
+		// The slots from (v-1)%n down to the start of its bitmap word, or
+		// to the head if that is nearer.
+		i := (v - 1) % n
+		span := min(i&63+1, v-w.head)
+		word := w.stores[i>>6] << (63 - (i & 63)) // slot i at bit 63
+		if word &= ^uint64(0) << (64 - span); word != 0 {
+			return v - 1 - uint64(bits.LeadingZeros64(word)), true
+		}
+		v -= span
+	}
+	return 0, false
 }
 
 // shrinkTail rolls the in-order tail back to v (squash path; all entries at

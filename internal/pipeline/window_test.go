@@ -1,6 +1,11 @@
 package pipeline
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"blackjack/internal/isa"
+)
 
 func TestWindowInOrderUse(t *testing.T) {
 	w := newWindow(4)
@@ -86,5 +91,53 @@ func TestWindowPlacePanics(t *testing.T) {
 			}()
 			w.place(v, &UOp{})
 		}()
+	}
+}
+
+// prevStore finds the same stores as a slot-by-slot walk, over random
+// placements, pops and squashes in windows narrower and wider than one
+// bitmap word, with holes from out-of-order placement and a wrapping ring.
+func TestWindowPrevStoreMatchesWalk(t *testing.T) {
+	store := isa.Inst{Op: isa.OpSt}
+	load := isa.Inst{Op: isa.OpLd}
+	for _, size := range []int{5, 64, 100} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		w := newLSQ(size)
+		for step := 0; step < 20_000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5 && !w.full():
+				// Place at a random free index ahead of the head, leaving holes.
+				v := w.head + uint64(rng.Intn(size))
+				if w.at(v) == nil {
+					in := load
+					if rng.Intn(2) == 0 {
+						in = store
+					}
+					w.place(v, &UOp{Inst: in})
+				}
+			case r < 8 && w.headUop() != nil:
+				w.popHead()
+			default:
+				// Squash everything from a random index to the tail.
+				v := w.head + uint64(rng.Intn(size))
+				for x := w.tail; x > v; x-- {
+					w.clearAt(x - 1)
+				}
+				w.shrinkTail(v)
+			}
+			from := w.head + uint64(rng.Intn(size+1))
+			got, gotOK := w.prevStore(from)
+			var want uint64
+			wantOK := false
+			for v := from; v > w.head; v-- {
+				if u := w.at(v - 1); u != nil && u.Inst.IsStore() {
+					want, wantOK = v-1, true
+					break
+				}
+			}
+			if got != want || gotOK != wantOK {
+				t.Fatalf("size %d step %d: prevStore(%d) = %d,%v; walk finds %d,%v", size, step, from, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }

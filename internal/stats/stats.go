@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -101,22 +100,6 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// Median returns the median of vs (0 for empty input): the middle element
-// of the sorted values, or the mean of the middle two for even counts. The
-// input slice is not modified.
-func Median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }
 
 // Ratio returns num/den, or 0 when den is 0.

@@ -77,27 +77,3 @@ func TestMeanAndRatio(t *testing.T) {
 		t.Errorf("Ratio(x,0) = %v, want 0", got)
 	}
 }
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{3, 1, 2}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-		{[]float64{-1, -5, -3}, -3},
-	}
-	for _, c := range cases {
-		if got := Median(c.in); got != c.want {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	// Median must not reorder the caller's slice.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Errorf("Median mutated its input: %v", in)
-	}
-}

@@ -23,9 +23,8 @@ import (
 // FP benchmark, one mid, two high-IPC integer benchmarks.
 func benchOpts() experiments.Options {
 	return experiments.Options{
-		Machine:      pipeline.DefaultConfig(),
-		Instructions: 8000,
-		Benchmarks:   []string{"equake", "gcc", "gzip", "sixtrack"},
+		Config:     DefaultConfig(ModeSingle, 8000),
+		Benchmarks: []string{"equake", "gcc", "gzip", "sixtrack"},
 	}
 }
 
@@ -117,7 +116,7 @@ func BenchmarkFig7Performance(b *testing.B) {
 // detection coverage per mode).
 func BenchmarkExtAFaultInjection(b *testing.B) {
 	opts := benchOpts()
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	var srtRate, bjRate float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtAFaultInjection(opts, "gcc")
@@ -152,7 +151,7 @@ func BenchmarkExtBIdealShuffle(b *testing.B) {
 // payload RAM vulnerability).
 func BenchmarkExtCPayloadRAM(b *testing.B) {
 	opts := benchOpts()
-	opts.Instructions = 2500
+	opts.MaxInstructions = 2500
 	var sharedSilent, splitSilent int
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtCPayloadRAM(opts, []string{"gzip"})
@@ -168,7 +167,7 @@ func BenchmarkExtCPayloadRAM(b *testing.B) {
 // BenchmarkExtDSlackSweep regenerates Ext-D (slack and DTQ sensitivity).
 func BenchmarkExtDSlackSweep(b *testing.B) {
 	opts := benchOpts()
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	var points int
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtDSweep(opts, "gcc", []int{64, 256, 1024}, []int{256, 1024})
@@ -317,7 +316,7 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := benchOpts()
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	opts.Cache = cache
 	if _, err := experiments.ExtAFaultInjection(opts, "gcc"); err != nil { // fill pass
 		b.Fatal(err)
@@ -401,7 +400,7 @@ func BenchmarkExtEMergingShuffle(b *testing.B) {
 // faults, Section 4.5).
 func BenchmarkExtFMultiFault(b *testing.B) {
 	opts := benchOpts()
-	opts.Instructions = 2500
+	opts.MaxInstructions = 2500
 	var silent int
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtFMultiFault(opts, "gcc", 3)
@@ -420,7 +419,7 @@ func BenchmarkExtFMultiFault(b *testing.B) {
 // the coverage BlackJack inherits from SRT).
 func BenchmarkExtGSoftErrors(b *testing.B) {
 	opts := benchOpts()
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	var srtRate, bjRate float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtGSoftErrors(opts, "gcc")
@@ -445,7 +444,7 @@ func BenchmarkExtGSoftErrors(b *testing.B) {
 func BenchmarkExtHSeedRobustness(b *testing.B) {
 	opts := benchOpts()
 	opts.Benchmarks = []string{"gzip", "equake"}
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	var bjCov float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ExtHSeedRobustness(opts, []uint64{0, 5000})

@@ -103,9 +103,11 @@ func RunSampled(cfg Config, benchmark string, skip int) (*Result, error) {
 	return sim.RunSampled(cfg, benchmark, skip)
 }
 
-// RunAllModes runs a benchmark under all four modes with the same budget.
-func RunAllModes(machine MachineConfig, benchmark string, maxInstructions int) (map[Mode]*Result, error) {
-	return sim.RunAllModes(machine, benchmark, maxInstructions)
+// RunAllModes runs a benchmark under all four modes from one config (its
+// Mode is ignored), fanning out across cfg.Parallel workers. A config with
+// Trace or Metrics attached is refused.
+func RunAllModes(cfg Config, benchmark string) (map[Mode]*Result, error) {
+	return sim.RunAllModes(cfg, benchmark)
 }
 
 // Workloads.

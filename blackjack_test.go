@@ -94,7 +94,7 @@ func TestPublicModeParsing(t *testing.T) {
 }
 
 func TestPublicRunAllModes(t *testing.T) {
-	rs, err := RunAllModes(DefaultMachineConfig(), "eon", 2500)
+	rs, err := RunAllModes(DefaultConfig(ModeSingle, 2500), "eon")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPublicCampaign(t *testing.T) {
 
 func TestPublicExperimentSuite(t *testing.T) {
 	opts := DefaultExperimentOptions()
-	opts.Instructions = 2500
+	opts.MaxInstructions = 2500
 	opts.Benchmarks = []string{"gzip"}
 	s, err := RunExperimentSuite(opts)
 	if err != nil {

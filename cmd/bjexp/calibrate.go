@@ -14,7 +14,7 @@ import (
 // jsonPath when set). DRIFT verdicts warn on stderr; any FAIL exits 5.
 func runCalibrate(opts experiments.Options, jsonPath string) {
 	cli.Logf("calibrating %d claims against %d benchmarks x 4 modes x %d instructions...",
-		len(calib.PaperSpec().Claims), len(opts.Benchmarks), opts.Instructions)
+		len(calib.PaperSpec().Claims), len(opts.Benchmarks), opts.MaxInstructions)
 	rep, err := experiments.Calibrate(opts)
 	if err != nil {
 		cli.Fatal(err)

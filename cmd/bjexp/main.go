@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"blackjack/internal/cli"
@@ -26,6 +27,7 @@ import (
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/sim"
+	"blackjack/internal/stats"
 )
 
 var experimentNames = []string{
@@ -40,16 +42,13 @@ func main() {
 		benches = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 16)")
 		bench   = flag.String("bench", "gcc", "benchmark for single-benchmark experiments (exta, extd)")
 		svgDir  = flag.String("svg", "", "also render the figures as SVG charts into this directory")
-		par     = flag.Int("parallel", 0, "worker count for suite/campaign/sweep fan-out (0 = NumCPU; output is identical at any value)")
-		ckpt    = flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles for the fault-injection experiments (0 = every run cold; output is identical at any value)")
-		ff      = flag.Bool("ff", false, "sampled fault campaigns: fast-forward each injection's fault-free prefix on the functional model (outcome tables match full simulation; cycle-based columns of fast-forwarded runs are window-relative)")
-		ffWarm  = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions (0 = default)")
 
 		calibrate = flag.Bool("calibrate", false, "run the figure suite, evaluate every paper claim of the calibration spec (PASS/DRIFT/FAIL per claim) and exit; any FAIL exits with code 5")
 		calibJSON = flag.String("calib-json", "", "with -calibrate, also write the calibration report as JSON to this file")
 
 		journalDir = flag.String("journal-dir", "", "journal every fault campaign's completed runs into this directory; re-running with the same directory resumes")
 
+		execution  = cli.ExecutionFlags()
 		resilience = cli.ResilienceFlags()
 		out        = cli.OutputFlags()
 		cache      = cli.CacheFlags()
@@ -64,11 +63,8 @@ func main() {
 	defer stop()
 
 	opts := experiments.DefaultOptions()
-	opts.Instructions = *n
-	opts.Parallel = *par
-	opts.CheckpointInterval = *ckpt
-	opts.FastForward = *ff
-	opts.FFWarmup = *ffWarm
+	opts.MaxInstructions = *n
+	execution.Fill(&opts.Config)
 	opts.Ctx = ctx
 	opts.JournalDir = *journalDir
 	opts.Resilience = resilience.Settings()
@@ -100,55 +96,36 @@ func main() {
 		}
 	}
 
-	switch *exp {
-	case "table1":
+	switch {
+	case *exp == "table1":
 		experiments.Table1(opts.Machine).Render(os.Stdout)
-	case "exta":
-		runExtA(opts, *bench)
-	case "extc":
-		runExtC(opts)
-	case "extd":
-		runExtD(opts, *bench)
-	case "exte":
-		runExtE(opts)
-	case "extf":
-		runExtF(opts, *bench)
-	case "extg":
-		runExtG(opts, *bench)
-	case "exth":
-		runExtH(opts)
-	case "exti":
-		runExtI(opts, *bench)
-	case "fig4a", "fig4b", "fig5", "fig6", "fig7", "headline", "extb":
-		suite := mustSuite(opts)
-		renderFromSuite(suite, *exp)
-		writeSVGs(suite, *svgDir)
-	case "all":
+	case *exp == "all":
 		experiments.Table1(opts.Machine).Render(os.Stdout)
 		fmt.Println()
 		suite := mustSuite(opts)
-		for _, e := range []string{"fig4a", "fig4b", "fig5", "fig6", "fig7", "headline", "extb"} {
-			renderFromSuite(suite, e)
+		for _, f := range suiteFigures {
+			f.table(suite).Render(os.Stdout)
 			fmt.Println()
 		}
 		writeSVGs(suite, *svgDir)
-		runExtA(opts, *bench)
-		fmt.Println()
-		runExtC(opts)
-		fmt.Println()
-		runExtD(opts, *bench)
-		fmt.Println()
-		runExtE(opts)
-		fmt.Println()
-		runExtF(opts, *bench)
-		fmt.Println()
-		runExtG(opts, *bench)
-		fmt.Println()
-		runExtH(opts)
-		fmt.Println()
-		runExtI(opts, *bench)
+		for i, st := range studies {
+			if i > 0 {
+				fmt.Println()
+			}
+			st.table(opts, *bench).Render(os.Stdout)
+		}
 	default:
-		cli.Fatal(fmt.Errorf("unknown experiment %q (known: %s)", *exp, strings.Join(experimentNames, ", ")))
+		if i := slices.IndexFunc(suiteFigures, func(f suiteFigure) bool { return f.name == *exp }); i >= 0 {
+			suite := mustSuite(opts)
+			suiteFigures[i].table(suite).Render(os.Stdout)
+			writeSVGs(suite, *svgDir)
+			break
+		}
+		i := slices.IndexFunc(studies, func(st study) bool { return st.name == *exp })
+		if i < 0 {
+			cli.Fatal(fmt.Errorf("unknown experiment %q (known: %s)", *exp, strings.Join(experimentNames, ", ")))
+		}
+		studies[i].table(opts, *bench).Render(os.Stdout)
 	}
 
 	if metrics != nil {
@@ -162,7 +139,7 @@ func main() {
 // at the experiment budget with a tracer attached, so a suite regeneration can
 // ship a pipeline timeline without tracing every (benchmark, mode) machine.
 func writeRepresentativeTrace(path string, opts experiments.Options, bench string) error {
-	cfg := sim.Config{Machine: opts.Machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions}
+	cfg := opts.RunConfig(pipeline.ModeBlackJack, opts.Machine)
 	tr := obs.NewTracer(0)
 	cfg.Trace = tr
 	if _, err := sim.Run(cfg, bench); err != nil {
@@ -177,7 +154,7 @@ func writeRepresentativeTrace(path string, opts experiments.Options, bench strin
 
 func mustSuite(opts experiments.Options) *experiments.Suite {
 	cli.Logf("running %d benchmarks x 4 modes x %d instructions...",
-		len(opts.Benchmarks), opts.Instructions)
+		len(opts.Benchmarks), opts.MaxInstructions)
 	s, err := experiments.RunSuite(opts)
 	if err != nil {
 		cli.Fatal(err)
@@ -192,25 +169,6 @@ func mustSuite(opts experiments.Options) *experiments.Suite {
 	return s
 }
 
-func renderFromSuite(s *experiments.Suite, exp string) {
-	switch exp {
-	case "fig4a":
-		s.Figure4aTable().Render(os.Stdout)
-	case "fig4b":
-		s.Figure4bTable().Render(os.Stdout)
-	case "fig5":
-		s.Figure5Table().Render(os.Stdout)
-	case "fig6":
-		s.Figure6Table().Render(os.Stdout)
-	case "fig7":
-		s.Figure7Table().Render(os.Stdout)
-	case "headline":
-		s.HeadlineTable().Render(os.Stdout)
-	case "extb":
-		s.ExtBTable().Render(os.Stdout)
-	}
-}
-
 func writeSVGs(suite *experiments.Suite, dir string) {
 	if dir == "" {
 		return
@@ -222,85 +180,74 @@ func writeSVGs(suite *experiments.Suite, dir string) {
 	cli.Logf("wrote %d SVG figures to %s", len(paths), dir)
 }
 
-func runExtA(opts experiments.Options, bench string) {
-	// Fault campaigns re-run the workload once per site; scale the budget
-	// down so the full campaign stays fast.
-	campaign := opts
-	campaign.Instructions = min(opts.Instructions, 30_000)
-	rows, err := experiments.ExtAFaultInjection(campaign, bench)
+// must ends the process on err and otherwise returns v.
+func must[T any](v T, err error) T {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	experiments.ExtATable(rows, bench).Render(os.Stdout)
+	return v
 }
 
-func runExtC(opts experiments.Options) {
-	campaign := opts
-	campaign.Instructions = min(opts.Instructions, 20_000)
-	rows, err := experiments.ExtCPayloadRAM(campaign, []string{"gzip", "equake"})
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtCTable(rows).Render(os.Stdout)
+// capped lowers the experiment budget to at most n instructions.
+func capped(opts experiments.Options, n int) experiments.Options {
+	opts.MaxInstructions = min(opts.MaxInstructions, n)
+	return opts
 }
 
-func runExtD(opts experiments.Options, bench string) {
-	rows, err := experiments.ExtDSweep(opts, bench, nil, nil)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtDTable(rows).Render(os.Stdout)
+// suiteFigure is an experiment rendered from the figure suite.
+type suiteFigure struct {
+	name  string
+	table func(*experiments.Suite) *stats.Table
 }
 
-func runExtE(opts experiments.Options) {
-	rows, err := experiments.ExtEMergingShuffle(opts, nil)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtETable(rows).Render(os.Stdout)
+// suiteFigures are the figures one suite run renders, in -exp all order.
+var suiteFigures = []suiteFigure{
+	{"fig4a", (*experiments.Suite).Figure4aTable},
+	{"fig4b", (*experiments.Suite).Figure4bTable},
+	{"fig5", (*experiments.Suite).Figure5Table},
+	{"fig6", (*experiments.Suite).Figure6Table},
+	{"fig7", (*experiments.Suite).Figure7Table},
+	{"headline", (*experiments.Suite).HeadlineTable},
+	{"extb", (*experiments.Suite).ExtBTable},
 }
 
-func runExtF(opts experiments.Options, bench string) {
-	campaign := opts
-	campaign.Instructions = min(opts.Instructions, 20_000)
-	rows, err := experiments.ExtFMultiFault(campaign, bench, 3)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtFTable(rows, bench).Render(os.Stdout)
+// study is an extension study that runs on its own; bench names the
+// benchmark of the single-benchmark studies.
+type study struct {
+	name  string
+	table func(opts experiments.Options, bench string) *stats.Table
 }
 
-func runExtG(opts experiments.Options, bench string) {
-	campaign := opts
-	campaign.Instructions = min(opts.Instructions, 30_000)
-	rows, err := experiments.ExtGSoftErrors(campaign, bench)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtGTable(rows, bench).Render(os.Stdout)
-}
-
-func runExtI(opts experiments.Options, bench string) {
-	// Twelve campaigns (four fault kinds x three modes) re-run the workload
-	// once per site; the tighter budget keeps the full table fast.
-	campaign := opts
-	campaign.Instructions = min(opts.Instructions, 20_000)
-	rows, err := experiments.ExtISoftIntermittent(campaign, bench)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtITable(rows, bench).Render(os.Stdout)
-}
-
-func runExtH(opts experiments.Options) {
-	study := opts
-	if len(study.Benchmarks) > 4 {
-		study.Benchmarks = []string{"equake", "gcc", "gzip", "sixtrack"}
-	}
-	study.Instructions = min(opts.Instructions, 60_000)
-	rows, err := experiments.ExtHSeedRobustness(study, nil)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	experiments.ExtHTable(rows, study.Benchmarks).Render(os.Stdout)
+// studies are the extension studies in -exp all order. Fault campaigns
+// re-run the workload once per site (Ext-I runs twelve campaigns), so
+// their budgets are capped to keep the full run fast.
+var studies = []study{
+	{"exta", func(opts experiments.Options, bench string) *stats.Table {
+		return experiments.ExtATable(must(experiments.ExtAFaultInjection(capped(opts, 30_000), bench)), bench)
+	}},
+	{"extc", func(opts experiments.Options, _ string) *stats.Table {
+		return experiments.ExtCTable(must(experiments.ExtCPayloadRAM(capped(opts, 20_000), []string{"gzip", "equake"})))
+	}},
+	{"extd", func(opts experiments.Options, bench string) *stats.Table {
+		return experiments.ExtDTable(must(experiments.ExtDSweep(opts, bench, nil, nil)))
+	}},
+	{"exte", func(opts experiments.Options, _ string) *stats.Table {
+		return experiments.ExtETable(must(experiments.ExtEMergingShuffle(opts, nil)))
+	}},
+	{"extf", func(opts experiments.Options, bench string) *stats.Table {
+		return experiments.ExtFTable(must(experiments.ExtFMultiFault(capped(opts, 20_000), bench, 3)), bench)
+	}},
+	{"extg", func(opts experiments.Options, bench string) *stats.Table {
+		return experiments.ExtGTable(must(experiments.ExtGSoftErrors(capped(opts, 30_000), bench)), bench)
+	}},
+	{"exth", func(opts experiments.Options, _ string) *stats.Table {
+		if len(opts.Benchmarks) > 4 {
+			opts.Benchmarks = []string{"equake", "gcc", "gzip", "sixtrack"}
+		}
+		opts = capped(opts, 60_000)
+		return experiments.ExtHTable(must(experiments.ExtHSeedRobustness(opts, nil)), opts.Benchmarks)
+	}},
+	{"exti", func(opts experiments.Options, bench string) *stats.Table {
+		return experiments.ExtITable(must(experiments.ExtISoftIntermittent(capped(opts, 20_000), bench)), bench)
+	}},
 }

@@ -55,14 +55,11 @@ func main() {
 		duty    = flag.String("duty", "", "intermittent duty cycle as period/on[@prob], e.g. 32/8@50 (default 64/16@75; -site runs)")
 		mask    = flag.String("mask", "", "bit mask overriding the site's default, hex or decimal (e.g. 0xFF00; -site runs)")
 		compare = flag.Bool("compare", false, "run the campaign under srt AND blackjack and compare")
-		par     = flag.Int("parallel", 0, "worker count for campaign fan-out over sites (0 = NumCPU; output is identical at any value)")
-		ckpt    = flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles; injections fork from the latest snapshot before their fault fires (0 = every run cold; output is identical at any value)")
-		ff      = flag.Bool("ff", false, "sampled campaign: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)")
-		ffWarm  = flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)")
 
 		siteIndex = flag.Int("site-index", -1, "replay run i of the standard campaign site list (the index quarantine repro commands print)")
 
 		journal    = cli.JournalFlags()
+		execution  = cli.ExecutionFlags()
 		resilience = cli.ResilienceFlags()
 		out        = cli.OutputFlags()
 		cache      = cli.CacheFlags()
@@ -85,10 +82,7 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	cfg := blackjack.DefaultConfig(m, *n)
-	cfg.Parallel = *par
-	cfg.CheckpointInterval = *ckpt
-	cfg.FastForward = *ff
-	cfg.FFWarmup = *ffWarm
+	execution.Fill(&cfg)
 	cfg.Ctx = ctx
 	cfg.Resilience = resilience.Settings()
 	opts := blackjack.InjectOptions{SplitPayload: *split}

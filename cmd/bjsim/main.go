@@ -96,7 +96,7 @@ func main() {
 		cli.Fatal(fmt.Errorf("-ff applies to a plain single run (not -all-modes)"))
 	}
 	if *allModes {
-		rs, err := blackjack.RunAllModes(cfg.Machine, *bench, cfg.MaxInstructions)
+		rs, err := blackjack.RunAllModes(cfg, *bench)
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -109,6 +109,7 @@ func main() {
 			}
 			printResult(rs[mm])
 		}
+		cache.Report()
 		return
 	}
 	run := func() (*blackjack.Result, error) { return blackjack.Run(cfg, *bench) }

@@ -20,7 +20,7 @@ func main() {
 		budget = 60_000
 	)
 
-	rs, err := blackjack.RunAllModes(blackjack.DefaultMachineConfig(), bench, budget)
+	rs, err := blackjack.RunAllModes(blackjack.DefaultConfig(blackjack.ModeSingle, budget), bench)
 	if err != nil {
 		log.Fatal(err)
 	}

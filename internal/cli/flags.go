@@ -155,6 +155,33 @@ func (r *Resilience) Settings() sim.Resilience {
 	}
 }
 
+// Execution is the campaign execution group: -parallel,
+// -checkpoint-interval, -ff and -ff-warmup.
+type Execution struct {
+	parallel *int
+	ckpt     *int64
+	ff       *bool
+	ffWarmup *int
+}
+
+// ExecutionFlags registers -parallel, -checkpoint-interval, -ff and
+// -ff-warmup.
+func ExecutionFlags() *Execution {
+	return &Execution{
+		parallel: flag.Int("parallel", 0, "worker count for campaign, suite and sweep fan-out (0 = NumCPU; output is identical at any value)"),
+		ckpt:     flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles; injections fork from the latest snapshot before their fault fires (0 = every run cold; output is identical at any value)"),
+		ff:       flag.Bool("ff", false, "sampled fault campaigns: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)"),
+		ffWarmup: flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)"),
+	}
+}
+
+// Fill sets cfg's Parallel, CheckpointInterval, FastForward and FFWarmup
+// from the flags.
+func (e *Execution) Fill(cfg *sim.Config) {
+	cfg.Parallel, cfg.CheckpointInterval = *e.parallel, *e.ckpt
+	cfg.FastForward, cfg.FFWarmup = *e.ff, *e.ffWarmup
+}
+
 // Journal is the journal group: -journal and -resume.
 type Journal struct {
 	path   *string

@@ -201,20 +201,9 @@ func matrixSpecs(cfg pipeline.Config) []matrixCellSpec {
 // on every structure class without multiplying the full grid.
 func kindSpecs(cfg pipeline.Config, kind fault.Kind) []matrixCellSpec {
 	if kind == fault.KindControlFlow {
-		var sites []fault.Site
-		for w := 0; w < cfg.Units[isa.UnitIntALU]; w++ {
-			sites = append(sites, fault.Site{
-				Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: w,
-				Kind: fault.KindControlFlow, BitMask: uint64(1 + w%2),
-			})
-		}
-		sites = append(sites, fault.Site{
-			Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 0,
-			Kind: fault.KindControlFlow, FlipBranch: true,
-		})
 		return []matrixCellSpec{{
 			kind: kind, class: fault.BackendWay, structure: "branch-ways",
-			sites:  sites,
+			sites:  sim.ControlFlowSites(cfg),
 			shapes: []prog.StressShape{prog.StressBranch, prog.StressMixed},
 		}}
 	}

@@ -15,7 +15,7 @@ func TestExtASweepWarmCacheByteIdenticalTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := smallOpts("gcc")
-	opts.Instructions = 3000
+	opts.MaxInstructions = 3000
 	opts.Cache = cache
 
 	cold, err := ExtAFaultInjection(opts, "gcc")
@@ -64,7 +64,7 @@ func TestIncrementalSweepOneParameterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := smallOpts("gcc")
-	opts.Instructions = 3000
+	opts.MaxInstructions = 3000
 	opts.Cache = cache
 	if _, err := ExtAFaultInjection(opts, "gcc"); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestIncrementalSweepOneParameterEdit(t *testing.T) {
 
 	// The edited sweep shares no cells (budget is part of every identity)…
 	edited := opts
-	edited.Instructions = 2500
+	edited.MaxInstructions = 2500
 	if _, err := ExtAFaultInjection(edited, "gcc"); err != nil {
 		t.Fatal(err)
 	}

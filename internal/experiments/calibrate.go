@@ -92,13 +92,8 @@ func Calibrate(opts Options) (*calib.Report, error) {
 	m := s.Measurements()
 
 	reg := obs.NewRegistry()
-	cfg := sim.Config{
-		Machine:         opts.Machine,
-		Mode:            pipeline.ModeBlackJack,
-		MaxInstructions: opts.Instructions,
-		Metrics:         reg,
-		Ctx:             opts.Ctx,
-	}
+	cfg := opts.RunConfig(pipeline.ModeBlackJack, opts.Machine)
+	cfg.Metrics = reg
 	if _, err := sim.Run(cfg, CalibrationBenchmark); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blackjack/internal/calib"
+	"blackjack/internal/sim"
 )
 
 // calibrateSmall runs the calibration harness on a deliberately tiny
@@ -14,8 +15,8 @@ import (
 func calibrateSmall(t *testing.T) *calib.Report {
 	t.Helper()
 	rep, err := Calibrate(Options{
-		Benchmarks:   []string{"gcc", CalibrationBenchmark, "gzip"},
-		Instructions: 3000,
+		Config:     sim.Config{MaxInstructions: 3000},
+		Benchmarks: []string{"gcc", CalibrationBenchmark, "gzip"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 // Suite.Measurements must produce exactly the non-representative metric
 // keys the paper spec consumes — no typo'd key can slip through unnoticed.
 func TestSuiteMeasurementKeysMatchSpec(t *testing.T) {
-	suite, err := RunSuite(Options{Benchmarks: []string{"gcc", "gzip"}, Instructions: 2000})
+	suite, err := RunSuite(Options{Config: sim.Config{MaxInstructions: 2000}, Benchmarks: []string{"gcc", "gzip"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func renderAll(t *testing.T, s *Suite) string {
 // figures and tables.
 func TestRunSuiteDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := smallOpts("gzip", "equake")
-	opts.Instructions = 3000
+	opts.MaxInstructions = 3000
 
 	opts.Parallel = 1
 	serial, err := RunSuite(opts)
@@ -49,7 +49,7 @@ func TestRunSuiteDeterministicAcrossWorkerCounts(t *testing.T) {
 // worker count.
 func TestExtHDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := smallOpts("gzip", "equake")
-	opts.Instructions = 3000
+	opts.MaxInstructions = 3000
 	offsets := []uint64{0, 5000}
 
 	render := func(par int) string {

@@ -6,113 +6,77 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
 
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
-	"blackjack/internal/obs"
 	"blackjack/internal/parallel"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
-	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 	"blackjack/internal/stats"
 )
 
-// Options configure a suite run.
+// Options configure an experiment run.
 type Options struct {
-	// Machine is the core configuration (Table 1 defaults).
-	Machine pipeline.Config
-	// Instructions is the committed-instruction budget per (benchmark, mode).
-	// The paper runs 100M per benchmark on SimPoint regions; metrics of the
-	// synthetic workloads stabilize well below the 300k default (DESIGN.md).
-	Instructions int
+	// Config is the base every run of the experiment derives its own config
+	// from (Options.RunConfig), which sets the run's Mode and machine
+	// variant; the base's Mode, Trace and Journal are not used. Its fields
+	// mean, for an experiment:
+	//
+	//   - Machine is the core configuration (Table 1 defaults).
+	//   - MaxInstructions is the committed-instruction budget per
+	//     (benchmark, mode). The paper runs 100M per benchmark on SimPoint
+	//     regions; metrics of the synthetic workloads stabilize well below
+	//     the 300k default (DESIGN.md).
+	//   - Parallel bounds the worker count every fan-out uses: RunSuite over
+	//     (benchmark, mode) pairs, campaigns over fault sites, sweeps over
+	//     their points. Every figure and table is byte-identical at every
+	//     worker count.
+	//   - CheckpointInterval, FastForward and FFWarmup shape the
+	//     fault-injection campaigns (Ext-A, Ext-C, Ext-F, Ext-G, Ext-I).
+	//     Tables are byte-identical at every interval; fast-forwarded cycle
+	//     and latency columns are window-relative.
+	//   - Metrics accumulates the experiment's metrics: RunSuite exports
+	//     every run's pipeline.Stats in (benchmark, mode) order, and the
+	//     campaign experiments merge their campaign registries in campaign
+	//     order. Must not be shared by concurrent experiment runs.
+	//   - Ctx cancels the experiment (typically SIGINT), flushing journals
+	//     and partial metrics.
+	//   - Resilience isolates, budgets and retries runs. With Isolate set,
+	//     RunSuite quarantines failing cells into Suite.Failures instead of
+	//     aborting.
+	//   - Cache and CacheVerify serve suite cells, sweep points and campaign
+	//     cells from the run cache; every table is byte-identical to an
+	//     uncached run.
+	//   - OnProgress observes every completed campaign run of the
+	//     fault-injection experiments (internal/serve streams job progress
+	//     from it).
+	sim.Config
 	// Benchmarks to run (default: the full 16-benchmark suite in Figure 7
 	// order).
 	Benchmarks []string
-	// Parallel bounds the worker count every batch entry point fans out
-	// across: RunSuite over (benchmark, mode) pairs, campaigns over fault
-	// sites, sweeps over their sweep points. <= 0 selects runtime.NumCPU().
-	// Every figure and table is byte-identical at every worker count.
-	Parallel int
-	// CheckpointInterval, when positive, makes the fault-injection campaigns
-	// (Ext-A, Ext-C, Ext-F, Ext-G, Ext-I) snapshot their fault-free warmup every
-	// that-many cycles and fork each injection from the latest snapshot
-	// preceding its fault's first activation (see sim.CampaignPlan). Every
-	// figure is byte-identical at every interval; 0 runs every injection cold.
-	CheckpointInterval int64
-	// FastForward makes the fault-injection campaigns sampled
-	// (sim.Config.FastForward): each injection's fault-free prefix runs on
-	// the functional model and only its activation window is simulated
-	// cycle-accurately. Outcome tables match full simulation; cycle counts
-	// and latencies of fast-forwarded runs are window-relative, so figures
-	// built on those columns are not byte-identical to full runs.
-	FastForward bool
-	// FFWarmup is the fast-forward warmup lead in committed instructions
-	// (<= 0 selects sim.DefaultFFWarmup).
-	FFWarmup int
-	// Metrics, when non-nil, accumulates the experiment's metrics
-	// (internal/obs): RunSuite exports every run's pipeline.Stats in
-	// deterministic (benchmark, mode) order, and the campaign experiments
-	// (Ext-A, Ext-G, Ext-I) merge their per-mode campaign registries in mode order.
-	// Tables and figures are unaffected. Must not be shared by concurrent
-	// experiment runs.
-	Metrics *obs.Registry
-	// Ctx, when non-nil, cancels the experiment: typically wired to SIGINT
-	// via signal.NotifyContext so a long suite or campaign shuts down
-	// gracefully, flushing journals and partial metrics. nil means
-	// uncancellable.
-	Ctx context.Context
-	// Resilience tunes per-run isolation, wall-clock budgets, retries and
-	// the hung-worker watchdog (see sim.Resilience). With Isolate set,
-	// RunSuite quarantines failing (benchmark, mode) cells into
-	// Suite.Failures instead of aborting, and campaign experiments
-	// quarantine panicking or over-budget injections.
-	Resilience sim.Resilience
 	// JournalDir, when non-empty, makes every campaign experiment (Ext-A,
 	// Ext-C, Ext-G, Ext-I) journal its completed runs to
 	// <JournalDir>/<experiment>-<benchmark>-<variant>.journal and resume
 	// from any journal already there: re-running after a crash or SIGINT
 	// skips completed injections and reproduces identical tables.
 	JournalDir string
-	// Cache, when non-nil, is the content-addressable run cache
-	// (internal/runcache) every experiment threads into its sim.Config:
-	// suite cells, sweep points and campaign cells whose full identity
-	// (program content, machine, mode, budget, site, execution plan) matches
-	// a stored entry are served from the cache, so re-running a sweep after
-	// a one-parameter edit re-executes only the affected cells. Cached and
-	// live cells merge deterministically — every table and figure is
-	// byte-identical to an uncached run.
-	Cache *runcache.Store
-	// CacheVerify is the trust-but-verify sampling fraction in [0,1]: that
-	// deterministic fraction of cache hits is recomputed live and compared
-	// against the stored outcome (divergences are counted on the store and
-	// the entry healed). 0 trusts every hit; 1 recomputes all of them.
-	CacheVerify float64
-	// OnRun, when non-nil, observes every completed campaign run of the
-	// fault-injection experiments (Ext-A, Ext-C, Ext-G, Ext-I) — live,
-	// journal-replayed, and cache-served alike (see sim.Config.OnProgress).
-	// Called from worker goroutines, so it must be concurrency-safe; it is
-	// observational only and cannot change results. Job-level progress
-	// streaming (internal/serve) hangs off this hook.
-	OnRun func(sim.RunProgress)
 }
 
 // DefaultOptions returns the standard experiment setup.
 func DefaultOptions() Options {
 	return Options{
-		Machine:      pipeline.DefaultConfig(),
-		Instructions: 300_000,
-		Benchmarks:   prog.BenchmarkNames(),
+		Config:     sim.Default(pipeline.ModeSingle, 300_000),
+		Benchmarks: prog.BenchmarkNames(),
 	}
 }
 
 func (o *Options) fill() {
-	if o.Instructions <= 0 {
-		o.Instructions = DefaultOptions().Instructions
+	if o.MaxInstructions <= 0 {
+		o.MaxInstructions = DefaultOptions().MaxInstructions
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = prog.BenchmarkNames()
@@ -122,11 +86,25 @@ func (o *Options) fill() {
 	}
 }
 
+// RunConfig derives one run's config from the base: the given mode and
+// machine variant, with no tracer, journal or metrics registry. Single runs
+// fan out concurrently, and the experiment exports their statistics itself;
+// an attached registry would also make them bypass the cache. Campaigns
+// take the registry back (runCampaign).
+func (o *Options) RunConfig(mode pipeline.Mode, machine pipeline.Config) sim.Config {
+	cfg := o.Config
+	cfg.Mode, cfg.Machine = mode, machine
+	cfg.Trace, cfg.Journal, cfg.Metrics = nil, nil, nil
+	return cfg
+}
+
 // runCampaign runs one campaign of a campaign experiment, attaching a
 // resumable journal named after the (experiment, benchmark, variant)
-// identity when opts.JournalDir is set.
-func runCampaign(opts Options, name string, cfg sim.Config, bench string, sites []fault.Site, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
-	cfg.OnProgress = opts.OnRun
+// identity when opts.JournalDir is set. Campaigns run one after another,
+// so each merges its per-worker registries straight into opts.Metrics.
+func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, sites []fault.Site, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
+	cfg := opts.RunConfig(mode, opts.Machine)
+	cfg.Metrics = opts.Metrics
 	if opts.JournalDir != "" {
 		cj, err := sim.OpenCampaignJournal(filepath.Join(opts.JournalDir, name+".journal"), cfg, bench, sites, iopts)
 		if err != nil {
@@ -136,6 +114,49 @@ func runCampaign(opts Options, name string, cfg sim.Config, bench string, sites 
 		cfg.Journal = cj
 	}
 	return sim.Campaign(cfg, bench, sites, iopts)
+}
+
+// comparedModes are the machines the fault-injection and seed studies
+// compare: unprotected, SRT and BlackJack.
+var comparedModes = []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack}
+
+// campaignRows runs one campaign per compared mode over sites and
+// aggregates each into a row — the body Ext-A, Ext-G and Ext-I share. Each
+// campaign journals as <name>-<mode>.
+func campaignRows(opts *Options, name, benchmark string, sites []fault.Site) ([]ExtARow, error) {
+	var rows []ExtARow
+	for _, mode := range comparedModes {
+		sum, err := runCampaign(opts, fmt.Sprintf("%s-%s", name, mode), mode,
+			benchmark, sites, sim.InjectOptions{SplitPayload: true})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, extARowFromSummary(mode, len(sites), sum))
+	}
+	return rows, nil
+}
+
+// campaignColumns are the columns of a per-mode campaign table (ExtARow.cells).
+var campaignColumns = []string{"mode", "sites", "activated", "detected", "silent", "benign", "wedged", "quarantined", "detection-rate(%)", "avg-latency(cycles)"}
+
+// cells renders the row as campaignColumns.
+func (r ExtARow) cells() []string {
+	lat := "-"
+	if r.AvgDetectLatency >= 0 {
+		lat = fmt.Sprintf("%.0f", r.AvgDetectLatency)
+	}
+	return []string{r.Mode.String(), fmt.Sprint(r.Sites), fmt.Sprint(r.Activated),
+		fmt.Sprint(r.Detected), fmt.Sprint(r.Silent), fmt.Sprint(r.Benign),
+		fmt.Sprint(r.Wedged), fmt.Sprint(r.Quarantined), stats.Pct(r.Rate), lat}
+}
+
+// campaignTable renders per-mode campaign rows (Ext-A, Ext-G).
+func campaignTable(title string, rows []ExtARow) *stats.Table {
+	t := stats.NewTable(title, campaignColumns...)
+	for _, r := range rows {
+		t.AddRow(r.cells()...)
+	}
+	return t
 }
 
 // Suite holds one full run of all benchmarks under all four modes.
@@ -219,11 +240,7 @@ func RunSuite(opts Options) (*Suite, error) {
 	}
 	runCell := func(k int) (*sim.Result, error) {
 		name, mode := opts.Benchmarks[k/len(modes)], modes[k%len(modes)]
-		r, err := sim.RunProgram(sim.Config{
-			Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
-			Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}, progs[k/len(modes)])
+		r, err := sim.RunProgram(opts.RunConfig(mode, opts.Machine), progs[k/len(modes)])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -242,7 +259,7 @@ func RunSuite(opts Options) (*Suite, error) {
 					name, mode := opts.Benchmarks[k/len(modes)], modes[k%len(modes)]
 					c = cell{fail: &SuiteFailure{
 						Benchmark: name, Mode: mode, Err: err.Error(),
-						Repro: fmt.Sprintf("bjsim -bench %s -mode %s -n %d", name, mode, opts.Instructions),
+						Repro: fmt.Sprintf("bjsim -bench %s -mode %s -n %d", name, mode, opts.MaxInstructions),
 					}}
 					err = nil
 				}
@@ -275,13 +292,7 @@ func RunSuite(opts Options) (*Suite, error) {
 		// every worker count because each run's stats are deterministic.
 		// Quarantined cells contribute only the suite.quarantined counter,
 		// so the healthy cells' metrics match a clean suite over them.
-		runs := 0
-		for _, c := range cells {
-			if c.res != nil {
-				runs++
-			}
-		}
-		opts.Metrics.Counter("suite.runs").Add(uint64(runs))
+		opts.Metrics.Counter("suite.runs").Add(uint64(len(cells) - len(s.Failures)))
 		if len(s.Failures) > 0 {
 			opts.Metrics.Counter("suite.quarantined").Add(uint64(len(s.Failures)))
 		}
@@ -570,27 +581,7 @@ type ExtARow struct {
 // metric.
 func ExtAFaultInjection(opts Options, benchmark string) ([]ExtARow, error) {
 	opts.fill()
-	sites := sim.StandardSites(opts.Machine)
-	var rows []ExtARow
-	for _, mode := range []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack} {
-		// The mode campaigns run one after another, so they can share the
-		// experiment registry directly (Campaign merges its per-worker
-		// registries into cfg.Metrics after its own fan-out completes).
-		cfg := sim.Config{
-			Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
-			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}
-		sum, err := runCampaign(opts, fmt.Sprintf("exta-%s-%s", benchmark, mode), cfg,
-			benchmark, sites, sim.InjectOptions{SplitPayload: true})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, extARowFromSummary(mode, len(sites), sum))
-	}
-	return rows, nil
+	return campaignRows(&opts, "exta-"+benchmark, benchmark, sim.StandardSites(opts.Machine))
 }
 
 // extARowFromSummary aggregates one campaign summary into an ExtARow (shared
@@ -626,19 +617,7 @@ func extARowFromSummary(mode pipeline.Mode, sites int, sum *sim.CampaignSummary)
 
 // ExtATable renders the campaign summary.
 func ExtATable(rows []ExtARow, benchmark string) *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Ext-A: Empirical fault-injection outcomes on %q (split payload RAMs)", benchmark),
-		"mode", "sites", "activated", "detected", "silent", "benign", "wedged", "quarantined", "detection-rate(%)", "avg-latency(cycles)")
-	for _, r := range rows {
-		lat := "-"
-		if r.AvgDetectLatency >= 0 {
-			lat = fmt.Sprintf("%.0f", r.AvgDetectLatency)
-		}
-		t.AddRow(r.Mode.String(), fmt.Sprint(r.Sites), fmt.Sprint(r.Activated),
-			fmt.Sprint(r.Detected), fmt.Sprint(r.Silent), fmt.Sprint(r.Benign),
-			fmt.Sprint(r.Wedged), fmt.Sprint(r.Quarantined), stats.Pct(r.Rate), lat)
-	}
-	return t
+	return campaignTable(fmt.Sprintf("Ext-A: Empirical fault-injection outcomes on %q (split payload RAMs)", benchmark), rows)
 }
 
 // ExtBTable decomposes BlackJack's slowdown over SRT (experiment Ext-B): the
@@ -691,18 +670,11 @@ func ExtCPayloadRAM(opts Options, benchmarks []string) ([]ExtCRow, error) {
 	// out across opts.Parallel workers, and nesting pools would oversubscribe.
 	var rows []ExtCRow
 	for _, b := range benchmarks {
-		cfg := sim.Config{
-			Machine: opts.Machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions,
-			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}
-		shared, err := runCampaign(opts, "extc-"+b+"-shared", cfg, b, sites, sim.InjectOptions{SplitPayload: false})
+		shared, err := runCampaign(&opts, "extc-"+b+"-shared", pipeline.ModeBlackJack, b, sites, sim.InjectOptions{SplitPayload: false})
 		if err != nil {
 			return nil, err
 		}
-		split, err := runCampaign(opts, "extc-"+b+"-split", cfg, b, sites, sim.InjectOptions{SplitPayload: true})
+		split, err := runCampaign(&opts, "extc-"+b+"-split", pipeline.ModeBlackJack, b, sites, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			return nil, err
 		}
@@ -755,10 +727,7 @@ func ExtDSweep(opts Options, benchmark string, slacks, dtqs []int) ([]ExtDRow, e
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := sim.RunProgram(sim.Config{
-		Machine: opts.Machine, Mode: pipeline.ModeSingle, MaxInstructions: opts.Instructions,
-		Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-	}, p)
+	baseline, err := sim.RunProgram(opts.RunConfig(pipeline.ModeSingle, opts.Machine), p)
 	if err != nil {
 		return nil, err
 	}
@@ -783,11 +752,7 @@ func ExtDSweep(opts Options, benchmark string, slacks, dtqs []int) ([]ExtDRow, e
 		} else {
 			machine.DTQ = points[i].value
 		}
-		r, err := sim.RunProgram(sim.Config{
-			Machine: machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions,
-			Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}, p)
+		r, err := sim.RunProgram(opts.RunConfig(pipeline.ModeBlackJack, machine), p)
 		if err != nil {
 			return ExtDRow{}, err
 		}
@@ -851,11 +816,7 @@ func ExtEMergingShuffle(opts Options, benchmarks []string) ([]ExtERow, error) {
 		case 2:
 			machine.MergePackets = true
 		}
-		return sim.RunProgram(sim.Config{
-			Machine: machine, Mode: mode, MaxInstructions: opts.Instructions,
-			Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}, p)
+		return sim.RunProgram(opts.RunConfig(mode, machine), p)
 	})
 	if err != nil {
 		return nil, err
@@ -923,13 +884,7 @@ func ExtFMultiFault(opts Options, benchmark string, maxFaults int) ([]ExtFRow, e
 			windows = append(windows, window{k, start})
 		}
 	}
-	cfg := sim.Config{
-		Machine: opts.Machine, Mode: pipeline.ModeBlackJack, MaxInstructions: opts.Instructions,
-		CheckpointInterval: opts.CheckpointInterval,
-		FastForward:        opts.FastForward, FFWarmup: opts.FFWarmup,
-		Ctx: opts.Ctx, Resilience: opts.Resilience,
-		Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-	}
+	cfg := opts.RunConfig(pipeline.ModeBlackJack, opts.Machine)
 	// Every window is a contiguous range of the same site list, so with
 	// checkpointing enabled all of them fork from one shared warmup plan
 	// instead of each replaying the fault-free prefix cold.
@@ -991,41 +946,12 @@ func ExtFTable(rows []ExtFRow, benchmark string) *stats.Table {
 // activated transient.
 func ExtGSoftErrors(opts Options, benchmark string) ([]ExtARow, error) {
 	opts.fill()
-	sites := sim.TransientSites(opts.Machine, 20)
-	var rows []ExtARow
-	for _, mode := range []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack} {
-		cfg := sim.Config{
-			Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
-			Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-			FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-			Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
-			Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-		}
-		sum, err := runCampaign(opts, fmt.Sprintf("extg-%s-%s", benchmark, mode), cfg,
-			benchmark, sites, sim.InjectOptions{SplitPayload: true})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, extARowFromSummary(mode, len(sites), sum))
-	}
-	return rows, nil
+	return campaignRows(&opts, "extg-"+benchmark, benchmark, sim.TransientSites(opts.Machine, 20))
 }
 
 // ExtGTable renders the soft-error campaign.
 func ExtGTable(rows []ExtARow, benchmark string) *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Ext-G: Transient (soft-error) injection on %q — one corruption per site", benchmark),
-		"mode", "sites", "activated", "detected", "silent", "benign", "wedged", "quarantined", "detection-rate(%)", "avg-latency(cycles)")
-	for _, r := range rows {
-		lat := "-"
-		if r.AvgDetectLatency >= 0 {
-			lat = fmt.Sprintf("%.0f", r.AvgDetectLatency)
-		}
-		t.AddRow(r.Mode.String(), fmt.Sprint(r.Sites), fmt.Sprint(r.Activated),
-			fmt.Sprint(r.Detected), fmt.Sprint(r.Silent), fmt.Sprint(r.Benign),
-			fmt.Sprint(r.Wedged), fmt.Sprint(r.Quarantined), stats.Pct(r.Rate), lat)
-	}
-	return t
+	return campaignTable(fmt.Sprintf("Ext-G: Transient (soft-error) injection on %q — one corruption per site", benchmark), rows)
 }
 
 // ExtHRow is one seed set's aggregate metrics over the chosen benchmarks.
@@ -1050,7 +976,6 @@ func ExtHSeedRobustness(opts Options, offsets []uint64) ([]ExtHRow, error) {
 	if len(offsets) == 0 {
 		offsets = []uint64{0, 10_000, 20_000}
 	}
-	modes := []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack}
 	// One flattened work list over (offset, benchmark): each item generates
 	// its reseeded program and runs the three modes on it.
 	type cell struct{ res [3]*sim.Result }
@@ -1062,12 +987,8 @@ func ExtHSeedRobustness(opts Options, offsets []uint64) ([]ExtHRow, error) {
 			return cell{}, err
 		}
 		var c cell
-		for i, mode := range modes {
-			r, err := sim.RunProgram(sim.Config{
-				Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
-				Ctx: opts.Ctx, Resilience: opts.Resilience,
-				Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-			}, p)
+		for i, mode := range comparedModes {
+			r, err := sim.RunProgram(opts.RunConfig(mode, opts.Machine), p)
 			if err != nil {
 				return cell{}, err
 			}
@@ -1141,20 +1062,12 @@ func ExtISoftIntermittent(opts Options, benchmark string) ([]ExtIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack} {
-			cfg := sim.Config{
-				Machine: opts.Machine, Mode: mode, MaxInstructions: opts.Instructions,
-				Parallel: opts.Parallel, CheckpointInterval: opts.CheckpointInterval,
-				FastForward: opts.FastForward, FFWarmup: opts.FFWarmup,
-				Metrics: opts.Metrics, Ctx: opts.Ctx, Resilience: opts.Resilience,
-				Cache: opts.Cache, CacheVerify: opts.CacheVerify,
-			}
-			sum, err := runCampaign(opts, fmt.Sprintf("exti-%s-%v-%s", benchmark, kind, mode), cfg,
-				benchmark, sites, sim.InjectOptions{SplitPayload: true})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, ExtIRow{Kind: kind, ExtARow: extARowFromSummary(mode, len(sites), sum)})
+		kindRows, err := campaignRows(&opts, fmt.Sprintf("exti-%s-%v", benchmark, kind), benchmark, sites)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range kindRows {
+			rows = append(rows, ExtIRow{Kind: kind, ExtARow: r})
 		}
 	}
 	return rows, nil
@@ -1164,15 +1077,9 @@ func ExtISoftIntermittent(opts Options, benchmark string) ([]ExtIRow, error) {
 func ExtITable(rows []ExtIRow, benchmark string) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Ext-I: Fault-model diversity on %q — SRT vs BlackJack beyond hard errors", benchmark),
-		"kind", "mode", "sites", "activated", "detected", "silent", "benign", "wedged", "quarantined", "detection-rate(%)", "avg-latency(cycles)")
+		append([]string{"kind"}, campaignColumns...)...)
 	for _, r := range rows {
-		lat := "-"
-		if r.AvgDetectLatency >= 0 {
-			lat = fmt.Sprintf("%.0f", r.AvgDetectLatency)
-		}
-		t.AddRow(r.Kind.String(), r.Mode.String(), fmt.Sprint(r.Sites), fmt.Sprint(r.Activated),
-			fmt.Sprint(r.Detected), fmt.Sprint(r.Silent), fmt.Sprint(r.Benign),
-			fmt.Sprint(r.Wedged), fmt.Sprint(r.Quarantined), stats.Pct(r.Rate), lat)
+		t.AddRow(append([]string{r.Kind.String()}, r.cells()...)...)
 	}
 	return t
 }

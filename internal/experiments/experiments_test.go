@@ -14,9 +14,8 @@ import (
 // smallOpts keeps unit-test runtimes modest; the real harness uses 300k.
 func smallOpts(benchmarks ...string) Options {
 	return Options{
-		Machine:      pipeline.DefaultConfig(),
-		Instructions: 4000,
-		Benchmarks:   benchmarks,
+		Config:     sim.Default(pipeline.ModeSingle, 4000),
+		Benchmarks: benchmarks,
 	}
 }
 
@@ -129,7 +128,7 @@ func TestExtBDecomposition(t *testing.T) {
 
 func TestExtCPayloadSweep(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 2000
+	opts.MaxInstructions = 2000
 	rows, err := ExtCPayloadRAM(opts, []string{"gzip"})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestExtCPayloadSweep(t *testing.T) {
 
 func TestExtDSweep(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 3000
+	opts.MaxInstructions = 3000
 	rows, err := ExtDSweep(opts, "gcc", []int{64, 256}, []int{256, 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,7 @@ func TestExtDSweep(t *testing.T) {
 
 func TestExtEMergingShuffle(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 6000
+	opts.MaxInstructions = 6000
 	rows, err := ExtEMergingShuffle(opts, []string{"sixtrack"})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +199,7 @@ func TestExtEMergingShuffle(t *testing.T) {
 
 func TestExtFMultiFault(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 2500
+	opts.MaxInstructions = 2500
 	rows, err := ExtFMultiFault(opts, "gcc", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +224,7 @@ func TestExtFMultiFault(t *testing.T) {
 // Ext-F rows are byte-identical with and without an interval.
 func TestExtCampaignsByteIdenticalWithCheckpointing(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 2500
+	opts.MaxInstructions = 2500
 
 	coldA, err := ExtAFaultInjection(opts, "gcc")
 	if err != nil {
@@ -255,7 +254,7 @@ func TestExtCampaignsByteIdenticalWithCheckpointing(t *testing.T) {
 
 func TestExtGSoftErrors(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	rows, err := ExtGSoftErrors(opts, "gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +315,7 @@ func TestFigureChartsAndSVGs(t *testing.T) {
 
 func TestExtHSeedRobustness(t *testing.T) {
 	opts := smallOpts("gzip", "equake")
-	opts.Instructions = 5000
+	opts.MaxInstructions = 5000
 	rows, err := ExtHSeedRobustness(opts, []uint64{0, 5000})
 	if err != nil {
 		t.Fatal(err)
@@ -342,14 +341,14 @@ func TestExtHSeedRobustness(t *testing.T) {
 }
 
 // TestOnRunObservesEveryCampaignRun exercises the job-level progress hook:
-// OnRun must fire once per campaign run on the first (live) pass and again
+// OnProgress must fire once per campaign run on the first (live) pass and again
 // on a journal-resumed pass, where every run reports Served == "journal".
 func TestOnRunObservesEveryCampaignRun(t *testing.T) {
 	opts := smallOpts()
 	opts.JournalDir = t.TempDir()
 	var mu sync.Mutex
 	var live, replayed, other int
-	opts.OnRun = func(p sim.RunProgress) {
+	opts.OnProgress = func(p sim.RunProgress) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch p.Served {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func TestSuiteQuarantinesOverBudgetCells(t *testing.T) {
 	// budget must be long enough that every cell reaches one (the machine
 	// polls every 4096 cycles). With Isolate set the suite must finish
 	// with all cells quarantined instead of erroring out.
-	opts.Instructions = 30000
+	opts.MaxInstructions = 30000
 	opts.Resilience = sim.Resilience{Isolate: true, RunTimeout: time.Nanosecond}
 	s, err := RunSuite(opts)
 	if err != nil {
@@ -71,9 +72,50 @@ func TestSuiteCancelledContextAborts(t *testing.T) {
 	}
 }
 
+// Every experiment entry point derives its runs from the one base config,
+// so a cancelled base context stops all of them before any run completes:
+// none returns rows, and none stores anything in the run cache.
+func TestEntryPointsStopOnCancelledCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	entries := map[string]func(Options) error{
+		"RunSuite":  func(o Options) error { _, err := RunSuite(o); return err },
+		"Calibrate": func(o Options) error { _, err := Calibrate(o); return err },
+		"ExtA":      func(o Options) error { _, err := ExtAFaultInjection(o, "gcc"); return err },
+		"ExtC":      func(o Options) error { _, err := ExtCPayloadRAM(o, []string{"gzip"}); return err },
+		"ExtD":      func(o Options) error { _, err := ExtDSweep(o, "gcc", []int{128}, []int{256}); return err },
+		"ExtE":      func(o Options) error { _, err := ExtEMergingShuffle(o, []string{"gzip"}); return err },
+		"ExtF":      func(o Options) error { _, err := ExtFMultiFault(o, "gcc", 2); return err },
+		"ExtG":      func(o Options) error { _, err := ExtGSoftErrors(o, "gcc"); return err },
+		"ExtH":      func(o Options) error { _, err := ExtHSeedRobustness(o, []uint64{0}); return err },
+		"ExtI":      func(o Options) error { _, err := ExtISoftIntermittent(o, "gcc"); return err },
+	}
+	for name, run := range entries {
+		t.Run(name, func(t *testing.T) {
+			store, err := runcache.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := smallOpts("gzip")
+			// Long enough for a started run to reach the machine's first
+			// context poll.
+			opts.MaxInstructions = 20_000
+			opts.CheckpointInterval = 500
+			opts.Ctx = ctx
+			opts.Cache = store
+			if err := run(opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("returned %v, want context.Canceled", err)
+			}
+			if st := store.Stats(); st.Puts != 0 {
+				t.Errorf("stored %d runs under a cancelled context", st.Puts)
+			}
+		})
+	}
+}
+
 func TestExtAJournalResumeIdenticalRows(t *testing.T) {
 	opts := smallOpts()
-	opts.Instructions = 2000
+	opts.MaxInstructions = 2000
 	opts.Parallel = 4
 	fresh, err := ExtAFaultInjection(opts, "gzip")
 	if err != nil {

@@ -229,11 +229,15 @@ func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 // InjectRange classifies the simultaneous (uncorrelated) faults
 // sites[lo:hi] — the multi-error scenario of Section 4.5 — forking from the
 // latest checkpoint preceding the subset's earliest possible activation.
+// The run honors the plan config's Ctx and per-run budget like every
+// campaign run: a stopped run returns *InterruptedError.
 func (pl *CampaignPlan) InjectRange(lo, hi int) (InjectionResult, error) {
 	if lo < 0 || hi > len(pl.sites) || lo >= hi {
 		return InjectionResult{}, fmt.Errorf("sim: site range [%d,%d) invalid for %d sites", lo, hi, len(pl.sites))
 	}
-	r, _, err := pl.injectCtx(nil, lo, hi, nil)
+	ctx, cancel := pl.cfg.runContext(0)
+	defer cancel()
+	r, _, err := pl.injectCtx(ctx, lo, hi, nil)
 	return r, err
 }
 

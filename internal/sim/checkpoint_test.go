@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -165,6 +167,29 @@ func TestInjectRangeMatchesCold(t *testing.T) {
 		if !reflect.DeepEqual(cold, forked) {
 			t.Errorf("range [%d,%d): cold %+v, forked %+v", r[0], r[1], cold, forked)
 		}
+	}
+}
+
+// InjectRange runs under the plan config's context like every other
+// injection path: once the campaign is cancelled it stops instead of
+// falling back to an unbudgeted cold run.
+func TestInjectRangeStopsOnCancelledCtx(t *testing.T) {
+	// Long enough to reach the machine's first context poll.
+	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 20_000)
+	p, err := prog.Benchmark("crafty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	cfg.CheckpointInterval = 300
+	pl, err := NewCampaignPlan(cfg, p, mixedSites(cfg.Machine), InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.InjectRange(0, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("InjectRange under a cancelled context returned %v, want context.Canceled", err)
 	}
 }
 

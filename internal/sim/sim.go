@@ -393,15 +393,23 @@ var AllModes = []pipeline.Mode{
 }
 
 // RunAllModes runs a benchmark under single, SRT, BlackJack-NS and BlackJack
-// with the same budget, returning results keyed by mode. The four runs are
-// independent machines and execute concurrently (one worker per mode).
-func RunAllModes(machine pipeline.Config, benchmark string, maxInstructions int) (map[pipeline.Mode]*Result, error) {
+// from one config (its Mode is ignored), returning results keyed by mode.
+// The four runs are independent machines and fan out across cfg.Parallel
+// workers under cfg.Ctx; each honors cfg.Resilience's run budget and
+// cfg.Cache. A tracer or registry cannot be shared by concurrent machines,
+// so a config with Trace or Metrics attached is refused.
+func RunAllModes(cfg Config, benchmark string) (map[pipeline.Mode]*Result, error) {
+	if cfg.Trace != nil || cfg.Metrics != nil {
+		return nil, fmt.Errorf("sim: RunAllModes runs four machines at once; it takes no Trace or Metrics")
+	}
 	p, err := prog.Benchmark(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := parallel.Map(len(AllModes), len(AllModes), func(i int) (*Result, error) {
-		return RunProgram(Config{Machine: machine, Mode: AllModes[i], MaxInstructions: maxInstructions}, p)
+	rs, err := parallel.MapCtx(cfg.Ctx, cfg.Parallel, len(AllModes), func(i int) (*Result, error) {
+		c := cfg
+		c.Mode = AllModes[i]
+		return RunProgram(c, p)
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
+	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
+	"blackjack/internal/runcache"
 )
 
 func TestRunSingleMatchesGolden(t *testing.T) {
@@ -20,7 +25,7 @@ func TestRunSingleMatchesGolden(t *testing.T) {
 }
 
 func TestRunAllModes(t *testing.T) {
-	rs, err := RunAllModes(pipeline.DefaultConfig(), "gzip", 5000)
+	rs, err := RunAllModes(Default(pipeline.ModeSingle, 5000), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +48,58 @@ func TestRunAllModes(t *testing.T) {
 		if slow := rs[mode].Slowdown(single); slow < 0.999 {
 			t.Errorf("%v slowdown %.3f < 1", mode, slow)
 		}
+	}
+}
+
+// RunAllModes takes the whole run config: its cache serves repeat runs, its
+// context stops them, and attachments concurrent machines cannot share are
+// refused.
+func TestRunAllModesHonorsConfig(t *testing.T) {
+	store, err := runcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(pipeline.ModeSingle, 2000)
+	cfg.Parallel = 2
+	cfg.Cache = store
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stopped := cfg
+	stopped.Ctx = ctx
+	if _, err := RunAllModes(stopped, "gzip"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunAllModes returned %v, want context.Canceled", err)
+	}
+	if st := store.Stats(); st.Puts != 0 {
+		t.Fatalf("cancelled RunAllModes stored %d runs", st.Puts)
+	}
+
+	cold, err := RunAllModes(cfg, "gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunAllModes(cfg, "gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Puts != 4 || st.Hits != 4 {
+		t.Errorf("cache traffic %d puts, %d hits; want 4 and 4", st.Puts, st.Hits)
+	}
+	for _, mode := range AllModes {
+		if !reflect.DeepEqual(cold[mode].Stats, warm[mode].Stats) {
+			t.Errorf("%v: cached result differs from the live one", mode)
+		}
+	}
+
+	traced := cfg
+	traced.Trace = obs.NewTracer(0)
+	if _, err := RunAllModes(traced, "gzip"); err == nil {
+		t.Error("RunAllModes accepted a tracer")
+	}
+	observed := cfg
+	observed.Metrics = obs.NewRegistry()
+	if _, err := RunAllModes(observed, "gzip"); err == nil {
+		t.Error("RunAllModes accepted a metrics registry")
 	}
 }
 

@@ -230,7 +230,8 @@ func BenchmarkBlackJackThroughputObserved(b *testing.B) {
 // The budget is generous, since the point is catching per-instruction or
 // per-cycle allocations, which would add tens of thousands. Campaign runs
 // have tighter per-run budgets in internal/sim's TestCampaignWorkFloors
-// (8,012 cold allocations per run at 30k instructions, 10% headroom).
+// (3,300 cold, 3,150 checkpointed and 130 fast-forwarded allocations per
+// run at 30k instructions, about 10% over the measured 2,999, 2,862 and 117).
 func TestRunAllocBudget(t *testing.T) {
 	p := prog.MustBenchmark("gcc")
 	const n = 5000

@@ -223,7 +223,8 @@ func (s Site) corruptInst(in isa.Inst) isa.Inst {
 // Injector implements the pipeline's fault surface for a set of sites.
 // SplitPayload models the paper's fix for the payload-RAM vulnerability
 // (separate per-thread payload RAMs): a PayloadRAM site then only affects its
-// own thread's copy.
+// own thread's copy. Sites and SplitPayload must not change after the
+// injector's first use.
 type Injector struct {
 	Sites        []Site
 	SplitPayload bool
@@ -239,11 +240,25 @@ type Injector struct {
 	// the callback.
 	OnActivate func()
 
+	idx         siteIndex
 	activations uint64
 	firstAct    int64
 	hasFirst    bool
 	uses        []uint64 // per-site eligible-use counts (for transients)
 }
+
+// index returns the site index, building it on first use.
+func (inj *Injector) index() *siteIndex {
+	if !inj.idx.built {
+		inj.idx.build(inj.Sites, inj.SplitPayload)
+	}
+	return &inj.idx
+}
+
+// Watched implements pipeline.Injector: every resource some site can
+// corrupt a use at. A hook called anywhere else returns its input unchanged
+// and counts nothing.
+func (inj *Injector) Watched() []Resource { return inj.index().watched }
 
 // Activations returns how many times any site actually changed a value.
 func (inj *Injector) Activations() uint64 { return inj.activations }
@@ -293,7 +308,7 @@ func (inj *Injector) SeedUses(counts []uint64) {
 // semantics (transient one-shot, intermittent duty windows, arming) live in
 // Site.firesAt; this only maintains the per-site use counter, skipped
 // entirely for always-on sites.
-func (inj *Injector) fires(i int) bool {
+func (inj *Injector) fires(i int32) bool {
 	s := &inj.Sites[i]
 	if !s.counted() {
 		return true
@@ -307,9 +322,9 @@ func (inj *Injector) fires(i int) bool {
 
 // CorruptDecode implements pipeline.Injector.
 func (inj *Injector) CorruptDecode(way int, in isa.Inst) isa.Inst {
-	for i := range inj.Sites {
+	for _, i := range inj.index().hooks[HookDecode].at(0, way) {
 		s := &inj.Sites[i]
-		if s.Class == FrontendWay && s.Way == way && s.triggered(uint64(in.Imm)) && inj.fires(i) {
+		if s.triggered(uint64(in.Imm)) && inj.fires(i) {
 			out := s.corruptInst(in)
 			if out != in {
 				inj.activate()
@@ -322,18 +337,11 @@ func (inj *Injector) CorruptDecode(way int, in isa.Inst) isa.Inst {
 
 // CorruptPayload implements pipeline.Injector.
 func (inj *Injector) CorruptPayload(slot, thread int, in isa.Inst) isa.Inst {
-	for i := range inj.Sites {
-		s := &inj.Sites[i]
-		if s.Class != PayloadRAM || s.Slot != slot {
-			continue
-		}
-		if inj.SplitPayload && s.Thread != thread {
-			continue
-		}
+	for _, i := range inj.index().hooks[HookPayload].at(payloadThread(inj.SplitPayload, thread), slot) {
 		if !inj.fires(i) {
 			continue
 		}
-		out := s.corruptInst(in)
+		out := inj.Sites[i].corruptInst(in)
 		if out != in {
 			inj.activate()
 		}
@@ -344,11 +352,9 @@ func (inj *Injector) CorruptPayload(slot, thread int, in isa.Inst) isa.Inst {
 
 // CorruptResult implements pipeline.Injector.
 func (inj *Injector) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v uint64) uint64 {
-	for i := range inj.Sites {
+	for _, i := range inj.index().hooks[HookResult].at(int(class), way) {
 		s := &inj.Sites[i]
-		if s.Class == BackendWay && s.Unit == class && s.Way == way &&
-			!s.CorruptAddr && !s.FlipBranch && s.kind() != KindControlFlow &&
-			s.triggered(v) && inj.fires(i) {
+		if s.triggered(v) && inj.fires(i) {
 			if nv := s.corruptValue(v); nv != v {
 				v = nv
 				inj.activate()
@@ -360,10 +366,9 @@ func (inj *Injector) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v 
 
 // CorruptAddr implements pipeline.Injector.
 func (inj *Injector) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint64 {
-	for i := range inj.Sites {
+	for _, i := range inj.index().hooks[HookAddr].at(int(class), way) {
 		s := &inj.Sites[i]
-		if s.Class == BackendWay && s.Unit == class && s.Way == way &&
-			s.CorruptAddr && s.triggered(addr) && inj.fires(i) {
+		if s.triggered(addr) && inj.fires(i) {
 			if na := s.corruptAddr(addr); na != addr {
 				addr = na
 				inj.activate()
@@ -375,9 +380,8 @@ func (inj *Injector) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint
 
 // CorruptBranch implements pipeline.Injector.
 func (inj *Injector) CorruptBranch(class isa.UnitClass, way int, taken bool) bool {
-	for i := range inj.Sites {
-		s := &inj.Sites[i]
-		if s.Class == BackendWay && s.Unit == class && s.Way == way && s.FlipBranch && inj.fires(i) {
+	for _, i := range inj.index().hooks[HookBranch].at(int(class), way) {
+		if inj.fires(i) {
 			taken = !taken
 			inj.activate()
 		}
@@ -391,11 +395,9 @@ func (inj *Injector) CorruptBranch(class isa.UnitClass, way int, taken bool) boo
 // branch steers fetch down the wrong path) and to commit-time validation
 // (the trailing thread's independently computed target exposes it).
 func (inj *Injector) CorruptBranchTarget(class isa.UnitClass, way int, target int) int {
-	for i := range inj.Sites {
+	for _, i := range inj.index().hooks[HookBranchTarget].at(int(class), way) {
 		s := &inj.Sites[i]
-		if s.Class == BackendWay && s.Unit == class && s.Way == way &&
-			s.kind() == KindControlFlow && !s.FlipBranch &&
-			s.triggered(uint64(target)) && inj.fires(i) {
+		if s.triggered(uint64(target)) && inj.fires(i) {
 			if nt := int(s.corruptValue(uint64(target))); nt != target {
 				target = nt
 				inj.activate()
@@ -407,9 +409,9 @@ func (inj *Injector) CorruptBranchTarget(class isa.UnitClass, way int, target in
 
 // CorruptRegRead implements pipeline.Injector.
 func (inj *Injector) CorruptRegRead(p rename.PhysReg, v uint64) uint64 {
-	for i := range inj.Sites {
+	for _, i := range inj.index().hooks[HookRegRead].at(0, int(p)) {
 		s := &inj.Sites[i]
-		if s.Class == RegisterFile && s.Reg == p && s.triggered(v) && inj.fires(i) {
+		if s.triggered(v) && inj.fires(i) {
 			if nv := s.corruptValue(v); nv != v {
 				v = nv
 				inj.activate()

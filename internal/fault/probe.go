@@ -27,72 +27,38 @@ type Probe struct {
 	// Now supplies the current cycle (the machine's clock).
 	Now func() int64
 
+	idx  siteIndex
 	uses []uint64
 	fire []int64
-	init bool
-
-	// Per-resource site-index buckets: every Corrupt* hook runs on the hot
-	// path of the campaign warmup (for every decode, issue, result and
-	// register read), and scanning the full site list there is the dominant
-	// warmup overhead. Bucketing by static coordinates visits only the sites
-	// that could match — typically zero or one — without changing per-site
-	// conditions, counting order or semantics (buckets are disjoint and
-	// preserve site order).
-	feWay   map[int][]int
-	beVal   map[[2]int][]int
-	beAddr  map[[2]int][]int
-	beBr    map[[2]int][]int
-	beTgt   map[[2]int][]int
-	paySlot map[int][]int
-	regRead map[rename.PhysReg][]int
 }
 
-func (pr *Probe) ensure() {
-	if pr.init {
-		return
+// index returns the site index, building it and the per-site counters on
+// first use. Like the injector's, it visits only the sites that could match
+// a use — typically none or one — in site-list order, so the probe counts
+// exactly the uses an injector on the same list would.
+func (pr *Probe) index() *siteIndex {
+	if !pr.idx.built {
+		pr.build()
 	}
+	return &pr.idx
+}
+
+func (pr *Probe) build() {
+	pr.idx.build(pr.Sites, pr.SplitPayload)
 	pr.uses = make([]uint64, len(pr.Sites))
 	pr.fire = make([]int64, len(pr.Sites))
 	for i := range pr.fire {
 		pr.fire[i] = -1
 	}
-	pr.feWay = make(map[int][]int)
-	pr.beVal = make(map[[2]int][]int)
-	pr.beAddr = make(map[[2]int][]int)
-	pr.beBr = make(map[[2]int][]int)
-	pr.beTgt = make(map[[2]int][]int)
-	pr.paySlot = make(map[int][]int)
-	pr.regRead = make(map[rename.PhysReg][]int)
-	for i := range pr.Sites {
-		s := &pr.Sites[i]
-		switch s.Class {
-		case FrontendWay:
-			pr.feWay[s.Way] = append(pr.feWay[s.Way], i)
-		case BackendWay:
-			key := [2]int{int(s.Unit), s.Way}
-			switch {
-			case s.FlipBranch:
-				pr.beBr[key] = append(pr.beBr[key], i)
-			case s.kind() == KindControlFlow:
-				pr.beTgt[key] = append(pr.beTgt[key], i)
-			case s.CorruptAddr:
-				pr.beAddr[key] = append(pr.beAddr[key], i)
-			default:
-				pr.beVal[key] = append(pr.beVal[key], i)
-			}
-		case PayloadRAM:
-			pr.paySlot[s.Slot] = append(pr.paySlot[s.Slot], i)
-		case RegisterFile:
-			pr.regRead[s.Reg] = append(pr.regRead[s.Reg], i)
-		}
-	}
-	pr.init = true
 }
+
+// Watched implements pipeline.Injector (see Injector.Watched).
+func (pr *Probe) Watched() []Resource { return pr.index().watched }
 
 // fires mirrors Injector.fires exactly — both delegate the firing decision
 // to Site.firesAt, so the probe cannot drift from the injector — without any
 // corruption side effect.
-func (pr *Probe) fires(i int) bool {
+func (pr *Probe) fires(i int32) bool {
 	s := &pr.Sites[i]
 	if !s.counted() {
 		return true
@@ -102,7 +68,7 @@ func (pr *Probe) fires(i int) bool {
 }
 
 // record stamps site i's first value-changing use.
-func (pr *Probe) record(i int) {
+func (pr *Probe) record(i int32) {
 	if pr.fire[i] < 0 && pr.Now != nil {
 		pr.fire[i] = pr.Now()
 	}
@@ -113,14 +79,14 @@ func (pr *Probe) record(i int) {
 // never came; for triggered sites: the trigger never matched a value that
 // would change).
 func (pr *Probe) FireCycle(i int) int64 {
-	pr.ensure()
+	pr.index()
 	return pr.fire[i]
 }
 
 // UsesSnapshot returns a copy of the per-site eligible-use counters, for
 // seeding a forked Injector via SeedUses.
 func (pr *Probe) UsesSnapshot() []uint64 {
-	pr.ensure()
+	pr.index()
 	out := make([]uint64, len(pr.uses))
 	copy(out, pr.uses)
 	return out
@@ -128,8 +94,7 @@ func (pr *Probe) UsesSnapshot() []uint64 {
 
 // CorruptDecode implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptDecode(way int, in isa.Inst) isa.Inst {
-	pr.ensure()
-	for _, i := range pr.feWay[way] {
+	for _, i := range pr.index().hooks[HookDecode].at(0, way) {
 		s := &pr.Sites[i]
 		if s.triggered(uint64(in.Imm)) && pr.fires(i) {
 			if s.corruptInst(in) != in {
@@ -142,16 +107,8 @@ func (pr *Probe) CorruptDecode(way int, in isa.Inst) isa.Inst {
 
 // CorruptPayload implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptPayload(slot, thread int, in isa.Inst) isa.Inst {
-	pr.ensure()
-	for _, i := range pr.paySlot[slot] {
-		s := &pr.Sites[i]
-		if pr.SplitPayload && s.Thread != thread {
-			continue
-		}
-		if !pr.fires(i) {
-			continue
-		}
-		if s.corruptInst(in) != in {
+	for _, i := range pr.index().hooks[HookPayload].at(payloadThread(pr.SplitPayload, thread), slot) {
+		if pr.fires(i) && pr.Sites[i].corruptInst(in) != in {
 			pr.record(i)
 		}
 	}
@@ -160,8 +117,7 @@ func (pr *Probe) CorruptPayload(slot, thread int, in isa.Inst) isa.Inst {
 
 // CorruptResult implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v uint64) uint64 {
-	pr.ensure()
-	for _, i := range pr.beVal[[2]int{int(class), way}] {
+	for _, i := range pr.index().hooks[HookResult].at(int(class), way) {
 		s := &pr.Sites[i]
 		if s.triggered(v) && pr.fires(i) {
 			// A stuck-at matching the present value changes nothing; only a
@@ -176,8 +132,7 @@ func (pr *Probe) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v uint
 
 // CorruptAddr implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint64 {
-	pr.ensure()
-	for _, i := range pr.beAddr[[2]int{int(class), way}] {
+	for _, i := range pr.index().hooks[HookAddr].at(int(class), way) {
 		s := &pr.Sites[i]
 		if s.triggered(addr) && pr.fires(i) {
 			if s.corruptAddr(addr) != addr {
@@ -190,8 +145,7 @@ func (pr *Probe) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint64 {
 
 // CorruptBranch implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptBranch(class isa.UnitClass, way int, taken bool) bool {
-	pr.ensure()
-	for _, i := range pr.beBr[[2]int{int(class), way}] {
+	for _, i := range pr.index().hooks[HookBranch].at(int(class), way) {
 		if pr.fires(i) {
 			pr.record(i)
 		}
@@ -201,8 +155,7 @@ func (pr *Probe) CorruptBranch(class isa.UnitClass, way int, taken bool) bool {
 
 // CorruptBranchTarget implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptBranchTarget(class isa.UnitClass, way int, target int) int {
-	pr.ensure()
-	for _, i := range pr.beTgt[[2]int{int(class), way}] {
+	for _, i := range pr.index().hooks[HookBranchTarget].at(int(class), way) {
 		s := &pr.Sites[i]
 		if s.triggered(uint64(target)) && pr.fires(i) {
 			if int(s.corruptValue(uint64(target))) != target {
@@ -215,8 +168,7 @@ func (pr *Probe) CorruptBranchTarget(class isa.UnitClass, way int, target int) i
 
 // CorruptRegRead implements pipeline.Injector without mutating.
 func (pr *Probe) CorruptRegRead(p rename.PhysReg, v uint64) uint64 {
-	pr.ensure()
-	for _, i := range pr.regRead[p] {
+	for _, i := range pr.index().hooks[HookRegRead].at(0, int(p)) {
 		s := &pr.Sites[i]
 		if s.triggered(v) && pr.fires(i) {
 			if s.corruptValue(v) != v {

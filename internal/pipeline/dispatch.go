@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/bits"
 
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
 )
@@ -140,7 +141,7 @@ func (m *Machine) dispatchInOrder(t *thread, item *fetchItem) bool {
 	// Decode happens on the item's frontend way; a hard fault there corrupts
 	// the decoded form for any thread using that way.
 	inst := item.raw
-	if m.inj != nil {
+	if m.watches(fault.HookDecode, 0, item.way) {
 		inst = m.inj.CorruptDecode(item.way, inst)
 	}
 
@@ -276,7 +277,7 @@ func (m *Machine) dispatchTrailingBJ(t *thread, item *fetchItem) bool {
 	// Trailing decode runs on the slot's frontend way — by construction a
 	// different way than the leading copy used.
 	inst := item.raw
-	if m.inj != nil {
+	if m.watches(fault.HookDecode, 0, item.way) {
 		inst = m.inj.CorruptDecode(item.way, inst)
 	}
 	if !t.rob.canPlace(item.virtAL) {

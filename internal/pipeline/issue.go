@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"blackjack/internal/core"
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
 )
@@ -210,19 +211,19 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 	// Read the instruction payload (a shared-payload-RAM fault corrupts it
 	// identically for both threads) and the operand values.
 	inst := u.Inst
-	if m.inj != nil {
+	if m.watches(fault.HookPayload, u.Thread, u.IQSlot) {
 		inst = m.inj.CorruptPayload(u.IQSlot, u.Thread, inst)
 	}
 	var v1, v2 uint64
 	if u.PSrc1 != rename.None {
 		v1 = m.rf.Value(u.PSrc1)
-		if m.inj != nil {
+		if m.watches(fault.HookRegRead, 0, int(u.PSrc1)) {
 			v1 = m.inj.CorruptRegRead(u.PSrc1, v1)
 		}
 	}
 	if u.PSrc2 != rename.None {
 		v2 = m.rf.Value(u.PSrc2)
-		if m.inj != nil {
+		if m.watches(fault.HookRegRead, 0, int(u.PSrc2)) {
 			v2 = m.inj.CorruptRegRead(u.PSrc2, v2)
 		}
 	}
@@ -233,11 +234,11 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 		u.DoneCycle = m.cycle + 1
 	case inst.IsBranch():
 		u.Taken = out.Taken
-		if m.inj != nil {
+		if m.watches(fault.HookBranch, int(u.Class), way) {
 			u.Taken = m.inj.CorruptBranch(u.Class, way, u.Taken)
 		}
 		u.Target = out.Target
-		if m.inj != nil {
+		if m.watches(fault.HookBranchTarget, int(u.Class), way) {
 			u.Target = m.inj.CorruptBranchTarget(u.Class, way, u.Target)
 		}
 		u.DoneCycle = m.cycle + int64(lat)
@@ -245,19 +246,19 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 		m.issueLoad(u, inst, out.Addr)
 	case inst.IsStore():
 		addr := m.clamp(out.Addr)
-		if m.inj != nil {
+		if m.watches(fault.HookAddr, int(u.Class), way) {
 			addr = m.clamp(m.inj.CorruptAddr(u.Class, way, addr))
 		}
 		u.Addr = addr
 		val := out.StoreValue
-		if m.inj != nil {
+		if m.watches(fault.HookResult, int(u.Class), way) {
 			val = m.inj.CorruptResult(u.Class, way, inst, val)
 		}
 		u.StoreVal = val
 		u.DoneCycle = m.cycle + int64(lat)
 	default:
 		v := out.Value
-		if m.inj != nil {
+		if m.watches(fault.HookResult, int(u.Class), way) {
 			v = m.inj.CorruptResult(u.Class, way, inst, v)
 		}
 		u.Result = v
@@ -297,7 +298,7 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 // LVQ for trailing threads) and schedules the result.
 func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
 	addr := m.clamp(rawAddr)
-	if m.inj != nil {
+	if m.watches(fault.HookAddr, int(u.Class), u.BackWay) {
 		addr = m.clamp(m.inj.CorruptAddr(u.Class, u.BackWay, addr))
 	}
 	u.Addr = addr
@@ -322,7 +323,7 @@ func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
 		val, _ = m.lvq.ValidateAddr(m.sink, m.cycle, u.LoadSeq, u.PC, addr)
 		lat = m.cfg.LVQLat
 	}
-	if m.inj != nil {
+	if m.watches(fault.HookResult, int(u.Class), u.BackWay) {
 		val = m.inj.CorruptResult(u.Class, u.BackWay, inst, val)
 	}
 	u.Result = val

@@ -9,6 +9,7 @@ import (
 	"blackjack/internal/cache"
 	"blackjack/internal/core"
 	"blackjack/internal/detect"
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/obs"
 	"blackjack/internal/queues"
@@ -20,6 +21,11 @@ import (
 // modeling hard (permanent, possibly state-dependent) defects. A nil injector
 // means a fault-free machine. Implementations live in internal/fault.
 type Injector interface {
+	// Watched lists every resource at which some hook can change a value or
+	// count a use. At any other resource every hook must be the identity
+	// with no side effect, so the machine calls hooks only on watched
+	// resources. The list is read once, when the injector is installed.
+	Watched() []fault.Resource
 	// CorruptDecode corrupts the decoded form of an instruction processed on
 	// frontend way w.
 	CorruptDecode(way int, in isa.Inst) isa.Inst
@@ -99,6 +105,7 @@ type Machine struct {
 
 	sink       *detect.Sink
 	inj        Injector
+	watch      watchSet // the injector's watched resources (see initWatch)
 	areaModel  area.Model
 	tracer     *Tracer
 	shuffleObs ShuffleObserver
@@ -348,7 +355,59 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 		}
 	}
 	m.initObs()
+	m.initWatch()
 	return m, nil
+}
+
+// watchSet holds one bit per resource the injector watches, per hook and
+// major coordinate: the unit class for backend hooks, the reading thread for
+// payload reads, 0 for decode and register reads. The minor coordinate is
+// the way, payload slot or physical register.
+type watchSet [fault.NumHooks][isa.NumUnitClasses][]uint64
+
+// initWatch derives the watch bits from the injector's Watched list. Called
+// at the end of New and after Fork applies options; like the injector they
+// are harness state, so a checkpoint does not carry them.
+func (m *Machine) initWatch() {
+	m.watch = watchSet{}
+	if m.inj == nil {
+		return
+	}
+	for _, r := range m.inj.Watched() {
+		switch r.Hook {
+		case fault.HookDecode:
+			m.watch.set(r.Hook, 0, r.Way)
+		case fault.HookPayload:
+			for t := range m.threads {
+				if r.Thread == fault.AnyThread || r.Thread == t {
+					m.watch.set(r.Hook, t, r.Slot)
+				}
+			}
+		case fault.HookRegRead:
+			m.watch.set(r.Hook, 0, int(r.Reg))
+		default:
+			m.watch.set(r.Hook, int(r.Unit), r.Way)
+		}
+	}
+}
+
+func (w *watchSet) set(h fault.Hook, major, minor int) {
+	if major >= int(isa.NumUnitClasses) {
+		return // a unit class the machine never presents
+	}
+	b := &w[h][major]
+	for len(*b) <= minor>>6 {
+		*b = append(*b, 0)
+	}
+	(*b)[minor>>6] |= 1 << (uint(minor) & 63)
+}
+
+// watches reports whether the injector watches cell (major, minor) of hook
+// h. Every hook call sits behind it: an unwatched call is the identity.
+func (m *Machine) watches(h fault.Hook, major, minor int) bool {
+	b := m.watch[h][major]
+	w := uint(minor) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(uint(minor)&63)) != 0
 }
 
 // Mode returns the machine's mode.

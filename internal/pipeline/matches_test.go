@@ -32,7 +32,7 @@ var (
 		"stats", "storeSig",
 	}
 	harnessFields = []string{
-		"inj", "tracer", "shuffleObs", "otr", "metrics",
+		"inj", "watch", "tracer", "shuffleObs", "otr", "metrics",
 		"hIQ", "hDTQ", "hBOQ", "hLVQ", "runCtx", "stopOnDetect", "stop",
 		"uopFree", "entryFree", "uopSlab", "entrySlab", "selScratch",
 	}

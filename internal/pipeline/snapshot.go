@@ -34,20 +34,24 @@ func (m *Machine) Snapshot() *Checkpoint {
 
 // Restore rewinds the machine to the checkpointed state. The receiver keeps
 // its identity (closures holding the *Machine — an injector's Now clock, for
-// example — remain valid).
+// example — remain valid) and its own injector and shuffle observer.
 func (m *Machine) Restore(cp *Checkpoint) {
+	inj, shuffleObs, watch := m.inj, m.shuffleObs, m.watch
 	*m = *cp.m.clone()
+	m.inj, m.shuffleObs, m.watch = inj, shuffleObs, watch
 }
 
 // Fork builds a new runnable machine from the checkpoint and applies opts —
-// typically WithInjector and WithSink, replacing the warmup's observers with
-// the fork's own. The checkpoint is only read and stays reusable.
+// typically WithInjector and WithSink. The fork carries only the harness
+// state its options install: no injector or observer of the snapshotted
+// machine. The checkpoint is only read and stays reusable.
 func Fork(cp *Checkpoint, opts ...Option) *Machine {
 	f := cp.m.clone()
 	for _, opt := range opts {
 		opt(f)
 	}
 	f.initObs()
+	f.initWatch()
 	return f
 }
 
@@ -57,8 +61,9 @@ func Fork(cp *Checkpoint, opts ...Option) *Machine {
 // through translation maps, and the copies come from slabs sized to the live
 // population. The program is immutable and shared; free lists and scratch
 // buffers start empty (recycled records are fully overwritten at
-// allocation, so an empty pool only costs allocations); the tracer is
-// dropped (trace state is not part of machine state).
+// allocation, so an empty pool only costs allocations); the tracer, the
+// injector and the shuffle observer are dropped (harness state is not part
+// of machine state).
 func (m *Machine) clone() *Machine {
 	c := &Machine{}
 	*c = *m // scalars, config, stats; pointers fixed up below
@@ -141,6 +146,12 @@ func (m *Machine) clone() *Machine {
 	c.oc = m.oc.Clone()
 	c.sink = m.sink.Clone()
 	c.tracer = nil
+	// The injector and shuffle observer belong to the run that installed
+	// them: a fork gets its own through its options, and sharing them would
+	// let forks drive (and race on) the snapshotted run's counters.
+	c.inj = nil
+	c.shuffleObs = nil
+	c.watch = watchSet{}
 	// Observability state is not machine state either: a fork starts with
 	// whatever tracer/registry its own options install (initObs re-resolves
 	// the histogram handles then).

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/prog"
 )
@@ -218,5 +219,37 @@ func TestForkStateComparisonCatchesMutation(t *testing.T) {
 	}
 	if same {
 		t.Fatal("corrupted fork produced identical final state; comparison has no teeth")
+	}
+}
+
+// A checkpoint carries machine state, not harness state: a fork built
+// without options runs fault-free and never drives the injector the
+// snapshotted machine carried. (Were the warmup's Probe shared, its use
+// counters would move, and concurrent forks would race on them.)
+func TestForkDropsWarmupInjector(t *testing.T) {
+	pr := &fault.Probe{Sites: []fault.Site{
+		{Class: fault.FrontendWay, Way: 0, Transient: true, FireAt: 1 << 40},
+		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 1, ArmAt: 1 << 40},
+	}}
+	m, err := New(DefaultConfig(), ModeBlackJack, prog.MustBenchmark("gcc"), WithInjector(pr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	m.RunWithCheckpoints(3000, 1000, func(live *Machine) {
+		if cp == nil {
+			cp = live.Snapshot()
+		}
+	})
+	if cp == nil {
+		t.Fatal("no checkpoint taken")
+	}
+	before := pr.UsesSnapshot()
+	if before[0] == 0 || before[1] == 0 {
+		t.Fatalf("warmup probe counted no uses: %v", before)
+	}
+	Fork(cp).Run(3000)
+	if after := pr.UsesSnapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("fork without an injector drove the warmup's probe: uses %v -> %v", before, after)
 	}
 }

@@ -36,9 +36,10 @@ type Options struct {
 	//     their points. Every figure and table is byte-identical at every
 	//     worker count.
 	//   - CheckpointInterval, FastForward and FFWarmup shape the
-	//     fault-injection campaigns (Ext-A, Ext-C, Ext-F, Ext-G, Ext-I).
-	//     Tables are byte-identical at every interval; fast-forwarded cycle
-	//     and latency columns are window-relative.
+	//     fault-injection campaigns (Ext-A, Ext-C, Ext-F, Ext-G, Ext-I),
+	//     each through one plan; Ext-F's multi-fault windows are entries of
+	//     such a campaign. Tables are byte-identical at every interval;
+	//     fast-forwarded cycle and latency columns are window-relative.
 	//   - Metrics accumulates the experiment's metrics: RunSuite exports
 	//     every run's pipeline.Stats in (benchmark, mode) order, and the
 	//     campaign experiments merge their campaign registries in campaign
@@ -59,7 +60,7 @@ type Options struct {
 	// order).
 	Benchmarks []string
 	// JournalDir, when non-empty, makes every campaign experiment (Ext-A,
-	// Ext-C, Ext-G, Ext-I) journal its completed runs to
+	// Ext-C, Ext-F, Ext-G, Ext-I) journal its completed runs to
 	// <JournalDir>/<experiment>-<benchmark>-<variant>.journal and resume
 	// from any journal already there: re-running after a crash or SIGINT
 	// skips completed injections and reproduces identical tables.
@@ -98,22 +99,27 @@ func (o *Options) RunConfig(mode pipeline.Mode, machine pipeline.Config) sim.Con
 	return cfg
 }
 
-// runCampaign runs one campaign of a campaign experiment, attaching a
-// resumable journal named after the (experiment, benchmark, variant)
-// identity when opts.JournalDir is set. Campaigns run one after another,
-// so each merges its per-worker registries straight into opts.Metrics.
-func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, sites []fault.Site, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
+// runCampaign runs one campaign of a campaign experiment — one run per
+// window of sites, or per site when windows is nil — attaching a resumable
+// journal named after the (experiment, benchmark, variant) identity when
+// opts.JournalDir is set. Campaigns run one after another, so each merges
+// its per-worker registries straight into opts.Metrics.
+func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, sites []fault.Site, windows []sim.Window, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
+	p, err := prog.Benchmark(bench)
+	if err != nil {
+		return nil, err
+	}
 	cfg := opts.RunConfig(mode, opts.Machine)
 	cfg.Metrics = opts.Metrics
 	if opts.JournalDir != "" {
-		cj, err := sim.OpenCampaignJournal(filepath.Join(opts.JournalDir, name+".journal"), cfg, bench, sites, iopts)
+		cj, err := sim.OpenWindowJournal(filepath.Join(opts.JournalDir, name+".journal"), cfg, bench, sites, windows, iopts)
 		if err != nil {
 			return nil, err
 		}
 		defer cj.Close()
 		cfg.Journal = cj
 	}
-	return sim.Campaign(cfg, bench, sites, iopts)
+	return sim.CampaignWindows(cfg, p, sites, windows, iopts)
 }
 
 // comparedModes are the machines the fault-injection and seed studies
@@ -127,7 +133,7 @@ func campaignRows(opts *Options, name, benchmark string, sites []fault.Site) ([]
 	var rows []ExtARow
 	for _, mode := range comparedModes {
 		sum, err := runCampaign(opts, fmt.Sprintf("%s-%s", name, mode), mode,
-			benchmark, sites, sim.InjectOptions{SplitPayload: true})
+			benchmark, sites, nil, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			return nil, err
 		}
@@ -670,11 +676,11 @@ func ExtCPayloadRAM(opts Options, benchmarks []string) ([]ExtCRow, error) {
 	// out across opts.Parallel workers, and nesting pools would oversubscribe.
 	var rows []ExtCRow
 	for _, b := range benchmarks {
-		shared, err := runCampaign(&opts, "extc-"+b+"-shared", pipeline.ModeBlackJack, b, sites, sim.InjectOptions{SplitPayload: false})
+		shared, err := runCampaign(&opts, "extc-"+b+"-shared", pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: false})
 		if err != nil {
 			return nil, err
 		}
-		split, err := runCampaign(&opts, "extc-"+b+"-split", pipeline.ModeBlackJack, b, sites, sim.InjectOptions{SplitPayload: true})
+		split, err := runCampaign(&opts, "extc-"+b+"-split", pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			return nil, err
 		}
@@ -869,39 +875,18 @@ func ExtFMultiFault(opts Options, benchmark string, maxFaults int) ([]ExtFRow, e
 		maxFaults = 3
 	}
 	all := sim.StandardSites(opts.Machine)
-	p, err := prog.Benchmark(benchmark)
-	if err != nil {
-		return nil, err
-	}
 	// Deterministic combinations: consecutive windows over the standard site
-	// list, stride chosen so the k faults land in distinct classes. Flatten
-	// every (k, start) window into one work list and fan out; rows aggregate
+	// list, stride chosen so the k faults land in distinct classes. Each
+	// (k, start) window is one entry of a single campaign; rows aggregate
 	// the ordered results per fault count afterwards.
-	type window struct{ faults, start int }
-	var windows []window
+	var windows []sim.Window
 	for k := 1; k <= maxFaults; k++ {
 		for start := 0; start+k <= len(all); start += k + 2 {
-			windows = append(windows, window{k, start})
+			windows = append(windows, sim.Window{Lo: start, Hi: start + k})
 		}
 	}
-	cfg := opts.RunConfig(pipeline.ModeBlackJack, opts.Machine)
-	// Every window is a contiguous range of the same site list, so with
-	// checkpointing enabled all of them fork from one shared warmup plan
-	// instead of each replaying the fault-free prefix cold.
-	var pl *sim.CampaignPlan
-	if opts.CheckpointInterval > 0 {
-		pl, err = sim.NewCampaignPlan(cfg, p, all, sim.InjectOptions{SplitPayload: true})
-		if err != nil {
-			return nil, err
-		}
-	}
-	results, err := parallel.MapCtx(opts.Ctx, opts.Parallel, len(windows), func(i int) (sim.InjectionResult, error) {
-		w := windows[i]
-		if pl != nil {
-			return pl.InjectRange(w.start, w.start+w.faults)
-		}
-		return sim.InjectProgramMulti(cfg, p, all[w.start:w.start+w.faults], sim.InjectOptions{SplitPayload: true})
-	})
+	sum, err := runCampaign(&opts, fmt.Sprintf("extf-%s-%s", benchmark, pipeline.ModeBlackJack),
+		pipeline.ModeBlackJack, benchmark, all, windows, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return nil, err
 	}
@@ -909,8 +894,8 @@ func ExtFMultiFault(opts Options, benchmark string, maxFaults int) ([]ExtFRow, e
 	for k := 1; k <= maxFaults; k++ {
 		rows[k-1].Faults = k
 	}
-	for i, r := range results {
-		row := &rows[windows[i].faults-1]
+	for i, r := range sum.Results {
+		row := &rows[windows[i].Hi-windows[i].Lo-1]
 		row.Runs++
 		if r.Activations > 0 {
 			row.Activated++

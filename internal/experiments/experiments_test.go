@@ -220,8 +220,9 @@ func TestExtFMultiFault(t *testing.T) {
 	}
 }
 
-// Checkpointed campaigns must not change any experiment figure: Ext-A and
-// Ext-F rows are byte-identical with and without an interval.
+// Checkpointed campaigns must not change any experiment figure: Ext-A rows
+// are byte-identical with and without an interval, and Ext-F rows, which
+// show only outcome classes and activated flags, also under fast-forward.
 func TestExtCampaignsByteIdenticalWithCheckpointing(t *testing.T) {
 	opts := smallOpts()
 	opts.MaxInstructions = 2500
@@ -240,15 +241,21 @@ func TestExtCampaignsByteIdenticalWithCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckptF, err := ExtFMultiFault(opts, "gcc", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(coldA, ckptA) {
 		t.Errorf("ExtA diverged under checkpointing:\ncold %+v\nckpt %+v", coldA, ckptA)
 	}
-	if !reflect.DeepEqual(coldF, ckptF) {
-		t.Errorf("ExtF diverged under checkpointing:\ncold %+v\nckpt %+v", coldF, ckptF)
+	for _, plan := range []struct {
+		ckpt int64
+		ff   bool
+	}{{500, false}, {0, true}, {500, true}} {
+		opts.CheckpointInterval, opts.FastForward = plan.ckpt, plan.ff
+		rows, err := ExtFMultiFault(opts, "gcc", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(coldF, rows) {
+			t.Errorf("ExtF diverged under checkpoint interval %d, ff=%v:\ncold %+v\ngot  %+v", plan.ckpt, plan.ff, coldF, rows)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,5 +140,43 @@ func TestExtAJournalResumeIdenticalRows(t *testing.T) {
 	}
 	if got, want := ExtATable(resumed, "gzip").String(), ExtATable(fresh, "gzip").String(); got != want {
 		t.Fatalf("resumed table diverged:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// Ext-F journals its windows like every campaign experiment: a journaled
+// run and a resume from its journals give the fresh rows.
+func TestExtFJournalResumeIdenticalRows(t *testing.T) {
+	opts := smallOpts()
+	opts.MaxInstructions = 2000
+	opts.Parallel = 4
+	fresh, err := ExtFMultiFault(opts, "gcc", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.JournalDir = t.TempDir()
+	journaled, err := ExtFMultiFault(opts, "gcc", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, journaled) {
+		t.Fatalf("journaled rows diverged:\n got: %+v\nwant: %+v", journaled, fresh)
+	}
+	opts.Parallel = 2
+	var runs, replayed atomic.Int64
+	opts.OnProgress = func(p sim.RunProgress) {
+		runs.Add(1)
+		if p.Served == "journal" {
+			replayed.Add(1)
+		}
+	}
+	resumed, err := ExtFMultiFault(opts, "gcc", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, resumed) {
+		t.Fatalf("resumed rows diverged:\n got: %+v\nwant: %+v", resumed, fresh)
+	}
+	if runs.Load() == 0 || replayed.Load() != runs.Load() {
+		t.Fatalf("resume replayed %d of %d windows from the journal, want all", replayed.Load(), runs.Load())
 	}
 }

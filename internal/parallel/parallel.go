@@ -17,10 +17,10 @@
 // The pool is also the harness's first resilience boundary: every item runs
 // behind a recover() barrier, so a panicking run surfaces as a structured
 // *PanicError for that index (site, stack preserved) instead of tearing down
-// the whole campaign's process. The Ctx variants additionally observe a
-// context: cancellation stops new items from starting, and the context's
-// error is reported only when no item error outranks it (see
-// ForEachWorkerCtx for the exact ordering).
+// the whole campaign's process. The pool also observes a context:
+// cancellation stops new items from starting, and the context's error is
+// reported only when no item error outranks it (see ForEachWorkerCtx for
+// the exact ordering).
 //
 // Workers pull indices from a single atomic counter, so no work list is
 // materialized and the pool costs O(workers) goroutines regardless of n.
@@ -73,31 +73,15 @@ func protect(fn func(worker, i int) error, worker, i int) (err error) {
 	return fn(worker, i)
 }
 
-// ForEach invokes fn(i) for every i in [0, n) from at most workers
-// goroutines and blocks until all invocations finish. When any invocation
-// fails, no new work is started and the lowest-indexed error among the items
-// that ran is returned — the deterministic analogue of a serial loop's first
-// error. fn must be safe for concurrent invocation on distinct indices.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach under a context: no new items start once ctx is
-// cancelled (see ForEachWorkerCtx for the error-ordering contract).
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach with the invoking worker's index [0, workers)
-// passed alongside the item index, so callers can maintain per-worker scratch
+// ForEachWorkerCtx invokes fn(worker, i) for every i in [0, n) from at
+// most workers goroutines and blocks until all invocations finish; it is
+// the pool's one core loop. The invoking worker's index [0, workers) is
+// passed alongside the item index, so callers can keep per-worker scratch
 // state (a reusable detection sink, a scratch machine) without locking: a
-// worker runs its items sequentially, so state keyed by worker index is never
-// touched concurrently. The serial fast path always reports worker 0.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachWorkerCtx is the pool's core loop. Cancellation and error ordering:
+// worker runs its items sequentially, so state keyed by worker index is
+// never touched concurrently. The serial fast path always reports worker
+// 0. fn must be safe for concurrent invocation on distinct indices.
+// Cancellation and error ordering:
 //
 //   - a panic inside fn becomes a *PanicError for that index, never a
 //     process crash;
@@ -176,71 +160,42 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 
 // Map invokes fn(i) for every i in [0, n) from at most workers goroutines
 // and returns the results assembled in input order. Error semantics match
-// ForEach: first failing index wins, outstanding work is cancelled, and a
-// non-nil error means the result slice is nil.
+// ForEachWorkerCtx: first failing index wins, outstanding work is
+// cancelled, and a non-nil error means the result slice is nil.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(context.Background(), workers, n, func(_, i int) (T, error) { return fn(i) })
+	return MapCtx(context.Background(), workers, n, fn)
 }
 
 // MapCtx is Map under a context (see ForEachWorkerCtx for the cancellation
 // contract).
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(ctx, workers, n, func(_, i int) (T, error) { return fn(i) })
+	out, _, err := MapWorkerStateCtx(ctx, workers, n, func() struct{} { return struct{}{} },
+		func(_ struct{}, _, i int) (T, error) { return fn(i) })
+	return out, err
 }
 
-// MapWorkerState is MapWorker with the per-worker scratch state made
-// explicit: newState builds one S per worker before any work starts, fn
-// receives its worker's state, and the states are returned alongside the
-// results so the caller can fold them back together deterministically
-// (e.g. merging per-worker metrics registries or detection sinks in state
-// order — the fold is only order-independent if the caller's merge
-// operation is commutative, since which worker ran which item is not
-// deterministic). On error the states are still returned for inspection.
-func MapWorkerState[S, T any](workers, n int, newState func() S, fn func(state S, worker, i int) (T, error)) ([]T, []S, error) {
-	return MapWorkerStateCtx(context.Background(), workers, n, newState, fn)
-}
-
-// MapWorkerStateCtx is MapWorkerState under a context. On cancellation the
-// states are still returned, holding whatever the workers accumulated before
-// stopping — the graceful-shutdown path flushes those partial aggregates.
+// MapWorkerStateCtx is MapCtx with per-worker scratch state: newState
+// builds one S per worker before any work starts, fn receives its worker's
+// state, and the states are returned alongside the results so the caller
+// can fold them back together deterministically (e.g. merging per-worker
+// metrics registries or detection sinks in state order — the fold is only
+// order-independent if the caller's merge operation is commutative, since
+// which worker ran which item is not deterministic). On error or
+// cancellation the states are still returned, holding whatever the
+// workers accumulated before stopping — the graceful-shutdown path
+// flushes those partial aggregates.
 func MapWorkerStateCtx[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, worker, i int) (T, error)) ([]T, []S, error) {
-	nw := Workers(workers)
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	states := make([]S, nw)
+	states := make([]S, max(min(Workers(workers), n), 1))
 	for i := range states {
 		states[i] = newState()
 	}
-	out, err := MapWorkerCtx(ctx, workers, n, func(worker, i int) (T, error) {
-		return fn(states[worker], worker, i)
-	})
-	return out, states, err
-}
-
-// MapWorker is Map with the invoking worker's index passed alongside the item
-// index (see ForEachWorker for the per-worker-state contract).
-func MapWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	return MapWorkerCtx(context.Background(), workers, n, fn)
-}
-
-// MapWorkerCtx is MapWorker under a context (see ForEachWorkerCtx for the
-// cancellation contract).
-func MapWorkerCtx[T any](ctx context.Context, workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachWorkerCtx(ctx, workers, n, func(worker, i int) error {
-		v, err := fn(worker, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
+	err := ForEachWorkerCtx(ctx, workers, n, func(worker, i int) (err error) {
+		out[i], err = fn(states[worker], worker, i)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, states, err
 	}
-	return out, nil
+	return out, states, nil
 }

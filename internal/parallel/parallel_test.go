@@ -45,7 +45,7 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 func TestForEachRunsEverything(t *testing.T) {
 	const n = 257
 	var ran atomic.Int64
-	if err := ForEach(8, n, func(int) error { ran.Add(1); return nil }); err != nil {
+	if err := ForEachWorkerCtx(context.Background(), 8, n, func(_, _ int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != n {
@@ -54,7 +54,7 @@ func TestForEachRunsEverything(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
+	if err := ForEachWorkerCtx(context.Background(), 4, 0, func(_, _ int) error { t.Fatal("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,7 +63,7 @@ func TestFirstErrorWinsSerial(t *testing.T) {
 	// With one worker the loop is strictly serial: item 3 fails and item 4
 	// must never run.
 	var ran atomic.Int64
-	err := ForEach(1, 10, func(i int) error {
+	err := ForEachWorkerCtx(context.Background(), 1, 10, func(_, i int) error {
 		ran.Add(1)
 		if i >= 3 {
 			return fmt.Errorf("item %d", i)
@@ -82,7 +82,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	// Every item fails; regardless of scheduling, the reported error must be
 	// the lowest index that ran — and index 0 always runs.
 	for _, workers := range []int{2, 8} {
-		err := ForEach(workers, 50, func(i int) error { return fmt.Errorf("item %d", i) })
+		err := ForEachWorkerCtx(context.Background(), workers, 50, func(_, i int) error { return fmt.Errorf("item %d", i) })
 		if err == nil || err.Error() != "item 0" {
 			t.Errorf("workers=%d: err = %v, want item 0", workers, err)
 		}
@@ -91,7 +91,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 
 func TestErrorCancelsRemainingWork(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(2, 10_000, func(i int) error {
+	err := ForEachWorkerCtx(context.Background(), 2, 10_000, func(_, i int) error {
 		ran.Add(1)
 		return errors.New("boom")
 	})
@@ -142,7 +142,7 @@ func TestPanicBecomesErrorSerial(t *testing.T) {
 	// The serial fast path must contain panics exactly like the pooled path:
 	// a *PanicError with the item index and a stack, not a crash.
 	var ran atomic.Int64
-	err := ForEach(1, 10, func(i int) error {
+	err := ForEachWorkerCtx(context.Background(), 1, 10, func(_, i int) error {
 		ran.Add(1)
 		if i == 2 {
 			panic("kaboom")
@@ -165,7 +165,7 @@ func TestPanicBecomesErrorSerial(t *testing.T) {
 }
 
 func TestPanicBecomesErrorParallel(t *testing.T) {
-	err := ForEach(4, 100, func(i int) error {
+	err := ForEachWorkerCtx(context.Background(), 4, 100, func(_, i int) error {
 		if i == 0 {
 			panic(fmt.Errorf("wrapped %d", i))
 		}
@@ -185,7 +185,7 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 50, func(i int) error { ran.Add(1); return nil })
+		err := ForEachWorkerCtx(ctx, workers, 50, func(_, i int) error { ran.Add(1); return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -201,7 +201,7 @@ func TestErrorOutranksCancellation(t *testing.T) {
 	// cancellation is the shutdown it triggered.
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForEachCtx(ctx, workers, 1000, func(i int) error {
+		err := ForEachWorkerCtx(ctx, workers, 1000, func(_, i int) error {
 			if i == 0 {
 				cancel()
 				return errors.New("root cause")
@@ -218,7 +218,7 @@ func TestErrorOutranksCancellation(t *testing.T) {
 func TestCancellationStopsNewItems(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEachCtx(ctx, 2, 100_000, func(i int) error {
+	err := ForEachWorkerCtx(ctx, 2, 100_000, func(_, i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -240,7 +240,7 @@ func TestMapWorkerStateDeterministicMerge(t *testing.T) {
 	const n = 500
 	fold := func(workers int) (sum, count int) {
 		type state struct{ sum, count int }
-		_, states, err := MapWorkerState(workers, n,
+		_, states, err := MapWorkerStateCtx(context.Background(), workers, n,
 			func() *state { return &state{} },
 			func(s *state, _, i int) (struct{}, error) {
 				s.sum += i

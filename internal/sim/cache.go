@@ -73,32 +73,29 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 	return id
 }
 
-// injectIdentity is the identity of one standalone (multi-)fault
-// injection: the shared parameters, the program content, the
-// execution-plan parameters that shape the recorded outcome and every
-// injected site.
-func injectIdentity(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) *runcache.Identity {
-	id := cfg.identity("inject", p.Name).
+// injectIdentity is the identity of one standalone injection: the shared
+// parameters, the program content, the execution-plan parameters that
+// shape the recorded outcome and the injected site.
+func injectIdentity(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) *runcache.Identity {
+	return cfg.identity("inject", p.Name).
 		Add("prog_fp", programFingerprint(p)).
 		Addf("split", "%v", opts.SplitPayload).
-		Addf("ff", "%v", cfg.FastForward)
-	for _, s := range sites {
-		id.AddJSON("site", s)
-	}
-	return id
+		Addf("ff", "%v", cfg.FastForward).
+		AddJSON("site", site)
 }
 
 // campaignIdentity is the identity prefix of one campaign: the shared
 // parameters plus the campaign execution plan (checkpoint interval,
 // fast-forward and its warmup lead — records carry path-choice figures
 // like ForkCycle and FFSkipped, which those parameters determine). The
-// journal key extends it with every site of the list (OpenCampaignJournal);
-// each cache cell key extends it with the program content and the cell's
-// own site (campaignRunner.serve). The surrounding site list is
-// deliberately NOT part of a cell's identity: path choice depends only on
-// the cell's own site and the plan cadence, so equal cells are shared
-// across campaigns and sweeps — the incremental-sweep property (a
-// one-parameter edit re-executes only its own column).
+// journal key extends it with every window of the campaign
+// (OpenWindowJournal); each cache cell key extends it with the program
+// content and the cell's own window (campaignRunner.serve), both through
+// addWindow. The surrounding site list is deliberately NOT part of a
+// cell's identity: path choice depends only on the cell's own sites and
+// the plan cadence, so equal cells are shared across campaigns and sweeps
+// — the incremental-sweep property (a one-parameter edit re-executes only
+// its own column).
 func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.Identity {
 	id := cfg.identity("campaign", program).
 		Addf("split", "%v", opts.SplitPayload).
@@ -108,6 +105,21 @@ func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.
 		// Sampled campaigns report window-relative figures, so a sampled
 		// record must not stand in for a full one across warmup leads.
 		id.Addf("ffw", "%d", cfg.ffWarmup())
+	}
+	return id
+}
+
+// addWindow extends id with the campaign entry w of sites: every site of
+// the window, preceded, for a multi-site window, by its bounds. A one-site
+// window adds exactly the site part a per-site campaign always has, so
+// per-site cache cells and journals keep their keys; the bounds make a
+// regrouping of the same sites a different key.
+func addWindow(id *runcache.Identity, sites []fault.Site, w Window) *runcache.Identity {
+	if w.Hi-w.Lo > 1 {
+		id.Addf("window", "%d:%d", w.Lo, w.Hi)
+	}
+	for _, s := range sites[w.Lo:w.Hi] {
+		id.AddJSON("site", s)
 	}
 	return id
 }

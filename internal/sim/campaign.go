@@ -81,14 +81,10 @@ type InjectOptions struct {
 // InjectProgram runs p in the given mode with one hard fault installed and
 // classifies the outcome against the golden model. Machine panics caused by
 // fault-wedged bookkeeping are caught and classified as OutcomeWedged.
+// Several simultaneous faults (Section 4.5) run as a window of a campaign
+// (CampaignWindows).
 func InjectProgram(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) (InjectionResult, error) {
-	return InjectProgramMulti(cfg, p, []fault.Site{site}, opts)
-}
-
-// InjectProgramMulti installs several simultaneous (uncorrelated) hard
-// faults — the multi-error scenario of Section 4.5 — and classifies the
-// combined outcome. The reported Site is the first one.
-func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (InjectionResult, error) {
+	sites := []fault.Site{site}
 	if err := validateInjection(cfg, sites); err != nil {
 		return InjectionResult{}, err
 	}
@@ -100,7 +96,7 @@ func InjectProgramMulti(cfg Config, p *isa.Program, sites []fault.Site, opts Inj
 	}
 	// Standalone injections honor Trace/Metrics, so the cache gate matches
 	// the single-run rule: live observability cannot be replayed.
-	return cachedSingle(cfg, func() *runcache.Identity { return injectIdentity(cfg, p, sites, opts) }, live)
+	return cachedSingle(cfg, func() *runcache.Identity { return injectIdentity(cfg, p, site, opts) }, live)
 }
 
 // validateInjection reports the configuration and site-list errors every
@@ -586,7 +582,26 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 // registries into cfg.Metrics and syncs the journal before returning the
 // context's error.
 func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignSummary, error) {
+	return CampaignWindows(cfg, p, sites, nil, opts)
+}
+
+// Window is one entry of a windowed campaign: the sites [Lo, Hi) of the
+// campaign's site list, installed together as simultaneous uncorrelated
+// hard faults (the multi-error scenario of Section 4.5). The entry's
+// result reports the window's first site.
+type Window struct{ Lo, Hi int }
+
+// CampaignWindows is CampaignProgram with one run per window of sites
+// instead of one per site; nil windows means one window per site, exactly
+// CampaignProgram. Every window runs on the one result chain (journal,
+// cache, live run) under the one plan built over the whole site list, and
+// results come back in window order.
+func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignSummary, error) {
 	if err := validateInjection(cfg, sites); err != nil {
+		return nil, err
+	}
+	windows, err := siteWindows(sites, windows)
+	if err != nil {
 		return nil, err
 	}
 	newWorker := func() *campaignWorker {
@@ -597,23 +612,23 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 		return w
 	}
 
-	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, opts: opts}
+	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts}
 	if cfg.CheckpointInterval > 0 || cfg.FastForward {
 		// The plan's warmup is a full fault-free simulation — deferred until
 		// the first live run actually needs it, so a fully-cached (or fully
 		// journal-resumed) campaign never pays for it.
 		plan := sync.OnceValues(func() (*CampaignPlan, error) { return NewCampaignPlan(cfg, p, sites, opts) })
-		runner.attempt = func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error) {
+		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {
 			pl, err := plan()
 			if err != nil {
 				return InjectionResult{}, pathInfo{}, err
 			}
-			return pl.injectCtx(runCtx, i, i+1, w.sink)
+			return pl.injectCtx(runCtx, win.Lo, win.Hi, w.sink)
 		}
 	} else {
 		oracle := newGoldenOracle(p)
-		runner.attempt = func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error) {
-			r, pi, err := injectSites(runCtx, cfg, p, sites[i:i+1], opts, w.sink, oracle, false, nil)
+		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {
+			r, pi, err := injectSites(runCtx, cfg, p, sites[win.Lo:win.Hi], opts, w.sink, oracle, false, nil)
 			pi.Reason = reasonNoPlan
 			return r, pi, err
 		}
@@ -645,13 +660,13 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 		w.recordRecord(rec)
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(RunProgress{
-				Index: i, Total: len(sites), Result: rec.Result, Served: served,
+				Index: i, Total: len(windows), Result: rec.Result, Served: served,
 				Reason: rec.Reason, Retries: rec.Retries, Quarantined: rec.Failure != nil,
 			})
 		}
 		return rec.Result, nil
 	}
-	results, states, err := parallel.MapWorkerStateCtx(cfg.Ctx, cfg.Parallel, len(sites), newWorker, runOne)
+	results, states, err := parallel.MapWorkerStateCtx(cfg.Ctx, cfg.Parallel, len(windows), newWorker, runOne)
 	// Partial flush happens even on error/cancel: the per-worker registries
 	// hold completed runs, and the journal's pending batch must reach disk
 	// for resume to see them.
@@ -692,4 +707,23 @@ func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 		}
 	}
 	return sum, nil
+}
+
+// siteWindows returns the campaign's windows over sites: one per site when
+// windows is nil, else windows itself once each is a non-empty range of
+// the list.
+func siteWindows(sites []fault.Site, windows []Window) ([]Window, error) {
+	if windows == nil {
+		windows = make([]Window, len(sites))
+		for i := range windows {
+			windows[i] = Window{i, i + 1}
+		}
+		return windows, nil
+	}
+	for i, w := range windows {
+		if w.Lo < 0 || w.Hi > len(sites) || w.Lo >= w.Hi {
+			return nil, fmt.Errorf("sim: window %d [%d,%d) invalid for %d sites", i, w.Lo, w.Hi, len(sites))
+		}
+	}
+	return windows, nil
 }

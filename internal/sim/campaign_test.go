@@ -184,7 +184,7 @@ func TestMultiFaultDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := InjectProgramMulti(Default(pipeline.ModeBlackJack, injBudget), p, sites, InjectOptions{})
+	r, err := injectCold(Default(pipeline.ModeBlackJack, injBudget), p, sites, InjectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

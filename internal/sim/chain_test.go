@@ -54,6 +54,29 @@ func TestCampaignJournalRefusesOtherFaultKind(t *testing.T) {
 	}
 }
 
+// A journal written for one grouping of sites into windows refuses another
+// grouping of the same sites, per-site included, naming the window bounds.
+func TestCampaignJournalRefusesRegroupedWindows(t *testing.T) {
+	cfg := Default(pipeline.ModeBlackJack, 2000)
+	sites := StandardSites(cfg.Machine)[:4]
+	wrote := []Window{{0, 2}, {2, 4}}
+	for _, read := range [][]Window{{{0, 3}, {3, 4}}, nil} {
+		path := filepath.Join(t.TempDir(), "w.journal")
+		jr, err := OpenWindowJournal(path, cfg, "gcc", sites, wrote, InjectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr.Close()
+		_, err = OpenWindowJournal(path, cfg, "gcc", sites, read, InjectOptions{})
+		if !errors.Is(err, journal.ErrKeyMismatch) {
+			t.Fatalf("windows %v: err = %v, want ErrKeyMismatch", read, err)
+		}
+		if !strings.Contains(err.Error(), `window=`) {
+			t.Errorf("windows %v: mismatch does not name the window bounds: %v", read, err)
+		}
+	}
+}
+
 // Every path reason is reported for the run it explains, once each.
 func TestPathReasons(t *testing.T) {
 	p, err := prog.Benchmark("gcc")

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"blackjack/internal/detect"
@@ -127,8 +126,9 @@ type ffMark struct {
 const ffMarkInterval = 500
 
 // CampaignPlan amortizes a fault campaign's shared fault-free prefix: build
-// it once per (config, mode, program, site list), then run each injection
-// (CampaignProgram) or simultaneous multi-fault subset (InjectRange).
+// it once per (config, mode, program, site list), then run each entry of
+// the campaign — one site, or a window of simultaneous faults
+// (CampaignWindows) — from it.
 type CampaignPlan struct {
 	cfg   Config
 	prog  *isa.Program
@@ -220,26 +220,8 @@ func (pl *CampaignPlan) warmup() {
 	pl.warmValid = true
 }
 
-// NumSites returns the number of sites the plan was built over.
-func (pl *CampaignPlan) NumSites() int { return len(pl.sites) }
-
 // Checkpoints returns how many warmup snapshots the plan holds.
 func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
-
-// InjectRange classifies the simultaneous (uncorrelated) faults
-// sites[lo:hi] — the multi-error scenario of Section 4.5 — forking from the
-// latest checkpoint preceding the subset's earliest possible activation.
-// The run honors the plan config's Ctx and per-run budget like every
-// campaign run: a stopped run returns *InterruptedError.
-func (pl *CampaignPlan) InjectRange(lo, hi int) (InjectionResult, error) {
-	if lo < 0 || hi > len(pl.sites) || lo >= hi {
-		return InjectionResult{}, fmt.Errorf("sim: site range [%d,%d) invalid for %d sites", lo, hi, len(pl.sites))
-	}
-	ctx, cancel := pl.cfg.runContext(0)
-	defer cancel()
-	r, _, err := pl.injectCtx(ctx, lo, hi, nil)
-	return r, err
-}
 
 // injectCtx runs the subset sites[lo:hi] with a reusable sink (nil: the
 // machine allocates its own) under an optional run context (nil:

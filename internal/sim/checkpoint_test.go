@@ -127,8 +127,8 @@ func TestCampaignPlanTakesCheckpoints(t *testing.T) {
 	if pl.Checkpoints() == 0 {
 		t.Fatal("warmup took no checkpoints")
 	}
-	if pl.NumSites() != len(mixedSites(cfg.Machine)) {
-		t.Fatalf("plan holds %d sites", pl.NumSites())
+	if len(pl.sites) != len(mixedSites(cfg.Machine)) {
+		t.Fatalf("plan holds %d sites", len(pl.sites))
 	}
 	// The late transient must fork from a checkpoint, not run cold.
 	late := 6 // index of the FireAt: 300 transient in mixedSites
@@ -141,55 +141,56 @@ func TestCampaignPlanTakesCheckpoints(t *testing.T) {
 	}
 }
 
-// InjectRange (multi-fault subsets from one plan) must match the cold
-// multi-fault path exactly.
-func TestInjectRangeMatchesCold(t *testing.T) {
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
+// injectCold is the cold multi-fault reference: a fresh machine from
+// cycle 0 with every site installed, outside any campaign, plan or cache.
+func injectCold(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (InjectionResult, error) {
+	r, _, err := injectSites(nil, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward, nil)
+	return r, err
+}
+
+// Every window of a windowed campaign (several simultaneous faults, one
+// entry) must match the cold multi-fault run exactly, whether the
+// campaign runs cold or forks from one plan.
+func TestCampaignWindowsMatchCold(t *testing.T) {
 	p, err := prog.Benchmark("crafty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := mixedSites(cfg.Machine)
-	cfg.CheckpointInterval = 300
-	pl, err := NewCampaignPlan(cfg, p, sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range [][2]int{{0, 3}, {3, 6}, {6, 10}, {0, len(sites)}} {
-		cold, err := InjectProgramMulti(cfg, p, sites[r[0]:r[1]], InjectOptions{})
+	for _, interval := range []int64{0, 300} {
+		cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
+		sites := mixedSites(cfg.Machine)
+		windows := []Window{{0, 3}, {3, 6}, {6, 10}, {0, len(sites)}}
+		cfg.CheckpointInterval = interval
+		sum, err := CampaignWindows(cfg, p, sites, windows, InjectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		forked, err := pl.InjectRange(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cold, forked) {
-			t.Errorf("range [%d,%d): cold %+v, forked %+v", r[0], r[1], cold, forked)
+		for i, w := range windows {
+			cold, err := injectCold(cfg, p, sites[w.Lo:w.Hi], InjectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cold, sum.Results[i]) {
+				t.Errorf("interval %d window [%d,%d): cold %+v, campaign %+v", interval, w.Lo, w.Hi, cold, sum.Results[i])
+			}
 		}
 	}
 }
 
-// InjectRange runs under the plan config's context like every other
-// injection path: once the campaign is cancelled it stops instead of
-// falling back to an unbudgeted cold run.
-func TestInjectRangeStopsOnCancelledCtx(t *testing.T) {
+// A window runs under the campaign's context like every other campaign
+// run: cancelled while the window starts, it stops instead of falling back
+// to an unbudgeted cold run, and the campaign returns context.Canceled.
+func TestCampaignWindowsStopOnCancelledCtx(t *testing.T) {
 	// Long enough to reach the machine's first context poll.
 	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 20_000)
-	p, err := prog.Benchmark("crafty")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	defer cancel()
 	cfg.Ctx = ctx
 	cfg.CheckpointInterval = 300
-	pl, err := NewCampaignPlan(cfg, p, mixedSites(cfg.Machine), InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.InjectRange(0, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InjectRange under a cancelled context returned %v, want context.Canceled", err)
+	withTestHook(t, func(context.Context, int) error { cancel(); return nil })
+	_, err := CampaignWindows(cfg, prog.MustBenchmark("crafty"), mixedSites(cfg.Machine), []Window{{0, 3}}, InjectOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("window under a cancelled context returned %v, want context.Canceled", err)
 	}
 }
 

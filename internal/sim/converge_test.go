@@ -163,7 +163,7 @@ func TestCampaignPlanConvergedSubsets(t *testing.T) {
 				t.Fatal(err)
 			}
 			check := func(lo, hi int, mixed bool) {
-				want, err := InjectProgramMulti(cold, pl.prog, sites[lo:hi], InjectOptions{})
+				want, err := injectCold(cold, pl.prog, sites[lo:hi], InjectOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

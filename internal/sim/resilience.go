@@ -79,9 +79,10 @@ const (
 // RunFailure describes one quarantined campaign run: what failed, why, and
 // the exact command that reproduces it standalone.
 type RunFailure struct {
-	// Index is the site index within the campaign.
+	// Index is the run's entry index within the campaign: the site index,
+	// or the window index of a windowed campaign (CampaignWindows).
 	Index int `json:"index"`
-	// Site is the injected fault site.
+	// Site is the injected fault site (a window's first site).
 	Site fault.Site `json:"site"`
 	// Reason is one of ReasonPanic, ReasonTimeout, ReasonError.
 	Reason string `json:"reason"`
@@ -91,7 +92,8 @@ type RunFailure struct {
 	Stack string `json:"stack,omitempty"`
 	// Attempts is how many times the run was tried (1 + retries).
 	Attempts int `json:"attempts"`
-	// Repro reproduces the run standalone, outside the campaign.
+	// Repro reproduces the run standalone, outside the campaign. It is
+	// empty for a multi-site window, which no single-site command replays.
 	Repro string `json:"repro"`
 }
 
@@ -237,9 +239,20 @@ const campaignJournalVersion = 3
 // the key: a campaign journaled under one -parallel value resumes under
 // any other.
 func OpenCampaignJournal(path string, cfg Config, program string, sites []fault.Site, opts InjectOptions) (*CampaignJournal, error) {
+	return OpenWindowJournal(path, cfg, program, sites, nil, opts)
+}
+
+// OpenWindowJournal is OpenCampaignJournal for a windowed campaign
+// (CampaignWindows): the key holds every window in order (addWindow), so
+// a journal written for one grouping of the sites refuses another.
+func OpenWindowJournal(path string, cfg Config, program string, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignJournal, error) {
+	windows, err := siteWindows(sites, windows)
+	if err != nil {
+		return nil, err
+	}
 	id := campaignIdentity(cfg, program, opts)
-	for _, s := range sites {
-		id.AddJSON("site", s)
+	for _, w := range windows {
+		addWindow(id, sites, w)
 	}
 	j, _, err := journal.Open[runRecord](path, journal.Header{
 		Kind: "campaign", Key: id.Hash64(), Version: campaignJournalVersion,
@@ -249,22 +262,24 @@ func OpenCampaignJournal(path string, cfg Config, program string, sites []fault.
 }
 
 // campaignTestHook, when non-nil, runs at the start of every campaign run
-// attempt with the attempt's run context and the site index. It exists so
+// attempt with the attempt's run context and the entry index. It exists so
 // tests can make a specific site panic or livelock (block until the budget
 // expires) without teaching the simulator to misbehave on demand.
 var campaignTestHook func(ctx context.Context, i int) error
 
-// campaignRunner executes one campaign item with isolation, budget and
-// retry applied, producing the journalable record.
+// campaignRunner executes one campaign entry — the window windows[i] of
+// the site list — with isolation, budget and retry applied, producing the
+// journalable record.
 type campaignRunner struct {
-	cfg   Config
-	prog  *isa.Program
-	sites []fault.Site
-	opts  InjectOptions
+	cfg     Config
+	prog    *isa.Program
+	sites   []fault.Site
+	windows []Window
+	opts    InjectOptions
 
-	// attempt runs sites[i:i+1] once under runCtx (nil means unbudgeted)
-	// and reports which path served it.
-	attempt func(w *campaignWorker, i int, runCtx context.Context) (InjectionResult, pathInfo, error)
+	// attempt runs the sites of win once under runCtx (nil means
+	// unbudgeted) and reports which path served it.
+	attempt func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error)
 
 	// cell is the cache cell identity prefix (nil without a cache).
 	cell *runcache.Identity
@@ -277,10 +292,16 @@ type campaignRunner struct {
 	failures []RunFailure
 }
 
-// repro builds the standalone reproduction command for site i.
+// repro builds the standalone reproduction command for entry i, or ""
+// when the entry is a multi-site window: bjfault's -site-index replays
+// one site alone, a different run.
 func (c *campaignRunner) repro(i int) string {
+	w := c.windows[i]
+	if w.Hi-w.Lo > 1 {
+		return ""
+	}
 	cmd := fmt.Sprintf("bjfault -bench %s -mode %v -n %d -site-index %d",
-		c.prog.Name, c.cfg.Mode, c.cfg.MaxInstructions, i)
+		c.prog.Name, c.cfg.Mode, c.cfg.MaxInstructions, w.Lo)
 	// bjfault's -site-index indexes into the canonical list of one fault
 	// kind (or the latent campaign under -sites latent); when this campaign
 	// ran such a list, name it so the replay picks the same site.
@@ -319,7 +340,7 @@ func (c *campaignRunner) attemptOnce(w *campaignWorker, i, attempt int) (res Inj
 			return InjectionResult{}, pathInfo{}, herr
 		}
 	}
-	return c.attempt(w, i, runCtx)
+	return c.attempt(w, c.windows[i], runCtx)
 }
 
 // failureReason classifies a run error for retry/quarantine purposes.
@@ -360,8 +381,9 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 			return runRecord{}, err
 		}
 		reason := failureReason(err)
+		site := c.sites[c.windows[i].Lo]
 		f := RunFailure{
-			Index: i, Site: c.sites[i], Reason: reason, Detail: err.Error(),
+			Index: i, Site: site, Reason: reason, Detail: err.Error(),
 			Attempts: attempt + 1, Repro: c.repro(i),
 		}
 		var pe *parallel.PanicError
@@ -374,7 +396,7 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 		c.mu.Unlock()
 		return runRecord{
 			Result: InjectionResult{
-				Site: c.sites[i], Mode: c.cfg.Mode,
+				Site: site, Mode: c.cfg.Mode,
 				Outcome: OutcomeQuarantined, DetectionLatency: -1,
 			},
 			Retries: attempt,
@@ -405,7 +427,7 @@ func (c *campaignRunner) serve(w *campaignWorker, i int) (runRecord, string, err
 		rec, err := c.run(w, i)
 		return rec, string(rec.Path), err
 	}
-	id := runcache.NewIdentity(c.cell.Parts()...).AddJSON("site", c.sites[i])
+	id := addWindow(runcache.NewIdentity(c.cell.Parts()...), c.sites, c.windows[i])
 	rec, hit, diverged, err := cachedRun(c.cfg, id, func() (runRecord, error) { return c.run(w, i) }, cacheForm)
 	switch {
 	case err != nil:
@@ -420,7 +442,7 @@ func (c *campaignRunner) serve(w *campaignWorker, i int) (runRecord, string, err
 	return rec, "cache", nil
 }
 
-// quarantined returns the accumulated failures sorted by site index (the
+// quarantined returns the accumulated failures sorted by entry index (the
 // append order is completion order, which is scheduling-dependent).
 func (c *campaignRunner) quarantined() []RunFailure {
 	c.mu.Lock()

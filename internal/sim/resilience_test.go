@@ -14,6 +14,7 @@ import (
 	"blackjack/internal/isa"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
+	"blackjack/internal/prog"
 )
 
 // resilienceSites is a small campaign with a mix of firing and latent
@@ -152,6 +153,42 @@ func TestCampaignQuarantinesPanicAndLivelock(t *testing.T) {
 				t.Errorf("healthy-site metrics diverged:\n--- resilient (filtered) ---\n%s\n--- clean ---\n%s", got, want)
 			}
 		})
+	}
+}
+
+// A quarantined window reports its first site. A multi-site window prints
+// no bjfault -site-index repro, which would replay one site alone; a
+// one-site window's repro names its site's index in the list, not the
+// window's.
+func TestCampaignWindowQuarantineReportsFirstSite(t *testing.T) {
+	sites := resilienceSites()
+	windows := []Window{{3, 4}, {1, 4}, {4, 7}}
+	withTestHook(t, func(_ context.Context, i int) error {
+		if i < 2 {
+			panic("poisoned window")
+		}
+		return nil
+	})
+	cfg := Default(pipeline.ModeBlackJack, 2000)
+	cfg.Resilience = Resilience{Isolate: true}
+	sum, err := CampaignWindows(cfg, prog.MustBenchmark("crafty"), sites, windows, InjectOptions{})
+	if err != nil {
+		t.Fatalf("resilient campaign aborted: %v", err)
+	}
+	if len(sum.Quarantined) != 2 {
+		t.Fatalf("quarantined %d windows, want 2: %+v", len(sum.Quarantined), sum.Quarantined)
+	}
+	for i, f := range sum.Quarantined {
+		first := sites[windows[i].Lo]
+		if f.Index != i || f.Site != first || sum.Results[i].Site != first || sum.Results[i].Outcome != OutcomeQuarantined {
+			t.Errorf("window %d: failure %+v, result %+v; want index %d, site %v, quarantined", i, f, sum.Results[i], i, first)
+		}
+	}
+	if r := sum.Quarantined[0].Repro; !strings.Contains(r, "-site-index 3") {
+		t.Errorf("one-site window [3,4) repro %q, want -site-index 3", r)
+	}
+	if r := sum.Quarantined[1].Repro; strings.Contains(r, "-site-index") {
+		t.Errorf("multi-site window repro %q replays a single site", r)
 	}
 }
 

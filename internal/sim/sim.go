@@ -114,7 +114,8 @@ type Config struct {
 // RunProgress is one completed campaign run as reported to
 // Config.OnProgress.
 type RunProgress struct {
-	// Index is the site index within the campaign; Total the site count.
+	// Index is the entry index within the campaign (the site index, or the
+	// window index of CampaignWindows); Total the entry count.
 	Index int
 	Total int
 	// Result is the run's classification (OutcomeQuarantined for runs the

@@ -49,17 +49,12 @@ func main() {
 		matrixMode = flag.String("matrix-mode", "blackjack", "machine mode for the coverage matrix (srt, blackjack-ns, blackjack)")
 		faultKind  = flag.String("fault-kind", "", "restrict the coverage matrix to one fault kind: permanent, transient, intermittent, multi-bit, control-flow (empty: all)")
 
-		sampled      = flag.Bool("sampled", false, "verify sampled-campaign equivalence instead of fuzzing: run the latent-defect campaign full and fast-forwarded and require identical outcome tables")
-		sampledBench = flag.String("sampled-bench", "gcc", "benchmark for -sampled")
-		sampledN     = flag.Int("sampled-n", 30_000, "committed-instruction budget for -sampled")
-
 		replay     = flag.String("replay", "", "replay a corpus directory instead of fuzzing")
 		emitCorpus = flag.Int("emit-corpus", 0, "write this many generator seeds as corpus files and exit")
 		corpusDir  = flag.String("corpus-dir", "internal/diffcheck/testdata/corpus", "corpus directory for -emit-corpus")
 
 		journal = cli.JournalFlags()
 		out     = cli.MetricsOutputFlag()
-		cache   = cli.CacheFlags()
 	)
 	cli.Parse("bjfuzz")
 	defer cli.Cleanup()
@@ -67,8 +62,6 @@ func main() {
 	switch {
 	case *matrix:
 		runMatrix(*matrixMode, *faultKind, *maxInstr, *seed, *par)
-	case *sampled:
-		runSampled(*matrixMode, *sampledBench, *sampledN, *par, cache)
 	case *replay != "":
 		runReplay(*replay, *maxInstr)
 	case *emitCorpus > 0:
@@ -113,8 +106,9 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 	if sum.Resumed > 0 {
 		cli.Logf("%d programs resumed from journal, %d executed", sum.Resumed, sum.Programs-sum.Resumed)
 	}
-	fmt.Printf("bjfuzz: %d programs, %d variant runs, %d shuffle calls (%d DTQ entries) validated\n",
-		sum.Programs, sum.Runs, sum.Shuffles, sum.Entries)
+	if err := diffcheck.WriteFuzzSummary(os.Stdout, sum); err != nil {
+		cli.Fatal(err)
+	}
 	if out.Metrics != "" {
 		// The summary as registry counters, so a CI run's fuzz volume is
 		// inspectable with the same tooling as simulator metrics.
@@ -128,27 +122,20 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 		fmt.Printf("bjfuzz: wrote metrics to %s\n", out.Metrics)
 	}
 	if !sum.Failed() {
-		fmt.Println("bjfuzz: zero oracle divergences, zero invariant violations")
 		return
 	}
 	for _, f := range sum.Failures {
-		fmt.Printf("\nFAILURE program %d (%s, seed %#x, %d instructions):\n", f.Index, f.Source, f.Seed, len(f.Program.Code))
-		for _, d := range f.Divergences {
-			fmt.Printf("  %v\n", d)
+		if f.Encoded == nil || reproDir == "" {
+			continue
 		}
-		if f.Minimized != nil {
-			fmt.Printf("  minimized to %d instructions\n", len(f.Minimized.Code))
+		if err := os.MkdirAll(reproDir, 0o755); err != nil {
+			cli.Fatal(err)
 		}
-		if f.Encoded != nil && reproDir != "" {
-			if err := os.MkdirAll(reproDir, 0o755); err != nil {
-				cli.Fatal(err)
-			}
-			path := filepath.Join(reproDir, fmt.Sprintf("fail-%#x", f.Seed))
-			if err := diffcheck.WriteCorpusFile(path, f.Encoded); err != nil {
-				cli.Fatal(err)
-			}
-			fmt.Printf("  reproducer written to %s\n", path)
+		path := filepath.Join(reproDir, fmt.Sprintf("fail-%#x", f.Seed))
+		if err := diffcheck.WriteCorpusFile(path, f.Encoded); err != nil {
+			cli.Fatal(err)
 		}
+		fmt.Printf("bjfuzz: program %d reproducer written to %s\n", f.Index, path)
 	}
 	cli.Exit(cli.ExitError)
 }
@@ -183,37 +170,6 @@ func runMatrix(modeName, kindName string, maxInstr int, seed uint64, par int) {
 		cli.Exit(cli.ExitError)
 	}
 	fmt.Println("coverage matrix: every fault class x structure exercised; no silent corruption")
-}
-
-// runSampled is the sampled-simulation soundness gate: the latent-defect
-// campaign (the shape fast-forward exists to accelerate) must classify every
-// site identically under full and sampled execution. The run cache keys the
-// full and fast-forwarded campaigns separately (ff is part of every cell's
-// identity), so a warm cache replays both sides of the comparison without
-// weakening it.
-func runSampled(modeName, bench string, n, par int, cache *cli.Cache) {
-	mode, err := blackjack.ParseMode(modeName)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	cfg := blackjack.DefaultConfig(mode, n)
-	cfg.Parallel = par
-	cfg.Cache, cfg.CacheVerify = cache.Open()
-	p, err := blackjack.BenchmarkProgram(bench)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	sites := blackjack.LatentFaultSites(cfg.Machine)
-	rep, err := diffcheck.CompareSampledCampaign(cfg, p, sites, blackjack.InjectOptions{SplitPayload: true})
-	if err != nil {
-		cli.Fatal(err)
-	}
-	fmt.Print(rep)
-	cache.Report()
-	if !rep.OK() {
-		cli.Exit(cli.ExitError)
-	}
-	fmt.Println("sampled equivalence: every site classified identically under full and fast-forwarded simulation")
 }
 
 func runReplay(dir string, maxInstr int) {

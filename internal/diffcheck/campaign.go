@@ -3,6 +3,7 @@ package diffcheck
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"blackjack/internal/isa"
 	"blackjack/internal/parallel"
@@ -91,6 +92,36 @@ type FuzzSummary struct {
 
 // Failed reports whether any program diverged.
 func (s *FuzzSummary) Failed() bool { return len(s.Failures) > 0 }
+
+// WriteFuzzSummary writes what a fuzz session found: the volume line, then
+// the verdict, or every failing program with its divergences. bjfuzz and a
+// served fuzz job both print through it.
+func WriteFuzzSummary(w io.Writer, sum *FuzzSummary) error {
+	if _, err := fmt.Fprintf(w, "bjfuzz: %d programs, %d variant runs, %d shuffle calls (%d DTQ entries) validated\n",
+		sum.Programs, sum.Runs, sum.Shuffles, sum.Entries); err != nil {
+		return err
+	}
+	if !sum.Failed() {
+		_, err := fmt.Fprintln(w, "bjfuzz: zero oracle divergences, zero invariant violations")
+		return err
+	}
+	for _, f := range sum.Failures {
+		if _, err := fmt.Fprintf(w, "\nFAILURE program %d (%s, seed %#x, %d instructions):\n", f.Index, f.Source, f.Seed, len(f.Program.Code)); err != nil {
+			return err
+		}
+		for _, d := range f.Divergences {
+			if _, err := fmt.Fprintf(w, "  %v\n", d); err != nil {
+				return err
+			}
+		}
+		if f.Minimized != nil {
+			if _, err := fmt.Fprintf(w, "  minimized to %d instructions\n", len(f.Minimized.Code)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // GenerateProgram builds the i-th campaign program from the campaign seed.
 // The mix alternates adversarial instruction-level programs (two thirds)

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -109,6 +110,36 @@ func intermittentFuzzSites() []fault.Site {
 	}
 }
 
+// sampledMismatches runs the intermittent campaign on p twice, cold with
+// full simulation and sampled (fast-forward, with the config's
+// checkpoints), and describes every site whose outcome class or activated
+// flag differ between the two.
+func sampledMismatches(t *testing.T, p *isa.Program) []string {
+	t.Helper()
+	sites := intermittentFuzzSites()
+	full := intermittentFuzzCfg()
+	full.CheckpointInterval = 0
+	cold, err := sim.CampaignProgram(full, p, sites, sim.InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := intermittentFuzzCfg()
+	cfg.FastForward = true
+	sampled, err := sim.CampaignProgram(cfg, p, sites, sim.InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for i, c := range cold.Results {
+		s := sampled.Results[i]
+		if c.Outcome != s.Outcome || (c.Activations > 0) != (s.Activations > 0) {
+			out = append(out, fmt.Sprintf("site %d (%v): full %v/activated=%v, sampled %v/activated=%v",
+				i, sites[i], c.Outcome, c.Activations > 0, s.Outcome, s.Activations > 0))
+		}
+	}
+	return out
+}
+
 // FuzzIntermittentVsOracle decodes arbitrary bytes into a valid program and
 // checks the sampled-equivalence property for duty-cycled faults on it: a
 // checkpointed sampled campaign must classify every intermittent site — via
@@ -116,15 +147,9 @@ func intermittentFuzzSites() []fault.Site {
 // with the oracle-referenced outcome class and activated flag preserved.
 func FuzzIntermittentVsOracle(f *testing.F) {
 	addSeeds(f)
-	sites := intermittentFuzzSites()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := DecodeProgram(data)
-		rep, err := CompareSampledCampaign(intermittentFuzzCfg(), p, sites, sim.InjectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range rep.Mismatches {
-			t.Errorf("%v", m)
+		for _, m := range sampledMismatches(t, DecodeProgram(data)) {
+			t.Error(m)
 		}
 	})
 }
@@ -140,19 +165,14 @@ func TestIntermittentCorpusSeeds(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Fatal("empty seed corpus: expected committed seeds in testdata/corpus")
 	}
-	sites := intermittentFuzzSites()
 	names := make([]string, 0, len(seeds))
 	for name := range seeds {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rep, err := CompareSampledCampaign(intermittentFuzzCfg(), DecodeProgram(seeds[name]), sites, sim.InjectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range rep.Mismatches {
-			t.Errorf("%s: %v", name, m)
+		for _, m := range sampledMismatches(t, DecodeProgram(seeds[name])) {
+			t.Errorf("%s: %s", name, m)
 		}
 	}
 }

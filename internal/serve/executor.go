@@ -260,17 +260,8 @@ func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
 		return "", err
 	}
 	var out strings.Builder
-	fmt.Fprintf(&out, "bjfuzz: %d programs, %d variant runs, %d shuffle calls (%d DTQ entries) validated\n",
-		sum.Programs, sum.Runs, sum.Shuffles, sum.Entries)
-	if !sum.Failed() {
-		fmt.Fprintln(&out, "bjfuzz: zero oracle divergences, zero invariant violations")
-		return out.String(), nil
-	}
-	for _, f := range sum.Failures {
-		fmt.Fprintf(&out, "\nFAILURE program %d (%s, seed %#x, %d instructions):\n", f.Index, f.Source, f.Seed, len(f.Program.Code))
-		for _, d := range f.Divergences {
-			fmt.Fprintf(&out, "  %v\n", d)
-		}
+	if err := diffcheck.WriteFuzzSummary(&out, sum); err != nil {
+		return "", err
 	}
 	return out.String(), nil
 }

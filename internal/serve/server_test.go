@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"blackjack"
+	"blackjack/internal/diffcheck"
 )
 
 // newTestServer builds a server over a temp state dir. Caches are off by
@@ -87,46 +87,6 @@ func getBody(t *testing.T, url string) (int, string) {
 		sb.WriteString("\n")
 	}
 	return resp.StatusCode, sb.String()
-}
-
-// The headline robustness contract minus the crash: a campaign submitted
-// over HTTP produces exactly the bytes the batch path renders.
-func TestServedCampaignTableMatchesBatch(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-	s.Start()
-	defer s.Drain(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	j := submit(t, ts, `{"benchmark": "gzip", "mode": "blackjack", "instructions": 3000, "sites": "latent", "cache": "off"}`)
-	waitState(t, s, j.ID, StateDone)
-
-	status, got := getBody(t, ts.URL+"/api/v1/jobs/"+j.ID+"/result")
-	if status != http.StatusOK {
-		t.Fatalf("result status %d", status)
-	}
-
-	// Reference: the batch path (what bjfault prints for the same work).
-	cfg := blackjack.DefaultConfig(blackjack.ModeBlackJack, 3000)
-	cfg.Parallel = 2
-	cfg.Resilience = blackjack.Resilience{Isolate: true, StallAfter: 30 * time.Second}
-	sites := blackjack.LatentFaultSites(cfg.Machine)
-	sum, err := blackjack.Campaign(cfg, "gzip", sites, blackjack.InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatalf("batch campaign: %v", err)
-	}
-	var want strings.Builder
-	if err := blackjack.WriteCampaignTable(&want, cfg.Mode, "gzip", sum); err != nil {
-		t.Fatalf("render: %v", err)
-	}
-	if got != want.String() {
-		t.Errorf("served table differs from batch:\n--- served ---\n%s--- batch ---\n%s", got, want.String())
-	}
-
-	done, _ := s.Job(j.ID)
-	if done.Done != len(sites) || done.Total != len(sites) {
-		t.Errorf("progress counters: done=%d total=%d, want %d", done.Done, done.Total, len(sites))
-	}
 }
 
 // A sweep is the concatenation of its cells' tables in grid order.
@@ -460,7 +420,8 @@ func TestSubmitRejectsNonJSONSpec(t *testing.T) {
 	}
 }
 
-// A fuzz job runs, journals, and renders the bjfuzz summary lines.
+// A fuzz job runs, journals, and renders exactly the summary bjfuzz prints
+// for the same session.
 func TestFuzzJob(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	s.Start()
@@ -471,11 +432,16 @@ func TestFuzzJob(t *testing.T) {
 	j := submit(t, ts, `{"type": "fuzz", "programs": 6, "instructions": 2000, "seed": 7}`)
 	waitState(t, s, j.ID, StateDone)
 	_, got := getBody(t, ts.URL+"/api/v1/jobs/"+j.ID+"/result")
-	if !strings.Contains(got, "bjfuzz: 6 programs,") {
-		t.Errorf("fuzz result missing summary:\n%s", got)
+	sum, err := diffcheck.Fuzz(diffcheck.FuzzOptions{Programs: 6, MaxInstr: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(got, "zero oracle divergences") {
-		t.Errorf("fuzz result missing verdict:\n%s", got)
+	var want strings.Builder
+	if err := diffcheck.WriteFuzzSummary(&want, sum); err != nil {
+		t.Fatal(err)
+	}
+	if got != want.String() {
+		t.Errorf("served fuzz result differs from the bjfuzz summary:\n--- served ---\n%s--- bjfuzz ---\n%s", got, want.String())
 	}
 	done, _ := s.Job(j.ID)
 	if done.Done != 6 {

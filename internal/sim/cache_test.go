@@ -42,57 +42,6 @@ func TestRunProgramCacheHitIdentical(t *testing.T) {
 	}
 }
 
-// A warm campaign must reproduce the cold campaign's results exactly, with
-// every cell served from the cache, and sampled verification at fraction 1
-// must recompute every hit without finding a divergence.
-func TestCampaignWarmCacheIdentical(t *testing.T) {
-	sites := []fault.Site{
-		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 0, BitMask: 1 << 9},
-		{Class: fault.FrontendWay, Way: 1, Field: fault.FieldRs2},
-		{Class: fault.PayloadRAM, Slot: 3, Field: fault.FieldImm, BitMask: 2},
-	}
-	cfg := Default(pipeline.ModeBlackJack, 3000)
-	cfg.Cache = testStore(t)
-	cold, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.CacheHits != 0 {
-		t.Errorf("cold campaign reports %d cache hits, want 0", cold.CacheHits)
-	}
-	warm, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheHits != len(sites) {
-		t.Errorf("warm campaign reports %d cache hits, want %d", warm.CacheHits, len(sites))
-	}
-	if !reflect.DeepEqual(cold.Results, warm.Results) {
-		t.Errorf("warm campaign results differ from cold:\ncold %+v\nwarm %+v", cold.Results, warm.Results)
-	}
-	if !reflect.DeepEqual(cold.Counts, warm.Counts) {
-		t.Errorf("warm campaign counts differ from cold: %v vs %v", cold.Counts, warm.Counts)
-	}
-
-	// Third pass with full verification: every hit is recomputed live and
-	// must match what the cache stored.
-	cfg.CacheVerify = 1
-	verified, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold.Results, verified.Results) {
-		t.Error("verified campaign results differ from cold")
-	}
-	st := cfg.Cache.Stats()
-	if st.VerifyRuns < uint64(len(sites)) {
-		t.Errorf("verify runs = %d, want >= %d", st.VerifyRuns, len(sites))
-	}
-	if st.VerifyDivergences != 0 {
-		t.Errorf("verification found %d divergences, want 0", st.VerifyDivergences)
-	}
-}
-
 // A campaign cell's identity excludes the surrounding site list, so a cell
 // cached by one campaign is a hit in a different campaign containing the
 // same site — the property that makes sweeps incremental (a one-parameter

@@ -433,7 +433,8 @@ type CampaignSummary struct {
 	ActiveRuns       int
 	DetectedOfActive int
 	// Quarantined lists the runs the resilience layer excluded (panic,
-	// exhausted budget), each with a standalone repro command. Their
+	// exhausted budget), each with a standalone repro command where one
+	// exists (see RunFailure.Repro). Their
 	// Results entries carry OutcomeQuarantined.
 	Quarantined []RunFailure
 	// Resumed counts runs served from the journal instead of executed —

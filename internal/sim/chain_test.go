@@ -33,6 +33,7 @@ func TestCampaignJournalRefusesOtherFaultKind(t *testing.T) {
 		wrote, read []fault.Site
 	}{
 		{"permanent->transient", permanent, transient},
+		{"intermittent->transient", IntermittentSites(cfg.Machine, 64, 16, 75), transient},
 		{"intermittent duty period", IntermittentSites(cfg.Machine, 64, 16, 75), IntermittentSites(cfg.Machine, 32, 16, 75)},
 	}
 	for _, tc := range cases {

@@ -38,7 +38,7 @@ import (
 // (pipeline.NewFromArch). Runs stop at their first detection event, whose
 // outcome is decided. This trades the forked path's bit-exactness for
 // speed: outcome tables and detection classifications still match full
-// simulation (diffcheck.CompareSampledCampaign verifies this per campaign),
+// simulation (serve's TestCampaignPathMatrix checks this per site list),
 // but cycle counts, activation totals and detection latencies of
 // fast-forwarded runs are relative to the simulated window.
 
@@ -289,7 +289,7 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.
 // reproduce. Persistent faults (always-on, trigger-gated, arming,
 // multi-bit) corrupt every eligible use once active, so their
 // classification is robust to the handoff's timing perturbation — the
-// property diffcheck's sampled mode verifies per campaign.
+// property the campaign path matrix checks.
 func (pl *CampaignPlan) ffIneligible(lo, hi int) string {
 	for _, s := range pl.sites[lo:hi] {
 		if !s.FFEligible() {
@@ -313,7 +313,7 @@ func (pl *CampaignPlan) ffIneligible(lo, hi int) string {
 // an undercount of at most one mark interval, which the warmup lead
 // absorbs: a seeded transient fires within the cycle-accurate window,
 // merely a few eligible uses later than the nominal count. Outcome-table
-// equivalence under this seeding is what diffcheck's sampled mode verifies.
+// equivalence under this seeding is what the campaign path matrix checks.
 func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64, ok bool) {
 	if minFire < 0 || len(pl.marks) == 0 {
 		return 0, nil, false

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -48,67 +47,6 @@ func mixedSites(cfg pipeline.Config) []fault.Site {
 			TriggerMask: ^uint64(0), TriggerValue: 0xFEEDFACEFEEDFACE},
 	}
 	return sites
-}
-
-// A campaign must produce a byte-identical summary at every checkpoint
-// interval — forked runs are bit-identical to cold runs, and the never-fires
-// shortcut is provably the cold result.
-func TestCampaignByteIdenticalAcrossIntervals(t *testing.T) {
-	for _, mode := range []pipeline.Mode{pipeline.ModeBlackJack, pipeline.ModeSRT} {
-		t.Run(mode.String(), func(t *testing.T) {
-			for _, interval := range []int64{1, 250, 1000, 100000} {
-				t.Run(fmt.Sprintf("interval-%d", interval), func(t *testing.T) {
-					// Interval 1 retains a snapshot per warmup cycle; a
-					// smaller budget keeps that set (and GC pressure) sane.
-					// Per-cycle fork exactness is separately proven by the
-					// pipeline snapshot tests.
-					budget := 1500
-					if interval == 1 {
-						budget = 400
-					}
-					cfg := checkpointTestConfig(mode, budget)
-					sites := mixedSites(cfg.Machine)
-					ref, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.CheckpointInterval = interval
-					got, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						for i := range ref.Results {
-							if !reflect.DeepEqual(ref.Results[i], got.Results[i]) {
-								t.Errorf("site %d (%v): cold %+v, checkpointed %+v",
-									i, sites[i].String(), ref.Results[i], got.Results[i])
-							}
-						}
-						t.Fatal("summary diverged from cold campaign")
-					}
-				})
-			}
-		})
-	}
-}
-
-// The canonical StandardSites campaign — the one behind Ext-A and bjfault's
-// default run — must also be byte-identical with checkpointing on.
-func TestCampaignStandardSitesByteIdentical(t *testing.T) {
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	sites := StandardSites(cfg.Machine)
-	ref, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointInterval = 500
-	got, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("StandardSites summary diverged between cold and checkpointed campaigns")
-	}
 }
 
 // The checkpointed campaign must actually take and use snapshots (guard

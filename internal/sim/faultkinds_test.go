@@ -2,135 +2,12 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"blackjack/internal/fault"
-	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
 )
-
-// Intermittent and control-flow faults are timing-sensitive the same way
-// one-shot transients are: their outcome depends on exactly which dynamic
-// uses fall inside an activation window (or which speculative wrong path a
-// corrupted redirect steers into), which only bit-exact paths reproduce.
-// A sampled campaign over them must match full simulation while serving
-// every run from a fork or cold fallback — never the functional
-// fast-forward path.
-func testSampledKindFallsBack(t *testing.T, sites []fault.Site) {
-	t.Helper()
-	for _, s := range sites {
-		if s.FFEligible() {
-			t.Fatalf("site %v is fast-forward eligible; test premise broken", s)
-		}
-	}
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	full, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FastForward = true
-	cfg.CheckpointInterval = 500
-	cfg.Metrics = obs.NewRegistry()
-	sampled, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := outcomeTable(sampled), outcomeTable(full); got != want {
-		t.Errorf("sampled campaign diverged from full simulation:\n--- sampled ---\n%s--- full ---\n%s", got, want)
-	}
-	if ff := cfg.Metrics.CounterValue("campaign.ff.runs"); ff != 0 {
-		t.Errorf("campaign.ff.runs = %d, want 0: a timing-sensitive site took the functional fast-forward path", ff)
-	}
-	exact := cfg.Metrics.CounterValue("campaign.forked_runs") +
-		cfg.Metrics.CounterValue("campaign.cold_runs")
-	if exact == 0 {
-		t.Error("no bit-exact runs despite every site being fast-forward ineligible")
-	}
-
-	// Without checkpoints the ineligible sites have nowhere to fork from, so
-	// the fallback goes cold — and campaign.ff.fallback_cold must count every
-	// one of those runs (the sampled campaign's visibility into how much of
-	// its speedup the fault model forfeits).
-	cold := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	cold.FastForward = true
-	cold.Metrics = obs.NewRegistry()
-	coldSum, err := Campaign(cold, "gcc", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := outcomeTable(coldSum), outcomeTable(full); got != want {
-		t.Errorf("cold-fallback sampled campaign diverged:\n--- sampled ---\n%s--- full ---\n%s", got, want)
-	}
-	fb := cold.Metrics.CounterValue("campaign.ff.fallback_cold")
-	if fb == 0 {
-		t.Error("campaign.ff.fallback_cold = 0: cold fallbacks of ineligible sites went uncounted")
-	}
-	if runs := cold.Metrics.CounterValue("campaign.cold_runs"); fb != runs {
-		t.Errorf("campaign.ff.fallback_cold = %d, campaign.cold_runs = %d; every cold run here is a fallback", fb, runs)
-	}
-}
-
-func TestSampledIntermittentCampaignFallsBack(t *testing.T) {
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	// A representative subset keeps three full campaigns cheap; eligibility
-	// is per-site, so breadth adds runtime without adding coverage.
-	sites := IntermittentSites(cfg.Machine, 64, 16, 75)
-	if len(sites) > 8 {
-		sites = sites[:8]
-	}
-	testSampledKindFallsBack(t, sites)
-}
-
-func TestSampledControlFlowCampaignFallsBack(t *testing.T) {
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	testSampledKindFallsBack(t, ControlFlowSites(cfg.Machine))
-}
-
-// Forked runs must be bit-identical to cold runs for the new fault kinds
-// too. The interval sweep makes checkpoint boundaries land mid-window for
-// the intermittent sites (a duty window spanning a fork point), and the CFE
-// sites corrupt branch targets on wrong-path (later squashed) branches in
-// both replays — byte-equal summaries prove neither perturbs the outcome.
-func TestCampaignNewKindsByteIdenticalAcrossIntervals(t *testing.T) {
-	cfg0 := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	kinds := map[string][]fault.Site{
-		// Period 48 with interval 250/1000: fork cycles fall inside both the
-		// on- and off-phase of some site's window.
-		"intermittent": IntermittentSites(cfg0.Machine, 48, 12, 60)[:6],
-		"control-flow": ControlFlowSites(cfg0.Machine),
-		"multi-bit":    MultiBitSites(cfg0.Machine)[:6],
-	}
-	for name, sites := range kinds {
-		t.Run(name, func(t *testing.T) {
-			cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-			ref, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, interval := range []int64{250, 1000} {
-				t.Run(fmt.Sprintf("interval-%d", interval), func(t *testing.T) {
-					c := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-					c.CheckpointInterval = interval
-					got, err := Campaign(c, "gcc", sites, InjectOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						for i := range ref.Results {
-							if !reflect.DeepEqual(ref.Results[i], got.Results[i]) {
-								t.Errorf("site %d (%v): cold %+v != forked %+v",
-									i, sites[i], ref.Results[i], got.Results[i])
-							}
-						}
-					}
-				})
-			}
-		})
-	}
-}
 
 // Campaign admission must reject invalid sites before any simulation runs,
 // with the typed error preserved through the wrapping.

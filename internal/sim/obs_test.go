@@ -1,70 +1,11 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 )
-
-// campaignMetricsJSON runs the standard-sites campaign at the given worker
-// count with a fresh registry and returns the deterministic JSON export.
-func campaignMetricsJSON(t *testing.T, workers int, interval int64) []byte {
-	t.Helper()
-	cfg := Default(pipeline.ModeBlackJack, 4000)
-	cfg.Parallel = workers
-	cfg.CheckpointInterval = interval
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	sites := StandardSites(cfg.Machine)
-	sum, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue("campaign.runs"); got != uint64(len(sites)) {
-		t.Fatalf("campaign.runs = %d, want %d", got, len(sites))
-	}
-	var detected uint64
-	for _, r := range sum.Results {
-		if r.Outcome == OutcomeDetected {
-			detected++
-		}
-	}
-	if got := reg.CounterValue("campaign.outcome.detected"); got != detected {
-		t.Fatalf("campaign.outcome.detected = %d, want %d", got, detected)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCampaignMetricsDeterministic asserts the merged per-worker registries
-// are byte-identical at any worker count: every campaign metric is a
-// commutative sum, so the nondeterministic work partition must not show.
-// (Runs under -race in CI to also exercise the worker fan-out.)
-func TestCampaignMetricsDeterministic(t *testing.T) {
-	serial := campaignMetricsJSON(t, 1, 0)
-	parallel := campaignMetricsJSON(t, 8, 0)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("campaign metrics differ between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
-
-// TestCampaignMetricsDeterministicCheckpointed repeats the worker-count
-// determinism check on the checkpoint/fork path, where the warm-served, cold
-// and forked counters join the outcome counters.
-func TestCampaignMetricsDeterministicCheckpointed(t *testing.T) {
-	serial := campaignMetricsJSON(t, 1, 500)
-	parallel := campaignMetricsJSON(t, 8, 500)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("checkpointed campaign metrics differ between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
 
 // TestRunMetricsMatchStats is the registry's ground-truth contract: a single
 // run exported into a fresh registry must reproduce pipeline.Stats exactly.

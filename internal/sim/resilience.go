@@ -93,7 +93,10 @@ type RunFailure struct {
 	// Attempts is how many times the run was tried (1 + retries).
 	Attempts int `json:"attempts"`
 	// Repro reproduces the run standalone, outside the campaign. It is
-	// empty for a multi-site window, which no single-site command replays.
+	// empty for a multi-site window, which no single-site command replays,
+	// and for a site list bjfault cannot name (neither a fault kind's
+	// canonical list nor the latent campaign), where -site-index would
+	// replay a different site.
 	Repro string `json:"repro"`
 }
 
@@ -292,24 +295,27 @@ type campaignRunner struct {
 	failures []RunFailure
 }
 
-// repro builds the standalone reproduction command for entry i, or ""
-// when the entry is a multi-site window: bjfault's -site-index replays
-// one site alone, a different run.
+// repro builds the standalone reproduction command for entry i. bjfault's
+// -site-index indexes into the canonical list of one fault kind, or the
+// latent campaign under -sites latent, so only a campaign over such a list
+// gets one, naming the list; on any other list the index would replay a
+// different site. A multi-site window gets none either: -site-index
+// replays one site alone, a different run.
 func (c *campaignRunner) repro(i int) string {
 	w := c.windows[i]
 	if w.Hi-w.Lo > 1 {
 		return ""
 	}
-	cmd := fmt.Sprintf("bjfault -bench %s -mode %v -n %d -site-index %d",
-		c.prog.Name, c.cfg.Mode, c.cfg.MaxInstructions, w.Lo)
-	// bjfault's -site-index indexes into the canonical list of one fault
-	// kind (or the latent campaign under -sites latent); when this campaign
-	// ran such a list, name it so the replay picks the same site.
+	list := ""
 	if IsLatentCampaign(c.cfg.Machine, c.sites) {
-		cmd += " -sites latent"
-	} else if kind, ok := canonicalKind(c.cfg.Machine, c.sites); ok && kind != fault.KindPermanent {
-		cmd += fmt.Sprintf(" -fault-kind %v", kind)
+		list = " -sites latent"
+	} else if kind, ok := canonicalKind(c.cfg.Machine, c.sites); !ok {
+		return ""
+	} else if kind != fault.KindPermanent {
+		list = fmt.Sprintf(" -fault-kind %v", kind)
 	}
+	cmd := fmt.Sprintf("bjfault -bench %s -mode %v -n %d -site-index %d%s",
+		c.prog.Name, c.cfg.Mode, c.cfg.MaxInstructions, w.Lo, list)
 	if !c.opts.SplitPayload {
 		cmd += " -split=false"
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,6 +30,18 @@ func resilienceSites() []fault.Site {
 	}
 }
 
+// summaryString serializes a campaign summary down to every per-site field so
+// two campaigns can be compared byte-for-byte.
+func summaryString(sum *CampaignSummary) string {
+	var b strings.Builder
+	for _, r := range sum.Results {
+		fmt.Fprintf(&b, "%v|%v|%d|%d|%v\n",
+			r.Site, r.Outcome, r.Activations, r.DetectionLatency, r.FirstEvent)
+	}
+	fmt.Fprintf(&b, "active=%d counts=%v\n", sum.ActiveRuns, sum.Counts)
+	return b.String()
+}
+
 func metricsText(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	var b strings.Builder
@@ -51,9 +62,10 @@ func withTestHook(t *testing.T, hook func(ctx context.Context, i int) error) {
 // AC3: a campaign with one artificially panicking and one livelocked site
 // completes, quarantines exactly those two runs with repro commands, and
 // its table/metrics for the remaining sites are byte-identical to a clean
-// campaign over those sites.
+// campaign over those sites. The campaign runs the canonical permanent
+// list, whose indexes bjfault -site-index replays.
 func TestCampaignQuarantinesPanicAndLivelock(t *testing.T) {
-	sites := resilienceSites()
+	sites := StandardSites(pipeline.DefaultConfig())
 	const panicIdx, hangIdx = 2, 5
 
 	for _, ckpt := range []int64{0, 500} {
@@ -159,9 +171,9 @@ func TestCampaignQuarantinesPanicAndLivelock(t *testing.T) {
 // A quarantined window reports its first site. A multi-site window prints
 // no bjfault -site-index repro, which would replay one site alone; a
 // one-site window's repro names its site's index in the list, not the
-// window's.
+// window's, and only on a list bjfault can name: on any other list that
+// index replays a different site.
 func TestCampaignWindowQuarantineReportsFirstSite(t *testing.T) {
-	sites := resilienceSites()
 	windows := []Window{{3, 4}, {1, 4}, {4, 7}}
 	withTestHook(t, func(_ context.Context, i int) error {
 		if i < 2 {
@@ -171,24 +183,36 @@ func TestCampaignWindowQuarantineReportsFirstSite(t *testing.T) {
 	})
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	cfg.Resilience = Resilience{Isolate: true}
-	sum, err := CampaignWindows(cfg, prog.MustBenchmark("crafty"), sites, windows, InjectOptions{})
-	if err != nil {
-		t.Fatalf("resilient campaign aborted: %v", err)
-	}
-	if len(sum.Quarantined) != 2 {
-		t.Fatalf("quarantined %d windows, want 2: %+v", len(sum.Quarantined), sum.Quarantined)
-	}
-	for i, f := range sum.Quarantined {
-		first := sites[windows[i].Lo]
-		if f.Index != i || f.Site != first || sum.Results[i].Site != first || sum.Results[i].Outcome != OutcomeQuarantined {
-			t.Errorf("window %d: failure %+v, result %+v; want index %d, site %v, quarantined", i, f, sum.Results[i], i, first)
-		}
-	}
-	if r := sum.Quarantined[0].Repro; !strings.Contains(r, "-site-index 3") {
-		t.Errorf("one-site window [3,4) repro %q, want -site-index 3", r)
-	}
-	if r := sum.Quarantined[1].Repro; strings.Contains(r, "-site-index") {
-		t.Errorf("multi-site window repro %q replays a single site", r)
+	for _, tc := range []struct {
+		name  string
+		sites []fault.Site
+		repro string // the one-site window's, "" for none
+	}{
+		{"standard", StandardSites(cfg.Machine), "-site-index 3"},
+		{"non-canonical", resilienceSites(), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sites := tc.sites
+			sum, err := CampaignWindows(cfg, prog.MustBenchmark("crafty"), sites, windows, InjectOptions{})
+			if err != nil {
+				t.Fatalf("resilient campaign aborted: %v", err)
+			}
+			if len(sum.Quarantined) != 2 {
+				t.Fatalf("quarantined %d windows, want 2: %+v", len(sum.Quarantined), sum.Quarantined)
+			}
+			for i, f := range sum.Quarantined {
+				first := sites[windows[i].Lo]
+				if f.Index != i || f.Site != first || sum.Results[i].Site != first || sum.Results[i].Outcome != OutcomeQuarantined {
+					t.Errorf("window %d: failure %+v, result %+v; want index %d, site %v, quarantined", i, f, sum.Results[i], i, first)
+				}
+			}
+			if r := sum.Quarantined[0].Repro; (tc.repro == "") != (r == "") || !strings.Contains(r, tc.repro) {
+				t.Errorf("one-site window [3,4) repro %q, want %q", r, tc.repro)
+			}
+			if r := sum.Quarantined[1].Repro; strings.Contains(r, "-site-index") {
+				t.Errorf("multi-site window repro %q replays a single site", r)
+			}
+		})
 	}
 }
 
@@ -239,94 +263,6 @@ func TestCampaignRetriesTransientFailure(t *testing.T) {
 	}
 }
 
-// AC4: kill + resume produces byte-identical tables and metrics to the same
-// campaign run uninterrupted, at any worker count. The "kill" is simulated
-// by truncating the journal to a prefix of its records — exactly the state
-// a SIGKILL between fsync batches leaves behind.
-func TestCampaignJournalResumeByteIdentical(t *testing.T) {
-	sites := resilienceSites()
-	newCfg := func(par int) Config {
-		cfg := Default(pipeline.ModeBlackJack, 2000)
-		cfg.CheckpointInterval = 500
-		cfg.Parallel = par
-		cfg.Metrics = obs.NewRegistry()
-		return cfg
-	}
-
-	// Uninterrupted reference (no journal at all).
-	refCfg := newCfg(4)
-	refSum, err := Campaign(refCfg, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTable := summaryString(refSum)
-	refMetrics := metricsText(t, refCfg.Metrics)
-
-	// Full journaled run to obtain a complete journal file.
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.journal")
-	fullCfg := newCfg(4)
-	jr, err := OpenCampaignJournal(full, fullCfg, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCfg.Journal = jr
-	fullSum, err := Campaign(fullCfg, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr.Close()
-	if got := summaryString(fullSum); got != refTable {
-		t.Fatalf("journaled run differs from unjournaled:\n%s\nvs\n%s", got, refTable)
-	}
-	if got := metricsText(t, fullCfg.Metrics); got != refMetrics {
-		t.Fatalf("journaled metrics differ from unjournaled")
-	}
-
-	raw, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(strings.TrimRight(string(raw), "\n"), "\n")
-	// lines[0] is the header; keep 3 of the 7 records, plus a torn tail.
-	if len(lines) != 1+len(sites) {
-		t.Fatalf("journal has %d lines, want %d", len(lines), 1+len(sites))
-	}
-
-	for _, workers := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			crashed := filepath.Join(dir, fmt.Sprintf("crashed-%d.journal", workers))
-			torn := strings.Join(lines[:4], "") + `{"i":6,"r":{"resu` // mid-write SIGKILL residue
-			if err := os.WriteFile(crashed, []byte(torn), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cfg := newCfg(workers)
-			jr, err := OpenCampaignJournal(crashed, cfg, "crafty", sites, InjectOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jr.Close()
-			if jr.Done() != 3 {
-				t.Fatalf("crashed journal resumes %d records, want 3", jr.Done())
-			}
-			cfg.Journal = jr
-			sum, err := Campaign(cfg, "crafty", sites, InjectOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum.Resumed != 3 {
-				t.Errorf("Resumed = %d, want 3", sum.Resumed)
-			}
-			if got := summaryString(sum); got != refTable {
-				t.Errorf("resumed table differs from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s", got, refTable)
-			}
-			if got := metricsText(t, cfg.Metrics); got != refMetrics {
-				t.Errorf("resumed metrics differ from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s", got, refMetrics)
-			}
-		})
-	}
-}
-
 // A journal keyed to a different campaign refuses to resume.
 func TestCampaignJournalKeyMismatch(t *testing.T) {
 	sites := resilienceSites()
@@ -347,6 +283,12 @@ func TestCampaignJournalKeyMismatch(t *testing.T) {
 	}
 	if _, err := OpenCampaignJournal(path, cfg, "crafty", sites[:3], InjectOptions{}); err == nil {
 		t.Error("journal accepted a different site list")
+	}
+	// A sampled campaign's records mean something else than a full one's.
+	cfg3 := cfg
+	cfg3.FastForward = true
+	if _, err := OpenCampaignJournal(path, cfg3, "crafty", sites, InjectOptions{}); err == nil {
+		t.Error("journal of a full campaign accepted a sampled one")
 	}
 }
 

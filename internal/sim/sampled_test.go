@@ -1,206 +1,11 @@
 package sim
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
 )
-
-// sampledTestConfig is a full-depth campaign config: the budget is long
-// enough for LatentSites' wear-out faults to arm thousands of eligible uses
-// in, giving fast-forward a real prefix to skip.
-func sampledTestConfig(mode pipeline.Mode, par int) Config {
-	cfg := Default(mode, 30_000)
-	cfg.Machine.MaxCycles = 200_000
-	cfg.Parallel = par
-	return cfg
-}
-
-// outcomeTable reduces a summary to the figures sampled simulation promises
-// to preserve exactly: per-site outcome class and whether the fault
-// activated. Cycle counts and latencies of fast-forwarded runs are
-// window-relative by design, so they are deliberately absent here.
-func outcomeTable(sum *CampaignSummary) string {
-	var b strings.Builder
-	for _, r := range sum.Results {
-		fmt.Fprintf(&b, "%v|%v|activated=%v\n", r.Site, r.Outcome, r.Activations > 0)
-	}
-	fmt.Fprintf(&b, "counts=%v active=%d detectedOfActive=%d\n",
-		sum.Counts, sum.ActiveRuns, sum.DetectedOfActive)
-	return b.String()
-}
-
-// The tentpole's soundness contract: a sampled campaign (FastForward) must
-// produce the same outcome table as full simulation — every site classified
-// identically, every activated flag equal — while actually taking the
-// fast-forward path for the late-arming sites (not silently falling back
-// to cold runs).
-func TestSampledCampaignMatchesFullOutcomes(t *testing.T) {
-	for _, mode := range []pipeline.Mode{pipeline.ModeBlackJack, pipeline.ModeSRT} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := sampledTestConfig(mode, 4)
-			sites := LatentSites(cfg.Machine)
-			opts := InjectOptions{SplitPayload: true}
-			full, err := Campaign(cfg, "gcc", sites, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.FastForward = true
-			cfg.Metrics = obs.NewRegistry()
-			sampled, err := Campaign(cfg, "gcc", sites, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := outcomeTable(sampled), outcomeTable(full); got != want {
-				t.Errorf("sampled outcome table diverged from full simulation:\n--- sampled ---\n%s--- full ---\n%s", got, want)
-			}
-			if ff := cfg.Metrics.CounterValue("campaign.ff.runs"); ff == 0 {
-				t.Error("campaign.ff.runs = 0: fast-forward path never engaged")
-			}
-			if stops := cfg.Metrics.CounterValue("campaign.ff.early_stops"); stops == 0 {
-				t.Error("campaign.ff.early_stops = 0: no run stopped on first detection")
-			}
-		})
-	}
-}
-
-// Sampled campaigns must keep the campaign-level determinism guarantee:
-// identical summary and identical exported metrics at every worker count
-// (per-worker registries merged commutatively).
-func TestSampledCampaignDeterministicAcrossWorkers(t *testing.T) {
-	run := func(par int) (string, string) {
-		cfg := sampledTestConfig(pipeline.ModeBlackJack, par)
-		cfg.FastForward = true
-		cfg.Metrics = obs.NewRegistry()
-		sites := LatentSites(cfg.Machine)
-		sum, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return summaryString(sum), metricsText(t, cfg.Metrics)
-	}
-	tab1, met1 := run(1)
-	tab8, met8 := run(8)
-	if tab1 != tab8 {
-		t.Errorf("sampled summary differs between Parallel=1 and Parallel=8:\n--- serial ---\n%s--- parallel ---\n%s", tab1, tab8)
-	}
-	if met1 != met8 {
-		t.Errorf("sampled metrics differ between Parallel=1 and Parallel=8:\n--- serial ---\n%s--- parallel ---\n%s", met1, met8)
-	}
-}
-
-// A sampled campaign's journal must resume byte-identically: path choices
-// (fast-forward vs fallback) and window-relative figures are journaled, so
-// a resumed campaign reports the same table and metrics without re-running
-// completed sites.
-func TestSampledCampaignJournalResume(t *testing.T) {
-	newCfg := func() Config {
-		cfg := sampledTestConfig(pipeline.ModeBlackJack, 3)
-		cfg.FastForward = true
-		cfg.Metrics = obs.NewRegistry()
-		return cfg
-	}
-	refCfg := newCfg()
-	sites := LatentSites(refCfg.Machine)
-	opts := InjectOptions{SplitPayload: true}
-	refSum, err := Campaign(refCfg, "gcc", sites, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refTable := summaryString(refSum)
-	refMetrics := metricsText(t, refCfg.Metrics)
-
-	dir := t.TempDir()
-	full := filepath.Join(dir, "sampled.journal")
-	fullCfg := newCfg()
-	jr, err := OpenCampaignJournal(full, fullCfg, "gcc", sites, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCfg.Journal = jr
-	if _, err := Campaign(fullCfg, "gcc", sites, opts); err != nil {
-		t.Fatal(err)
-	}
-	jr.Close()
-
-	raw, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) != 1+len(sites) {
-		t.Fatalf("journal has %d lines, want %d", len(lines), 1+len(sites))
-	}
-	// Keep the header plus half the records — a campaign killed mid-flight.
-	crashed := filepath.Join(dir, "crashed.journal")
-	if err := os.WriteFile(crashed, []byte(strings.Join(lines[:1+len(sites)/2], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := newCfg()
-	jr2, err := OpenCampaignJournal(crashed, cfg, "gcc", sites, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr2.Close()
-	cfg.Journal = jr2
-	sum, err := Campaign(cfg, "gcc", sites, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Resumed != len(sites)/2 {
-		t.Errorf("Resumed = %d, want %d", sum.Resumed, len(sites)/2)
-	}
-	if got := summaryString(sum); got != refTable {
-		t.Errorf("resumed sampled table differs:\n--- resumed ---\n%s--- reference ---\n%s", got, refTable)
-	}
-	if got := metricsText(t, cfg.Metrics); got != refMetrics {
-		t.Errorf("resumed sampled metrics differ:\n--- resumed ---\n%s--- reference ---\n%s", got, refMetrics)
-	}
-	// A journal written without FastForward must refuse to resume a sampled
-	// campaign: the run records mean different things.
-	plain := newCfg()
-	plain.FastForward = false
-	if _, err := OpenCampaignJournal(crashed, plain, "gcc", sites, opts); err == nil {
-		t.Error("full-simulation config resumed a sampled journal")
-	}
-}
-
-// Transients are excluded from the fast-forward path (their one-shot outcome
-// depends on the exact dynamic use corrupted, which only bit-exact paths
-// reproduce), but a sampled campaign over them must still match full
-// simulation — served by fork/cold fallbacks with stop-on-detect.
-func TestSampledTransientCampaignFallsBack(t *testing.T) {
-	cfg := checkpointTestConfig(pipeline.ModeBlackJack, 1500)
-	sites := mixedSites(cfg.Machine)
-	full, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FastForward = true
-	cfg.CheckpointInterval = 500
-	cfg.Metrics = obs.NewRegistry()
-	sampled, err := Campaign(cfg, "gcc", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := outcomeTable(sampled), outcomeTable(full); got != want {
-		t.Errorf("sampled transient campaign diverged:\n--- sampled ---\n%s--- full ---\n%s", got, want)
-	}
-	// Every transient subset must have taken a bit-exact path.
-	ff := cfg.Metrics.CounterValue("campaign.ff.runs")
-	exact := cfg.Metrics.CounterValue("campaign.forked_runs") +
-		cfg.Metrics.CounterValue("campaign.cold_runs")
-	if exact == 0 {
-		t.Error("no bit-exact fallback runs despite transient sites")
-	}
-	t.Logf("ff=%d exact=%d warm=%d", ff, exact, cfg.Metrics.CounterValue("campaign.warm_served"))
-}
 
 // RunSampledProgram skips the fault-free functional prefix and must agree
 // with RunProgram on everything the handoff leaves observable: a fault-free

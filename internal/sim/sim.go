@@ -47,10 +47,9 @@ type Config struct {
 	// architectural state (see pipeline.NewFromArch), and simulating only the
 	// activation window — with the run stopping at its first detection event,
 	// since the outcome is Detected from that point regardless. Outcome
-	// tables are identical to full simulation (diffcheck.CompareSampledCampaign
-	// proves it per campaign); cycle counts, activation totals and detection
-	// latencies of fast-forwarded runs are window-relative, not
-	// whole-program. Composes with CheckpointInterval: sites with an early
+	// tables are identical to full simulation (serve's TestCampaignPathMatrix
+	// checks it); cycle counts, activation totals and detection latencies of
+	// fast-forwarded runs are window-relative, not whole-program. Composes with CheckpointInterval: sites with an early
 	// first activation still fork from warmup snapshots.
 	FastForward bool
 	// FFWarmup is the fast-forward warmup lead in committed instructions:
@@ -140,8 +139,8 @@ type RunProgress struct {
 // Several times the machine's maximum in-flight window, so queues, the
 // predictor and the redundancy coupling re-approach steady state before the
 // fault can fire; sampled-equivalence outcomes are empirically stable from
-// a few hundred instructions up (diffcheck's sampled mode re-proves it per
-// campaign). Raise Config.FFWarmup for conservative latency studies.
+// a few hundred instructions up (the campaign path matrix re-checks it).
+// Raise Config.FFWarmup for conservative latency studies.
 const DefaultFFWarmup = 500
 
 // ffWarmup resolves the configured warmup lead.

@@ -46,18 +46,25 @@ type Predictor struct {
 
 // New builds a predictor.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Init(cfg)
+	return p
+}
+
+// Init resets p to a fresh predictor, reusing its pattern table when the
+// size is unchanged: New is Init on a zero Predictor.
+func (p *Predictor) Init(cfg Config) {
 	if cfg.HistoryBits <= 0 || cfg.HistoryBits > 24 {
 		cfg = DefaultConfig()
 	}
 	n := 1 << cfg.HistoryBits
-	p := &Predictor{
-		counters: make([]uint8, n),
-		mask:     uint64(n - 1),
+	if len(p.counters) != n {
+		p.counters = make([]uint8, n)
 	}
 	for i := range p.counters {
 		p.counters[i] = 2 // weakly taken
 	}
-	return p
+	*p = Predictor{counters: p.counters, mask: uint64(n - 1)}
 }
 
 // Predict returns the prediction token for the branch at pc, speculatively
@@ -100,18 +107,12 @@ func (p *Predictor) Stats() (predicts, mispredicts uint64) {
 	return p.predicts, p.mispredicts
 }
 
-// Clone returns an independent deep copy of the predictor (pattern table,
-// global history and statistics).
-func (p *Predictor) Clone() *Predictor {
-	c := &Predictor{
-		counters:    make([]uint8, len(p.counters)),
-		history:     p.history,
-		mask:        p.mask,
-		predicts:    p.predicts,
-		mispredicts: p.mispredicts,
-	}
-	copy(c.counters, p.counters)
-	return c
+// CopyFrom makes p an independent deep copy of src (pattern table, global
+// history and statistics), reusing p's pattern table.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	counters := append(p.counters[:0], src.counters...)
+	*p = *src
+	p.counters = counters
 }
 
 // Equal reports whether p and o hold the same counters, history and

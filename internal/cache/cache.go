@@ -81,14 +81,29 @@ type Hierarchy struct {
 // New builds a hierarchy; it panics on an invalid config (configs are
 // programmer-supplied constants, not runtime input).
 func New(cfg Config) *Hierarchy {
+	h := &Hierarchy{}
+	h.Init(cfg)
+	return h
+}
+
+// Init resets h to a fresh, empty hierarchy, keeping its tag pages for
+// reuse: New is Init on a zero Hierarchy. It panics on an invalid config.
+func (h *Hierarchy) Init(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Hierarchy{
-		cfg: cfg,
-		l1:  newSetAssoc(cfg.L1SizeKB*1024, cfg.L1Ways, cfg.LineBytes),
-		l2:  newSetAssoc(cfg.L2SizeKB*1024, cfg.L2Ways, cfg.LineBytes),
+	l1, l2 := orNew(h.l1), orNew(h.l2)
+	l1.init(cfg.L1SizeKB*1024, cfg.L1Ways, cfg.LineBytes)
+	l2.init(cfg.L2SizeKB*1024, cfg.L2Ways, cfg.LineBytes)
+	*h = Hierarchy{cfg: cfg, l1: l1, l2: l2}
+}
+
+// orNew returns c, or a new array when c is nil.
+func orNew(c *setAssoc) *setAssoc {
+	if c == nil {
+		return &setAssoc{}
 	}
+	return c
 }
 
 // Config returns the configuration the hierarchy was built with.
@@ -134,18 +149,15 @@ func (h *Hierarchy) Access(addr uint64, cycle int64) (lat int, ok bool) {
 	return lat, true
 }
 
-// Clone returns an independent deep copy of the hierarchy (tags, LRU state,
-// port counters and statistics), so a checkpointed machine resumes with
-// byte-identical hit/miss timing.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		cfg:       h.cfg,
-		l1:        h.l1.clone(),
-		l2:        h.l2.clone(),
-		portCycle: h.portCycle,
-		portsUsed: h.portsUsed,
-		stats:     h.stats,
-	}
+// CopyFrom makes h an independent deep copy of src (tags, LRU state, port
+// counters and statistics), reusing h's tag pages, so a checkpointed machine
+// resumes with byte-identical hit/miss timing. src is only read.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	l1, l2 := orNew(h.l1), orNew(h.l2)
+	l1.copyFrom(src.l1)
+	l2.copyFrom(src.l2)
+	*h = *src
+	h.l1, h.l2 = l1, l2
 }
 
 // Equal reports whether h and o hold the same configuration, tags, LRU
@@ -189,11 +201,13 @@ type setAssoc struct {
 	// pages[set/setsPerPage] holds the (tag, stamp) pair of way w of a set at
 	// 2*((set%setsPerPage)*ways+w); nil until one of its sets is filled.
 	pages [][]uint64
-	spare []uint64 // unused rest of the last page chunk
+	spare []uint64   // unused rest of the last page chunk
+	free  [][]uint64 // pages an init or copy dropped, reused before spare
 	clock uint64
 }
 
-func newSetAssoc(sizeBytes, ways, lineBytes int) *setAssoc {
+// init empties c and sets its geometry, keeping its pages for reuse.
+func (c *setAssoc) init(sizeBytes, ways, lineBytes int) {
 	lines := sizeBytes / lineBytes
 	sets := lines / ways
 	if sets < 1 {
@@ -203,38 +217,73 @@ func newSetAssoc(sizeBytes, ways, lineBytes int) *setAssoc {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	return &setAssoc{
-		sets:      sets,
-		ways:      ways,
-		lineShift: shift,
-		pages:     make([][]uint64, (sets+setsPerPage-1)/setsPerPage),
+	c.setGeometry(sets, ways, shift)
+	c.clock = 0
+}
+
+// setGeometry drops every page (kept for reuse while the page size stays)
+// and sets the geometry.
+func (c *setAssoc) setGeometry(sets, ways int, shift uint) {
+	if ways != c.ways {
+		c.free, c.spare = nil, nil
+	}
+	for i, p := range c.pages {
+		if p != nil && ways == c.ways {
+			c.free = append(c.free, p)
+		}
+		c.pages[i] = nil
+	}
+	c.sets, c.ways, c.lineShift = sets, ways, shift
+	n := (sets + setsPerPage - 1) / setsPerPage
+	if cap(c.pages) >= n {
+		c.pages = c.pages[:n] // every entry is nil
+	} else {
+		c.pages = make([][]uint64, n)
 	}
 }
 
 // pageLen is the number of words in one page.
 func (c *setAssoc) pageLen() int { return 2 * setsPerPage * c.ways }
 
-// clone copies the array; the existing pages share one fresh backing array.
-func (c *setAssoc) clone() *setAssoc {
-	n := *c
-	n.spare = nil
-	n.pages = make([][]uint64, len(c.pages))
-	used := 0
-	for _, p := range c.pages {
+// newPage returns page storage with unspecified contents: a dropped page,
+// else the next page of the chunk, else the first page of a new chunk.
+func (c *setAssoc) newPage() []uint64 {
+	if k := len(c.free); k > 0 {
+		p := c.free[k-1]
+		c.free = c.free[:k-1]
+		return p
+	}
+	n := c.pageLen()
+	if len(c.spare) < n {
+		c.spare = make([]uint64, pagesPerChunk*n)
+	}
+	p := c.spare[:n:n]
+	c.spare = c.spare[n:]
+	return p
+}
+
+// copyFrom makes c a copy of src, reusing c's pages; when they do not
+// suffice, the missing pages share one fresh backing array. src is only
+// read.
+func (c *setAssoc) copyFrom(src *setAssoc) {
+	c.setGeometry(src.sets, src.ways, src.lineShift)
+	c.clock = src.clock
+	need := 0
+	for _, p := range src.pages {
 		if p != nil {
-			used++
+			need++
 		}
 	}
-	backing := make([]uint64, used*c.pageLen())
-	for i, p := range c.pages {
-		if p == nil {
-			continue
-		}
-		n.pages[i] = backing[:len(p):len(p)]
-		backing = backing[len(p):]
-		copy(n.pages[i], p)
+	n := c.pageLen()
+	if need > len(c.free)+len(c.spare)/n {
+		c.spare = make([]uint64, (need-len(c.free))*n)
 	}
-	return &n
+	for i, p := range src.pages {
+		if p != nil {
+			c.pages[i] = c.newPage()
+			copy(c.pages[i], p)
+		}
+	}
 }
 
 // equal compares geometry, clocks and pages. A page exists exactly when one
@@ -273,11 +322,9 @@ func (c *setAssoc) access(addr uint64) bool {
 	c.clock++
 	ways := c.set(set)
 	if ways == nil {
-		n := c.pageLen()
-		if len(c.spare) < n {
-			c.spare = make([]uint64, pagesPerChunk*n)
-		}
-		c.pages[set/setsPerPage], c.spare = c.spare[:n:n], c.spare[n:]
+		p := c.newPage()
+		clear(p)
+		c.pages[set/setsPerPage] = p
 		ways = c.set(set)
 	}
 	victim, oldest := 0, ways[1]

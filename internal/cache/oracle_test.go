@@ -19,6 +19,26 @@ type flatSetAssoc struct {
 	clock     uint64
 }
 
+// newSetAssoc, clone and cloneHierarchy build through init and copyFrom /
+// CopyFrom, the paths a machine's build and copy use.
+func newSetAssoc(sizeBytes, ways, lineBytes int) *setAssoc {
+	c := &setAssoc{}
+	c.init(sizeBytes, ways, lineBytes)
+	return c
+}
+
+func (c *setAssoc) clone() *setAssoc {
+	n := &setAssoc{}
+	n.copyFrom(c)
+	return n
+}
+
+func cloneHierarchy(h *Hierarchy) *Hierarchy {
+	c := &Hierarchy{}
+	c.CopyFrom(h)
+	return c
+}
+
 func newFlatSetAssoc(sizeBytes, ways, lineBytes int) *flatSetAssoc {
 	p := newSetAssoc(sizeBytes, ways, lineBytes)
 	return &flatSetAssoc{
@@ -146,7 +166,7 @@ func TestPagedTagsMatchFlatOracle(t *testing.T) {
 			var cycle int64
 			lockstep(t, "warm", h, ref, rng, ws.span, 50_000, &cycle)
 
-			c, cref := h.Clone(), ref.clone()
+			c, cref := cloneHierarchy(h), ref.clone()
 			if !h.Equal(c) || !c.Equal(h) {
 				t.Fatal("a fresh clone does not equal its original")
 			}
@@ -177,6 +197,10 @@ func TestPagedTagsMatchFlatOracle(t *testing.T) {
 // every access, on clones, and on Equal, also when the set count is not a
 // multiple of the page size.
 func TestPagedSetAssocMatchesFlat(t *testing.T) {
+	// reused is copied into and re-initialized again and again, across the
+	// geometries too, dirtied in between: a copy into used pages must equal
+	// its source, and a used array re-initialized a fresh one.
+	reused := &setAssoc{}
 	for _, g := range []struct{ size, ways int }{{64 << 10, 4}, {19200, 3}, {1 << 10, 16}} {
 		p, f := newSetAssoc(g.size, g.ways, 64), newFlatSetAssoc(g.size, g.ways, 64)
 		rng := rand.New(rand.NewSource(int64(g.size + g.ways)))
@@ -190,6 +214,18 @@ func TestPagedSetAssocMatchesFlat(t *testing.T) {
 				addr := rng.Uint64()
 				if pc.access(addr) != fc.access(addr) || p.equal(pc) != f.equal(fc) || p.equal(pc) {
 					t.Fatalf("%d/%d-way: clone diverged differently from the flat oracle", g.size, g.ways)
+				}
+				reused.copyFrom(p)
+				if !reused.equal(p) {
+					t.Fatalf("%d/%d-way: a copy into a used array does not equal its source", g.size, g.ways)
+				}
+				reused.access(rng.Uint64())
+				reused.init(g.size, g.ways, 64)
+				if !reused.equal(newSetAssoc(g.size, g.ways, 64)) {
+					t.Fatalf("%d/%d-way: a used array re-initialized is not empty", g.size, g.ways)
+				}
+				for k := 0; k < 64; k++ {
+					reused.access(rng.Uint64())
 				}
 			}
 		}
@@ -207,13 +243,13 @@ func TestConcurrentClonesShareNoPages(t *testing.T) {
 	h, ref := New(cfg), newFlatHierarchy(cfg)
 	var cycle int64
 	lockstep(t, "warm", h, ref, rand.New(rand.NewSource(1)), 8<<20, 20_000, &cycle)
-	snap := h.Clone()
+	snap := cloneHierarchy(h)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, cref, cc := h.Clone(), ref.clone(), cycle
+			c, cref, cc := cloneHierarchy(h), ref.clone(), cycle
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 5_000; i++ {
 				cc++

@@ -14,13 +14,18 @@ import (
 // renamed leading instructions. The table therefore has one row per leading
 // physical register ("our rename tables have more rows").
 type DoubleRename struct {
-	table *rename.Map
+	table rename.Map
 }
 
 // NewDoubleRename builds the table with one row per physical register.
 func NewDoubleRename(physRegs int) *DoubleRename {
-	return &DoubleRename{table: rename.NewMap(physRegs)}
+	d := &DoubleRename{}
+	d.Init(physRegs)
+	return d
 }
+
+// Init empties the table and sizes it to physRegs rows, reusing its storage.
+func (d *DoubleRename) Init(physRegs int) { d.table.Init(physRegs) }
 
 // Seed installs the initial mapping leadP -> trailP (the pre-execution
 // architectural state of each logical register as seen by both threads).
@@ -44,20 +49,15 @@ func (d *DoubleRename) Bind(leadP, trailP rename.PhysReg) {
 	d.table.Set(int(leadP), trailP)
 }
 
-// Clone returns an independent deep copy of the table (nil-safe).
-func (d *DoubleRename) Clone() *DoubleRename {
-	if d == nil {
-		return nil
-	}
-	return &DoubleRename{table: d.table.Clone()}
-}
+// CopyFrom makes d an independent deep copy of src, reusing d's storage.
+func (d *DoubleRename) CopyFrom(src *DoubleRename) { d.table.CopyFrom(&src.table) }
 
 // Equal reports whether d and o hold the same mappings (nil-safe).
 func (d *DoubleRename) Equal(o *DoubleRename) bool {
 	if d == nil || o == nil {
 		return d == o
 	}
-	return d.table.Equal(o.table)
+	return d.table.Equal(&o.table)
 }
 
 // OrderChecker implements BlackJack's commit-time validation of the
@@ -74,7 +74,7 @@ func (d *DoubleRename) Equal(o *DoubleRename) bool {
 //     sequential/branch-target order, catching dropped, added or reordered
 //     instructions.
 type OrderChecker struct {
-	second *rename.Map
+	second rename.Map
 
 	havePrev   bool
 	prevPC     int
@@ -88,7 +88,15 @@ type OrderChecker struct {
 // NewOrderChecker builds the checker; the second rename table has one row per
 // logical register.
 func NewOrderChecker() *OrderChecker {
-	return &OrderChecker{second: rename.NewMap(isa.NumArchRegs)}
+	c := &OrderChecker{}
+	c.Init()
+	return c
+}
+
+// Init resets c to a fresh checker, reusing its table's storage.
+func (c *OrderChecker) Init() {
+	c.second.Init(isa.NumArchRegs)
+	*c = OrderChecker{second: c.second}
 }
 
 // Seed installs the initial program-order mapping of a logical register.
@@ -107,20 +115,12 @@ func (c *OrderChecker) Mapping(logical isa.Reg) rename.PhysReg {
 	return c.second.Get(int(logical))
 }
 
-// Clone returns an independent deep copy of the checker (nil-safe).
-func (c *OrderChecker) Clone() *OrderChecker {
-	if c == nil {
-		return nil
-	}
-	return &OrderChecker{
-		second:     c.second.Clone(),
-		havePrev:   c.havePrev,
-		prevPC:     c.prevPC,
-		prevTaken:  c.prevTaken,
-		prevTarget: c.prevTarget,
-		depChecks:  c.depChecks,
-		pcChecks:   c.pcChecks,
-	}
+// CopyFrom makes c an independent deep copy of src, reusing c's storage.
+func (c *OrderChecker) CopyFrom(src *OrderChecker) {
+	second := c.second
+	second.CopyFrom(&src.second)
+	*c = *src
+	c.second = second
 }
 
 // Equal reports whether c and o are in the same checking state (nil-safe).
@@ -131,7 +131,7 @@ func (c *OrderChecker) Equal(o *OrderChecker) bool {
 	return c.havePrev == o.havePrev && c.prevPC == o.prevPC &&
 		c.prevTaken == o.prevTaken && c.prevTarget == o.prevTarget &&
 		c.depChecks == o.depChecks && c.pcChecks == o.pcChecks &&
-		c.second.Equal(o.second)
+		c.second.Equal(&o.second)
 }
 
 // CommitInfo describes one trailing instruction at commit.

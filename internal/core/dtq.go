@@ -62,7 +62,7 @@ type Entry struct {
 // head packet has committed. Squashed wrong-path entries are removed so the
 // DTQ holds only instructions that will commit.
 type DTQ struct {
-	ring *queues.Ring[*Entry]
+	ring queues.Ring[*Entry]
 	// bySeq finds an entry by Seq for commit-time updates: entry e sits at
 	// bySeq[e.Seq&seqMask] unless a later allocation took the slot. Only
 	// uncommitted entries are looked up, and their Seqs lie within one
@@ -78,15 +78,30 @@ type DTQ struct {
 
 // NewDTQ builds a DTQ with the given capacity (Table 1: 1024 instructions).
 func NewDTQ(capacity int) *DTQ {
+	q := &DTQ{}
+	q.Init(capacity)
+	return q
+}
+
+// Init empties q and sets its capacity, reusing its storage: NewDTQ is Init
+// on a zero DTQ.
+func (q *DTQ) Init(capacity int) {
+	q.ring.Init(capacity)
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &DTQ{
-		ring:    queues.NewRing[*Entry](capacity),
-		bySeq:   make([]*Entry, n),
-		seqMask: uint64(n - 1),
+	q.resetSeqTable(n)
+}
+
+// resetSeqTable empties the Seq table and sizes it to n slots.
+func (q *DTQ) resetSeqTable(n int) {
+	if len(q.bySeq) == n {
+		clear(q.bySeq)
+	} else {
+		q.bySeq = make([]*Entry, n)
 	}
+	q.seqMask = uint64(n - 1)
 }
 
 // Free returns the number of unallocated slots; leading instructions may only
@@ -166,20 +181,18 @@ func (q *DTQ) SquashYounger(seq uint64) int {
 	return n - w
 }
 
-// Clone returns an independent deep copy of the DTQ (nil-safe). Entries are
-// owned by the machine, so the caller supplies remap to translate each entry
-// pointer into its copy; the Seq table is rebuilt from the remapped ring.
-func (q *DTQ) Clone(remap func(*Entry) *Entry) *DTQ {
-	if q == nil {
-		return nil
+// CopyFrom makes q an independent deep copy of src, reusing q's storage.
+// Entries are owned by the machine, so the caller supplies remap to
+// translate each entry pointer into its copy; the Seq table is rebuilt from
+// the remapped ring. src is only read.
+func (q *DTQ) CopyFrom(src *DTQ, remap func(*Entry) *Entry) {
+	q.ring.CopyFrom(&src.ring)
+	q.resetSeqTable(len(src.bySeq))
+	for i := 0; i < q.ring.Len(); i++ {
+		e := remap(q.ring.At(i))
+		q.ring.SetAt(i, e)
+		q.bySeq[e.Seq&q.seqMask] = e
 	}
-	c := &DTQ{ring: q.ring.Clone(), bySeq: make([]*Entry, len(q.bySeq)), seqMask: q.seqMask}
-	for i := 0; i < c.ring.Len(); i++ {
-		e := remap(c.ring.At(i))
-		c.ring.SetAt(i, e)
-		c.bySeq[e.Seq&c.seqMask] = e
-	}
-	return c
 }
 
 // Equal reports whether q and o hold equal entries, by value, in the same
@@ -190,7 +203,7 @@ func (q *DTQ) Equal(o *DTQ) bool {
 	if q == nil || o == nil {
 		return q == o
 	}
-	return q.seqMask == o.seqMask && q.ring.EqualFunc(o.ring, entryPtrEqual)
+	return q.seqMask == o.seqMask && q.ring.EqualFunc(&o.ring, entryPtrEqual)
 }
 
 // entryPtrEqual compares two ring slots holding entry pointers by value.

@@ -115,23 +115,17 @@ type Shuffler struct {
 	nops          uint64
 }
 
-// Clone returns an independent copy of the shuffler (nil-safe): configuration,
-// packet-ID counter and statistics. The slot-array free list and output
-// scratch are transient per-call state and start empty in the copy.
-func (s *Shuffler) Clone() *Shuffler {
-	if s == nil {
-		return nil
+// CopyFrom makes s a copy of src: configuration, packet-ID counter and
+// statistics. The slot-array free list and output scratch are transient
+// per-call state; s keeps its own, the free slot arrays only while they
+// have src's width.
+func (s *Shuffler) CopyFrom(src *Shuffler) {
+	free, scratch := s.slotFree, s.outScratch
+	if s.Width != src.Width {
+		free = nil
 	}
-	return &Shuffler{
-		Width:         s.Width,
-		Units:         s.Units,
-		Disabled:      s.Disabled,
-		nextID:        s.nextID,
-		inputPackets:  s.inputPackets,
-		outputPackets: s.outputPackets,
-		splits:        s.splits,
-		nops:          s.nops,
-	}
+	*s = *src
+	s.slotFree, s.outScratch = free, scratch
 }
 
 // Equal reports whether s and o have the same configuration, packet-ID
@@ -146,9 +140,9 @@ func (s *Shuffler) Equal(o *Shuffler) bool {
 		s.outputPackets == o.outputPackets && s.splits == o.splits && s.nops == o.nops
 }
 
-// newSlots returns a zeroed Width-sized slot array, reusing a recycled one
+// NewSlots returns a zeroed Width-sized slot array, reusing a recycled one
 // when available.
-func (s *Shuffler) newSlots() []Slot {
+func (s *Shuffler) NewSlots() []Slot {
 	n := len(s.slotFree)
 	if n == 0 {
 		return make([]Slot, s.Width)
@@ -202,7 +196,7 @@ func (s *Shuffler) Shuffle(in []*Entry) []Packet {
 	s.inputPackets++
 	if s.Disabled {
 		out := s.outScratch[:0]
-		p := Packet{ID: s.nextID, Slots: s.newSlots()}
+		p := Packet{ID: s.nextID, Slots: s.NewSlots()}
 		s.nextID++
 		i := 0
 		for _, e := range in {
@@ -211,7 +205,7 @@ func (s *Shuffler) Shuffle(in []*Entry) []Packet {
 				// against misconfiguration by splitting.
 				out = append(out, p)
 				s.outputPackets++
-				p = Packet{ID: s.nextID, Slots: s.newSlots()}
+				p = Packet{ID: s.nextID, Slots: s.NewSlots()}
 				s.nextID++
 				i = 0
 			}
@@ -225,7 +219,7 @@ func (s *Shuffler) Shuffle(in []*Entry) []Packet {
 	}
 
 	out := s.outScratch[:0]
-	cur := Packet{ID: s.nextID, Slots: s.newSlots()}
+	cur := Packet{ID: s.nextID, Slots: s.NewSlots()}
 	s.nextID++
 	for _, e := range in {
 		if !s.place(&cur, e) {
@@ -235,7 +229,7 @@ func (s *Shuffler) Shuffle(in []*Entry) []Packet {
 			out = append(out, cur)
 			s.outputPackets++
 			s.splits++
-			cur = Packet{ID: s.nextID, Slots: s.newSlots()}
+			cur = Packet{ID: s.nextID, Slots: s.NewSlots()}
 			s.nextID++
 			if !s.place(&cur, e) {
 				// Unreachable for width >= 3; tolerate by dropping diversity

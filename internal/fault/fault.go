@@ -171,14 +171,14 @@ func (s Site) String() string {
 	return base
 }
 
-func (s Site) mask() uint64 {
+func (s *Site) mask() uint64 {
 	if s.BitMask == 0 {
 		return 1
 	}
 	return s.BitMask
 }
 
-func (s Site) triggered(v uint64) bool {
+func (s *Site) triggered(v uint64) bool {
 	return v&s.TriggerMask == s.TriggerValue&s.TriggerMask
 }
 
@@ -186,7 +186,7 @@ func (s Site) triggered(v uint64) bool {
 // StuckMask is set, otherwise the XOR flip mask. A stuck-at that matches the
 // value already present returns it unchanged — callers count an activation
 // only when the value actually changed.
-func (s Site) corruptValue(v uint64) uint64 {
+func (s *Site) corruptValue(v uint64) uint64 {
 	if s.StuckMask != 0 {
 		return v&^s.StuckMask | s.StuckValue&s.StuckMask
 	}
@@ -195,7 +195,7 @@ func (s Site) corruptValue(v uint64) uint64 {
 
 // corruptAddr is corruptValue on the word-aligned address lines (the low
 // three bits are byte offsets the datapath never drives).
-func (s Site) corruptAddr(a uint64) uint64 {
+func (s *Site) corruptAddr(a uint64) uint64 {
 	if s.StuckMask != 0 {
 		m := s.StuckMask << 3
 		return a&^m | (s.StuckValue<<3)&m
@@ -204,7 +204,7 @@ func (s Site) corruptAddr(a uint64) uint64 {
 }
 
 // corruptInst applies the site's decode corruption.
-func (s Site) corruptInst(in isa.Inst) isa.Inst {
+func (s *Site) corruptInst(in isa.Inst) isa.Inst {
 	switch s.Field {
 	case FieldRs1:
 		in.Rs1 = (in.Rs1 ^ 1) % isa.NumArchRegs

@@ -70,7 +70,15 @@ func (p *Program) Validate() error {
 
 // NewMemory returns a fresh data segment for the program over its shared,
 // read-only Init image.
-func (p *Program) NewMemory() *Memory { return NewMemory(p.dataBytes(), p.Init) }
+func (p *Program) NewMemory() *Memory {
+	m := &Memory{}
+	p.ResetMemory(m)
+	return m
+}
+
+// ResetMemory makes m a fresh data segment for the program, as NewMemory
+// returns, keeping m's pages for reuse.
+func (p *Program) ResetMemory(m *Memory) { m.Reset(p.dataBytes(), p.Init) }
 
 // dataBytes returns the size of the program's data segment in bytes:
 // DataSize, or one word when DataSize is 0.

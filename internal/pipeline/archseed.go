@@ -20,15 +20,24 @@ import (
 // at program reset. Both SMT contexts start at the same architectural point,
 // exactly as they do at reset; the snapshot is copied, never aliased.
 func NewFromArch(cfg Config, mode Mode, prog *isa.Program, arch *isa.ArchState, opts ...Option) (*Machine, error) {
-	m, err := New(cfg, mode, prog, opts...)
-	if err != nil {
+	m := &Machine{}
+	if err := m.InitFromArch(cfg, mode, prog, arch, opts...); err != nil {
 		return nil, err
 	}
-	m.seedArch(arch)
 	return m, nil
 }
 
-// seedArch installs the snapshot into a freshly constructed machine.
+// InitFromArch builds into m the machine NewFromArch returns, reusing m's
+// storage as Init does: NewFromArch is InitFromArch on a zero Machine.
+func (m *Machine) InitFromArch(cfg Config, mode Mode, prog *isa.Program, arch *isa.ArchState, opts ...Option) error {
+	if err := m.Init(cfg, mode, prog, opts...); err != nil {
+		return err
+	}
+	m.seedArch(arch)
+	return nil
+}
+
+// seedArch installs the snapshot into a freshly built machine.
 func (m *Machine) seedArch(arch *isa.ArchState) {
 	m.mem.CopyFrom(arch.Mem)
 	// Each context's initial architectural mappings were set by New (and, in

@@ -39,7 +39,7 @@ func (m *Machine) dispatchStage() {
 				if !m.dispatchOne(t, t.fetchQ.PeekRef()) {
 					break
 				}
-				t.fetchQ.Pop()
+				t.fetchQ.Drop()
 				budget--
 			}
 			continue
@@ -52,7 +52,7 @@ func (m *Machine) dispatchStage() {
 			if !m.dispatchOne(t, item) {
 				break
 			}
-			t.fetchQ.Pop()
+			t.fetchQ.Drop()
 			budget--
 		}
 	}
@@ -73,15 +73,6 @@ func (m *Machine) headPacketSize(t *thread) int {
 		n++
 	}
 	return n
-}
-
-// newSlotMask returns a payload-slot bitset with the first n slots free.
-func newSlotMask(n int) []uint64 {
-	mask := make([]uint64, (n+63)/64)
-	for i := 0; i < n; i++ {
-		mask[i>>6] |= 1 << (uint(i) & 63)
-	}
-	return mask
 }
 
 // iqLen returns the number of uops in the issue queue.
@@ -159,23 +150,10 @@ func (m *Machine) dispatchInOrder(t *thread, item *fetchItem) bool {
 		return false
 	}
 
-	t.nextSeq++
-	u := m.allocUOp()
-	*u = UOp{
-		Seq:      t.nextSeq,
-		Thread:   t.id,
-		PC:       item.pc,
-		Raw:      item.raw,
-		Inst:     inst,
-		Class:    inst.Class(),
-		FrontWay: item.way,
-		BackWay:  -1,
-		PSrc1:    rename.None, PSrc2: rename.None,
-		PDest: rename.None, POld: rename.None,
-		PredTaken:  item.predTaken,
-		PredLookup: item.predLookup,
-		Halt:       inst.Op == isa.OpHalt || item.halt,
-	}
+	u := m.newUOp(t, item, inst, inst.Class())
+	u.PredTaken = item.predTaken
+	u.PredLookup = item.predLookup
+	u.Halt = inst.Op == isa.OpHalt || item.halt
 	if inst.ReadsRs1() {
 		u.PSrc1 = t.rmap.Get(int(inst.Rs1))
 	}
@@ -250,24 +228,10 @@ func (m *Machine) dispatchTrailingBJ(t *thread, item *fetchItem) bool {
 		return false
 	}
 	if item.isNOP {
-		t.nextSeq++
-		u := m.allocUOp()
-		*u = UOp{
-			Seq:    t.nextSeq,
-			Thread: t.id,
-			PC:     -1,
-			Raw:    item.raw,
-			Inst:   item.raw,
-			Class:  item.nopClass,
-			// NOPs execute on a backend way of their marked class but carry
-			// no operands or destination.
-			FrontWay: item.way,
-			BackWay:  -1,
-			PSrc1:    rename.None, PSrc2: rename.None,
-			PDest: rename.None, POld: rename.None,
-			IsNOP:    true,
-			PacketID: item.packetID,
-		}
+		// NOPs execute on a backend way of their marked class but carry no
+		// operands or destination.
+		u := m.newUOp(t, item, item.raw, item.nopClass)
+		u.IsNOP = true
 		m.traceFetchDispatch(item, u)
 		m.enqueueIQ(u, slot)
 		m.stats.NOPsExecuted++
@@ -290,33 +254,17 @@ func (m *Machine) dispatchTrailingBJ(t *thread, item *fetchItem) bool {
 		return false
 	}
 
-	t.nextSeq++
-	u := m.allocUOp()
-	*u = UOp{
-		Seq:      t.nextSeq,
-		Thread:   t.id,
-		PC:       item.pc,
-		Raw:      item.raw,
-		Inst:     inst,
-		Class:    inst.Class(),
-		FrontWay: item.way,
-		BackWay:  -1,
-		PSrc1:    rename.None, PSrc2: rename.None,
-		PDest: rename.None, POld: rename.None,
-		PairValid:    true,
-		LeadFrontWay: item.leadFrontWay,
-		LeadBackWay:  item.leadBackWay,
-		LeadClass:    item.leadClass,
-		LeadPSrc1:    item.leadPSrc1,
-		LeadPSrc2:    item.leadPSrc2,
-		LeadPDest:    item.leadPDest,
-		LoadSeq:      item.loadSeq,
-		StoreSeq:     item.storeSeq,
-		VirtAL:       item.virtAL,
-		VirtLSQ:      item.virtLSQ,
-		PacketID:     item.packetID,
-		Halt:         item.halt,
-	}
+	u := m.newUOp(t, item, inst, inst.Class())
+	u.PairValid = true
+	u.LeadFrontWay = item.leadFrontWay
+	u.LeadBackWay = item.leadBackWay
+	u.LeadClass = item.leadClass
+	u.LeadPSrc1, u.LeadPSrc2, u.LeadPDest = item.leadPSrc1, item.leadPSrc2, item.leadPDest
+	u.LoadSeq = item.loadSeq
+	u.StoreSeq = item.storeSeq
+	u.VirtAL = item.virtAL
+	u.VirtLSQ = item.virtLSQ
+	u.Halt = item.halt
 	// Double rename: translate the leading physical sources. A failed lookup
 	// can only arise from fault corruption upstream; use the zero register's
 	// value and let the commit checks flag the damage.
@@ -341,6 +289,30 @@ func (m *Machine) dispatchTrailingBJ(t *thread, item *fetchItem) bool {
 	m.traceFetchDispatch(item, u)
 	m.enqueueIQ(u, slot)
 	return true
+}
+
+// newUOp takes a record for thread t's next dispatched instruction, decoded
+// as inst of the given unit class, and fills the fields every dispatch path
+// takes from its fetch item: sequence numbers, PC, raw form, frontend way
+// and packet, with no backend way and no physical registers yet. The caller
+// fills in the rest. The record is zeroed in place first, so nothing of a
+// recycled record survives and no temporary is copied into it.
+func (m *Machine) newUOp(t *thread, item *fetchItem, inst isa.Inst, class isa.UnitClass) *UOp {
+	t.nextSeq++
+	u := m.allocUOp()
+	*u = UOp{}
+	u.Seq = t.nextSeq
+	u.Thread = t.id
+	u.PC = item.pc
+	u.Raw = item.raw
+	u.Inst = inst
+	u.Class = class
+	u.FrontWay = item.way
+	u.BackWay = -1
+	u.PSrc1, u.PSrc2 = rename.None, rename.None
+	u.PDest, u.POld = rename.None, rename.None
+	u.PacketID = item.packetID
+	return u
 }
 
 func (m *Machine) doubleLookup(leadP rename.PhysReg) rename.PhysReg {

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"blackjack/internal/isa"
-	"blackjack/internal/redundancy"
 	"blackjack/internal/rename"
 )
 
@@ -74,7 +73,7 @@ func (m *Machine) fetchLeading(t *thread) int {
 			break
 		}
 		raw := m.prog.Code[pc]
-		item := fetchItem{pc: pc, raw: raw, way: pc % width, fetchCycle: m.cycle}
+		item := m.pushFetch(t, pc, raw, pc%width)
 		next := pc + 1
 		stop := false
 		switch {
@@ -94,7 +93,6 @@ func (m *Machine) fetchLeading(t *thread) int {
 				stop = true
 			}
 		}
-		t.fetchQ.Push(item)
 		t.fetched++
 		m.stats.Fetched[t.id] = t.fetched
 		n++
@@ -126,28 +124,33 @@ func (m *Machine) fetchTrailingStream(t *thread) int {
 		return 0
 	}
 	group := m.stream.FetchGroup(m.cfg.FetchWidth)
-	for _, e := range group {
-		t.fetchQ.Push(m.streamItem(e))
+	for i := range group {
+		e := &group[i]
+		item := m.pushFetch(t, e.PC, e.Inst, e.PC%m.cfg.FetchWidth)
+		item.pairValid = true
+		item.leadFrontWay = e.FrontWay
+		item.leadBackWay = e.BackWay
+		item.leadClass = e.Class
+		item.loadSeq = e.LoadSeq
+		item.storeSeq = e.StoreSeq
+		item.halt = e.Halt
 		t.fetched++
 		m.stats.Fetched[t.id] = t.fetched
 	}
 	return len(group)
 }
 
-func (m *Machine) streamItem(e redundancy.StreamEntry) fetchItem {
-	return fetchItem{
-		pc:           e.PC,
-		raw:          e.Inst,
-		way:          e.PC % m.cfg.FetchWidth,
-		fetchCycle:   m.cycle,
-		pairValid:    true,
-		leadFrontWay: e.FrontWay,
-		leadBackWay:  e.BackWay,
-		leadClass:    e.Class,
-		loadSeq:      e.LoadSeq,
-		storeSeq:     e.StoreSeq,
-		halt:         e.Halt,
-	}
+// pushFetch appends the fetch item of instruction raw at pc, fetched on
+// frontend way `way` this cycle, to t's fetch buffer and returns it; the
+// caller fills in the fields its source supplies. The item is filled in
+// place in its zeroed ring slot; callers have checked there is room.
+func (m *Machine) pushFetch(t *thread, pc int, raw isa.Inst, way int) *fetchItem {
+	item := t.fetchQ.PushRef()
+	item.pc = pc
+	item.raw = raw
+	item.way = way
+	item.fetchCycle = m.cycle
+	return item
 }
 
 // fetchTrailingPacket fetches at most ONE shuffled packet per cycle
@@ -168,48 +171,36 @@ func (m *Machine) fetchTrailingPacket(t *thread) int {
 	if t.fetchQ.Free() < need {
 		return 0
 	}
-	m.packets.Pop()
+	m.packets.Drop()
 	m.stats.TrailingPackets++
 	n := 0
 	for i, s := range pkt.Slots {
 		switch {
 		case s.Entry != nil:
 			e := s.Entry
-			t.fetchQ.Push(fetchItem{
-				pc:           e.PC,
-				raw:          e.RawInst,
-				way:          i,
-				fetchCycle:   m.cycle,
-				pairValid:    true,
-				leadFrontWay: e.FrontWay,
-				leadBackWay:  e.BackWay,
-				leadClass:    e.Class,
-				loadSeq:      e.LoadSeq,
-				storeSeq:     e.StoreSeq,
-				halt:         e.Halt,
-				leadPSrc1:    e.PSrc1,
-				leadPSrc2:    e.PSrc2,
-				leadPDest:    e.PDest,
-				virtAL:       e.VirtAL,
-				virtLSQ:      e.VirtLSQ,
-				packetID:     pkt.ID,
-			})
+			item := m.pushFetch(t, e.PC, e.RawInst, i)
+			item.pairValid = true
+			item.leadFrontWay = e.FrontWay
+			item.leadBackWay = e.BackWay
+			item.leadClass = e.Class
+			item.loadSeq = e.LoadSeq
+			item.storeSeq = e.StoreSeq
+			item.halt = e.Halt
+			item.leadPSrc1, item.leadPSrc2, item.leadPDest = e.PSrc1, e.PSrc2, e.PDest
+			item.virtAL = e.VirtAL
+			item.virtLSQ = e.VirtLSQ
+			item.packetID = pkt.ID
 			t.fetched++
 			m.stats.Fetched[t.id] = t.fetched
 			n++
 			m.recycleEntry(e)
 		case s.IsNOP:
-			t.fetchQ.Push(fetchItem{
-				pc:         -1,
-				raw:        isa.Inst{Op: isa.OpNop},
-				way:        i,
-				fetchCycle: m.cycle,
-				isNOP:      true,
-				nopClass:   s.NopClass,
-				packetID:   pkt.ID,
-				// NOPs carry no rename state.
-				leadPSrc1: rename.None, leadPSrc2: rename.None, leadPDest: rename.None,
-			})
+			item := m.pushFetch(t, -1, isa.Inst{Op: isa.OpNop}, i)
+			item.isNOP = true
+			item.nopClass = s.NopClass
+			item.packetID = pkt.ID
+			// NOPs carry no rename state.
+			item.leadPSrc1, item.leadPSrc2, item.leadPDest = rename.None, rename.None, rename.None
 			t.fetchedNOPs++
 			n++
 		}

@@ -273,25 +273,28 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 	// Leading issue in BlackJack modes allocates the DTQ entry, in issue
 	// order; co-issued instructions share a packet (keyed by issue cycle).
 	if m.mode.UsesDTQ() && u.Thread == leadThread {
-		e := m.allocEntry()
-		*e = core.Entry{
-			Seq:      u.Seq,
-			PacketID: uint64(m.cycle),
-			PC:       u.PC,
-			RawInst:  u.Raw,
-			FrontWay: u.FrontWay,
-			BackWay:  u.BackWay,
-			Class:    u.Class,
-			PSrc1:    u.PSrc1,
-			PSrc2:    u.PSrc2,
-			PDest:    u.PDest,
-		}
-		if !m.dtq.Allocate(e) {
+		if !m.dtq.Allocate(m.newEntry(u)) {
 			m.internalError("DTQ overflow despite reservation")
 		}
 	}
 
 	m.scheduleDone(u)
+}
+
+// newEntry takes a DTQ record for the issuing leading uop u and fills it in
+// place: the issue-time fields, with co-issued instructions sharing a packet
+// keyed by the issue cycle. The program-order fields stay zero until u
+// commits.
+func (m *Machine) newEntry(u *UOp) *core.Entry {
+	e := m.allocEntry()
+	*e = core.Entry{}
+	e.Seq = u.Seq
+	e.PacketID = uint64(m.cycle)
+	e.PC = u.PC
+	e.RawInst = u.Raw
+	e.FrontWay, e.BackWay, e.Class = u.FrontWay, u.BackWay, u.Class
+	e.PSrc1, e.PSrc2, e.PDest = u.PSrc1, u.PSrc2, u.PDest
+	return e
 }
 
 // issueLoad performs the memory access (cache for the leading/single thread,

@@ -127,13 +127,18 @@ type Machine struct {
 
 	// Free lists and slabs for the per-instruction hot-path records, and the
 	// select scratch list. Strictly per-machine state — no globals, no sync
-	// — so machines stay independent under the parallel harness. A recycled
-	// record is fully overwritten at its next allocation site.
+	// — so machines stay independent under the parallel harness. A record,
+	// recycled or handed out again by a rewound slab, is zeroed and filled
+	// in place at its next allocation site (newUOp, newEntry).
 	uopFree    []*UOp
 	entryFree  []*core.Entry
 	uopSlab    slab[UOp]
 	entrySlab  slab[core.Entry]
 	selScratch []int
+	// copyFrom's translation maps from a source machine's records to this
+	// machine's copies, kept for the next copy.
+	uopCopies   map[*UOp]*UOp
+	entryCopies map[*core.Entry]*core.Entry
 
 	cap         uint64 // leading-commit target for this run (machine-local)
 	leadStopped bool
@@ -269,35 +274,58 @@ func (m *Machine) sampleDepths() {
 
 // New builds a machine ready to run prog in the given mode.
 func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Machine{}
+	if err := m.Init(cfg, mode, prog, opts...); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// Init builds into m the machine New(cfg, mode, prog, opts...) returns,
+// reusing the storage of whatever machine m held before: its records,
+// memory and cache pages, tables and queues. New is Init on a zero Machine,
+// so a rebuilt machine runs exactly like a new one; nothing of the earlier
+// run survives, its options included. A campaign worker rebuilds one
+// machine for run after run instead of allocating each from nothing. On an
+// error m is left unchanged.
+func (m *Machine) Init(cfg Config, mode Mode, prog *isa.Program, opts ...Option) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if prog == nil {
-		return nil, isa.ErrNoProgram
+		return isa.ErrNoProgram
 	}
 	if err := prog.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	// The L1 ports are the memory backend ways: unit arbitration already
 	// bounds cache accesses per cycle, so the cache model must never reject.
 	cfg.Cache.L1Ports = cfg.Units[isa.UnitMem]
 
-	m := &Machine{
-		cfg:       cfg,
-		mode:      mode,
-		prog:      prog,
-		rf:        rename.NewRegFile(cfg.PhysRegs),
-		pred:      bpred.New(cfg.Bpred),
-		dcache:    cache.New(cfg.Cache),
-		iq:        make([]*UOp, cfg.IssueQueue),
-		slotGSeq:  make([]uint64, cfg.IssueQueue),
-		iqFree:    newSlotMask(cfg.IssueQueue),
-		readyMask: make([]uint64, (cfg.IssueQueue+63)/64),
-		areaModel: area.Default(),
+	st := m.storage()
+	*m = Machine{cfg: cfg, mode: mode, prog: prog, areaModel: area.Default()}
+	m.adoptPools(&st)
+	m.rf = orNew(st.rf)
+	m.rf.Init(cfg.PhysRegs)
+	m.pred = orNew(st.pred)
+	m.pred.Init(cfg.Bpred)
+	m.dcache = orNew(st.dcache)
+	m.dcache.Init(cfg.Cache)
+	m.iq = resize(st.iq, cfg.IssueQueue)
+	clear(m.iq)
+	m.slotGSeq = resize(st.slotGSeq, cfg.IssueQueue)
+	clear(m.slotGSeq)
+	m.iqFree = resize(st.iqFree, (cfg.IssueQueue+63)/64)
+	clear(m.iqFree)
+	for i := 0; i < cfg.IssueQueue; i++ {
+		m.iqFree[i>>6] |= 1 << (uint(i) & 63)
 	}
-	m.initWakeup()
+	m.readyMask = resize(st.readyMask, (cfg.IssueQueue+63)/64)
+	clear(m.readyMask)
+	m.initWakeup(&st)
 	if mode.UsesDTQ() {
-		m.packetPending = &pendTable{}
+		m.packetPending = orNew(st.packetPending)
+		m.packetPending.reset()
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -305,10 +333,12 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 	if m.sink == nil {
 		m.sink = &detect.Sink{}
 	}
-	m.mem = prog.NewMemory()
+	m.mem = orNew(st.mem)
+	prog.ResetMemory(m.mem)
 
 	for cl := isa.UnitClass(0); cl < isa.NumUnitClasses; cl++ {
-		m.unitFreeAt[cl] = make([]int64, cfg.Units[cl])
+		m.unitFreeAt[cl] = resize(st.unitFreeAt[cl], cfg.Units[cl])
+		clear(m.unitFreeAt[cl])
 	}
 
 	nThreads := 1
@@ -318,32 +348,44 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 	// Reserve the low physical registers for the initial architectural
 	// mappings of each context; the rest form the shared free pool.
 	reserved := nThreads * isa.NumArchRegs
-	m.freeList = rename.NewFreeList(rename.PhysReg(reserved), cfg.PhysRegs-reserved)
-	for i := 0; i < nThreads; i++ {
-		t := newThread(i, &cfg)
+	m.freeList = orNew(st.freeList)
+	m.freeList.Init(rename.PhysReg(reserved), cfg.PhysRegs-reserved)
+	m.threads = resize(st.threads, nThreads)
+	for i, t := range m.threads {
+		t = orNew(t)
+		t.init(i, &cfg)
 		for a := 0; a < isa.NumArchRegs; a++ {
 			t.rmap.Set(a, rename.PhysReg(i*isa.NumArchRegs+a))
 		}
-		m.threads = append(m.threads, t)
+		m.threads[i] = t
 	}
 
 	if mode.Redundant() {
-		m.lvq = redundancy.NewLVQ(cfg.LVQ)
-		m.sb = redundancy.NewStoreBuffer(cfg.StoreBuffer)
+		m.lvq = orNew(st.lvq)
+		m.lvq.Init(cfg.LVQ)
+		m.sb = orNew(st.sb)
+		m.sb.Init(cfg.StoreBuffer)
 		if mode == ModeSRT {
-			m.boq = redundancy.NewBOQ(cfg.BOQ)
-			m.stream = redundancy.NewStream(cfg.Stream)
+			m.boq = orNew(st.boq)
+			m.boq.Init(cfg.BOQ)
+			m.stream = orNew(st.stream)
+			m.stream.Init(cfg.Stream)
 		}
 		if mode.UsesDTQ() {
-			m.dtq = core.NewDTQ(cfg.DTQ)
-			m.shuffler = &core.Shuffler{
+			m.dtq = orNew(st.dtq)
+			m.dtq.Init(cfg.DTQ)
+			m.shuffler = orNew(st.shuffler)
+			m.shuffler.CopyFrom(&core.Shuffler{
 				Width:    cfg.FetchWidth,
 				Units:    cfg.Units,
 				Disabled: mode == ModeBlackJackNS,
-			}
-			m.packets = queues.NewRing[core.Packet](cfg.PacketQueue)
-			m.dr = core.NewDoubleRename(cfg.PhysRegs)
-			m.oc = core.NewOrderChecker()
+			})
+			m.packets = orNew(st.packets)
+			m.packets.Init(cfg.PacketQueue)
+			m.dr = orNew(st.dr)
+			m.dr.Init(cfg.PhysRegs)
+			m.oc = orNew(st.oc)
+			m.oc.Init()
 			// Seed the double-rename and second (program-order) rename
 			// tables with the initial architectural state: leading initial
 			// physical a maps to trailing initial physical a.
@@ -356,7 +398,32 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 	}
 	m.initObs()
 	m.initWatch()
-	return m, nil
+	return nil
+}
+
+// storage hands every record back, rewinding the record slabs and
+// returning the trailing packets' slot arrays to the shuffler, and returns
+// a shallow copy of m: the buffers Init and copyFrom rebuild in place. m
+// must be overwritten next; its records are no longer its own.
+func (m *Machine) storage() Machine {
+	if m.packets != nil && m.shuffler != nil {
+		for i := 0; i < m.packets.Len(); i++ {
+			m.shuffler.RecycleSlots(m.packets.AtRef(i).Slots)
+		}
+	}
+	m.uopSlab.rewind()
+	m.entrySlab.rewind()
+	return *m
+}
+
+// adoptPools installs st's record pools (emptied), copy translation maps,
+// select scratch and watch-bit words.
+func (m *Machine) adoptPools(st *Machine) {
+	m.uopSlab, m.entrySlab = st.uopSlab, st.entrySlab
+	m.uopFree, m.entryFree = st.uopFree[:0], st.entryFree[:0]
+	m.selScratch = st.selScratch[:0]
+	m.uopCopies, m.entryCopies = st.uopCopies, st.entryCopies
+	m.watch = st.watch
 }
 
 // watchSet holds one bit per resource the injector watches, per hook and
@@ -366,10 +433,15 @@ func New(cfg Config, mode Mode, prog *isa.Program, opts ...Option) (*Machine, er
 type watchSet [fault.NumHooks][isa.NumUnitClasses][]uint64
 
 // initWatch derives the watch bits from the injector's Watched list. Called
-// at the end of New and after Fork applies options; like the injector they
-// are harness state, so a checkpoint does not carry them.
+// at the end of Init and after Fork applies options; like the injector they
+// are harness state, so a checkpoint does not carry them. The bit words are
+// cleared in place and kept for the next build.
 func (m *Machine) initWatch() {
-	m.watch = watchSet{}
+	for h := range m.watch {
+		for major := range m.watch[h] {
+			clear(m.watch[h][major])
+		}
+	}
 	if m.inj == nil {
 		return
 	}
@@ -641,23 +713,49 @@ func (m *Machine) squash(t *thread, afterSeq uint64, newPC int) {
 // slabChunk is the number of records a slab allocates at once.
 const slabChunk = 64
 
-// slab hands out zeroed records carved from chunks: one heap allocation per
-// chunk instead of one per record.
-type slab[T any] struct{ rest []T }
+// slab hands out records carved from chunks: one heap allocation per chunk
+// instead of one per record. It keeps every chunk, so a rewound slab hands
+// the same records out again with no allocation; their contents are then
+// stale, and every allocation site fills a record in full.
+type slab[T any] struct {
+	chunks [][]T
+	next   int // chunks[next:] are untouched since the last rewind
+	rest   []T // unused tail of the chunk in use
+}
 
 // alloc returns the next unused record.
 func (s *slab[T]) alloc() *T {
 	if len(s.rest) == 0 {
-		s.rest = make([]T, slabChunk)
+		if s.next == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, slabChunk))
+		}
+		s.rest = s.chunks[s.next]
+		s.next++
 	}
 	p := &s.rest[0]
 	s.rest = s.rest[1:]
 	return p
 }
 
-// allocUOp takes a UOp from the machine's free list (or its slab). Every
-// call site fully overwrites the record with a struct-literal assignment, so
-// no stale state survives recycling.
+// reserve makes sure n more records can be handed out with at most the one
+// allocation of a chunk sized to the shortfall, so a copied machine's
+// records sit in as few chunks as its live population needs.
+func (s *slab[T]) reserve(n int) {
+	free := len(s.rest)
+	for _, c := range s.chunks[s.next:] {
+		free += len(c)
+	}
+	if free < n {
+		s.chunks = append(s.chunks, make([]T, n-free))
+	}
+}
+
+// rewind takes every record back: the slab hands them out again from the
+// first. The caller guarantees no structure still references one.
+func (s *slab[T]) rewind() { s.next, s.rest = 0, nil }
+
+// allocUOp takes a UOp from the machine's free list (or its slab). The
+// record may hold a dead uop's fields; newUOp zeroes it before filling it.
 func (m *Machine) allocUOp() *UOp {
 	n := len(m.uopFree)
 	if n == 0 {
@@ -676,8 +774,8 @@ func (m *Machine) recycleUOp(u *UOp) {
 	m.uopFree = append(m.uopFree, u)
 }
 
-// allocEntry takes a DTQ entry from the free list (or the slab); the caller
-// fully overwrites it.
+// allocEntry takes a DTQ entry from the free list (or the slab); newEntry
+// zeroes it before filling it.
 func (m *Machine) allocEntry() *core.Entry {
 	n := len(m.entryFree)
 	if n == 0 {

@@ -35,6 +35,7 @@ var (
 		"inj", "watch", "tracer", "shuffleObs", "otr", "metrics",
 		"hIQ", "hDTQ", "hBOQ", "hLVQ", "runCtx", "stopOnDetect", "stop",
 		"uopFree", "entryFree", "uopSlab", "entrySlab", "selScratch",
+		"uopCopies", "entryCopies",
 	}
 )
 

@@ -5,6 +5,7 @@ import (
 
 	"blackjack/internal/core"
 	"blackjack/internal/queues"
+	"blackjack/internal/redundancy"
 )
 
 // Checkpoint is a frozen deep copy of a Machine mid-run: every piece of
@@ -36,9 +37,11 @@ func (m *Machine) Snapshot() *Checkpoint {
 // its identity (closures holding the *Machine — an injector's Now clock, for
 // example — remain valid) and its own injector and shuffle observer.
 func (m *Machine) Restore(cp *Checkpoint) {
-	inj, shuffleObs, watch := m.inj, m.shuffleObs, m.watch
-	*m = *cp.m.clone()
-	m.inj, m.shuffleObs, m.watch = inj, shuffleObs, watch
+	inj, shuffleObs := m.inj, m.shuffleObs
+	m.copyFrom(cp.m)
+	m.sink = cp.m.sink.Clone()
+	m.inj, m.shuffleObs = inj, shuffleObs
+	m.initWatch()
 }
 
 // Fork builds a new runnable machine from the checkpoint and applies opts —
@@ -46,184 +49,183 @@ func (m *Machine) Restore(cp *Checkpoint) {
 // state its options install: no injector or observer of the snapshotted
 // machine. The checkpoint is only read and stays reusable.
 func Fork(cp *Checkpoint, opts ...Option) *Machine {
-	f := cp.m.clone()
-	for _, opt := range opts {
-		opt(f)
-	}
-	f.initObs()
-	f.initWatch()
+	f := &Machine{}
+	f.ForkFrom(cp, opts...)
 	return f
 }
 
-// clone deep-copies every live machine structure. UOps and DTQ entries are
-// shared by multiple structures (a uop sits in its window, the issue queue,
-// a calendar bucket and waiter lists at once), so identity is preserved
-// through translation maps, and the copies come from slabs sized to the live
-// population. The program is immutable and shared; free lists and scratch
-// buffers start empty (recycled records are fully overwritten at
-// allocation, so an empty pool only costs allocations); the tracer, the
-// injector and the shuffle observer are dropped (harness state is not part
-// of machine state).
+// ForkFrom builds into m the machine Fork(cp, opts...) returns, reusing the
+// storage of whatever machine m held before, as Init does: Fork is ForkFrom
+// on a zero Machine. The checkpoint is only read.
+func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
+	m.copyFrom(cp.m)
+	for _, opt := range opts {
+		opt(m)
+	}
+	if m.sink == nil {
+		m.sink = cp.m.sink.Clone()
+	}
+	m.initObs()
+	m.initWatch()
+}
+
+// clone returns a new deep copy of the machine, detection sink included.
 func (m *Machine) clone() *Machine {
 	c := &Machine{}
-	*c = *m // scalars, config, stats; pointers fixed up below
+	c.copyFrom(m)
+	c.sink = m.sink.Clone()
+	// A checkpoint is never copied into, so it keeps no translation maps.
+	c.uopCopies, c.entryCopies = nil, nil
+	return c
+}
+
+// copyFrom makes m a deep copy of every live structure of src, reusing the
+// storage of whatever machine m held before. UOps and DTQ entries are
+// shared by multiple structures (a uop sits in its window, the issue queue,
+// a calendar bucket and waiter lists at once), so identity is preserved
+// through translation maps, and the copies come from m's rewound slabs,
+// grown to the live population when short. The program is immutable and
+// shared; record free lists start empty and scratch buffers hold nothing
+// of src (a record is filled in full at allocation, so an empty pool only
+// costs slab records). Harness state is not machine state, so none of it
+// is copied: m gets no injector, shuffle observer, tracer, metrics or run
+// context, and no detection sink; the caller installs one.
+func (m *Machine) copyFrom(src *Machine) {
+	st := m.storage()
+	*m = *src // scalars, config, stats; storage fixed up below
+	m.adoptPools(&st)
+	m.inj, m.shuffleObs, m.tracer, m.sink = nil, nil, nil, nil
+	m.otr, m.metrics = nil, nil
+	m.hIQ, m.hDTQ, m.hBOQ, m.hLVQ = nil, nil, nil, nil
+	m.runCtx = nil
 
 	// Every live uop is in an active list, the issue queue (shuffle NOPs) or
 	// the completion calendar (NOPs and squashed uops), and every live DTQ
 	// entry in the DTQ or a trailing packet, so these counts bound the
-	// copies; an unused remainder serves the copy's own later allocations.
-	nu, ne := m.iqLen(), 0
-	for _, t := range m.threads {
+	// copies.
+	nu, ne := src.iqLen(), 0
+	for _, t := range src.threads {
 		nu += t.rob.occupancy()
 	}
-	for _, b := range m.doneCal {
+	for _, b := range src.doneCal {
 		nu += len(b)
 	}
-	if m.dtq != nil {
-		ne = m.dtq.Len()
-		for i := 0; i < m.packets.Len(); i++ {
-			ne += len(m.packets.At(i).Slots)
+	if src.dtq != nil {
+		ne = src.dtq.Len()
+		for i := 0; i < src.packets.Len(); i++ {
+			ne += len(src.packets.AtRef(i).Slots)
 		}
 	}
-	c.uopSlab = slab[UOp]{rest: make([]UOp, nu)}
-	c.entrySlab = slab[core.Entry]{rest: make([]core.Entry, ne)}
-	uops := make(map[*UOp]*UOp, nu)
-	cu := func(u *UOp) *UOp {
-		if u == nil {
-			return nil
-		}
-		if v, ok := uops[u]; ok {
-			return v
-		}
-		v := c.uopSlab.alloc()
-		*v = *u
-		uops[u] = v
-		return v
+	m.uopSlab.reserve(nu)
+	m.entrySlab.reserve(ne)
+	if m.uopCopies == nil {
+		m.uopCopies = make(map[*UOp]*UOp, nu)
+		m.entryCopies = make(map[*core.Entry]*core.Entry, ne)
 	}
-	entries := make(map[*core.Entry]*core.Entry, ne)
-	ce := func(e *core.Entry) *core.Entry {
-		if e == nil {
-			return nil
-		}
-		if v, ok := entries[e]; ok {
-			return v
-		}
-		v := c.entrySlab.alloc()
-		*v = *e
-		entries[e] = v
-		return v
+	clear(m.uopCopies)
+	clear(m.entryCopies)
+	cu, ce := m.copyUOp, m.copyEntry
+
+	m.mem = orNew(st.mem)
+	m.mem.CopyFrom(src.mem)
+	m.rf = orNew(st.rf)
+	m.rf.CopyFrom(src.rf)
+	m.freeList = orNew(st.freeList)
+	m.freeList.CopyFrom(src.freeList)
+
+	m.threads = resize(st.threads, len(src.threads))
+	for i, t := range src.threads {
+		m.threads[i] = orNew(m.threads[i])
+		m.threads[i].copyFrom(t, cu)
 	}
 
-	c.mem = m.mem.Clone()
-	c.rf = m.rf.Clone()
-	c.freeList = m.freeList.Clone()
-
-	c.threads = make([]*thread, len(m.threads))
-	for i, t := range m.threads {
-		c.threads[i] = t.clone(cu)
+	m.iq = resize(st.iq, len(src.iq))
+	for i, u := range src.iq {
+		m.iq[i] = cu(u)
+	}
+	m.slotGSeq = append(st.slotGSeq[:0], src.slotGSeq...)
+	m.iqFree = append(st.iqFree[:0], src.iqFree...)
+	for cl := range src.unitFreeAt {
+		m.unitFreeAt[cl] = append(st.unitFreeAt[cl][:0], src.unitFreeAt[cl]...)
 	}
 
-	c.iq = make([]*UOp, len(m.iq))
-	for i, u := range m.iq {
-		c.iq[i] = cu(u)
-	}
-	c.slotGSeq = append([]uint64(nil), m.slotGSeq...)
-	c.iqFree = append([]uint64(nil), m.iqFree...)
-	for cl := range m.unitFreeAt {
-		c.unitFreeAt[cl] = append([]int64(nil), m.unitFreeAt[cl]...)
-	}
-
-	c.pred = m.pred.Clone()
-	c.dcache = m.dcache.Clone()
-	c.boq = m.boq.Clone()
-	c.lvq = m.lvq.Clone()
-	c.sb = m.sb.Clone()
-	c.stream = m.stream.Clone()
-	c.dtq = m.dtq.Clone(ce)
-	c.shuffler = m.shuffler.Clone()
-	c.packets = clonePacketQueue(m.packets, ce)
-	c.dr = m.dr.Clone()
-	c.oc = m.oc.Clone()
-	c.sink = m.sink.Clone()
-	c.tracer = nil
-	// The injector and shuffle observer belong to the run that installed
-	// them: a fork gets its own through its options, and sharing them would
-	// let forks drive (and race on) the snapshotted run's counters.
-	c.inj = nil
-	c.shuffleObs = nil
-	c.watch = watchSet{}
-	// Observability state is not machine state either: a fork starts with
-	// whatever tracer/registry its own options install (initObs re-resolves
-	// the histogram handles then).
-	c.otr = nil
-	c.metrics = nil
-	c.hIQ, c.hDTQ, c.hBOQ, c.hLVQ = nil, nil, nil, nil
-	// The run budget is per-run harness state too: a fork gets its own
-	// context (or none) via WithRunContext in its option list.
-	c.runCtx = nil
+	m.pred = orNew(st.pred)
+	m.pred.CopyFrom(src.pred)
+	m.dcache = orNew(st.dcache)
+	m.dcache.CopyFrom(src.dcache)
+	m.boq = copied(st.boq, src.boq, (*redundancy.BOQ).CopyFrom)
+	m.lvq = copied(st.lvq, src.lvq, (*redundancy.LVQ).CopyFrom)
+	m.sb = copied(st.sb, src.sb, (*redundancy.StoreBuffer).CopyFrom)
+	m.stream = copied(st.stream, src.stream, (*redundancy.Stream).CopyFrom)
+	m.dtq = copied(st.dtq, src.dtq, func(d, s *core.DTQ) { d.CopyFrom(s, ce) })
+	m.shuffler = copied(st.shuffler, src.shuffler, (*core.Shuffler).CopyFrom)
+	m.packets = copied(st.packets, src.packets, m.copyPackets)
+	m.dr = copied(st.dr, src.dr, (*core.DoubleRename).CopyFrom)
+	m.oc = copied(st.oc, src.oc, (*core.OrderChecker).CopyFrom)
 
 	// Calendars and wakeup state, in the same order, remapped.
-	c.doneCal = carveLists(m.doneCal, bucketCap, cu)
-	c.cal = carveLists(m.cal, bucketCap, cu)
-	c.regWaiters = carveLists(m.regWaiters, waiterCap, cu)
-	c.readyMask = append([]uint64(nil), m.readyMask...)
-	if m.packetPending != nil {
-		c.packetPending = m.packetPending.clone()
-	}
-
-	// Free lists and scratch start empty in the copy.
-	c.uopFree = nil
-	c.entryFree = nil
-	c.selScratch = nil
-	return c
+	m.doneCal = copyLists(st.doneCal, src.doneCal, bucketCap, cu)
+	m.cal = copyLists(st.cal, src.cal, bucketCap, cu)
+	m.regWaiters = copyLists(st.regWaiters, src.regWaiters, waiterCap, cu)
+	m.readyMask = append(st.readyMask[:0], src.readyMask...)
+	m.packetPending = copied(st.packetPending, src.packetPending, (*pendTable).copyFrom)
+	m.initWatch()
 }
 
-// clone deep-copies a thread, remapping its window slots through the shared
-// uop translation map.
-func (t *thread) clone(cu func(*UOp) *UOp) *thread {
-	n := &thread{}
-	*n = *t
-	n.rob = t.rob.clone(cu)
-	n.lsq = t.lsq.clone(cu)
-	n.rmap = t.rmap.Clone()
-	// fetchItem is all-value; a shallow ring clone is a deep copy.
-	n.fetchQ = t.fetchQ.Clone()
-	return n
-}
-
-// clone deep-copies a window through the uop translation map.
-func (w *window) clone(cu func(*UOp) *UOp) *window {
-	n := &window{
-		slots:  make([]*UOp, len(w.slots)),
-		stores: append([]uint64(nil), w.stores...),
-		head:   w.head,
-		tail:   w.tail,
-		count:  w.count,
-	}
-	for i, u := range w.slots {
-		n.slots[i] = cu(u)
-	}
-	return n
-}
-
-// clonePacketQueue deep-copies the trailing packet queue: packets hold slot
-// arrays referencing DTQ entries, remapped through the entry translation map.
-func clonePacketQueue(r *queues.Ring[core.Packet], ce func(*core.Entry) *core.Entry) *queues.Ring[core.Packet] {
-	if r == nil {
+// copied returns a copy of src built in dst's storage (new storage when dst
+// is nil), or nil when src is nil.
+func copied[T any](dst, src *T, copyFrom func(dst, src *T)) *T {
+	if src == nil {
 		return nil
 	}
-	c := r.Clone()
-	for i := 0; i < c.Len(); i++ {
-		p := c.At(i)
-		slots := make([]core.Slot, len(p.Slots))
-		for j, s := range p.Slots {
-			s.Entry = ce(s.Entry)
-			slots[j] = s
+	dst = orNew(dst)
+	copyFrom(dst, src)
+	return dst
+}
+
+// copyUOp returns this machine's copy of the source machine's uop u (nil
+// for nil), taking a slab record on first sight.
+func (m *Machine) copyUOp(u *UOp) *UOp {
+	if u == nil {
+		return nil
+	}
+	if v, ok := m.uopCopies[u]; ok {
+		return v
+	}
+	v := m.uopSlab.alloc()
+	*v = *u
+	m.uopCopies[u] = v
+	return v
+}
+
+// copyEntry is copyUOp for DTQ entries.
+func (m *Machine) copyEntry(e *core.Entry) *core.Entry {
+	if e == nil {
+		return nil
+	}
+	if v, ok := m.entryCopies[e]; ok {
+		return v
+	}
+	v := m.entrySlab.alloc()
+	*v = *e
+	m.entryCopies[e] = v
+	return v
+}
+
+// copyPackets makes dst a deep copy of the trailing packet queue src:
+// packets hold slot arrays referencing DTQ entries, so each copy takes a
+// slot array from the shuffler and remaps its entries.
+func (m *Machine) copyPackets(dst, src *queues.Ring[core.Packet]) {
+	dst.CopyFrom(src)
+	for i := 0; i < dst.Len(); i++ {
+		p := dst.AtRef(i)
+		slots := m.shuffler.NewSlots()[:0]
+		for _, s := range p.Slots {
+			s.Entry = m.copyEntry(s.Entry)
+			slots = append(slots, s)
 		}
 		p.Slots = slots
-		c.SetAt(i, p)
 	}
-	return c
 }
 
 // Matches reports whether the machine's state equals the checkpoint's, so

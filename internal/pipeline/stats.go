@@ -224,8 +224,11 @@ func (m *Machine) finalizeStats() {
 	s.Cache = m.dcache.Stats()
 	s.StoreSignature = m.storeSig
 	s.Detections = m.sink.Total()
-	if e, ok := m.sink.First(); ok {
-		s.FirstEvent = &e
+	if first, ok := m.sink.First(); ok {
+		// A copy made only here: taking &first would move first to the heap
+		// on every call, detection or not.
+		s.FirstEvent = new(detect.Event)
+		*s.FirstEvent = first
 	}
 	if m.shuffler != nil {
 		s.ShuffleInPackets, s.ShuffleOutPackets, s.ShuffleSplits, s.ShuffleNOPs = m.shuffler.Stats()

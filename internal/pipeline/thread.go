@@ -64,14 +64,27 @@ type thread struct {
 	committed   uint64
 }
 
-func newThread(id int, cfg *Config) *thread {
-	return &thread{
-		id:     id,
-		rob:    newWindow(cfg.ActiveList),
-		lsq:    newLSQ(cfg.LSQ),
-		rmap:   rename.NewMap(isa.NumArchRegs),
-		fetchQ: queues.NewRing[fetchItem](cfg.FetchQueue),
-	}
+// init makes t a fresh context with the given id, reusing its storage.
+func (t *thread) init(id int, cfg *Config) {
+	rob, lsq, rmap, fetchQ := orNew(t.rob), orNew(t.lsq), orNew(t.rmap), orNew(t.fetchQ)
+	rob.init(cfg.ActiveList, false)
+	lsq.init(cfg.LSQ, true)
+	rmap.Init(isa.NumArchRegs)
+	fetchQ.Init(cfg.FetchQueue)
+	*t = thread{id: id, rob: rob, lsq: lsq, rmap: rmap, fetchQ: fetchQ}
+}
+
+// copyFrom makes t a deep copy of src, its window slots mapped through the
+// shared uop translation cu, reusing t's storage. fetchItem is all-value,
+// so a ring copy of the fetch buffer is a deep copy.
+func (t *thread) copyFrom(src *thread, cu func(*UOp) *UOp) {
+	rob, lsq, rmap, fetchQ := orNew(t.rob), orNew(t.lsq), orNew(t.rmap), orNew(t.fetchQ)
+	rob.copyFrom(src.rob, cu)
+	lsq.copyFrom(src.lsq, cu)
+	rmap.CopyFrom(src.rmap)
+	fetchQ.CopyFrom(src.fetchQ)
+	*t = *src
+	t.rob, t.lsq, t.rmap, t.fetchQ = rob, lsq, rmap, fetchQ
 }
 
 // drained reports whether the thread has no in-flight work.

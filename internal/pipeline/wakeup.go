@@ -17,14 +17,14 @@ import (
 // into a per-slot ready bitmask. Wakeup work is O(uops woken), and the gang
 // condition for trailing packets is a counter lookup instead of a scan.
 
-// initWakeup sizes the waiter lists and the two calendar rings: wakeup and
-// completion. A ring must span strictly more cycles than the largest gap
+// initWakeup sizes the waiter lists and the two calendar rings, wakeup and
+// completion, all empty, reusing st's when they have the sizes. A ring must span strictly more cycles than the largest gap
 // between an insertion cycle and the target cycle; that gap is bounded by the
 // worst-case execution latency (a ready cycle is always some producer's
 // DoneCycle, set at most one full latency after the current cycle). Buckets
 // are drained every cycle, so a ring larger than the horizon means a bucket
 // can never hold entries for two different cycles.
-func (m *Machine) initWakeup() {
+func (m *Machine) initWakeup(st *Machine) {
 	maxLat := m.cfg.FDivLat
 	if m.cfg.LVQLat > maxLat {
 		maxLat = m.cfg.LVQLat
@@ -42,9 +42,38 @@ func (m *Machine) initWakeup() {
 		size <<= 1
 	}
 	m.calMask = size - 1
-	m.cal = carveLists(make([][]*UOp, size), bucketCap, nil)
-	m.doneCal = carveLists(make([][]*UOp, size), bucketCap, nil)
-	m.regWaiters = carveLists(make([][]*UOp, m.cfg.PhysRegs), waiterCap, nil)
+	m.cal = emptyLists(st.cal, int(size), bucketCap)
+	m.doneCal = emptyLists(st.doneCal, int(size), bucketCap)
+	m.regWaiters = emptyLists(st.regWaiters, m.cfg.PhysRegs, waiterCap)
+}
+
+// emptyLists returns n empty lists: lists itself, each truncated, when it
+// has n, else lists carved fresh.
+func emptyLists(lists [][]*UOp, n, minCap int) [][]*UOp {
+	if len(lists) != n {
+		return carveLists(make([][]*UOp, n), minCap, nil)
+	}
+	for i := range lists {
+		lists[i] = lists[i][:0]
+	}
+	return lists
+}
+
+// copyLists copies src, each uop mapped through cu, into dst's lists when
+// dst has as many (a list that outgrows its storage reallocates alone),
+// else into lists carved fresh.
+func copyLists(dst, src [][]*UOp, minCap int, cu func(*UOp) *UOp) [][]*UOp {
+	if len(dst) != len(src) {
+		return carveLists(src, minCap, cu)
+	}
+	for i, l := range src {
+		d := dst[i][:0]
+		for _, u := range l {
+			d = append(d, cu(u))
+		}
+		dst[i] = d
+	}
+	return dst
 }
 
 // Initial capacities of a calendar bucket (buckets rarely hold more than two
@@ -280,13 +309,16 @@ func (t *pendTable) pending(id uint64) bool {
 	return false
 }
 
-// clone deep-copies the table preserving entry order (swap-remove order is
-// part of deterministic machine state).
-func (t *pendTable) clone() *pendTable {
-	return &pendTable{
-		ids:    append([]uint64(nil), t.ids...),
-		counts: append([]int32(nil), t.counts...),
-	}
+// reset empties the table, keeping its storage.
+func (t *pendTable) reset() {
+	t.ids, t.counts = t.ids[:0], t.counts[:0]
+}
+
+// copyFrom makes t a deep copy of src preserving entry order (swap-remove
+// order is part of deterministic machine state), reusing t's storage.
+func (t *pendTable) copyFrom(src *pendTable) {
+	t.ids = append(t.ids[:0], src.ids...)
+	t.counts = append(t.counts[:0], src.counts...)
 }
 
 // equal compares two tables entry by entry, in order (nil-safe).

@@ -26,17 +26,65 @@ type window struct {
 }
 
 func newWindow(n int) *window {
-	if n <= 0 {
-		panic(fmt.Sprintf("pipeline: invalid window size %d", n))
-	}
-	return &window{slots: make([]*UOp, n)}
+	w := &window{}
+	w.init(n, false)
+	return w
 }
 
 // newLSQ returns a window that also tracks which of its slots hold stores.
 func newLSQ(n int) *window {
-	w := newWindow(n)
-	w.stores = make([]uint64, (n+63)/64)
+	w := &window{}
+	w.init(n, true)
 	return w
+}
+
+// init empties w and sizes it to n slots, with a store bitmap when
+// lsq is set, reusing its storage.
+func (w *window) init(n int, lsq bool) {
+	if n <= 0 {
+		panic(fmt.Sprintf("pipeline: invalid window size %d", n))
+	}
+	slots := resize(w.slots, n)
+	clear(slots)
+	var stores []uint64
+	if lsq {
+		stores = resize(w.stores, (n+63)/64)
+		clear(stores)
+	}
+	*w = window{slots: slots, stores: stores}
+}
+
+// copyFrom makes w a deep copy of src, its uops mapped through cu, reusing
+// w's storage.
+func (w *window) copyFrom(src *window, cu func(*UOp) *UOp) {
+	slots := resize(w.slots, len(src.slots))
+	for i, u := range src.slots {
+		slots[i] = cu(u)
+	}
+	var stores []uint64
+	if src.stores != nil {
+		stores = append(w.stores[:0], src.stores...)
+	}
+	*w = *src
+	w.slots, w.stores = slots, stores
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// orNew returns p, or a new zero T when p is nil: the storage a rebuild
+// reuses when the machine had it, and allocates when not.
+func orNew[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
 }
 
 func (w *window) size() int { return len(w.slots) }

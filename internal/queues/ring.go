@@ -8,8 +8,9 @@ package queues
 import "fmt"
 
 // Ring is a bounded FIFO queue. The zero value is unusable; construct with
-// NewRing. Ring is not safe for concurrent use: the simulator is
-// single-threaded by design (cycle-level determinism).
+// NewRing (or Init). Ring is not safe for concurrent use: the simulator is
+// single-threaded by design (cycle-level determinism). Every slot outside
+// the live elements holds T's zero value.
 type Ring[T any] struct {
 	buf  []T
 	head int // index of the oldest element
@@ -19,10 +20,24 @@ type Ring[T any] struct {
 // NewRing returns a ring with the given capacity. It panics on a
 // non-positive capacity (capacities are configuration constants).
 func NewRing[T any](capacity int) *Ring[T] {
+	r := &Ring[T]{}
+	r.Init(capacity)
+	return r
+}
+
+// Init empties r and sets its capacity, reusing its buffer when the
+// capacity is unchanged: NewRing is Init on a zero Ring. It panics on a
+// non-positive capacity.
+func (r *Ring[T]) Init(capacity int) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queues: invalid ring capacity %d", capacity))
 	}
-	return &Ring[T]{buf: make([]T, capacity)}
+	if len(r.buf) == capacity {
+		r.Reset()
+		return
+	}
+	r.buf = make([]T, capacity)
+	r.head, r.n = 0, 0
 }
 
 // Cap returns the ring's capacity.
@@ -51,11 +66,37 @@ func (r *Ring[T]) slot(i int) int {
 
 // Push appends v; it reports false (and queues nothing) when full.
 func (r *Ring[T]) Push(v T) bool {
-	if r.Full() {
+	p := r.PushRef()
+	if p == nil {
 		return false
 	}
-	r.buf[r.slot(r.n)] = v
+	*p = v
+	return true
+}
+
+// PushRef appends a zero element and returns a pointer to it, or nil (and
+// queues nothing) when full. The caller fills the element in place, so a
+// large element is never built elsewhere and copied in. The pointer is valid
+// until the element is popped.
+func (r *Ring[T]) PushRef() *T {
+	if r.Full() {
+		return nil
+	}
+	p := &r.buf[r.slot(r.n)]
 	r.n++
+	return p
+}
+
+// Drop removes the oldest element without returning it; it reports false
+// when empty. Unlike Pop it copies nothing out.
+func (r *Ring[T]) Drop() bool {
+	if r.n == 0 {
+		return false
+	}
+	var zero T
+	r.buf[r.head] = zero
+	r.head = r.slot(1)
+	r.n--
 	return true
 }
 
@@ -65,10 +106,7 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 		return v, false
 	}
 	v = r.buf[r.head]
-	var zero T
-	r.buf[r.head] = zero
-	r.head = r.slot(1)
-	r.n--
+	r.Drop()
 	return v, true
 }
 
@@ -130,14 +168,17 @@ func (r *Ring[T]) Truncate(n int) {
 	r.n = n
 }
 
-// Clone returns an independent copy of the ring. Elements are copied by
-// value: rings of pointers share the pointed-to records, and owners that need
-// deep isolation (the DTQ, the trailing packet queue) remap the elements
-// after cloning.
-func (r *Ring[T]) Clone() *Ring[T] {
-	c := &Ring[T]{buf: make([]T, len(r.buf)), head: r.head, n: r.n}
-	copy(c.buf, r.buf)
-	return c
+// CopyFrom makes r an independent copy of src, reusing r's buffer when the
+// capacities match. src is only read. Elements are copied by value: rings of
+// pointers share the pointed-to records, and owners that need deep
+// isolation (the DTQ, the trailing packet queue) remap the elements after
+// copying.
+func (r *Ring[T]) CopyFrom(src *Ring[T]) {
+	if len(r.buf) != len(src.buf) {
+		r.buf = make([]T, len(src.buf))
+	}
+	copy(r.buf, src.buf)
+	r.head, r.n = src.head, src.n
 }
 
 // EqualFunc reports whether r and o hold the same number of elements and eq

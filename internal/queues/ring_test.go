@@ -223,3 +223,57 @@ func TestRingEqualComparesLiveElements(t *testing.T) {
 		t.Fatal("capacity or nil handling wrong")
 	}
 }
+
+// PushRef hands out the new tail slot zeroed, also where a popped or dropped
+// element used to sit, and Drop removes the head without returning it.
+func TestRingPushRefAndDrop(t *testing.T) {
+	r := NewRing[[2]int](2)
+	if r.Drop() {
+		t.Fatal("Drop on an empty ring reported an element")
+	}
+	for i := 1; i <= 5; i++ {
+		p := r.PushRef()
+		if p == nil || *p != [2]int{} {
+			t.Fatalf("push %d: PushRef = %v, want a zero slot", i, p)
+		}
+		p[0] = i
+		if r.Full() {
+			if r.PushRef() != nil {
+				t.Fatal("PushRef on a full ring returned a slot")
+			}
+			if !r.Drop() {
+				t.Fatal("Drop on a full ring reported none")
+			}
+		}
+	}
+	if r.Len() != 1 || r.At(0) != [2]int{5, 0} {
+		t.Fatalf("ring holds %d elements, head %v; want [5 0] alone", r.Len(), r.At(0))
+	}
+}
+
+// Init and CopyFrom rebuild a used ring: Init empties it to a new capacity,
+// CopyFrom makes it equal to its source without aliasing it.
+func TestRingInitAndCopyFrom(t *testing.T) {
+	src, r := NewRing[int](3), NewRing[int](3)
+	for _, v := range []int{7, 8, 9} {
+		src.Push(v)
+		r.Push(v * 10)
+	}
+	src.Pop()
+	r.CopyFrom(src)
+	if !Equal(r, src) {
+		t.Fatal("a copy into a used ring differs from its source")
+	}
+	r.SetAt(0, 1)
+	if src.At(0) != 8 {
+		t.Fatal("the copy aliases its source")
+	}
+	r.Init(5)
+	if !r.Empty() || r.Cap() != 5 || *r.PushRef() != 0 {
+		t.Fatal("Init did not empty the ring to its new capacity")
+	}
+	r.Init(5)
+	if !Equal(r, NewRing[int](5)) {
+		t.Fatal("Init at the same capacity left elements behind")
+	}
+}

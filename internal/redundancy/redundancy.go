@@ -24,13 +24,18 @@ type BranchOutcome struct {
 // BOQ is the Branch Outcome Queue. Entries are pushed at leading branch
 // commit and consumed, in order, at trailing branch commit.
 type BOQ struct {
-	ring *queues.Ring[BranchOutcome]
+	ring queues.Ring[BranchOutcome]
 }
 
 // NewBOQ builds a BOQ with the given capacity (Table 1: 96).
 func NewBOQ(capacity int) *BOQ {
-	return &BOQ{ring: queues.NewRing[BranchOutcome](capacity)}
+	q := &BOQ{}
+	q.Init(capacity)
+	return q
 }
+
+// Init empties q and sets its capacity, reusing its storage.
+func (q *BOQ) Init(capacity int) { q.ring.Init(capacity) }
 
 // Full reports whether the BOQ can accept no more outcomes (leading branch
 // commit must stall).
@@ -66,20 +71,15 @@ func (q *BOQ) Validate(sink *detect.Sink, cycle int64, seq uint64, pc int, taken
 	return true
 }
 
-// Clone returns an independent deep copy of the BOQ (nil-safe).
-func (q *BOQ) Clone() *BOQ {
-	if q == nil {
-		return nil
-	}
-	return &BOQ{ring: q.ring.Clone()}
-}
+// CopyFrom makes q an independent deep copy of src, reusing q's storage.
+func (q *BOQ) CopyFrom(src *BOQ) { q.ring.CopyFrom(&src.ring) }
 
 // Equal reports whether q and o hold the same outcomes (nil-safe).
 func (q *BOQ) Equal(o *BOQ) bool {
 	if q == nil || o == nil {
 		return q == o
 	}
-	return queues.Equal(q.ring, o.ring)
+	return queues.Equal(&q.ring, &o.ring)
 }
 
 // LoadValue is one leading load result forwarded to the trailing thread.
@@ -95,13 +95,21 @@ type LoadValue struct {
 // under BlackJack's issue-order fetch) by load ordinal and retires them in
 // order at trailing load commit.
 type LVQ struct {
-	ring    *queues.Ring[LoadValue]
+	ring    queues.Ring[LoadValue]
 	headSeq uint64 // Seq of the entry at the ring head
 }
 
 // NewLVQ builds an LVQ with the given capacity (Table 1: 128).
 func NewLVQ(capacity int) *LVQ {
-	return &LVQ{ring: queues.NewRing[LoadValue](capacity)}
+	q := &LVQ{}
+	q.Init(capacity)
+	return q
+}
+
+// Init empties q and sets its capacity, reusing its storage.
+func (q *LVQ) Init(capacity int) {
+	q.ring.Init(capacity)
+	q.headSeq = 0
 }
 
 // Full reports whether the LVQ can accept no more values (leading load commit
@@ -171,12 +179,10 @@ func (q *LVQ) ValidateAddr(sink *detect.Sink, cycle int64, seq uint64, pc int, a
 	return v.Value, true
 }
 
-// Clone returns an independent deep copy of the LVQ (nil-safe).
-func (q *LVQ) Clone() *LVQ {
-	if q == nil {
-		return nil
-	}
-	return &LVQ{ring: q.ring.Clone(), headSeq: q.headSeq}
+// CopyFrom makes q an independent deep copy of src, reusing q's storage.
+func (q *LVQ) CopyFrom(src *LVQ) {
+	q.ring.CopyFrom(&src.ring)
+	q.headSeq = src.headSeq
 }
 
 // Equal reports whether q and o hold the same load values (nil-safe).
@@ -184,7 +190,7 @@ func (q *LVQ) Equal(o *LVQ) bool {
 	if q == nil || o == nil {
 		return q == o
 	}
-	return q.headSeq == o.headSeq && queues.Equal(q.ring, o.ring)
+	return q.headSeq == o.headSeq && queues.Equal(&q.ring, &o.ring)
 }
 
 // PendingStore is a committed leading store awaiting its trailing copy.
@@ -199,13 +205,18 @@ type PendingStore struct {
 // stores commit and the comparison passes; only then is the store released to
 // the memory image (SRT's output comparison, Section 3).
 type StoreBuffer struct {
-	ring *queues.Ring[PendingStore]
+	ring queues.Ring[PendingStore]
 }
 
 // NewStoreBuffer builds a store buffer with the given capacity (Table 1: 64).
 func NewStoreBuffer(capacity int) *StoreBuffer {
-	return &StoreBuffer{ring: queues.NewRing[PendingStore](capacity)}
+	b := &StoreBuffer{}
+	b.Init(capacity)
+	return b
 }
+
+// Init empties b and sets its capacity, reusing its storage.
+func (b *StoreBuffer) Init(capacity int) { b.ring.Init(capacity) }
 
 // Full reports whether the buffer can accept no more stores (leading store
 // commit must stall).
@@ -262,20 +273,15 @@ func (b *StoreBuffer) CheckRelease(sink *detect.Sink, cycle int64, seq uint64, p
 	return lead, ok
 }
 
-// Clone returns an independent deep copy of the store buffer (nil-safe).
-func (b *StoreBuffer) Clone() *StoreBuffer {
-	if b == nil {
-		return nil
-	}
-	return &StoreBuffer{ring: b.ring.Clone()}
-}
+// CopyFrom makes b an independent deep copy of src, reusing b's storage.
+func (b *StoreBuffer) CopyFrom(src *StoreBuffer) { b.ring.CopyFrom(&src.ring) }
 
 // Equal reports whether b and o hold the same pending stores (nil-safe).
 func (b *StoreBuffer) Equal(o *StoreBuffer) bool {
 	if b == nil || o == nil {
 		return b == o
 	}
-	return queues.Equal(b.ring, o.ring)
+	return queues.Equal(&b.ring, &o.ring)
 }
 
 // StreamEntry is one committed leading instruction, as fed to the SRT
@@ -297,7 +303,7 @@ type StreamEntry struct {
 // from. It models BOQ-steered, never-mispredicting fetch of the leading
 // thread's dynamic instruction stream (see DESIGN.md).
 type Stream struct {
-	ring *queues.Ring[StreamEntry]
+	ring queues.Ring[StreamEntry]
 	// scratch backs the slice FetchGroup returns; the trailing frontend polls
 	// every cycle, so the backing array is reused instead of reallocated.
 	scratch []StreamEntry
@@ -305,8 +311,13 @@ type Stream struct {
 
 // NewStream builds a stream queue with the given capacity.
 func NewStream(capacity int) *Stream {
-	return &Stream{ring: queues.NewRing[StreamEntry](capacity)}
+	s := &Stream{}
+	s.Init(capacity)
+	return s
 }
+
+// Init empties s and sets its capacity, reusing its storage.
+func (s *Stream) Init(capacity int) { s.ring.Init(capacity) }
 
 // Full reports whether the stream can accept no more entries.
 func (s *Stream) Full() bool { return s.ring.Full() }
@@ -324,15 +335,10 @@ func (s *Stream) PeekAt(i int) StreamEntry { return s.ring.At(i) }
 // Pop consumes the oldest entry.
 func (s *Stream) Pop() (StreamEntry, bool) { return s.ring.Pop() }
 
-// Clone returns an independent deep copy of the stream (nil-safe). The
-// FetchGroup scratch buffer is not carried over; it is transient per-call
-// state that the clone re-grows on demand.
-func (s *Stream) Clone() *Stream {
-	if s == nil {
-		return nil
-	}
-	return &Stream{ring: s.ring.Clone()}
-}
+// CopyFrom makes s an independent deep copy of src, reusing s's storage.
+// The FetchGroup scratch buffer is not copied; it is transient per-call
+// state.
+func (s *Stream) CopyFrom(src *Stream) { s.ring.CopyFrom(&src.ring) }
 
 // Equal reports whether s and o hold the same committed entries
 // (nil-safe). The fetch-group scratch is not compared.
@@ -340,7 +346,7 @@ func (s *Stream) Equal(o *Stream) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	return queues.Equal(s.ring, o.ring)
+	return queues.Equal(&s.ring, &o.ring)
 }
 
 // FetchGroup pops up to width consecutive entries that lie in the same
@@ -369,7 +375,7 @@ func (s *Stream) FetchGroup(width int) []StreamEntry {
 		group = append(group, e)
 	}
 	for range group {
-		s.ring.Pop()
+		s.ring.Drop()
 	}
 	s.scratch = group
 	return group

@@ -8,6 +8,7 @@ package rename
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -33,10 +34,31 @@ type RegFile struct {
 // NewRegFile builds a file of n physical registers, all holding zero and
 // immediately ready (cycle 0).
 func NewRegFile(n int) *RegFile {
+	f := &RegFile{}
+	f.Init(n)
+	return f
+}
+
+// Init makes f a file of n physical registers, all holding zero and
+// immediately ready, reusing its storage: NewRegFile is Init on a zero
+// RegFile.
+func (f *RegFile) Init(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("rename: invalid register file size %d", n))
 	}
-	return &RegFile{vals: make([]uint64, n), readyAt: make([]int64, n)}
+	f.vals = resize(f.vals, n)
+	f.readyAt = resize(f.readyAt, n)
+	clear(f.vals)
+	clear(f.readyAt)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // Size returns the number of physical registers.
@@ -60,12 +82,10 @@ func (f *RegFile) MarkPending(p PhysReg) { f.readyAt[p] = FarFuture }
 // Ready reports whether p's value is available at the given cycle.
 func (f *RegFile) Ready(p PhysReg, cycle int64) bool { return f.readyAt[p] <= cycle }
 
-// Clone returns an independent deep copy of the register file.
-func (f *RegFile) Clone() *RegFile {
-	c := &RegFile{vals: make([]uint64, len(f.vals)), readyAt: make([]int64, len(f.readyAt))}
-	copy(c.vals, f.vals)
-	copy(c.readyAt, f.readyAt)
-	return c
+// CopyFrom makes f an independent deep copy of src, reusing f's storage.
+func (f *RegFile) CopyFrom(src *RegFile) {
+	f.vals = append(f.vals[:0], src.vals...)
+	f.readyAt = append(f.readyAt[:0], src.readyAt...)
 }
 
 // Equal reports whether f and o hold the same values and ready cycles.
@@ -75,7 +95,7 @@ func (f *RegFile) Equal(o *RegFile) bool {
 
 // FreeList hands out physical registers.
 type FreeList struct {
-	ring *queues.Ring[PhysReg]
+	ring queues.Ring[PhysReg]
 	// free tracks membership when checking is enabled, turning double frees
 	// into immediate panics instead of downstream corruption.
 	free map[PhysReg]bool
@@ -83,11 +103,19 @@ type FreeList struct {
 
 // NewFreeList builds a free list containing regs [first, first+count).
 func NewFreeList(first PhysReg, count int) *FreeList {
-	fl := &FreeList{ring: queues.NewRing[PhysReg](count)}
+	fl := &FreeList{}
+	fl.Init(first, count)
+	return fl
+}
+
+// Init makes fl a list containing regs [first, first+count), with checking
+// off, reusing its storage: NewFreeList is Init on a zero FreeList.
+func (fl *FreeList) Init(first PhysReg, count int) {
+	fl.ring.Init(count)
 	for i := 0; i < count; i++ {
 		fl.ring.Push(first + PhysReg(i))
 	}
-	return fl
+	fl.free = nil
 }
 
 // EnableChecking turns on double-free detection (used by tests and
@@ -126,23 +154,21 @@ func (fl *FreeList) Free(p PhysReg) {
 	}
 }
 
-// Clone returns an independent deep copy of the free list, preserving the
-// hand-out order (allocation order is architecturally visible: physical
-// register names flow into the DTQ and the double-rename table).
-func (fl *FreeList) Clone() *FreeList {
-	c := &FreeList{ring: fl.ring.Clone()}
-	if fl.free != nil {
-		c.free = make(map[PhysReg]bool, len(fl.free))
-		for p, v := range fl.free {
-			c.free[p] = v
-		}
+// CopyFrom makes fl an independent deep copy of src, reusing fl's storage
+// and preserving the hand-out order (allocation order is architecturally
+// visible: physical register names flow into the DTQ and the double-rename
+// table).
+func (fl *FreeList) CopyFrom(src *FreeList) {
+	fl.ring.CopyFrom(&src.ring)
+	fl.free = nil
+	if src.free != nil {
+		fl.free = maps.Clone(src.free)
 	}
-	return c
 }
 
 // Equal reports whether fl and o hand out the same registers in the same
 // order. The double-free checking map mirrors the list and is not compared.
-func (fl *FreeList) Equal(o *FreeList) bool { return queues.Equal(fl.ring, o.ring) }
+func (fl *FreeList) Equal(o *FreeList) bool { return queues.Equal(&fl.ring, &o.ring) }
 
 // Snapshot returns the registers currently on the free list, oldest first.
 // Intended for diagnostics and invariant-checking tests.
@@ -163,11 +189,16 @@ type Map struct {
 
 // NewMap builds a table of n entries, all None.
 func NewMap(n int) *Map {
-	m := &Map{entries: make([]PhysReg, n)}
-	for i := range m.entries {
-		m.entries[i] = None
-	}
+	m := &Map{}
+	m.Init(n)
 	return m
+}
+
+// Init makes m a table of n entries, all None, reusing its storage: NewMap
+// is Init on a zero Map.
+func (m *Map) Init(n int) {
+	m.entries = resize(m.entries, n)
+	m.Reset()
 }
 
 // Size returns the number of entries.
@@ -183,12 +214,8 @@ func (m *Map) Set(i int, p PhysReg) (old PhysReg) {
 	return old
 }
 
-// Clone returns an independent copy of the table.
-func (m *Map) Clone() *Map {
-	c := &Map{entries: make([]PhysReg, len(m.entries))}
-	copy(c.entries, m.entries)
-	return c
-}
+// CopyFrom makes m an independent copy of src, reusing m's storage.
+func (m *Map) CopyFrom(src *Map) { m.entries = append(m.entries[:0], src.entries...) }
 
 // Equal reports whether m and o hold the same mappings.
 func (m *Map) Equal(o *Map) bool { return slices.Equal(m.entries, o.entries) }

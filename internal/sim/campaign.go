@@ -115,30 +115,31 @@ func validateInjection(cfg Config, sites []fault.Site) error {
 }
 
 // injectSites is the cold injection path: a fresh machine from cycle 0 with
-// the faults installed. Batch callers pass a reusable sink (Reset between
-// runs) and a shared golden oracle; nil sink means the machine allocates its
-// own, exactly the standalone behavior — and, being a single-machine run,
-// the standalone path also honors cfg.Trace/cfg.Metrics. A non-nil ctx
-// bounds the run's wall clock: an expired budget surfaces as
-// *InterruptedError, never as a (mis)classified outcome. A non-nil plan
-// lets the run end where it reconverges with the plan's warmup (see
-// CampaignPlan.run); an observed run always runs to the end.
+// the faults installed. Batch callers pass their worker's reusable run
+// storage (see runStorage) and a shared golden oracle; nil storage means
+// the run allocates its own machine and sink, exactly the standalone
+// behavior — and, being a single-machine run, the standalone path also
+// honors cfg.Trace/cfg.Metrics. A non-nil ctx bounds the run's wall clock:
+// an expired budget surfaces as *InterruptedError, never as a
+// (mis)classified outcome. A non-nil plan lets the run end where it
+// reconverges with the plan's warmup (see CampaignPlan.run); an observed
+// run always runs to the end.
 //
 // stopOnDetect (sampled campaigns, and cold fallbacks within them) ends the
 // run at its first detection event: a cold run is bit-identical to the full
 // run up to the stop, and both the first activation and the first detection
 // precede it, so Outcome, Activations>0 and DetectionLatency are exact —
 // only Cycles and post-detection activation counts are truncated.
-func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, sink *detect.Sink, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
+func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, rs *runStorage, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
 	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
-	mopts := runOptions(ctx, inj, sink, stopOnDetect)
-	observed := sink == nil && (cfg.Trace != nil || cfg.Metrics != nil)
+	mopts := runOptions(ctx, inj, rs.reusedSink(), stopOnDetect)
+	observed := rs == nil && (cfg.Trace != nil || cfg.Metrics != nil)
 	if observed {
 		mopts = append(mopts, cfg.obsOptions()...)
 		pl = nil
 	}
-	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, mopts...)
-	if err != nil {
+	m := rs.machine()
+	if err := m.Init(cfg.Machine, cfg.Mode, p, mopts...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
 	var export *obs.Registry
@@ -500,13 +501,40 @@ var (
 	ffSkipBounds = []float64{0, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
 )
 
-// campaignWorker is one worker's reusable scratch state: a detection sink
-// reset between runs, and — with campaign metrics enabled — a private
-// registry merged into Config.Metrics after the fan-out (per-worker
-// recording plus a commutative merge keeps metrics identical at every
-// worker count).
-type campaignWorker struct {
+// runStorage is what one campaign worker reuses from run to run: a
+// detection sink, reset before each run, and one machine every run is built
+// into (pipeline.Machine.Init, InitFromArch or ForkFrom), so a run allocates
+// no machine of its own. It lives as long as one campaign call. A nil
+// *runStorage reuses nothing: the run allocates its machine and the machine
+// its sink.
+type runStorage struct {
 	sink *detect.Sink
+	m    *pipeline.Machine
+}
+
+// machine returns the machine the next run is built into.
+func (rs *runStorage) machine() *pipeline.Machine {
+	if rs == nil {
+		return &pipeline.Machine{}
+	}
+	return rs.m
+}
+
+// reusedSink returns the sink the next run reports to, or nil for the
+// machine's own.
+func (rs *runStorage) reusedSink() *detect.Sink {
+	if rs == nil {
+		return nil
+	}
+	return rs.sink
+}
+
+// campaignWorker is one worker's reusable scratch state: the run storage,
+// and — with campaign metrics enabled — a private registry merged into
+// Config.Metrics after the fan-out (per-worker recording plus a commutative
+// merge keeps metrics identical at every worker count).
+type campaignWorker struct {
+	runs runStorage
 	reg  *obs.Registry
 	// ff mirrors Config.FastForward: a cold run inside a sampled campaign is
 	// a fallback worth counting; the same cold run in a full campaign is just
@@ -606,7 +634,7 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		return nil, err
 	}
 	newWorker := func() *campaignWorker {
-		w := &campaignWorker{sink: &detect.Sink{}, ff: cfg.FastForward}
+		w := &campaignWorker{runs: runStorage{sink: &detect.Sink{}, m: &pipeline.Machine{}}, ff: cfg.FastForward}
 		if cfg.Metrics != nil {
 			w.reg = obs.NewRegistry()
 		}
@@ -624,12 +652,12 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 			if err != nil {
 				return InjectionResult{}, pathInfo{}, err
 			}
-			return pl.injectCtx(runCtx, win.Lo, win.Hi, w.sink)
+			return pl.injectCtx(runCtx, win.Lo, win.Hi, &w.runs)
 		}
 	} else {
 		oracle := newGoldenOracle(p)
 		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {
-			r, pi, err := injectSites(runCtx, cfg, p, sites[win.Lo:win.Hi], opts, w.sink, oracle, false, nil)
+			r, pi, err := injectSites(runCtx, cfg, p, sites[win.Lo:win.Hi], opts, &w.runs, oracle, false, nil)
 			pi.Reason = reasonNoPlan
 			return r, pi, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"blackjack/internal/detect"
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/pipeline"
@@ -223,8 +222,8 @@ func (pl *CampaignPlan) warmup() {
 // Checkpoints returns how many warmup snapshots the plan holds.
 func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 
-// injectCtx runs the subset sites[lo:hi] with a reusable sink (nil: the
-// machine allocates its own) under an optional run context (nil:
+// injectCtx runs the subset sites[lo:hi] in a worker's reusable run storage
+// (nil: the run allocates its own) under an optional run context (nil:
 // unbudgeted). It reports which path served the run — warm, fast-forwarded,
 // forked or cold, with that path's parameters and the reason it took it —
 // so callers can record and journal path-choice metrics that replay
@@ -237,7 +236,7 @@ func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 // ~1% of cycle-accurate ones. When no usable handoff exists (a
 // timing-sensitive kind, activation too close to reset, or the warmup
 // failed), the plan falls back to a checkpoint fork, then to a cold run.
-func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.Sink) (InjectionResult, pathInfo, error) {
+func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, rs *runStorage) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	minFire := int64(-1)
 	reason := reasonWarmupInvalid
@@ -262,19 +261,19 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, sink *detect.
 			reason = pl.ffIneligible(lo, hi)
 			if reason == "" {
 				if handoff, uses, ok := pl.ffHandoff(minFire); ok {
-					return pl.ffRun(ctx, lo, hi, handoff, uses, sink)
+					return pl.ffRun(ctx, lo, hi, handoff, uses, rs)
 				}
 				reason = reasonBeforeFirstMark
 			}
 		}
 	}
 	if cp := pl.latestBefore(minFire); cp != nil {
-		return pl.forkRun(ctx, cp, lo, hi, sink, reason)
+		return pl.forkRun(ctx, cp, lo, hi, rs, reason)
 	}
 	if pl.warmValid && pl.cfg.CheckpointInterval > 0 {
 		reason = reasonNoCheckpoint
 	}
-	r, pi, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, sink, pl.oracle, pl.cfg.FastForward, pl)
+	r, pi, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, rs, pl.oracle, pl.cfg.FastForward, pl)
 	pi.Reason = reason
 	return r, pi, err
 }
@@ -309,11 +308,16 @@ func (pl *CampaignPlan) ffIneligible(lo, hi int) string {
 // instruction committed by then is committed (by both threads) before the
 // fault can corrupt anything, so handing off warmup-lead instructions
 // earlier leaves the whole activation window plus the lead cycle-accurate.
-// Use counters are seeded from the latest mark at or below the target —
-// an undercount of at most one mark interval, which the warmup lead
-// absorbs: a seeded transient fires within the cycle-accurate window,
-// merely a few eligible uses later than the nominal count. Outcome-table
-// equivalence under this seeding is what the campaign path matrix checks.
+// Use counters are seeded from the latest mark at or below the target. The
+// seed is off in both directions: it lags by up to one mark interval of
+// progress, but a mark also counts the decodes the leading thread ran ahead
+// of its committed count, which the handoff machine, starting both threads
+// empty at the target, decodes again. So a seeded fault may fire a few
+// hundred eligible uses early or late; the warmup lead keeps it inside the
+// cycle-accurate window. Outcome-table equivalence under this seeding is
+// what the campaign path matrix checks; a wear-out site arming within about
+// one slack of the budget's end can differ (EXPERIMENTS.md, "Known
+// divergences").
 func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64, ok bool) {
 	if minFire < 0 || len(pl.marks) == 0 {
 		return 0, nil, false
@@ -341,7 +345,7 @@ func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64,
 // is already decided. Classification matches the cold and forked paths
 // exactly; Cycles, Activations and DetectionLatency are window-relative, so
 // the warmup's checkpoints are no convergence reference here.
-func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, uses []uint64, sink *detect.Sink) (InjectionResult, pathInfo, error) {
+func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, uses []uint64, rs *runStorage) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	arch, err := pl.oracle.archAt(handoff)
 	if err != nil {
@@ -349,8 +353,8 @@ func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, u
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	m, err := pipeline.NewFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, sink, true)...)
-	if err != nil {
+	m := rs.machine()
+	if err := m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, rs.reusedSink(), true)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, nil, nil)
@@ -376,11 +380,12 @@ func (pl *CampaignPlan) latestBefore(cycle int64) *planCheckpoint {
 // left off, and reports reason as the run's path reason. Under
 // fast-forward the fork also stops at its first detection — same
 // sampled-campaign semantics, applied to the fork fallback.
-func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, sink *detect.Sink, reason string) (InjectionResult, pathInfo, error) {
+func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, rs *runStorage, reason string) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	m := pipeline.Fork(cp.snap, runOptions(ctx, inj, sink, pl.cfg.FastForward)...)
+	m := rs.machine()
+	m.ForkFrom(cp.snap, runOptions(ctx, inj, rs.reusedSink(), pl.cfg.FastForward)...)
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, pl, nil)
 	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"blackjack/internal/detect"
 	"blackjack/internal/isa"
 	"blackjack/internal/rename"
@@ -160,16 +162,20 @@ func (c *OrderChecker) Commit(sink *detect.Sink, cycle int64, info CommitInfo) (
 	if info.RawInst.ReadsRs1() {
 		c.depChecks++
 		if want := c.second.Get(int(info.RawInst.Rs1)); want != info.PSrc1 {
-			sink.Reportf(cycle, detect.CheckDependence, info.PC,
-				"source %s: program-order rename %d, executed with %d", info.RawInst.Rs1, want, info.PSrc1)
+			sink.ReportLazy(cycle, detect.CheckDependence, info.PC, func() string {
+				return fmt.Sprintf("source %s: program-order rename %d, executed with %d",
+					info.RawInst.Rs1, want, info.PSrc1)
+			})
 			ok = false
 		}
 	}
 	if info.RawInst.ReadsRs2() {
 		c.depChecks++
 		if want := c.second.Get(int(info.RawInst.Rs2)); want != info.PSrc2 {
-			sink.Reportf(cycle, detect.CheckDependence, info.PC,
-				"source %s: program-order rename %d, executed with %d", info.RawInst.Rs2, want, info.PSrc2)
+			sink.ReportLazy(cycle, detect.CheckDependence, info.PC, func() string {
+				return fmt.Sprintf("source %s: program-order rename %d, executed with %d",
+					info.RawInst.Rs2, want, info.PSrc2)
+			})
 			ok = false
 		}
 	}
@@ -182,8 +188,10 @@ func (c *OrderChecker) Commit(sink *detect.Sink, cycle int64, info CommitInfo) (
 			want = c.prevTarget
 		}
 		if info.PC != want {
-			sink.Reportf(cycle, detect.CheckPCOrder, info.PC,
-				"committed pc %d, expected %d (prev pc %d taken=%v)", info.PC, want, c.prevPC, c.prevTaken)
+			sink.ReportLazy(cycle, detect.CheckPCOrder, info.PC, func() string {
+				return fmt.Sprintf("committed pc %d, expected %d (prev pc %d taken=%v)",
+					info.PC, want, c.prevPC, c.prevTaken)
+			})
 			ok = false
 		}
 	}

@@ -98,11 +98,7 @@ const DefaultLimit = 64
 // Report records an event.
 func (s *Sink) Report(e Event) {
 	s.total++
-	limit := s.Limit
-	if limit == 0 {
-		limit = DefaultLimit
-	}
-	if len(s.events) < limit {
+	if s.stores() {
 		s.events = append(s.events, e)
 	}
 	if s.Observer != nil {
@@ -110,9 +106,26 @@ func (s *Sink) Report(e Event) {
 	}
 }
 
-// Reportf formats and records an event.
-func (s *Sink) Reportf(cycle int64, c Checker, pc int, format string, args ...any) {
-	s.Report(Event{Cycle: cycle, Checker: c, PC: pc, Detail: fmt.Sprintf(format, args...)})
+// ReportLazy records an event whose Detail is detail(). An event past the
+// limit with no Observer to see it is only counted, and detail is not
+// called: a checker that keeps failing every cycle of a faulty run formats
+// (and boxes arguments for) only the events a caller can read.
+func (s *Sink) ReportLazy(cycle int64, c Checker, pc int, detail func() string) {
+	if !s.stores() && s.Observer == nil {
+		s.total++
+		return
+	}
+	s.Report(Event{Cycle: cycle, Checker: c, PC: pc, Detail: detail()})
+}
+
+// stores reports whether the next event is stored: the limit is not yet
+// reached.
+func (s *Sink) stores() bool {
+	limit := s.Limit
+	if limit == 0 {
+		limit = DefaultLimit
+	}
+	return len(s.events) < limit
 }
 
 // Total returns the number of events reported (including uncached ones).
@@ -142,11 +155,16 @@ func (s *Sink) Reset() {
 
 // Clone returns an independent copy of the sink.
 func (s *Sink) Clone() *Sink {
-	c := &Sink{Limit: s.Limit, total: s.total}
-	if len(s.events) > 0 {
-		c.events = append([]Event(nil), s.events...)
-	}
+	c := &Sink{}
+	c.CopyFrom(s)
 	return c
+}
+
+// CopyFrom makes s an independent copy of o's limit and events, reusing s's
+// event storage. s keeps its own Observer.
+func (s *Sink) CopyFrom(o *Sink) {
+	s.Limit, s.total = o.Limit, o.total
+	s.events = append(s.events[:0], o.events...)
 }
 
 // Equal reports whether s and o recorded the same events under the same

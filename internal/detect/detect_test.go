@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestSinkCollectsEvents(t *testing.T) {
 	if !s.Empty() {
 		t.Error("fresh sink not empty")
 	}
-	s.Reportf(10, CheckStoreValue, 5, "mismatch %d", 7)
+	s.ReportLazy(10, CheckStoreValue, 5, func() string { return fmt.Sprintf("mismatch %d", 7) })
 	if s.Empty() || s.Total() != 1 {
 		t.Fatalf("total = %d, want 1", s.Total())
 	}
@@ -39,6 +40,29 @@ func TestSinkLimit(t *testing.T) {
 	}
 	if len(s.Events()) != 2 {
 		t.Errorf("stored = %d, want 2", len(s.Events()))
+	}
+}
+
+// An event past the limit is only counted unless an Observer wants it:
+// its detail is never built, and the stored events do not change.
+func TestSinkLazyDetailPastLimit(t *testing.T) {
+	s := Sink{Limit: 2}
+	built := 0
+	detail := func() string { built++; return fmt.Sprint("event ", built) }
+	for i := 0; i < 5; i++ {
+		s.ReportLazy(int64(i), CheckPCOrder, i, detail)
+	}
+	if s.Total() != 5 || built != 2 {
+		t.Fatalf("total %d, details built %d; want 5 and 2", s.Total(), built)
+	}
+	if ev := s.Events(); len(ev) != 2 || ev[0].Detail != "event 1" || ev[1].Detail != "event 2" {
+		t.Fatalf("stored %+v", ev)
+	}
+	var seen []Event
+	s.Observer = func(e Event) { seen = append(seen, e) }
+	s.ReportLazy(9, CheckPCOrder, 9, detail)
+	if built != 3 || len(seen) != 1 || seen[0].Detail != "event 3" || len(s.Events()) != 2 {
+		t.Fatalf("observed past the limit: built %d, seen %+v", built, seen)
 	}
 }
 

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"blackjack/internal/core"
 	"blackjack/internal/detect"
 	"blackjack/internal/obs"
@@ -150,8 +152,9 @@ func (m *Machine) commitTrailing(t *thread, u *UOp) bool {
 			// Load pairing lost: under fault-free operation this cannot
 			// happen; a decode fault that changes an instruction's memory
 			// behaviour surfaces here as a detectable divergence.
-			m.sink.Reportf(m.cycle, detect.CheckLVQAddr, u.PC,
-				"trailing load seq %d lost LVQ pairing", u.LoadSeq)
+			m.sink.ReportLazy(m.cycle, detect.CheckLVQAddr, u.PC, func() string {
+				return fmt.Sprintf("trailing load seq %d lost LVQ pairing", u.LoadSeq)
+			})
 		}
 	case u.Inst.IsBranch() && m.mode == ModeSRT:
 		m.boq.Validate(m.sink, m.cycle, u.BranchSeq, u.PC, u.Taken, u.Target)

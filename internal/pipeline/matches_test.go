@@ -64,10 +64,10 @@ func TestMatchesFieldInventory(t *testing.T) {
 }
 
 // referenceMatches is the test oracle for Matches: reflect.DeepEqual over
-// clones normalized to live state, plus a word-by-word memory compare
+// snapshots normalized to live state, plus a word-by-word memory compare
 // through the public accessor.
 func referenceMatches(m *Machine, cp *Checkpoint) bool {
-	a, b := m.clone(), cp.m.clone()
+	a, b := m.Snapshot().m, cp.m.Snapshot().m
 	if a.MemSize() != b.MemSize() {
 		return false
 	}

@@ -245,3 +245,53 @@ func TestRecycledBuildsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotIntoMatchesFresh is the stale-state proof for rebuilding a
+// checkpoint in place: SnapshotInto over a checkpoint of another program,
+// mode and machine size, whose sink holds detections, gives a checkpoint
+// that Matches a fresh Snapshot both ways, and forks from the two match at
+// every 500th cycle and end with equal statistics, in all four modes.
+func TestSnapshotIntoMatchesFresh(t *testing.T) {
+	const n = 3000
+	p, other := prog.MustBenchmark("gzip"), prog.MustBenchmark("gcc")
+	cfg := smallCacheConfig(false)
+	for _, mode := range []Mode{ModeSingle, ModeSRT, ModeBlackJackNS, ModeBlackJack} {
+		otherMode := ModeBlackJack
+		if mode == ModeBlackJack {
+			otherMode = ModeSRT
+		}
+		inj := &fault.Injector{Sites: []fault.Site{{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 0, BitMask: 1 << 9}}}
+		d, err := New(resizedConfig(), otherMode, other, WithInjector(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dirty *Checkpoint
+		d.RunWithCheckpoints(n, 900, func(l *Machine) {
+			if l.Sink().Total() > 0 {
+				dirty = l.Snapshot()
+				l.Stop()
+			}
+		})
+		if dirty == nil {
+			t.Fatalf("%v: the dirty run detected nothing", mode)
+		}
+
+		src, err := New(cfg, mode, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh, reused *Checkpoint
+		src.RunWithCheckpoints(n, 700, func(l *Machine) {
+			fresh = l.Snapshot()
+			reused = l.SnapshotInto(dirty)
+			l.Stop()
+		})
+		if reused != dirty {
+			t.Fatalf("%v: SnapshotInto returned a new checkpoint", mode)
+		}
+		if !Fork(reused).Matches(fresh) || !Fork(fresh).Matches(reused) {
+			t.Fatalf("%v: a snapshot into a dirty checkpoint differs from a fresh one", mode)
+		}
+		matchLockstep(t, mode.String(), Fork(fresh), Fork(reused), n)
+	}
+}

@@ -26,11 +26,33 @@ type Checkpoint struct {
 // Cycle returns the cycle the checkpoint was taken at.
 func (cp *Checkpoint) Cycle() int64 { return cp.m.cycle }
 
-// Snapshot deep-copies the machine's state into a Checkpoint. The machine is
-// only read, so snapshotting mid-run (from a RunWithCheckpoints hook) is
-// safe.
+// Snapshot deep-copies the machine's state into a new Checkpoint. The
+// machine is only read, so snapshotting mid-run (from a RunWithCheckpoints
+// hook) is safe. Snapshot is SnapshotInto(nil).
 func (m *Machine) Snapshot() *Checkpoint {
-	return &Checkpoint{m: m.clone()}
+	return m.SnapshotInto(nil)
+}
+
+// SnapshotInto deep-copies the machine's state into cp, reusing the storage
+// of whatever state cp held before, as ForkFrom does for a machine, and
+// returns it; a nil cp gets new storage. The result equals a fresh
+// Snapshot: cp keeps nothing of its earlier state and no reference to m.
+// cp must not be in use: no machine may be forking from it or comparing
+// against it while it is rebuilt.
+func (m *Machine) SnapshotInto(cp *Checkpoint) *Checkpoint {
+	if cp == nil {
+		cp = &Checkpoint{m: &Machine{}}
+	}
+	c := cp.m
+	sink := c.sink
+	c.copyFrom(m)
+	c.sink = orNew(sink)
+	c.sink.CopyFrom(m.sink)
+	// The translation maps keep their buckets for the next rebuild, but
+	// not m's records as keys.
+	clear(c.uopCopies)
+	clear(c.entryCopies)
+	return cp
 }
 
 // Restore rewinds the machine to the checkpointed state. The receiver keeps
@@ -67,16 +89,6 @@ func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
 	}
 	m.initObs()
 	m.initWatch()
-}
-
-// clone returns a new deep copy of the machine, detection sink included.
-func (m *Machine) clone() *Machine {
-	c := &Machine{}
-	c.copyFrom(m)
-	c.sink = m.sink.Clone()
-	// A checkpoint is never copied into, so it keeps no translation maps.
-	c.uopCopies, c.entryCopies = nil, nil
-	return c
 }
 
 // copyFrom makes m a deep copy of every live structure of src, reusing the

@@ -7,6 +7,8 @@
 package redundancy
 
 import (
+	"fmt"
+
 	"blackjack/internal/detect"
 	"blackjack/internal/isa"
 	"blackjack/internal/queues"
@@ -54,18 +56,23 @@ func (q *BOQ) Push(o BranchOutcome) bool { return q.ring.Push(o) }
 func (q *BOQ) Validate(sink *detect.Sink, cycle int64, seq uint64, pc int, taken bool, target int) bool {
 	o, ok := q.ring.Pop()
 	if !ok {
-		sink.Reportf(cycle, detect.CheckBOQOutcome, pc, "trailing branch seq %d has no BOQ entry", seq)
+		sink.ReportLazy(cycle, detect.CheckBOQOutcome, pc, func() string {
+			return fmt.Sprintf("trailing branch seq %d has no BOQ entry", seq)
+		})
 		return false
 	}
 	if o.Seq != seq || o.PC != pc {
-		sink.Reportf(cycle, detect.CheckBOQOutcome, pc,
-			"branch pairing lost: BOQ has seq %d pc %d, trailing executed seq %d pc %d", o.Seq, o.PC, seq, pc)
+		sink.ReportLazy(cycle, detect.CheckBOQOutcome, pc, func() string {
+			return fmt.Sprintf("branch pairing lost: BOQ has seq %d pc %d, trailing executed seq %d pc %d",
+				o.Seq, o.PC, seq, pc)
+		})
 		return false
 	}
 	if o.Taken != taken || (taken && o.Target != target) {
-		sink.Reportf(cycle, detect.CheckBOQOutcome, pc,
-			"branch outcome mismatch: leading (taken=%v target=%d) trailing (taken=%v target=%d)",
-			o.Taken, o.Target, taken, target)
+		sink.ReportLazy(cycle, detect.CheckBOQOutcome, pc, func() string {
+			return fmt.Sprintf("branch outcome mismatch: leading (taken=%v target=%d) trailing (taken=%v target=%d)",
+				o.Taken, o.Target, taken, target)
+		})
 		return false
 	}
 	return true
@@ -168,12 +175,16 @@ func (q *LVQ) Retire(seq uint64) bool {
 func (q *LVQ) ValidateAddr(sink *detect.Sink, cycle int64, seq uint64, pc int, addr uint64) (value uint64, ok bool) {
 	v, found := q.Lookup(seq)
 	if !found {
-		sink.Reportf(cycle, detect.CheckLVQAddr, pc, "trailing load seq %d has no LVQ entry", seq)
+		sink.ReportLazy(cycle, detect.CheckLVQAddr, pc, func() string {
+			return fmt.Sprintf("trailing load seq %d has no LVQ entry", seq)
+		})
 		return 0, false
 	}
 	if v.Addr != addr {
-		sink.Reportf(cycle, detect.CheckLVQAddr, pc,
-			"load address mismatch: leading %#x trailing %#x (seq %d)", v.Addr, addr, seq)
+		sink.ReportLazy(cycle, detect.CheckLVQAddr, pc, func() string {
+			return fmt.Sprintf("load address mismatch: leading %#x trailing %#x (seq %d)",
+				v.Addr, addr, seq)
+		})
 		return v.Value, false
 	}
 	return v.Value, true
@@ -250,24 +261,31 @@ func (b *StoreBuffer) MatchYoungest(addr uint64) (value uint64, ok bool) {
 func (b *StoreBuffer) CheckRelease(sink *detect.Sink, cycle int64, seq uint64, pc int, addr, value uint64) (released PendingStore, ok bool) {
 	lead, found := b.ring.Pop()
 	if !found {
-		sink.Reportf(cycle, detect.CheckStorePairing, pc,
-			"trailing store seq %d committed with empty store buffer", seq)
+		sink.ReportLazy(cycle, detect.CheckStorePairing, pc, func() string {
+			return fmt.Sprintf("trailing store seq %d committed with empty store buffer", seq)
+		})
 		return PendingStore{}, false
 	}
 	ok = true
 	if lead.Seq != seq {
-		sink.Reportf(cycle, detect.CheckStorePairing, pc,
-			"store pairing lost: buffer head seq %d, trailing seq %d", lead.Seq, seq)
+		sink.ReportLazy(cycle, detect.CheckStorePairing, pc, func() string {
+			return fmt.Sprintf("store pairing lost: buffer head seq %d, trailing seq %d",
+				lead.Seq, seq)
+		})
 		ok = false
 	}
 	if lead.Addr != addr {
-		sink.Reportf(cycle, detect.CheckStoreAddr, pc,
-			"store address mismatch: leading %#x trailing %#x (seq %d)", lead.Addr, addr, seq)
+		sink.ReportLazy(cycle, detect.CheckStoreAddr, pc, func() string {
+			return fmt.Sprintf("store address mismatch: leading %#x trailing %#x (seq %d)",
+				lead.Addr, addr, seq)
+		})
 		ok = false
 	}
 	if lead.Value != value {
-		sink.Reportf(cycle, detect.CheckStoreValue, pc,
-			"store value mismatch: leading %#x trailing %#x (seq %d)", lead.Value, value, seq)
+		sink.ReportLazy(cycle, detect.CheckStoreValue, pc, func() string {
+			return fmt.Sprintf("store value mismatch: leading %#x trailing %#x (seq %d)",
+				lead.Value, value, seq)
+		})
 		ok = false
 	}
 	return lead, ok

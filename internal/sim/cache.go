@@ -27,13 +27,21 @@ import (
 // programFingerprint hashes a program's semantic content — code, data
 // size, initial data — so two programs sharing a Name (e.g. reseeded
 // benchmark variants) never alias in the cache. The name itself stays out
-// of the fingerprint; it rides along as a separate identity part.
+// of the fingerprint; it rides along as a separate identity part. The
+// words stream through a small fixed buffer, so hashing a large data
+// image costs one hash call per buffer, not per word, and no memory sized
+// to the program.
 func programFingerprint(p *isa.Program) string {
 	h := sha256.New()
-	var buf [8]byte
+	var buf [1024]byte
+	n := 0
 	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
 	word(uint64(len(p.Code)))
 	for _, in := range p.Code {
@@ -48,6 +56,7 @@ func programFingerprint(p *isa.Program) string {
 	for _, v := range p.Init {
 		word(v)
 	}
+	h.Write(buf[:n])
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

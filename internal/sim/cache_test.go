@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"blackjack/internal/isa"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
+	"blackjack/internal/prog"
 	"blackjack/internal/runcache"
 )
 
@@ -125,5 +129,43 @@ func TestTraceAndMetricsRunsBypassCache(t *testing.T) {
 	st := cfg.Cache.Stats()
 	if st.Hits != 0 {
 		t.Errorf("metrics run hit the cache (%d hits); it must execute live", st.Hits)
+	}
+}
+
+// The program fingerprint is part of every run-cache and journal key, so
+// its values are pinned: a change to how it is computed must not move a
+// key. Streams ending just before, on and just after a hash-buffer
+// boundary must hash as writing one word at a time does.
+func TestProgramFingerprintPinned(t *testing.T) {
+	for bench, want := range map[string]string{"gcc": "23d79b957142e8e2", "swim": "c80091ea0b7df4b4"} {
+		if got := programFingerprint(prog.MustBenchmark(bench)); got != want {
+			t.Errorf("%s fingerprint %s, pinned %s", bench, got, want)
+		}
+	}
+	wordwise := func(p *isa.Program) string {
+		h := sha256.New()
+		word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+		word(uint64(len(p.Code)))
+		for _, in := range p.Code {
+			for _, v := range []uint64{uint64(in.Op), uint64(in.Rd), uint64(in.Rs1), uint64(in.Rs2), uint64(in.Imm)} {
+				word(v)
+			}
+		}
+		word(uint64(p.DataSize))
+		word(uint64(len(p.Init)))
+		for _, v := range p.Init {
+			word(v)
+		}
+		return hex.EncodeToString(h.Sum(nil))[:16]
+	}
+	code := prog.MustBenchmark("gcc").Code[:2]
+	for _, words := range []int{127, 128, 129, 256, 1000} {
+		p := &isa.Program{Code: code, DataSize: 8 * words}
+		for i := range words - 13 { // 3 length words and 2 instructions of 5
+			p.Init = append(p.Init, uint64(i)*0x9E3779B97F4A7C15)
+		}
+		if got, want := programFingerprint(p), wordwise(p); got != want {
+			t.Errorf("%d-word stream: fingerprint %s, word at a time %s", words, got, want)
+		}
 	}
 }

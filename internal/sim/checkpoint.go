@@ -15,7 +15,9 @@ import (
 // faults, nearly the whole run. Instead, a CampaignPlan runs ONE fault-free
 // warmup with a non-mutating fault.Probe attached, snapshotting the machine
 // every CheckpointInterval cycles and recording each site's first activation
-// cycle on the pristine trajectory. Each injection then forks from the latest
+// cycle on the pristine trajectory. It keeps only the snapshots a run can
+// read: fork sources and reconvergence references (CampaignPlan.readable);
+// the rest are rebuilt over in place. Each injection then forks from the latest
 // checkpoint strictly preceding its sites' first activation; sites that can
 // never activate are served straight from the warmup result. The golden
 // ISA-reference state used for outcome classification is memoized in a
@@ -143,9 +145,10 @@ type CampaignPlan struct {
 }
 
 // NewCampaignPlan runs the fault-free warmup (one full simulation with a
-// probe attached) and snapshots it every cfg.CheckpointInterval cycles. An
-// interval <= 0 takes no snapshots — every injection then runs cold, but the
-// never-fires shortcut and the memoized oracle still apply.
+// probe attached), snapshots it every cfg.CheckpointInterval cycles and
+// keeps the snapshots a run can read (see readable). An interval <= 0
+// takes no snapshots — every injection then runs cold, but the never-fires
+// shortcut and the memoized oracle still apply.
 func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignPlan, error) {
 	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
@@ -191,15 +194,24 @@ func (pl *CampaignPlan) warmup() {
 		// use-counter seed at or below it.
 		pl.marks = append(pl.marks, ffMark{uses: make([]uint64, len(pl.sites))})
 	}
-	st := m.RunWithCheckpoints(pl.cfg.MaxInstructions, interval, func(live *pipeline.Machine) {
-		if snapshots {
-			snap := live.Snapshot()
-			pl.cps = append(pl.cps, planCheckpoint{
-				cycle: snap.Cycle(),
-				snap:  snap,
-				uses:  pl.probe.UsesSnapshot(),
-			})
+	// Each snapshot waits as the pending checkpoint until the warmup has
+	// seen every fire it could serve; then it is kept, or its storage is
+	// spare for the next snapshot.
+	forkBoundList := !pl.cfg.FastForward || pl.ffIneligible(0, len(pl.sites)) != ""
+	var pending planCheckpoint
+	var spare *pipeline.Checkpoint
+	settle := func(next int64) {
+		if pending.snap == nil {
+			return
 		}
+		if pl.readable(pending.cycle, next, forkBoundList) {
+			pl.cps = append(pl.cps, pending)
+		} else {
+			spare = pending.snap
+		}
+		pending = planCheckpoint{}
+	}
+	st := m.RunWithCheckpoints(pl.cfg.MaxInstructions, interval, func(live *pipeline.Machine) {
 		if pl.cfg.FastForward {
 			lead, trail := live.CommittedInstrs()
 			pl.marks = append(pl.marks, ffMark{
@@ -207,6 +219,21 @@ func (pl *CampaignPlan) warmup() {
 				instrs: min(lead, trail),
 				uses:   pl.probe.UsesSnapshot(),
 			})
+			// ffHandoff succeeds for every fire after a mark past the
+			// warmup lead, and a list that may fast-forward has no
+			// transient to reconverge: no later snapshot can be read.
+			if !forkBoundList && min(lead, trail) > uint64(pl.cfg.ffWarmup()) {
+				snapshots = false
+			}
+		}
+		settle(live.Cycle())
+		if snapshots {
+			pending = planCheckpoint{
+				cycle: live.Cycle(),
+				snap:  live.SnapshotInto(spare),
+				uses:  pl.probe.UsesSnapshot(),
+			}
+			spare = nil
 		}
 	})
 	if st.Interrupted {
@@ -215,11 +242,51 @@ func (pl *CampaignPlan) warmup() {
 		pl.warmValid = false
 		return
 	}
+	settle(st.Cycles)
 	pl.warm = *st
 	pl.warmValid = true
 }
 
-// Checkpoints returns how many warmup snapshots the plan holds.
+// readable reports whether a run can read the warmup snapshot taken at
+// cycle c, once the warmup has recorded every fire up to next, the cycle of
+// the following snapshot (or the warmup's end). A run reads a snapshot in
+// two ways:
+//   - as its fork source: latestBefore picks c for a run whose earliest fire
+//     is in (c, next], if the run does not fast-forward. It does not when
+//     forkBoundList (fast-forward off, or a site the handoff's timing
+//     cannot serve) or when ffHandoff fails for that fire.
+//   - as a reconvergence reference: run compares against c only once its
+//     injector is spent, when every site of the run is a one-shot
+//     transient past its shot. A run equals the warmup until its first
+//     corruption, which is one of its sites firing where the probe saw it
+//     fire; and a run with no corruption by c has seen the warmup's shots
+//     by c, one of which fires (else the run is served warm). Either way a
+//     transient of the list fired at or before c.
+//
+// Every latestBefore and checkpointAt a run makes therefore returns what it
+// would return with every snapshot kept.
+func (pl *CampaignPlan) readable(c, next int64, forkBoundList bool) bool {
+	for i := range pl.sites {
+		fire := pl.probe.FireCycle(i)
+		switch {
+		case fire < 0:
+		case fire <= c:
+			if pl.sites[i].EffectiveKind() == fault.KindTransient {
+				return true
+			}
+		case fire <= next:
+			if forkBoundList {
+				return true
+			}
+			if _, _, ok := pl.ffHandoff(fire); !ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Checkpoints returns how many warmup snapshots the plan keeps.
 func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 
 // injectCtx runs the subset sites[lo:hi] in a worker's reusable run storage

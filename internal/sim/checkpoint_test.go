@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -154,5 +155,157 @@ func TestGoldenOracleMatchesFreshRuns(t *testing.T) {
 			t.Errorf("at(%d) = (%#x, %d), fresh run (%#x, %d)",
 				k, sig, stores, g.StoreSignature(), g.Stores())
 		}
+	}
+}
+
+// allSnapshots replays pl's warmup and keeps a snapshot at every
+// checkpoint cycle: the reference a plan that keeps only the snapshots a
+// run can read is checked against.
+func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
+	t.Helper()
+	probe := &fault.Probe{Sites: pl.sites, SplitPayload: pl.opts.SplitPayload}
+	m, err := pipeline.New(pl.cfg.Machine, pl.cfg.Mode, pl.prog, pipeline.WithInjector(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Now = m.Cycle
+	var cps []planCheckpoint
+	m.RunWithCheckpoints(pl.cfg.MaxInstructions, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
+		cps = append(cps, planCheckpoint{cycle: live.Cycle(), snap: live.Snapshot(), uses: probe.UsesSnapshot()})
+	})
+	return cps
+}
+
+// A plan keeps only the warmup snapshots a run can read, and every run
+// reads exactly what it would read with all of them kept. On each
+// canonical list and a mix run in windows, with fast-forward off and on:
+//   - every kept snapshot equals the reference snapshot of its cycle, and
+//     is a fork source of some run or comes after a transient's shot;
+//   - every run forks from the largest interval multiple below its first
+//     fire (or runs cold when there is none), and every cycle a
+//     reconvergence check can happen at holds its snapshot;
+//   - every run's result and path, convergence included, equal those of
+//     the same plan holding every snapshot;
+//   - with fast-forward on, the latent plan keeps no snapshot from the
+//     first mark whose handoff is usable on.
+func TestCampaignPlanCheckpointsOnDemand(t *testing.T) {
+	mc := pipeline.DefaultConfig()
+	mixed := mixedSites(mc)
+	lists := []struct {
+		name     string
+		sites    []fault.Site
+		instrs   int
+		interval int64
+		windows  []Window
+	}{
+		{"latent", LatentSites(mc), 30_000, 2500, nil},
+		{"transient", TransientSites(mc, 200), 6_000, 500, nil},
+		{"intermittent", IntermittentSites(mc, 64, 16, 75), 4_000, 500, nil},
+		{"control-flow", ControlFlowSites(mc), 8_000, 500, nil},
+		{"mixed-window", mixed, 1_500, 250, []Window{{0, 3}, {3, 6}, {6, 10}, {0, len(mixed)}, {6, 8}}},
+		// Every few cycles: fires land on snapshot cycles, and with
+		// fast-forward on, sites firing before the first usable handoff fork.
+		{"standard", StandardSites(mc), 600, 5, nil},
+	}
+	p := prog.MustBenchmark("gcc")
+	opts := InjectOptions{SplitPayload: true}
+	forks, cuts := 0, 0
+	for _, l := range lists {
+		for _, ff := range []bool{false, true} {
+			cfg := checkpointTestConfig(pipeline.ModeBlackJack, l.instrs)
+			cfg.CheckpointInterval, cfg.FastForward = l.interval, ff
+			name := fmt.Sprintf("%s/ff=%v", l.name, ff)
+			pl, err := NewCampaignPlan(cfg, p, l.sites, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := allSnapshots(t, pl)
+			ref := *pl
+			ref.cps = all
+			t.Logf("%s: %d of %d snapshots kept", name, pl.Checkpoints(), len(all))
+
+			byCycle := map[int64]planCheckpoint{}
+			for _, cp := range all {
+				byCycle[cp.cycle] = cp
+			}
+			for _, cp := range pl.cps {
+				want, ok := byCycle[cp.cycle]
+				if !ok || !pipeline.Fork(cp.snap).Matches(want.snap) || !reflect.DeepEqual(cp.uses, want.uses) {
+					t.Errorf("%s: kept snapshot at cycle %d differs from the reference", name, cp.cycle)
+				}
+			}
+
+			windows, err := siteWindows(l.sites, l.windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forkedFrom := map[int64]bool{}
+			firstShot := int64(-1)
+			for i, s := range l.sites {
+				if f := pl.probe.FireCycle(i); f >= 0 && s.EffectiveKind() == fault.KindTransient && (firstShot < 0 || f < firstShot) {
+					firstShot = f
+				}
+			}
+			for _, w := range windows {
+				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotPath.Converged {
+					cuts++
+				}
+				if !reflect.DeepEqual(got, want) || gotPath != wantPath {
+					t.Errorf("%s window %v: %+v %+v, with every snapshot %+v %+v", name, w, got, gotPath, want, wantPath)
+				}
+				minFire := int64(-1)
+				for i := w.Lo; i < w.Hi; i++ {
+					if f := pl.probe.FireCycle(i); f >= 0 && (minFire < 0 || f < minFire) {
+						minFire = f
+					}
+				}
+				below := (minFire - 1) / l.interval * l.interval
+				switch {
+				case gotPath.Path == pathForked:
+					forks++
+					forkedFrom[gotPath.ForkCycle] = true
+					if gotPath.ForkCycle != below || below == 0 {
+						t.Errorf("%s window %v: forked at %d, first fire %d", name, w, gotPath.ForkCycle, minFire)
+					}
+				case gotPath.Path == pathCold && below > 0:
+					t.Errorf("%s window %v: ran cold, first fire %d", name, w, minFire)
+				}
+			}
+			for _, cp := range all {
+				if firstShot >= 0 && cp.cycle >= firstShot && pl.checkpointAt(cp.cycle) == nil {
+					t.Errorf("%s: no snapshot at cycle %d for a reconvergence check", name, cp.cycle)
+				}
+			}
+			if l.windows == nil {
+				for _, cp := range pl.cps {
+					if !forkedFrom[cp.cycle] && (firstShot < 0 || cp.cycle < firstShot) {
+						t.Errorf("%s: kept snapshot at cycle %d, which no run reads", name, cp.cycle)
+					}
+				}
+			}
+			if l.name == "latent" && ff {
+				for _, mk := range pl.marks {
+					if mk.instrs > uint64(cfg.ffWarmup()) {
+						for _, cp := range pl.cps {
+							if cp.cycle >= mk.cycle {
+								t.Errorf("%s: kept snapshot at cycle %d, after the first usable handoff at %d", name, cp.cycle, mk.cycle)
+							}
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	if forks == 0 || cuts == 0 {
+		t.Errorf("%d forked and %d reconverged runs; the check needs both", forks, cuts)
 	}
 }

@@ -98,13 +98,15 @@ func allocBudget(w campaignWork, budget uint64) error {
 // The cycle counts themselves are pinned too: every pipeline fast path is
 // exact, so a change to the machine's structures moves none of them.
 //
-// Allocation budgets hold about 10% headroom over the 2,677 cold, 2,807
+// Allocation budgets hold about 10% headroom over the 141 cold, 197
 // checkpointed and 67 fast-forwarded allocations per run measured here
-// (each worker builds every run into one recycled machine, so what is left
-// is mostly detection reports and the warmup's checkpoints); they catch a
-// per-cycle or per-instruction allocation, which would add thousands, and
-// the fast-forwarded one also a run that builds its machine from nothing
-// again (117 per run). They are skipped under -race.
+// (each worker builds every run into one recycled machine, and detection
+// events past the sink's limit are only counted, so what is left is mostly
+// the stored events' details, record-pool growth and the warmup's
+// snapshots); they catch a per-cycle or per-instruction allocation, which
+// would add thousands, and the fast-forwarded one also a run that builds
+// its machine from nothing again (117 per run). They are skipped under
+// -race.
 func TestCampaignWorkFloors(t *testing.T) {
 	base := Default(pipeline.ModeBlackJack, 30_000)
 	base.Parallel = 1
@@ -163,8 +165,8 @@ func TestCampaignWorkFloors(t *testing.T) {
 		w      campaignWork
 		budget uint64
 	}{
-		{"cold", cold, 2950},
-		{"checkpointed", ckpt, 3100},
+		{"cold", cold, 155},
+		{"checkpointed", ckpt, 220},
 		{"fast-forwarded", ff, 75},
 	}
 	for _, b := range budgets {

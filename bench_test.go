@@ -12,6 +12,7 @@ import (
 
 	"blackjack/internal/core"
 	"blackjack/internal/experiments"
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
@@ -274,7 +275,7 @@ func BenchmarkMachineRunAllocs(b *testing.B) {
 // benchCampaign16 measures the 16-site latent-defect campaign at one worker:
 // serial wall-clock equals total work, so the cold/checkpointed ns/op ratio
 // is the per-run cost the checkpoint/fork plan removes (the summaries are
-// byte-identical — see sim's TestCampaignByteIdenticalAcrossIntervals).
+// byte-identical — see serve's TestCampaignPathMatrix).
 func benchCampaign16(b *testing.B, interval int64, ff bool) {
 	cfg := DefaultConfig(ModeBlackJack, 30_000)
 	cfg.Parallel = 1
@@ -304,8 +305,35 @@ func BenchmarkCampaignCheckpointed16(b *testing.B) { benchCampaign16(b, 2500, fa
 // BenchmarkCampaignFF16 runs the campaign sampled: each injection's
 // fault-free prefix executes on the functional model and only its activation
 // window is simulated cycle-accurately (outcome table identical to cold —
-// the sampled tests prove it; this measures the speedup).
+// serve's TestCampaignPathMatrix proves it; this measures the speedup).
 func BenchmarkCampaignFF16(b *testing.B) { benchCampaign16(b, 0, true) }
+
+// BenchmarkCampaignControlFlowFF measures the control-flow-error campaign
+// on gcc at one worker with fast-forward and checkpoints on. Every site
+// fires within about 800 cycles of reset and none is a one-shot transient,
+// so the plan's warmup ends at its first checkpoint instead of simulating
+// the whole budget; its sites are timing-sensitive, so each run is cold.
+func BenchmarkCampaignControlFlowFF(b *testing.B) {
+	cfg := DefaultConfig(ModeBlackJack, 8000)
+	cfg.Parallel = 1
+	cfg.CheckpointInterval = 2500
+	cfg.FastForward = true
+	sites, err := FaultSitesForKind(cfg.Machine, fault.KindControlFlow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var detected int
+	for i := 0; i < b.N; i++ {
+		sum, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		detected = sum.Counts[OutcomeDetected]
+	}
+	b.ReportMetric(float64(detected), "detected")
+}
 
 // BenchmarkSweepWarmCache measures a fully-warm Ext-A sweep: every campaign
 // cell of every mode is served from the content-addressable run cache

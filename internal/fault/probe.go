@@ -85,11 +85,19 @@ func (pr *Probe) FireCycle(i int) int64 {
 
 // UsesSnapshot returns a copy of the per-site eligible-use counters, for
 // seeding a forked Injector via SeedUses.
-func (pr *Probe) UsesSnapshot() []uint64 {
+func (pr *Probe) UsesSnapshot() []uint64 { return pr.UsesSnapshotInto(nil) }
+
+// UsesSnapshotInto is UsesSnapshot copying into dst's storage when it is
+// large enough (a fresh slice otherwise), so a caller that drops a copy can
+// reuse it.
+func (pr *Probe) UsesSnapshotInto(dst []uint64) []uint64 {
 	pr.index()
-	out := make([]uint64, len(pr.uses))
-	copy(out, pr.uses)
-	return out
+	if cap(dst) < len(pr.uses) {
+		dst = make([]uint64, len(pr.uses))
+	}
+	dst = dst[:len(pr.uses)]
+	copy(dst, pr.uses)
+	return dst
 }
 
 // CorruptDecode implements pipeline.Injector without mutating.

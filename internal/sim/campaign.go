@@ -193,7 +193,10 @@ func execute(ctx context.Context, cfg Config, bench string, m *pipeline.Machine,
 			pi, err = pathInfo{}, nil
 		}
 	}()
-	st, converged := pl.run(m, inj, cfg.MaxInstructions)
+	st, warm, err := pl.run(m, inj, cfg.MaxInstructions)
+	if err != nil {
+		return InjectionResult{}, pathInfo{}, err
+	}
 	if export != nil {
 		st.Export(export)
 	}
@@ -202,9 +205,9 @@ func execute(ctx context.Context, cfg Config, bench string, m *pipeline.Machine,
 			Benchmark: bench, Mode: cfg.Mode, Cycle: st.Cycles, Cause: ctx.Err(),
 		}
 	}
-	if converged {
+	if warm != nil {
 		pi.Converged, pi.ConvergedAt = true, st.Cycles
-		st = &pl.warm
+		st = warm
 	}
 	if cerr := classify(&res, st, inj, oracle); cerr != nil {
 		return InjectionResult{}, pathInfo{}, cerr
@@ -643,8 +646,9 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 
 	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts}
 	if cfg.CheckpointInterval > 0 || cfg.FastForward {
-		// The plan's warmup is a full fault-free simulation — deferred until
-		// the first live run actually needs it, so a fully-cached (or fully
+		// The plan's warmup is a fault-free simulation, up to the budget's end
+		// or to where no run can read further — deferred until the first
+		// live run actually needs it, so a fully-cached (or fully
 		// journal-resumed) campaign never pays for it.
 		plan := sync.OnceValues(func() (*CampaignPlan, error) { return NewCampaignPlan(cfg, p, sites, opts) })
 		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sort"
 
 	"blackjack/internal/fault"
@@ -17,11 +19,13 @@ import (
 // every CheckpointInterval cycles and recording each site's first activation
 // cycle on the pristine trajectory. It keeps only the snapshots a run can
 // read: fork sources and reconvergence references (CampaignPlan.readable);
-// the rest are rebuilt over in place. Each injection then forks from the latest
-// checkpoint strictly preceding its sites' first activation; sites that can
-// never activate are served straight from the warmup result. The golden
-// ISA-reference state used for outcome classification is memoized in a
-// goldenOracle shared by every run of the campaign.
+// the rest are rebuilt over in place. Once every site has fired on a list
+// with no one-shot transient, no run can read the rest of the warmup, and
+// it ends there (CampaignPlan.warmup). Each injection then forks from the
+// latest checkpoint strictly preceding its sites' first activation; sites
+// that can never activate are served straight from the warmup result. The
+// golden ISA-reference state used for outcome classification is memoized
+// in a goldenOracle shared by every run of the campaign.
 //
 // Soundness: the probe never corrupts, so every site observes the pristine
 // trajectory, and a cold injected run is byte-identical to that trajectory
@@ -142,13 +146,18 @@ type CampaignPlan struct {
 	marks     []ffMark
 	warm      pipeline.Stats
 	warmValid bool
+	// warmCut records a warmup ended early, at the first hook boundary
+	// with every site fired and no one-shot transient in the list: warm
+	// then holds the statistics of a prefix, never to be served.
+	warmCut bool
 }
 
-// NewCampaignPlan runs the fault-free warmup (one full simulation with a
-// probe attached), snapshots it every cfg.CheckpointInterval cycles and
-// keeps the snapshots a run can read (see readable). An interval <= 0
-// takes no snapshots — every injection then runs cold, but the never-fires
-// shortcut and the memoized oracle still apply.
+// NewCampaignPlan runs the fault-free warmup (one simulation with a probe
+// attached, ended early once no run can read the rest of it; see warmup),
+// snapshots it every cfg.CheckpointInterval cycles and keeps the snapshots
+// a run can read (see readable). An interval <= 0 takes no snapshots —
+// every injection then runs cold, but the never-fires shortcut and the
+// memoized oracle still apply.
 func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignPlan, error) {
 	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
@@ -165,6 +174,20 @@ func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 // warmup runs the pristine simulation. A panic during warmup (a wedged
 // simulator without any fault would be a bug, but campaigns must be robust)
 // just disables the plan: every injection falls back to a cold run.
+//
+// The warmup ends at the first hook boundary (the checkpoint cadence, or
+// ffMarkInterval with fast-forward alone) where every site has fired and
+// the list has no one-shot transient, because no run reads past it:
+//   - never-fires windows read the final statistics; there are none;
+//   - reconvergence cuts read checkpointAt and the final statistics, but
+//     only once an injector is spent, which only a transient can be;
+//   - fork sources (latestBefore) and fast-forward handoffs (marks) lie
+//     before their run's first fire, at or before this boundary;
+//   - the pending snapshot settles with this boundary as its next cycle,
+//     as it would were the warmup to go on.
+//
+// Every lookup a run makes therefore returns what it would after the whole
+// warmup, and Checkpoints does not change.
 func (pl *CampaignPlan) warmup() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -198,8 +221,9 @@ func (pl *CampaignPlan) warmup() {
 	// seen every fire it could serve; then it is kept, or its storage is
 	// spare for the next snapshot.
 	forkBoundList := !pl.cfg.FastForward || pl.ffIneligible(0, len(pl.sites)) != ""
-	var pending planCheckpoint
-	var spare *pipeline.Checkpoint
+	// Only a one-shot transient's injector is ever spent (Injector.Spent).
+	mayEnd := !slices.ContainsFunc(pl.sites, func(s fault.Site) bool { return s.EffectiveKind() == fault.KindTransient })
+	var pending, spare planCheckpoint
 	settle := func(next int64) {
 		if pending.snap == nil {
 			return
@@ -207,7 +231,7 @@ func (pl *CampaignPlan) warmup() {
 		if pl.readable(pending.cycle, next, forkBoundList) {
 			pl.cps = append(pl.cps, pending)
 		} else {
-			spare = pending.snap
+			spare = pending
 		}
 		pending = planCheckpoint{}
 	}
@@ -227,16 +251,23 @@ func (pl *CampaignPlan) warmup() {
 			}
 		}
 		settle(live.Cycle())
+		if mayEnd && pl.allFired() {
+			pl.warmCut = true
+			live.Stop()
+			return
+		}
 		if snapshots {
 			pending = planCheckpoint{
 				cycle: live.Cycle(),
-				snap:  live.SnapshotInto(spare),
-				uses:  pl.probe.UsesSnapshot(),
+				snap:  live.SnapshotInto(spare.snap),
+				uses:  pl.probe.UsesSnapshotInto(spare.uses),
 			}
-			spare = nil
+			spare = planCheckpoint{}
 		}
 	})
-	if st.Interrupted {
+	// A cut warmup may stop before the machine's next context poll, so a
+	// cancelled campaign is checked here too.
+	if st.Interrupted || pl.warmCut && pl.cfg.Ctx != nil && pl.cfg.Ctx.Err() != nil {
 		pl.cps = nil
 		pl.marks = nil
 		pl.warmValid = false
@@ -286,6 +317,27 @@ func (pl *CampaignPlan) readable(c, next int64, forkBoundList bool) bool {
 	return false
 }
 
+// allFired reports whether every site has fired on the warmup so far.
+func (pl *CampaignPlan) allFired() bool {
+	for i := range pl.sites {
+		if pl.probe.FireCycle(i) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// warmStats returns the warmup's final statistics, which never-fires and
+// reconverged runs are served. A warmup cut early holds only a prefix's
+// statistics, and no run of its plan may read them (see warmup): reading
+// them is an internal error, never a result.
+func (pl *CampaignPlan) warmStats() (*pipeline.Stats, error) {
+	if pl.warmCut {
+		return nil, errors.New("sim: internal error: the statistics of a warmup cut early were read")
+	}
+	return &pl.warm, nil
+}
+
 // Checkpoints returns how many warmup snapshots the plan keeps.
 func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 
@@ -317,8 +369,12 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, rs *runStorag
 		if !fires {
 			// No member can ever corrupt a value: the injected run would
 			// replay the warmup cycle for cycle. Serve the warmup's result.
+			warm, err := pl.warmStats()
+			if err != nil {
+				return InjectionResult{}, pathInfo{}, err
+			}
 			res := InjectionResult{Site: subset[0], Mode: pl.cfg.Mode, DetectionLatency: -1}
-			if err := classify(&res, &pl.warm, &fault.Injector{}, pl.oracle); err != nil {
+			if err := classify(&res, warm, &fault.Injector{}, pl.oracle); err != nil {
 				return InjectionResult{}, pathInfo{}, err
 			}
 			return res, pathInfo{Path: pathWarm, Reason: reasonNeverFires}, nil
@@ -461,8 +517,9 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 // run runs m, with injector inj installed, to the end of its instruction
 // budget — or until it reconverges with the golden warmup: at a
 // checkpoint cycle, inj can never corrupt again (fault.Injector.Spent) and
-// m's whole state equals the checkpoint's (pipeline.Machine.Matches). It
-// reports whether the run was cut there.
+// m's whole state equals the checkpoint's (pipeline.Machine.Matches). A
+// run cut there returns the warmup's final statistics as warm (nil
+// otherwise), or an error if the warmup was itself cut early.
 //
 // The cut is exact. The machine is deterministic, so from equal state at an
 // equal cycle, with an injector that corrupts nothing, the run replays the
@@ -470,12 +527,15 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 // no detection. A cut run is therefore served the warmup's final
 // statistics, and its own injector's activation count. A warmup that
 // reported a detection is never a reference, so a run that stops at its
-// first detection cannot be cut where it would have stopped later.
+// first detection cannot be cut where it would have stopped later. (A
+// warmup cut early counts a prefix's detections; without a transient in
+// its list no injector of its plan is ever spent, so no run is cut.)
 // Without a plan or checkpoints, run is m.Run.
-func (pl *CampaignPlan) run(m *pipeline.Machine, inj *fault.Injector, maxInstrs int) (st *pipeline.Stats, converged bool) {
+func (pl *CampaignPlan) run(m *pipeline.Machine, inj *fault.Injector, maxInstrs int) (st, warm *pipeline.Stats, err error) {
 	if pl == nil || len(pl.cps) == 0 || pl.warm.Detections > 0 {
-		return m.Run(maxInstrs), false
+		return m.Run(maxInstrs), nil, nil
 	}
+	converged := false
 	st = m.RunWithCheckpoints(maxInstrs, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
 		if !inj.Spent() {
 			return
@@ -485,7 +545,10 @@ func (pl *CampaignPlan) run(m *pipeline.Machine, inj *fault.Injector, maxInstrs 
 			live.Stop()
 		}
 	})
-	return st, converged
+	if converged {
+		warm, err = pl.warmStats()
+	}
+	return st, warm, err
 }
 
 // checkpointAt returns the checkpoint taken at exactly the given cycle, or

@@ -309,3 +309,111 @@ func TestCampaignPlanCheckpointsOnDemand(t *testing.T) {
 		t.Errorf("%d forked and %d reconverged runs; the check needs both", forks, cuts)
 	}
 }
+
+// A warmup ends at the first hook boundary where every site has fired, on
+// a list with no one-shot transient, and every run of its plan is served
+// exactly what a plan over the whole warmup serves. The reference plan
+// holds the same list plus one trigger-gated site that never fires: sites
+// do not interact on the probe, so it runs the whole warmup and reads the
+// same fire cycles, snapshots and marks for the shared sites. The latent
+// list (sites that never fire) and a transient list where every site fires
+// (a spent injector reads the tail) must run the whole warmup.
+func TestCampaignPlanWarmupEndsAtLastFire(t *testing.T) {
+	p := prog.MustBenchmark("gcc")
+	base := Default(pipeline.ModeBlackJack, 8000)
+	m, err := pipeline.New(base.Machine, base.Mode, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := m.Run(base.MaxInstructions).Cycles
+	never := fault.Site{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 3,
+		TriggerMask: ^uint64(0), TriggerValue: 0xDEADBEEFDEADBEEF}
+	opts := InjectOptions{SplitPayload: true}
+	plan := func(t *testing.T, cfg Config, sites []fault.Site) *CampaignPlan {
+		t.Helper()
+		pl, err := NewCampaignPlan(cfg, p, sites, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pl.warmValid {
+			t.Fatal("warmup invalid")
+		}
+		return pl
+	}
+
+	// The sites of the transient list that fire in the budget's first half,
+	// so a warmup that ignored the transients would end well before the
+	// budget's.
+	transient := TransientSites(base.Machine, 20)
+	shots := plan(t, base, transient)
+	var firing []fault.Site
+	for i, s := range transient {
+		if f := shots.probe.FireCycle(i); f >= 0 && f < full/2 {
+			firing = append(firing, s)
+		}
+	}
+	if len(firing) < 2 {
+		t.Fatalf("only %d transient sites fire", len(firing))
+	}
+
+	configs := []struct {
+		name string
+		ckpt int64
+		ff   bool
+	}{{"ckpt", 2500, false}, {"ff", 0, true}, {"ff+ckpt", 2500, true}}
+	for _, c := range configs {
+		cfg := base
+		cfg.CheckpointInterval, cfg.FastForward = c.ckpt, c.ff
+		hook := c.ckpt
+		if hook == 0 {
+			hook = ffMarkInterval
+		}
+		t.Run(c.name, func(t *testing.T) {
+			sites := ControlFlowSites(cfg.Machine)
+			pl := plan(t, cfg, sites)
+			ref := plan(t, cfg, append(append([]fault.Site(nil), sites...), never))
+			lastFire := int64(-1)
+			for i := range sites {
+				lastFire = max(lastFire, pl.probe.FireCycle(i))
+			}
+			t.Logf("warmup ends at cycle %d of %d, last fire %d", pl.warm.Cycles, full, lastFire)
+			if got := pl.warm.Cycles; !pl.warmCut || got >= full || got > lastFire+hook {
+				t.Errorf("warmup cut %v at cycle %d; a plain run takes %d, the last fire is at %d", pl.warmCut, got, full, lastFire)
+			}
+			if ref.warmCut || ref.warm.Cycles != full {
+				t.Fatalf("reference warmup cut %v at cycle %d of %d", ref.warmCut, ref.warm.Cycles, full)
+			}
+			if _, err := pl.warmStats(); err == nil {
+				t.Error("a cut warmup serves its statistics")
+			}
+			if pl.Checkpoints() != ref.Checkpoints() {
+				t.Errorf("%d checkpoints kept, reference %d", pl.Checkpoints(), ref.Checkpoints())
+			}
+			windows := []Window{{0, len(sites)}}
+			for i := range sites {
+				windows = append(windows, Window{i, i + 1})
+			}
+			for _, w := range windows {
+				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || gotPath != wantPath {
+					t.Errorf("window %v: %+v %+v, over the whole warmup %+v %+v", w, got, gotPath, want, wantPath)
+				}
+			}
+			for _, l := range []struct {
+				name  string
+				sites []fault.Site
+			}{{"latent", LatentSites(cfg.Machine)}, {"transient", firing}} {
+				if pl := plan(t, cfg, l.sites); pl.warmCut || pl.warm.Cycles != full {
+					t.Errorf("%s warmup cut %v at cycle %d of %d", l.name, pl.warmCut, pl.warm.Cycles, full)
+				}
+			}
+		})
+	}
+}

@@ -145,12 +145,11 @@ func runMatrix(modeName, kindName string, maxInstr int, seed uint64, par int) {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	opts := diffcheck.MatrixOptions{
-		Mode:     mode,
-		MaxInstr: maxInstr,
-		Seed:     seed,
-		Workers:  par,
-	}
+	ctx, stop := cli.SignalContext()
+	defer stop()
+	cfg := blackjack.DefaultConfig(mode, maxInstr)
+	cfg.Parallel, cfg.Ctx = par, ctx
+	opts := diffcheck.MatrixOptions{Config: cfg, Seed: seed}
 	if kindName != "" {
 		kind, err := blackjack.ParseFaultKind(kindName)
 		if err != nil {

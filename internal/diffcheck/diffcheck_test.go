@@ -1,13 +1,18 @@
 package diffcheck
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"blackjack/internal/core"
+	"blackjack/internal/fault"
 	"blackjack/internal/isa"
+	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
+	"blackjack/internal/sim"
 )
 
 func mustNoDivergences(t *testing.T, rep *ProgramReport, label string) {
@@ -392,7 +397,8 @@ func TestStressProgramsRun(t *testing.T) {
 }
 
 func TestCoverageMatrix(t *testing.T) {
-	m, err := CoverageMatrix(MatrixOptions{Mode: pipeline.ModeBlackJack, MaxInstr: 1500, Seed: 5})
+	cfg := sim.Default(pipeline.ModeBlackJack, 1500)
+	m, err := CoverageMatrix(MatrixOptions{Config: cfg, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,5 +407,50 @@ func TestCoverageMatrix(t *testing.T) {
 	}
 	if !m.OK() {
 		t.Fatalf("coverage matrix violations:\n%s\n%s", strings.Join(m.Problems(), "\n"), m)
+	}
+
+	// Forked and reconverged runs count exactly what cold runs count, down
+	// to the latency sums, with the campaigns running concurrently. The
+	// transient cells take both paths; the permanent ones would only
+	// double the test's time with more forks.
+	kinds := []fault.Kind{fault.KindTransient}
+	cold, err := CoverageMatrix(MatrixOptions{Config: cfg, Seed: 5, Kinds: kinds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := cfg
+	planned.CheckpointInterval, planned.Metrics = 500, obs.NewRegistry()
+	ckpt, err := CoverageMatrix(MatrixOptions{Config: planned, Seed: 5, Kinds: kinds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ckpt.String(), cold.String(); got != want {
+		t.Errorf("checkpointed matrix differs from cold:\n%s\nwant:\n%s", got, want)
+	}
+	for _, key := range []string{"campaign.forked_runs", "campaign.converged.runs"} {
+		if planned.Metrics.CounterValue(key) == 0 {
+			t.Errorf("checkpointed matrix ran no %s", key)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := cfg
+	cancelled.Ctx = ctx
+	if _, err := CoverageMatrix(MatrixOptions{Config: cancelled, Seed: 5}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled matrix: err = %v, want context.Canceled", err)
+	}
+
+	// Settings under which the matrix could not count every run exactly.
+	for name, refused := range map[string]func(*sim.Config){
+		"FastForward": func(c *sim.Config) { c.FastForward = true },
+		"Journal":     func(c *sim.Config) { c.Journal = &sim.CampaignJournal{} },
+		"Isolate":     func(c *sim.Config) { c.Resilience.Isolate = true },
+	} {
+		c := cfg
+		refused(&c)
+		if _, err := CoverageMatrix(MatrixOptions{Config: c, Seed: 5}); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want a refusal naming it", name, err)
+		}
 	}
 }

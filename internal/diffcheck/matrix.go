@@ -6,6 +6,7 @@ import (
 
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
+	"blackjack/internal/obs"
 	"blackjack/internal/parallel"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
@@ -51,6 +52,30 @@ func (c *MatrixCell) MeanLatency() float64 {
 	return float64(c.LatencySum) / float64(c.LatencyRuns)
 }
 
+// add counts one injection run into the cell.
+func (c *MatrixCell) add(r sim.InjectionResult) {
+	c.Runs++
+	if r.Activations == 0 {
+		c.Inactive++
+		return
+	}
+	c.Activated++
+	switch r.Outcome {
+	case sim.OutcomeDetected:
+		c.Detected++
+		if r.DetectionLatency >= 0 {
+			c.LatencySum += r.DetectionLatency
+			c.LatencyRuns++
+		}
+	case sim.OutcomeBenign:
+		c.Benign++
+	case sim.OutcomeSilent:
+		c.Silent++
+	case sim.OutcomeWedged:
+		c.Wedged++
+	}
+}
+
 // OK reports whether the cell meets the coverage contract: the fault class
 // was actually exercised on this structure, and every activated run was
 // detected, explicitly benign, or an observable wedge — never silent.
@@ -63,14 +88,7 @@ type Matrix struct {
 }
 
 // OK reports whether every cell meets the coverage contract.
-func (m *Matrix) OK() bool {
-	for i := range m.Cells {
-		if !m.Cells[i].OK() {
-			return false
-		}
-	}
-	return true
-}
+func (m *Matrix) OK() bool { return len(m.Problems()) == 0 }
 
 // Problems lists the cells violating the contract.
 func (m *Matrix) Problems() []string {
@@ -290,13 +308,14 @@ func kindSpecs(cfg pipeline.Config, kind fault.Kind) []matrixCellSpec {
 	}
 }
 
-// MatrixOptions configures a coverage-matrix run.
+// MatrixOptions configures a coverage-matrix run: each (cell, stressor
+// program) pair runs as one campaign under Config (Mode must be redundant).
+// Parallel spreads the cells over workers; Metrics gets every campaign's
+// counters. FastForward, Journal and Resilience.Isolate are refused: the
+// matrix could not count their runs exactly.
 type MatrixOptions struct {
-	Machine  pipeline.Config // zero value selects Table 1
-	Mode     pipeline.Mode   // must be a redundant mode
-	MaxInstr int             // per-injection budget (default 3000)
-	Seed     uint64          // stressor-program seed base
-	Workers  int             // injection fan-out (<= 0: NumCPU)
+	sim.Config
+	Seed uint64 // stressor-program seed base
 	// Kinds restricts the fault-kind axis (bjfuzz -fault-kind); nil runs
 	// every kind: permanent, transient, intermittent, multi-bit and
 	// control-flow.
@@ -307,15 +326,17 @@ type MatrixOptions struct {
 // programs and classifies outcomes, asserting the paper's coverage story
 // end-to-end: every fault class on every pipeline structure is exercised and
 // either detected or explicitly benign. Results are deterministic in
-// (Machine, Mode, MaxInstr, Seed) at every worker count.
+// (Machine, Mode, MaxInstructions, Seed) at every worker count and
+// checkpoint interval.
 func CoverageMatrix(opts MatrixOptions) (*Matrix, error) {
-	if opts.Machine.FetchWidth == 0 {
-		opts.Machine = pipeline.DefaultConfig()
-	}
-	if opts.MaxInstr <= 0 {
-		opts.MaxInstr = 3000
-	}
-	if !opts.Mode.Redundant() {
+	switch {
+	case opts.FastForward:
+		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.FastForward: a run stopped at its first detection can count a wedge as detected")
+	case opts.Journal != nil:
+		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.Journal: a journal keys one campaign, the matrix runs many")
+	case opts.Resilience.Isolate:
+		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.Resilience.Isolate: a quarantined run would count as inactive")
+	case !opts.Mode.Redundant():
 		return nil, fmt.Errorf("diffcheck: coverage matrix needs a redundant mode, got %v", opts.Mode)
 	}
 	kinds := opts.Kinds
@@ -331,58 +352,41 @@ func CoverageMatrix(opts MatrixOptions) (*Matrix, error) {
 		}
 	}
 
-	// Flatten into independent injection runs for the worker pool.
-	type runSpec struct {
-		cell int
-		site fault.Site
-		prog *isa.Program
-	}
-	var runs []runSpec
-	for ci, spec := range specs {
+	// One campaign per (cell, stressor program) pair. A cell's 2–8 sites
+	// are too few to keep the workers busy, so the cells fan out and each
+	// runs its campaigns on one worker.
+	cells, regs, err := parallel.MapWorkerStateCtx(opts.Ctx, opts.Parallel, len(specs), obs.NewRegistry, func(reg *obs.Registry, _, ci int) (MatrixCell, error) {
+		spec := specs[ci]
+		c := MatrixCell{Kind: spec.kind, Class: spec.class, Structure: spec.structure}
+		cfg := opts.Config
+		cfg.Parallel = 1
+		if cfg.Metrics != nil {
+			cfg.Metrics = reg // merged below: counters add, in any order
+		}
 		for si, shape := range spec.shapes {
 			p, err := prog.StressProgram(prog.DeriveSeed(opts.Seed, uint64(ci*8+si)), shape)
 			if err != nil {
-				return nil, err
+				return c, err
 			}
-			for _, site := range spec.sites {
-				runs = append(runs, runSpec{cell: ci, site: site, prog: p})
+			sum, err := sim.CampaignProgram(cfg, p, spec.sites, sim.InjectOptions{})
+			if err != nil {
+				return c, err
+			}
+			for _, r := range sum.Results {
+				c.add(r)
 			}
 		}
-	}
-	simCfg := sim.Config{Machine: opts.Machine, Mode: opts.Mode, MaxInstructions: opts.MaxInstr}
-	results, err := parallel.Map(opts.Workers, len(runs), func(i int) (sim.InjectionResult, error) {
-		return sim.InjectProgram(simCfg, runs[i].prog, runs[i].site, sim.InjectOptions{})
+		return c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	m := &Matrix{Mode: opts.Mode}
-	for _, spec := range specs {
-		m.Cells = append(m.Cells, MatrixCell{Kind: spec.kind, Class: spec.class, Structure: spec.structure})
-	}
-	for i, r := range results {
-		c := &m.Cells[runs[i].cell]
-		c.Runs++
-		if r.Activations == 0 {
-			c.Inactive++
-			continue
-		}
-		c.Activated++
-		switch r.Outcome {
-		case sim.OutcomeDetected:
-			c.Detected++
-			if r.DetectionLatency >= 0 {
-				c.LatencySum += r.DetectionLatency
-				c.LatencyRuns++
+	for _, reg := range regs {
+		if opts.Metrics != nil {
+			if err := opts.Metrics.Merge(reg); err != nil {
+				return nil, err
 			}
-		case sim.OutcomeBenign:
-			c.Benign++
-		case sim.OutcomeSilent:
-			c.Silent++
-		case sim.OutcomeWedged:
-			c.Wedged++
 		}
 	}
-	return m, nil
+	return &Matrix{Mode: opts.Mode, Cells: cells}, nil
 }

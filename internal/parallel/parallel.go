@@ -158,16 +158,11 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 	return ctx.Err()
 }
 
-// Map invokes fn(i) for every i in [0, n) from at most workers goroutines
-// and returns the results assembled in input order. Error semantics match
-// ForEachWorkerCtx: first failing index wins, outstanding work is
-// cancelled, and a non-nil error means the result slice is nil.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map under a context (see ForEachWorkerCtx for the cancellation
-// contract).
+// MapCtx invokes fn(i) for every i in [0, n) from at most workers
+// goroutines and returns the results assembled in input order. Error and
+// cancellation semantics match ForEachWorkerCtx: first failing index wins,
+// outstanding work is cancelled, and a non-nil error means the result
+// slice is nil.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out, _, err := MapWorkerStateCtx(ctx, workers, n, func() struct{} { return struct{}{} },
 		func(_ struct{}, _, i int) (T, error) { return fn(i) })

@@ -30,7 +30,7 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 		want[i] = i * i
 	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		got, err := Map(workers, n, func(i int) (int, error) { return i * i, nil })
+		got, err := MapCtx(context.Background(), workers, n, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -105,7 +105,7 @@ func TestErrorCancelsRemainingWork(t *testing.T) {
 }
 
 func TestMapErrorReturnsNil(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), 4, 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("boom")
 		}
@@ -124,7 +124,7 @@ func TestWorkersGreaterThanN(t *testing.T) {
 	// once and results assemble in order.
 	const n = 3
 	var ran atomic.Int64
-	out, err := Map(64, n, func(i int) (int, error) { ran.Add(1); return i * 10, nil })
+	out, err := MapCtx(context.Background(), 64, n, func(i int) (int, error) { ran.Add(1); return i * 10, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"blackjack"
 	"blackjack/internal/cli"
@@ -59,12 +61,29 @@ func main() {
 	cli.Parse("bjfuzz")
 	defer cli.Cleanup()
 
+	// A flag the chosen mode does not read would be silently ignored, so it
+	// is refused; so is a second mode flag.
+	mode, reads := "fuzz", "n seed max-instr variant parallel no-shrink repro-dir journal resume metrics-out"
 	switch {
 	case *matrix:
-		runMatrix(*matrixMode, *faultKind, *maxInstr, *seed, *par)
+		mode, reads = "-matrix", "matrix matrix-mode fault-kind max-instr seed parallel"
 	case *replay != "":
-		runReplay(*replay, *maxInstr)
+		mode, reads = "-replay", "replay max-instr"
 	case *emitCorpus > 0:
+		mode, reads = "-emit-corpus", "emit-corpus seed corpus-dir"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(reads), f.Name) {
+			cli.Exitf(cli.ExitError, "-%s is not read in %s mode", f.Name, mode)
+		}
+	})
+
+	switch mode {
+	case "-matrix":
+		runMatrix(*matrixMode, *faultKind, *maxInstr, *seed, *par)
+	case "-replay":
+		runReplay(*replay, *maxInstr)
+	case "-emit-corpus":
 		runEmit(*emitCorpus, *seed, *corpusDir)
 	default:
 		runFuzz(*n, *seed, *maxInstr, *variant, *par, !*noShrink, *reproDir, journal, out)

@@ -220,7 +220,8 @@ func (s *Site) corruptInst(in isa.Inst) isa.Inst {
 	return in
 }
 
-// Injector implements the pipeline's fault surface for a set of sites.
+// Injector implements the pipeline's fault surface for a set of sites; a
+// probe (NewProbe) is an Injector that observes without corrupting.
 // SplitPayload models the paper's fix for the payload-RAM vulnerability
 // (separate per-thread payload RAMs): a PayloadRAM site then only affects its
 // own thread's copy. Sites and SplitPayload must not change after the
@@ -245,6 +246,31 @@ type Injector struct {
 	firstAct    int64
 	hasFirst    bool
 	uses        []uint64 // per-site eligible-use counts (for transients)
+	// fire, set only on a probe (NewProbe), holds each site's first fire
+	// cycle, -1 until it fires.
+	fire []int64
+}
+
+// NewProbe returns an injector over sites that never corrupts: each hook
+// counts its uses and decides its fires exactly as a corrupting injector
+// on the same list would, but records the cycle of each site's first fire
+// (Now must be set by then) and returns its input unchanged.
+//
+// Campaign warmups run the fault-free golden simulation once with a probe
+// attached. Because the probe never corrupts, sites cannot interact: every
+// site observes the pristine trajectory, so FireCycle(i) is exactly the
+// first activation cycle of a solo run injecting site i, and the first
+// activation of any subset is lower-bounded by the minimum FireCycle over
+// its members (until the first corruption, the multi-site machine is
+// byte-identical to the pristine one). Any checkpoint taken strictly
+// before that minimum is therefore a valid fork point for the subset, and
+// AppendUses taken there seeds the fork's injector counters exactly.
+func NewProbe(sites []Site, split bool) *Injector {
+	fire := make([]int64, len(sites))
+	for i := range fire {
+		fire[i] = -1
+	}
+	return &Injector{Sites: sites, SplitPayload: split, fire: fire}
 }
 
 // index returns the site index, building it on first use.
@@ -267,8 +293,32 @@ func (inj *Injector) Activations() uint64 { return inj.activations }
 // when the fault never activated or no clock was attached.
 func (inj *Injector) FirstActivation() (int64, bool) { return inj.firstAct, inj.hasFirst }
 
-// activate counts one corruption and stamps the first-activation cycle.
-func (inj *Injector) activate() {
+// FireCycle returns the cycle site i first changed a value on a probe's
+// pristine trajectory, or -1 if it never would (for transients: its one
+// shot missed or never came; for triggered sites: the trigger never matched
+// a value that would change). Only a probe (NewProbe) records fire cycles.
+func (inj *Injector) FireCycle(i int) int64 { return inj.fire[i] }
+
+// AppendUses appends the per-site eligible-use counters to dst and returns
+// the extended slice, for seeding a forked injector via SeedUses.
+func (inj *Injector) AppendUses(dst []uint64) []uint64 {
+	if inj.uses == nil {
+		return append(dst, make([]uint64, len(inj.Sites))...)
+	}
+	return append(dst, inj.uses...)
+}
+
+// activate handles site i changing a value and reports whether the hook
+// passes the change on. A probe stamps the site's first fire cycle and
+// passes nothing on; an injector counts the corruption and stamps its first
+// activation.
+func (inj *Injector) activate(i int32) bool {
+	if inj.fire != nil {
+		if inj.fire[i] < 0 {
+			inj.fire[i] = inj.Now()
+		}
+		return false
+	}
 	inj.activations++
 	if !inj.hasFirst && inj.Now != nil {
 		inj.firstAct = inj.Now()
@@ -277,6 +327,7 @@ func (inj *Injector) activate() {
 	if inj.OnActivate != nil {
 		inj.OnActivate()
 	}
+	return true
 }
 
 // Spent reports whether the injector can never corrupt again: every site is
@@ -297,8 +348,9 @@ func (inj *Injector) Spent() bool {
 
 // SeedUses pre-loads the per-site eligible-use counters, so an injector
 // installed on a machine forked from a mid-run checkpoint counts transient
-// uses as if it had been present from cycle 0. counts must come from a
-// Probe.UsesSnapshot taken on the same site list at the checkpoint cycle.
+// uses as if it had been present from cycle 0. counts must come from the
+// AppendUses of a probe (NewProbe) on the same site list at the checkpoint
+// cycle.
 func (inj *Injector) SeedUses(counts []uint64) {
 	inj.uses = make([]uint64, len(inj.Sites))
 	copy(inj.uses, counts)
@@ -325,11 +377,9 @@ func (inj *Injector) CorruptDecode(way int, in isa.Inst) isa.Inst {
 	for _, i := range inj.index().hooks[HookDecode].at(0, way) {
 		s := &inj.Sites[i]
 		if s.triggered(uint64(in.Imm)) && inj.fires(i) {
-			out := s.corruptInst(in)
-			if out != in {
-				inj.activate()
+			if out := s.corruptInst(in); out != in && inj.activate(i) {
+				in = out
 			}
-			in = out
 		}
 	}
 	return in
@@ -341,11 +391,9 @@ func (inj *Injector) CorruptPayload(slot, thread int, in isa.Inst) isa.Inst {
 		if !inj.fires(i) {
 			continue
 		}
-		out := inj.Sites[i].corruptInst(in)
-		if out != in {
-			inj.activate()
+		if out := inj.Sites[i].corruptInst(in); out != in && inj.activate(i) {
+			in = out
 		}
-		in = out
 	}
 	return in
 }
@@ -355,9 +403,10 @@ func (inj *Injector) CorruptResult(class isa.UnitClass, way int, in isa.Inst, v 
 	for _, i := range inj.index().hooks[HookResult].at(int(class), way) {
 		s := &inj.Sites[i]
 		if s.triggered(v) && inj.fires(i) {
-			if nv := s.corruptValue(v); nv != v {
+			// A stuck-at matching the present value changes nothing, so it
+			// is no activation.
+			if nv := s.corruptValue(v); nv != v && inj.activate(i) {
 				v = nv
-				inj.activate()
 			}
 		}
 	}
@@ -369,9 +418,8 @@ func (inj *Injector) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint
 	for _, i := range inj.index().hooks[HookAddr].at(int(class), way) {
 		s := &inj.Sites[i]
 		if s.triggered(addr) && inj.fires(i) {
-			if na := s.corruptAddr(addr); na != addr {
+			if na := s.corruptAddr(addr); na != addr && inj.activate(i) {
 				addr = na
-				inj.activate()
 			}
 		}
 	}
@@ -381,9 +429,8 @@ func (inj *Injector) CorruptAddr(class isa.UnitClass, way int, addr uint64) uint
 // CorruptBranch implements pipeline.Injector.
 func (inj *Injector) CorruptBranch(class isa.UnitClass, way int, taken bool) bool {
 	for _, i := range inj.index().hooks[HookBranch].at(int(class), way) {
-		if inj.fires(i) {
+		if inj.fires(i) && inj.activate(i) {
 			taken = !taken
-			inj.activate()
 		}
 	}
 	return taken
@@ -398,9 +445,8 @@ func (inj *Injector) CorruptBranchTarget(class isa.UnitClass, way int, target in
 	for _, i := range inj.index().hooks[HookBranchTarget].at(int(class), way) {
 		s := &inj.Sites[i]
 		if s.triggered(uint64(target)) && inj.fires(i) {
-			if nt := int(s.corruptValue(uint64(target))); nt != target {
+			if nt := int(s.corruptValue(uint64(target))); nt != target && inj.activate(i) {
 				target = nt
-				inj.activate()
 			}
 		}
 	}
@@ -412,9 +458,8 @@ func (inj *Injector) CorruptRegRead(p rename.PhysReg, v uint64) uint64 {
 	for _, i := range inj.index().hooks[HookRegRead].at(0, int(p)) {
 		s := &inj.Sites[i]
 		if s.triggered(v) && inj.fires(i) {
-			if nv := s.corruptValue(v); nv != v {
+			if nv := s.corruptValue(v); nv != v && inj.activate(i) {
 				v = nv
-				inj.activate()
 			}
 		}
 	}

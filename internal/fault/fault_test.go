@@ -235,14 +235,15 @@ func TestArmAtSeededUses(t *testing.T) {
 func TestProbeCountsArmAtFirstFire(t *testing.T) {
 	sites := []Site{{Class: RegisterFile, Reg: 7, BitMask: 1, ArmAt: 4}}
 	now := int64(0)
-	pr := &Probe{Sites: sites, Now: func() int64 { return now }}
+	pr := NewProbe(sites, false)
+	pr.Now = func() int64 { return now }
 	for now = 1; now <= 6; now++ {
 		pr.CorruptRegRead(7, 42)
 	}
 	if fc := pr.FireCycle(0); fc != 4 {
 		t.Errorf("probe fire cycle = %d, want 4 (the arming use)", fc)
 	}
-	if uses := pr.UsesSnapshot(); uses[0] != 6 {
+	if uses := pr.AppendUses(nil); uses[0] != 6 {
 		t.Errorf("probe uses = %d, want 6", uses[0])
 	}
 	// And the probe never mutated the value stream.

@@ -115,8 +115,8 @@ func (g *grid) add(major, minor, i int) bool {
 
 // siteIndex is the one answer to "which sites can this use corrupt": per
 // hook, the ordered sites at each resource, and the list of resources with
-// any site at all. Injector and Probe both build one from their site list on
-// first use, so the list must not change afterwards.
+// any site at all. An Injector, probe or not, builds one from its site list
+// on first use, so the list must not change afterwards.
 //
 // A hook at a resource outside watched visits no site, so it returns its
 // input and counts no use, activation or fire cycle: the machine may skip

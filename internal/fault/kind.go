@@ -102,9 +102,8 @@ func (s *Site) counted() bool {
 }
 
 // firesAt decides whether the n-th eligible use (1-based) is corrupted. It is
-// the single source of truth for firing semantics: Injector.fires and
-// Probe.fires both delegate here, so the probe can never drift from the
-// injector.
+// the single source of truth for firing semantics: Injector.fires delegates
+// here for corrupting injectors and probes alike.
 func (s *Site) firesAt(n uint64) bool {
 	switch s.kind() {
 	case KindTransient:

@@ -221,7 +221,8 @@ func TestStuckAtResultAndProbeMirror(t *testing.T) {
 
 	// The probe must agree: its first recorded fire is the value-changing use.
 	now := int64(0)
-	pr := &Probe{Sites: []Site{site}, Now: func() int64 { return now }}
+	pr := NewProbe([]Site{site}, false)
+	pr.Now = func() int64 { return now }
 	now = 1
 	pr.CorruptResult(isa.UnitIntALU, 1, in, 0x12A5) // no-op: not a fire
 	now = 2
@@ -266,7 +267,8 @@ func TestProbeMirrorsIntermittentInjector(t *testing.T) {
 	site := Site{Class: RegisterFile, Reg: 9, BitMask: 1, Kind: KindIntermittent, DutyPeriod: 5, DutyOn: 2, DutyProb: 70}
 	inj := &Injector{Sites: []Site{site}}
 	now := int64(0)
-	pr := &Probe{Sites: []Site{site}, Now: func() int64 { return now }}
+	pr := NewProbe([]Site{site}, false)
+	pr.Now = func() int64 { return now }
 
 	firstInjFire := int64(-1)
 	for now = 1; now <= 40; now++ {
@@ -279,7 +281,7 @@ func TestProbeMirrorsIntermittentInjector(t *testing.T) {
 	if fc := pr.FireCycle(0); fc != firstInjFire {
 		t.Errorf("probe first fire = %d, injector first fire = %d", fc, firstInjFire)
 	}
-	if uses := pr.UsesSnapshot(); uses[0] != 40 {
+	if uses := pr.AppendUses(nil); uses[0] != 40 {
 		t.Errorf("probe uses = %d, want 40", uses[0])
 	}
 }

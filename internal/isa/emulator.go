@@ -141,11 +141,6 @@ func (m *Machine) ReadMem(addr uint64) uint64 {
 	return m.mem.Load(clampAddr(addr, m.mem.Size()))
 }
 
-// WriteMem stores a 8-byte word at the (clamped) address.
-func (m *Machine) WriteMem(addr uint64, v uint64) {
-	m.mem.Store(clampAddr(addr, m.mem.Size()), v)
-}
-
 // Reg returns the current value of an architectural register.
 func (m *Machine) Reg(r Reg) uint64 {
 	if r.IsFP() {

@@ -40,10 +40,3 @@ func (m *Machine) TrailingArchReg(r isa.Reg) uint64 {
 	}
 	return m.rf.Value(m.oc.Mapping(r))
 }
-
-// StatsSnapshot finalizes and returns a copy of the current statistics
-// without requiring the run to be complete.
-func (m *Machine) StatsSnapshot() Stats {
-	m.finalizeStats()
-	return m.stats
-}

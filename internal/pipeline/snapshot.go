@@ -55,17 +55,6 @@ func (m *Machine) SnapshotInto(cp *Checkpoint) *Checkpoint {
 	return cp
 }
 
-// Restore rewinds the machine to the checkpointed state. The receiver keeps
-// its identity (closures holding the *Machine — an injector's Now clock, for
-// example — remain valid) and its own injector and shuffle observer.
-func (m *Machine) Restore(cp *Checkpoint) {
-	inj, shuffleObs := m.inj, m.shuffleObs
-	m.copyFrom(cp.m)
-	m.sink = cp.m.sink.Clone()
-	m.inj, m.shuffleObs = inj, shuffleObs
-	m.initWatch()
-}
-
 // Fork builds a new runnable machine from the checkpoint and applies opts —
 // typically WithInjector and WithSink. The fork carries only the harness
 // state its options install: no injector or observer of the snapshotted

@@ -137,44 +137,6 @@ func TestForkAtIntervalsMatchesColdRun(t *testing.T) {
 	}
 }
 
-// Restore must rewind the SAME machine object to the checkpoint; re-running
-// it must reproduce the original final state exactly.
-func TestRestoreRewindsMachine(t *testing.T) {
-	const n = 1 << 20
-	p := sumProgram(200)
-	for _, v := range snapshotVariants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := smallCacheConfig(v.merge)
-			m, err := New(cfg, v.mode, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cp *Checkpoint
-			st := m.RunWithCheckpoints(n, 100, func(live *Machine) {
-				if cp == nil {
-					cp = live.Snapshot()
-				}
-			})
-			if st.Deadlocked {
-				t.Fatal("run deadlocked")
-			}
-			if cp == nil {
-				t.Fatal("no checkpoint taken")
-			}
-			first := *st // copy: Run returns a pointer into the machine
-
-			m.Restore(cp)
-			if m.StatsSnapshot().Cycles != cp.Cycle() {
-				t.Fatalf("restore left cycle %d, checkpoint was %d", m.StatsSnapshot().Cycles, cp.Cycle())
-			}
-			again := m.Run(n)
-			if !reflect.DeepEqual(&first, again) {
-				t.Fatalf("rerun after Restore diverged:\nfirst: %+v\nagain: %+v", first, *again)
-			}
-		})
-	}
-}
-
 // Mutation smoke test: the comparison machinery above must actually catch
 // state divergence. Corrupt one register of a forked copy and verify the
 // cold/fork final states now differ — if a Snapshot field were ever missed,
@@ -224,13 +186,13 @@ func TestForkStateComparisonCatchesMutation(t *testing.T) {
 
 // A checkpoint carries machine state, not harness state: a fork built
 // without options runs fault-free and never drives the injector the
-// snapshotted machine carried. (Were the warmup's Probe shared, its use
+// snapshotted machine carried. (Were the warmup's probe shared, its use
 // counters would move, and concurrent forks would race on them.)
 func TestForkDropsWarmupInjector(t *testing.T) {
-	pr := &fault.Probe{Sites: []fault.Site{
+	pr := fault.NewProbe([]fault.Site{
 		{Class: fault.FrontendWay, Way: 0, Transient: true, FireAt: 1 << 40},
 		{Class: fault.BackendWay, Unit: isa.UnitIntALU, Way: 1, ArmAt: 1 << 40},
-	}}
+	}, false)
 	m, err := New(DefaultConfig(), ModeBlackJack, prog.MustBenchmark("gcc"), WithInjector(pr))
 	if err != nil {
 		t.Fatal(err)
@@ -244,12 +206,12 @@ func TestForkDropsWarmupInjector(t *testing.T) {
 	if cp == nil {
 		t.Fatal("no checkpoint taken")
 	}
-	before := pr.UsesSnapshot()
+	before := pr.AppendUses(nil)
 	if before[0] == 0 || before[1] == 0 {
 		t.Fatalf("warmup probe counted no uses: %v", before)
 	}
 	Fork(cp).Run(3000)
-	if after := pr.UsesSnapshot(); !reflect.DeepEqual(before, after) {
+	if after := pr.AppendUses(nil); !reflect.DeepEqual(before, after) {
 		t.Fatalf("fork without an injector drove the warmup's probe: uses %v -> %v", before, after)
 	}
 }

@@ -15,11 +15,12 @@ import (
 // sites previously ran N cold simulations, each replaying the same fault-free
 // prefix before its fault first fired — for trigger-gated or late-firing
 // faults, nearly the whole run. Instead, a CampaignPlan runs ONE fault-free
-// warmup with a non-mutating fault.Probe attached, snapshotting the machine
-// every CheckpointInterval cycles and recording each site's first activation
-// cycle on the pristine trajectory. It keeps only the snapshots a run can
-// read: fork sources and reconvergence references (CampaignPlan.readable);
-// the rest are rebuilt over in place. Once every site has fired on a list
+// warmup with a probe attached (fault.NewProbe: an injector that never
+// corrupts), snapshotting the machine every CheckpointInterval cycles and
+// recording each site's first activation cycle on the pristine trajectory.
+// It keeps only the snapshots a run can read: fork sources and
+// reconvergence references (CampaignPlan.readable); the rest are rebuilt
+// over in place. Once every site has fired on a list
 // with no one-shot transient, no run can read the rest of the warmup, and
 // it ends there (CampaignPlan.warmup). Each injection then forks from the
 // latest checkpoint strictly preceding its sites' first activation; sites
@@ -112,17 +113,16 @@ type planCheckpoint struct {
 }
 
 // ffMark is one fast-forward anchor on the warmup trajectory: at warmup
-// cycle `cycle`, both threads had committed at least `instrs` instructions
-// and the probe had counted `uses` eligible uses per site. Marks map a
-// fault's first-activation cycle back to a committed-instruction handoff
-// target, and seed transient use counters at that target. Unlike
-// planCheckpoints, marks hold no machine state — they are three words plus
-// a small slice, so a fast-forward campaign without checkpoints stays
-// near-zero-memory.
+// cycle `cycle`, both threads had committed at least `instrs` instructions.
+// The probe's per-site use counts at mark k are the k-th run of len(sites)
+// counters in CampaignPlan.markUses. Marks map a fault's first-activation
+// cycle back to a committed-instruction handoff target, and seed transient
+// use counters at that target. Unlike planCheckpoints, marks hold no
+// machine state — two words plus their share of one plan-wide array, so a
+// fast-forward campaign without checkpoints stays near-zero-memory.
 type ffMark struct {
 	cycle  int64
 	instrs uint64
-	uses   []uint64
 }
 
 // ffMarkInterval is the mark cadence (in cycles) used when fast-forward is
@@ -141,9 +141,10 @@ type CampaignPlan struct {
 	opts  InjectOptions
 
 	oracle    *goldenOracle
-	probe     *fault.Probe
+	probe     *fault.Injector
 	cps       []planCheckpoint
 	marks     []ffMark
+	markUses  []uint64 // each mark's use counts, in mark order (see ffMark)
 	warm      pipeline.Stats
 	warmValid bool
 	// warmCut records a warmup ended early, at the first hook boundary
@@ -165,7 +166,7 @@ func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 	pl := &CampaignPlan{
 		cfg: cfg, prog: p, sites: sites, opts: opts,
 		oracle: newGoldenOracle(p),
-		probe:  &fault.Probe{Sites: sites, SplitPayload: opts.SplitPayload},
+		probe:  fault.NewProbe(sites, opts.SplitPayload),
 	}
 	pl.warmup()
 	return pl, nil
@@ -191,9 +192,7 @@ func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 func (pl *CampaignPlan) warmup() {
 	defer func() {
 		if r := recover(); r != nil {
-			pl.cps = nil
-			pl.marks = nil
-			pl.warmValid = false
+			pl.invalidate()
 		}
 	}()
 	wopts := []pipeline.Option{pipeline.WithInjector(pl.probe)}
@@ -215,7 +214,8 @@ func (pl *CampaignPlan) warmup() {
 	if pl.cfg.FastForward {
 		// Implicit reset-state mark, so every positive handoff target has a
 		// use-counter seed at or below it.
-		pl.marks = append(pl.marks, ffMark{uses: make([]uint64, len(pl.sites))})
+		pl.marks = append(pl.marks, ffMark{})
+		pl.markUses = make([]uint64, len(pl.sites))
 	}
 	// Each snapshot waits as the pending checkpoint until the warmup has
 	// seen every fire it could serve; then it is kept, or its storage is
@@ -238,11 +238,8 @@ func (pl *CampaignPlan) warmup() {
 	st := m.RunWithCheckpoints(pl.cfg.MaxInstructions, interval, func(live *pipeline.Machine) {
 		if pl.cfg.FastForward {
 			lead, trail := live.CommittedInstrs()
-			pl.marks = append(pl.marks, ffMark{
-				cycle:  live.Cycle(),
-				instrs: min(lead, trail),
-				uses:   pl.probe.UsesSnapshot(),
-			})
+			pl.marks = append(pl.marks, ffMark{cycle: live.Cycle(), instrs: min(lead, trail)})
+			pl.markUses = pl.probe.AppendUses(pl.markUses)
 			// ffHandoff succeeds for every fire after a mark past the
 			// warmup lead, and a list that may fast-forward has no
 			// transient to reconverge: no later snapshot can be read.
@@ -260,7 +257,7 @@ func (pl *CampaignPlan) warmup() {
 			pending = planCheckpoint{
 				cycle: live.Cycle(),
 				snap:  live.SnapshotInto(spare.snap),
-				uses:  pl.probe.UsesSnapshotInto(spare.uses),
+				uses:  pl.probe.AppendUses(spare.uses[:0]),
 			}
 			spare = planCheckpoint{}
 		}
@@ -268,14 +265,19 @@ func (pl *CampaignPlan) warmup() {
 	// A cut warmup may stop before the machine's next context poll, so a
 	// cancelled campaign is checked here too.
 	if st.Interrupted || pl.warmCut && pl.cfg.Ctx != nil && pl.cfg.Ctx.Err() != nil {
-		pl.cps = nil
-		pl.marks = nil
-		pl.warmValid = false
+		pl.invalidate()
 		return
 	}
 	settle(st.Cycles)
 	pl.warm = *st
 	pl.warmValid = true
+}
+
+// invalidate drops a failed warmup's checkpoints and marks: every injection
+// then runs cold.
+func (pl *CampaignPlan) invalidate() {
+	pl.cps, pl.marks, pl.markUses = nil, nil, nil
+	pl.warmValid = false
 }
 
 // readable reports whether a run can read the warmup snapshot taken at
@@ -441,6 +443,9 @@ func (pl *CampaignPlan) ffIneligible(lo, hi int) string {
 // what the campaign path matrix checks; a wear-out site arming within about
 // one slack of the budget's end can differ (EXPERIMENTS.md, "Known
 // divergences").
+//
+// The seed is cut from markUses, which grows while the warmup runs; the
+// warmup reads only ok (readable), and runs read the seed once it has ended.
 func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64, ok bool) {
 	if minFire < 0 || len(pl.marks) == 0 {
 		return 0, nil, false
@@ -459,7 +464,8 @@ func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64,
 	if k == 0 {
 		return 0, nil, false
 	}
-	return target, pl.marks[k-1].uses, true
+	n := len(pl.sites)
+	return target, pl.markUses[(k-1)*n : k*n], true
 }
 
 // ffRun serves one injection by sampled simulation: functional golden state

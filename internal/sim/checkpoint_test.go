@@ -163,7 +163,7 @@ func TestGoldenOracleMatchesFreshRuns(t *testing.T) {
 // run can read is checked against.
 func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 	t.Helper()
-	probe := &fault.Probe{Sites: pl.sites, SplitPayload: pl.opts.SplitPayload}
+	probe := fault.NewProbe(pl.sites, pl.opts.SplitPayload)
 	m, err := pipeline.New(pl.cfg.Machine, pl.cfg.Mode, pl.prog, pipeline.WithInjector(probe))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 	probe.Now = m.Cycle
 	var cps []planCheckpoint
 	m.RunWithCheckpoints(pl.cfg.MaxInstructions, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
-		cps = append(cps, planCheckpoint{cycle: live.Cycle(), snap: live.Snapshot(), uses: probe.UsesSnapshot()})
+		cps = append(cps, planCheckpoint{cycle: live.Cycle(), snap: live.Snapshot(), uses: probe.AppendUses(nil)})
 	})
 	return cps
 }

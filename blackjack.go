@@ -201,7 +201,8 @@ func OpenCampaignJournal(path string, cfg Config, benchmark string, sites []Faul
 	return sim.OpenCampaignJournal(path, cfg, benchmark, sites, opts)
 }
 
-// Inject runs a benchmark with one hard fault installed.
+// Inject runs a benchmark with one hard fault installed, as a one-site
+// campaign: the result is the site's row of any campaign under cfg.
 func Inject(cfg Config, benchmark string, site FaultSite, opts InjectOptions) (InjectionResult, error) {
 	return sim.Inject(cfg, benchmark, site, opts)
 }

@@ -68,6 +68,19 @@ func main() {
 	cli.Parse("bjfault")
 	defer cli.Cleanup()
 
+	// A flag the chosen mode does not read would be silently ignored, so it
+	// is refused. A -site-index replay reads no -metrics-out: a metered run
+	// is one cold observed machine, not the campaign's run.
+	const every = "bench mode n split fault-kind checkpoint-interval ff ff-warmup isolate retries run-timeout cache-dir cache-verify cpuprofile memprofile"
+	switch {
+	case *siteIndex >= 0:
+		cli.RefuseUnread("-site-index", every+" site-index sites")
+	case *site != "":
+		cli.RefuseUnread("-site", every+" site way unit slot reg duty mask metrics-out trace-out")
+	default:
+		cli.RefuseUnread("campaign", every+" sites compare journal resume parallel metrics-out")
+	}
+
 	m, err := blackjack.ParseMode(*mode)
 	if err != nil {
 		cli.Fatal(err)
@@ -86,15 +99,13 @@ func main() {
 	cfg.Ctx = ctx
 	cfg.Resilience = resilience.Settings()
 	opts := blackjack.InjectOptions{SplitPayload: *split}
-	// A campaign cell (or single injection) whose full identity — program
-	// content, machine, mode, budget, site, execution plan — matches a
-	// stored entry is served from disk instead of re-simulated.
+	// A campaign cell (a single injection is a one-site campaign) whose
+	// full identity — program content, machine, mode, budget, site,
+	// execution plan — matches a stored entry is served from disk instead
+	// of re-simulated.
 	cfg.Cache, cfg.CacheVerify = cache.Open()
 	defer cache.Report()
 
-	if out.Trace != "" && *site == "" {
-		cli.Fatal(fmt.Errorf("-trace-out needs a single -site run (campaigns run many machines)"))
-	}
 	var otr *blackjack.Tracer
 	if out.Trace != "" {
 		otr = blackjack.NewTracer(0)
@@ -126,7 +137,6 @@ func main() {
 			cli.Fatal(err)
 		}
 		printOne(r)
-		writeMetrics()
 		return
 	}
 

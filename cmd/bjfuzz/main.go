@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 
 	"blackjack"
 	"blackjack/internal/cli"
@@ -72,11 +70,7 @@ func main() {
 	case *emitCorpus > 0:
 		mode, reads = "-emit-corpus", "emit-corpus seed corpus-dir"
 	}
-	flag.Visit(func(f *flag.Flag) {
-		if !slices.Contains(strings.Fields(reads), f.Name) {
-			cli.Exitf(cli.ExitError, "-%s is not read in %s mode", f.Name, mode)
-		}
-	})
+	cli.RefuseUnread(mode, reads)
 
 	switch mode {
 	case "-matrix":

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
 	"blackjack/internal/sim"
@@ -50,6 +52,18 @@ func Parse(name string) {
 			Fatal(err)
 		}
 	}
+}
+
+// RefuseUnread exits ExitError naming the first flag set on the command
+// line that is not among reads, the space-separated names of the flags the
+// tool's chosen mode reads: a flag the mode does not read would otherwise
+// be silently ignored. A second mode's flag is refused the same way.
+func RefuseUnread(mode, reads string) {
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(reads), f.Name) {
+			Exitf(ExitError, "-%s is not read in %s mode", f.Name, mode)
+		}
+	})
 }
 
 // onExit registers f to run at exit, after every function registered later.

@@ -145,7 +145,8 @@ func ResilienceFlags() *Resilience {
 }
 
 // Settings returns the sim.Resilience the flags select, with a 30 s
-// hung-worker watchdog.
+// hung-worker watchdog: far beyond any legitimate single run, short enough
+// that an operator watching a campaign learns about a livelock promptly.
 func (r *Resilience) Settings() sim.Resilience {
 	return sim.Resilience{
 		Isolate:    *r.isolate,

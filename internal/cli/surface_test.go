@@ -114,20 +114,40 @@ func TestCLISurface(t *testing.T) {
 	}
 
 	for _, c := range []struct {
+		tool string
 		args []string
 		code int
+		// refused is the flag a mode refuses, named in the error.
+		refused string
 	}{
-		{[]string{"-mode", "bogus"}, ExitError},
+		{tool: "bjsim", args: []string{"-mode", "bogus"}, code: ExitError},
 		// A one-entry issue queue wedges the machine within a few thousand
 		// cycles of a tiny budget.
-		{[]string{"-bench", "gzip", "-n", "200", "-iq", "1", "-cache-dir", ""}, ExitDeadlock},
+		{tool: "bjsim", args: []string{"-bench", "gzip", "-n", "200", "-iq", "1", "-cache-dir", ""}, code: ExitDeadlock},
+		// A flag the chosen mode does not read is refused before any run.
+		{tool: "bjfault", args: []string{"-site", "frontend", "-compare", "-journal", "j.journal", "-sites", "latent"}, code: ExitError, refused: "-compare"},
+		{tool: "bjfault", args: []string{"-site", "frontend", "-journal", "j.journal"}, code: ExitError, refused: "-journal"},
+		{tool: "bjfault", args: []string{"-site", "frontend", "-sites", "latent"}, code: ExitError, refused: "-sites"},
+		{tool: "bjfault", args: []string{"-site-index", "2", "-duty", "32/8"}, code: ExitError, refused: "-duty"},
+		{tool: "bjfault", args: []string{"-site-index", "2", "-mask", "0xff"}, code: ExitError, refused: "-mask"},
+		{tool: "bjfault", args: []string{"-site-index", "2", "-way", "3"}, code: ExitError, refused: "-way"},
+		{tool: "bjfault", args: []string{"-site-index", "2", "-site", "backend"}, code: ExitError, refused: "-site"},
+		{tool: "bjfault", args: []string{"-site-index", "2", "-metrics-out", "m.json"}, code: ExitError, refused: "-metrics-out"},
+		{tool: "bjfault", args: []string{"-trace-out", "t.json"}, code: ExitError, refused: "-trace-out"},
+		{tool: "bjfault", args: []string{"-unit", "mem"}, code: ExitError, refused: "-unit"},
+		{tool: "bjfuzz", args: []string{"-matrix", "-journal", "j.journal"}, code: ExitError, refused: "-journal"},
+		{tool: "bjfuzz", args: []string{"-replay", "x", "-emit-corpus", "3"}, code: ExitError, refused: "-emit-corpus"},
 	} {
-		cmd := exec.Command(filepath.Join(bin, "bjsim"), c.args...)
+		cmd := exec.Command(filepath.Join(bin, c.tool), c.args...)
+		cmd.Dir = t.TempDir()
 		cmd.Env = toolEnv()
 		out, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != c.code {
-			t.Errorf("bjsim %s: %v, want exit %d\n%s", strings.Join(c.args, " "), err, c.code, out)
+			t.Errorf("%s %s: %v, want exit %d\n%s", c.tool, strings.Join(c.args, " "), err, c.code, out)
+		}
+		if want := c.refused + " is not read in"; c.refused != "" && !strings.Contains(string(out), want) {
+			t.Errorf("%s %s: output does not say %q:\n%s", c.tool, strings.Join(c.args, " "), want, out)
 		}
 	}
 }

@@ -6,19 +6,18 @@ import (
 )
 
 // Watchdog detects hung workers in a batch fan-out. Workers bracket each
-// item with Begin/End; a monitor goroutine scans the live items and fires
-// OnStall once per item that has been running longer than the threshold.
+// item with Begin/End; a monitor goroutine scans the live items and counts
+// each item that has been running longer than the threshold once.
 // The watchdog observes only — Go offers no safe way to kill a goroutine —
 // so the cure for a detected hang is the per-run budget (context deadline)
 // threaded into the simulation loop; the watchdog is the layer that notices
 // when even that failed, or when no budget was configured.
 //
-// Stall reports are wall-clock driven and therefore intentionally kept OUT
-// of the deterministic metrics registries: they go to the OnStall callback
-// (typically a stderr note) and the Stalls counter.
+// Stall counts are wall-clock driven and therefore intentionally kept OUT
+// of the deterministic metrics registries: they go to the Stalls counter
+// (typically reported as a stderr note).
 type Watchdog struct {
-	stall   time.Duration
-	onStall func(worker, item int, running time.Duration)
+	stall time.Duration
 
 	mu     sync.Mutex
 	slots  map[int]*wdSlot
@@ -29,37 +28,27 @@ type Watchdog struct {
 }
 
 type wdSlot struct {
-	item     int
 	start    time.Time
 	active   bool
 	reported bool
 }
 
-// DefaultStall is the hung-worker threshold when the caller does not supply
-// one: far beyond any legitimate single run, short enough that an operator
-// watching a campaign learns about a livelock promptly.
-const DefaultStall = 30 * time.Second
-
-// NewWatchdog starts a monitor that flags any item running longer than
-// stall (<= 0 selects DefaultStall). onStall may be nil; fires at most once
-// per Begin. Call Stop to shut the monitor down.
-func NewWatchdog(stall time.Duration, onStall func(worker, item int, running time.Duration)) *Watchdog {
-	if stall <= 0 {
-		stall = DefaultStall
-	}
+// NewWatchdog starts a monitor that counts any item running longer than
+// stall (positive), at most once per Begin. Call Stop to shut the monitor
+// down.
+func NewWatchdog(stall time.Duration) *Watchdog {
 	w := &Watchdog{
-		stall:   stall,
-		onStall: onStall,
-		slots:   make(map[int]*wdSlot),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stall: stall,
+		slots: make(map[int]*wdSlot),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	go w.loop()
 	return w
 }
 
-// Begin marks the worker as running the given item.
-func (w *Watchdog) Begin(worker, item int) {
+// Begin marks the worker as running a new item.
+func (w *Watchdog) Begin(worker int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := w.slots[worker]
@@ -67,7 +56,6 @@ func (w *Watchdog) Begin(worker, item int) {
 		s = &wdSlot{}
 		w.slots[worker] = s
 	}
-	s.item = item
 	s.start = time.Now()
 	s.active = true
 	s.reported = false
@@ -83,7 +71,7 @@ func (w *Watchdog) End(worker int) {
 	}
 }
 
-// Stalls returns how many stalled items have been reported so far.
+// Stalls returns how many stalled items have been counted so far.
 func (w *Watchdog) Stalls() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -120,27 +108,12 @@ func (w *Watchdog) loop() {
 }
 
 func (w *Watchdog) scan(now time.Time) {
-	type fire struct {
-		worker, item int
-		running      time.Duration
-	}
-	var fires []fire
 	w.mu.Lock()
-	for worker, s := range w.slots {
+	defer w.mu.Unlock()
+	for _, s := range w.slots {
 		if s.active && !s.reported && now.Sub(s.start) > w.stall {
 			s.reported = true
 			w.stalls++
-			fires = append(fires, fire{worker, s.item, now.Sub(s.start)})
 		}
-	}
-	cb := w.onStall
-	w.mu.Unlock()
-	if cb == nil {
-		return
-	}
-	// Callbacks run outside the lock so they may call back into the
-	// watchdog (e.g. Stalls) without deadlocking.
-	for _, f := range fires {
-		cb(f.worker, f.item, f.running)
 	}
 }

@@ -343,7 +343,9 @@ func ranFF(t *testing.T, r matrixRow, p *matrixPass) {
 //     at the first detection, so they agree exactly;
 //   - cache-warm and journal-resume replay the ff+ckpt plan exactly,
 //     metrics included;
-//   - a served job's result is the batch table byte for byte.
+//   - a served job's result is the batch table byte for byte;
+//   - in every live column, each site injected alone (sim.Inject) equals
+//     its row of the campaign exactly, at 1 worker.
 //
 // The campaign.* metrics of every (list, path) are identical at 1 and 8
 // workers, and every cell proves its own path served its runs.
@@ -390,6 +392,9 @@ func TestCampaignPathMatrix(t *testing.T) {
 							default:
 								sampledMatch(t, ref, p)
 							}
+							if w == 1 {
+								r.standaloneMatch(t, col.plan, p)
+							}
 						case "cache":
 							p = r.cacheWarm(t, col.plan, w)
 						case "journal":
@@ -408,6 +413,24 @@ func TestCampaignPathMatrix(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// standaloneMatch injects every site of the row alone under the live
+// cell's plan: a standalone injection is a one-site campaign, so each must
+// equal the campaign's row exactly.
+func (r matrixRow) standaloneMatch(t *testing.T, plan matrixPlan, p *matrixPass) {
+	t.Helper()
+	cfg := r.config(plan, 1)
+	cfg.Metrics = nil // a metered injection runs one cold observed machine
+	for i, site := range r.sites {
+		got, err := sim.Inject(cfg, r.bench, site, sim.InjectOptions{SplitPayload: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := p.sum.Results[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d injected alone: %+v, campaign row %+v", i, got, want)
+		}
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 
 // This file wires the content-addressable run cache (internal/runcache)
 // into the simulation entry points. The canonical identity of a run is
-// built here — one schema shared by single runs, standalone injections,
-// campaign cells and the campaign journal key (see campaignIdentity) — and
-// cachedRun is the one cache tier every entry point goes through.
+// built here — one schema shared by single runs, campaign cells (a
+// standalone injection is a one-site campaign) and the campaign journal
+// key (see campaignIdentity) — and cachedRun is the one cache tier every
+// entry point goes through.
 //
 // Soundness rests on determinism: given equal (program content, machine
 // config, mode, budget, fault site, execution plan) the simulator produces
@@ -80,17 +81,6 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 		id.Addf("skip", "%d", skip)
 	}
 	return id
-}
-
-// injectIdentity is the identity of one standalone injection: the shared
-// parameters, the program content, the execution-plan parameters that
-// shape the recorded outcome and the injected site.
-func injectIdentity(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) *runcache.Identity {
-	return cfg.identity("inject", p.Name).
-		Add("prog_fp", programFingerprint(p)).
-		Addf("split", "%v", opts.SplitPayload).
-		Addf("ff", "%v", cfg.FastForward).
-		AddJSON("site", site)
 }
 
 // campaignIdentity is the identity prefix of one campaign: the shared
@@ -175,18 +165,6 @@ func cachedRun[T any](cfg Config, id *runcache.Identity, live func() (T, error),
 		_ = cfg.Cache.Put(id, cacheable) // fill, or heal a diverged entry; best-effort
 	}
 	return res, hit, diverged, nil
-}
-
-// cachedSingle serves a single-run entry point (a *Result run or a
-// standalone injection) through the cache tier, unless a tracer or metrics
-// registry is attached: those want live pipeline internals (occupancy
-// histograms, event streams) that a cached outcome cannot replay.
-func cachedSingle[T any](cfg Config, id func() *runcache.Identity, live func() (T, error)) (T, error) {
-	if cfg.Cache == nil || cfg.Trace != nil || cfg.Metrics != nil {
-		return live()
-	}
-	res, _, _, err := cachedRun(cfg, id(), live, nil)
-	return res, err
 }
 
 // cacheForm is the campaign cache tier's form: quarantined records (panic,

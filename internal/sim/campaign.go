@@ -14,7 +14,6 @@ import (
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
 	"blackjack/internal/rename"
-	"blackjack/internal/runcache"
 )
 
 // Outcome classifies one fault-injection run.
@@ -83,20 +82,45 @@ type InjectOptions struct {
 // fault-wedged bookkeeping are caught and classified as OutcomeWedged.
 // Several simultaneous faults (Section 4.5) run as a window of a campaign
 // (CampaignWindows).
+//
+// The injection is a one-site campaign (CampaignProgram), so it takes a
+// campaign's journal, cache and live chain and its run's plan path, and
+// returns exactly the row any campaign over site reports under cfg: a
+// cell's result depends only on its own sites and the plan cadence. A
+// config with Trace or Metrics attached instead runs one cold observed
+// machine (see injectObserved).
 func InjectProgram(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) (InjectionResult, error) {
+	if cfg.Trace != nil || cfg.Metrics != nil {
+		return injectObserved(cfg, p, site, opts)
+	}
+	sum, err := CampaignProgram(cfg, p, []fault.Site{site}, opts)
+	if err != nil {
+		return InjectionResult{}, err
+	}
+	return sum.Results[0], nil
+}
+
+// injectObserved is a standalone injection under cfg.Trace or cfg.Metrics:
+// a fresh machine from cycle 0, built here with the observability options,
+// run to the end (or, with cfg.FastForward, to its first detection) and
+// never cached, since no campaign traces or meters a machine and a cached
+// outcome cannot replay live pipeline internals.
+func injectObserved(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) (InjectionResult, error) {
 	sites := []fault.Site{site}
 	if err := validateInjection(cfg, sites); err != nil {
 		return InjectionResult{}, err
 	}
-	live := func() (InjectionResult, error) {
-		ctx, cancel := cfg.runContext(0)
-		defer cancel()
-		res, _, err := injectSites(ctx, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward, nil)
-		return res, err
+	ctx, cancel := cfg.runContext(0)
+	defer cancel()
+	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
+	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, append(runOptions(ctx, inj, nil, cfg.FastForward), cfg.obsOptions()...)...)
+	if err != nil {
+		return InjectionResult{}, err
 	}
-	// Standalone injections honor Trace/Metrics, so the cache gate matches
-	// the single-run rule: live observability cannot be replayed.
-	return cachedSingle(cfg, func() *runcache.Identity { return injectIdentity(cfg, p, site, opts) }, live)
+	cfg.observeDetections(m)
+	cfg.observeActivations(inj)
+	r, _, err := execute(ctx, cfg, p.Name, m, inj, site, newGoldenOracle(p), nil, cfg.Metrics)
+	return r, err
 }
 
 // validateInjection reports the configuration and site-list errors every
@@ -115,15 +139,12 @@ func validateInjection(cfg Config, sites []fault.Site) error {
 }
 
 // injectSites is the cold injection path: a fresh machine from cycle 0 with
-// the faults installed. Batch callers pass their worker's reusable run
-// storage (see runStorage) and a shared golden oracle; nil storage means
-// the run allocates its own machine and sink, exactly the standalone
-// behavior — and, being a single-machine run, the standalone path also
-// honors cfg.Trace/cfg.Metrics. A non-nil ctx bounds the run's wall clock:
-// an expired budget surfaces as *InterruptedError, never as a
-// (mis)classified outcome. A non-nil plan lets the run end where it
-// reconverges with the plan's warmup (see CampaignPlan.run); an observed
-// run always runs to the end.
+// the faults installed, built into the worker's reusable run storage (see
+// runStorage) and classified against the campaign's shared golden oracle. A
+// non-nil ctx bounds the run's wall clock: an expired budget surfaces as
+// *InterruptedError, never as a (mis)classified outcome. A non-nil plan lets
+// the run end where it reconverges with the plan's warmup (see
+// CampaignPlan.run).
 //
 // stopOnDetect (sampled campaigns, and cold fallbacks within them) ends the
 // run at its first detection event: a cold run is bit-identical to the full
@@ -132,23 +153,10 @@ func validateInjection(cfg Config, sites []fault.Site) error {
 // only Cycles and post-detection activation counts are truncated.
 func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, rs *runStorage, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
 	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
-	mopts := runOptions(ctx, inj, rs.reusedSink(), stopOnDetect)
-	observed := rs == nil && (cfg.Trace != nil || cfg.Metrics != nil)
-	if observed {
-		mopts = append(mopts, cfg.obsOptions()...)
-		pl = nil
-	}
-	m := rs.machine()
-	if err := m.Init(cfg.Machine, cfg.Mode, p, mopts...); err != nil {
+	if err := rs.m.Init(cfg.Machine, cfg.Mode, p, runOptions(ctx, inj, rs.sink, stopOnDetect)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
-	var export *obs.Registry
-	if observed {
-		cfg.observeDetections(m)
-		cfg.observeActivations(inj)
-		export = cfg.Metrics
-	}
-	r, pi, err := execute(ctx, cfg, p.Name, m, inj, sites[0], oracle, pl, export)
+	r, pi, err := execute(ctx, cfg, p.Name, rs.m, inj, sites[0], oracle, pl, nil)
 	pi.Path = pathCold
 	return r, pi, err
 }
@@ -507,29 +515,15 @@ var (
 // runStorage is what one campaign worker reuses from run to run: a
 // detection sink, reset before each run, and one machine every run is built
 // into (pipeline.Machine.Init, InitFromArch or ForkFrom), so a run allocates
-// no machine of its own. It lives as long as one campaign call. A nil
-// *runStorage reuses nothing: the run allocates its machine and the machine
-// its sink.
+// no machine of its own. It lives as long as one campaign call.
 type runStorage struct {
 	sink *detect.Sink
 	m    *pipeline.Machine
 }
 
-// machine returns the machine the next run is built into.
-func (rs *runStorage) machine() *pipeline.Machine {
-	if rs == nil {
-		return &pipeline.Machine{}
-	}
-	return rs.m
-}
-
-// reusedSink returns the sink the next run reports to, or nil for the
-// machine's own.
-func (rs *runStorage) reusedSink() *detect.Sink {
-	if rs == nil {
-		return nil
-	}
-	return rs.sink
+// newRunStorage returns empty run storage for one worker.
+func newRunStorage() *runStorage {
+	return &runStorage{sink: &detect.Sink{}, m: &pipeline.Machine{}}
 }
 
 // campaignWorker is one worker's reusable scratch state: the run storage,
@@ -537,7 +531,7 @@ func (rs *runStorage) reusedSink() *detect.Sink {
 // Config.Metrics after the fan-out (per-worker recording plus a commutative
 // merge keeps metrics identical at every worker count).
 type campaignWorker struct {
-	runs runStorage
+	runs *runStorage
 	reg  *obs.Registry
 	// ff mirrors Config.FastForward: a cold run inside a sampled campaign is
 	// a fallback worth counting; the same cold run in a full campaign is just
@@ -637,7 +631,7 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		return nil, err
 	}
 	newWorker := func() *campaignWorker {
-		w := &campaignWorker{runs: runStorage{sink: &detect.Sink{}, m: &pipeline.Machine{}}, ff: cfg.FastForward}
+		w := &campaignWorker{runs: newRunStorage(), ff: cfg.FastForward}
 		if cfg.Metrics != nil {
 			w.reg = obs.NewRegistry()
 		}
@@ -656,27 +650,27 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 			if err != nil {
 				return InjectionResult{}, pathInfo{}, err
 			}
-			return pl.injectCtx(runCtx, win.Lo, win.Hi, &w.runs)
+			return pl.injectCtx(runCtx, win.Lo, win.Hi, w.runs)
 		}
 	} else {
 		oracle := newGoldenOracle(p)
 		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {
-			r, pi, err := injectSites(runCtx, cfg, p, sites[win.Lo:win.Hi], opts, &w.runs, oracle, false, nil)
+			r, pi, err := injectSites(runCtx, cfg, p, sites[win.Lo:win.Hi], opts, w.runs, oracle, false, nil)
 			pi.Reason = reasonNoPlan
 			return r, pi, err
 		}
 	}
 
 	var wd *parallel.Watchdog
-	if cfg.Resilience.watchdogArmed() {
-		wd = parallel.NewWatchdog(cfg.Resilience.StallAfter, cfg.Resilience.OnStall)
+	if cfg.Resilience.StallAfter > 0 {
+		wd = parallel.NewWatchdog(cfg.Resilience.StallAfter)
 	}
 	if cfg.Cache != nil {
 		runner.cell = campaignIdentity(cfg, p.Name, opts).Add("prog_fp", programFingerprint(p))
 	}
 	runOne := func(w *campaignWorker, worker, i int) (InjectionResult, error) {
 		if wd != nil {
-			wd.Begin(worker, i)
+			wd.Begin(worker)
 			defer wd.End(worker)
 		}
 		rec, served, err := runner.serve(w, i)

@@ -126,7 +126,7 @@ func TestPathReasons(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pi, err := pl.injectCtx(nil, 0, 1, nil)
+			_, pi, err := pl.injectCtx(nil, 0, 1, newRunStorage())
 			if err != nil {
 				t.Fatal(err)
 			}

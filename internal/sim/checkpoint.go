@@ -482,11 +482,10 @@ func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, u
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	m := rs.machine()
-	if err := m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, rs.reusedSink(), true)...); err != nil {
+	if err := rs.m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, rs.sink, true)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
-	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, nil, nil)
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs.m, inj, subset[0], pl.oracle, nil, nil)
 	pi.Path, pi.FFSkipped = pathFF, int64(handoff)
 	return r, pi, err
 }
@@ -513,9 +512,8 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	m := rs.machine()
-	m.ForkFrom(cp.snap, runOptions(ctx, inj, rs.reusedSink(), pl.cfg.FastForward)...)
-	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, m, inj, subset[0], pl.oracle, pl, nil)
+	rs.m.ForkFrom(cp.snap, runOptions(ctx, inj, rs.sink, pl.cfg.FastForward)...)
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs.m, inj, subset[0], pl.oracle, pl, nil)
 	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err
 }

@@ -83,7 +83,7 @@ func TestCampaignPlanTakesCheckpoints(t *testing.T) {
 // injectCold is the cold multi-fault reference: a fresh machine from
 // cycle 0 with every site installed, outside any campaign, plan or cache.
 func injectCold(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (InjectionResult, error) {
-	r, _, err := injectSites(nil, cfg, p, sites, opts, nil, newGoldenOracle(p), cfg.FastForward, nil)
+	r, _, err := injectSites(nil, cfg, p, sites, opts, newRunStorage(), newGoldenOracle(p), cfg.FastForward, nil)
 	return r, err
 }
 
@@ -247,11 +247,11 @@ func TestCampaignPlanCheckpointsOnDemand(t *testing.T) {
 				}
 			}
 			for _, w := range windows {
-				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, nil)
+				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, newRunStorage())
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, nil)
+				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, newRunStorage())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -394,11 +394,11 @@ func TestCampaignPlanWarmupEndsAtLastFire(t *testing.T) {
 				windows = append(windows, Window{i, i + 1})
 			}
 			for _, w := range windows {
-				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, nil)
+				got, gotPath, err := pl.injectCtx(nil, w.Lo, w.Hi, newRunStorage())
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, nil)
+				want, wantPath, err := ref.injectCtx(nil, w.Lo, w.Hi, newRunStorage())
 				if err != nil {
 					t.Fatal(err)
 				}

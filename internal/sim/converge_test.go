@@ -52,7 +52,7 @@ func TestCampaignPlanConvergedSubsets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, pi, err := pl.injectCtx(nil, lo, hi, nil)
+				got, pi, err := pl.injectCtx(nil, lo, hi, newRunStorage())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func TestCampaignPlanConvergedSubsets(t *testing.T) {
 			for i := 0; i < pairs; i++ {
 				check(2*i, 2*i+2, false)
 			}
-			if _, pi, err := pl.injectCtx(nil, shotIdx, shotIdx+1, nil); err != nil || (interval > 0 && !pi.Converged) {
+			if _, pi, err := pl.injectCtx(nil, shotIdx, shotIdx+1, newRunStorage()); err != nil || (interval > 0 && !pi.Converged) {
 				t.Fatalf("ff=%v interval %d: the shot alone did not reconverge (err %v)", ff, interval, err)
 			}
 			n := len(sites)

@@ -51,18 +51,12 @@ type Resilience struct {
 	// Retries is how many times a failed run is re-executed before it is
 	// quarantined (Isolate) or aborts the campaign.
 	Retries int
-	// StallAfter arms a hung-worker watchdog: any single run exceeding this
-	// wall-clock age is reported via OnStall (observe-only — the run budget
-	// is what actually stops it). 0 disables unless OnStall is set, in
-	// which case parallel.DefaultStall applies.
+	// StallAfter arms a hung-worker watchdog: every run exceeding this
+	// wall-clock age is counted in CampaignSummary.WatchdogStalls
+	// (observe-only — the run budget is what actually stops it). 0
+	// disables it.
 	StallAfter time.Duration
-	// OnStall receives watchdog reports; typically a stderr note. May be
-	// nil.
-	OnStall func(worker, item int, running time.Duration)
 }
-
-// watchdogArmed reports whether the hung-worker watchdog is configured.
-func (r Resilience) watchdogArmed() bool { return r.StallAfter > 0 || r.OnStall != nil }
 
 // Failure reasons recorded on quarantined runs.
 const (
@@ -92,8 +86,9 @@ type RunFailure struct {
 	Stack string `json:"stack,omitempty"`
 	// Attempts is how many times the run was tried (1 + retries).
 	Attempts int `json:"attempts"`
-	// Repro reproduces the run standalone, outside the campaign. It is
-	// empty for a multi-site window, which no single-site command replays,
+	// Repro reproduces the run standalone: bjfault -site-index runs the
+	// site as a one-site campaign on the same plan, which takes the path
+	// the campaign's run took (InjectProgram). It is empty for a multi-site window, which no single-site command replays,
 	// and for a site list bjfault cannot name (neither a fault kind's
 	// canonical list nor the latent campaign), where -site-index would
 	// replay a different site.

@@ -57,14 +57,18 @@ type Config struct {
 	// window so queues, the predictor and the redundancy coupling re-approach
 	// steady state before the fault can fire. <= 0 selects DefaultFFWarmup.
 	FFWarmup int
-	// Trace, when non-nil, records structured pipeline events of
-	// single-machine entry points (RunProgram, InjectProgram and the
-	// standalone fault paths) for Chrome-trace export. Campaign fan-out
-	// never attaches it: a trace of many interleaved machines would be
-	// meaningless and racy. Simulation results are unaffected.
+	// Trace, when non-nil, records structured pipeline events of the
+	// single-machine entry points, RunProgram and InjectProgram, for
+	// Chrome-trace export. Campaign fan-out never attaches it: a trace of
+	// many interleaved machines would be meaningless and racy. So a traced
+	// (or metered) InjectProgram is not the one-site campaign an untraced
+	// one is, but one cold machine from cycle 0, never cached, and stopped
+	// at its first detection under FastForward. Simulation results are
+	// unaffected.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives the run's metrics: the machine's
-	// occupancy histograms and the final Stats counters for single runs;
+	// occupancy histograms and the final Stats counters for single runs and
+	// InjectProgram (one cold observed machine, as with Trace);
 	// campaign outcome/latency counters (merged deterministically from
 	// per-worker registries) for Campaign entry points. Must not be shared
 	// with concurrently running simulations. Simulation results are
@@ -77,23 +81,25 @@ type Config struct {
 	// error. nil means uncancellable, exactly the legacy behavior.
 	Ctx context.Context
 	// Resilience tunes per-run isolation, wall-clock budgets, retries and
-	// the hung-worker watchdog for campaign entry points; single runs
-	// honor RunTimeout. The zero value disables all of it.
+	// the hung-worker watchdog for campaign entry points, InjectProgram
+	// among them; single runs honor RunTimeout. The zero value disables
+	// all of it.
 	Resilience Resilience
 	// Journal, when non-nil, records every completed campaign run so an
 	// interrupted campaign resumes where it stopped (see
-	// OpenCampaignJournal). Only campaign entry points use it.
+	// OpenCampaignJournal). Only campaign entry points use it, InjectProgram
+	// among them as a one-site campaign.
 	Journal *CampaignJournal
 	// Cache, when non-nil, memoizes run outcomes in an on-disk
-	// content-addressable store (see internal/runcache): campaign cells,
-	// standalone injections and verified single runs whose full identity
-	// (program content, machine, mode, budget, site, execution plan)
-	// matches a stored entry are served from the cache instead of
-	// simulated. Simulation determinism makes this sound; results and
+	// content-addressable store (see internal/runcache): campaign cells
+	// (standalone injections among them) and verified single runs whose
+	// full identity (program content, machine, mode, budget, site,
+	// execution plan) matches a stored entry are served from the cache
+	// instead of simulated. Simulation determinism makes this sound; results and
 	// stdout tables are byte-identical with or without the cache. Single
-	// runs bypass the cache when Trace or Metrics is attached — live
-	// occupancy histograms and event traces cannot be replayed from a
-	// cached outcome.
+	// runs and injections bypass the cache when Trace or Metrics is
+	// attached — live occupancy histograms and event traces cannot be
+	// replayed from a cached outcome.
 	Cache *runcache.Store
 	// CacheVerify is the trust-but-verify sampling fraction in [0,1]: that
 	// share of cache hits (deterministically chosen by entry address) is
@@ -368,9 +374,14 @@ func RunSampledProgram(cfg Config, p *isa.Program, skip int) (*Result, error) {
 		return nil, fmt.Errorf("sim: negative fast-forward skip %d", skip)
 	}
 	skip = min(skip, cfg.MaxInstructions)
-	return cachedSingle(cfg,
-		func() *runcache.Identity { return runIdentity(cfg, p, skip) },
-		func() (*Result, error) { return runLive(cfg, p, skip) })
+	live := func() (*Result, error) { return runLive(cfg, p, skip) }
+	// A tracer or registry wants live pipeline internals (event streams,
+	// occupancy histograms) that a cached outcome cannot replay.
+	if cfg.Cache == nil || cfg.Trace != nil || cfg.Metrics != nil {
+		return live()
+	}
+	res, _, _, err := cachedRun(cfg, runIdentity(cfg, p, skip), live, nil)
+	return res, err
 }
 
 // Run executes one built-in benchmark.

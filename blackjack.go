@@ -183,23 +183,10 @@ const (
 	OutcomeSilent   = sim.OutcomeSilent
 )
 
-// Resilience and crash recovery.
-type (
-	// Resilience tunes per-run isolation, wall-clock budgets, retries and
-	// the hung-worker watchdog of campaign entry points. Attach via
-	// Config.Resilience.
-	Resilience = sim.Resilience
-	// CampaignJournal is the durable completed-run log of a fault campaign;
-	// attach via Config.Journal to make the campaign crash-resumable.
-	CampaignJournal = sim.CampaignJournal
-)
-
-// OpenCampaignJournal opens (creating or resuming) the campaign journal at
-// path. The header key binds it to the exact campaign identity; resuming
-// with a different program, mode, budget or site list is refused.
-func OpenCampaignJournal(path string, cfg Config, benchmark string, sites []FaultSite, opts InjectOptions) (*CampaignJournal, error) {
-	return sim.OpenCampaignJournal(path, cfg, benchmark, sites, opts)
-}
+// Resilience tunes per-run isolation, wall-clock budgets and retries of
+// campaign entry points. Attach via Config.Resilience; Config.JournalPath
+// makes a campaign crash-resumable.
+type Resilience = sim.Resilience
 
 // Inject runs a benchmark with one hard fault installed, as a one-site
 // campaign: the result is the site's row of any campaign under cfg.

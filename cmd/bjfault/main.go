@@ -181,14 +181,7 @@ func main() {
 }
 
 func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite, opts blackjack.InjectOptions, journal string, writeMetrics func()) {
-	if journal != "" {
-		cj, err := blackjack.OpenCampaignJournal(journal, cfg, bench, sites, opts)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer cj.Close()
-		cfg.Journal = cj
-	}
+	cfg.JournalPath = journal
 	sum, err := blackjack.Campaign(cfg, bench, sites, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) && journal != "" {
@@ -211,9 +204,6 @@ func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite
 	}
 	if sum.Retried > 0 {
 		cli.Logf("%d retries", sum.Retried)
-	}
-	if sum.WatchdogStalls > 0 {
-		cli.Logf("watchdog reported %d stalled workers", sum.WatchdogStalls)
 	}
 	for _, f := range sum.Quarantined {
 		cli.Logf("quarantined run %d (%s after %d attempts): %s\n  repro: %s",

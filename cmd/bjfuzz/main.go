@@ -104,14 +104,7 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 		}
 		opts.Variant = &v
 	}
-	if path := journal.Prepare(""); path != "" {
-		fj, err := diffcheck.OpenFuzzJournal(path, opts)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer fj.Close()
-		opts.Journal = fj
-	}
+	opts.JournalPath = journal.Prepare("")
 	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
 		cli.Fatal(err)

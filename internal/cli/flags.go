@@ -144,16 +144,9 @@ func ResilienceFlags() *Resilience {
 	}
 }
 
-// Settings returns the sim.Resilience the flags select, with a 30 s
-// hung-worker watchdog: far beyond any legitimate single run, short enough
-// that an operator watching a campaign learns about a livelock promptly.
+// Settings returns the sim.Resilience the flags select.
 func (r *Resilience) Settings() sim.Resilience {
-	return sim.Resilience{
-		Isolate:    *r.isolate,
-		Retries:    *r.retries,
-		RunTimeout: *r.timeout,
-		StallAfter: 30 * time.Second,
-	}
+	return sim.Resilience{Isolate: *r.isolate, Retries: *r.retries, RunTimeout: *r.timeout}
 }
 
 // Execution is the campaign execution group: -parallel,

@@ -40,11 +40,13 @@ type FuzzOptions struct {
 	// no new ones start, completed records are flushed to the journal, and
 	// the context's error is returned. nil means uncancellable.
 	Ctx context.Context
-	// Journal, when non-nil, records every completed program so an
-	// interrupted campaign resumes where it stopped (see OpenFuzzJournal).
-	// Resumed programs replay their journaled contribution instead of
-	// re-running, and the summary is identical to an uninterrupted one.
-	Journal *FuzzJournal
+	// JournalPath, when non-empty, names the file every completed program
+	// is journaled to, so an interrupted campaign resumes where it stopped.
+	// Fuzz opens it itself, keyed by these options (see openJournal), and
+	// refuses one written for another session. Resumed programs replay their
+	// journaled contribution instead of re-running, and the summary is
+	// identical to an uninterrupted one.
+	JournalPath string
 	// OnProgress, when non-nil, observes every completed program: live runs
 	// and journal replays alike (resumed reports which). It is called from
 	// worker goroutines, so it must be safe for concurrent use and should
@@ -224,10 +226,14 @@ func shrinkOne(o FuzzOptions, p *isa.Program) *isa.Program {
 // Fuzz runs the campaign: generate programs, check every one under every
 // variant (or the selected one) against the oracle and the structural
 // invariants, run the NOP-padding metamorphic variant on a quarter of the
-// programs, and minimize any failures. With a Journal attached, completed
+// programs, and minimize any failures. With a JournalPath, completed
 // programs are durable and a re-run resumes instead of repeating them.
 func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 	o := opts.withDefaults()
+	jr, err := o.openJournal()
+	if err != nil {
+		return nil, err
+	}
 
 	type outcome struct {
 		rec       fuzzRecord
@@ -237,8 +243,8 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 	}
 
 	results, err := parallel.MapCtx(o.Ctx, o.Workers, o.Programs, func(i int) (*outcome, error) {
-		if o.Journal != nil {
-			if rec, ok := o.Journal.Replayed(i); ok {
+		if jr != nil {
+			if rec, ok := jr.Replayed(i); ok {
 				if o.OnProgress != nil {
 					o.OnProgress(i, true, len(rec.Divergences))
 				}
@@ -259,8 +265,8 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 				out.rec.Minimized = enc
 			}
 		}
-		if o.Journal != nil {
-			if err := o.Journal.Append(i, out.rec); err != nil {
+		if jr != nil {
+			if err := jr.Append(i, out.rec); err != nil {
 				return nil, fmt.Errorf("diffcheck: journal program %d: %w", i, err)
 			}
 		}
@@ -271,9 +277,9 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 	})
 	// Flush completed records, also on error, so a cancelled campaign
 	// resumes cleanly.
-	if o.Journal != nil {
-		if serr := o.Journal.Sync(); serr != nil && err == nil {
-			err = serr
+	if jr != nil {
+		if cerr := jr.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	if err != nil {

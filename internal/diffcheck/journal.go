@@ -23,23 +23,25 @@ type fuzzRecord struct {
 	Minimized   []byte       `json:"minimized,omitempty"`
 }
 
-// FuzzJournal is the durable completed-program log of one fuzz session.
-// Open it with OpenFuzzJournal and attach it via FuzzOptions.Journal.
-type FuzzJournal = journal.Journal[fuzzRecord]
-
 // fuzzJournalVersion is bumped when fuzzRecord or the identity schema
 // changes incompatibly. v2: keys fold through the canonical runcache
 // identity encoder and headers record the human-readable parts.
 const fuzzJournalVersion = 2
 
-// OpenFuzzJournal opens (creating or resuming) the fuzz journal at path.
-// The key covers everything that defines program identity and check
-// behavior — machine config, campaign seed, per-run budget, variant
-// restriction, shrink settings — but deliberately NOT the program count or
-// worker count: per-program seeds derive from the campaign seed, so a
-// session journaled with -n 100 resumes (and extends) under -n 1000.
-func OpenFuzzJournal(path string, opts FuzzOptions) (*FuzzJournal, error) {
-	o := opts.withDefaults()
+// openJournal opens (creating or resuming) o.JournalPath for the session
+// about to run on o (withDefaults applied), or returns nil when the path is
+// empty. The key covers everything that defines program identity and
+// check behavior — machine config, campaign seed, per-run budget, variant
+// restriction, shrink settings — so a journal written for any other
+// session is refused with journal.ErrKeyMismatch; it deliberately leaves
+// out the program count and worker count: per-program seeds derive from
+// the campaign seed, so a session journaled with -n 100 resumes (and
+// extends) under -n 1000. With o.OnProgress set, every append is fsync'd
+// before Append returns, as for a campaign (sim.Config.JournalPath).
+func (o FuzzOptions) openJournal() (*journal.Journal[fuzzRecord], error) {
+	if o.JournalPath == "" {
+		return nil, nil
+	}
 	variant := "all"
 	if o.Variant != nil {
 		variant = o.Variant.Name
@@ -50,10 +52,13 @@ func OpenFuzzJournal(path string, opts FuzzOptions) (*FuzzJournal, error) {
 		Addf("maxinstr", "%d", o.MaxInstr).
 		Add("variant", variant).
 		Addf("shrink", "%v/%d", o.Shrink, o.ShrinkTests)
-	j, _, err := journal.Open[fuzzRecord](path, journal.Header{
+	j, _, err := journal.Open[fuzzRecord](o.JournalPath, journal.Header{
 		Kind: "fuzz", Key: id.Hash64(), Version: fuzzJournalVersion,
 		Parts: id.Parts(),
 	})
+	if err == nil && o.OnProgress != nil {
+		j.SetSyncEvery(1)
+	}
 	return j, err
 }
 

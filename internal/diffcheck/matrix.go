@@ -332,8 +332,8 @@ func CoverageMatrix(opts MatrixOptions) (*Matrix, error) {
 	switch {
 	case opts.FastForward:
 		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.FastForward: a run stopped at its first detection can count a wedge as detected")
-	case opts.Journal != nil:
-		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.Journal: a journal keys one campaign, the matrix runs many")
+	case opts.JournalPath != "":
+		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.JournalPath: a journal keys one campaign, the matrix runs many")
 	case opts.Resilience.Isolate:
 		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.Resilience.Isolate: a quarantined run would count as inactive")
 	case !opts.Mode.Redundant():
@@ -355,7 +355,7 @@ func CoverageMatrix(opts MatrixOptions) (*Matrix, error) {
 	// One campaign per (cell, stressor program) pair. A cell's 2–8 sites
 	// are too few to keep the workers busy, so the cells fan out and each
 	// runs its campaigns on one worker.
-	cells, regs, err := parallel.MapWorkerStateCtx(opts.Ctx, opts.Parallel, len(specs), obs.NewRegistry, func(reg *obs.Registry, _, ci int) (MatrixCell, error) {
+	cells, regs, err := parallel.MapWorkerStateCtx(opts.Ctx, opts.Parallel, len(specs), obs.NewRegistry, func(reg *obs.Registry, ci int) (MatrixCell, error) {
 		spec := specs[ci]
 		c := MatrixCell{Kind: spec.kind, Class: spec.class, Structure: spec.structure}
 		cfg := opts.Config

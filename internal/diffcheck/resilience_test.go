@@ -2,6 +2,7 @@ package diffcheck
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -120,17 +121,10 @@ func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fuzz.journal")
-	fj, err := OpenFuzzJournal(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	jopts := opts
-	jopts.Journal = fj
+	jopts.JournalPath = path
 	full, err := Fuzz(jopts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fj.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fuzzSummaryString(full); got != want {
@@ -157,22 +151,15 @@ func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 		if err := os.WriteFile(path, []byte(crashed), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fj, err := OpenFuzzJournal(path, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: reopen: %v", workers, err)
-		}
-		if fj.Done() != 4 {
-			t.Fatalf("workers=%d: journal replays %d records, want 4", workers, fj.Done())
+		if done := journalRecords(t, path); done != 4 {
+			t.Fatalf("workers=%d: journal replays %d records, want 4", workers, done)
 		}
 		ropts := opts
 		ropts.Workers = workers
-		ropts.Journal = fj
+		ropts.JournalPath = path
 		resumed, err := Fuzz(ropts)
 		if err != nil {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
-		}
-		if err := fj.Close(); err != nil {
-			t.Fatal(err)
 		}
 		if resumed.Resumed != 4 {
 			t.Fatalf("workers=%d: Resumed=%d, want 4", workers, resumed.Resumed)
@@ -183,15 +170,34 @@ func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
-func TestFuzzJournalKeyMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fuzz.journal")
-	opts := FuzzOptions{Programs: 4, Seed: 9, MaxInstr: 500}
-	fj, err := OpenFuzzJournal(path, opts)
+// journalRecords counts the complete program records in the journal at
+// path: every newline-terminated line after the header.
+func journalRecords(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fj.Close(); err != nil {
-		t.Fatal(err)
+	return max(strings.Count(string(raw), "\n")-1, 0)
+}
+
+// openJournalAt runs a session on opts journaling to path, with its
+// context cancelled before the first program: the session opens (or
+// creates) the journal and returns the open's error, else
+// context.Canceled, having checked no program.
+func openJournalAt(path string, opts FuzzOptions) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Ctx, opts.JournalPath = ctx, path
+	_, err := Fuzz(opts)
+	return err
+}
+
+func TestFuzzJournalKeyMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fuzz.journal")
+	opts := FuzzOptions{Programs: 4, Seed: 9, MaxInstr: 500}
+	if err := openJournalAt(path, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("writing the journal: err = %v, want context.Canceled", err)
 	}
 	variant := Variants()[0]
 	for name, other := range map[string]FuzzOptions{
@@ -199,7 +205,7 @@ func TestFuzzJournalKeyMismatch(t *testing.T) {
 		"maxinstr": {Programs: 4, Seed: 9, MaxInstr: 600},
 		"variant":  {Programs: 4, Seed: 9, MaxInstr: 500, Variant: &variant},
 	} {
-		if _, err := OpenFuzzJournal(path, other); !errors.Is(err, journal.ErrKeyMismatch) {
+		if err := openJournalAt(path, other); !errors.Is(err, journal.ErrKeyMismatch) {
 			t.Fatalf("%s change accepted by mismatched journal: %v", name, err)
 		}
 	}
@@ -207,9 +213,81 @@ func TestFuzzJournalKeyMismatch(t *testing.T) {
 	// written under -n 4 must resume (and extend) under -n 400.
 	grown := opts
 	grown.Programs = 400
-	if _, err := OpenFuzzJournal(path, grown); err != nil {
+	if err := openJournalAt(path, grown); !errors.Is(err, context.Canceled) {
 		t.Fatalf("program-count change refused: %v", err)
 	}
+}
+
+// A session given the journal of a session with another seed is refused,
+// never served its records: Fuzz replayed whatever journal it was handed
+// by index, so a seed-2 session on a seed-1 journal reported seed 1's
+// programs as its own. The refused attempt leaves the journal as it was.
+func TestFuzzRefusesForeignJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seed1.journal")
+	opts := FuzzOptions{Programs: 3, Seed: 1, MaxInstr: 500, Workers: 1, JournalPath: path}
+	if _, err := Fuzz(opts); err != nil {
+		t.Fatal(err)
+	}
+	wrote, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Seed = 2
+	sum, err := Fuzz(opts)
+	if !errors.Is(err, journal.ErrKeyMismatch) {
+		t.Fatalf("err = %v (summary %+v), want ErrKeyMismatch", err, sum)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(wrote) {
+		t.Error("the refused session changed the journal")
+	}
+}
+
+// A program is durable before it is reported: with OnProgress set, every
+// progress event finds its program's complete record already in the
+// journal file, live and resumed programs alike.
+func TestFuzzJournalDurableBeforeProgress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "durable.journal")
+	for _, resume := range []bool{false, true} {
+		var mu sync.Mutex
+		var missing []int
+		opts := FuzzOptions{Programs: 6, Seed: 4, MaxInstr: 500, Workers: 2, JournalPath: path,
+			OnProgress: func(i int, _ bool, _ int) {
+				raw, err := os.ReadFile(path)
+				if err != nil || !hasRecord(raw, i) {
+					mu.Lock()
+					missing = append(missing, i)
+					mu.Unlock()
+				}
+			}}
+		sum, err := Fuzz(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume != (sum.Resumed == opts.Programs) {
+			t.Fatalf("resume=%v: %d of %d programs resumed", resume, sum.Resumed, opts.Programs)
+		}
+		if len(missing) > 0 {
+			t.Errorf("resume=%v: programs %v were reported before their record reached the journal", resume, missing)
+		}
+	}
+}
+
+// hasRecord reports whether raw, a journal's bytes, holds a complete
+// record line for program i: newline-terminated, with a parsable record.
+func hasRecord(raw []byte, i int) bool {
+	lines := strings.SplitAfter(string(raw), "\n")
+	for _, line := range lines[1:] {
+		var env struct {
+			I int             `json:"i"`
+			R json.RawMessage `json:"r"`
+		}
+		var rec fuzzRecord
+		if strings.HasSuffix(line, "\n") && json.Unmarshal([]byte(line), &env) == nil &&
+			env.I == i && json.Unmarshal(env.R, &rec) == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFuzzGracefulCancellation(t *testing.T) {
@@ -227,18 +305,11 @@ func TestFuzzGracefulCancellation(t *testing.T) {
 
 	opts := FuzzOptions{Programs: 10, Seed: 31, MaxInstr: 800, Workers: 1}
 	path := filepath.Join(t.TempDir(), "fuzz.journal")
-	fj, err := OpenFuzzJournal(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	copts := opts
 	copts.Ctx = ctx
-	copts.Journal = fj
+	copts.JournalPath = path
 	if _, err := Fuzz(copts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
-	}
-	if err := fj.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	// The interrupted records survived; a resume completes the campaign
@@ -248,24 +319,18 @@ func TestFuzzGracefulCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fj, err = OpenFuzzJournal(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fj.Done() == 0 {
+	done := journalRecords(t, path)
+	if done == 0 {
 		t.Fatal("cancelled campaign journaled nothing")
 	}
 	ropts := opts
-	ropts.Journal = fj
+	ropts.JournalPath = path
 	resumed, err := Fuzz(ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fj.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Resumed != fj.Done() {
-		t.Fatalf("Resumed=%d, journal holds %d", resumed.Resumed, fj.Done())
+	if resumed.Resumed != done {
+		t.Fatalf("Resumed=%d, journal holds %d", resumed.Resumed, done)
 	}
 	if got, want := fuzzSummaryString(resumed), fuzzSummaryString(ref); got != want {
 		t.Fatalf("resumed summary diverged:\n got: %s\nwant: %s", got, want)

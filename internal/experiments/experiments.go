@@ -23,7 +23,7 @@ import (
 type Options struct {
 	// Config is the base every run of the experiment derives its own config
 	// from (Options.RunConfig), which sets the run's Mode and machine
-	// variant; the base's Mode, Trace and Journal are not used. Its fields
+	// variant; the base's Mode, Trace and JournalPath are not used. Its fields
 	// mean, for an experiment:
 	//
 	//   - Machine is the core configuration (Table 1 defaults).
@@ -63,7 +63,11 @@ type Options struct {
 	// Ext-C, Ext-F, Ext-G, Ext-I) journal its completed runs to
 	// <JournalDir>/<experiment>-<benchmark>-<variant>.journal and resume
 	// from any journal already there: re-running after a crash or SIGINT
-	// skips completed injections and reproduces identical tables.
+	// skips completed injections and reproduces identical tables. The path
+	// becomes that campaign's Config.JournalPath, so the campaign opens the
+	// file keyed by what it runs and refuses a journal left by a run with
+	// other parameters; Config.JournalPath also says when a record is
+	// durable.
 	JournalDir string
 }
 
@@ -95,13 +99,13 @@ func (o *Options) fill() {
 func (o *Options) RunConfig(mode pipeline.Mode, machine pipeline.Config) sim.Config {
 	cfg := o.Config
 	cfg.Mode, cfg.Machine = mode, machine
-	cfg.Trace, cfg.Journal, cfg.Metrics = nil, nil, nil
+	cfg.Trace, cfg.JournalPath, cfg.Metrics = nil, "", nil
 	return cfg
 }
 
 // runCampaign runs one campaign of a campaign experiment — one run per
-// window of sites, or per site when windows is nil — attaching a resumable
-// journal named after the (experiment, benchmark, variant) identity when
+// window of sites, or per site when windows is nil — journaling to a file
+// named after the (experiment, benchmark, variant) identity when
 // opts.JournalDir is set. Campaigns run one after another, so each merges
 // its per-worker registries straight into opts.Metrics.
 func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, sites []fault.Site, windows []sim.Window, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
@@ -112,12 +116,7 @@ func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, s
 	cfg := opts.RunConfig(mode, opts.Machine)
 	cfg.Metrics = opts.Metrics
 	if opts.JournalDir != "" {
-		cj, err := sim.OpenWindowJournal(filepath.Join(opts.JournalDir, name+".journal"), cfg, bench, sites, windows, iopts)
-		if err != nil {
-			return nil, err
-		}
-		defer cj.Close()
-		cfg.Journal = cj
+		cfg.JournalPath = filepath.Join(opts.JournalDir, name+".journal")
 	}
 	return sim.CampaignWindows(cfg, p, sites, windows, iopts)
 }

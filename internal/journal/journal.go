@@ -173,9 +173,6 @@ func open[R any](f *os.File, hdr Header) (*Journal[R], error) {
 	return j, err
 }
 
-// Done returns how many completed records the journal held when opened.
-func (j *Journal[R]) Done() int { return len(j.done) }
-
 // Replayed returns the record item i completed with in an earlier session,
 // if the journal held one when opened.
 func (j *Journal[R]) Replayed(i int) (R, bool) {

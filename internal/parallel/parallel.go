@@ -165,7 +165,7 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(worker, i int
 // slice is nil.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out, _, err := MapWorkerStateCtx(ctx, workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, _, i int) (T, error) { return fn(i) })
+		func(_ struct{}, i int) (T, error) { return fn(i) })
 	return out, err
 }
 
@@ -179,14 +179,14 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // cancellation the states are still returned, holding whatever the
 // workers accumulated before stopping — the graceful-shutdown path
 // flushes those partial aggregates.
-func MapWorkerStateCtx[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, worker, i int) (T, error)) ([]T, []S, error) {
+func MapWorkerStateCtx[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, i int) (T, error)) ([]T, []S, error) {
 	states := make([]S, max(min(Workers(workers), n), 1))
 	for i := range states {
 		states[i] = newState()
 	}
 	out := make([]T, n)
 	err := ForEachWorkerCtx(ctx, workers, n, func(worker, i int) (err error) {
-		out[i], err = fn(states[worker], worker, i)
+		out[i], err = fn(states[worker], i)
 		return err
 	})
 	if err != nil {

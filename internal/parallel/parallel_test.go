@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWorkersDefault(t *testing.T) {
@@ -242,7 +241,7 @@ func TestMapWorkerStateDeterministicMerge(t *testing.T) {
 		type state struct{ sum, count int }
 		_, states, err := MapWorkerStateCtx(context.Background(), workers, n,
 			func() *state { return &state{} },
-			func(s *state, _, i int) (struct{}, error) {
+			func(s *state, i int) (struct{}, error) {
 				s.sum += i
 				s.count++
 				return struct{}{}, nil
@@ -274,7 +273,7 @@ func TestMapWorkerStateCtxReturnsPartialStates(t *testing.T) {
 	var ran atomic.Int64
 	_, states, err := MapWorkerStateCtx(ctx, 2, 10_000,
 		func() *state { return &state{} },
-		func(s *state, _, i int) (struct{}, error) {
+		func(s *state, i int) (struct{}, error) {
 			if ran.Add(1) == 20 {
 				cancel()
 			}
@@ -290,39 +289,5 @@ func TestMapWorkerStateCtxReturnsPartialStates(t *testing.T) {
 	}
 	if total != int(ran.Load()) {
 		t.Errorf("partial states hold %d items, workers ran %d", total, ran.Load())
-	}
-}
-
-func TestWatchdogReportsStalls(t *testing.T) {
-	w := NewWatchdog(30 * time.Millisecond)
-	w.Begin(0) // stays running past the threshold
-	w.Begin(1)
-	w.End(1) // finishes promptly: must never be counted
-	deadline := time.Now().Add(2 * time.Second)
-	for w.Stalls() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never counted the stalled item")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond) // several more scans of the same stall
-	w.End(0)
-	if n := w.Stop(); n != 1 {
-		t.Errorf("Stalls = %d, want 1 (prompt worker counted, or stalled item counted twice)", n)
-	}
-}
-
-func TestWatchdogReportsOncePerItem(t *testing.T) {
-	w := NewWatchdog(20 * time.Millisecond)
-	w.Begin(0)
-	time.Sleep(150 * time.Millisecond)
-	if n := w.Stalls(); n != 1 {
-		t.Errorf("Stalls = %d after one long item, want 1", n)
-	}
-	w.End(0)
-	w.Begin(0)
-	time.Sleep(100 * time.Millisecond)
-	if n := w.Stop(); n != 2 {
-		t.Errorf("Stalls = %d after second long item, want 2", n)
 	}
 }

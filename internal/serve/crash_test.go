@@ -206,7 +206,7 @@ func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 	// Reference: an uninterrupted batch run of exactly the same work.
 	cfg := blackjack.DefaultConfig(blackjack.ModeBlackJack, 60000)
 	cfg.Parallel = 2
-	cfg.Resilience = blackjack.Resilience{Isolate: true, StallAfter: 30 * time.Second}
+	cfg.Resilience = blackjack.Resilience{Isolate: true}
 	sites := blackjack.LatentFaultSites(cfg.Machine)
 	sum, err := blackjack.Campaign(cfg, "gzip", sites, blackjack.InjectOptions{SplitPayload: true})
 	if err != nil {

@@ -139,7 +139,6 @@ func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode pipeline.Mode)
 		Isolate:    true, // a panicking run must never take the server down
 		Retries:    spec.RunRetries,
 		RunTimeout: time.Duration(spec.RunTimeout),
-		StallAfter: s.opts.StallAfter,
 	}
 	if spec.Cache != "off" && s.cache != nil {
 		cfg.Cache = s.cache
@@ -177,18 +176,12 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 			Served: p.Served, Reason: p.Reason})
 		s.noteRun(j, totalBase+p.Total)
 	}
-	// The journal is opened resuming: a prior attempt's (or prior server
+	// The campaign resumes its journal: a prior attempt's (or prior server
 	// incarnation's) completed runs replay instead of re-simulating, and the
-	// flock means a second server on the same state dir fails fast here
-	// instead of interleaving appends. Every record fsyncs before its
-	// progress event fires — SIGKILL at any instant loses nothing.
-	cj, err := sim.OpenCampaignJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), journalName), cfg, bench, sites, sim.InjectOptions{SplitPayload: true})
-	if err != nil {
-		return err
-	}
-	defer cj.Close()
-	cj.SetSyncEvery(1)
-	cfg.Journal = cj
+	// flock means a second server on the same state dir fails fast instead
+	// of interleaving appends. OnProgress is set, so every record fsyncs
+	// before its progress event fires — SIGKILL at any instant loses nothing.
+	cfg.JournalPath = filepath.Join(jobDir(s.opts.StateDir, j.ID), journalName)
 	sum, err := sim.Campaign(cfg, bench, sites, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return err
@@ -248,13 +241,7 @@ func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
 			Index: index, Total: j.Spec.Programs, Outcome: outcome, Served: served})
 		s.noteRun(j, j.Spec.Programs)
 	}
-	fj, err := diffcheck.OpenFuzzJournal(filepath.Join(jobDir(s.opts.StateDir, j.ID), "fuzz.journal"), opts)
-	if err != nil {
-		return "", err
-	}
-	defer fj.Close()
-	fj.SetSyncEvery(1) // every completed program durable before its event fires
-	opts.Journal = fj
+	opts.JournalPath = filepath.Join(jobDir(s.opts.StateDir, j.ID), "fuzz.journal")
 	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
 		return "", err

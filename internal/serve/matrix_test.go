@@ -203,10 +203,10 @@ func (r matrixRow) mustCampaign(t *testing.T, cfg sim.Config) *matrixPass {
 }
 
 // operational strips the summary counters that say how runs were served
-// (journal, cache, retries, stalls), not what they found.
+// (journal, cache, retries), not what they found.
 func operational(s *sim.CampaignSummary) sim.CampaignSummary {
 	c := *s
-	c.Resumed, c.CacheHits, c.Retried, c.WatchdogStalls = 0, 0, 0, 0
+	c.Resumed, c.CacheHits, c.Retried = 0, 0, 0
 	return c
 }
 
@@ -466,22 +466,14 @@ func (r matrixRow) cacheWarm(t *testing.T, plan matrixPlan, workers int) *matrix
 }
 
 // journalResume journals a pass that is cancelled after 3/4 of its runs
-// completed, reopens the journal and resumes it at the other worker count.
-// The resumed campaign must reproduce the uninterrupted live pass exactly,
-// metrics included.
+// completed and resumes the journal at the other worker count. The resumed
+// campaign must reproduce the uninterrupted live pass exactly, metrics
+// included.
 func (r matrixRow) journalResume(t *testing.T, plan matrixPlan, workers int, want *matrixPass) *matrixPass {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "campaign.journal")
-	open := func(cfg *sim.Config) *sim.CampaignJournal {
-		jr, err := sim.OpenCampaignJournal(path, *cfg, r.bench, r.sites, sim.InjectOptions{SplitPayload: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Journal = jr
-		return jr
-	}
-
 	cfg := r.config(plan, workers)
+	cfg.JournalPath = path
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Ctx = ctx
@@ -492,11 +484,7 @@ func (r matrixRow) journalResume(t *testing.T, plan matrixPlan, workers int, wan
 			cancel()
 		}
 	}
-	jr := open(&cfg)
 	if _, err := r.campaign(t, cfg); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatal(err)
-	}
-	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -505,7 +493,7 @@ func (r matrixRow) journalResume(t *testing.T, plan matrixPlan, workers int, wan
 		other = matrixWorkers[1]
 	}
 	cfg = r.config(plan, other)
-	defer open(&cfg).Close()
+	cfg.JournalPath = path
 	p := r.mustCampaign(t, cfg)
 	exactMatch(t, want, p)
 	if p.metrics != want.metrics {

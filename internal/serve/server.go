@@ -40,9 +40,6 @@ type Options struct {
 	// RequeueBase is the exponential-backoff base for requeues after a
 	// deadline or transient failure: base << attempt. <= 0 selects 1s.
 	RequeueBase time.Duration
-	// StallAfter is the per-job watchdog threshold passed into the
-	// Resilience envelope (<= 0 selects 30s).
-	StallAfter time.Duration
 }
 
 // ErrOverCapacity is returned by Submit when the admission queue is full.
@@ -90,9 +87,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.RequeueBase <= 0 {
 		opts.RequeueBase = time.Second
-	}
-	if opts.StallAfter <= 0 {
-		opts.StallAfter = 30 * time.Second
 	}
 	if err := os.MkdirAll(filepath.Join(opts.StateDir, "jobs"), 0o755); err != nil {
 		return nil, err

@@ -13,12 +13,13 @@
 //   - Fairness: a weighted stride scheduler interleaves tenants, so one
 //     tenant's large sweep cannot starve another's small campaign.
 //   - Resilience: every job runs under the harness Resilience envelope
-//     (per-run isolation, escalating retry budgets, stall watchdog) plus a
-//     per-job deadline; transient job failures are requeued with exponential
+//     (per-run isolation, escalating retry budgets) plus a per-job
+//     deadline; transient job failures are requeued with exponential
 //     backoff, deterministic ones are quarantined.
 //   - Crash safety: each job persists as a journal-backed state machine
 //     (queued → running → draining → done/failed/quarantined) under the
-//     state directory, and run journals fsync every record in service mode.
+//     state directory, and run journals fsync every record before its
+//     progress event fires.
 //     SIGKILL mid-campaign loses nothing: restart resumes every incomplete
 //     job at any worker count and completed work is never re-simulated.
 //

@@ -88,7 +88,7 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 // fast-forward and its warmup lead — records carry path-choice figures
 // like ForkCycle and FFSkipped, which those parameters determine). The
 // journal key extends it with every window of the campaign
-// (OpenWindowJournal); each cache cell key extends it with the program
+// (openJournal); each cache cell key extends it with the program
 // content and the cell's own window (campaignRunner.serve), both through
 // addWindow. The surrounding site list is deliberately NOT part of a
 // cell's identity: path choice depends only on the cell's own sites and

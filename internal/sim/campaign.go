@@ -455,9 +455,6 @@ type CampaignSummary struct {
 	Resumed int
 	// Retried counts re-executions beyond each run's first attempt.
 	Retried int
-	// WatchdogStalls counts hung-worker reports. Wall-clock driven, so it
-	// also stays out of the deterministic registry.
-	WatchdogStalls int
 	// CacheHits counts runs served from Config.Cache instead of executed.
 	// Like Resumed, it is reported here (and typically on stderr), never
 	// in the metrics registry or the stdout table, so warm and cold
@@ -603,10 +600,10 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 // reuses one detection sink across its runs.
 //
 // The resilience layer wraps every run: cfg.Resilience isolates, budgets
-// and retries failures; cfg.Journal makes the campaign resumable; cfg.Ctx
-// cancellation (SIGINT) drains the fan-out, merges the partial per-worker
-// registries into cfg.Metrics and syncs the journal before returning the
-// context's error.
+// and retries failures; cfg.JournalPath makes the campaign resumable;
+// cfg.Ctx cancellation (SIGINT) drains the fan-out, merges the partial
+// per-worker registries into cfg.Metrics and syncs the journal before
+// returning the context's error.
 func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignSummary, error) {
 	return CampaignWindows(cfg, p, sites, nil, opts)
 }
@@ -621,12 +618,17 @@ type Window struct{ Lo, Hi int }
 // instead of one per site; nil windows means one window per site, exactly
 // CampaignProgram. Every window runs on the one result chain (journal,
 // cache, live run) under the one plan built over the whole site list, and
-// results come back in window order.
+// results come back in window order. The journal at cfg.JournalPath is
+// opened here, keyed by these very arguments, and closed before return.
 func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignSummary, error) {
 	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
 	}
 	windows, err := siteWindows(sites, windows)
+	if err != nil {
+		return nil, err
+	}
+	jr, err := openJournal(cfg, p.Name, sites, windows, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +640,7 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		return w
 	}
 
-	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts}
+	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts, journal: jr}
 	if cfg.CheckpointInterval > 0 || cfg.FastForward {
 		// The plan's warmup is a fault-free simulation, up to the budget's end
 		// or to where no run can read further — deferred until the first
@@ -661,26 +663,18 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		}
 	}
 
-	var wd *parallel.Watchdog
-	if cfg.Resilience.StallAfter > 0 {
-		wd = parallel.NewWatchdog(cfg.Resilience.StallAfter)
-	}
 	if cfg.Cache != nil {
 		runner.cell = campaignIdentity(cfg, p.Name, opts).Add("prog_fp", programFingerprint(p))
 	}
-	runOne := func(w *campaignWorker, worker, i int) (InjectionResult, error) {
-		if wd != nil {
-			wd.Begin(worker)
-			defer wd.End(worker)
-		}
+	runOne := func(w *campaignWorker, i int) (InjectionResult, error) {
 		rec, served, err := runner.serve(w, i)
 		if err != nil {
 			return InjectionResult{}, err
 		}
 		// Journal cache-served runs too, so a later resume without the
 		// cache still replays them.
-		if cfg.Journal != nil && served != "journal" {
-			if err := cfg.Journal.Append(i, rec); err != nil {
+		if jr != nil && served != "journal" {
+			if err := jr.Append(i, rec); err != nil {
 				return InjectionResult{}, err
 			}
 		}
@@ -704,25 +698,20 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 			}
 		}
 	}
-	if cfg.Journal != nil {
-		if serr := cfg.Journal.Sync(); serr != nil && err == nil {
-			err = serr
+	if jr != nil {
+		if cerr := jr.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
-	}
-	stalls := 0
-	if wd != nil {
-		stalls = wd.Stop()
 	}
 	if err != nil {
 		return nil, err
 	}
 	sum := &CampaignSummary{
 		Results: results, Counts: make(map[Outcome]int),
-		Quarantined:    runner.quarantined(),
-		Resumed:        int(runner.resumed.Load()),
-		Retried:        int(runner.retried.Load()),
-		WatchdogStalls: stalls,
-		CacheHits:      int(runner.cacheHits.Load()),
+		Quarantined: runner.quarantined(),
+		Resumed:     int(runner.resumed.Load()),
+		Retried:     int(runner.retried.Load()),
+		CacheHits:   int(runner.cacheHits.Load()),
 	}
 	for _, r := range results {
 		sum.Counts[r.Outcome]++

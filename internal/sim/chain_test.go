@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"blackjack/internal/fault"
@@ -39,12 +43,8 @@ func TestCampaignJournalRefusesOtherFaultKind(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "k.journal")
-			jr, err := OpenCampaignJournal(path, cfg, "gcc", tc.wrote, InjectOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			jr.Close()
-			_, err = OpenCampaignJournal(path, cfg, "gcc", tc.read, InjectOptions{})
+			writeJournalAt(t, path, cfg, "gcc", tc.wrote, nil)
+			err := openJournalAt(path, cfg, "gcc", tc.read, nil)
 			if !errors.Is(err, journal.ErrKeyMismatch) {
 				t.Fatalf("err = %v, want ErrKeyMismatch", err)
 			}
@@ -63,12 +63,8 @@ func TestCampaignJournalRefusesRegroupedWindows(t *testing.T) {
 	wrote := []Window{{0, 2}, {2, 4}}
 	for _, read := range [][]Window{{{0, 3}, {3, 4}}, nil} {
 		path := filepath.Join(t.TempDir(), "w.journal")
-		jr, err := OpenWindowJournal(path, cfg, "gcc", sites, wrote, InjectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jr.Close()
-		_, err = OpenWindowJournal(path, cfg, "gcc", sites, read, InjectOptions{})
+		writeJournalAt(t, path, cfg, "gcc", sites, wrote)
+		err := openJournalAt(path, cfg, "gcc", sites, read)
 		if !errors.Is(err, journal.ErrKeyMismatch) {
 			t.Fatalf("windows %v: err = %v, want ErrKeyMismatch", read, err)
 		}
@@ -154,5 +150,87 @@ func TestPathReasons(t *testing.T) {
 				t.Errorf("reason = %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// A standalone injection given the journal of a campaign over another site
+// is refused, never served that campaign's row. When callers opened the
+// journal, a [register p400] injection on gcc at 2,000 instructions given
+// a [frontend-way 0] campaign's journal returned the frontend row
+// (detected, 1635 activations), where live it is benign with 6. The
+// refused attempt leaves the journal as it was.
+func TestInjectRefusesForeignJournal(t *testing.T) {
+	p, err := prog.Benchmark("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(pipeline.ModeBlackJack, 2000)
+	cfg.JournalPath = filepath.Join(t.TempDir(), "frontend.journal")
+	frontend := fault.Site{Class: fault.FrontendWay, Way: 0, Field: fault.FieldRs2}
+	register := fault.Site{Class: fault.RegisterFile, Reg: 400, BitMask: 1 << 5}
+	if _, err := CampaignProgram(cfg, p, []fault.Site{frontend}, InjectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	wrote, err := os.ReadFile(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := InjectProgram(cfg, p, register, InjectOptions{})
+	if !errors.Is(err, journal.ErrKeyMismatch) {
+		t.Fatalf("err = %v (result %v, %v), want ErrKeyMismatch", err, r.Site, r.Outcome)
+	}
+	if after, _ := os.ReadFile(cfg.JournalPath); !bytes.Equal(after, wrote) {
+		t.Error("the refused injection changed the journal")
+	}
+}
+
+// hasRecord reports whether raw, a journal's bytes, holds a complete
+// record line for entry i: newline-terminated, with a parsable record.
+func hasRecord(raw []byte, i int) bool {
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	for _, line := range lines[1:] {
+		var env struct {
+			I int             `json:"i"`
+			R json.RawMessage `json:"r"`
+		}
+		var rec runRecord
+		if bytes.HasSuffix(line, []byte("\n")) && json.Unmarshal(line, &env) == nil &&
+			env.I == i && json.Unmarshal(env.R, &rec) == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// A run is durable before it is reported: with OnProgress set, every
+// progress event finds its run's complete record already in the journal
+// file, live and resumed runs alike.
+func TestCampaignJournalDurableBeforeProgress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "durable.journal")
+	sites := resilienceSites()
+	for _, resume := range []bool{false, true} {
+		cfg := Default(pipeline.ModeBlackJack, 2000)
+		cfg.Parallel = 2
+		cfg.JournalPath = path
+		var mu sync.Mutex
+		var missing []int
+		cfg.OnProgress = func(rp RunProgress) {
+			raw, err := os.ReadFile(path)
+			if err != nil || !hasRecord(raw, rp.Index) {
+				mu.Lock()
+				missing = append(missing, rp.Index)
+				mu.Unlock()
+			}
+		}
+		sum, err := Campaign(cfg, "gcc", sites, InjectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume != (sum.Resumed == len(sites)) {
+			t.Fatalf("resume=%v: %d of %d runs resumed", resume, sum.Resumed, len(sites))
+		}
+		if len(missing) > 0 {
+			t.Errorf("resume=%v: runs %v were reported before their record reached the journal", resume, missing)
+		}
 	}
 }

@@ -33,9 +33,7 @@ import (
 //     fork-cycle and latency histograms), so a resumed campaign's table and
 //     metrics are byte-identical to an uninterrupted one at any worker
 //     count. The resumed-vs-fresh split is reported on the summary only,
-//     never in the registry;
-//   - wall-clock observations (watchdog stalls) stay out of the registry
-//     for the same reason.
+//     never in the registry.
 
 // Resilience tunes the campaign resilience layer. The zero value disables
 // it entirely: runs are unbudgeted and a panic aborts the campaign (as a
@@ -51,11 +49,6 @@ type Resilience struct {
 	// Retries is how many times a failed run is re-executed before it is
 	// quarantined (Isolate) or aborts the campaign.
 	Retries int
-	// StallAfter arms a hung-worker watchdog: every run exceeding this
-	// wall-clock age is counted in CampaignSummary.WatchdogStalls
-	// (observe-only — the run budget is what actually stops it). 0
-	// disables it.
-	StallAfter time.Duration
 }
 
 // Failure reasons recorded on quarantined runs.
@@ -213,12 +206,6 @@ func (rec runRecord) simulatedCycles() uint64 {
 	return uint64(max(end-rec.ForkCycle, 0))
 }
 
-// CampaignJournal is the durable completed-run log of one campaign. Open it
-// with OpenCampaignJournal, attach it via Config.Journal, and a crashed or
-// interrupted campaign resumes by skipping (and replaying) the journaled
-// runs.
-type CampaignJournal = journal.Journal[runRecord]
-
 // campaignJournalVersion is bumped when runRecord or the identity schema
 // changes incompatibly. v2: keys fold through the canonical runcache
 // identity encoder (adding the machine configuration) and headers record
@@ -228,34 +215,32 @@ type CampaignJournal = journal.Journal[runRecord]
 // shared one key.
 const campaignJournalVersion = 3
 
-// OpenCampaignJournal opens (creating or resuming) the campaign journal at
-// path. The journal is keyed by campaignIdentity — program, machine, mode,
-// instruction budget, split-payload option and checkpoint/fast-forward
-// plan, the schema shared with the run cache — plus the exact site list,
-// and refuses to resume a journal written for a different campaign,
-// naming the changed parameter. Worker count is deliberately not part of
-// the key: a campaign journaled under one -parallel value resumes under
-// any other.
-func OpenCampaignJournal(path string, cfg Config, program string, sites []fault.Site, opts InjectOptions) (*CampaignJournal, error) {
-	return OpenWindowJournal(path, cfg, program, sites, nil, opts)
-}
-
-// OpenWindowJournal is OpenCampaignJournal for a windowed campaign
-// (CampaignWindows): the key holds every window in order (addWindow), so
-// a journal written for one grouping of the sites refuses another.
-func OpenWindowJournal(path string, cfg Config, program string, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignJournal, error) {
-	windows, err := siteWindows(sites, windows)
-	if err != nil {
-		return nil, err
+// openJournal opens (creating or resuming) cfg.JournalPath for the
+// campaign about to run on exactly these arguments, or returns nil when
+// the path is empty. The journal is keyed by campaignIdentity — program,
+// machine, mode, instruction budget, split-payload option and
+// checkpoint/fast-forward plan, the schema shared with the run cache —
+// plus every window in order (addWindow), and refuses to resume a journal
+// written for a different campaign or grouping of the sites
+// (journal.ErrKeyMismatch), naming the changed parameter. Worker count is
+// deliberately not part of the key: a campaign journaled under one
+// -parallel value resumes under any other. With cfg.OnProgress set, every
+// append is fsync'd before Append returns (see Config.JournalPath).
+func openJournal(cfg Config, program string, sites []fault.Site, windows []Window, opts InjectOptions) (*journal.Journal[runRecord], error) {
+	if cfg.JournalPath == "" {
+		return nil, nil
 	}
 	id := campaignIdentity(cfg, program, opts)
 	for _, w := range windows {
 		addWindow(id, sites, w)
 	}
-	j, _, err := journal.Open[runRecord](path, journal.Header{
+	j, _, err := journal.Open[runRecord](cfg.JournalPath, journal.Header{
 		Kind: "campaign", Key: id.Hash64(), Version: campaignJournalVersion,
 		Parts: id.Parts(),
 	})
+	if err == nil && cfg.OnProgress != nil {
+		j.SetSyncEvery(1)
+	}
 	return j, err
 }
 
@@ -274,6 +259,9 @@ type campaignRunner struct {
 	sites   []fault.Site
 	windows []Window
 	opts    InjectOptions
+	// journal replays an earlier session's records (nil without
+	// Config.JournalPath).
+	journal *journal.Journal[runRecord]
 
 	// attempt runs the sites of win once under runCtx (nil means
 	// unbudgeted) and reports which path served it.
@@ -411,8 +399,8 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 // then a live run. It also names the source as RunProgress.Served does:
 // "journal", "cache" or the live path.
 func (c *campaignRunner) serve(w *campaignWorker, i int) (runRecord, string, error) {
-	if c.cfg.Journal != nil {
-		if rec, ok := c.cfg.Journal.Replayed(i); ok {
+	if c.journal != nil {
+		if rec, ok := c.journal.Replayed(i); ok {
 			// Contribute to the summary exactly as the original execution did.
 			c.resumed.Add(1)
 			c.retried.Add(int64(rec.Retries))

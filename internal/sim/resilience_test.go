@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
+	"blackjack/internal/journal"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
@@ -263,31 +266,63 @@ func TestCampaignRetriesTransientFailure(t *testing.T) {
 	}
 }
 
+// openJournalAt runs a campaign over these arguments journaling to path,
+// with its context cancelled before the first run: the campaign opens (or
+// creates) the journal and returns the open's error, else
+// context.Canceled, having run no site.
+func openJournalAt(path string, cfg Config, bench string, sites []fault.Site, windows []Window) error {
+	p, err := prog.Benchmark(bench)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx, cfg.JournalPath = ctx, path
+	_, err = CampaignWindows(cfg, p, sites, windows, InjectOptions{})
+	return err
+}
+
+// writeJournalAt leaves at path the journal header a campaign over these
+// arguments writes.
+func writeJournalAt(t *testing.T, path string, cfg Config, bench string, sites []fault.Site, windows []Window) {
+	t.Helper()
+	if err := openJournalAt(path, cfg, bench, sites, windows); !errors.Is(err, context.Canceled) {
+		t.Fatalf("writing the journal: err = %v, want context.Canceled", err)
+	}
+}
+
+// journalRecords counts the complete run records in the journal at path:
+// every newline-terminated line after the header.
+func journalRecords(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return max(bytes.Count(raw, []byte("\n"))-1, 0)
+}
+
 // A journal keyed to a different campaign refuses to resume.
 func TestCampaignJournalKeyMismatch(t *testing.T) {
 	sites := resilienceSites()
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	path := filepath.Join(t.TempDir(), "c.journal")
-	jr, err := OpenCampaignJournal(path, cfg, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr.Close()
-	if _, err := OpenCampaignJournal(path, cfg, "gcc", sites, InjectOptions{}); err == nil {
+	writeJournalAt(t, path, cfg, "crafty", sites, nil)
+	if err := openJournalAt(path, cfg, "gcc", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
 		t.Error("journal accepted a different benchmark")
 	}
 	cfg2 := cfg
 	cfg2.MaxInstructions = 4000
-	if _, err := OpenCampaignJournal(path, cfg2, "crafty", sites, InjectOptions{}); err == nil {
+	if err := openJournalAt(path, cfg2, "crafty", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
 		t.Error("journal accepted a different instruction budget")
 	}
-	if _, err := OpenCampaignJournal(path, cfg, "crafty", sites[:3], InjectOptions{}); err == nil {
+	if err := openJournalAt(path, cfg, "crafty", sites[:3], nil); !errors.Is(err, journal.ErrKeyMismatch) {
 		t.Error("journal accepted a different site list")
 	}
 	// A sampled campaign's records mean something else than a full one's.
 	cfg3 := cfg
 	cfg3.FastForward = true
-	if _, err := OpenCampaignJournal(path, cfg3, "crafty", sites, InjectOptions{}); err == nil {
+	if err := openJournalAt(path, cfg3, "crafty", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
 		t.Error("journal of a full campaign accepted a sampled one")
 	}
 }
@@ -310,16 +345,11 @@ func TestCampaignGracefulCancellation(t *testing.T) {
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	cfg.Parallel = 1
 	cfg.Ctx = ctx
-	jr, err := OpenCampaignJournal(path, cfg, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Journal = jr
-	_, err = Campaign(cfg, "crafty", sites, InjectOptions{})
+	cfg.JournalPath = path
+	_, err := Campaign(cfg, "crafty", sites, InjectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	jr.Close()
 
 	// Resume under a live context: the journaled prefix is skipped and the
 	// final table matches an uninterrupted run.
@@ -330,21 +360,17 @@ func TestCampaignGracefulCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := Default(pipeline.ModeBlackJack, 2000)
-	jr2, err := OpenCampaignJournal(path, cfg2, "crafty", sites, InjectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr2.Close()
-	if jr2.Done() == 0 {
-		t.Fatal("interrupted journal holds no completed runs")
-	}
-	cfg2.Journal = jr2
+	cfg2.JournalPath = path
+	done := journalRecords(t, path)
 	sum, err := Campaign(cfg2, "crafty", sites, InjectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Resumed != jr2.Done() {
-		t.Errorf("Resumed = %d, journal held %d", sum.Resumed, jr2.Done())
+	if sum.Resumed == 0 {
+		t.Fatal("interrupted journal holds no completed runs")
+	}
+	if sum.Resumed != done {
+		t.Errorf("Resumed = %d, journal held %d", sum.Resumed, done)
 	}
 	if got, want := summaryString(sum), summaryString(refSum); got != want {
 		t.Errorf("post-interrupt resume differs from uninterrupted run:\n%s\nvs\n%s", got, want)

@@ -80,16 +80,24 @@ type Config struct {
 	// partial metrics and journal batches, and surfaces the context's
 	// error. nil means uncancellable, exactly the legacy behavior.
 	Ctx context.Context
-	// Resilience tunes per-run isolation, wall-clock budgets, retries and
-	// the hung-worker watchdog for campaign entry points, InjectProgram
-	// among them; single runs honor RunTimeout. The zero value disables
-	// all of it.
+	// Resilience tunes per-run isolation, wall-clock budgets and retries
+	// for campaign entry points, InjectProgram among them; single runs
+	// honor RunTimeout. The zero value disables all of it.
 	Resilience Resilience
-	// Journal, when non-nil, records every completed campaign run so an
-	// interrupted campaign resumes where it stopped (see
-	// OpenCampaignJournal). Only campaign entry points use it, InjectProgram
-	// among them as a one-site campaign.
-	Journal *CampaignJournal
+	// JournalPath, when non-empty, names the file a campaign journals every
+	// completed run to, so an interrupted campaign resumes where it stopped.
+	// Only campaign entry points use it, InjectProgram among them as a
+	// one-site campaign. The campaign opens the file itself, keyed by the
+	// arguments it runs on, so a journal written for any other campaign
+	// (program, machine, mode, budget, plan, sites or their grouping) is
+	// refused with journal.ErrKeyMismatch rather than replayed; a second
+	// process on the same file fails with journal.ErrLocked. Durability: a
+	// run is durable before it is reported. With OnProgress set every
+	// record is fsync'd before its progress event fires, so a SIGKILL at
+	// any instant loses no reported run; without it records are fsync'd in
+	// batches of journal.SyncEvery and on return, so a hard crash loses at
+	// most one batch and a graceful shutdown loses nothing.
+	JournalPath string
 	// Cache, when non-nil, memoizes run outcomes in an on-disk
 	// content-addressable store (see internal/runcache): campaign cells
 	// (standalone injections among them) and verified single runs whose

@@ -189,12 +189,14 @@ const (
 type Resilience = sim.Resilience
 
 // Inject runs a benchmark with one hard fault installed, as a one-site
-// campaign: the result is the site's row of any campaign under cfg.
+// campaign: the result is the site's row of any campaign under cfg. A
+// Trace or Metrics attached to cfg observes that campaign's one live run;
+// such an injection refuses JournalPath and Resilience.Retries.
 func Inject(cfg Config, benchmark string, site FaultSite, opts InjectOptions) (InjectionResult, error) {
 	return sim.Inject(cfg, benchmark, site, opts)
 }
 
-// InjectProgram runs a custom program with one hard fault installed.
+// InjectProgram is Inject over a custom program.
 func InjectProgram(cfg Config, p *Program, site FaultSite, opts InjectOptions) (InjectionResult, error) {
 	return sim.InjectProgram(cfg, p, site, opts)
 }

@@ -69,12 +69,11 @@ func main() {
 	defer cli.Cleanup()
 
 	// A flag the chosen mode does not read would be silently ignored, so it
-	// is refused. A -site-index replay reads no -metrics-out: a metered run
-	// is one cold observed machine, not the campaign's run.
+	// is refused.
 	const every = "bench mode n split fault-kind checkpoint-interval ff ff-warmup isolate retries run-timeout cache-dir cache-verify cpuprofile memprofile"
 	switch {
 	case *siteIndex >= 0:
-		cli.RefuseUnread("-site-index", every+" site-index sites")
+		cli.RefuseUnread("-site-index", every+" site-index sites metrics-out trace-out")
 	case *site != "":
 		cli.RefuseUnread("-site", every+" site way unit slot reg duty mask metrics-out trace-out")
 	default:
@@ -124,29 +123,27 @@ func main() {
 		}
 	}
 
-	if *siteIndex >= 0 {
-		sites, err := selectSites(cfg.Machine, kind, *sitesel)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		if *siteIndex >= len(sites) {
-			cli.Fatal(fmt.Errorf("-site-index %d out of range [0,%d)", *siteIndex, len(sites)))
-		}
-		r, err := blackjack.Inject(cfg, *bench, sites[*siteIndex], opts)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		printOne(r)
-		return
+	sites, err := selectSites(cfg.Machine, kind, *sitesel)
+	if err != nil {
+		cli.Fatal(err)
 	}
-
-	if *site != "" {
-		s, err := buildSite(*site, *way, *unit, *slot, *reg)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		if s, err = applyKind(s, kind, *duty, *mask); err != nil {
-			cli.Fatal(err)
+	// A standalone injection is a one-site campaign: -site-index replays
+	// run i of the campaign over sites, -site builds its site from flags. A
+	// trace or registry observes the run that campaign makes.
+	if *siteIndex >= 0 || *site != "" {
+		var s blackjack.FaultSite
+		switch {
+		case *siteIndex >= len(sites):
+			cli.Fatal(fmt.Errorf("-site-index %d out of range [0,%d)", *siteIndex, len(sites)))
+		case *siteIndex >= 0:
+			s = sites[*siteIndex]
+		default:
+			if s, err = buildSite(*site, *way, *unit, *slot, *reg); err == nil {
+				s, err = applyKind(s, kind, *duty, *mask)
+			}
+			if err != nil {
+				cli.Fatal(err)
+			}
 		}
 		r, err := blackjack.Inject(cfg, *bench, s, opts)
 		if err != nil {
@@ -162,10 +159,6 @@ func main() {
 		return
 	}
 
-	sites, err := selectSites(cfg.Machine, kind, *sitesel)
-	if err != nil {
-		cli.Fatal(err)
-	}
 	if *compare {
 		// Each mode's campaign has a distinct identity and needs its own
 		// journal.

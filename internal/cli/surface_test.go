@@ -3,7 +3,6 @@ package cli
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -132,7 +131,8 @@ func TestCLISurface(t *testing.T) {
 		{tool: "bjfault", args: []string{"-site-index", "2", "-mask", "0xff"}, code: ExitError, refused: "-mask"},
 		{tool: "bjfault", args: []string{"-site-index", "2", "-way", "3"}, code: ExitError, refused: "-way"},
 		{tool: "bjfault", args: []string{"-site-index", "2", "-site", "backend"}, code: ExitError, refused: "-site"},
-		{tool: "bjfault", args: []string{"-site-index", "2", "-metrics-out", "m.json"}, code: ExitError, refused: "-metrics-out"},
+		// A replayed run is observed like any standalone injection.
+		{tool: "bjfault", args: []string{"-site-index", "2", "-metrics-out", "m.json"}, code: 0},
 		{tool: "bjfault", args: []string{"-trace-out", "t.json"}, code: ExitError, refused: "-trace-out"},
 		{tool: "bjfault", args: []string{"-unit", "mem"}, code: ExitError, refused: "-unit"},
 		{tool: "bjfuzz", args: []string{"-matrix", "-journal", "j.journal"}, code: ExitError, refused: "-journal"},
@@ -142,9 +142,8 @@ func TestCLISurface(t *testing.T) {
 		cmd.Dir = t.TempDir()
 		cmd.Env = toolEnv()
 		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != c.code {
-			t.Errorf("%s %s: %v, want exit %d\n%s", c.tool, strings.Join(c.args, " "), err, c.code, out)
+		if got := cmd.ProcessState.ExitCode(); got != c.code {
+			t.Errorf("%s %s: exit %d (%v), want exit %d\n%s", c.tool, strings.Join(c.args, " "), got, err, c.code, out)
 		}
 		if want := c.refused + " is not read in"; c.refused != "" && !strings.Contains(string(out), want) {
 			t.Errorf("%s %s: output does not say %q:\n%s", c.tool, strings.Join(c.args, " "), want, out)

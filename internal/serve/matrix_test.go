@@ -417,16 +417,23 @@ func TestCampaignPathMatrix(t *testing.T) {
 }
 
 // standaloneMatch injects every site of the row alone under the live
-// cell's plan: a standalone injection is a one-site campaign, so each must
-// equal the campaign's row exactly.
+// cell's plan, traced and metered: a standalone injection is a one-site
+// campaign that observes its own run, so each must equal the campaign's
+// row exactly, and each run the campaign served live (not from the
+// warmup) must have recorded machine events.
 func (r matrixRow) standaloneMatch(t *testing.T, plan matrixPlan, p *matrixPass) {
 	t.Helper()
 	cfg := r.config(plan, 1)
-	cfg.Metrics = nil // a metered injection runs one cold observed machine
 	for i, site := range r.sites {
+		// The ring only needs to count: Total includes evicted events.
+		cfg.Trace, cfg.Metrics = obs.NewTracer(64), obs.NewRegistry()
 		got, err := sim.Inject(cfg, r.bench, site, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if warm := p.reasons[i] == "never-fires"; warm != (cfg.Trace.Total() == 0) {
+			t.Errorf("run %d injected alone (reason %q) recorded %d machine events; want events exactly when the run is live",
+				i, p.reasons[i], cfg.Trace.Total())
 		}
 		if want := p.sum.Results[i]; !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d injected alone: %+v, campaign row %+v", i, got, want)

@@ -86,41 +86,15 @@ type InjectOptions struct {
 // The injection is a one-site campaign (CampaignProgram), so it takes a
 // campaign's journal, cache and live chain and its run's plan path, and
 // returns exactly the row any campaign over site reports under cfg: a
-// cell's result depends only on its own sites and the plan cadence. A
-// config with Trace or Metrics attached instead runs one cold observed
-// machine (see injectObserved).
+// cell's result depends only on its own sites and the plan cadence. With
+// Trace or Metrics attached, the campaign observes its run's live machine
+// and runs it exactly once (see Config.Metrics).
 func InjectProgram(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) (InjectionResult, error) {
-	if cfg.Trace != nil || cfg.Metrics != nil {
-		return injectObserved(cfg, p, site, opts)
-	}
-	sum, err := CampaignProgram(cfg, p, []fault.Site{site}, opts)
+	sum, err := campaignWindows(cfg, p, []fault.Site{site}, nil, opts, cfg.Trace != nil || cfg.Metrics != nil)
 	if err != nil {
 		return InjectionResult{}, err
 	}
 	return sum.Results[0], nil
-}
-
-// injectObserved is a standalone injection under cfg.Trace or cfg.Metrics:
-// a fresh machine from cycle 0, built here with the observability options,
-// run to the end (or, with cfg.FastForward, to its first detection) and
-// never cached, since no campaign traces or meters a machine and a cached
-// outcome cannot replay live pipeline internals.
-func injectObserved(cfg Config, p *isa.Program, site fault.Site, opts InjectOptions) (InjectionResult, error) {
-	sites := []fault.Site{site}
-	if err := validateInjection(cfg, sites); err != nil {
-		return InjectionResult{}, err
-	}
-	ctx, cancel := cfg.runContext(0)
-	defer cancel()
-	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
-	m, err := pipeline.New(cfg.Machine, cfg.Mode, p, append(runOptions(ctx, inj, nil, cfg.FastForward), cfg.obsOptions()...)...)
-	if err != nil {
-		return InjectionResult{}, err
-	}
-	cfg.observeDetections(m)
-	cfg.observeActivations(inj)
-	r, _, err := execute(ctx, cfg, p.Name, m, inj, site, newGoldenOracle(p), nil, cfg.Metrics)
-	return r, err
 }
 
 // validateInjection reports the configuration and site-list errors every
@@ -153,19 +127,20 @@ func validateInjection(cfg Config, sites []fault.Site) error {
 // only Cycles and post-detection activation counts are truncated.
 func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, rs *runStorage, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
 	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
-	if err := rs.m.Init(cfg.Machine, cfg.Mode, p, runOptions(ctx, inj, rs.sink, stopOnDetect)...); err != nil {
+	if err := rs.m.Init(cfg.Machine, cfg.Mode, p, rs.options(ctx, inj, stopOnDetect)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
-	r, pi, err := execute(ctx, cfg, p.Name, rs.m, inj, sites[0], oracle, pl, nil)
+	r, pi, err := execute(ctx, cfg, p.Name, rs, inj, sites[0], oracle, pl)
 	pi.Path = pathCold
 	return r, pi, err
 }
 
-// runOptions assembles the machine options every injection path shares: the
-// injector, the optional stop at the first detection, the run budget (nil
-// ctx: unbudgeted) and a reused sink, reset here (nil: the machine
-// allocates its own).
-func runOptions(ctx context.Context, inj *fault.Injector, sink *detect.Sink, stopOnDetect bool) []pipeline.Option {
+// options assembles the machine options every live injection path (cold,
+// forked, fast-forwarded) shares: the injector, the optional stop at the
+// first detection, the run budget (nil ctx: unbudgeted) and the storage's
+// sink, reset here. Observed storage also attaches its tracer and registry
+// and wires them to the sink and the injector.
+func (rs *runStorage) options(ctx context.Context, inj *fault.Injector, stopOnDetect bool) []pipeline.Option {
 	mopts := []pipeline.Option{pipeline.WithInjector(inj)}
 	if stopOnDetect {
 		mopts = append(mopts, pipeline.WithStopOnDetect())
@@ -173,25 +148,29 @@ func runOptions(ctx context.Context, inj *fault.Injector, sink *detect.Sink, sto
 	if ctx != nil {
 		mopts = append(mopts, pipeline.WithRunContext(ctx))
 	}
-	if sink != nil {
-		sink.Reset()
-		mopts = append(mopts, pipeline.WithSink(sink))
+	rs.sink.Reset()
+	mopts = append(mopts, pipeline.WithSink(rs.sink))
+	if o := rs.observe; o != nil {
+		mopts = append(mopts, o.obsOptions()...)
+		o.observeDetections(rs.sink)
+		o.observeActivations(inj)
 	}
 	return mopts
 }
 
 // execute is the one run body behind the cold, forked and fast-forwarded
-// paths: it runs m, with inj installed, to the end and classifies the
+// paths: it runs rs.m, with inj installed, to the end and classifies the
 // outcome against oracle, so the paths agree exactly. A panic inside the
 // machine is an observable hang, not silent corruption: a fault can wedge
 // bookkeeping the hardware would also wedge (e.g. a corrupted instruction
 // class desynchronizing queue pairing). An expired run budget surfaces as
 // *InterruptedError. With a plan the run may end early where it reconverges
 // with the warmup, and is then served the warmup's result (see
-// CampaignPlan.run). export, when non-nil, receives the final statistics.
-// The returned pathInfo carries the early-stop and convergence notes; the
-// caller fills in the path.
-func execute(ctx context.Context, cfg Config, bench string, m *pipeline.Machine, inj *fault.Injector, site fault.Site, oracle *goldenOracle, pl *CampaignPlan, export *obs.Registry) (res InjectionResult, pi pathInfo, err error) {
+// CampaignPlan.run). Observed storage's registry receives the final
+// statistics. The returned pathInfo carries the early-stop and convergence
+// notes; the caller fills in the path.
+func execute(ctx context.Context, cfg Config, bench string, rs *runStorage, inj *fault.Injector, site fault.Site, oracle *goldenOracle, pl *CampaignPlan) (res InjectionResult, pi pathInfo, err error) {
+	m := rs.m
 	inj.Now = m.Cycle
 	res = InjectionResult{Site: site, Mode: cfg.Mode, DetectionLatency: -1}
 	defer func() {
@@ -205,8 +184,8 @@ func execute(ctx context.Context, cfg Config, bench string, m *pipeline.Machine,
 	if err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
-	if export != nil {
-		st.Export(export)
+	if rs.observe != nil && rs.observe.Metrics != nil {
+		st.Export(rs.observe.Metrics)
 	}
 	if st.Interrupted {
 		return InjectionResult{}, pathInfo{}, &InterruptedError{
@@ -516,6 +495,9 @@ var (
 type runStorage struct {
 	sink *detect.Sink
 	m    *pipeline.Machine
+	// observe, when non-nil, is the config whose Trace and Metrics an
+	// observed InjectProgram's live run records into (see options).
+	observe *Config
 }
 
 // newRunStorage returns empty run storage for one worker.
@@ -620,9 +602,24 @@ type Window struct{ Lo, Hi int }
 // cache, live run) under the one plan built over the whole site list, and
 // results come back in window order. The journal at cfg.JournalPath is
 // opened here, keyed by these very arguments, and closed before return.
+// A campaign runs many machines at once, so a config with Trace attached
+// is refused; cfg.Metrics receives the campaign.* counters.
 func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignSummary, error) {
+	return campaignWindows(cfg, p, sites, windows, opts, false)
+}
+
+// campaignWindows is CampaignWindows, observing its one run's live machine
+// into cfg.Trace and cfg.Metrics when observe is set (see InjectProgram).
+func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []Window, opts InjectOptions, observe bool) (*CampaignSummary, error) {
 	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
+	}
+	switch {
+	case !observe && cfg.Trace != nil:
+		return nil, fmt.Errorf("sim: a campaign runs many machines at once; it takes no Trace")
+	case observe && (cfg.JournalPath != "" || cfg.Resilience.Retries > 0):
+		// A replayed record has no machine, and a retry is observed twice.
+		return nil, fmt.Errorf("sim: an observed injection runs once, live; it takes no JournalPath or Resilience.Retries")
 	}
 	windows, err := siteWindows(sites, windows)
 	if err != nil {
@@ -636,6 +633,9 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		w := &campaignWorker{runs: newRunStorage(), ff: cfg.FastForward}
 		if cfg.Metrics != nil {
 			w.reg = obs.NewRegistry()
+		}
+		if observe {
+			w.runs.observe = &cfg
 		}
 		return w
 	}
@@ -663,7 +663,7 @@ func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		}
 	}
 
-	if cfg.Cache != nil {
+	if cfg.Cache != nil && !observe {
 		runner.cell = campaignIdentity(cfg, p.Name, opts).Add("prog_fp", programFingerprint(p))
 	}
 	runOne := func(w *campaignWorker, i int) (InjectionResult, error) {

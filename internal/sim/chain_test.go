@@ -7,12 +7,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"blackjack/internal/fault"
 	"blackjack/internal/journal"
+	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
 )
@@ -181,6 +184,90 @@ func TestInjectRefusesForeignJournal(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(cfg.JournalPath); !bytes.Equal(after, wrote) {
 		t.Error("the refused injection changed the journal")
+	}
+}
+
+// An observed injection runs its one run live and once, so it refuses a
+// journal, whose replayed record has no machine to observe, and retries,
+// whose attempts would all count in the registry, rather than ignoring
+// them. The case: a metered [register p400] injection on gcc at 2,000
+// instructions (benign, 6 activations when run).
+func TestObservedInjectRefusesJournalAndRetries(t *testing.T) {
+	p, err := prog.Benchmark("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	register := fault.Site{Class: fault.RegisterFile, Reg: 400, BitMask: 1 << 5}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"JournalPath", func(c *Config) { c.JournalPath = filepath.Join(t.TempDir(), "inject.journal") }},
+		{"Retries", func(c *Config) { c.Resilience.Retries = 1 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := Default(pipeline.ModeBlackJack, 2000)
+			cfg.Metrics = obs.NewRegistry()
+			tc.set(&cfg)
+			r, err := InjectProgram(cfg, p, register, InjectOptions{})
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v (result %v, %d activations), want an error naming %s", err, r.Outcome, r.Activations, tc.field)
+			}
+			if n := cfg.Metrics.CounterValue("fault.activations"); n != 0 {
+				t.Errorf("the refused injection recorded %d activations", n)
+			}
+			if cfg.JournalPath != "" {
+				if _, err := os.Stat(cfg.JournalPath); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("the refused injection left a journal: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// A traced and metered injection observes the run its one-site campaign
+// makes and returns that run's row, its registry holding the machine's
+// metrics and the campaign's counters. Observation belongs to the
+// injection: a one-site campaign over the same site with a registry
+// attached records only campaign.* keys.
+func TestObservedInjectIsItsCampaignRun(t *testing.T) {
+	p, err := prog.Benchmark("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(pipeline.ModeBlackJack, 3000)
+	cfg.CheckpointInterval, cfg.FastForward = 500, true
+	site := fault.Site{Class: fault.RegisterFile, Reg: 400, BitMask: 1 << 5}
+	want, err := InjectProgram(cfg, p, site, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	observed := cfg
+	observed.Trace, observed.Metrics = obs.NewTracer(64), obs.NewRegistry()
+	got, err := InjectProgram(observed, p, site, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("observed row %+v, unobserved %+v", got, want)
+	}
+	reg := observed.Metrics
+	if observed.Trace.Total() == 0 || reg.CounterValue("pipeline.cycles") == 0 || reg.CounterValue("campaign.runs") != 1 {
+		t.Errorf("%d events, pipeline.cycles = %d, campaign.runs = %d; want a traced, metered campaign run",
+			observed.Trace.Total(), reg.CounterValue("pipeline.cycles"), reg.CounterValue("campaign.runs"))
+	}
+
+	metered := cfg
+	metered.Metrics = obs.NewRegistry()
+	if _, err := CampaignProgram(metered, p, []fault.Site{site}, InjectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	m := metered.Metrics
+	for _, name := range slices.Concat(m.CounterNames(), m.GaugeNames(), m.HistogramNames()) {
+		if !strings.HasPrefix(name, "campaign.") {
+			t.Errorf("a one-site campaign recorded %s", name)
+		}
 	}
 }
 

@@ -482,10 +482,10 @@ func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, u
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	if err := rs.m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, runOptions(ctx, inj, rs.sink, true)...); err != nil {
+	if err := rs.m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, rs.options(ctx, inj, true)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
-	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs.m, inj, subset[0], pl.oracle, nil, nil)
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, nil)
 	pi.Path, pi.FFSkipped = pathFF, int64(handoff)
 	return r, pi, err
 }
@@ -512,8 +512,8 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	rs.m.ForkFrom(cp.snap, runOptions(ctx, inj, rs.sink, pl.cfg.FastForward)...)
-	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs.m, inj, subset[0], pl.oracle, pl, nil)
+	rs.m.ForkFrom(cp.snap, rs.options(ctx, inj, pl.cfg.FastForward)...)
+	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, pl)
 	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err
 }

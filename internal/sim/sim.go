@@ -59,19 +59,20 @@ type Config struct {
 	FFWarmup int
 	// Trace, when non-nil, records structured pipeline events of the
 	// single-machine entry points, RunProgram and InjectProgram, for
-	// Chrome-trace export. Campaign fan-out never attaches it: a trace of
-	// many interleaved machines would be meaningless and racy. So a traced
-	// (or metered) InjectProgram is not the one-site campaign an untraced
-	// one is, but one cold machine from cycle 0, never cached, and stopped
-	// at its first detection under FastForward. Simulation results are
-	// unaffected.
+	// Chrome-trace export. InjectProgram traces the machine its one-site
+	// campaign's run steps, cold, forked or fast-forwarded (a never-fires
+	// run served from the warmup records nothing). Campaign entry points
+	// refuse a tracer: a trace of many interleaved machines would be
+	// meaningless and racy. Simulation results are unaffected.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives the run's metrics: the machine's
-	// occupancy histograms and the final Stats counters for single runs and
-	// InjectProgram (one cold observed machine, as with Trace);
+	// occupancy histograms and the final Stats counters for single runs;
 	// campaign outcome/latency counters (merged deterministically from
-	// per-worker registries) for Campaign entry points. Must not be shared
-	// with concurrently running simulations. Simulation results are
+	// per-worker registries) for Campaign entry points; and both for
+	// InjectProgram, whose machine metrics cover the run it traces. An
+	// observed (traced or metered) injection runs once, live: it bypasses
+	// Cache and refuses JournalPath and Resilience.Retries. Must not be
+	// shared with concurrently running simulations. Simulation results are
 	// unaffected.
 	Metrics *obs.Registry
 	// Ctx, when non-nil, bounds every entry point built on this config:
@@ -242,9 +243,9 @@ func (c Config) obsOptions() []pipeline.Option {
 	return opts
 }
 
-// observeDetections wires the machine's detection sink into the config's
+// observeDetections wires a machine's detection sink into the config's
 // tracer and registry.
-func (c Config) observeDetections(m *pipeline.Machine) {
+func (c Config) observeDetections(sink *detect.Sink) {
 	if c.Trace == nil && c.Metrics == nil {
 		return
 	}
@@ -253,7 +254,7 @@ func (c Config) observeDetections(m *pipeline.Machine) {
 		detections = c.Metrics.Counter("detect.events")
 	}
 	tr := c.Trace
-	m.Sink().Observer = func(e detect.Event) {
+	sink.Observer = func(e detect.Event) {
 		if tr != nil {
 			tr.Record(obs.Event{
 				Cycle: e.Cycle, Kind: obs.KindDetect, Thread: -1,
@@ -269,9 +270,6 @@ func (c Config) observeDetections(m *pipeline.Machine) {
 // observeActivations wires a fault injector's activation hook into the
 // config's tracer and registry.
 func (c Config) observeActivations(inj *fault.Injector) {
-	if c.Trace == nil && c.Metrics == nil {
-		return
-	}
 	var activations *obs.Counter
 	if c.Metrics != nil {
 		activations = c.Metrics.Counter("fault.activations")
@@ -329,7 +327,7 @@ func runLive(cfg Config, p *isa.Program, skip int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.observeDetections(m)
+	cfg.observeDetections(m.Sink())
 	st := m.Run(cfg.MaxInstructions)
 	if cfg.Metrics != nil {
 		st.Export(cfg.Metrics)

@@ -8,6 +8,7 @@ import (
 
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
+	"blackjack/internal/prog"
 	"blackjack/internal/runcache"
 )
 
@@ -100,6 +101,31 @@ func TestRunAllModesHonorsConfig(t *testing.T) {
 	observed.Metrics = obs.NewRegistry()
 	if _, err := RunAllModes(observed, "gzip"); err == nil {
 		t.Error("RunAllModes accepted a metrics registry")
+	}
+}
+
+// A campaign runs many machines at once, so, like RunAllModes, every
+// campaign entry point refuses a tracer rather than dropping it; only a
+// standalone injection observes its one run.
+func TestCampaignRefusesTrace(t *testing.T) {
+	cfg := Default(pipeline.ModeBlackJack, 2000)
+	cfg.Trace = obs.NewTracer(0)
+	sites := StandardSites(cfg.Machine)[:2]
+	p, err := prog.Benchmark("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Campaign(cfg, "gcc", sites, InjectOptions{}); err == nil {
+		t.Error("Campaign accepted a tracer")
+	}
+	if _, err := CampaignProgram(cfg, p, sites[:1], InjectOptions{}); err == nil {
+		t.Error("CampaignProgram accepted a tracer on a one-site campaign")
+	}
+	if _, err := CampaignWindows(cfg, p, sites, []Window{{0, 2}}, InjectOptions{}); err == nil {
+		t.Error("CampaignWindows accepted a tracer")
+	}
+	if cfg.Trace.Total() != 0 {
+		t.Errorf("a refused campaign recorded %d events", cfg.Trace.Total())
 	}
 }
 

@@ -184,14 +184,14 @@ const (
 )
 
 // Resilience tunes per-run isolation, wall-clock budgets and retries of
-// campaign entry points. Attach via Config.Resilience; Config.JournalPath
-// makes a campaign crash-resumable.
+// campaign entry points. Attach via Config.Resilience; a run store in
+// Config.Cache makes a campaign crash-resumable.
 type Resilience = sim.Resilience
 
 // Inject runs a benchmark with one hard fault installed, as a one-site
 // campaign: the result is the site's row of any campaign under cfg. A
 // Trace or Metrics attached to cfg observes that campaign's one live run;
-// such an injection refuses JournalPath and Resilience.Retries.
+// such an injection bypasses Config.Cache and refuses Resilience.Retries.
 func Inject(cfg Config, benchmark string, site FaultSite, opts InjectOptions) (InjectionResult, error) {
 	return sim.Inject(cfg, benchmark, site, opts)
 }

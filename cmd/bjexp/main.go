@@ -6,11 +6,11 @@
 //	bjexp -exp all -n 300000
 //	bjexp -exp fig7
 //	bjexp -exp exta -bench gcc
-//	bjexp -exp exta -journal-dir /tmp/bjexp    # crash-resumable campaigns
+//	bjexp -exp exta -cache-dir /tmp/bjexp      # crash-resumable campaigns
 //
-// With -journal-dir, every fault campaign inside the experiment journals its
-// completed runs; an interrupted invocation re-run with the same directory
-// resumes instead of recomputing. -isolate quarantines panicking or
+// With a run store (-cache-dir), every completed run of the experiment is
+// stored before it is counted; an interrupted invocation rerun on the same
+// store resumes instead of recomputing. -isolate quarantines panicking or
 // over-budget cells (with repro commands) and renders partial tables over the
 // remaining benchmarks.
 package main
@@ -46,8 +46,6 @@ func main() {
 		calibrate = flag.Bool("calibrate", false, "run the figure suite, evaluate every paper claim of the calibration spec (PASS/DRIFT/FAIL per claim) and exit; any FAIL exits with code 5")
 		calibJSON = flag.String("calib-json", "", "with -calibrate, also write the calibration report as JSON to this file")
 
-		journalDir = flag.String("journal-dir", "", "journal every fault campaign's completed runs into this directory; re-running with the same directory resumes")
-
 		execution  = cli.ExecutionFlags()
 		resilience = cli.ResilienceFlags()
 		out        = cli.OutputFlags()
@@ -58,7 +56,7 @@ func main() {
 	defer cli.Cleanup()
 
 	// SIGTERM (the plain `kill` default) drains exactly like SIGINT:
-	// journals flush, partial metrics merge, exit 130 with a resume hint.
+	// partial metrics merge, exit 130 with a resume hint.
 	ctx, stop := cli.SignalContext()
 	defer stop()
 
@@ -66,14 +64,7 @@ func main() {
 	opts.MaxInstructions = *n
 	execution.Fill(&opts.Config)
 	opts.Ctx = ctx
-	opts.JournalDir = *journalDir
 	opts.Resilience = resilience.Settings()
-	if *journalDir != "" {
-		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
-			cli.Fatal(err)
-		}
-		cli.SetResumeHint(fmt.Sprintf("completed campaign runs journaled under %s; re-run with the same -journal-dir to resume", *journalDir))
-	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}

@@ -12,15 +12,17 @@
 //	bjfault -bench gcc -mode srt -site frontend -way 1      # one site
 //	bjfault -bench gzip -mode blackjack -compare            # srt vs blackjack
 //	bjfault -bench gcc -n 30000 -site-index 12              # replay one campaign run
-//	bjfault -bench gcc -journal gcc.journal                 # crash-resumable campaign
+//	bjfault -bench gcc -cache-dir gcc.store                 # crash-resumable campaign
 //	bjfault -bench gcc -fault-kind intermittent             # duty-cycled campaign
 //	bjfault -site backend -fault-kind intermittent -duty 32/8@50
 //	bjfault -site backend -fault-kind multi-bit -mask 0xFF00
 //
-// A campaign run with -journal survives crashes and signals: re-running the
-// same command with -resume skips every completed injection. SIGINT and
-// SIGTERM are both graceful shutdowns — in-flight runs drain, completed
-// records are flushed, and the exit status is 130 with a resume hint.
+// A campaign run with a run store (-cache-dir) survives crashes and
+// signals: every completed injection is stored before it is counted, and
+// rerunning the same command on the same store (at any -parallel) serves
+// them and simulates only the rest. SIGINT and SIGTERM are both graceful
+// shutdowns — in-flight runs drain, and the exit status is 130 with a
+// hint naming the store.
 package main
 
 import (
@@ -58,7 +60,6 @@ func main() {
 
 		siteIndex = flag.Int("site-index", -1, "replay run i of the standard campaign site list (the index quarantine repro commands print)")
 
-		journal    = cli.JournalFlags()
 		execution  = cli.ExecutionFlags()
 		resilience = cli.ResilienceFlags()
 		out        = cli.OutputFlags()
@@ -77,7 +78,7 @@ func main() {
 	case *site != "":
 		cli.RefuseUnread("-site", every+" site way unit slot reg duty mask metrics-out trace-out")
 	default:
-		cli.RefuseUnread("campaign", every+" sites compare journal resume parallel metrics-out")
+		cli.RefuseUnread("campaign", every+" sites compare parallel metrics-out")
 	}
 
 	m, err := blackjack.ParseMode(*mode)
@@ -90,7 +91,7 @@ func main() {
 	}
 	// SIGTERM (the plain `kill` default, and what most supervisors send)
 	// takes the same drain-and-resume path as SIGINT: stop new runs, flush
-	// journal and metrics, exit 130 with a resume hint.
+	// metrics, exit 130 with a resume hint.
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	cfg := blackjack.DefaultConfig(m, *n)
@@ -101,7 +102,7 @@ func main() {
 	// A campaign cell (a single injection is a one-site campaign) whose
 	// full identity — program content, machine, mode, budget, site,
 	// execution plan — matches a stored entry is served from disk instead
-	// of re-simulated.
+	// of re-simulated; that is also how an interrupted campaign resumes.
 	cfg.Cache, cfg.CacheVerify = cache.Open()
 	defer cache.Report()
 
@@ -160,26 +161,23 @@ func main() {
 	}
 
 	if *compare {
-		// Each mode's campaign has a distinct identity and needs its own
-		// journal.
 		for _, mm := range []blackjack.Mode{blackjack.ModeSRT, blackjack.ModeBlackJack} {
 			c := cfg
 			c.Mode = mm
-			runCampaign(c, *bench, sites, opts, journal.Prepare("-"+mm.String()), writeMetrics)
+			runCampaign(c, *bench, sites, opts, writeMetrics)
 		}
 	} else {
-		runCampaign(cfg, *bench, sites, opts, journal.Prepare(""), writeMetrics)
+		runCampaign(cfg, *bench, sites, opts, writeMetrics)
 	}
 	writeMetrics()
 }
 
-func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite, opts blackjack.InjectOptions, journal string, writeMetrics func()) {
-	cfg.JournalPath = journal
+func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite, opts blackjack.InjectOptions, writeMetrics func()) {
 	sum, err := blackjack.Campaign(cfg, bench, sites, opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) && journal != "" {
+		if errors.Is(err, context.Canceled) && cfg.Cache != nil {
 			// Partial results are durable: flush metrics before Fatal
-			// exits 130 pointing at -resume.
+			// exits 130 naming the store.
 			writeMetrics()
 		}
 		cli.Fatal(err)
@@ -189,11 +187,8 @@ func runCampaign(cfg blackjack.Config, bench string, sites []blackjack.FaultSite
 	}
 	// Operational annotations go to stderr so stdout tables stay
 	// byte-identical across fresh, resumed and retried sessions.
-	if sum.Resumed > 0 {
-		cli.Logf("%d runs resumed from journal, %d executed", sum.Resumed, len(sum.Results)-sum.Resumed)
-	}
 	if sum.CacheHits > 0 {
-		cli.Logf("%d runs served from cache, %d executed", sum.CacheHits, len(sum.Results)-sum.Resumed-sum.CacheHits)
+		cli.Logf("%d runs served from cache, %d executed", sum.CacheHits, len(sum.Results)-sum.CacheHits)
 	}
 	if sum.Retried > 0 {
 		cli.Logf("%d retries", sum.Retried)

@@ -16,11 +16,12 @@
 //	bjfuzz -matrix -fault-kind intermittent
 //	bjfuzz -replay internal/diffcheck/testdata/corpus
 //	bjfuzz -emit-corpus 8 -corpus-dir internal/diffcheck/testdata/corpus
-//	bjfuzz -n 5000 -journal fuzz.journal   # crash-resumable session
+//	bjfuzz -n 5000 -cache-dir fuzz.store   # crash-resumable session
 //
-// A fuzzing run with -journal survives crashes, SIGINT, and SIGTERM:
-// re-running the same command with -resume skips every completed program (at
-// any -parallel value, and even under a larger -n).
+// A fuzzing run with a run store (-cache-dir) survives crashes, SIGINT, and
+// SIGTERM: every checked program is stored before it is counted, and
+// rerunning the same command on the same store skips every completed
+// program (at any -parallel value, and even under a larger -n).
 package main
 
 import (
@@ -53,15 +54,15 @@ func main() {
 		emitCorpus = flag.Int("emit-corpus", 0, "write this many generator seeds as corpus files and exit")
 		corpusDir  = flag.String("corpus-dir", "internal/diffcheck/testdata/corpus", "corpus directory for -emit-corpus")
 
-		journal = cli.JournalFlags()
-		out     = cli.MetricsOutputFlag()
+		cacheDir = cli.CacheDirFlag()
+		out      = cli.MetricsOutputFlag()
 	)
 	cli.Parse("bjfuzz")
 	defer cli.Cleanup()
 
 	// A flag the chosen mode does not read would be silently ignored, so it
 	// is refused; so is a second mode flag.
-	mode, reads := "fuzz", "n seed max-instr variant parallel no-shrink repro-dir journal resume metrics-out"
+	mode, reads := "fuzz", "n seed max-instr variant parallel no-shrink repro-dir cache-dir metrics-out"
 	switch {
 	case *matrix:
 		mode, reads = "-matrix", "matrix matrix-mode fault-kind max-instr seed parallel"
@@ -80,13 +81,14 @@ func main() {
 	case "-emit-corpus":
 		runEmit(*emitCorpus, *seed, *corpusDir)
 	default:
-		runFuzz(*n, *seed, *maxInstr, *variant, *par, !*noShrink, *reproDir, journal, out)
+		runFuzz(*n, *seed, *maxInstr, *variant, *par, !*noShrink, *reproDir, *cacheDir, out)
 	}
 }
 
-func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shrink bool, reproDir string, journal *cli.Journal, out *cli.Outputs) {
+func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shrink bool, reproDir, cacheDir string, out *cli.Outputs) {
 	// SIGTERM (the plain `kill` default) drains exactly like SIGINT:
-	// completed programs flush to the journal, exit 130 with a resume hint.
+	// in-flight programs finish and are stored, exit 130 with a resume
+	// hint.
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	opts := diffcheck.FuzzOptions{
@@ -104,13 +106,13 @@ func runFuzz(n int, seed uint64, maxInstr int, variantName string, par int, shri
 		}
 		opts.Variant = &v
 	}
-	opts.JournalPath = journal.Prepare("")
+	opts.Cache = cli.OpenStore(cacheDir)
 	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	if sum.Resumed > 0 {
-		cli.Logf("%d programs resumed from journal, %d executed", sum.Resumed, sum.Programs-sum.Resumed)
+	if sum.CacheHits > 0 {
+		cli.Logf("%d programs served from cache, %d executed", sum.CacheHits, sum.Programs-sum.CacheHits)
 	}
 	if err := diffcheck.WriteFuzzSummary(os.Stdout, sum); err != nil {
 		cli.Fatal(err)

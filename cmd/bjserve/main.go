@@ -1,7 +1,7 @@
 // Command bjserve runs the campaign service: an HTTP server that accepts
 // declarative campaign/sweep/fuzz job specs (JSON), executes them
-// with crash-safe journals under a state directory, and streams progress as
-// NDJSON/SSE events.
+// with crash-safe job state and run stores under a state directory, and
+// streams progress as NDJSON/SSE events.
 //
 // Usage:
 //
@@ -11,10 +11,12 @@
 //	curl localhost:8080/api/v1/jobs/j000001/result
 //
 // The server is crash-safe: SIGKILL mid-campaign loses nothing — restart
-// with the same -state-dir and every incomplete job resumes from its
-// journal, at any -workers value, producing byte-identical outcome tables.
-// SIGINT and SIGTERM trigger a bounded drain: stop admitting, checkpoint
-// running jobs, flush journals, exit 130 with a resume hint.
+// with the same -state-dir and every incomplete job resumes from its run
+// store (-cache-dir, or the job's private store when there is none or the
+// spec turns the cache off), at any -workers value, producing
+// byte-identical outcome tables. One server at a time holds a state
+// directory. SIGINT and SIGTERM trigger a bounded drain: stop admitting,
+// checkpoint running jobs, exit 130 with a resume hint.
 package main
 
 import (
@@ -32,7 +34,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		stateDir = flag.String("state-dir", "", "durable state directory for job specs, state journals, run journals and results (required)")
+		stateDir = flag.String("state-dir", "", "durable state directory for job specs, state journals, private run stores and results (required)")
 		workers  = flag.Int("workers", 2, "executor slots (jobs running concurrently)")
 		queueCap = flag.Int("queue", 64, "admission queue capacity; submissions beyond it get 429 + Retry-After")
 		runPar   = flag.Int("run-parallel", 0, "default per-job worker fan-out when a spec leaves parallel unset (0 = NumCPU)")
@@ -69,8 +71,8 @@ func main() {
 	srv.Start()
 
 	// SIGINT and SIGTERM both take the bounded drain: stop admitting,
-	// checkpoint running jobs (journals flush), exit 130 with a resume
-	// hint.
+	// checkpoint running jobs (their finished runs are already stored),
+	// exit 130 with a resume hint.
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	select {

@@ -96,13 +96,10 @@ func Exitf(code int, format string, args ...any) {
 	Exit(code)
 }
 
-// SetResumeHint sets what Fatal adds to the interrupted message: where the
-// completed work is kept and how to continue from it.
-func SetResumeHint(hint string) { resumeHint = hint }
-
 // Fatal ends the process for err with the code its cause names:
-// ExitInterrupted (plus the resume hint, if any) for a SIGINT/SIGTERM
-// cancellation, ExitDeadlock for a wedged machine, ExitError otherwise.
+// ExitInterrupted (naming the run store, when OpenStore opened one) for a
+// SIGINT/SIGTERM cancellation, ExitDeadlock for a wedged machine, ExitError
+// otherwise.
 func Fatal(err error) {
 	var dead *sim.DeadlockError
 	switch {

@@ -44,7 +44,7 @@ func runHelper(path string) {
 		store.CountVerify(false)
 		cache.Report()
 	case "signal":
-		SetResumeHint("completed runs journaled to x.journal; re-run with -resume to continue")
+		cache.Open()
 		ctx, stop := SignalContext()
 		defer stop()
 		if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
@@ -66,7 +66,7 @@ func TestExitFlushesProfiles(t *testing.T) {
 		{"fatal", ExitError, "helper: boom\n"},
 		{"deadlock", ExitDeadlock, "helper: sim: gzip/"},
 		{"diverged", ExitDiverged, "helper: cache verification: 1 of 2 recomputed hits diverged\n"},
-		{"signal", ExitInterrupted, "helper: interrupted; completed runs journaled to x.journal; re-run with -resume to continue\n"},
+		{"signal", ExitInterrupted, "helper: interrupted; completed runs are stored in "},
 	}
 	for _, c := range cases {
 		t.Run(c.path, func(t *testing.T) {
@@ -113,6 +113,9 @@ func TestCacheOpenWithoutDirIsOff(t *testing.T) {
 	if store != nil || v != 0 {
 		t.Errorf("Open() = %v, %g; want nil store", store, v)
 	}
+	if resumeHint != "" {
+		t.Errorf("no store, yet the interrupted message names one: %q", resumeHint)
+	}
 }
 
 func TestStartWritesProfiles(t *testing.T) {
@@ -156,25 +159,4 @@ func TestCleanupRunsNewestFirstOnce(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
 		t.Errorf("cleanups ran %v, want [2 1]", got)
 	}
-}
-
-func TestJournalPrepareRemovesUnlessResume(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "c.journal")
-	for _, resume := range []bool{true, false} {
-		if err := os.WriteFile(base+"-srt", []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		path, r := base, resume
-		if got := (&Journal{path: &path, resume: &r}).Prepare("-srt"); got != base+"-srt" {
-			t.Fatalf("Prepare = %q", got)
-		}
-		if _, err := os.Stat(base + "-srt"); (err == nil) != resume {
-			t.Errorf("resume=%v: journal kept = %v", resume, err == nil)
-		}
-	}
-	empty, r := "", false
-	if got := (&Journal{path: &empty, resume: &r}).Prepare("-srt"); got != "" {
-		t.Errorf("Prepare without -journal = %q", got)
-	}
-	SetResumeHint("")
 }

@@ -65,11 +65,28 @@ func startProfiles(cpuPath, memPath string) error {
 	return nil
 }
 
-// CacheDirFlag registers -cache-dir alone, for a tool that opens its own
+// CacheDirFlag registers -cache-dir alone, for a tool with no cache hits
+// to verify (it opens the store with OpenStore) or one that opens its own
 // stores from it.
 func CacheDirFlag() *string {
 	return flag.String("cache-dir", runcache.DefaultDir(),
-		"content-addressable run cache directory (default: $"+runcache.EnvDir+"; empty disables caching)")
+		"content-addressable run store directory: completed runs are served from it, so an interrupted command rerun on it resumes (default: $"+runcache.EnvDir+"; empty disables it)")
+}
+
+// OpenStore opens the run store at dir, or returns nil when dir is empty:
+// no store, so nothing is cached and an interrupted run cannot resume. It
+// is where Fatal's interrupted message learns where completed runs are
+// kept. An open error is fatal.
+func OpenStore(dir string) *runcache.Store {
+	if dir == "" {
+		return nil
+	}
+	s, err := runcache.Open(dir, 0)
+	if err != nil {
+		Fatal(err)
+	}
+	resumeHint = fmt.Sprintf("completed runs are stored in %s; rerun the same command on it to resume", dir)
+	return s
 }
 
 // Cache is the run cache group: -cache-dir and -cache-verify, and the store
@@ -89,19 +106,14 @@ func CacheFlags() *Cache {
 	}
 }
 
-// Open opens the store -cache-dir names and returns it with the
-// -cache-verify fraction, ready for a config's Cache and CacheVerify
+// Open opens the store -cache-dir names (OpenStore) and returns it with
+// the -cache-verify fraction, ready for a config's Cache and CacheVerify
 // fields. With no directory it returns a nil store: caching is off.
 func (c *Cache) Open() (*runcache.Store, float64) {
-	if *c.dir == "" {
+	if c.store = OpenStore(*c.dir); c.store == nil {
 		return nil, 0
 	}
-	s, err := runcache.Open(*c.dir, 0)
-	if err != nil {
-		Fatal(err)
-	}
-	c.store = s
-	return s, *c.verify
+	return c.store, *c.verify
 }
 
 // Report prints the store's traffic to stderr, so stdout stays
@@ -174,37 +186,6 @@ func ExecutionFlags() *Execution {
 func (e *Execution) Fill(cfg *sim.Config) {
 	cfg.Parallel, cfg.CheckpointInterval = *e.parallel, *e.ckpt
 	cfg.FastForward, cfg.FFWarmup = *e.ff, *e.ffWarmup
-}
-
-// Journal is the journal group: -journal and -resume.
-type Journal struct {
-	path   *string
-	resume *bool
-}
-
-// JournalFlags registers -journal and -resume.
-func JournalFlags() *Journal {
-	return &Journal{
-		path:   flag.String("journal", "", "journal completed runs to this file (fsync'd batches) so an interrupted session can resume"),
-		resume: flag.Bool("resume", false, "resume from an existing -journal file instead of starting fresh"),
-	}
-}
-
-// Prepare returns the journal path with suffix appended, or "" when
-// -journal is unset. Without -resume it first removes any journal already
-// there. It also makes Fatal's interrupted message point at the journal.
-func (j *Journal) Prepare(suffix string) string {
-	if *j.path == "" {
-		return ""
-	}
-	path := *j.path + suffix
-	if !*j.resume {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			Fatal(err)
-		}
-	}
-	SetResumeHint(fmt.Sprintf("completed runs journaled to %s; re-run with -resume to continue", path))
-	return path
 }
 
 // Outputs is the output group: -metrics-out, and -trace-out for tools that

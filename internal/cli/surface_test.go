@@ -124,8 +124,8 @@ func TestCLISurface(t *testing.T) {
 		// cycles of a tiny budget.
 		{tool: "bjsim", args: []string{"-bench", "gzip", "-n", "200", "-iq", "1", "-cache-dir", ""}, code: ExitDeadlock},
 		// A flag the chosen mode does not read is refused before any run.
-		{tool: "bjfault", args: []string{"-site", "frontend", "-compare", "-journal", "j.journal", "-sites", "latent"}, code: ExitError, refused: "-compare"},
-		{tool: "bjfault", args: []string{"-site", "frontend", "-journal", "j.journal"}, code: ExitError, refused: "-journal"},
+		{tool: "bjfault", args: []string{"-site", "frontend", "-compare", "-parallel", "2", "-sites", "latent"}, code: ExitError, refused: "-compare"},
+		{tool: "bjfault", args: []string{"-site", "frontend", "-parallel", "2"}, code: ExitError, refused: "-parallel"},
 		{tool: "bjfault", args: []string{"-site", "frontend", "-sites", "latent"}, code: ExitError, refused: "-sites"},
 		{tool: "bjfault", args: []string{"-site-index", "2", "-duty", "32/8"}, code: ExitError, refused: "-duty"},
 		{tool: "bjfault", args: []string{"-site-index", "2", "-mask", "0xff"}, code: ExitError, refused: "-mask"},
@@ -135,7 +135,7 @@ func TestCLISurface(t *testing.T) {
 		{tool: "bjfault", args: []string{"-site-index", "2", "-metrics-out", "m.json"}, code: 0},
 		{tool: "bjfault", args: []string{"-trace-out", "t.json"}, code: ExitError, refused: "-trace-out"},
 		{tool: "bjfault", args: []string{"-unit", "mem"}, code: ExitError, refused: "-unit"},
-		{tool: "bjfuzz", args: []string{"-matrix", "-journal", "j.journal"}, code: ExitError, refused: "-journal"},
+		{tool: "bjfuzz", args: []string{"-matrix", "-cache-dir", "s.store"}, code: ExitError, refused: "-cache-dir"},
 		{tool: "bjfuzz", args: []string{"-replay", "x", "-emit-corpus", "3"}, code: ExitError, refused: "-emit-corpus"},
 	} {
 		cmd := exec.Command(filepath.Join(bin, c.tool), c.args...)

@@ -9,6 +9,7 @@ import (
 	"blackjack/internal/parallel"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
+	"blackjack/internal/runcache"
 )
 
 // FuzzOptions configures a differential fuzzing campaign.
@@ -37,21 +38,21 @@ type FuzzOptions struct {
 	// selects the Minimize default).
 	ShrinkTests int
 	// Ctx, when non-nil, cancels the campaign: in-flight programs finish,
-	// no new ones start, completed records are flushed to the journal, and
-	// the context's error is returned. nil means uncancellable.
+	// no new ones start, and the context's error is returned. nil means
+	// uncancellable.
 	Ctx context.Context
-	// JournalPath, when non-empty, names the file every completed program
-	// is journaled to, so an interrupted campaign resumes where it stopped.
-	// Fuzz opens it itself, keyed by these options (see openJournal), and
-	// refuses one written for another session. Resumed programs replay their
-	// journaled contribution instead of re-running, and the summary is
-	// identical to an uninterrupted one.
-	JournalPath string
+	// Cache, when non-nil, is the run store every checked program's record
+	// is kept in, one cell per program (see cell), so rerunning an
+	// interrupted session on the same store checks only the programs it
+	// had not finished. A stored program replays its contribution instead
+	// of re-running, and the summary is identical to an uninterrupted one.
+	// A cell is stored before its program is reported to OnProgress.
+	Cache *runcache.Store
 	// OnProgress, when non-nil, observes every completed program: live runs
-	// and journal replays alike (resumed reports which). It is called from
+	// and store-served ones alike (cached reports which). It is called from
 	// worker goroutines, so it must be safe for concurrent use and should
 	// not block; it cannot change results.
-	OnProgress func(index int, resumed bool, divergences int)
+	OnProgress func(index int, cached bool, divergences int)
 }
 
 func (o *FuzzOptions) withDefaults() FuzzOptions {
@@ -84,12 +85,12 @@ type Failure struct {
 
 // FuzzSummary aggregates a campaign.
 type FuzzSummary struct {
-	Programs int
-	Runs     int    // variant runs performed
-	Shuffles uint64 // shuffle invocations validated
-	Entries  uint64 // DTQ entries through the invariant checker
-	Resumed  int    // programs replayed from the journal, not re-run
-	Failures []Failure
+	Programs  int
+	Runs      int    // variant runs performed
+	Shuffles  uint64 // shuffle invocations validated
+	Entries   uint64 // DTQ entries through the invariant checker
+	CacheHits int    // programs served from the run store, not re-run
+	Failures  []Failure
 }
 
 // Failed reports whether any program diverged.
@@ -160,6 +161,59 @@ func PadNops(p *isa.Program, k int) *isa.Program {
 	return &q
 }
 
+// fuzzRecord is one checked fuzz program as stored: everything the
+// program contributed to the session summary, so a resumed session's
+// summary is identical to an uninterrupted one. The program itself is not
+// stored — it regenerates deterministically from (campaign seed, index) —
+// but the minimized reproducer's wire form is, so resume never re-runs a
+// delta-debugging session.
+type fuzzRecord struct {
+	Seed        uint64       `json:"seed"`
+	Source      string       `json:"source"`
+	Runs        int          `json:"runs"`
+	Shuffles    uint64       `json:"shuffles"`
+	Entries     uint64       `json:"entries"`
+	Divergences []Divergence `json:"divergences,omitempty"`
+	Minimized   []byte       `json:"minimized,omitempty"`
+}
+
+// cell is program i's run-store identity (o with withDefaults applied).
+// The key covers everything that defines the program and its checks —
+// machine config, campaign seed, per-run budget, variant restriction,
+// shrink settings — plus the program index, so a cell is never served to
+// another session's program. It leaves out the program count and worker
+// count: per-program seeds derive from the campaign seed, so a session
+// stored with -n 100 resumes (and extends) under -n 1000.
+func (o FuzzOptions) cell(i int) *runcache.Identity {
+	variant := "all"
+	if o.Variant != nil {
+		variant = o.Variant.Name
+	}
+	return runcache.NewIdentity().
+		Add("kind", "fuzz").
+		AddJSON("machine", o.Machine).
+		Addf("seed", "%d", o.Seed).
+		Addf("maxinstr", "%d", o.MaxInstr).
+		Add("variant", variant).
+		Addf("shrink", "%v/%d", o.Shrink, o.ShrinkTests).
+		Addf("program", "%d", i)
+}
+
+// harnessVariant labels divergences that come from the checking machinery
+// itself (a panic in a variant run), not from a specific machine variant.
+const harnessVariant = "harness"
+
+// panicDivergence converts a recovered panic into a reportable finding: a
+// panicking check is a harness bug worth a minimized reproducer, not a
+// reason to lose the rest of the session.
+func panicDivergence(r any) Divergence {
+	return Divergence{
+		Variant: harnessVariant,
+		Kind:    "panic",
+		Detail:  fmt.Sprintf("%v", r),
+	}
+}
+
 // fuzzTestHook, when non-nil, runs inside every panic-isolation boundary:
 // with the program index on the live check path, and with i == -1 per
 // minimization candidate. Test seam for injecting harness faults.
@@ -226,29 +280,29 @@ func shrinkOne(o FuzzOptions, p *isa.Program) *isa.Program {
 // Fuzz runs the campaign: generate programs, check every one under every
 // variant (or the selected one) against the oracle and the structural
 // invariants, run the NOP-padding metamorphic variant on a quarter of the
-// programs, and minimize any failures. With a JournalPath, completed
-// programs are durable and a re-run resumes instead of repeating them.
+// programs, and minimize any failures. With a Cache, completed programs
+// are durable and a rerun on the same store resumes instead of repeating
+// them.
 func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 	o := opts.withDefaults()
-	jr, err := o.openJournal()
-	if err != nil {
-		return nil, err
-	}
 
 	type outcome struct {
 		rec       fuzzRecord
 		program   *isa.Program // nil on the replay path until a failure needs it
 		minimized *isa.Program // live-path Minimize result; replay decodes rec.Minimized
-		resumed   bool
+		cached    bool
 	}
 
 	results, err := parallel.MapCtx(o.Ctx, o.Workers, o.Programs, func(i int) (*outcome, error) {
-		if jr != nil {
-			if rec, ok := jr.Replayed(i); ok {
+		var cell *runcache.Identity
+		if o.Cache != nil {
+			cell = o.cell(i)
+			var rec fuzzRecord
+			if o.Cache.Get(cell, &rec) {
 				if o.OnProgress != nil {
 					o.OnProgress(i, true, len(rec.Divergences))
 				}
-				return &outcome{rec: rec, resumed: true}, nil
+				return &outcome{rec: rec, cached: true}, nil
 			}
 		}
 		p, source, err := GenerateProgram(o.Seed, i)
@@ -265,23 +319,14 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 				out.rec.Minimized = enc
 			}
 		}
-		if jr != nil {
-			if err := jr.Append(i, out.rec); err != nil {
-				return nil, fmt.Errorf("diffcheck: journal program %d: %w", i, err)
-			}
+		if cell != nil {
+			_ = o.Cache.Put(cell, out.rec) // best-effort: a failed Put only costs a resume this program
 		}
 		if o.OnProgress != nil {
 			o.OnProgress(i, false, len(out.rec.Divergences))
 		}
 		return out, nil
 	})
-	// Flush completed records, also on error, so a cancelled campaign
-	// resumes cleanly.
-	if jr != nil {
-		if cerr := jr.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -291,15 +336,15 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 		sum.Runs += out.rec.Runs
 		sum.Shuffles += out.rec.Shuffles
 		sum.Entries += out.rec.Entries
-		if out.resumed {
-			sum.Resumed++
+		if out.cached {
+			sum.CacheHits++
 		}
 		if len(out.rec.Divergences) == 0 {
 			continue
 		}
 		program := out.program
 		if program == nil {
-			// Replayed failure: programs are not journaled, they regenerate
+			// Stored failure: programs are not stored, they regenerate
 			// deterministically from the campaign seed.
 			program, _, _ = GenerateProgram(o.Seed, i)
 		}

@@ -444,7 +444,6 @@ func TestCoverageMatrix(t *testing.T) {
 	// Settings under which the matrix could not count every run exactly.
 	for name, refused := range map[string]func(*sim.Config){
 		"FastForward": func(c *sim.Config) { c.FastForward = true },
-		"JournalPath": func(c *sim.Config) { c.JournalPath = "matrix.journal" },
 		"Isolate":     func(c *sim.Config) { c.Resilience.Isolate = true },
 	} {
 		c := cfg

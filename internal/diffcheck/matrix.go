@@ -311,8 +311,8 @@ func kindSpecs(cfg pipeline.Config, kind fault.Kind) []matrixCellSpec {
 // MatrixOptions configures a coverage-matrix run: each (cell, stressor
 // program) pair runs as one campaign under Config (Mode must be redundant).
 // Parallel spreads the cells over workers; Metrics gets every campaign's
-// counters. FastForward, Journal and Resilience.Isolate are refused: the
-// matrix could not count their runs exactly.
+// counters. FastForward and Resilience.Isolate are refused: the matrix
+// could not count their runs exactly.
 type MatrixOptions struct {
 	sim.Config
 	Seed uint64 // stressor-program seed base
@@ -332,8 +332,6 @@ func CoverageMatrix(opts MatrixOptions) (*Matrix, error) {
 	switch {
 	case opts.FastForward:
 		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.FastForward: a run stopped at its first detection can count a wedge as detected")
-	case opts.JournalPath != "":
-		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.JournalPath: a journal keys one campaign, the matrix runs many")
 	case opts.Resilience.Isolate:
 		return nil, fmt.Errorf("diffcheck: coverage matrix refuses Config.Resilience.Isolate: a quarantined run would count as inactive")
 	case !opts.Mode.Redundant():

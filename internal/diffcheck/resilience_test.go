@@ -2,7 +2,6 @@ package diffcheck
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +11,7 @@ import (
 	"testing"
 
 	"blackjack/internal/isa"
-	"blackjack/internal/journal"
+	"blackjack/internal/runcache"
 )
 
 // withFuzzHook installs a fuzz test hook for the test's duration. Tests
@@ -24,7 +23,8 @@ func withFuzzHook(t *testing.T, hook func(i int, p *isa.Program)) {
 }
 
 // fuzzSummaryString renders everything observable about a summary except
-// Resumed (which intentionally differs between fresh and resumed sessions).
+// CacheHits (which intentionally differs between fresh and resumed
+// sessions).
 func fuzzSummaryString(sum *FuzzSummary) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "programs=%d runs=%d shuffles=%d entries=%d\n",
@@ -101,6 +101,22 @@ func TestFuzzShrinkTreatsPanicAsFailing(t *testing.T) {
 	}
 }
 
+// testStore opens a fresh run store in a temporary directory.
+func testStore(t *testing.T) *runcache.Store {
+	t.Helper()
+	s, err := runcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// cellPath is where store keeps program i's cell of the session opts.
+func cellPath(store *runcache.Store, opts FuzzOptions, i int) string {
+	id := opts.withDefaults().cell(i).ID()
+	return filepath.Join(store.Dir(), id[:2], id+".json")
+}
+
 func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 	// The hook makes program 2 a deterministic failure so the resumed
 	// session exercises failure replay (program regeneration + minimized
@@ -119,50 +135,50 @@ func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 	}
 	want := fuzzSummaryString(ref)
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fuzz.journal")
-	jopts := opts
-	jopts.JournalPath = path
-	full, err := Fuzz(jopts)
+	sopts := opts
+	sopts.Cache = testStore(t)
+	full, err := Fuzz(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fuzzSummaryString(full); got != want {
-		t.Fatalf("journaled run diverged from plain run:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("stored run diverged from plain run:\n got: %s\nwant: %s", got, want)
 	}
-	if full.Resumed != 0 {
-		t.Fatalf("fresh journaled run claims %d resumed programs", full.Resumed)
+	if full.CacheHits != 0 {
+		t.Fatalf("fresh stored run claims %d cached programs", full.CacheHits)
 	}
 
-	// Simulate a crash: keep the header and the first 4 records, then a
-	// torn trailing fragment as left by a kill mid-write.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Simulate a crash after the first 4 programs: the later cells are
+	// gone, and one is truncated, which the store reads as a miss.
+	cells := make(map[string][]byte)
+	for i := 0; i < opts.Programs; i++ {
+		path := cellPath(sopts.Cache, opts, i)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("program %d has no cell: %v", i, err)
+		}
+		cells[path] = raw
 	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	if len(lines) < 6 {
-		t.Fatalf("journal too short to truncate: %d lines", len(lines))
-	}
-	crashed := strings.Join(lines[:5], "") + `{"i":7,"r":{"se`
-
 	for _, workers := range []int{1, 3, 8} {
-		// Each resume completes the journal, so re-crash it per iteration.
-		if err := os.WriteFile(path, []byte(crashed), 0o644); err != nil {
-			t.Fatal(err)
+		// Each resume completes the store, so re-crash it per iteration.
+		for i := 4; i < opts.Programs; i++ {
+			path := cellPath(sopts.Cache, opts, i)
+			if i == 7 {
+				if err := os.WriteFile(path, cells[path][:len(cells[path])/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if done := journalRecords(t, path); done != 4 {
-			t.Fatalf("workers=%d: journal replays %d records, want 4", workers, done)
-		}
-		ropts := opts
+		ropts := sopts
 		ropts.Workers = workers
-		ropts.JournalPath = path
 		resumed, err := Fuzz(ropts)
 		if err != nil {
 			t.Fatalf("workers=%d: resume: %v", workers, err)
 		}
-		if resumed.Resumed != 4 {
-			t.Fatalf("workers=%d: Resumed=%d, want 4", workers, resumed.Resumed)
+		if resumed.CacheHits != 4 {
+			t.Fatalf("workers=%d: CacheHits=%d, want 4", workers, resumed.CacheHits)
 		}
 		if got := fuzzSummaryString(resumed); got != want {
 			t.Fatalf("workers=%d: resumed summary diverged:\n got: %s\nwant: %s", workers, got, want)
@@ -170,124 +186,94 @@ func TestFuzzJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// journalRecords counts the complete program records in the journal at
-// path: every newline-terminated line after the header.
-func journalRecords(t *testing.T, path string) int {
+// fuzzSharesExactly fills a fresh store with session a, then runs session
+// b on the same store. b must be served exactly the shared programs a
+// stored, no other, and its summary must equal a run of b with no store.
+func fuzzSharesExactly(t *testing.T, a, b FuzzOptions, shared int) {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	want, err := Fuzz(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return max(strings.Count(string(raw), "\n")-1, 0)
+	a.Cache = testStore(t)
+	if _, err := Fuzz(a); err != nil {
+		t.Fatal(err)
+	}
+	b.Cache = a.Cache
+	got, err := Fuzz(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CacheHits != shared {
+		t.Errorf("CacheHits = %d, want %d (the programs the two sessions share)", got.CacheHits, shared)
+	}
+	if g, w := fuzzSummaryString(got), fuzzSummaryString(want); g != w {
+		t.Errorf("session on the shared store differs from its run with no store:\n got: %s\nwant: %s", g, w)
+	}
 }
 
-// openJournalAt runs a session on opts journaling to path, with its
-// context cancelled before the first program: the session opens (or
-// creates) the journal and returns the open's error, else
-// context.Canceled, having checked no program.
-func openJournalAt(path string, opts FuzzOptions) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	opts.Ctx, opts.JournalPath = ctx, path
-	_, err := Fuzz(opts)
-	return err
-}
-
+// A store filled by one session serves nothing to a session with another
+// seed, budget or variant. The program count is deliberately NOT part of
+// a cell's key: a session stored under -n 4 resumes (and extends) under a
+// larger -n.
 func TestFuzzJournalKeyMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fuzz.journal")
 	opts := FuzzOptions{Programs: 4, Seed: 9, MaxInstr: 500}
-	if err := openJournalAt(path, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("writing the journal: err = %v, want context.Canceled", err)
-	}
 	variant := Variants()[0]
-	for name, other := range map[string]FuzzOptions{
-		"seed":     {Programs: 4, Seed: 10, MaxInstr: 500},
-		"maxinstr": {Programs: 4, Seed: 9, MaxInstr: 600},
-		"variant":  {Programs: 4, Seed: 9, MaxInstr: 500, Variant: &variant},
+	for _, tc := range []struct {
+		name   string
+		other  FuzzOptions
+		shared int
+	}{
+		{"seed", FuzzOptions{Programs: 4, Seed: 10, MaxInstr: 500}, 0},
+		{"maxinstr", FuzzOptions{Programs: 4, Seed: 9, MaxInstr: 600}, 0},
+		{"variant", FuzzOptions{Programs: 4, Seed: 9, MaxInstr: 500, Variant: &variant}, 0},
+		{"programs", FuzzOptions{Programs: 6, Seed: 9, MaxInstr: 500}, 4},
 	} {
-		if err := openJournalAt(path, other); !errors.Is(err, journal.ErrKeyMismatch) {
-			t.Fatalf("%s change accepted by mismatched journal: %v", name, err)
-		}
-	}
-	// The program count is deliberately NOT part of the key: a journal
-	// written under -n 4 must resume (and extend) under -n 400.
-	grown := opts
-	grown.Programs = 400
-	if err := openJournalAt(path, grown); !errors.Is(err, context.Canceled) {
-		t.Fatalf("program-count change refused: %v", err)
+		t.Run(tc.name, func(t *testing.T) { fuzzSharesExactly(t, opts, tc.other, tc.shared) })
 	}
 }
 
-// A session given the journal of a session with another seed is refused,
-// never served its records: Fuzz replayed whatever journal it was handed
-// by index, so a seed-2 session on a seed-1 journal reported seed 1's
-// programs as its own. The refused attempt leaves the journal as it was.
+// A session on a store filled by a session with another seed is served
+// nothing from it: Fuzz once replayed whatever positional journal it was
+// handed by index, so a seed-2 session on a seed-1 journal reported seed
+// 1's programs as its own.
 func TestFuzzRefusesForeignJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seed1.journal")
-	opts := FuzzOptions{Programs: 3, Seed: 1, MaxInstr: 500, Workers: 1, JournalPath: path}
-	if _, err := Fuzz(opts); err != nil {
-		t.Fatal(err)
-	}
-	wrote, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Seed = 2
-	sum, err := Fuzz(opts)
-	if !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Fatalf("err = %v (summary %+v), want ErrKeyMismatch", err, sum)
-	}
-	if after, _ := os.ReadFile(path); string(after) != string(wrote) {
-		t.Error("the refused session changed the journal")
-	}
+	opts := FuzzOptions{Programs: 3, Seed: 1, MaxInstr: 500, Workers: 1}
+	other := opts
+	other.Seed = 2
+	fuzzSharesExactly(t, opts, other, 0)
 }
 
 // A program is durable before it is reported: with OnProgress set, every
-// progress event finds its program's complete record already in the
-// journal file, live and resumed programs alike.
+// progress event finds its program's cell already readable through a
+// second store opened on the same directory, live and stored programs
+// alike.
 func TestFuzzJournalDurableBeforeProgress(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "durable.journal")
+	store := testStore(t)
 	for _, resume := range []bool{false, true} {
 		var mu sync.Mutex
 		var missing []int
-		opts := FuzzOptions{Programs: 6, Seed: 4, MaxInstr: 500, Workers: 2, JournalPath: path,
-			OnProgress: func(i int, _ bool, _ int) {
-				raw, err := os.ReadFile(path)
-				if err != nil || !hasRecord(raw, i) {
-					mu.Lock()
-					missing = append(missing, i)
-					mu.Unlock()
-				}
-			}}
+		opts := FuzzOptions{Programs: 6, Seed: 4, MaxInstr: 500, Workers: 2, Cache: store}
+		opts.OnProgress = func(i int, _ bool, _ int) {
+			other, err := runcache.Open(store.Dir(), 0)
+			var rec fuzzRecord
+			if err != nil || !other.Get(opts.withDefaults().cell(i), &rec) {
+				mu.Lock()
+				missing = append(missing, i)
+				mu.Unlock()
+			}
+		}
 		sum, err := Fuzz(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resume != (sum.Resumed == opts.Programs) {
-			t.Fatalf("resume=%v: %d of %d programs resumed", resume, sum.Resumed, opts.Programs)
+		if resume != (sum.CacheHits == opts.Programs) {
+			t.Fatalf("resume=%v: %d of %d programs served from the store", resume, sum.CacheHits, opts.Programs)
 		}
 		if len(missing) > 0 {
-			t.Errorf("resume=%v: programs %v were reported before their record reached the journal", resume, missing)
+			t.Errorf("resume=%v: programs %v were reported before their cell was in the store", resume, missing)
 		}
 	}
-}
-
-// hasRecord reports whether raw, a journal's bytes, holds a complete
-// record line for program i: newline-terminated, with a parsable record.
-func hasRecord(raw []byte, i int) bool {
-	lines := strings.SplitAfter(string(raw), "\n")
-	for _, line := range lines[1:] {
-		var env struct {
-			I int             `json:"i"`
-			R json.RawMessage `json:"r"`
-		}
-		var rec fuzzRecord
-		if strings.HasSuffix(line, "\n") && json.Unmarshal([]byte(line), &env) == nil &&
-			env.I == i && json.Unmarshal(env.R, &rec) == nil {
-			return true
-		}
-	}
-	return false
 }
 
 func TestFuzzGracefulCancellation(t *testing.T) {
@@ -304,33 +290,33 @@ func TestFuzzGracefulCancellation(t *testing.T) {
 	})
 
 	opts := FuzzOptions{Programs: 10, Seed: 31, MaxInstr: 800, Workers: 1}
-	path := filepath.Join(t.TempDir(), "fuzz.journal")
+	store := testStore(t)
 	copts := opts
 	copts.Ctx = ctx
-	copts.JournalPath = path
+	copts.Cache = store
 	if _, err := Fuzz(copts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 	}
 
-	// The interrupted records survived; a resume completes the campaign
-	// and matches an uninterrupted run.
+	// The interrupted programs' cells survived; a rerun on the store
+	// completes the campaign and matches an uninterrupted run.
 	fuzzTestHook = nil
 	ref, err := Fuzz(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := journalRecords(t, path)
+	done := int(store.Stats().Puts)
 	if done == 0 {
-		t.Fatal("cancelled campaign journaled nothing")
+		t.Fatal("cancelled campaign stored nothing")
 	}
 	ropts := opts
-	ropts.JournalPath = path
+	ropts.Cache = store
 	resumed, err := Fuzz(ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Resumed != done {
-		t.Fatalf("Resumed=%d, journal holds %d", resumed.Resumed, done)
+	if resumed.CacheHits != done {
+		t.Fatalf("CacheHits=%d, store holds %d", resumed.CacheHits, done)
 	}
 	if got, want := fuzzSummaryString(resumed), fuzzSummaryString(ref); got != want {
 		t.Fatalf("resumed summary diverged:\n got: %s\nwant: %s", got, want)

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"blackjack/internal/fault"
@@ -23,7 +22,7 @@ import (
 type Options struct {
 	// Config is the base every run of the experiment derives its own config
 	// from (Options.RunConfig), which sets the run's Mode and machine
-	// variant; the base's Mode, Trace and JournalPath are not used. Its fields
+	// variant; the base's Mode and Trace are not used. Its fields
 	// mean, for an experiment:
 	//
 	//   - Machine is the core configuration (Table 1 defaults).
@@ -44,14 +43,16 @@ type Options struct {
 	//     every run's pipeline.Stats in (benchmark, mode) order, and the
 	//     campaign experiments merge their campaign registries in campaign
 	//     order. Must not be shared by concurrent experiment runs.
-	//   - Ctx cancels the experiment (typically SIGINT), flushing journals
-	//     and partial metrics.
+	//   - Ctx cancels the experiment (typically SIGINT), flushing partial
+	//     metrics.
 	//   - Resilience isolates, budgets and retries runs. With Isolate set,
 	//     RunSuite quarantines failing cells into Suite.Failures instead of
 	//     aborting.
 	//   - Cache and CacheVerify serve suite cells, sweep points and campaign
-	//     cells from the run cache; every table is byte-identical to an
-	//     uncached run.
+	//     cells from the run store; every table is byte-identical to an
+	//     uncached run. Every completed cell is stored before it is
+	//     reported, so rerunning an interrupted experiment on the same
+	//     store resumes it.
 	//   - OnProgress observes every completed campaign run of the
 	//     fault-injection experiments (internal/serve streams job progress
 	//     from it).
@@ -59,16 +60,6 @@ type Options struct {
 	// Benchmarks to run (default: the full 16-benchmark suite in Figure 7
 	// order).
 	Benchmarks []string
-	// JournalDir, when non-empty, makes every campaign experiment (Ext-A,
-	// Ext-C, Ext-F, Ext-G, Ext-I) journal its completed runs to
-	// <JournalDir>/<experiment>-<benchmark>-<variant>.journal and resume
-	// from any journal already there: re-running after a crash or SIGINT
-	// skips completed injections and reproduces identical tables. The path
-	// becomes that campaign's Config.JournalPath, so the campaign opens the
-	// file keyed by what it runs and refuses a journal left by a run with
-	// other parameters; Config.JournalPath also says when a record is
-	// durable.
-	JournalDir string
 }
 
 // DefaultOptions returns the standard experiment setup.
@@ -92,32 +83,28 @@ func (o *Options) fill() {
 }
 
 // RunConfig derives one run's config from the base: the given mode and
-// machine variant, with no tracer, journal or metrics registry. Single runs
+// machine variant, with no tracer or metrics registry. Single runs
 // fan out concurrently, and the experiment exports their statistics itself;
 // an attached registry would also make them bypass the cache. Campaigns
 // take the registry back (runCampaign).
 func (o *Options) RunConfig(mode pipeline.Mode, machine pipeline.Config) sim.Config {
 	cfg := o.Config
 	cfg.Mode, cfg.Machine = mode, machine
-	cfg.Trace, cfg.JournalPath, cfg.Metrics = nil, "", nil
+	cfg.Trace, cfg.Metrics = nil, nil
 	return cfg
 }
 
 // runCampaign runs one campaign of a campaign experiment — one run per
-// window of sites, or per site when windows is nil — journaling to a file
-// named after the (experiment, benchmark, variant) identity when
-// opts.JournalDir is set. Campaigns run one after another, so each merges
-// its per-worker registries straight into opts.Metrics.
-func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, sites []fault.Site, windows []sim.Window, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
+// window of sites, or per site when windows is nil. Campaigns run one
+// after another, so each merges its per-worker registries straight into
+// opts.Metrics.
+func runCampaign(opts *Options, mode pipeline.Mode, bench string, sites []fault.Site, windows []sim.Window, iopts sim.InjectOptions) (*sim.CampaignSummary, error) {
 	p, err := prog.Benchmark(bench)
 	if err != nil {
 		return nil, err
 	}
 	cfg := opts.RunConfig(mode, opts.Machine)
 	cfg.Metrics = opts.Metrics
-	if opts.JournalDir != "" {
-		cfg.JournalPath = filepath.Join(opts.JournalDir, name+".journal")
-	}
 	return sim.CampaignWindows(cfg, p, sites, windows, iopts)
 }
 
@@ -126,13 +113,11 @@ func runCampaign(opts *Options, name string, mode pipeline.Mode, bench string, s
 var comparedModes = []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJack}
 
 // campaignRows runs one campaign per compared mode over sites and
-// aggregates each into a row — the body Ext-A, Ext-G and Ext-I share. Each
-// campaign journals as <name>-<mode>.
-func campaignRows(opts *Options, name, benchmark string, sites []fault.Site) ([]ExtARow, error) {
+// aggregates each into a row — the body Ext-A, Ext-G and Ext-I share.
+func campaignRows(opts *Options, benchmark string, sites []fault.Site) ([]ExtARow, error) {
 	var rows []ExtARow
 	for _, mode := range comparedModes {
-		sum, err := runCampaign(opts, fmt.Sprintf("%s-%s", name, mode), mode,
-			benchmark, sites, nil, sim.InjectOptions{SplitPayload: true})
+		sum, err := runCampaign(opts, mode, benchmark, sites, nil, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			return nil, err
 		}
@@ -586,7 +571,7 @@ type ExtARow struct {
 // metric.
 func ExtAFaultInjection(opts Options, benchmark string) ([]ExtARow, error) {
 	opts.fill()
-	return campaignRows(&opts, "exta-"+benchmark, benchmark, sim.StandardSites(opts.Machine))
+	return campaignRows(&opts, benchmark, sim.StandardSites(opts.Machine))
 }
 
 // extARowFromSummary aggregates one campaign summary into an ExtARow (shared
@@ -675,11 +660,11 @@ func ExtCPayloadRAM(opts Options, benchmarks []string) ([]ExtCRow, error) {
 	// out across opts.Parallel workers, and nesting pools would oversubscribe.
 	var rows []ExtCRow
 	for _, b := range benchmarks {
-		shared, err := runCampaign(&opts, "extc-"+b+"-shared", pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: false})
+		shared, err := runCampaign(&opts, pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: false})
 		if err != nil {
 			return nil, err
 		}
-		split, err := runCampaign(&opts, "extc-"+b+"-split", pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: true})
+		split, err := runCampaign(&opts, pipeline.ModeBlackJack, b, sites, nil, sim.InjectOptions{SplitPayload: true})
 		if err != nil {
 			return nil, err
 		}
@@ -884,8 +869,7 @@ func ExtFMultiFault(opts Options, benchmark string, maxFaults int) ([]ExtFRow, e
 			windows = append(windows, sim.Window{Lo: start, Hi: start + k})
 		}
 	}
-	sum, err := runCampaign(&opts, fmt.Sprintf("extf-%s-%s", benchmark, pipeline.ModeBlackJack),
-		pipeline.ModeBlackJack, benchmark, all, windows, sim.InjectOptions{SplitPayload: true})
+	sum, err := runCampaign(&opts, pipeline.ModeBlackJack, benchmark, all, windows, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return nil, err
 	}
@@ -930,7 +914,7 @@ func ExtFTable(rows []ExtFRow, benchmark string) *stats.Table {
 // activated transient.
 func ExtGSoftErrors(opts Options, benchmark string) ([]ExtARow, error) {
 	opts.fill()
-	return campaignRows(&opts, "extg-"+benchmark, benchmark, sim.TransientSites(opts.Machine, 20))
+	return campaignRows(&opts, benchmark, sim.TransientSites(opts.Machine, 20))
 }
 
 // ExtGTable renders the soft-error campaign.
@@ -1046,7 +1030,7 @@ func ExtISoftIntermittent(opts Options, benchmark string) ([]ExtIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		kindRows, err := campaignRows(&opts, fmt.Sprintf("exti-%s-%v", benchmark, kind), benchmark, sites)
+		kindRows, err := campaignRows(&opts, benchmark, sites)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blackjack/internal/pipeline"
+	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 )
 
@@ -349,17 +350,21 @@ func TestExtHSeedRobustness(t *testing.T) {
 
 // TestOnRunObservesEveryCampaignRun exercises the job-level progress hook:
 // OnProgress must fire once per campaign run on the first (live) pass and again
-// on a journal-resumed pass, where every run reports Served == "journal".
+// on a pass over the same run store, where every run reports Served == "cache".
 func TestOnRunObservesEveryCampaignRun(t *testing.T) {
 	opts := smallOpts()
-	opts.JournalDir = t.TempDir()
+	store, err := runcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = store
 	var mu sync.Mutex
 	var live, replayed, other int
 	opts.OnProgress = func(p sim.RunProgress) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch p.Served {
-		case "journal":
+		case "cache":
 			replayed++
 		case "cold", "forked", "warm", "fast-forward":
 			live++
@@ -379,6 +384,6 @@ func TestOnRunObservesEveryCampaignRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if replayed != want || live != 0 {
-		t.Fatalf("resumed pass: live=%d replayed=%d, want all %d from the journal", live, replayed, want)
+		t.Fatalf("second pass: live=%d stored=%d, want all %d from the store", live, replayed, want)
 	}
 }

@@ -123,16 +123,20 @@ func TestExtAJournalResumeIdenticalRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.JournalDir = t.TempDir()
-	journaled, err := ExtAFaultInjection(opts, "gzip")
+	store, err := runcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, journaled) {
-		t.Fatalf("journaled rows diverged:\n got: %+v\nwant: %+v", journaled, fresh)
+	opts.Cache = store
+	stored, err := ExtAFaultInjection(opts, "gzip")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Second run over the same journal directory replays every campaign
-	// from the journals; the rendered table must be byte-identical.
+	if !reflect.DeepEqual(fresh, stored) {
+		t.Fatalf("stored rows diverged:\n got: %+v\nwant: %+v", stored, fresh)
+	}
+	// Second run over the same store serves every campaign's runs from it;
+	// the rendered table must be byte-identical.
 	opts.Parallel = 2
 	resumed, err := ExtAFaultInjection(opts, "gzip")
 	if err != nil {
@@ -143,8 +147,8 @@ func TestExtAJournalResumeIdenticalRows(t *testing.T) {
 	}
 }
 
-// Ext-F journals its windows like every campaign experiment: a journaled
-// run and a resume from its journals give the fresh rows.
+// Ext-F stores its windows like every campaign experiment: a stored run
+// and a rerun served from its store give the fresh rows.
 func TestExtFJournalResumeIdenticalRows(t *testing.T) {
 	opts := smallOpts()
 	opts.MaxInstructions = 2000
@@ -153,19 +157,23 @@ func TestExtFJournalResumeIdenticalRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.JournalDir = t.TempDir()
-	journaled, err := ExtFMultiFault(opts, "gcc", 3)
+	store, err := runcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, journaled) {
-		t.Fatalf("journaled rows diverged:\n got: %+v\nwant: %+v", journaled, fresh)
+	opts.Cache = store
+	stored, err := ExtFMultiFault(opts, "gcc", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, stored) {
+		t.Fatalf("stored rows diverged:\n got: %+v\nwant: %+v", stored, fresh)
 	}
 	opts.Parallel = 2
 	var runs, replayed atomic.Int64
 	opts.OnProgress = func(p sim.RunProgress) {
 		runs.Add(1)
-		if p.Served == "journal" {
+		if p.Served == "cache" {
 			replayed.Add(1)
 		}
 	}
@@ -177,6 +185,6 @@ func TestExtFJournalResumeIdenticalRows(t *testing.T) {
 		t.Fatalf("resumed rows diverged:\n got: %+v\nwant: %+v", resumed, fresh)
 	}
 	if runs.Load() == 0 || replayed.Load() != runs.Load() {
-		t.Fatalf("resume replayed %d of %d windows from the journal, want all", replayed.Load(), runs.Load())
+		t.Fatalf("rerun served %d of %d windows from the store, want all", replayed.Load(), runs.Load())
 	}
 }

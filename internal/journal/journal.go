@@ -1,26 +1,17 @@
-// Package journal provides the crash-resumable run log underlying long
-// campaigns and fuzz sessions. A journal is a JSONL file: one header line
-// identifying the workload (kind + a key fingerprinting the parameters that
-// determine run identity), followed by one envelope line per completed work
-// item. Appends are batched and fsync'd so that after a crash or SIGKILL at
-// most the last unsynced batch is lost — and a torn trailing line (the write
-// that was in flight when the process died) is tolerated and discarded on
-// resume.
+// Package journal provides a positional, fsync-batched JSONL run log. A
+// journal is a JSONL file: one header line identifying the workload (kind +
+// a key fingerprinting the parameters that determine run identity),
+// followed by one envelope line per completed work item. Appends are
+// batched and fsync'd so that after a crash or SIGKILL at most the last
+// unsynced batch is lost — and a torn trailing line (the write that was in
+// flight when the process died) is tolerated and discarded on resume.
 //
-// Resume correctness rests on two properties the callers uphold:
-//
-//   - run identity is positional: item i means the same injection/program in
-//     the resumed process as in the crashed one. The Key fingerprint is how
-//     a journal refuses to resume a *different* workload (changed sites,
-//     different benchmark, different budget) whose indices would silently
-//     alias.
-//   - the record replays everything the run contributed to shared state
-//     (tables, metrics registries), so a resumed campaign is byte-identical
-//     to an uninterrupted one. The journal stores what the caller gives it;
-//     designing records that replay exactly is the caller's contract.
-//
-// Worker count is deliberately NOT part of the key: a journal written with
-// -parallel 8 resumes under -parallel 1 and vice versa.
+// No campaign, fuzz session or served job journals any more: they resume
+// from the content-addressed run store (internal/runcache), whose cells
+// cannot be served to a run they were not written for. The package remains
+// only for the benchmark's journal.append_sync_s probe (bjbench/serve.go)
+// and goes once that probe times the store write instead. It takes no
+// lock: a journal has one writer by construction.
 package journal
 
 import (
@@ -112,13 +103,6 @@ func (j *Journal[R]) SetSyncEvery(n int) {
 // different workload and resuming from it would alias unrelated runs.
 var ErrKeyMismatch = errors.New("journal: header does not match this workload")
 
-// ErrLocked is returned by Open when another live process holds the journal:
-// two processes resuming the same journal would interleave appends and
-// corrupt positional run identity, so the second opener fails fast instead.
-// The lock is advisory and dies with the holder's file descriptor, so a
-// SIGKILLed process never leaves a stale lock behind.
-var ErrLocked = errors.New("journal: journal is locked by another process")
-
 // Open opens (creating if absent) the journal at path for the given
 // workload identity and returns the journal plus the records already
 // present, keyed by item index. The journal keeps those records for replay
@@ -141,9 +125,6 @@ func Open[R any](path string, hdr Header) (*Journal[R], map[int]R, error) {
 
 // open is Open past the file open; the caller closes f on error.
 func open[R any](f *os.File, hdr Header) (*Journal[R], error) {
-	if err := lockFile(f); err != nil {
-		return nil, err
-	}
 	info, err := f.Stat()
 	if err != nil {
 		return nil, err

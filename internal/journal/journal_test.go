@@ -247,31 +247,6 @@ func TestSyncFlushesPartialBatch(t *testing.T) {
 	j.Close()
 }
 
-func TestSecondOpenFailsFastWhileLocked(t *testing.T) {
-	if runtime.GOOS == "windows" || runtime.GOOS == "plan9" {
-		t.Skip("flock exclusivity is unix-only")
-	}
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, _, err := Open[rec](path, hdr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second opener — the "two processes resuming the same journal"
-	// hazard — must fail fast with the typed error, not interleave appends.
-	if _, _, err := Open[rec](path, hdr()); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second Open while locked: err = %v, want ErrLocked", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close releases the lock: the journal is resumable again.
-	j2, _, err := Open[rec](path, hdr())
-	if err != nil {
-		t.Fatalf("reopen after Close: %v", err)
-	}
-	j2.Close()
-}
-
 // TestMain doubles as the kill-writer helper process: when the env var
 // names a journal path, this process appends records forever until the
 // parent test SIGKILLs it mid-loop.

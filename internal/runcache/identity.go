@@ -1,5 +1,9 @@
-// Package runcache provides the on-disk content-addressable run cache and
-// the canonical run-identity encoder shared with the journal layer.
+// Package runcache provides the on-disk content-addressable run store and
+// the canonical run-identity encoder. The store is both the cache and the
+// only resume mechanism: campaigns, fuzz sessions and served jobs write
+// every completed cell to it, durably, before reporting the cell, so
+// rerunning the same command on the same store serves every cell an
+// interrupted session finished and simulates only the rest.
 //
 // A run's identity is the ordered list of `key=value` parts that determine
 // its outcome: program generator and seed (or a content fingerprint),
@@ -9,13 +13,11 @@
 // proves it), so two runs with equal identity produce bit-identical
 // outcomes — which is exactly what makes outcome memoization sound.
 //
-// The same Identity feeds three consumers:
-//
-//   - Hash64 folds the parts through FNV-64a with NUL separators for the
-//     journal header key.
-//   - Parts returns the human-readable parts so journal headers can report
-//     *which* parameter changed on a resume mismatch.
-//   - ID hashes the parts through SHA-256 for cache entry addressing.
+// ID hashes an Identity's parts through SHA-256 for entry addressing, so a
+// cell can only be served to a run whose every part is equal: a cell
+// written for one campaign is never served to another. Parts returns the
+// human-readable parts, and DiffParts names the first one two identities
+// differ in.
 package runcache
 
 import (
@@ -23,7 +25,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 )
 
 // Identity is an ordered list of `key=value` parts defining run identity.
@@ -70,17 +71,6 @@ func (id *Identity) AddJSON(key string, v any) *Identity {
 // Parts returns a copy of the ordered `key=value` parts.
 func (id *Identity) Parts() []string {
 	return append([]string(nil), id.parts...)
-}
-
-// Hash64 folds the parts through FNV-64a with NUL separators between
-// parts: the journal header key.
-func (id *Identity) Hash64() uint64 {
-	h := fnv.New64a()
-	for _, p := range id.parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
 }
 
 // ID returns the SHA-256 hex digest of the NUL-separated parts: the cache

@@ -22,7 +22,8 @@ import (
 // a cached outcome change (record schema, classification rules, pipeline
 // timing) so every stale entry is refused on read and refilled live.
 // 3: campaign records carry their path reason, and keys follow the shared
-// campaign identity schema.
+// campaign identity schema. Fuzz-session cells (one per program) follow the
+// same rule: a change to what a fuzz record means bumps the epoch too.
 const FormatEpoch = 3
 
 // EnvDir is the environment variable that opts a machine into caching:
@@ -59,11 +60,12 @@ type Stats struct {
 	VerifyDivergences uint64
 }
 
-// Store is an on-disk content-addressable cache of run outcomes. Entries
-// are addressed by Identity.ID (SHA-256), written atomically
-// (write-temp-fsync-rename) with a checksummed envelope, and evicted
-// oldest-mtime-first when the store exceeds its size bound. Get and Put
-// are safe for concurrent use.
+// Store is an on-disk content-addressable store of run outcomes. Entries
+// are addressed by Identity.ID (SHA-256), written atomically and durably
+// (write-temp-fsync-rename, then fsync the directory) with a checksummed
+// envelope, and evicted oldest-mtime-first when the store exceeds its size
+// bound; an evicted cell is simulated again on its next request, which
+// costs time, never results. Get and Put are safe for concurrent use.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -150,7 +152,10 @@ func (s *Store) Get(id *Identity, out any) bool {
 }
 
 // Put stores v as the entry for id, replacing any existing entry, then
-// evicts oldest entries if the store exceeds its size bound.
+// evicts oldest entries if the store exceeds its size bound. The entry is
+// durable when Put returns: its file is fsync'd before the rename and its
+// directory after, so a caller that reports a stored cell only after Put
+// loses no reported cell to a crash.
 func (s *Store) Put(id *Identity, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -189,6 +194,9 @@ func (s *Store) Put(id *Identity, v any) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: commit entry: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("runcache: commit entry: %w", err)
+	}
 	s.puts.Add(1)
 	s.mu.Lock()
 	s.curBytes += int64(len(blob)) - oldSize
@@ -198,6 +206,19 @@ func (s *Store) Put(id *Identity, v any) error {
 		s.evict()
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // removeEntry deletes a cache file and keeps byte accounting consistent.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,8 +87,8 @@ func spawnCrashServer(t *testing.T, stateDir string) (*exec.Cmd, string) {
 }
 
 // countRunEvents drains the non-blocking event feed and reports run events
-// and how many were served from the journal.
-func countRunEvents(t *testing.T, base, id string) (runs, fromJournal int) {
+// and how many were served from the job's run store.
+func countRunEvents(t *testing.T, base, id string) (runs, fromStore int) {
 	t.Helper()
 	resp, err := http.Get(base + "/api/v1/jobs/" + id + "/events?wait=false")
 	if err != nil {
@@ -101,18 +103,18 @@ func countRunEvents(t *testing.T, base, id string) (runs, fromJournal int) {
 		}
 		if e.Kind == "run" {
 			runs++
-			if e.Served == "journal" {
-				fromJournal++
+			if e.Served == "cache" {
+				fromStore++
 			}
 		}
 	}
-	return runs, fromJournal
+	return runs, fromStore
 }
 
 // The acceptance criterion, end to end: SIGKILL the server mid-campaign,
 // restart on the same state dir, and the job completes with an outcome
 // table byte-identical to an uninterrupted batch run — with the completed
-// prefix replayed from the journal, not re-simulated.
+// prefix served from the job's run store, not re-simulated.
 func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
@@ -133,7 +135,7 @@ func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Wait until some runs completed (journal has a prefix), then SIGKILL.
+	// Wait until some runs completed (the store has a prefix), then SIGKILL.
 	deadline := time.Now().Add(60 * time.Second)
 	progressed := 0
 	for time.Now().Before(deadline) {
@@ -152,7 +154,7 @@ func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 	}
 	cmd1.Wait()
 	if progressed >= 16 {
-		t.Logf("note: campaign finished before the kill (%d runs); resume still exercised via journal replay", progressed)
+		t.Logf("note: campaign finished before the kill (%d runs); resume still exercised via the run store", progressed)
 	}
 
 	// Restart on the same state dir: the job must resume and complete.
@@ -182,13 +184,13 @@ func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 		t.Fatalf("job did not complete after restart: %+v", got)
 	}
 
-	// Journal replay, not re-simulation, must have covered the prefix.
-	runs, fromJournal := countRunEvents(t, base, job.ID)
+	// The run store, not re-simulation, must have covered the prefix.
+	runs, fromStore := countRunEvents(t, base, job.ID)
 	if runs != 16 {
 		t.Errorf("restart streamed %d run events, want 16", runs)
 	}
-	if fromJournal == 0 {
-		t.Error("no runs served from the journal after restart; the completed prefix was re-simulated or lost")
+	if fromStore == 0 {
+		t.Error("no runs served from the run store after restart; the completed prefix was re-simulated or lost")
 	}
 
 	r, err := http.Get(base + "/api/v1/jobs/" + job.ID + "/result")
@@ -222,48 +224,85 @@ func TestSIGKILLMidCampaignResumesByteIdentical(t *testing.T) {
 	}
 }
 
-// Two servers on one state directory: the second must fail the job (journal
-// flock), not interleave appends with the first. This drives the journal
-// exclusivity satellite end to end.
+// Two servers on one state directory: the second New fails, naming the
+// lock, instead of requeueing the first server's running job and running it
+// alongside; the job finishes on the first server with the batch table.
+// Once the first server drains, the directory can be opened again.
 func TestSecondServerCannotStealRunningJob(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, Options{StateDir: dir, Workers: 1})
 	s1.Start()
-	defer s1.Drain(context.Background())
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 
-	j := submit(t, ts1, `{"benchmark": "gzip", "instructions": 300000, "sites": "latent", "parallel": 1, "cache": "off"}`)
-
-	// Wait until the first server holds the journal.
-	journalPath := filepath.Join(jobDir(dir, j.ID), "runs.journal")
+	j := submit(t, ts1, `{"benchmark": "gzip", "instructions": 20000, "sites": "latent", "parallel": 1, "cache": "off"}`)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := os.Stat(journalPath); err == nil {
+		if got, _ := s1.Job(j.ID); got.State != StateQueued {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// A second server over the same state dir requeues the "running" job,
-	// but its executor must hit the flock and fail the attempt rather than
-	// corrupt the journal.
-	s2 := newTestServer(t, Options{StateDir: dir, Workers: 1})
-	s2.Start()
-	defer s2.Drain(context.Background())
-	deadline = time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		j2, ok := s2.Job(j.ID)
-		if ok && j2.State.terminal() {
-			if j2.State == StateDone {
-				t.Fatal("second server completed a job whose journal the first held")
-			}
-			if !strings.Contains(j2.Detail, "locked") {
-				t.Errorf("failure detail %q does not surface the lock", j2.Detail)
-			}
-			return
+	if s2, err := New(Options{StateDir: dir, Workers: 1}); !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), "lock") {
+		if s2 != nil {
+			s2.Drain(context.Background())
 		}
-		time.Sleep(10 * time.Millisecond)
+		t.Fatalf("second New on a held state dir: err = %v, want an error naming the lock", err)
 	}
-	t.Fatal("second server neither failed nor finished the contended job")
+
+	waitState(t, s1, j.ID, StateDone)
+	_, got := getBody(t, ts1.URL+"/api/v1/jobs/"+j.ID+"/result")
+	cfg := blackjack.DefaultConfig(blackjack.ModeBlackJack, 20000)
+	cfg.Parallel = 1
+	cfg.Resilience = blackjack.Resilience{Isolate: true}
+	sum, err := blackjack.Campaign(cfg, "gzip", blackjack.LatentFaultSites(cfg.Machine), blackjack.InjectOptions{SplitPayload: true})
+	if err != nil {
+		t.Fatalf("batch campaign: %v", err)
+	}
+	var want strings.Builder
+	if err := blackjack.WriteCampaignTable(&want, cfg.Mode, "gzip", sum); err != nil {
+		t.Fatal(err)
+	}
+	if got != want.String() {
+		t.Errorf("job result differs from the batch run:\n--- served ---\n%s--- batch ---\n%s", got, want.String())
+	}
+
+	s1.Drain(context.Background())
+	s3, err := New(Options{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("New after the holder drained: %v", err)
+	}
+	s3.Drain(context.Background())
+}
+
+// The state-directory lock is exclusive while held and free once closed:
+// a SIGKILLed server's lock dies with its file descriptor.
+func TestSecondOpenFailsFastWhileLocked(t *testing.T) {
+	if runtime.GOOS == "windows" || runtime.GOOS == "plan9" {
+		t.Skip("flock exclusivity is unix-only")
+	}
+	path := filepath.Join(t.TempDir(), "lock")
+	open := func() *os.File {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	held := open()
+	if err := lockFile(held); err != nil {
+		t.Fatal(err)
+	}
+	second := open()
+	if err := lockFile(second); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second lock while held: err = %v, want ErrLocked", err)
+	}
+	second.Close()
+	held.Close()
+	again := open()
+	defer again.Close()
+	if err := lockFile(again); err != nil {
+		t.Fatalf("lock after the holder closed: %v", err)
+	}
 }

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// Event is one NDJSON/SSE progress record. Run events are sourced from the
-// same journal records that make jobs crash-resumable: every completed run
-// — live, journal-replayed on resume, or cache-served — emits exactly one.
+// Event is one NDJSON/SSE progress record. Every completed run — live or
+// served from the job's run store — emits exactly one run event, after the
+// run is durable in that store, the record that makes jobs
+// crash-resumable.
 type Event struct {
 	// Seq is the job-local sequence number (monotonic from 1); resumed
 	// subscriptions pass the last seen Seq to continue without gaps.
@@ -30,8 +31,8 @@ type Event struct {
 	Site    string `json:"site,omitempty"`
 	Outcome string `json:"outcome,omitempty"`
 	// Served says where the result came from: cold, warm, forked,
-	// fast-forward (live execution paths), journal (resume replay), or
-	// cache (run-cache hit).
+	// fast-forward (live execution paths), or cache (a run-store hit, which
+	// is how a resumed job's finished runs come back).
 	Served string `json:"served,omitempty"`
 	// Reason says why a campaign run took its path (sim.RunProgress.Reason).
 	Reason string `json:"reason,omitempty"`

@@ -11,6 +11,7 @@ import (
 	"blackjack/internal/diffcheck"
 	"blackjack/internal/fault"
 	"blackjack/internal/pipeline"
+	"blackjack/internal/runcache"
 	"blackjack/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	prevDetail := j.Detail
 	j.Attempt++
-	j.Done = 0 // progress counters restart; journal replays re-count instantly
+	j.Done = 0 // progress counters restart; stored runs re-count instantly
 	s.transitionLocked(j, StateRunning, "")
 	s.mu.Unlock()
 
@@ -53,8 +54,8 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.Counter("serve.tenant." + j.Spec.Tenant + ".jobs_completed").Inc()
 
 	case s.rootCtx.Err() != nil:
-		// Server drain, not a job failure: checkpoint (the run journals
-		// already hold every completed run) and leave the job resumable.
+		// Server drain, not a job failure: the job's run store already
+		// holds every completed run, so the job stays resumable.
 		s.transitionLocked(j, StateDraining, "server draining; job resumes on restart")
 
 	case errors.Is(err, context.DeadlineExceeded) && j.Attempt <= j.Spec.Retries:
@@ -112,23 +113,40 @@ func sameFailure(prevDetail string, err error) bool {
 // execute dispatches on job type and returns the rendered result — the
 // exact bytes the equivalent batch CLI would print to stdout.
 func (s *Server) execute(ctx context.Context, j *Job) (string, error) {
+	store, err := s.jobStore(j)
+	if err != nil {
+		return "", err
+	}
 	switch j.Spec.Type {
 	case JobCampaign:
 		var out strings.Builder
-		err := s.execCampaign(ctx, j, &out, j.Spec.Benchmark, j.Spec.Mode, "runs.journal", 0)
+		err := s.execCampaign(ctx, j, store, &out, j.Spec.Benchmark, j.Spec.Mode, 0)
 		return out.String(), err
 	case JobSweep:
-		return s.execSweep(ctx, j)
+		return s.execSweep(ctx, j, store)
 	case JobFuzz:
-		return s.execFuzz(ctx, j)
+		return s.execFuzz(ctx, j, store)
 	default:
 		return "", fmt.Errorf("unknown job type %q", j.Spec.Type)
 	}
 }
 
+// jobStore returns the run store a job's runs are kept in, which is also
+// how the job resumes after a drain, a requeue or a crash: the server's
+// shared store, or a private one under the job's directory when the spec
+// turns the cache off or the server has none. Every run is durable there
+// before its progress event fires, so SIGKILL at any instant loses no
+// reported run.
+func (s *Server) jobStore(j *Job) (*runcache.Store, error) {
+	if j.Spec.Cache != "off" && s.cache != nil {
+		return s.cache, nil
+	}
+	return runcache.Open(filepath.Join(jobDir(s.opts.StateDir, j.ID), "runs"), 0)
+}
+
 // baseConfig translates the spec into the harness Config with the full
-// Resilience envelope attached.
-func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode pipeline.Mode) sim.Config {
+// Resilience envelope attached and store as its run store.
+func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode pipeline.Mode, store *runcache.Store) sim.Config {
 	cfg := sim.Default(mode, spec.Instructions)
 	cfg.Ctx = ctx
 	cfg.Parallel = spec.Parallel
@@ -140,19 +158,17 @@ func (s *Server) baseConfig(ctx context.Context, spec *Spec, mode pipeline.Mode)
 		Retries:    spec.RunRetries,
 		RunTimeout: time.Duration(spec.RunTimeout),
 	}
-	if spec.Cache != "off" && s.cache != nil {
-		cfg.Cache = s.cache
-		if spec.Cache == "verify" {
-			cfg.CacheVerify = spec.CacheVerify
-		}
+	cfg.Cache = store
+	if spec.Cache == "verify" {
+		cfg.CacheVerify = spec.CacheVerify
 	}
 	return cfg
 }
 
-// execCampaign runs one benchmark × mode campaign cell with a crash-safe
-// journal and streams per-run progress. The rendered table is byte-for-byte
+// execCampaign runs one benchmark × mode campaign cell on the job's run
+// store and streams per-run progress. The rendered table is byte-for-byte
 // what `bjfault` prints for the same work.
-func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder, bench, modeName, journalName string, totalBase int) error {
+func (s *Server) execCampaign(ctx context.Context, j *Job, store *runcache.Store, out *strings.Builder, bench, modeName string, totalBase int) error {
 	mode, err := pipeline.ParseMode(modeName)
 	if err != nil {
 		return err
@@ -161,7 +177,7 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 	if err != nil {
 		return err
 	}
-	cfg := s.baseConfig(ctx, j.Spec, mode)
+	cfg := s.baseConfig(ctx, j.Spec, mode, store)
 	var sites []fault.Site
 	if j.Spec.Sites == "latent" {
 		sites = sim.LatentSites(cfg.Machine)
@@ -176,12 +192,6 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 			Served: p.Served, Reason: p.Reason})
 		s.noteRun(j, totalBase+p.Total)
 	}
-	// The campaign resumes its journal: a prior attempt's (or prior server
-	// incarnation's) completed runs replay instead of re-simulating, and the
-	// flock means a second server on the same state dir fails fast instead
-	// of interleaving appends. OnProgress is set, so every record fsyncs
-	// before its progress event fires — SIGKILL at any instant loses nothing.
-	cfg.JournalPath = filepath.Join(jobDir(s.opts.StateDir, j.ID), journalName)
 	sum, err := sim.Campaign(cfg, bench, sites, sim.InjectOptions{SplitPayload: true})
 	if err != nil {
 		return err
@@ -189,16 +199,15 @@ func (s *Server) execCampaign(ctx context.Context, j *Job, out *strings.Builder,
 	return sim.WriteCampaignTable(out, cfg.Mode, bench, sum)
 }
 
-// execSweep runs the benchmarks × modes grid as independent campaign cells,
-// each with its own journal, concatenating the tables in grid order — the
-// same bytes as running bjfault once per cell.
-func (s *Server) execSweep(ctx context.Context, j *Job) (string, error) {
+// execSweep runs the benchmarks × modes grid as independent campaigns on
+// the job's run store, concatenating the tables in grid order — the same
+// bytes as running bjfault once per grid point.
+func (s *Server) execSweep(ctx context.Context, j *Job, store *runcache.Store) (string, error) {
 	var out strings.Builder
 	base := 0
 	for _, bench := range j.Spec.Benchmarks {
 		for _, modeName := range j.Spec.Modes {
-			jn := fmt.Sprintf("runs-%s-%s.journal", bench, modeName)
-			if err := s.execCampaign(ctx, j, &out, bench, modeName, jn, base); err != nil {
+			if err := s.execCampaign(ctx, j, store, &out, bench, modeName, base); err != nil {
 				return "", err
 			}
 			base = s.jobTotal(j)
@@ -207,15 +216,16 @@ func (s *Server) execSweep(ctx context.Context, j *Job) (string, error) {
 	return out.String(), nil
 }
 
-// execFuzz runs a differential-fuzzing session with a crash-safe journal,
+// execFuzz runs a differential-fuzzing session on the job's run store,
 // rendering the summary lines bjfuzz prints.
-func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
+func (s *Server) execFuzz(ctx context.Context, j *Job, store *runcache.Store) (string, error) {
 	opts := diffcheck.FuzzOptions{
 		Programs: j.Spec.Programs,
 		Seed:     j.Spec.Seed,
 		MaxInstr: j.Spec.Instructions,
 		Workers:  j.Spec.Parallel,
 		Ctx:      ctx,
+		Cache:    store,
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = s.opts.RunParallel
@@ -228,10 +238,10 @@ func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
 		opts.Variant = &v
 	}
 	h := s.hub(j.ID)
-	opts.OnProgress = func(index int, resumed bool, divergences int) {
+	opts.OnProgress = func(index int, cached bool, divergences int) {
 		served := "cold"
-		if resumed {
-			served = "journal"
+		if cached {
+			served = "cache"
 		}
 		outcome := "ok"
 		if divergences > 0 {
@@ -241,7 +251,6 @@ func (s *Server) execFuzz(ctx context.Context, j *Job) (string, error) {
 			Index: index, Total: j.Spec.Programs, Outcome: outcome, Served: served})
 		s.noteRun(j, j.Spec.Programs)
 	}
-	opts.JournalPath = filepath.Join(jobDir(s.opts.StateDir, j.ID), "fuzz.journal")
 	sum, err := diffcheck.Fuzz(opts)
 	if err != nil {
 		return "", err

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -203,10 +202,10 @@ func (r matrixRow) mustCampaign(t *testing.T, cfg sim.Config) *matrixPass {
 }
 
 // operational strips the summary counters that say how runs were served
-// (journal, cache, retries), not what they found.
+// (store, retries), not what they found.
 func operational(s *sim.CampaignSummary) sim.CampaignSummary {
 	c := *s
-	c.Resumed, c.CacheHits, c.Retried = 0, 0, 0
+	c.CacheHits, c.Retried = 0, 0
 	return c
 }
 
@@ -242,17 +241,18 @@ func sampledMatch(t *testing.T, want, got *matrixPass) {
 }
 
 // matrixColumn is one way of serving runs: a live plan, or a replay of the
-// ff+ckpt plan from the run cache or the journal, or a served job.
+// ff+ckpt plan from a warm run store or a store an interrupted pass left,
+// or a served job.
 type matrixColumn struct {
 	name   string
 	plan   matrixPlan
-	source string // "live", "cache", "journal" or "served"
+	source string // "live", "cache", "resume" or "served"
 	// ran proves the cell's path served its runs; without it, a cell that
 	// compares cold with cold would pass.
 	ran func(t *testing.T, r matrixRow, p *matrixPass)
 }
 
-// replayed is the plan the cache and journal columns replay: its records
+// replayed is the plan the cache and resume columns replay: its records
 // carry every path (warm, fast-forward, forked, converged, cold).
 var replayed = matrixPlan{ckpt: 500, ff: true}
 
@@ -298,9 +298,12 @@ var matrixColumns = []matrixColumn{
 			t.Errorf("CacheHits = %d, want %d", p.sum.CacheHits, len(r.sites))
 		}
 	}},
-	{"journal-resume", replayed, "journal", func(t *testing.T, r matrixRow, p *matrixPass) {
-		if p.sum.Resumed < 1 {
-			t.Error("Resumed = 0: no run replayed from the journal")
+	// The column resumes from the run store. It keeps the name it had when
+	// campaigns resumed from a journal, so its test IDs stay comparable
+	// across commits.
+	{"journal-resume", replayed, "resume", func(t *testing.T, r matrixRow, p *matrixPass) {
+		if p.sum.CacheHits < 1 {
+			t.Error("CacheHits = 0: no run served from the interrupted pass's store")
 		}
 	}},
 	{"served", matrixPlan{}, "served", nil},
@@ -341,8 +344,8 @@ func ranFF(t *testing.T, r matrixRow, p *matrixPass) {
 //     class and activated flag; on lists fast-forward can serve none of,
 //     the two sampled plans run only bit-exact paths under the same stop
 //     at the first detection, so they agree exactly;
-//   - cache-warm and journal-resume replay the ff+ckpt plan exactly,
-//     metrics included;
+//   - cache-warm and journal-resume (a rerun on the store an interrupted
+//     pass left) replay the ff+ckpt plan exactly, metrics included;
 //   - a served job's result is the batch table byte for byte;
 //   - in every live column, each site injected alone (sim.Inject) equals
 //     its row of the campaign exactly, at 1 worker.
@@ -397,8 +400,8 @@ func TestCampaignPathMatrix(t *testing.T) {
 							}
 						case "cache":
 							p = r.cacheWarm(t, col.plan, w)
-						case "journal":
-							p = r.journalResume(t, col.plan, w, livePass(t, col.plan, w))
+						case "resume":
+							p = r.storeResume(t, col.plan, w, livePass(t, col.plan, w))
 						}
 						if t.Failed() {
 							t.FailNow()
@@ -472,15 +475,18 @@ func (r matrixRow) cacheWarm(t *testing.T, plan matrixPlan, workers int) *matrix
 	return warm
 }
 
-// journalResume journals a pass that is cancelled after 3/4 of its runs
-// completed and resumes the journal at the other worker count. The resumed
-// campaign must reproduce the uninterrupted live pass exactly, metrics
-// included.
-func (r matrixRow) journalResume(t *testing.T, plan matrixPlan, workers int, want *matrixPass) *matrixPass {
+// storeResume runs a pass on a fresh run store, cancels it after 3/4 of
+// its runs completed, and reruns it on the same store at the other worker
+// count. The resumed campaign must reproduce the uninterrupted live pass
+// exactly, metrics included.
+func (r matrixRow) storeResume(t *testing.T, plan matrixPlan, workers int, want *matrixPass) *matrixPass {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "campaign.journal")
+	store, err := runcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := r.config(plan, workers)
-	cfg.JournalPath = path
+	cfg.Cache = store
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Ctx = ctx
@@ -500,7 +506,7 @@ func (r matrixRow) journalResume(t *testing.T, plan matrixPlan, workers int, wan
 		other = matrixWorkers[1]
 	}
 	cfg = r.config(plan, other)
-	cfg.JournalPath = path
+	cfg.Cache = store
 	p := r.mustCampaign(t, cfg)
 	exactMatch(t, want, p)
 	if p.metrics != want.metrics {

@@ -18,8 +18,9 @@ import (
 // in a temp-style state dir the caller supplies, with two executor slots
 // and a 64-job queue.
 type Options struct {
-	// StateDir is the durable root: specs, state journals, run journals,
-	// and rendered results all live under it. Required.
+	// StateDir is the durable root: specs, state journals, private run
+	// stores and rendered results all live under it, and one server at a
+	// time holds it (ErrLocked). Required.
 	StateDir string
 	// Workers is the number of executor slots — jobs running
 	// concurrently. Each job's internal fan-out is its own Parallel
@@ -32,7 +33,8 @@ type Options struct {
 	// RunParallel is the default per-job worker fan-out when the spec
 	// leaves parallel at 0 (<= 0 keeps the harness NumCPU default).
 	RunParallel int
-	// CacheDir attaches the content-addressable run cache ("" disables).
+	// CacheDir attaches the shared content-addressable run store ("": none,
+	// so every job runs on a private store under its job directory).
 	CacheDir string
 	// DefaultDeadline bounds each job attempt when the spec has no
 	// deadline (0 = unbounded attempts).
@@ -49,12 +51,22 @@ var ErrOverCapacity = errors.New("serve: queue at capacity")
 // ErrDraining is returned by Submit once shutdown has begun (HTTP 503).
 var ErrDraining = errors.New("serve: server is draining")
 
+// ErrLocked is returned by New when another live server holds the state
+// directory: two servers would run the same jobs at once and interleave
+// their state journals, so the second fails fast instead. The lock is
+// advisory and dies with the holder's file descriptor, so a SIGKILLed
+// server never leaves a stale lock behind.
+var ErrLocked = errors.New("serve: state directory is locked by another server")
+
 // Server is the campaign service: admission control, weighted-fair
 // scheduling, a bounded executor, durable job state, and event fan-out.
 // Create with New, start the executor with Start, stop with Drain.
 type Server struct {
 	opts  Options
 	cache *runcache.Store
+	// lock holds the state directory's flock from New until Drain finds
+	// every executor slot stopped.
+	lock *os.File
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -71,11 +83,13 @@ type Server struct {
 	timers  map[*time.Timer]struct{} // pending requeue backoffs
 }
 
-// New loads the state directory and recovers every persisted job: terminal
-// jobs become queryable history, incomplete ones (queued, running, or
-// draining at crash time) are requeued — their run journals make the replay
-// free. No goroutines start until Start.
-func New(opts Options) (*Server, error) {
+// New locks and loads the state directory and recovers every persisted
+// job: terminal jobs become queryable history, incomplete ones (queued,
+// running, or draining at crash time) are requeued — every run they
+// finished is in their run store, so the replay is free. A state
+// directory another server holds is refused with ErrLocked. No goroutines
+// start until Start.
+func New(opts Options) (s *Server, err error) {
 	if opts.StateDir == "" {
 		return nil, errors.New("serve: Options.StateDir is required")
 	}
@@ -91,8 +105,22 @@ func New(opts Options) (*Server, error) {
 	if err := os.MkdirAll(filepath.Join(opts.StateDir, "jobs"), 0o755); err != nil {
 		return nil, err
 	}
-	s := &Server{
+	lock, err := os.OpenFile(filepath.Join(opts.StateDir, "lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := lockFile(lock); err != nil {
+		lock.Close()
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	s = &Server{
 		opts:    opts,
+		lock:    lock,
 		jobs:    map[string]*Job{},
 		hubs:    map[string]*hub{},
 		sched:   newScheduler(),
@@ -123,7 +151,7 @@ func New(opts Options) (*Server, error) {
 			continue
 		}
 		// queued, running, or draining at crash/drain time: requeue. The
-		// run journal replays completed work, so nothing is lost.
+		// run store serves completed work, so nothing is lost.
 		if j.State != StateQueued {
 			s.transitionLocked(j, StateQueued, "resumed after restart")
 		}
@@ -298,9 +326,11 @@ func (s *Server) executorLoop() {
 }
 
 // Drain performs the bounded graceful shutdown: stop admitting, cancel
-// running jobs (their campaigns stop at the next run boundary and flush
-// journals), wait for executor slots up to ctx's deadline, and report how
-// many jobs remain incomplete (resumable on restart).
+// running jobs (their campaigns stop at the next run boundary; every
+// finished run is already stored), wait for executor slots up to ctx's
+// deadline, and report how many jobs remain incomplete (resumable on
+// restart). Once every slot has stopped it releases the state directory's
+// lock; past the deadline the lock stays with the process.
 func (s *Server) Drain(ctx context.Context) int {
 	s.mu.Lock()
 	s.draining = true
@@ -321,6 +351,7 @@ func (s *Server) Drain(ctx context.Context) int {
 	for {
 		select {
 		case <-done:
+			s.lock.Close()
 			return s.incomplete()
 		case <-ctx.Done():
 			return s.incomplete()

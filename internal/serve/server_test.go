@@ -13,8 +13,9 @@ import (
 	"blackjack/internal/diffcheck"
 )
 
-// newTestServer builds a server over a temp state dir. Caches are off by
-// default so tests exercise live execution; crash tests exercise journals.
+// newTestServer builds a server over a temp state dir. No shared cache by
+// default, so every job runs live on its private run store, which crash
+// tests resume from.
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	if opts.StateDir == "" {
@@ -420,8 +421,8 @@ func TestSubmitRejectsNonJSONSpec(t *testing.T) {
 	}
 }
 
-// A fuzz job runs, journals, and renders exactly the summary bjfuzz prints
-// for the same session.
+// A fuzz job runs, stores its programs, and renders exactly the summary
+// bjfuzz prints for the same session.
 func TestFuzzJob(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	s.Start()

@@ -3,7 +3,7 @@
 // job specs (JSON), validates them on admission with typed
 // field-level errors, runs them on a bounded executor whose per-job fan-out
 // is the same internal/parallel pool the CLIs use, and streams progress as
-// NDJSON/SSE events sourced from the journal records each job writes.
+// NDJSON/SSE events, one per run once the run is in the job's run store.
 //
 // Robustness is the package's contract, not a feature:
 //
@@ -18,14 +18,16 @@
 //     backoff, deterministic ones are quarantined.
 //   - Crash safety: each job persists as a journal-backed state machine
 //     (queued → running → draining → done/failed/quarantined) under the
-//     state directory, and run journals fsync every record before its
-//     progress event fires.
-//     SIGKILL mid-campaign loses nothing: restart resumes every incomplete
-//     job at any worker count and completed work is never re-simulated.
+//     state directory, which one server at a time holds (ErrLocked). Every
+//     run is durable in the job's run store — the shared store, or a
+//     private one under the job's directory — before its progress event
+//     fires. SIGKILL mid-campaign loses nothing: restart resumes every
+//     incomplete job at any worker count and completed work is never
+//     re-simulated.
 //
 // Output parity: a job's rendered outcome table is byte-identical to the
 // stdout of the equivalent batch CLI invocation, whatever mixture of live
-// execution, journal replay, and cache hits produced it.
+// execution and run-store hits produced it.
 package serve
 
 import (
@@ -46,8 +48,8 @@ const (
 	// JobCampaign is one fault-injection campaign: benchmark × mode ×
 	// site list, one run per site.
 	JobCampaign JobType = "campaign"
-	// JobSweep is a grid of campaigns (benchmarks × modes); each cell
-	// journals independently, so a sweep resumes at cell-and-run
+	// JobSweep is a grid of campaigns (benchmarks × modes); every run of
+	// every campaign is stored on its own, so a sweep resumes at run
 	// granularity.
 	JobSweep JobType = "sweep"
 	// JobFuzz is a differential-fuzzing session over n random programs.
@@ -110,7 +112,11 @@ type Spec struct {
 	RunRetries int `json:"run_retries"`
 
 	// Cache is the run-cache policy: "on" (default), "off", or "verify"
-	// (serve hits but re-execute a sample and fail on divergence).
+	// (serve hits but re-execute a sample and fail on divergence). "on"
+	// and "verify" run the job on the server's shared store, if it has
+	// one; "off", or a server without one, runs it on a private store
+	// under the job's directory, which nothing else reads. Either store
+	// is how the job resumes after a requeue, a drain or a crash.
 	Cache string `json:"cache"`
 	// CacheVerify is the verified fraction of cache hits under
 	// cache: verify (0 defaults to 0.1).

@@ -64,7 +64,7 @@ type Job struct {
 	Submitted time.Time `json:"submitted"`
 	// Updated is the latest transition time.
 	Updated time.Time `json:"updated"`
-	// Done counts completed runs (journal-replayed, cached, or live).
+	// Done counts completed runs (store-served or live).
 	Done int `json:"done"`
 	// Total is the job's run count (0 until first planned).
 	Total int `json:"total"`
@@ -74,7 +74,7 @@ type Job struct {
 //
 //	jobs/<id>/spec.json     the admitted spec (atomic write, immutable)
 //	jobs/<id>/state.jsonl   append-only transition journal (fsync'd)
-//	jobs/<id>/*.journal     campaign/fuzz run journals (crash-resumable)
+//	jobs/<id>/runs/         private run store (cache: off, or no shared store)
 //	jobs/<id>/result.txt    rendered outcome tables (atomic write)
 func jobDir(stateDir, id string) string { return filepath.Join(stateDir, "jobs", id) }
 

@@ -12,12 +12,13 @@ import (
 	"blackjack/internal/runcache"
 )
 
-// This file wires the content-addressable run cache (internal/runcache)
+// This file wires the content-addressable run store (internal/runcache)
 // into the simulation entry points. The canonical identity of a run is
-// built here — one schema shared by single runs, campaign cells (a
-// standalone injection is a one-site campaign) and the campaign journal
-// key (see campaignIdentity) — and cachedRun is the one cache tier every
-// entry point goes through.
+// built here — one schema shared by single runs and campaign cells (a
+// standalone injection is a one-site campaign; see campaignIdentity) — and
+// cachedRun is the one store tier every entry point goes through. The
+// store is also how an interrupted campaign resumes: cachedRun stores a
+// live cell before the campaign reports it.
 //
 // Soundness rests on determinism: given equal (program content, machine
 // config, mode, budget, fault site, execution plan) the simulator produces
@@ -86,15 +87,13 @@ func runIdentity(cfg Config, p *isa.Program, skip int) *runcache.Identity {
 // campaignIdentity is the identity prefix of one campaign: the shared
 // parameters plus the campaign execution plan (checkpoint interval,
 // fast-forward and its warmup lead — records carry path-choice figures
-// like ForkCycle and FFSkipped, which those parameters determine). The
-// journal key extends it with every window of the campaign
-// (openJournal); each cache cell key extends it with the program
-// content and the cell's own window (campaignRunner.serve), both through
-// addWindow. The surrounding site list is deliberately NOT part of a
-// cell's identity: path choice depends only on the cell's own sites and
-// the plan cadence, so equal cells are shared across campaigns and sweeps
-// — the incremental-sweep property (a one-parameter edit re-executes only
-// its own column).
+// like ForkCycle and FFSkipped, which those parameters determine). Each
+// cell key extends it with the program content and the cell's own window
+// (campaignRunner.serve, through addWindow). The surrounding site list is
+// deliberately NOT part of a cell's identity: path choice depends only on
+// the cell's own sites and the plan cadence, so equal cells are shared
+// across campaigns and sweeps — the incremental-sweep property (a
+// one-parameter edit re-executes only its own column).
 func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.Identity {
 	id := cfg.identity("campaign", program).
 		Addf("split", "%v", opts.SplitPayload).
@@ -110,9 +109,9 @@ func campaignIdentity(cfg Config, program string, opts InjectOptions) *runcache.
 
 // addWindow extends id with the campaign entry w of sites: every site of
 // the window, preceded, for a multi-site window, by its bounds. A one-site
-// window adds exactly the site part a per-site campaign always has, so
-// per-site cache cells and journals keep their keys; the bounds make a
-// regrouping of the same sites a different key.
+// window adds exactly the site part a per-site campaign always has, so a
+// one-site window shares its cell with the per-site campaign; the bounds
+// make any other regrouping of the same sites a different key.
 func addWindow(id *runcache.Identity, sites []fault.Site, w Window) *runcache.Identity {
 	if w.Hi-w.Lo > 1 {
 		id.Addf("window", "%d:%d", w.Lo, w.Hi)
@@ -140,7 +139,10 @@ func jsonCacheEqual(a, b any) bool {
 // live result to the form the cache holds and reports whether it may be
 // cached at all (nil: as is). A hit is always served in cache form; a miss
 // serves the live result itself. Cache I/O failures degrade to live
-// execution; they never fail the run.
+// execution; they never fail the run. A live result is stored before
+// cachedRun returns, so a caller that reports it afterwards reports a
+// durable cell (Put is best-effort: a failed Put only costs a resume the
+// rerun of that cell).
 func cachedRun[T any](cfg Config, id *runcache.Identity, live func() (T, error), form func(T) (T, bool)) (res T, hit, diverged bool, err error) {
 	var stored T
 	hit = cfg.Cache.Get(id, &stored)

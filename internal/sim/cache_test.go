@@ -132,7 +132,7 @@ func TestTraceAndMetricsRunsBypassCache(t *testing.T) {
 	}
 }
 
-// The program fingerprint is part of every run-cache and journal key, so
+// The program fingerprint is part of every run-store key, so
 // its values are pinned: a change to how it is computed must not move a
 // key. Streams ending just before, on and just after a hash-buffer
 // boundary must hash as writing one word at a time does.

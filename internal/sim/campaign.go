@@ -84,7 +84,7 @@ type InjectOptions struct {
 // (CampaignWindows).
 //
 // The injection is a one-site campaign (CampaignProgram), so it takes a
-// campaign's journal, cache and live chain and its run's plan path, and
+// campaign's store-then-live chain and its run's plan path, and
 // returns exactly the row any campaign over site reports under cfg: a
 // cell's result depends only on its own sites and the plan cadence. With
 // Trace or Metrics attached, the campaign observes its run's live machine
@@ -428,16 +428,14 @@ type CampaignSummary struct {
 	// exists (see RunFailure.Repro). Their
 	// Results entries carry OutcomeQuarantined.
 	Quarantined []RunFailure
-	// Resumed counts runs served from the journal instead of executed —
-	// reported here (and typically on stderr), never in the metrics
-	// registry, so resumed and uninterrupted campaigns stay byte-identical.
-	Resumed int
-	// Retried counts re-executions beyond each run's first attempt.
+	// Retried counts re-executions beyond each run's first attempt, in this
+	// session only: a store-served run reports none.
 	Retried int
-	// CacheHits counts runs served from Config.Cache instead of executed.
-	// Like Resumed, it is reported here (and typically on stderr), never
-	// in the metrics registry or the stdout table, so warm and cold
-	// campaigns stay byte-identical.
+	// CacheHits counts runs served from Config.Cache instead of executed,
+	// the cells a resumed campaign had already finished among them. It is
+	// reported here (and typically on stderr), never in the metrics
+	// registry or the stdout table, so warm, resumed and cold campaigns
+	// stay byte-identical.
 	CacheHits int
 }
 
@@ -518,10 +516,10 @@ type campaignWorker struct {
 	ff bool
 }
 
-// recordRecord accumulates one journalable run record: the classified
-// result plus path-choice and retry counters. This is the single place a
-// campaign run touches the registry, for both live and journal-replayed
-// runs — the property that makes resumed metrics byte-identical.
+// recordRecord accumulates one run record: the classified result plus
+// path-choice and retry counters. This is the single place a campaign run
+// touches the registry, for both live and store-served runs — the property
+// that makes resumed metrics byte-identical.
 // Quarantined runs contribute only campaign.quarantined* keys, so a
 // campaign's metrics over its healthy sites are unchanged by the presence
 // of quarantined ones.
@@ -582,10 +580,10 @@ func (w *campaignWorker) recordRecord(rec runRecord) {
 // reuses one detection sink across its runs.
 //
 // The resilience layer wraps every run: cfg.Resilience isolates, budgets
-// and retries failures; cfg.JournalPath makes the campaign resumable;
-// cfg.Ctx cancellation (SIGINT) drains the fan-out, merges the partial
-// per-worker registries into cfg.Metrics and syncs the journal before
-// returning the context's error.
+// and retries failures; cfg.Cache keeps every completed cell, so rerunning
+// on the same store resumes; cfg.Ctx cancellation (SIGINT) drains the
+// fan-out and merges the partial per-worker registries into cfg.Metrics
+// before returning the context's error.
 func CampaignProgram(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignSummary, error) {
 	return CampaignWindows(cfg, p, sites, nil, opts)
 }
@@ -598,12 +596,13 @@ type Window struct{ Lo, Hi int }
 
 // CampaignWindows is CampaignProgram with one run per window of sites
 // instead of one per site; nil windows means one window per site, exactly
-// CampaignProgram. Every window runs on the one result chain (journal,
-// cache, live run) under the one plan built over the whole site list, and
-// results come back in window order. The journal at cfg.JournalPath is
-// opened here, keyed by these very arguments, and closed before return.
-// A campaign runs many machines at once, so a config with Trace attached
-// is refused; cfg.Metrics receives the campaign.* counters.
+// CampaignProgram. Every window runs on the one result chain (run store,
+// then live run) under the one plan built over the whole site list, and
+// results come back in window order. A cell's store key is the campaign
+// identity plus the cell's own window, so a cell is only ever served to a
+// window of the same sites on the same plan. A campaign runs many
+// machines at once, so a config with Trace attached is refused;
+// cfg.Metrics receives the campaign.* counters.
 func CampaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []Window, opts InjectOptions) (*CampaignSummary, error) {
 	return campaignWindows(cfg, p, sites, windows, opts, false)
 }
@@ -617,15 +616,11 @@ func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 	switch {
 	case !observe && cfg.Trace != nil:
 		return nil, fmt.Errorf("sim: a campaign runs many machines at once; it takes no Trace")
-	case observe && (cfg.JournalPath != "" || cfg.Resilience.Retries > 0):
-		// A replayed record has no machine, and a retry is observed twice.
-		return nil, fmt.Errorf("sim: an observed injection runs once, live; it takes no JournalPath or Resilience.Retries")
+	case observe && cfg.Resilience.Retries > 0:
+		// A retry would be observed twice.
+		return nil, fmt.Errorf("sim: an observed injection runs once, live; it takes no Resilience.Retries")
 	}
 	windows, err := siteWindows(sites, windows)
-	if err != nil {
-		return nil, err
-	}
-	jr, err := openJournal(cfg, p.Name, sites, windows, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -640,12 +635,12 @@ func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		return w
 	}
 
-	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts, journal: jr}
+	runner := &campaignRunner{cfg: cfg, prog: p, sites: sites, windows: windows, opts: opts}
 	if cfg.CheckpointInterval > 0 || cfg.FastForward {
 		// The plan's warmup is a fault-free simulation, up to the budget's end
 		// or to where no run can read further — deferred until the first
-		// live run actually needs it, so a fully-cached (or fully
-		// journal-resumed) campaign never pays for it.
+		// live run actually needs it, so a fully-stored campaign never pays
+		// for it.
 		plan := sync.OnceValues(func() (*CampaignPlan, error) { return NewCampaignPlan(cfg, p, sites, opts) })
 		runner.attempt = func(w *campaignWorker, win Window, runCtx context.Context) (InjectionResult, pathInfo, error) {
 			pl, err := plan()
@@ -671,13 +666,6 @@ func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 		if err != nil {
 			return InjectionResult{}, err
 		}
-		// Journal cache-served runs too, so a later resume without the
-		// cache still replays them.
-		if jr != nil && served != "journal" {
-			if err := jr.Append(i, rec); err != nil {
-				return InjectionResult{}, err
-			}
-		}
 		w.recordRecord(rec)
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(RunProgress{
@@ -689,18 +677,12 @@ func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 	}
 	results, states, err := parallel.MapWorkerStateCtx(cfg.Ctx, cfg.Parallel, len(windows), newWorker, runOne)
 	// Partial flush happens even on error/cancel: the per-worker registries
-	// hold completed runs, and the journal's pending batch must reach disk
-	// for resume to see them.
+	// hold completed runs.
 	if cfg.Metrics != nil {
 		for _, w := range states {
 			if merr := cfg.Metrics.Merge(w.reg); merr != nil && err == nil {
 				err = merr
 			}
-		}
-	}
-	if jr != nil {
-		if cerr := jr.Close(); cerr != nil && err == nil {
-			err = cerr
 		}
 	}
 	if err != nil {
@@ -709,7 +691,6 @@ func campaignWindows(cfg Config, p *isa.Program, sites []fault.Site, windows []W
 	sum := &CampaignSummary{
 		Results: results, Counts: make(map[Outcome]int),
 		Quarantined: runner.quarantined(),
-		Resumed:     int(runner.resumed.Load()),
 		Retried:     int(runner.retried.Load()),
 		CacheHits:   int(runner.cacheHits.Load()),
 	}

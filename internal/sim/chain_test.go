@@ -1,12 +1,7 @@
 package sim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,17 +9,58 @@ import (
 	"testing"
 
 	"blackjack/internal/fault"
-	"blackjack/internal/journal"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
+	"blackjack/internal/runcache"
 )
 
-// A journal written for one site list refuses every list that differs only
-// in fields fault.Site's String method drops: the fault kind (permanent vs
-// one-shot transient) and the intermittent duty period. Formatting sites
-// with %+v made such lists share one key, so a resume replayed the other
-// campaign's table.
+// campaignRun is one campaign's arguments, run on a given store.
+type campaignRun struct {
+	cfg     Config
+	bench   string
+	sites   []fault.Site
+	windows []Window
+}
+
+// run runs the campaign with store as its run store (nil: none).
+func (r campaignRun) run(t *testing.T, store *runcache.Store) *CampaignSummary {
+	t.Helper()
+	cfg := r.cfg
+	cfg.Cache = store
+	sum, err := CampaignWindows(cfg, prog.MustBenchmark(r.bench), r.sites, r.windows, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// sharesExactly fills a fresh store with campaign a, then runs campaign b
+// on the same store. b must be served exactly the shared cells a stored,
+// no other, and its summary must equal a run of b with no store: a cell
+// is addressed by everything its run depends on, so no cell can be served
+// to a campaign it was not written for.
+func sharesExactly(t *testing.T, a, b campaignRun, shared int) {
+	t.Helper()
+	store := testStore(t)
+	a.run(t, store)
+	got := b.run(t, store)
+	want := b.run(t, nil)
+	if got.CacheHits != shared {
+		t.Errorf("CacheHits = %d, want %d (the cells the two campaigns share)", got.CacheHits, shared)
+	}
+	got.CacheHits = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the campaign on the shared store differs from its run with no store:\n got %s\nwant %s",
+			summaryString(got), summaryString(want))
+	}
+}
+
+// A store filled by a campaign over one site list serves nothing to a list
+// that differs only in fields fault.Site's String method drops: the fault
+// kind (permanent vs one-shot transient) and the intermittent duty period.
+// Keys formatted with %+v made such lists share cells, so the other
+// campaign's table came back.
 func TestCampaignJournalRefusesOtherFaultKind(t *testing.T) {
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	permanent, err := SitesForKind(cfg.Machine, fault.KindPermanent)
@@ -45,35 +81,28 @@ func TestCampaignJournalRefusesOtherFaultKind(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "k.journal")
-			writeJournalAt(t, path, cfg, "gcc", tc.wrote, nil)
-			err := openJournalAt(path, cfg, "gcc", tc.read, nil)
-			if !errors.Is(err, journal.ErrKeyMismatch) {
-				t.Fatalf("err = %v, want ErrKeyMismatch", err)
-			}
-			if !strings.Contains(err.Error(), `"site=`) {
-				t.Errorf("mismatch does not name the changed site: %v", err)
-			}
+			sharesExactly(t, campaignRun{cfg: cfg, bench: "gcc", sites: tc.wrote},
+				campaignRun{cfg: cfg, bench: "gcc", sites: tc.read}, 0)
 		})
 	}
 }
 
-// A journal written for one grouping of sites into windows refuses another
-// grouping of the same sites, per-site included, naming the window bounds.
+// A store filled by one grouping of sites into windows serves another
+// grouping only the windows both groupings hold: here the one-site
+// windows. A multi-site window's key carries its bounds.
 func TestCampaignJournalRefusesRegroupedWindows(t *testing.T) {
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	sites := StandardSites(cfg.Machine)[:4]
-	wrote := []Window{{0, 2}, {2, 4}}
-	for _, read := range [][]Window{{{0, 3}, {3, 4}}, nil} {
-		path := filepath.Join(t.TempDir(), "w.journal")
-		writeJournalAt(t, path, cfg, "gcc", sites, wrote)
-		err := openJournalAt(path, cfg, "gcc", sites, read)
-		if !errors.Is(err, journal.ErrKeyMismatch) {
-			t.Fatalf("windows %v: err = %v, want ErrKeyMismatch", read, err)
-		}
-		if !strings.Contains(err.Error(), `window=`) {
-			t.Errorf("windows %v: mismatch does not name the window bounds: %v", read, err)
-		}
+	wrote := campaignRun{cfg: cfg, bench: "gcc", sites: sites, windows: []Window{{0, 2}, {2, 3}, {3, 4}}}
+	for _, tc := range []struct {
+		read   []Window
+		shared int
+	}{
+		{[]Window{{0, 3}, {3, 4}}, 1}, // [3,4)
+		{[]Window{{0, 1}, {1, 3}, {3, 4}}, 1},
+		{nil, 2}, // per site: [2,3) and [3,4)
+	} {
+		sharesExactly(t, wrote, campaignRun{cfg: cfg, bench: "gcc", sites: sites, windows: tc.read}, tc.shared)
 	}
 }
 
@@ -156,73 +185,65 @@ func TestPathReasons(t *testing.T) {
 	}
 }
 
-// A standalone injection given the journal of a campaign over another site
-// is refused, never served that campaign's row. When callers opened the
-// journal, a [register p400] injection on gcc at 2,000 instructions given
-// a [frontend-way 0] campaign's journal returned the frontend row
-// (detected, 1635 activations), where live it is benign with 6. The
-// refused attempt leaves the journal as it was.
+// A standalone injection on a store filled by a campaign over another site
+// is served nothing from it. When callers opened a positional journal, a
+// [register p400] injection on gcc at 2,000 instructions given a
+// [frontend-way 0] campaign's journal returned the frontend row (detected,
+// 1635 activations), where live it is benign with 6.
 func TestInjectRefusesForeignJournal(t *testing.T) {
 	p, err := prog.Benchmark("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Default(pipeline.ModeBlackJack, 2000)
-	cfg.JournalPath = filepath.Join(t.TempDir(), "frontend.journal")
 	frontend := fault.Site{Class: fault.FrontendWay, Way: 0, Field: fault.FieldRs2}
 	register := fault.Site{Class: fault.RegisterFile, Reg: 400, BitMask: 1 << 5}
-	if _, err := CampaignProgram(cfg, p, []fault.Site{frontend}, InjectOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	wrote, err := os.ReadFile(cfg.JournalPath)
+	want, err := InjectProgram(cfg, p, register, InjectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := InjectProgram(cfg, p, register, InjectOptions{})
-	if !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Fatalf("err = %v (result %v, %v), want ErrKeyMismatch", err, r.Site, r.Outcome)
+	cfg.Cache = testStore(t)
+	other, err := CampaignProgram(cfg, p, []fault.Site{frontend}, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after, _ := os.ReadFile(cfg.JournalPath); !bytes.Equal(after, wrote) {
-		t.Error("the refused injection changed the journal")
+	if reflect.DeepEqual(other.Results[0], want) {
+		t.Fatal("the two sites give one row; the test cannot tell them apart")
+	}
+	got, err := InjectProgram(cfg, p, register, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := cfg.Cache.Stats().Hits; hits != 0 {
+		t.Errorf("the injection was served %d cells of the frontend campaign", hits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("injection on the frontend campaign's store: %+v, want %+v", got, want)
 	}
 }
 
-// An observed injection runs its one run live and once, so it refuses a
-// journal, whose replayed record has no machine to observe, and retries,
-// whose attempts would all count in the registry, rather than ignoring
-// them. The case: a metered [register p400] injection on gcc at 2,000
-// instructions (benign, 6 activations when run).
+// An observed injection runs its one run live and once, so it refuses
+// retries, whose attempts would all count in the registry, rather than
+// ignoring them. The case: a metered [register p400] injection on gcc at
+// 2,000 instructions (benign, 6 activations when run).
 func TestObservedInjectRefusesJournalAndRetries(t *testing.T) {
 	p, err := prog.Benchmark("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	register := fault.Site{Class: fault.RegisterFile, Reg: 400, BitMask: 1 << 5}
-	for _, tc := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"JournalPath", func(c *Config) { c.JournalPath = filepath.Join(t.TempDir(), "inject.journal") }},
-		{"Retries", func(c *Config) { c.Resilience.Retries = 1 }},
-	} {
-		t.Run(tc.field, func(t *testing.T) {
-			cfg := Default(pipeline.ModeBlackJack, 2000)
-			cfg.Metrics = obs.NewRegistry()
-			tc.set(&cfg)
-			r, err := InjectProgram(cfg, p, register, InjectOptions{})
-			if err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Fatalf("err = %v (result %v, %d activations), want an error naming %s", err, r.Outcome, r.Activations, tc.field)
-			}
-			if n := cfg.Metrics.CounterValue("fault.activations"); n != 0 {
-				t.Errorf("the refused injection recorded %d activations", n)
-			}
-			if cfg.JournalPath != "" {
-				if _, err := os.Stat(cfg.JournalPath); !errors.Is(err, os.ErrNotExist) {
-					t.Errorf("the refused injection left a journal: %v", err)
-				}
-			}
-		})
-	}
+	t.Run("Retries", func(t *testing.T) {
+		cfg := Default(pipeline.ModeBlackJack, 2000)
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Resilience.Retries = 1
+		r, err := InjectProgram(cfg, p, register, InjectOptions{})
+		if err == nil || !strings.Contains(err.Error(), "Retries") {
+			t.Fatalf("err = %v (result %v, %d activations), want an error naming Retries", err, r.Outcome, r.Activations)
+		}
+		if n := cfg.Metrics.CounterValue("fault.activations"); n != 0 {
+			t.Errorf("the refused injection recorded %d activations", n)
+		}
+	})
 }
 
 // A traced and metered injection observes the run its one-site campaign
@@ -271,53 +292,43 @@ func TestObservedInjectIsItsCampaignRun(t *testing.T) {
 	}
 }
 
-// hasRecord reports whether raw, a journal's bytes, holds a complete
-// record line for entry i: newline-terminated, with a parsable record.
-func hasRecord(raw []byte, i int) bool {
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	for _, line := range lines[1:] {
-		var env struct {
-			I int             `json:"i"`
-			R json.RawMessage `json:"r"`
-		}
-		var rec runRecord
-		if bytes.HasSuffix(line, []byte("\n")) && json.Unmarshal(line, &env) == nil &&
-			env.I == i && json.Unmarshal(env.R, &rec) == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // A run is durable before it is reported: with OnProgress set, every
-// progress event finds its run's complete record already in the journal
-// file, live and resumed runs alike.
+// progress event finds its run's cell already readable through a second
+// store opened on the same directory, live and store-served runs alike.
 func TestCampaignJournalDurableBeforeProgress(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "durable.journal")
+	dir := t.TempDir()
+	store, err := runcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.MustBenchmark("gcc")
 	sites := resilienceSites()
 	for _, resume := range []bool{false, true} {
 		cfg := Default(pipeline.ModeBlackJack, 2000)
 		cfg.Parallel = 2
-		cfg.JournalPath = path
+		cfg.Cache = store
+		cell := campaignIdentity(cfg, p.Name, InjectOptions{}).Add("prog_fp", programFingerprint(p))
 		var mu sync.Mutex
 		var missing []int
 		cfg.OnProgress = func(rp RunProgress) {
-			raw, err := os.ReadFile(path)
-			if err != nil || !hasRecord(raw, rp.Index) {
+			other, err := runcache.Open(dir, 0)
+			id := addWindow(runcache.NewIdentity(cell.Parts()...), sites, Window{rp.Index, rp.Index + 1})
+			var rec runRecord
+			if err != nil || !other.Get(id, &rec) || !reflect.DeepEqual(rec.Result, rp.Result) {
 				mu.Lock()
 				missing = append(missing, rp.Index)
 				mu.Unlock()
 			}
 		}
-		sum, err := Campaign(cfg, "gcc", sites, InjectOptions{})
+		sum, err := CampaignProgram(cfg, p, sites, InjectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resume != (sum.Resumed == len(sites)) {
-			t.Fatalf("resume=%v: %d of %d runs resumed", resume, sum.Resumed, len(sites))
+		if resume != (sum.CacheHits == len(sites)) {
+			t.Fatalf("resume=%v: %d of %d runs served from the store", resume, sum.CacheHits, len(sites))
 		}
 		if len(missing) > 0 {
-			t.Errorf("resume=%v: runs %v were reported before their record reached the journal", resume, missing)
+			t.Errorf("resume=%v: runs %v were reported before their cell was in the store", resume, missing)
 		}
 	}
 }

@@ -347,7 +347,7 @@ func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 // (nil: the run allocates its own) under an optional run context (nil:
 // unbudgeted). It reports which path served the run — warm, fast-forwarded,
 // forked or cold, with that path's parameters and the reason it took it —
-// so callers can record and journal path-choice metrics that replay
+// so callers can record and store path-choice metrics that replay
 // identically on resume.
 //
 // Path policy: a subset no member of which can ever corrupt is served from

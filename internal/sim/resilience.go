@@ -12,7 +12,6 @@ import (
 
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
-	"blackjack/internal/journal"
 	"blackjack/internal/parallel"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/runcache"
@@ -20,20 +19,21 @@ import (
 
 // This file is the campaign resilience layer: per-run isolation (a panicking
 // or hung run is quarantined with a repro command instead of killing the
-// campaign), per-run wall-clock budgets with escalating retry, and a durable
-// JSONL journal that makes campaigns resumable after a crash or SIGINT.
+// campaign) and per-run wall-clock budgets with escalating retry. Resuming
+// after a crash or SIGINT is the run store's job (Config.Cache): every
+// completed cell is durable there before it is reported.
 //
 // The layer is built so that it never changes results:
 //
 //   - every simulation is deterministic given (program, mode, site), so a
 //     retry re-runs the identical computation with a bigger time budget —
 //     nothing is reseeded, nothing drifts;
-//   - a journaled record replays EVERYTHING the run contributed to the
+//   - a stored record replays EVERYTHING the run contributed to the
 //     summary and the metrics registry (outcome counters, path counters,
 //     fork-cycle and latency histograms), so a resumed campaign's table and
 //     metrics are byte-identical to an uninterrupted one at any worker
-//     count. The resumed-vs-fresh split is reported on the summary only,
-//     never in the registry.
+//     count. The stored-vs-fresh split is reported on the summary only
+//     (CacheHits), never in the registry.
 
 // Resilience tunes the campaign resilience layer. The zero value disables
 // it entirely: runs are unbudgeted and a panic aborts the campaign (as a
@@ -122,7 +122,7 @@ func (e *DeadlockError) Error() string {
 }
 
 // runPath records which execution path served a campaign run — the
-// path-choice metrics must replay exactly from the journal.
+// path-choice metrics must replay exactly from the run store.
 type runPath string
 
 const (
@@ -134,7 +134,7 @@ const (
 
 // Path reasons: why a run took its path, i.e. why it did not take the
 // cheaper one ahead of it (warm, fast-forward, fork, cold). They are
-// journaled and reported with each run, and stay out of the metrics
+// stored and reported with each run, and stay out of the metrics
 // registry.
 const (
 	// reasonNeverFires: no site of the run can ever corrupt a value on the
@@ -163,7 +163,7 @@ const (
 // path's parameters (fork cycle, functionally skipped instructions,
 // early-stop, the cycle it reconverged with the warmup at) and the reason
 // it took that path. It is what injectCtx reports and what runRecord
-// journals.
+// stores.
 type pathInfo struct {
 	Path      runPath `json:"path,omitempty"`
 	ForkCycle int64   `json:"fork_cycle,omitempty"`
@@ -178,10 +178,10 @@ type pathInfo struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// runRecord is one completed campaign run as journaled: the classified
-// result plus everything needed to replay the run's registry contributions
-// byte-identically on resume. The path fields after the first are additive
-// and omitted when zero, so older journals still replay.
+// runRecord is one completed campaign run as stored: the classified result
+// plus everything needed to replay the run's registry contributions
+// byte-identically on resume. The path fields after the first are omitted
+// when zero.
 type runRecord struct {
 	Result InjectionResult `json:"result"`
 	pathInfo
@@ -192,8 +192,8 @@ type runRecord struct {
 // simulatedCycles is the number of cycle-accurate cycles the run stepped:
 // from its fork cycle (0 for cold and fast-forwarded machines) to where it
 // stopped — its convergence cut, else its final cycle. It is derived from
-// journaled fields only, so it replays identically from the journal and
-// the cache. Warm-served runs stepped nothing. A run that wedged by panic
+// stored fields only, so it replays identically from the run store.
+// Warm-served runs stepped nothing. A run that wedged by panic
 // records no final cycle and counts 0.
 func (rec runRecord) simulatedCycles() uint64 {
 	if rec.Path == pathWarm {
@@ -206,44 +206,6 @@ func (rec runRecord) simulatedCycles() uint64 {
 	return uint64(max(end-rec.ForkCycle, 0))
 }
 
-// campaignJournalVersion is bumped when runRecord or the identity schema
-// changes incompatibly. v2: keys fold through the canonical runcache
-// identity encoder (adding the machine configuration) and headers record
-// the human-readable parts. v3: the key is campaignIdentity plus every
-// site in canonical JSON — v2 formatted sites with their lossy String
-// method, so lists differing only in kind, shot, trigger or duty fields
-// shared one key.
-const campaignJournalVersion = 3
-
-// openJournal opens (creating or resuming) cfg.JournalPath for the
-// campaign about to run on exactly these arguments, or returns nil when
-// the path is empty. The journal is keyed by campaignIdentity — program,
-// machine, mode, instruction budget, split-payload option and
-// checkpoint/fast-forward plan, the schema shared with the run cache —
-// plus every window in order (addWindow), and refuses to resume a journal
-// written for a different campaign or grouping of the sites
-// (journal.ErrKeyMismatch), naming the changed parameter. Worker count is
-// deliberately not part of the key: a campaign journaled under one
-// -parallel value resumes under any other. With cfg.OnProgress set, every
-// append is fsync'd before Append returns (see Config.JournalPath).
-func openJournal(cfg Config, program string, sites []fault.Site, windows []Window, opts InjectOptions) (*journal.Journal[runRecord], error) {
-	if cfg.JournalPath == "" {
-		return nil, nil
-	}
-	id := campaignIdentity(cfg, program, opts)
-	for _, w := range windows {
-		addWindow(id, sites, w)
-	}
-	j, _, err := journal.Open[runRecord](cfg.JournalPath, journal.Header{
-		Kind: "campaign", Key: id.Hash64(), Version: campaignJournalVersion,
-		Parts: id.Parts(),
-	})
-	if err == nil && cfg.OnProgress != nil {
-		j.SetSyncEvery(1)
-	}
-	return j, err
-}
-
 // campaignTestHook, when non-nil, runs at the start of every campaign run
 // attempt with the attempt's run context and the entry index. It exists so
 // tests can make a specific site panic or livelock (block until the budget
@@ -252,16 +214,13 @@ var campaignTestHook func(ctx context.Context, i int) error
 
 // campaignRunner executes one campaign entry — the window windows[i] of
 // the site list — with isolation, budget and retry applied, producing the
-// journalable record.
+// storable record.
 type campaignRunner struct {
 	cfg     Config
 	prog    *isa.Program
 	sites   []fault.Site
 	windows []Window
 	opts    InjectOptions
-	// journal replays an earlier session's records (nil without
-	// Config.JournalPath).
-	journal *journal.Journal[runRecord]
 
 	// attempt runs the sites of win once under runCtx (nil means
 	// unbudgeted) and reports which path served it.
@@ -270,7 +229,6 @@ type campaignRunner struct {
 	// cell is the cache cell identity prefix (nil without a cache).
 	cell *runcache.Identity
 
-	resumed   atomic.Int64
 	retried   atomic.Int64
 	cacheHits atomic.Int64
 
@@ -345,7 +303,7 @@ func failureReason(err error) string {
 	return ReasonError
 }
 
-// run executes item i to a journalable record: retry loop with escalating
+// run executes item i to a storable record: retry loop with escalating
 // budgets, then quarantine (under Isolate) or campaign abort.
 func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 	res := c.cfg.Resilience
@@ -394,24 +352,11 @@ func (c *campaignRunner) run(w *campaignWorker, i int) (runRecord, error) {
 	}
 }
 
-// serve returns item i's record from the first source that has it: the
-// journal (a record replayed from an earlier session), then the cache,
-// then a live run. It also names the source as RunProgress.Served does:
-// "journal", "cache" or the live path.
+// serve returns item i's record from the run store when it holds the
+// cell, else from a live run, which fills the store before serve returns.
+// It also names the source as RunProgress.Served does: "cache" or the live
+// path.
 func (c *campaignRunner) serve(w *campaignWorker, i int) (runRecord, string, error) {
-	if c.journal != nil {
-		if rec, ok := c.journal.Replayed(i); ok {
-			// Contribute to the summary exactly as the original execution did.
-			c.resumed.Add(1)
-			c.retried.Add(int64(rec.Retries))
-			if rec.Failure != nil {
-				c.mu.Lock()
-				c.failures = append(c.failures, *rec.Failure)
-				c.mu.Unlock()
-			}
-			return rec, "journal", nil
-		}
-	}
 	if c.cell == nil {
 		rec, err := c.run(w, i)
 		return rec, string(rec.Path), err

@@ -1,19 +1,15 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"blackjack/internal/fault"
 	"blackjack/internal/isa"
-	"blackjack/internal/journal"
 	"blackjack/internal/obs"
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
@@ -266,70 +262,37 @@ func TestCampaignRetriesTransientFailure(t *testing.T) {
 	}
 }
 
-// openJournalAt runs a campaign over these arguments journaling to path,
-// with its context cancelled before the first run: the campaign opens (or
-// creates) the journal and returns the open's error, else
-// context.Canceled, having run no site.
-func openJournalAt(path string, cfg Config, bench string, sites []fault.Site, windows []Window) error {
-	p, err := prog.Benchmark(bench)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg.Ctx, cfg.JournalPath = ctx, path
-	_, err = CampaignWindows(cfg, p, sites, windows, InjectOptions{})
-	return err
-}
-
-// writeJournalAt leaves at path the journal header a campaign over these
-// arguments writes.
-func writeJournalAt(t *testing.T, path string, cfg Config, bench string, sites []fault.Site, windows []Window) {
-	t.Helper()
-	if err := openJournalAt(path, cfg, bench, sites, windows); !errors.Is(err, context.Canceled) {
-		t.Fatalf("writing the journal: err = %v, want context.Canceled", err)
-	}
-}
-
-// journalRecords counts the complete run records in the journal at path:
-// every newline-terminated line after the header.
-func journalRecords(t *testing.T, path string) int {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return max(bytes.Count(raw, []byte("\n"))-1, 0)
-}
-
-// A journal keyed to a different campaign refuses to resume.
+// A store filled by one campaign serves another only the cells both hold:
+// none to another benchmark, budget or plan, and to a prefix of the site
+// list exactly its cells. Each campaign on the shared store equals its run
+// with no store.
 func TestCampaignJournalKeyMismatch(t *testing.T) {
 	sites := resilienceSites()
 	cfg := Default(pipeline.ModeBlackJack, 2000)
-	path := filepath.Join(t.TempDir(), "c.journal")
-	writeJournalAt(t, path, cfg, "crafty", sites, nil)
-	if err := openJournalAt(path, cfg, "gcc", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Error("journal accepted a different benchmark")
-	}
-	cfg2 := cfg
-	cfg2.MaxInstructions = 4000
-	if err := openJournalAt(path, cfg2, "crafty", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Error("journal accepted a different instruction budget")
-	}
-	if err := openJournalAt(path, cfg, "crafty", sites[:3], nil); !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Error("journal accepted a different site list")
-	}
+	wrote := campaignRun{cfg: cfg, bench: "crafty", sites: sites}
+	budget := cfg
+	budget.MaxInstructions = 4000
 	// A sampled campaign's records mean something else than a full one's.
-	cfg3 := cfg
-	cfg3.FastForward = true
-	if err := openJournalAt(path, cfg3, "crafty", sites, nil); !errors.Is(err, journal.ErrKeyMismatch) {
-		t.Error("journal of a full campaign accepted a sampled one")
+	sampled := cfg
+	sampled.FastForward = true
+	for _, tc := range []struct {
+		name   string
+		read   campaignRun
+		shared int
+	}{
+		{"benchmark", campaignRun{cfg: cfg, bench: "gcc", sites: sites}, 0},
+		{"budget", campaignRun{cfg: budget, bench: "crafty", sites: sites}, 0},
+		{"sampled", campaignRun{cfg: sampled, bench: "crafty", sites: sites}, 0},
+		{"prefix", campaignRun{cfg: cfg, bench: "crafty", sites: sites[:3]}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) { sharesExactly(t, wrote, tc.read, tc.shared) })
 	}
 }
 
-// Campaign-level cancellation (SIGINT) stops the fan-out, surfaces
-// context.Canceled, and leaves the journal resumable with whatever had
-// completed.
+// Campaign-level cancellation (SIGINT) stops the fan-out and surfaces
+// context.Canceled, and every run that completed is in the store: a rerun
+// on the same store is served exactly those and matches an uninterrupted
+// run.
 func TestCampaignGracefulCancellation(t *testing.T) {
 	sites := resilienceSites()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -341,17 +304,17 @@ func TestCampaignGracefulCancellation(t *testing.T) {
 		}
 		return nil
 	})
-	path := filepath.Join(t.TempDir(), "int.journal")
+	store := testStore(t)
 	cfg := Default(pipeline.ModeBlackJack, 2000)
 	cfg.Parallel = 1
 	cfg.Ctx = ctx
-	cfg.JournalPath = path
+	cfg.Cache = store
 	_, err := Campaign(cfg, "crafty", sites, InjectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// Resume under a live context: the journaled prefix is skipped and the
+	// Rerun under a live context: the stored prefix is served and the
 	// final table matches an uninterrupted run.
 	withTestHook(t, nil)
 	refCfg := Default(pipeline.ModeBlackJack, 2000)
@@ -360,20 +323,20 @@ func TestCampaignGracefulCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := Default(pipeline.ModeBlackJack, 2000)
-	cfg2.JournalPath = path
-	done := journalRecords(t, path)
+	cfg2.Cache = store
+	stored := int(store.Stats().Puts)
 	sum, err := Campaign(cfg2, "crafty", sites, InjectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Resumed == 0 {
-		t.Fatal("interrupted journal holds no completed runs")
+	if stored == 0 {
+		t.Fatal("the interrupted campaign stored no completed run")
 	}
-	if sum.Resumed != done {
-		t.Errorf("Resumed = %d, journal held %d", sum.Resumed, done)
+	if sum.CacheHits != stored {
+		t.Errorf("CacheHits = %d, the interrupted campaign stored %d", sum.CacheHits, stored)
 	}
 	if got, want := summaryString(sum), summaryString(refSum); got != want {
-		t.Errorf("post-interrupt resume differs from uninterrupted run:\n%s\nvs\n%s", got, want)
+		t.Errorf("post-interrupt rerun differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }
 

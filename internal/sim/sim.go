@@ -71,44 +71,35 @@ type Config struct {
 	// per-worker registries) for Campaign entry points; and both for
 	// InjectProgram, whose machine metrics cover the run it traces. An
 	// observed (traced or metered) injection runs once, live: it bypasses
-	// Cache and refuses JournalPath and Resilience.Retries. Must not be
-	// shared with concurrently running simulations. Simulation results are
-	// unaffected.
+	// Cache and refuses Resilience.Retries. Must not be shared with
+	// concurrently running simulations. Simulation results are unaffected.
 	Metrics *obs.Registry
 	// Ctx, when non-nil, bounds every entry point built on this config:
 	// cancellation (typically SIGINT via signal.NotifyContext) stops new
 	// runs, drains in-flight ones at the next context poll, flushes
-	// partial metrics and journal batches, and surfaces the context's
-	// error. nil means uncancellable, exactly the legacy behavior.
+	// partial metrics, and surfaces the context's error. Every cell that
+	// completed is already in Cache, so rerunning the campaign on the same
+	// store resumes it. nil means uncancellable.
 	Ctx context.Context
 	// Resilience tunes per-run isolation, wall-clock budgets and retries
 	// for campaign entry points, InjectProgram among them; single runs
 	// honor RunTimeout. The zero value disables all of it.
 	Resilience Resilience
-	// JournalPath, when non-empty, names the file a campaign journals every
-	// completed run to, so an interrupted campaign resumes where it stopped.
-	// Only campaign entry points use it, InjectProgram among them as a
-	// one-site campaign. The campaign opens the file itself, keyed by the
-	// arguments it runs on, so a journal written for any other campaign
-	// (program, machine, mode, budget, plan, sites or their grouping) is
-	// refused with journal.ErrKeyMismatch rather than replayed; a second
-	// process on the same file fails with journal.ErrLocked. Durability: a
-	// run is durable before it is reported. With OnProgress set every
-	// record is fsync'd before its progress event fires, so a SIGKILL at
-	// any instant loses no reported run; without it records are fsync'd in
-	// batches of journal.SyncEvery and on return, so a hard crash loses at
-	// most one batch and a graceful shutdown loses nothing.
-	JournalPath string
-	// Cache, when non-nil, memoizes run outcomes in an on-disk
-	// content-addressable store (see internal/runcache): campaign cells
-	// (standalone injections among them) and verified single runs whose
-	// full identity (program content, machine, mode, budget, site,
-	// execution plan) matches a stored entry are served from the cache
-	// instead of simulated. Simulation determinism makes this sound; results and
-	// stdout tables are byte-identical with or without the cache. Single
-	// runs and injections bypass the cache when Trace or Metrics is
+	// Cache, when non-nil, is the run store (see internal/runcache), the
+	// one place completed work is kept: campaign cells (standalone
+	// injections among them) and verified single runs whose full identity
+	// (program content, machine, mode, budget, site or window, execution
+	// plan) matches a stored entry are served from it instead of
+	// simulated. Simulation determinism makes this sound; results and
+	// stdout tables are byte-identical with or without the store. It is
+	// also how a campaign resumes: a live cell is stored, durably, before
+	// its progress event fires, so rerunning an interrupted campaign on
+	// the same store simulates only the cells it had not finished. Without
+	// a store there is no resume. Quarantined runs are never stored, so a
+	// resume runs them again, and an evicted cell is simulated again.
+	// Single runs and injections bypass the store when Trace or Metrics is
 	// attached — live occupancy histograms and event traces cannot be
-	// replayed from a cached outcome.
+	// replayed from a stored outcome.
 	Cache *runcache.Store
 	// CacheVerify is the trust-but-verify sampling fraction in [0,1]: that
 	// share of cache hits (deterministically chosen by entry address) is
@@ -116,9 +107,10 @@ type Config struct {
 	// divergences counted on the store and the live result served.
 	CacheVerify float64
 	// OnProgress, when non-nil, receives one RunProgress per completed
-	// campaign run — live, journal-replayed and cache-served alike — as the
-	// campaign executes. This is the job-level progress/resume hook the
-	// campaign service streams events from. Called from worker goroutines
+	// campaign run — live and store-served alike — as the campaign
+	// executes, after a live run's cell is in Cache. This is the job-level
+	// progress hook the campaign service streams events from. Called from
+	// worker goroutines
 	// (never concurrently for the same index, but concurrently across
 	// indices), so the callback must be safe for concurrent use; it must
 	// not block, and it cannot change results.
@@ -135,9 +127,9 @@ type RunProgress struct {
 	// Result is the run's classification (OutcomeQuarantined for runs the
 	// resilience layer excluded).
 	Result InjectionResult
-	// Served names what produced the record: "journal" (replayed on
-	// resume), "cache" (content-addressable hit), or the live execution
-	// path ("cold", "forked", "warm", "fast-forward").
+	// Served names what produced the record: "cache" (a run-store hit,
+	// which is how a resumed campaign's finished cells come back), or the
+	// live execution path ("cold", "forked", "warm", "fast-forward").
 	Served string
 	// Reason says why the run took its path, e.g. "never-fires",
 	// "ff-ineligible:transient" or "cache-verify-divergence" ("" when it

@@ -32,8 +32,8 @@ func latentCampaign(t *testing.T, cfg Config) (*CampaignSummary, *obs.Registry) 
 
 // measureWork runs the campaign live and reports its work. The warmup is
 // read from a plan built alongside, not from the registry: the campaign
-// builds its plan lazily, so a campaign served wholly from the cache or
-// journal never runs one.
+// builds its plan lazily, so a campaign served wholly from the run store
+// never runs one.
 func measureWork(t *testing.T, cfg Config) campaignWork {
 	t.Helper()
 	var before, after runtime.MemStats

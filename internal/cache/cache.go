@@ -152,10 +152,21 @@ func (h *Hierarchy) Access(addr uint64, cycle int64) (lat int, ok bool) {
 // CopyFrom makes h an independent deep copy of src (tags, LRU state, port
 // counters and statistics), reusing h's tag pages, so a checkpointed machine
 // resumes with byte-identical hit/miss timing. src is only read.
-func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+func (h *Hierarchy) CopyFrom(src *Hierarchy) { h.CopyShared(src, nil) }
+
+// CopyShared makes h a copy of src, as CopyFrom does, except that h shares
+// prev's tag page wherever it holds the same tags and stamps as src's, as
+// isa.Memory.CopyShared does for memory pages: h and prev must then never
+// be accessed, and prev must stay unchanged for as long as h is in use. A
+// nil prev shares nothing. src and prev are only read.
+func (h *Hierarchy) CopyShared(src, prev *Hierarchy) {
+	var p1, p2 *setAssoc
+	if prev != nil {
+		p1, p2 = prev.l1, prev.l2
+	}
 	l1, l2 := orNew(h.l1), orNew(h.l2)
-	l1.copyFrom(src.l1)
-	l2.copyFrom(src.l2)
+	l1.copyFrom(src.l1, p1)
+	l2.copyFrom(src.l2, p2)
 	*h = *src
 	h.l1, h.l2 = l1, l2
 }
@@ -201,9 +212,13 @@ type setAssoc struct {
 	// pages[set/setsPerPage] holds the (tag, stamp) pair of way w of a set at
 	// 2*((set%setsPerPage)*ways+w); nil until one of its sets is filled.
 	pages [][]uint64
-	spare []uint64   // unused rest of the last page chunk
-	free  [][]uint64 // pages an init or copy dropped, reused before spare
-	clock uint64
+	// shared[i] marks pages[i] as another array's page (see copyFrom):
+	// never written here, and never taken back as free storage. Empty when
+	// no page is shared.
+	shared []bool
+	spare  []uint64   // unused rest of the last page chunk
+	free   [][]uint64 // pages an init or copy dropped, reused before spare
+	clock  uint64
 }
 
 // init empties c and sets its geometry, keeping its pages for reuse.
@@ -228,11 +243,12 @@ func (c *setAssoc) setGeometry(sets, ways int, shift uint) {
 		c.free, c.spare = nil, nil
 	}
 	for i, p := range c.pages {
-		if p != nil && ways == c.ways {
+		if p != nil && ways == c.ways && !c.isShared(i) {
 			c.free = append(c.free, p)
 		}
 		c.pages[i] = nil
 	}
+	c.shared = c.shared[:0]
 	c.sets, c.ways, c.lineShift = sets, ways, shift
 	n := (sets + setsPerPage - 1) / setsPerPage
 	if cap(c.pages) >= n {
@@ -263,14 +279,24 @@ func (c *setAssoc) newPage() []uint64 {
 }
 
 // copyFrom makes c a copy of src, reusing c's pages; when they do not
-// suffice, the missing pages share one fresh backing array. src is only
+// suffice, the missing pages share one fresh backing array. Where prev
+// (nil: nowhere) has a page equal to src's at the same index, c shares
+// prev's page instead (see Hierarchy.CopyShared). src and prev are only
 // read.
-func (c *setAssoc) copyFrom(src *setAssoc) {
+func (c *setAssoc) copyFrom(src, prev *setAssoc) {
 	c.setGeometry(src.sets, src.ways, src.lineShift)
 	c.clock = src.clock
+	if prev != nil {
+		c.shared = append(c.shared, make([]bool, len(c.pages))...)
+	}
 	need := 0
-	for _, p := range src.pages {
-		if p != nil {
+	for i, p := range src.pages {
+		switch {
+		case p == nil:
+		case prev != nil && i < len(prev.pages) && prev.pages[i] != nil && slices.Equal(prev.pages[i], p):
+			c.pages[i] = prev.pages[i]
+			c.shared[i] = true
+		default:
 			need++
 		}
 	}
@@ -279,12 +305,15 @@ func (c *setAssoc) copyFrom(src *setAssoc) {
 		c.spare = make([]uint64, (need-len(c.free))*n)
 	}
 	for i, p := range src.pages {
-		if p != nil {
+		if p != nil && c.pages[i] == nil {
 			c.pages[i] = c.newPage()
 			copy(c.pages[i], p)
 		}
 	}
 }
+
+// isShared reports whether page i is another array's.
+func (c *setAssoc) isShared(i int) bool { return i < len(c.shared) && c.shared[i] }
 
 // equal compares geometry, clocks and pages. A page exists exactly when one
 // of its sets holds a line (fills are never undone), so equal tag state has

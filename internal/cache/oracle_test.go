@@ -29,7 +29,7 @@ func newSetAssoc(sizeBytes, ways, lineBytes int) *setAssoc {
 
 func (c *setAssoc) clone() *setAssoc {
 	n := &setAssoc{}
-	n.copyFrom(c)
+	n.copyFrom(c, nil)
 	return n
 }
 
@@ -215,7 +215,7 @@ func TestPagedSetAssocMatchesFlat(t *testing.T) {
 				if pc.access(addr) != fc.access(addr) || p.equal(pc) != f.equal(fc) || p.equal(pc) {
 					t.Fatalf("%d/%d-way: clone diverged differently from the flat oracle", g.size, g.ways)
 				}
-				reused.copyFrom(p)
+				reused.copyFrom(p, nil)
 				if !reused.equal(p) {
 					t.Fatalf("%d/%d-way: a copy into a used array does not equal its source", g.size, g.ways)
 				}
@@ -266,4 +266,76 @@ func TestConcurrentClonesShareNoPages(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// A frozen copy (a checkpoint's hierarchy) shares each tag page of prev
+// that holds the same tags and stamps, counted by distinct page pointers,
+// and copies the rest. It equals its source, a copy of it runs on as its
+// source does, and rebuilt in place it recycles only the pages it owns:
+// prev keeps every tag it held.
+func TestSnapshotSharesEqualTagPages(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2SizeKB = 64
+	src := New(cfg)
+	rng := rand.New(rand.NewSource(7))
+	const span = 256 << 10
+	for i := 0; i < 4000; i++ {
+		src.Access(rng.Uint64()%span, int64(i))
+	}
+	prev := &Hierarchy{}
+	prev.CopyShared(src, nil)
+	want := cloneHierarchy(prev)
+	// A few accesses touch a few sets; every other page stays as it was.
+	for i := 0; i < 8; i++ {
+		src.Access(rng.Uint64()%span, int64(4000+i))
+	}
+	cur := &Hierarchy{}
+	cur.CopyShared(src, prev)
+	if !cur.Equal(src) {
+		t.Fatal("a sharing copy differs from its source")
+	}
+	for _, l := range []struct {
+		name      string
+		cur, prev *setAssoc
+	}{{"L1", cur.l1, prev.l1}, {"L2", cur.l2, prev.l2}} {
+		distinct := map[*uint64]bool{}
+		pages, equal := 0, 0
+		for i, p := range l.cur.pages {
+			if p == nil {
+				continue
+			}
+			pages++
+			distinct[&p[0]] = true
+			if q := l.prev.pages[i]; q != nil {
+				distinct[&q[0]] = true
+				if slices.Equal(p, q) {
+					equal++
+					if &p[0] != &q[0] {
+						t.Errorf("%s page %d: equal to prev's, but not shared", l.name, i)
+					}
+				} else if &p[0] == &q[0] {
+					t.Errorf("%s page %d: shared, but its tags differ", l.name, i)
+				}
+			}
+		}
+		if equal == 0 || len(distinct) != 2*pages-equal {
+			t.Errorf("%s: %d distinct pages over two copies of %d pages with %d equal", l.name, len(distinct), pages, equal)
+		}
+	}
+	c, s := cloneHierarchy(cur), cloneHierarchy(src)
+	for i := 0; i < 2000; i++ {
+		addr, cycle := rng.Uint64()%span, int64(5000+i)
+		lc, _ := c.Access(addr, cycle)
+		ls, _ := s.Access(addr, cycle)
+		if lc != ls {
+			t.Fatalf("access %d: a copy of the sharing copy runs differently from its source", i)
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		src.Access(rng.Uint64()%span, int64(9000+i))
+	}
+	cur.CopyShared(src, prev)
+	if !cur.Equal(src) || !prev.Equal(want) {
+		t.Error("a copy rebuilt in place changed the pages it shared")
+	}
 }

@@ -175,7 +175,7 @@ type Execution struct {
 func ExecutionFlags() *Execution {
 	return &Execution{
 		parallel: flag.Int("parallel", 0, "worker count for campaign, suite and sweep fan-out (0 = NumCPU; output is identical at any value)"),
-		ckpt:     flag.Int64("checkpoint-interval", 0, "campaign warmup snapshot interval in cycles; injections fork from the latest snapshot before their fault fires (0 = every run cold; output is identical at any value)"),
+		ckpt:     flag.Int64("checkpoint-interval", 0, "campaign checkpoints: reconvergence-reference interval in cycles; injections fork from the latest point before their fault fires on a grid of gcd(interval, 500) cycles (0 = every run cold; output is identical at any value)"),
 		ff:       flag.Bool("ff", false, "sampled fault campaigns: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)"),
 		ffWarmup: flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)"),
 	}

@@ -18,6 +18,10 @@ type Memory struct {
 	size  int      // bytes, a positive multiple of 8
 	init  []uint64 // shared Program.Init; read-only
 	pages []*page  // nil until the page's first store
+	// shared[i] marks pages[i] as another Memory's page (see CopyShared):
+	// never written here, and never taken back as spare storage. Empty
+	// when no page is shared.
+	shared []bool
 
 	// Page storage. spare holds pages a Reset or CopyFrom dropped, reused
 	// before slab, which holds allocated pages not yet handed out. Slab
@@ -57,10 +61,13 @@ func (m *Memory) Reset(size int, init []uint64) {
 	}
 	for i, p := range m.pages {
 		if p != nil {
-			m.spare = append(m.spare, p)
+			if !m.isShared(i) {
+				m.spare = append(m.spare, p)
+			}
 			m.pages[i] = nil
 		}
 	}
+	m.shared = m.shared[:0]
 	n := (size/8 + pageMask) >> pageShift
 	if cap(m.pages) >= n {
 		m.pages = m.pages[:n]
@@ -138,11 +145,28 @@ func (m *Memory) Clone() *Memory {
 
 // CopyFrom makes m an independent copy of src, reusing m's page storage.
 // src is only read.
-func (m *Memory) CopyFrom(src *Memory) {
+func (m *Memory) CopyFrom(src *Memory) { m.CopyShared(src, nil) }
+
+// CopyShared makes m a copy of src, as CopyFrom does, except that m shares
+// prev's page wherever prev's page at the same index holds the same words
+// as src's, which it finds by comparing them now. It is how frozen copies
+// (pipeline checkpoints) share the pages that did not change between them:
+// m and prev must then never be written, and prev must stay unchanged for
+// as long as m is in use. m recycles only the pages it owns, never shared
+// ones. A nil prev shares nothing. src and prev are only read.
+func (m *Memory) CopyShared(src, prev *Memory) {
 	m.Reset(src.size, src.init)
+	if prev != nil {
+		m.shared = append(m.shared, make([]bool, len(m.pages))...)
+	}
 	need := -len(m.spare)
-	for _, p := range src.pages {
-		if p != nil {
+	for i, p := range src.pages {
+		switch {
+		case p == nil:
+		case prev != nil && i < len(prev.pages) && prev.pages[i] != nil && *prev.pages[i] == *p:
+			m.pages[i] = prev.pages[i]
+			m.shared[i] = true
+		default:
 			need++
 		}
 	}
@@ -150,13 +174,16 @@ func (m *Memory) CopyFrom(src *Memory) {
 		m.slab = make([]page, need)
 	}
 	for i, p := range src.pages {
-		if p != nil {
+		if p != nil && m.pages[i] == nil {
 			q := m.takePage()
 			*q = *p
 			m.pages[i] = q
 		}
 	}
 }
+
+// isShared reports whether page i is another Memory's.
+func (m *Memory) isShared(i int) bool { return i < len(m.shared) && m.shared[i] }
 
 // Equal reports whether m and o have the same size and hold the same word
 // at every address. Which pages exist, and spare page storage, do not

@@ -119,3 +119,62 @@ func TestMemoryRejectsBadLayout(t *testing.T) {
 		}()
 	}
 }
+
+// CopyShared shares each of prev's pages that holds the same words as the
+// source's and copies the rest, so two copies of one segment hold their
+// equal pages once (counted by distinct page pointers). Each copy equals
+// its source, and a copy rebuilt in place recycles only the pages it owns:
+// prev keeps every word it held.
+func TestMemoryCopySharedSharesEqualPages(t *testing.T) {
+	const pageBytes = pageWords * 8
+	init := make([]uint64, 3*pageWords)
+	for i := range init {
+		init[i] = uint64(i) * 7
+	}
+	src := NewMemory(8*pageBytes, init)
+	for p := uint64(0); p < 6; p++ {
+		src.Store(p*pageBytes, p+1)
+	}
+	prev := &Memory{}
+	prev.CopyShared(src, nil)
+	want := prev.Clone()
+	src.Store(2*pageBytes+8, 99) // page 2 changes
+	src.Store(7*pageBytes, 5)    // page 7 is new
+
+	cur := &Memory{}
+	cur.CopyShared(src, prev)
+	distinct := map[*page]bool{}
+	for _, m := range []*Memory{prev, cur} {
+		for _, p := range m.pages {
+			if p != nil {
+				distinct[p] = true
+			}
+		}
+	}
+	// prev holds pages 0-5; cur shares 0, 1, 3, 4, 5 and owns 2 and 7.
+	if len(distinct) != 8 {
+		t.Errorf("%d distinct pages, want 8", len(distinct))
+	}
+	if !cur.Equal(src) {
+		t.Error("a sharing copy differs from its source")
+	}
+
+	// Rebuilt in place over its earlier storage, from a source whose every
+	// page changed, cur takes its own pages back and no page of prev.
+	for p := uint64(0); p < 8; p++ {
+		src.Store(p*pageBytes+16, 1000+p)
+	}
+	cur.CopyShared(src, prev)
+	if !cur.Equal(src) || !prev.Equal(want) {
+		t.Error("a copy rebuilt in place changed the pages it shared")
+	}
+	for i, p := range cur.pages {
+		if p != nil && p == prev.pages[i] {
+			t.Errorf("page %d is shared, but its words differ", i)
+		}
+	}
+	cur.CopyFrom(src)
+	if !cur.Equal(src) || !prev.Equal(want) || len(cur.shared) != 0 {
+		t.Error("a plain copy over a sharing one changed prev or kept shared pages")
+	}
+}

@@ -283,7 +283,7 @@ func TestSnapshotIntoMatchesFresh(t *testing.T) {
 		var fresh, reused *Checkpoint
 		src.RunWithCheckpoints(n, 700, func(l *Machine) {
 			fresh = l.Snapshot()
-			reused = l.SnapshotInto(dirty)
+			reused = l.SnapshotInto(dirty, nil)
 			l.Stop()
 		})
 		if reused != dirty {
@@ -293,5 +293,50 @@ func TestSnapshotIntoMatchesFresh(t *testing.T) {
 			t.Fatalf("%v: a snapshot into a dirty checkpoint differs from a fresh one", mode)
 		}
 		matchLockstep(t, mode.String(), Fork(fresh), Fork(reused), n)
+	}
+}
+
+// TestSnapshotSharingMatchesFullCopy takes checkpoints as a campaign warmup
+// does: each shares the memory and tag pages that equal those of the latest
+// kept one, and one not kept is rebuilt in place for the next. In all four
+// modes, every kept checkpoint Matches a full copy of its cycle both ways
+// once every later one is taken (so no rebuild wrote a page it shares),
+// and forks from the two match at every 500th cycle and end with equal
+// statistics.
+func TestSnapshotSharingMatchesFullCopy(t *testing.T) {
+	const n = 3000
+	p := prog.MustBenchmark("gcc")
+	cfg := smallCacheConfig(false)
+	for _, mode := range []Mode{ModeSingle, ModeSRT, ModeBlackJackNS, ModeBlackJack} {
+		m, err := New(cfg, mode, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept, full []*Checkpoint
+		var spare *Checkpoint
+		taken := 0
+		m.RunWithCheckpoints(n, 250, func(l *Machine) {
+			var prev *Checkpoint
+			if len(kept) > 0 {
+				prev = kept[len(kept)-1]
+			}
+			cp := l.SnapshotInto(spare, prev)
+			spare = nil
+			if taken++; taken%3 == 1 {
+				kept, full = append(kept, cp), append(full, l.Snapshot())
+			} else {
+				spare = cp
+			}
+		})
+		if len(kept) < 3 {
+			t.Fatalf("%v: only %d checkpoints kept", mode, len(kept))
+		}
+		for i, cp := range kept {
+			if !Fork(cp).Matches(full[i]) || !Fork(full[i]).Matches(cp) {
+				t.Errorf("%v: the sharing checkpoint at cycle %d differs from a full copy", mode, cp.Cycle())
+			}
+		}
+		last := len(kept) - 1
+		matchLockstep(t, mode.String(), Fork(full[last]), Fork(kept[last]), n)
 	}
 }

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"slices"
 
+	"blackjack/internal/cache"
 	"blackjack/internal/core"
+	"blackjack/internal/isa"
 	"blackjack/internal/queues"
 	"blackjack/internal/redundancy"
 )
@@ -21,6 +23,9 @@ import (
 // are bit-identical to a cold run continued from the same cycle.
 type Checkpoint struct {
 	m *Machine
+	// lists backs every wakeup and calendar list of m, each carved to its
+	// length (see frozenLists).
+	lists []*UOp
 }
 
 // Cycle returns the cycle the checkpoint was taken at.
@@ -28,24 +33,35 @@ func (cp *Checkpoint) Cycle() int64 { return cp.m.cycle }
 
 // Snapshot deep-copies the machine's state into a new Checkpoint. The
 // machine is only read, so snapshotting mid-run (from a RunWithCheckpoints
-// hook) is safe. Snapshot is SnapshotInto(nil).
+// hook) is safe. Snapshot is SnapshotInto(nil, nil).
 func (m *Machine) Snapshot() *Checkpoint {
-	return m.SnapshotInto(nil)
+	return m.SnapshotInto(nil, nil)
 }
 
 // SnapshotInto deep-copies the machine's state into cp, reusing the storage
-// of whatever state cp held before, as ForkFrom does for a machine, and
-// returns it; a nil cp gets new storage. The result equals a fresh
-// Snapshot: cp keeps nothing of its earlier state and no reference to m.
-// cp must not be in use: no machine may be forking from it or comparing
-// against it while it is rebuilt.
-func (m *Machine) SnapshotInto(cp *Checkpoint) *Checkpoint {
+// cp owns, as ForkFrom does for a machine, and returns it; a nil cp gets
+// new storage. Each memory page and cache tag page that holds the same
+// words in prev, an earlier checkpoint (nil: none), is shared with prev
+// instead of copied; the pages are compared now, so running the machine
+// costs nothing extra. Wakeup and calendar lists are carved to their
+// length. The result equals a fresh Snapshot: cp keeps nothing of its
+// earlier state and no reference to m.
+//
+// A checkpoint's pages may thus belong to another checkpoint, never to a
+// live machine or a fork. So: cp must not be in use (no machine forking
+// from it or comparing against it, no checkpoint sharing its pages) while
+// it is rebuilt, and prev must stay unchanged for as long as cp is in use.
+func (m *Machine) SnapshotInto(cp, prev *Checkpoint) *Checkpoint {
 	if cp == nil {
 		cp = &Checkpoint{m: &Machine{}}
 	}
+	var pm *Machine
+	if prev != nil {
+		pm = prev.m
+	}
 	c := cp.m
 	sink := c.sink
-	c.copyFrom(m)
+	c.copyFrom(m, pm, &cp.lists)
 	c.sink = orNew(sink)
 	c.sink.CopyFrom(m.sink)
 	// The translation maps keep their buckets for the next rebuild, but
@@ -69,7 +85,7 @@ func Fork(cp *Checkpoint, opts ...Option) *Machine {
 // storage of whatever machine m held before, as Init does: Fork is ForkFrom
 // on a zero Machine. The checkpoint is only read.
 func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
-	m.copyFrom(cp.m)
+	m.copyFrom(cp.m, nil, nil)
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -91,7 +107,12 @@ func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
 // costs slab records). Harness state is not machine state, so none of it
 // is copied: m gets no injector, shuffle observer, tracer, metrics or run
 // context, and no detection sink; the caller installs one.
-func (m *Machine) copyFrom(src *Machine) {
+//
+// With a non-nil frozen, m is a checkpoint, never run: it shares prev's
+// equal memory and tag pages (prev nil: none; see SnapshotInto), and its
+// wakeup and calendar lists are carved to their length from *frozen. With
+// a nil frozen, m is a live machine, and prev must be nil.
+func (m *Machine) copyFrom(src, prev *Machine, frozen *[]*UOp) {
 	st := m.storage()
 	*m = *src // scalars, config, stats; storage fixed up below
 	m.adoptPools(&st)
@@ -127,8 +148,13 @@ func (m *Machine) copyFrom(src *Machine) {
 	clear(m.entryCopies)
 	cu, ce := m.copyUOp, m.copyEntry
 
+	var prevMem *isa.Memory
+	var prevCache *cache.Hierarchy
+	if prev != nil {
+		prevMem, prevCache = prev.mem, prev.dcache
+	}
 	m.mem = orNew(st.mem)
-	m.mem.CopyFrom(src.mem)
+	m.mem.CopyShared(src.mem, prevMem)
 	m.rf = orNew(st.rf)
 	m.rf.CopyFrom(src.rf)
 	m.freeList = orNew(st.freeList)
@@ -153,7 +179,7 @@ func (m *Machine) copyFrom(src *Machine) {
 	m.pred = orNew(st.pred)
 	m.pred.CopyFrom(src.pred)
 	m.dcache = orNew(st.dcache)
-	m.dcache.CopyFrom(src.dcache)
+	m.dcache.CopyShared(src.dcache, prevCache)
 	m.boq = copied(st.boq, src.boq, (*redundancy.BOQ).CopyFrom)
 	m.lvq = copied(st.lvq, src.lvq, (*redundancy.LVQ).CopyFrom)
 	m.sb = copied(st.sb, src.sb, (*redundancy.StoreBuffer).CopyFrom)
@@ -165,9 +191,17 @@ func (m *Machine) copyFrom(src *Machine) {
 	m.oc = copied(st.oc, src.oc, (*core.OrderChecker).CopyFrom)
 
 	// Calendars and wakeup state, in the same order, remapped.
-	m.doneCal = copyLists(st.doneCal, src.doneCal, bucketCap, cu)
-	m.cal = copyLists(st.cal, src.cal, bucketCap, cu)
-	m.regWaiters = copyLists(st.regWaiters, src.regWaiters, waiterCap, cu)
+	if frozen == nil {
+		m.doneCal = copyLists(st.doneCal, src.doneCal, bucketCap, cu)
+		m.cal = copyLists(st.cal, src.cal, bucketCap, cu)
+		m.regWaiters = copyLists(st.regWaiters, src.regWaiters, waiterCap, cu)
+	} else {
+		*frozen = resize(*frozen, listsLen(src.doneCal)+listsLen(src.cal)+listsLen(src.regWaiters))
+		rest := *frozen
+		m.doneCal = frozenLists(st.doneCal, src.doneCal, &rest, cu)
+		m.cal = frozenLists(st.cal, src.cal, &rest, cu)
+		m.regWaiters = frozenLists(st.regWaiters, src.regWaiters, &rest, cu)
+	}
 	m.readyMask = append(st.readyMask[:0], src.readyMask...)
 	m.packetPending = copied(st.packetPending, src.packetPending, (*pendTable).copyFrom)
 	m.initWatch()

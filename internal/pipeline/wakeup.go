@@ -76,6 +76,32 @@ func copyLists(dst, src [][]*UOp, minCap int, cu func(*UOp) *UOp) [][]*UOp {
 	return dst
 }
 
+// frozenLists copies src, each uop mapped through cu, into lists carved to
+// their length from the front of *rest, which it advances; the list headers
+// are dst's when dst has as many. A checkpoint holds its lists so: it is
+// never run, so a list needs no room to grow.
+func frozenLists(dst, src [][]*UOp, rest *[]*UOp, cu func(*UOp) *UOp) [][]*UOp {
+	dst = resize(dst, len(src))
+	for i, l := range src {
+		d := (*rest)[:len(l):len(l)]
+		*rest = (*rest)[len(l):]
+		for j, u := range l {
+			d[j] = cu(u)
+		}
+		dst[i] = d
+	}
+	return dst
+}
+
+// listsLen returns the total length of lists.
+func listsLen(lists [][]*UOp) int {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return n
+}
+
 // Initial capacities of a calendar bucket (buckets rarely hold more than two
 // issue widths of uops) and of a register's waiter list.
 const (

@@ -22,9 +22,12 @@ import (
 // a cached outcome change (record schema, classification rules, pipeline
 // timing) so every stale entry is refused on read and refilled live.
 // 3: campaign records carry their path reason, and keys follow the shared
-// campaign identity schema. Fuzz-session cells (one per program) follow the
+// campaign identity schema. 4: campaign plans fork and fast-forward from a
+// 500-cycle grid whatever the checkpoint interval, so a record's fork
+// cycle, fast-forward handoff and window figures differ from epoch 3's
+// under the same key. Fuzz-session cells (one per program) follow the
 // same rule: a change to what a fuzz record means bumps the epoch too.
-const FormatEpoch = 3
+const FormatEpoch = 4
 
 // EnvDir is the environment variable that opts a machine into caching:
 // when set, the CLIs default -cache-dir to its value.

@@ -175,24 +175,8 @@ func TestStoreCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"wrong epoch", func(t *testing.T, path string) {
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var env envelope
-			if err := json.Unmarshal(blob, &env); err != nil {
-				t.Fatal(err)
-			}
-			env.Epoch = FormatEpoch + 1
-			out, err := json.Marshal(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"wrong epoch", rewriteEpoch(FormatEpoch + 1)},
+		{"previous epoch", rewriteEpoch(FormatEpoch - 1)},
 		{"wrong address", func(t *testing.T, path string) {
 			// Simulate a cross-linked/renamed file: valid envelope whose
 			// self-identifying ID belongs to a different entry.
@@ -483,6 +467,29 @@ func TestEvictionDeterministicOnMtimeCollision(t *testing.T) {
 	for _, id := range all[:len(all)-len(base)] {
 		if base[id] {
 			t.Errorf("ID tie-break violated: %s (among the smallest IDs) survived", id)
+		}
+	}
+}
+
+// rewriteEpoch returns a corruption that rewrites an entry's envelope as
+// written at the given epoch, its checksum and data intact.
+func rewriteEpoch(epoch int) func(t *testing.T, path string) {
+	return func(t *testing.T, path string) {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatal(err)
+		}
+		env.Epoch = epoch
+		out, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

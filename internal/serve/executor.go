@@ -136,12 +136,18 @@ func (s *Server) execute(ctx context.Context, j *Job) (string, error) {
 // shared store, or a private one under the job's directory when the spec
 // turns the cache off or the server has none. Every run is durable there
 // before its progress event fires, so SIGKILL at any instant loses no
-// reported run.
+// reported run. A private store goes when its job is terminal
+// (removePrivateStore).
 func (s *Server) jobStore(j *Job) (*runcache.Store, error) {
 	if j.Spec.Cache != "off" && s.cache != nil {
 		return s.cache, nil
 	}
-	return runcache.Open(filepath.Join(jobDir(s.opts.StateDir, j.ID), "runs"), 0)
+	return runcache.Open(privateStoreDir(s.opts.StateDir, j.ID), 0)
+}
+
+// privateStoreDir is the directory of a job's private run store.
+func privateStoreDir(stateDir, id string) string {
+	return filepath.Join(jobDir(stateDir, id), "runs")
 }
 
 // baseConfig translates the spec into the harness Config with the full

@@ -147,6 +147,9 @@ func New(opts Options) (s *Server, err error) {
 		s.jobs[j.ID] = j
 		s.hubs[j.ID] = newHub()
 		if j.State.terminal() {
+			// A crash may have come between the terminal transition and
+			// the store's removal.
+			s.removePrivateStore(j)
 			s.hubs[j.ID].close()
 			continue
 		}
@@ -288,7 +291,19 @@ func (s *Server) transitionLocked(j *Job, st State, detail string) {
 	}
 	s.hubs[j.ID].publish(Event{Job: j.ID, Kind: "state", At: now, State: st, Detail: detail})
 	if st.terminal() {
+		s.removePrivateStore(j)
 		s.hubs[j.ID].close()
+	}
+}
+
+// removePrivateStore deletes a terminal job's private run store: no attempt
+// will resume from it. (A drained or requeued job is not terminal, and a
+// job on the shared store has none.) A failure is published as a log
+// event; the job's state stands.
+func (s *Server) removePrivateStore(j *Job) {
+	if err := os.RemoveAll(privateStoreDir(s.opts.StateDir, j.ID)); err != nil {
+		s.hubs[j.ID].publish(Event{Job: j.ID, Kind: "log", At: time.Now(),
+			Detail: "private run store removal failed: " + err.Error()})
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -465,4 +468,87 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics text missing %s:\n%s", want, body)
 		}
 	}
+}
+
+// A job's private run store lasts as long as the job may resume from it:
+// through a drain and restart, and through a requeue. It goes once the job
+// is terminal, done or failed.
+func TestPrivateStoreLivesUntilTerminal(t *testing.T) {
+	// storeRuns reports whether the job's private store exists and how many
+	// runs it holds.
+	storeRuns := func(t *testing.T, dir, id string) (bool, int) {
+		t.Helper()
+		n := 0
+		err := filepath.WalkDir(privateStoreDir(dir, id), func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				n++
+			}
+			return err
+		})
+		if errors.Is(err, fs.ErrNotExist) {
+			return false, 0
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return true, n
+	}
+	// poll waits until the job satisfies ok.
+	poll := func(t *testing.T, s *Server, id string, ok func(Job) bool) Job {
+		t.Helper()
+		for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+			if j, _ := s.Job(id); ok(j) {
+				return j
+			}
+		}
+		j, _ := s.Job(id)
+		t.Fatalf("timeout: job %s is %s after %d attempts, %d runs", id, j.State, j.Attempt, j.Done)
+		return Job{}
+	}
+
+	t.Run("drain", func(t *testing.T) {
+		dir := t.TempDir()
+		s1 := newTestServer(t, Options{StateDir: dir, Workers: 1})
+		ts1 := httptest.NewServer(s1.Handler())
+		j := submit(t, ts1, `{"benchmark": "gcc", "instructions": 10000, "cache": "off"}`)
+		ts1.Close()
+		s1.Start()
+		poll(t, s1, j.ID, func(j Job) bool { return j.Done >= 1 })
+		s1.Drain(context.Background())
+		if got, _ := s1.Job(j.ID); got.State != StateDraining {
+			t.Fatalf("drained job is %s, want draining", got.State)
+		}
+		if ok, n := storeRuns(t, dir, j.ID); !ok || n == 0 {
+			t.Fatalf("drained job's private store: exists %v, %d runs", ok, n)
+		}
+		s2 := newTestServer(t, Options{StateDir: dir, Workers: 1})
+		s2.Start()
+		defer s2.Drain(context.Background())
+		waitState(t, s2, j.ID, StateDone)
+		if ok, _ := storeRuns(t, dir, j.ID); ok {
+			t.Error("a done job keeps its private store")
+		}
+	})
+
+	t.Run("requeue", func(t *testing.T) {
+		dir := t.TempDir()
+		s := newTestServer(t, Options{StateDir: dir, Workers: 1, RequeueBase: 300 * time.Millisecond})
+		s.Start()
+		defer s.Drain(context.Background())
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		// Each attempt's deadline ends it part-way; the second attempt
+		// resumes the first's runs, and ends done or failed.
+		j := submit(t, ts, `{"benchmark": "gcc", "instructions": 200000, "cache": "off", "deadline": "500ms", "retries": 1}`)
+		poll(t, s, j.ID, func(j Job) bool { return j.State == StateQueued && j.Attempt == 1 })
+		ok, n := storeRuns(t, dir, j.ID)
+		if !ok {
+			t.Fatal("a requeued job lost its private store")
+		}
+		t.Logf("requeued with %d stored runs", n)
+		final := poll(t, s, j.ID, func(j Job) bool { return j.State.terminal() })
+		if ok, _ := storeRuns(t, dir, j.ID); ok {
+			t.Errorf("a %s job keeps its private store", final.State)
+		}
+	})
 }

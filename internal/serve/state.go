@@ -74,7 +74,8 @@ type Job struct {
 //
 //	jobs/<id>/spec.json     the admitted spec (atomic write, immutable)
 //	jobs/<id>/state.jsonl   append-only transition journal (fsync'd)
-//	jobs/<id>/runs/         private run store (cache: off, or no shared store)
+//	jobs/<id>/runs/         private run store (cache: off, or no shared store),
+//	                        removed once the job is terminal
 //	jobs/<id>/result.txt    rendered outcome tables (atomic write)
 func jobDir(stateDir, id string) string { return filepath.Join(stateDir, "jobs", id) }
 

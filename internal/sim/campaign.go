@@ -127,7 +127,7 @@ func validateInjection(cfg Config, sites []fault.Site) error {
 // only Cycles and post-detection activation counts are truncated.
 func injectSites(ctx context.Context, cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions, rs *runStorage, oracle *goldenOracle, stopOnDetect bool, pl *CampaignPlan) (InjectionResult, pathInfo, error) {
 	inj := &fault.Injector{Sites: sites, SplitPayload: opts.SplitPayload}
-	if err := rs.m.Init(cfg.Machine, cfg.Mode, p, rs.options(ctx, inj, stopOnDetect)...); err != nil {
+	if err := rs.machine().Init(cfg.Machine, cfg.Mode, p, rs.options(ctx, inj, stopOnDetect)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
 	r, pi, err := execute(ctx, cfg, p.Name, rs, inj, sites[0], oracle, pl)
@@ -492,7 +492,9 @@ var (
 // no machine of its own. It lives as long as one campaign call.
 type runStorage struct {
 	sink *detect.Sink
-	m    *pipeline.Machine
+	// m is nil until the first run, which takes the plan's idle warmup
+	// machine when there is one (CampaignPlan.injectCtx), else a new one.
+	m *pipeline.Machine
 	// observe, when non-nil, is the config whose Trace and Metrics an
 	// observed InjectProgram's live run records into (see options).
 	observe *Config
@@ -500,7 +502,15 @@ type runStorage struct {
 
 // newRunStorage returns empty run storage for one worker.
 func newRunStorage() *runStorage {
-	return &runStorage{sink: &detect.Sink{}, m: &pipeline.Machine{}}
+	return &runStorage{sink: &detect.Sink{}}
+}
+
+// machine returns the machine the worker's runs are built into.
+func (rs *runStorage) machine() *pipeline.Machine {
+	if rs.m == nil {
+		rs.m = &pipeline.Machine{}
+	}
+	return rs.m
 }
 
 // campaignWorker is one worker's reusable scratch state: the run storage,

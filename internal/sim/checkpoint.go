@@ -16,25 +16,29 @@ import (
 // prefix before its fault first fired — for trigger-gated or late-firing
 // faults, nearly the whole run. Instead, a CampaignPlan runs ONE fault-free
 // warmup with a probe attached (fault.NewProbe: an injector that never
-// corrupts), snapshotting the machine every CheckpointInterval cycles and
-// recording each site's first activation cycle on the pristine trajectory.
-// It keeps only the snapshots a run can read: fork sources and
-// reconvergence references (CampaignPlan.readable); the rest are rebuilt
-// over in place. Once every site has fired on a list
-// with no one-shot transient, no run can read the rest of the warmup, and
-// it ends there (CampaignPlan.warmup). Each injection then forks from the
-// latest checkpoint strictly preceding its sites' first activation; sites
-// that can never activate are served straight from the warmup result. The
-// golden ISA-reference state used for outcome classification is memoized
-// in a goldenOracle shared by every run of the campaign.
+// corrupts), snapshotting the machine on a grid of cycles (Config.planGrid)
+// and recording each site's first activation cycle on the pristine
+// trajectory. It keeps only the snapshots a run can read: fork sources, on
+// any grid point, and reconvergence references, on multiples of
+// CheckpointInterval (CampaignPlan.readable); the rest are rebuilt over in
+// place. A kept snapshot shares every memory and tag page that did not
+// change since the previous kept one (pipeline.Machine.SnapshotInto). Once
+// every site has fired on a list with no one-shot transient, no run can
+// read the rest of the warmup, and it ends there (CampaignPlan.warmup).
+// Each injection then forks from the latest checkpoint strictly preceding
+// its sites' first activation; sites that can never activate are served
+// straight from the warmup result. The golden ISA-reference state used for
+// outcome classification is memoized in a goldenOracle shared by every run
+// of the campaign.
 //
 // Soundness: the probe never corrupts, so every site observes the pristine
 // trajectory, and a cold injected run is byte-identical to that trajectory
 // until its first corruption. A checkpoint taken strictly before the earliest
 // member activation is therefore on the injected run's own path, and
 // pipeline.Fork resumes it bit-identically (snapshot_test.go proves this per
-// cycle). Transient FireAt counters are seeded from the probe's use counts at
-// the checkpoint, so one-shot faults fire on exactly the same eligible use.
+// cycle), so the grid changes only which cycle a run starts from. Transient
+// FireAt counters are seeded from the probe's use counts at the
+// checkpoint, so one-shot faults fire on exactly the same eligible use.
 //
 // With Config.FastForward the plan goes further (sampled simulation): the
 // fault-free prefix before a site's activation window is executed on the
@@ -125,10 +129,28 @@ type ffMark struct {
 	instrs uint64
 }
 
-// ffMarkInterval is the mark cadence (in cycles) used when fast-forward is
-// on but checkpointing is off; with checkpointing on, marks ride the
-// checkpoint cadence.
-const ffMarkInterval = 500
+// gridStep is the plan grid's cadence in cycles, unless CheckpointInterval
+// does not divide it (see Config.planGrid).
+const gridStep = 500
+
+// planGrid returns the cadence, in cycles, of the warmup's hook: its
+// fast-forward marks and fork-source snapshots lie on every multiple of it,
+// and it divides the reference cadence, CheckpointInterval. It is
+// gcd(CheckpointInterval, gridStep) with checkpoints, gridStep with
+// fast-forward alone, and 0 (no hook) with neither.
+func (c Config) planGrid() int64 {
+	switch {
+	case c.CheckpointInterval > 0:
+		a, b := c.CheckpointInterval, int64(gridStep)
+		for b != 0 {
+			a, b = b, a%b
+		}
+		return a
+	case c.FastForward:
+		return gridStep
+	}
+	return 0
+}
 
 // CampaignPlan amortizes a fault campaign's shared fault-free prefix: build
 // it once per (config, mode, program, site list), then run each entry of
@@ -147,7 +169,12 @@ type CampaignPlan struct {
 	markUses  []uint64 // each mark's use counts, in mark order (see ffMark)
 	warm      pipeline.Stats
 	warmValid bool
-	// warmCut records a warmup ended early, at the first hook boundary
+	// idle holds the warmup's machine once the warmup is over, until the
+	// first run storage that has no machine yet takes it (injectCtx): that
+	// worker's runs then rebuild the storage the warmup grew instead of
+	// growing their own.
+	idle chan *pipeline.Machine
+	// warmCut records a warmup ended early, at the first grid point
 	// with every site fired and no one-shot transient in the list: warm
 	// then holds the statistics of a prefix, never to be served.
 	warmCut bool
@@ -155,10 +182,10 @@ type CampaignPlan struct {
 
 // NewCampaignPlan runs the fault-free warmup (one simulation with a probe
 // attached, ended early once no run can read the rest of it; see warmup),
-// snapshots it every cfg.CheckpointInterval cycles and keeps the snapshots
-// a run can read (see readable). An interval <= 0 takes no snapshots —
-// every injection then runs cold, but the never-fires shortcut and the
-// memoized oracle still apply.
+// snapshots it on the plan grid (cfg.planGrid) and keeps the snapshots a
+// run can read (see readable). An interval <= 0 takes no snapshots — every
+// injection then runs cold, but the never-fires shortcut and the memoized
+// oracle still apply.
 func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (*CampaignPlan, error) {
 	if err := validateInjection(cfg, sites); err != nil {
 		return nil, err
@@ -176,8 +203,7 @@ func NewCampaignPlan(cfg Config, p *isa.Program, sites []fault.Site, opts Inject
 // simulator without any fault would be a bug, but campaigns must be robust)
 // just disables the plan: every injection falls back to a cold run.
 //
-// The warmup ends at the first hook boundary (the checkpoint cadence, or
-// ffMarkInterval with fast-forward alone) where every site has fired and
+// The warmup ends at the first grid point where every site has fired and
 // the list has no one-shot transient, because no run reads past it:
 //   - never-fires windows read the final statistics; there are none;
 //   - reconvergence cuts read checkpointAt and the final statistics, but
@@ -206,11 +232,7 @@ func (pl *CampaignPlan) warmup() {
 		return
 	}
 	pl.probe.Now = m.Cycle
-	interval := pl.cfg.CheckpointInterval
-	snapshots := interval > 0
-	if !snapshots && pl.cfg.FastForward {
-		interval = ffMarkInterval
-	}
+	snapshots := pl.cfg.CheckpointInterval > 0
 	if pl.cfg.FastForward {
 		// Implicit reset-state mark, so every positive handoff target has a
 		// use-counter seed at or below it.
@@ -218,8 +240,9 @@ func (pl *CampaignPlan) warmup() {
 		pl.markUses = make([]uint64, len(pl.sites))
 	}
 	// Each snapshot waits as the pending checkpoint until the warmup has
-	// seen every fire it could serve; then it is kept, or its storage is
-	// spare for the next snapshot.
+	// seen every fire it could serve; then it is kept, or the storage it
+	// owns is spare for the next snapshot. It shares the pages that equal
+	// those of the latest kept checkpoint, which stays as it is.
 	forkBoundList := !pl.cfg.FastForward || pl.ffIneligible(0, len(pl.sites)) != ""
 	// Only a one-shot transient's injector is ever spent (Injector.Spent).
 	mayEnd := !slices.ContainsFunc(pl.sites, func(s fault.Site) bool { return s.EffectiveKind() == fault.KindTransient })
@@ -235,7 +258,7 @@ func (pl *CampaignPlan) warmup() {
 		}
 		pending = planCheckpoint{}
 	}
-	st := m.RunWithCheckpoints(pl.cfg.MaxInstructions, interval, func(live *pipeline.Machine) {
+	st := m.RunWithCheckpoints(pl.cfg.MaxInstructions, pl.cfg.planGrid(), func(live *pipeline.Machine) {
 		if pl.cfg.FastForward {
 			lead, trail := live.CommittedInstrs()
 			pl.marks = append(pl.marks, ffMark{cycle: live.Cycle(), instrs: min(lead, trail)})
@@ -248,15 +271,23 @@ func (pl *CampaignPlan) warmup() {
 			}
 		}
 		settle(live.Cycle())
-		if mayEnd && pl.allFired() {
+		fired := pl.allFired()
+		if mayEnd && fired {
 			pl.warmCut = true
 			live.Stop()
 			return
 		}
-		if snapshots {
+		// A fork source at cycle c serves only a site that first fires
+		// after c: once every site has fired, only a reference point can
+		// be read.
+		if snapshots && (!fired || pl.isReference(live.Cycle())) {
+			var prev *pipeline.Checkpoint
+			if n := len(pl.cps); n > 0 {
+				prev = pl.cps[n-1].snap
+			}
 			pending = planCheckpoint{
 				cycle: live.Cycle(),
-				snap:  live.SnapshotInto(spare.snap),
+				snap:  live.SnapshotInto(spare.snap, prev),
 				uses:  pl.probe.AppendUses(spare.uses[:0]),
 			}
 			spare = planCheckpoint{}
@@ -271,6 +302,8 @@ func (pl *CampaignPlan) warmup() {
 	settle(st.Cycles)
 	pl.warm = *st
 	pl.warmValid = true
+	pl.idle = make(chan *pipeline.Machine, 1)
+	pl.idle <- m
 }
 
 // invalidate drops a failed warmup's checkpoints and marks: every injection
@@ -281,16 +314,17 @@ func (pl *CampaignPlan) invalidate() {
 }
 
 // readable reports whether a run can read the warmup snapshot taken at
-// cycle c, once the warmup has recorded every fire up to next, the cycle of
-// the following snapshot (or the warmup's end). A run reads a snapshot in
-// two ways:
+// grid point c, once the warmup has recorded every fire up to next, the
+// next grid point (or the warmup's end). A run reads a snapshot in two
+// ways:
 //   - as its fork source: latestBefore picks c for a run whose earliest fire
 //     is in (c, next], if the run does not fast-forward. It does not when
 //     forkBoundList (fast-forward off, or a site the handoff's timing
 //     cannot serve) or when ffHandoff fails for that fire.
-//   - as a reconvergence reference: run compares against c only once its
-//     injector is spent, when every site of the run is a one-shot
-//     transient past its shot. A run equals the warmup until its first
+//   - as a reconvergence reference: run compares against c only at a
+//     reference point (isReference), and only once its injector is spent,
+//     when every site of the run is a one-shot transient past its shot. A
+//     run equals the warmup until its first
 //     corruption, which is one of its sites firing where the probe saw it
 //     fire; and a run with no corruption by c has seen the warmup's shots
 //     by c, one of which fires (else the run is served warm). Either way a
@@ -304,7 +338,7 @@ func (pl *CampaignPlan) readable(c, next int64, forkBoundList bool) bool {
 		switch {
 		case fire < 0:
 		case fire <= c:
-			if pl.sites[i].EffectiveKind() == fault.KindTransient {
+			if pl.sites[i].EffectiveKind() == fault.KindTransient && pl.isReference(c) {
 				return true
 			}
 		case fire <= next:
@@ -317,6 +351,12 @@ func (pl *CampaignPlan) readable(c, next int64, forkBoundList bool) bool {
 		}
 	}
 	return false
+}
+
+// isReference reports whether cycle c is a reconvergence reference point:
+// a multiple of CheckpointInterval, the cadence at which run compares.
+func (pl *CampaignPlan) isReference(c int64) bool {
+	return c%pl.cfg.CheckpointInterval == 0
 }
 
 // allFired reports whether every site has fired on the warmup so far.
@@ -358,6 +398,12 @@ func (pl *CampaignPlan) Checkpoints() int { return len(pl.cps) }
 // timing-sensitive kind, activation too close to reset, or the warmup
 // failed), the plan falls back to a checkpoint fork, then to a cold run.
 func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, rs *runStorage) (InjectionResult, pathInfo, error) {
+	if rs.m == nil {
+		select {
+		case rs.m = <-pl.idle:
+		default:
+		}
+	}
 	subset := pl.sites[lo:hi]
 	minFire := int64(-1)
 	reason := reasonWarmupInvalid
@@ -482,7 +528,7 @@ func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, u
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	if err := rs.m.InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, rs.options(ctx, inj, true)...); err != nil {
+	if err := rs.machine().InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, rs.options(ctx, inj, true)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, nil)
@@ -512,15 +558,15 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	rs.m.ForkFrom(cp.snap, rs.options(ctx, inj, pl.cfg.FastForward)...)
+	rs.machine().ForkFrom(cp.snap, rs.options(ctx, inj, pl.cfg.FastForward)...)
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, pl)
 	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err
 }
 
 // run runs m, with injector inj installed, to the end of its instruction
-// budget — or until it reconverges with the golden warmup: at a
-// checkpoint cycle, inj can never corrupt again (fault.Injector.Spent) and
+// budget — or until it reconverges with the golden warmup: at a reference
+// point (a multiple of CheckpointInterval), inj can never corrupt again (fault.Injector.Spent) and
 // m's whole state equals the checkpoint's (pipeline.Machine.Matches). A
 // run cut there returns the warmup's final statistics as warm (nil
 // otherwise), or an error if the warmup was itself cut early.

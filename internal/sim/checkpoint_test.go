@@ -158,8 +158,8 @@ func TestGoldenOracleMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// allSnapshots replays pl's warmup and keeps a snapshot at every
-// checkpoint cycle: the reference a plan that keeps only the snapshots a
+// allSnapshots replays pl's warmup and keeps a snapshot at every grid
+// point (Config.planGrid): the reference a plan that keeps only the snapshots a
 // run can read is checked against.
 func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 	t.Helper()
@@ -170,7 +170,7 @@ func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 	}
 	probe.Now = m.Cycle
 	var cps []planCheckpoint
-	m.RunWithCheckpoints(pl.cfg.MaxInstructions, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
+	m.RunWithCheckpoints(pl.cfg.MaxInstructions, pl.cfg.planGrid(), func(live *pipeline.Machine) {
 		cps = append(cps, planCheckpoint{cycle: live.Cycle(), snap: live.Snapshot(), uses: probe.AppendUses(nil)})
 	})
 	return cps
@@ -181,7 +181,7 @@ func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 // canonical list and a mix run in windows, with fast-forward off and on:
 //   - every kept snapshot equals the reference snapshot of its cycle, and
 //     is a fork source of some run or comes after a transient's shot;
-//   - every run forks from the largest interval multiple below its first
+//   - every run forks from the largest grid point below its first
 //     fire (or runs cold when there is none), and every cycle a
 //     reconvergence check can happen at holds its snapshot;
 //   - every run's result and path, convergence included, equal those of
@@ -267,7 +267,8 @@ func TestCampaignPlanCheckpointsOnDemand(t *testing.T) {
 						minFire = f
 					}
 				}
-				below := (minFire - 1) / l.interval * l.interval
+				grid := cfg.planGrid()
+				below := (minFire - 1) / grid * grid
 				switch {
 				case gotPath.Path == pathForked:
 					forks++
@@ -364,10 +365,7 @@ func TestCampaignPlanWarmupEndsAtLastFire(t *testing.T) {
 	for _, c := range configs {
 		cfg := base
 		cfg.CheckpointInterval, cfg.FastForward = c.ckpt, c.ff
-		hook := c.ckpt
-		if hook == 0 {
-			hook = ffMarkInterval
-		}
+		hook := cfg.planGrid()
 		t.Run(c.name, func(t *testing.T) {
 			sites := ControlFlowSites(cfg.Machine)
 			pl := plan(t, cfg, sites)
@@ -416,4 +414,52 @@ func TestCampaignPlanWarmupEndsAtLastFire(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Fast-forward marks lie on the plan grid whatever the checkpoint
+// interval, so on the latent list the runs a plan fast-forwards are the
+// same runs, field for field, at every interval the grid step divides as
+// with fast-forward alone: same results, same handoffs.
+func TestCampaignFastForwardRowsIndependentOfInterval(t *testing.T) {
+	p := prog.MustBenchmark("gcc")
+	opts := InjectOptions{SplitPayload: true}
+	rows := func(ckpt int64) (res []InjectionResult, paths []pathInfo) {
+		cfg := Default(pipeline.ModeBlackJack, 30_000)
+		cfg.CheckpointInterval, cfg.FastForward = ckpt, true
+		sites := LatentSites(cfg.Machine)
+		pl, err := NewCampaignPlan(cfg, p, sites, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := newRunStorage()
+		for i := range sites {
+			r, pi, err := pl.injectCtx(nil, i, i+1, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, paths = append(res, r), append(paths, pi)
+		}
+		return res, paths
+	}
+	want, wantPaths := rows(0)
+	ff := 0
+	for _, pi := range wantPaths {
+		if pi.Path == pathFF {
+			ff++
+		}
+	}
+	if ff == 0 {
+		t.Fatal("no latent run fast-forwards")
+	}
+	for _, ckpt := range []int64{500, 1000, 2500} {
+		got, gotPaths := rows(ckpt)
+		for i := range want {
+			if (wantPaths[i].Path == pathFF) != (gotPaths[i].Path == pathFF) {
+				t.Errorf("interval %d, site %d: path %s, with fast-forward alone %s", ckpt, i, gotPaths[i].Path, wantPaths[i].Path)
+			} else if wantPaths[i].Path == pathFF && (!reflect.DeepEqual(got[i], want[i]) || gotPaths[i] != wantPaths[i]) {
+				t.Errorf("interval %d, site %d: %+v %+v, with fast-forward alone %+v %+v", ckpt, i, got[i], gotPaths[i], want[i], wantPaths[i])
+			}
+		}
+	}
+	t.Logf("%d of %d latent runs fast-forward", ff, len(want))
 }

@@ -33,12 +33,15 @@ type Config struct {
 	// byte-identical at every worker count.
 	Parallel int
 	// CheckpointInterval, when positive, makes campaigns snapshot their
-	// fault-free warmup every that-many cycles and fork each injection from
-	// the latest snapshot preceding its fault's first activation, instead of
-	// replaying the warmup prefix cold (see CampaignPlan). Results are
-	// byte-identical at every interval; only wall-clock and memory change
-	// (each retained snapshot holds a full machine copy). 0 disables
-	// checkpointing.
+	// fault-free warmup and fork each injection from the latest snapshot
+	// preceding its fault's first activation, instead of replaying the
+	// warmup prefix cold (see CampaignPlan). Fork sources, like
+	// fast-forward marks, lie on a grid of gcd(CheckpointInterval, 500)
+	// cycles; the interval itself sets the cadence of the reconvergence
+	// references, where a run whose faults are spent may end early.
+	// Results are byte-identical at every interval; only wall-clock and
+	// memory change (a retained snapshot holds the machine's state, sharing
+	// the pages that equal the previous one's). 0 disables checkpointing.
 	CheckpointInterval int64
 	// FastForward enables sampled campaign execution: an injection whose
 	// fault cannot corrupt anything before a known warmup cycle is served by

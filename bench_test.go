@@ -18,6 +18,7 @@ import (
 	"blackjack/internal/pipeline"
 	"blackjack/internal/prog"
 	"blackjack/internal/runcache"
+	"blackjack/internal/sim"
 )
 
 // benchOpts is the reduced-scale setup the figure benches share: one low-IPC
@@ -333,6 +334,32 @@ func BenchmarkCampaignControlFlowFF(b *testing.B) {
 		detected = sum.Counts[OutcomeDetected]
 	}
 	b.ReportMetric(float64(detected), "detected")
+}
+
+// BenchmarkCampaignTransientFF measures the one-shot transient campaign
+// on gcc at one worker with fast-forward and checkpoints on. Its sites are
+// timing-sensitive, so each run forks or runs cold, and a run whose shot is
+// spent is cut at the first kept warmup snapshot its state equals. It
+// reports the runs cut and the cycle-accurate cycles the runs simulated.
+func BenchmarkCampaignTransientFF(b *testing.B) {
+	cfg := DefaultConfig(ModeBlackJack, 6000)
+	cfg.Parallel = 1
+	cfg.CheckpointInterval = 2500
+	cfg.FastForward = true
+	sites := sim.TransientSites(cfg.Machine, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var converged, cycles uint64
+	for i := 0; i < b.N; i++ {
+		cfg.Metrics = NewMetrics()
+		if _, err := Campaign(cfg, "gcc", sites, InjectOptions{SplitPayload: true}); err != nil {
+			b.Fatal(err)
+		}
+		converged = cfg.Metrics.CounterValue("campaign.converged.runs")
+		cycles = cfg.Metrics.CounterValue("campaign.simulated_cycles")
+	}
+	b.ReportMetric(float64(converged), "converged")
+	b.ReportMetric(float64(cycles), "sim-cycles/op")
 }
 
 // BenchmarkSweepWarmCache measures a fully-warm Ext-A sweep: every campaign

@@ -116,8 +116,8 @@ func (c *Cache) Open() (*runcache.Store, float64) {
 	return c.store, *c.verify
 }
 
-// Report prints the store's traffic to stderr, so stdout stays
-// byte-identical to an uncached run, and exits ExitDiverged when
+// Report prints the store's traffic and failed writes to stderr, so stdout
+// stays byte-identical to an uncached run, and exits ExitDiverged when
 // verification found a stored outcome diverging from live re-execution.
 func (c *Cache) Report() {
 	if c.store == nil {
@@ -126,6 +126,9 @@ func (c *Cache) Report() {
 	st := c.store.Stats()
 	if st.Hits+st.Misses > 0 {
 		Logf("cache: %d hits, %d misses, %d evictions, %d bytes", st.Hits, st.Misses, st.Evictions, st.Bytes)
+	}
+	if st.PutErrors > 0 {
+		Logf("cache: %d store writes failed; a rerun simulates those runs again", st.PutErrors)
 	}
 	if st.VerifyDivergences > 0 {
 		Exitf(ExitDiverged, "cache verification: %d of %d recomputed hits diverged", st.VerifyDivergences, st.VerifyRuns)
@@ -175,7 +178,7 @@ type Execution struct {
 func ExecutionFlags() *Execution {
 	return &Execution{
 		parallel: flag.Int("parallel", 0, "worker count for campaign, suite and sweep fan-out (0 = NumCPU; output is identical at any value)"),
-		ckpt:     flag.Int64("checkpoint-interval", 0, "campaign checkpoints: reconvergence-reference interval in cycles; injections fork from the latest point before their fault fires on a grid of gcd(interval, 500) cycles (0 = every run cold; output is identical at any value)"),
+		ckpt:     flag.Int64("checkpoint-interval", 0, "campaign checkpoints on a grid of gcd(interval, 500) cycles: injections fork from the latest point before their fault fires, and a spent one-shot run may end at any kept point (the three after its shot, and multiples of the interval) (0 = every run cold; output is identical at any value)"),
 		ff:       flag.Bool("ff", false, "sampled fault campaigns: fast-forward each injection's fault-free prefix on the functional model and simulate only its activation window (outcome tables match full simulation; cycle figures of fast-forwarded runs are window-relative)"),
 		ffWarmup: flag.Int("ff-warmup", 0, "fast-forward warmup lead in committed instructions before the activation window (0 = default)"),
 	}

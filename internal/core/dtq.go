@@ -183,15 +183,23 @@ func (q *DTQ) SquashYounger(seq uint64) int {
 
 // CopyFrom makes q an independent deep copy of src, reusing q's storage.
 // Entries are owned by the machine, so the caller supplies remap to
-// translate each entry pointer into its copy; the Seq table is rebuilt from
-// the remapped ring. src is only read.
-func (q *DTQ) CopyFrom(src *DTQ, remap func(*Entry) *Entry) {
+// translate each entry pointer into its copy. With table the Seq table is
+// rebuilt from the remapped ring; without it q holds none, which only a
+// copy that is never run may do (a checkpoint: a copy made from it rebuilds
+// the table). src is only read.
+func (q *DTQ) CopyFrom(src *DTQ, remap func(*Entry) *Entry, table bool) {
 	q.ring.CopyFrom(&src.ring)
-	q.resetSeqTable(len(src.bySeq))
+	if table {
+		q.resetSeqTable(int(src.seqMask + 1))
+	} else {
+		q.bySeq, q.seqMask = nil, src.seqMask
+	}
 	for i := 0; i < q.ring.Len(); i++ {
 		e := remap(q.ring.At(i))
 		q.ring.SetAt(i, e)
-		q.bySeq[e.Seq&q.seqMask] = e
+		if table {
+			q.bySeq[e.Seq&q.seqMask] = e
+		}
 	}
 }
 

@@ -320,7 +320,9 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 			}
 		}
 		if cell != nil {
-			_ = o.Cache.Put(cell, out.rec) // best-effort: a failed Put only costs a resume this program
+			// A failed Put only costs a resume this program; the store
+			// counts it (runcache.Stats.PutErrors).
+			_ = o.Cache.Put(cell, out.rec)
 		}
 		if o.OnProgress != nil {
 			o.OnProgress(i, false, len(out.rec.Divergences))

@@ -135,10 +135,9 @@ type Machine struct {
 	uopSlab    slab[UOp]
 	entrySlab  slab[core.Entry]
 	selScratch []int
-	// copyFrom's translation maps from a source machine's records to this
-	// machine's copies, kept for the next copy.
-	uopCopies   map[*UOp]*UOp
-	entryCopies map[*core.Entry]*core.Entry
+	// copies is the machine's copy scratch for snapshots of it and forks
+	// into it (see copyScratch).
+	copies copyScratch
 
 	cap         uint64 // leading-commit target for this run (machine-local)
 	leadStopped bool
@@ -422,7 +421,7 @@ func (m *Machine) adoptPools(st *Machine) {
 	m.uopSlab, m.entrySlab = st.uopSlab, st.entrySlab
 	m.uopFree, m.entryFree = st.uopFree[:0], st.entryFree[:0]
 	m.selScratch = st.selScratch[:0]
-	m.uopCopies, m.entryCopies = st.uopCopies, st.entryCopies
+	m.copies = st.copies
 	m.watch = st.watch
 }
 

@@ -18,8 +18,9 @@ import (
 )
 
 // Every Machine field is either compared by Matches or named here as
-// harness-only. A new field fails TestMatchesFieldInventory until it is
-// placed in one of the two lists (and, if compared, added to Matches).
+// harness-only or copy scratch. A new field fails TestMatchesFieldInventory
+// until it is placed in one of the lists (and, if compared, added to
+// Matches).
 var (
 	matchedFields = []string{
 		"cfg", "mode", "prog", "mem", "rf", "freeList", "threads",
@@ -35,8 +36,10 @@ var (
 		"inj", "watch", "tracer", "shuffleObs", "otr", "metrics",
 		"hIQ", "hDTQ", "hBOQ", "hLVQ", "runCtx", "stopOnDetect", "stop",
 		"uopFree", "entryFree", "uopSlab", "entrySlab", "selScratch",
-		"uopCopies", "entryCopies",
 	}
+	// copyScratchFields belong to the live machine of a copy, the source of
+	// SnapshotInto or the destination of ForkFrom: a checkpoint holds none.
+	copyScratchFields = []string{"copies"}
 )
 
 func TestMatchesFieldInventory(t *testing.T) {
@@ -44,11 +47,13 @@ func TestMatchesFieldInventory(t *testing.T) {
 	for _, f := range matchedFields {
 		listed[f] = "matched"
 	}
-	for _, f := range harnessFields {
-		if listed[f] != "" {
-			t.Errorf("field %s is listed as both matched and harness-only", f)
+	for kind, fields := range map[string][]string{"harness": harnessFields, "copy scratch": copyScratchFields} {
+		for _, f := range fields {
+			if listed[f] != "" {
+				t.Errorf("field %s is listed as both %s and %s", f, listed[f], kind)
+			}
+			listed[f] = kind
 		}
-		listed[f] = "harness"
 	}
 	mt := reflect.TypeOf(Machine{})
 	for i := 0; i < mt.NumField(); i++ {
@@ -65,14 +70,15 @@ func TestMatchesFieldInventory(t *testing.T) {
 
 // referenceMatches is the test oracle for Matches: reflect.DeepEqual over
 // snapshots normalized to live state, plus a word-by-word memory compare
-// through the public accessor.
+// through the public accessor. The checkpoint is snapshotted through a
+// fork of it, since a checkpoint is never a copy's source.
 func referenceMatches(m *Machine, cp *Checkpoint) bool {
-	a, b := m.Snapshot().m, cp.m.Snapshot().m
-	if a.MemSize() != b.MemSize() {
+	a, b := m.Snapshot(), Fork(cp).Snapshot()
+	if a.m.MemSize() != b.m.MemSize() {
 		return false
 	}
-	for addr := 0; addr < a.MemSize(); addr += 8 {
-		if a.MemWord(uint64(addr)) != b.MemWord(uint64(addr)) {
+	for addr := 0; addr < a.m.MemSize(); addr += 8 {
+		if a.m.MemWord(uint64(addr)) != b.m.MemWord(uint64(addr)) {
 			return false
 		}
 	}
@@ -84,7 +90,7 @@ func referenceMatches(m *Machine, cp *Checkpoint) bool {
 // skippedFields names, per type, the state that cannot steer a run: harness
 // hooks, record pools, scratch buffers and lookup caches.
 var skippedFields = map[reflect.Type][]string{
-	reflect.TypeOf(Machine{}):           append([]string{"mem"}, harnessFields...),
+	reflect.TypeOf(Machine{}):           append(append([]string{"mem"}, harnessFields...), copyScratchFields...),
 	reflect.TypeOf(core.DTQ{}):          {"bySeq", "scratch"},
 	reflect.TypeOf(core.Shuffler{}):     {"slotFree", "outScratch"},
 	reflect.TypeOf(redundancy.Stream{}): {"scratch"},
@@ -92,10 +98,10 @@ var skippedFields = map[reflect.Type][]string{
 	reflect.TypeOf(detect.Sink{}):       {"Observer"},
 }
 
-// normalize rewrites the machine graph in place: skipped fields are zeroed
-// and every queues.Ring is rotated so its live elements start at buffer
-// index 0 (where a ring's head sits is not state).
-func normalize(m *Machine) {
+// normalize rewrites the checkpoint's machine graph in place: skipped
+// fields are zeroed and every queues.Ring is rotated so its live elements
+// start at buffer index 0 (where a ring's head sits is not state).
+func normalize(cp *Checkpoint) {
 	seen := map[uintptr]bool{}
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
@@ -124,7 +130,7 @@ func normalize(m *Machine) {
 			}
 		}
 	}
-	walk(reflect.ValueOf(m))
+	walk(reflect.ValueOf(cp))
 }
 
 func settable(f reflect.Value) reflect.Value {

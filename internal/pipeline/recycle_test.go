@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blackjack/internal/detect"
@@ -302,7 +303,9 @@ func TestSnapshotIntoMatchesFresh(t *testing.T) {
 // modes, every kept checkpoint Matches a full copy of its cycle both ways
 // once every later one is taken (so no rebuild wrote a page it shares),
 // and forks from the two match at every 500th cycle and end with equal
-// statistics.
+// statistics. A kept checkpoint holds machine state only: no translation
+// map (the live machine's copy scratch), no wakeup or calendar list
+// headers and no DTQ Seq table, which its forks rebuild.
 func TestSnapshotSharingMatchesFullCopy(t *testing.T) {
 	const n = 3000
 	p := prog.MustBenchmark("gcc")
@@ -335,8 +338,21 @@ func TestSnapshotSharingMatchesFullCopy(t *testing.T) {
 			if !Fork(cp).Matches(full[i]) || !Fork(full[i]).Matches(cp) {
 				t.Errorf("%v: the sharing checkpoint at cycle %d differs from a full copy", mode, cp.Cycle())
 			}
+			if c := cp.m.copies; c.uops != nil || c.entries != nil {
+				t.Errorf("%v: the checkpoint at cycle %d holds translation maps", mode, cp.Cycle())
+			}
+			if cp.m.doneCal != nil || cp.m.cal != nil || cp.m.regWaiters != nil {
+				t.Errorf("%v: the checkpoint at cycle %d holds list headers", mode, cp.Cycle())
+			}
+			if mode.UsesDTQ() {
+				if n := field(cp.m.dtq, "bySeq").Len(); n != 0 {
+					t.Errorf("%v: the checkpoint at cycle %d holds a %d-slot DTQ Seq table", mode, cp.Cycle(), n)
+				}
+				if field(Fork(cp).dtq, "bySeq").Len() == 0 {
+					t.Errorf("%v: a fork of the checkpoint at cycle %d has no DTQ Seq table", mode, cp.Cycle())
+				}
+			}
+			matchLockstep(t, fmt.Sprintf("%v@%d", mode, cp.Cycle()), Fork(full[i]), Fork(cp), n)
 		}
-		last := len(kept) - 1
-		matchLockstep(t, mode.String(), Fork(full[last]), Fork(kept[last]), n)
 	}
 }

@@ -21,19 +21,21 @@ import (
 // run: snapshot the golden warmup periodically, then fork each injection from
 // the latest checkpoint preceding its site's first activation. Forked copies
 // are bit-identical to a cold run continued from the same cycle.
+//
+// A checkpoint is never run, so it holds machine state only: no copy
+// scratch, no DTQ Seq table (Fork rebuilds it) and no list room to grow.
 type Checkpoint struct {
 	m *Machine
-	// lists backs every wakeup and calendar list of m, each carved to its
-	// length (see frozenLists).
-	lists []*UOp
+	// lists holds the wakeup and calendar lists of m, whose own are nil.
+	lists frozenLists
 }
 
 // Cycle returns the cycle the checkpoint was taken at.
 func (cp *Checkpoint) Cycle() int64 { return cp.m.cycle }
 
-// Snapshot deep-copies the machine's state into a new Checkpoint. The
-// machine is only read, so snapshotting mid-run (from a RunWithCheckpoints
-// hook) is safe. Snapshot is SnapshotInto(nil, nil).
+// Snapshot deep-copies the machine's state into a new Checkpoint. It is
+// SnapshotInto(nil, nil), so it may run mid-run (from a RunWithCheckpoints
+// hook), but not concurrently with another copy of the machine.
 func (m *Machine) Snapshot() *Checkpoint {
 	return m.SnapshotInto(nil, nil)
 }
@@ -43,14 +45,16 @@ func (m *Machine) Snapshot() *Checkpoint {
 // new storage. Each memory page and cache tag page that holds the same
 // words in prev, an earlier checkpoint (nil: none), is shared with prev
 // instead of copied; the pages are compared now, so running the machine
-// costs nothing extra. Wakeup and calendar lists are carved to their
-// length. The result equals a fresh Snapshot: cp keeps nothing of its
-// earlier state and no reference to m.
+// costs nothing extra. The result equals a fresh Snapshot: cp keeps nothing
+// of its earlier state and no reference to m.
 //
-// A checkpoint's pages may thus belong to another checkpoint, never to a
-// live machine or a fork. So: cp must not be in use (no machine forking
-// from it or comparing against it, no checkpoint sharing its pages) while
-// it is rebuilt, and prev must stay unchanged for as long as cp is in use.
+// The machine's state is only read, but the copy's translation maps are
+// the machine's own scratch (see copyScratch): two copies of one machine
+// must not run at once. A checkpoint's pages may belong to another
+// checkpoint, never to a live machine or a fork. So: cp must not be in use
+// (no machine forking from it or comparing against it, no checkpoint
+// sharing its pages) while it is rebuilt, and prev must stay unchanged for
+// as long as cp is in use.
 func (m *Machine) SnapshotInto(cp, prev *Checkpoint) *Checkpoint {
 	if cp == nil {
 		cp = &Checkpoint{m: &Machine{}}
@@ -61,13 +65,9 @@ func (m *Machine) SnapshotInto(cp, prev *Checkpoint) *Checkpoint {
 	}
 	c := cp.m
 	sink := c.sink
-	c.copyFrom(m, pm, &cp.lists)
+	c.copyFrom(m, pm, &m.copies, nil, &cp.lists)
 	c.sink = orNew(sink)
 	c.sink.CopyFrom(m.sink)
-	// The translation maps keep their buckets for the next rebuild, but
-	// not m's records as keys.
-	clear(c.uopCopies)
-	clear(c.entryCopies)
 	return cp
 }
 
@@ -85,7 +85,7 @@ func Fork(cp *Checkpoint, opts ...Option) *Machine {
 // storage of whatever machine m held before, as Init does: Fork is ForkFrom
 // on a zero Machine. The checkpoint is only read.
 func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
-	m.copyFrom(cp.m, nil, nil)
+	m.copyFrom(cp.m, nil, &m.copies, &cp.lists, nil)
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -96,23 +96,42 @@ func (m *Machine) ForkFrom(cp *Checkpoint, opts ...Option) {
 	m.initWatch()
 }
 
+// copyScratch is copyFrom's translation maps from a source machine's
+// records to their copies. They are the scratch of the live machine of a
+// copy, the source of SnapshotInto and the destination of ForkFrom, and
+// keep their buckets from copy to copy but no records between copies; a
+// checkpoint holds none.
+type copyScratch struct {
+	uops    map[*UOp]*UOp
+	entries map[*core.Entry]*core.Entry
+}
+
+// copier copies a source machine's records into dst's slabs, each record
+// once, through the translation maps sc.
+type copier struct {
+	dst *Machine
+	sc  *copyScratch
+}
+
 // copyFrom makes m a deep copy of every live structure of src, reusing the
-// storage of whatever machine m held before. UOps and DTQ entries are
-// shared by multiple structures (a uop sits in its window, the issue queue,
-// a calendar bucket and waiter lists at once), so identity is preserved
-// through translation maps, and the copies come from m's rewound slabs,
-// grown to the live population when short. The program is immutable and
-// shared; record free lists start empty and scratch buffers hold nothing
-// of src (a record is filled in full at allocation, so an empty pool only
-// costs slab records). Harness state is not machine state, so none of it
-// is copied: m gets no injector, shuffle observer, tracer, metrics or run
-// context, and no detection sink; the caller installs one.
+// storage of whatever machine m held before, with sc as the translation
+// maps. UOps and DTQ entries are shared by multiple structures (a uop sits
+// in its window, the issue queue, a calendar bucket and waiter lists at
+// once), so identity is preserved through the maps, and the copies come
+// from m's rewound slabs, grown to the live population when short. The
+// program is immutable and shared; record free lists start empty and
+// scratch buffers hold nothing of src (a record is filled in full at
+// allocation, so an empty pool only costs slab records). Harness state is
+// not machine state, so none of it is copied: m gets no injector, shuffle
+// observer, tracer, metrics or run context, and no detection sink; the
+// caller installs one.
 //
-// With a non-nil frozen, m is a checkpoint, never run: it shares prev's
-// equal memory and tag pages (prev nil: none; see SnapshotInto), and its
-// wakeup and calendar lists are carved to their length from *frozen. With
-// a nil frozen, m is a live machine, and prev must be nil.
-func (m *Machine) copyFrom(src, prev *Machine, frozen *[]*UOp) {
+// Exactly one of from and into is set. With into, m is a checkpoint, never
+// run: it shares prev's equal memory and tag pages (prev nil: none; see
+// SnapshotInto), its wakeup and calendar lists are frozen into *into, and
+// its DTQ has no Seq table. With from, src is a checkpoint whose lists are
+// *from, m is a live machine, and prev must be nil.
+func (m *Machine) copyFrom(src, prev *Machine, sc *copyScratch, from, into *frozenLists) {
 	st := m.storage()
 	*m = *src // scalars, config, stats; storage fixed up below
 	m.adoptPools(&st)
@@ -129,8 +148,10 @@ func (m *Machine) copyFrom(src, prev *Machine, frozen *[]*UOp) {
 	for _, t := range src.threads {
 		nu += t.rob.occupancy()
 	}
-	for _, b := range src.doneCal {
-		nu += len(b)
+	if from != nil {
+		nu += from.start(int(src.calMask + 1))
+	} else {
+		nu += listsLen(src.doneCal)
 	}
 	if src.dtq != nil {
 		ne = src.dtq.Len()
@@ -140,13 +161,15 @@ func (m *Machine) copyFrom(src, prev *Machine, frozen *[]*UOp) {
 	}
 	m.uopSlab.reserve(nu)
 	m.entrySlab.reserve(ne)
-	if m.uopCopies == nil {
-		m.uopCopies = make(map[*UOp]*UOp, nu)
-		m.entryCopies = make(map[*core.Entry]*core.Entry, ne)
+	if sc.uops == nil {
+		sc.uops = make(map[*UOp]*UOp, nu)
+		sc.entries = make(map[*core.Entry]*core.Entry, ne)
 	}
-	clear(m.uopCopies)
-	clear(m.entryCopies)
-	cu, ce := m.copyUOp, m.copyEntry
+	c := copier{dst: m, sc: sc}
+	// The maps hold no records between copies: src's as keys would pin
+	// them, and m's as values would pin a checkpoint.
+	defer c.reset()
+	cu, ce := c.uop, c.entry
 
 	var prevMem *isa.Memory
 	var prevCache *cache.Hierarchy
@@ -184,23 +207,21 @@ func (m *Machine) copyFrom(src, prev *Machine, frozen *[]*UOp) {
 	m.lvq = copied(st.lvq, src.lvq, (*redundancy.LVQ).CopyFrom)
 	m.sb = copied(st.sb, src.sb, (*redundancy.StoreBuffer).CopyFrom)
 	m.stream = copied(st.stream, src.stream, (*redundancy.Stream).CopyFrom)
-	m.dtq = copied(st.dtq, src.dtq, func(d, s *core.DTQ) { d.CopyFrom(s, ce) })
+	m.dtq = copied(st.dtq, src.dtq, func(d, s *core.DTQ) { d.CopyFrom(s, ce, into == nil) })
 	m.shuffler = copied(st.shuffler, src.shuffler, (*core.Shuffler).CopyFrom)
-	m.packets = copied(st.packets, src.packets, m.copyPackets)
+	m.packets = copied(st.packets, src.packets, c.packets)
 	m.dr = copied(st.dr, src.dr, (*core.DoubleRename).CopyFrom)
 	m.oc = copied(st.oc, src.oc, (*core.OrderChecker).CopyFrom)
 
 	// Calendars and wakeup state, in the same order, remapped.
-	if frozen == nil {
-		m.doneCal = copyLists(st.doneCal, src.doneCal, bucketCap, cu)
-		m.cal = copyLists(st.cal, src.cal, bucketCap, cu)
-		m.regWaiters = copyLists(st.regWaiters, src.regWaiters, waiterCap, cu)
+	if into != nil {
+		into.freeze(cu, src.doneCal, src.cal, src.regWaiters)
+		m.doneCal, m.cal, m.regWaiters = nil, nil, nil
 	} else {
-		*frozen = resize(*frozen, listsLen(src.doneCal)+listsLen(src.cal)+listsLen(src.regWaiters))
-		rest := *frozen
-		m.doneCal = frozenLists(st.doneCal, src.doneCal, &rest, cu)
-		m.cal = frozenLists(st.cal, src.cal, &rest, cu)
-		m.regWaiters = frozenLists(st.regWaiters, src.regWaiters, &rest, cu)
+		n := int(src.calMask + 1)
+		m.doneCal = from.thaw(st.doneCal, 0, n, bucketCap, cu)
+		m.cal = from.thaw(st.cal, n, n, bucketCap, cu)
+		m.regWaiters = from.thaw(st.regWaiters, 2*n, len(from.ends)-2*n, waiterCap, cu)
 	}
 	m.readyMask = append(st.readyMask[:0], src.readyMask...)
 	m.packetPending = copied(st.packetPending, src.packetPending, (*pendTable).copyFrom)
@@ -218,45 +239,51 @@ func copied[T any](dst, src *T, copyFrom func(dst, src *T)) *T {
 	return dst
 }
 
-// copyUOp returns this machine's copy of the source machine's uop u (nil
-// for nil), taking a slab record on first sight.
-func (m *Machine) copyUOp(u *UOp) *UOp {
+// uop returns the copy of the source machine's uop u (nil for nil), taking
+// a slab record on first sight.
+func (c copier) uop(u *UOp) *UOp {
 	if u == nil {
 		return nil
 	}
-	if v, ok := m.uopCopies[u]; ok {
+	if v, ok := c.sc.uops[u]; ok {
 		return v
 	}
-	v := m.uopSlab.alloc()
+	v := c.dst.uopSlab.alloc()
 	*v = *u
-	m.uopCopies[u] = v
+	c.sc.uops[u] = v
 	return v
 }
 
-// copyEntry is copyUOp for DTQ entries.
-func (m *Machine) copyEntry(e *core.Entry) *core.Entry {
+// entry is uop for DTQ entries.
+func (c copier) entry(e *core.Entry) *core.Entry {
 	if e == nil {
 		return nil
 	}
-	if v, ok := m.entryCopies[e]; ok {
+	if v, ok := c.sc.entries[e]; ok {
 		return v
 	}
-	v := m.entrySlab.alloc()
+	v := c.dst.entrySlab.alloc()
 	*v = *e
-	m.entryCopies[e] = v
+	c.sc.entries[e] = v
 	return v
 }
 
-// copyPackets makes dst a deep copy of the trailing packet queue src:
-// packets hold slot arrays referencing DTQ entries, so each copy takes a
-// slot array from the shuffler and remaps its entries.
-func (m *Machine) copyPackets(dst, src *queues.Ring[core.Packet]) {
+// reset empties the translation maps, keeping their buckets.
+func (c copier) reset() {
+	clear(c.sc.uops)
+	clear(c.sc.entries)
+}
+
+// packets makes dst a deep copy of the trailing packet queue src: packets
+// hold slot arrays referencing DTQ entries, so each copy takes a slot array
+// from the destination's shuffler and remaps its entries.
+func (c copier) packets(dst, src *queues.Ring[core.Packet]) {
 	dst.CopyFrom(src)
 	for i := 0; i < dst.Len(); i++ {
 		p := dst.AtRef(i)
-		slots := m.shuffler.NewSlots()[:0]
+		slots := c.dst.shuffler.NewSlots()[:0]
 		for _, s := range p.Slots {
-			s.Entry = m.copyEntry(s.Entry)
+			s.Entry = c.entry(s.Entry)
 			slots = append(slots, s)
 		}
 		p.Slots = slots
@@ -300,9 +327,7 @@ func (m *Machine) Matches(cp *Checkpoint) bool {
 			return false
 		}
 	}
-	if !slices.EqualFunc(m.regWaiters, o.regWaiters, uopsEqual) ||
-		!slices.EqualFunc(m.cal, o.cal, uopsEqual) ||
-		!slices.EqualFunc(m.doneCal, o.doneCal, uopsEqual) {
+	if !cp.lists.equal(m.doneCal, m.cal, m.regWaiters) {
 		return false
 	}
 	return m.rf.Equal(o.rf) && m.freeList.Equal(o.freeList) &&

@@ -8,7 +8,8 @@ import (
 
 // UOp is an instruction in flight. One UOp exists per fetched instruction
 // copy (leading and trailing copies are distinct UOps) plus one per
-// safe-shuffle NOP.
+// safe-shuffle NOP. Its fields are ordered by size, largest first, so the
+// record packs without padding: a checkpoint holds one per live uop.
 type UOp struct {
 	// Seq is the per-thread allocation order: fetch order for the leading /
 	// single / SRT-trailing threads (program order on the correct path),
@@ -20,37 +21,17 @@ type UOp struct {
 	GSeq   uint64
 	Thread int
 	PC     int
-	// Raw is the instruction as fetched from the I-cache (or carried through
-	// the DTQ); Inst is the effective decoded form, which a frontend-way or
-	// payload-RAM hard fault may have corrupted.
-	Raw   isa.Inst
-	Inst  isa.Inst
-	Class isa.UnitClass
 
 	FrontWay int
 	BackWay  int // way index within Class; -1 until issued
 
-	PSrc1, PSrc2 rename.PhysReg // None when unused
-	PDest, POld  rename.PhysReg // None when no destination
-
-	// Pipeline status.
-	InIQ      bool
+	// Pipeline status (the flags are below).
 	IQSlot    int // payload RAM slot while in the issue queue
-	Issued    bool
 	DoneCycle int64
-	Squashed  bool
-	// InEvents tracks membership in the machine's completion calendar; the
-	// uop free list relies on it to know when a squashed uop's last reference
-	// is gone (issued uops stay in the calendar until their completion
-	// cycle).
-	InEvents bool
 
-	// Branch state.
-	PredTaken  bool
-	PredLookup bpred.Lookup // predictor token (leading conditional branches)
-	Taken      bool
-	Target     int
-	BranchSeq  uint64
+	// Branch state (the predictor token and flags are below).
+	Target    int
+	BranchSeq uint64
 
 	// Memory state.
 	Addr     uint64
@@ -66,30 +47,59 @@ type UOp struct {
 	VirtLSQ uint64
 
 	// Redundant-pair information (trailing thread only): the leading copy's
-	// resource usage, for coverage accounting.
-	PairValid    bool
+	// resource usage, for coverage accounting (its class, physical
+	// registers and PairValid are below).
 	LeadFrontWay int
 	LeadBackWay  int
-	LeadClass    isa.UnitClass
-	// Leading physical registers (BlackJack double rename inputs).
-	LeadPSrc1, LeadPSrc2, LeadPDest rename.PhysReg
 
-	// Issue-time diversity outcome (trailing, set at issue).
-	FeDiverse bool
-	BeDiverse bool
-
-	// BlackJack packet bookkeeping.
+	// BlackJack packet bookkeeping (the flags are below).
 	PacketID uint64
-	IsNOP    bool
-	Halt     bool
 
 	// Wakeup state (see wakeup.go). WaitN counts source operands still
 	// awaiting a producer (a source used twice counts twice); ReadyCycle is
 	// the cycle both operands are available once WaitN reaches zero; InCal
-	// tracks membership in the machine's wakeup calendar at ReadyCycle.
+	// (below) tracks membership in the machine's wakeup calendar at
+	// ReadyCycle.
 	WaitN      int
 	ReadyCycle int64
-	InCal      bool
+
+	// Raw is the instruction as fetched from the I-cache (or carried through
+	// the DTQ); Inst is the effective decoded form, which a frontend-way or
+	// payload-RAM hard fault may have corrupted.
+	Raw  isa.Inst
+	Inst isa.Inst
+
+	PredLookup bpred.Lookup // predictor token (leading conditional branches)
+
+	PSrc1, PSrc2 rename.PhysReg // None when unused
+	PDest, POld  rename.PhysReg // None when no destination
+	// Leading physical registers (BlackJack double rename inputs).
+	LeadPSrc1, LeadPSrc2, LeadPDest rename.PhysReg
+
+	Class     isa.UnitClass
+	LeadClass isa.UnitClass
+
+	InIQ     bool
+	Issued   bool
+	Squashed bool
+	// InEvents tracks membership in the machine's completion calendar; the
+	// uop free list relies on it to know when a squashed uop's last reference
+	// is gone (issued uops stay in the calendar until their completion
+	// cycle).
+	InEvents bool
+
+	PredTaken bool
+	Taken     bool
+
+	PairValid bool
+	// Issue-time diversity outcome (trailing, set at issue).
+	FeDiverse bool
+	BeDiverse bool
+
+	IsNOP bool
+	Halt  bool
+
+	InCal bool
 }
 
 // done reports whether execution has completed by the given cycle.

@@ -51,7 +51,7 @@ func (m *Machine) initWakeup(st *Machine) {
 // has n, else lists carved fresh.
 func emptyLists(lists [][]*UOp, n, minCap int) [][]*UOp {
 	if len(lists) != n {
-		return carveLists(make([][]*UOp, n), minCap, nil)
+		return carveLists(n, minCap, nil)
 	}
 	for i := range lists {
 		lists[i] = lists[i][:0]
@@ -59,38 +59,36 @@ func emptyLists(lists [][]*UOp, n, minCap int) [][]*UOp {
 	return lists
 }
 
-// copyLists copies src, each uop mapped through cu, into dst's lists when
-// dst has as many (a list that outgrows its storage reallocates alone),
-// else into lists carved fresh.
-func copyLists(dst, src [][]*UOp, minCap int, cu func(*UOp) *UOp) [][]*UOp {
-	if len(dst) != len(src) {
-		return carveLists(src, minCap, cu)
-	}
-	for i, l := range src {
-		d := dst[i][:0]
-		for _, u := range l {
-			d = append(d, cu(u))
-		}
-		dst[i] = d
-	}
-	return dst
-}
+// Initial capacities of a calendar bucket (buckets rarely hold more than two
+// issue widths of uops) and of a register's waiter list.
+const (
+	bucketCap = 8
+	waiterCap = 4
+)
 
-// frozenLists copies src, each uop mapped through cu, into lists carved to
-// their length from the front of *rest, which it advances; the list headers
-// are dst's when dst has as many. A checkpoint holds its lists so: it is
-// never run, so a list needs no room to grow.
-func frozenLists(dst, src [][]*UOp, rest *[]*UOp, cu func(*UOp) *UOp) [][]*UOp {
-	dst = resize(dst, len(src))
-	for i, l := range src {
-		d := (*rest)[:len(l):len(l)]
-		*rest = (*rest)[len(l):]
-		for j, u := range l {
-			d[j] = cu(u)
+// carveLists returns n empty lists carved from one fresh backing array,
+// list i with room for max(room(i), minCap) uops (room nil: 0). A list that
+// outgrows its share reallocates individually, and a drained list is
+// reused via l[:0].
+func carveLists(n, minCap int, room func(i int) int) [][]*UOp {
+	size := func(i int) int {
+		if room == nil {
+			return minCap
 		}
-		dst[i] = d
+		return max(room(i), minCap)
 	}
-	return dst
+	total := 0
+	for i := 0; i < n; i++ {
+		total += size(i)
+	}
+	backing := make([]*UOp, total)
+	out := make([][]*UOp, n)
+	for i := range out {
+		k := size(i)
+		out[i] = backing[:0:k]
+		backing = backing[k:]
+	}
+	return out
 }
 
 // listsLen returns the total length of lists.
@@ -102,33 +100,77 @@ func listsLen(lists [][]*UOp) int {
 	return n
 }
 
-// Initial capacities of a calendar bucket (buckets rarely hold more than two
-// issue widths of uops) and of a register's waiter list.
-const (
-	bucketCap = 8
-	waiterCap = 4
-)
+// frozenLists holds a checkpoint's wakeup and calendar lists (doneCal, cal
+// and regWaiters, in that order) in one backing array: list i is
+// uops[ends[i-1]:ends[i]], from 0 for the first. A checkpoint is never run,
+// so a list needs no room to grow, and an offset is a sixth of a slice
+// header.
+type frozenLists struct {
+	uops []*UOp
+	ends []uint32
+}
 
-// carveLists copies lists, each uop mapped through cu, into one fresh
-// backing array that gives every list its old capacity, and at least minCap.
-// A list that outgrows its share reallocates individually, and a drained
-// list is reused via l[:0].
-func carveLists(lists [][]*UOp, minCap int, cu func(*UOp) *UOp) [][]*UOp {
-	total := 0
-	for _, l := range lists {
-		total += max(cap(l), minCap)
+// freeze makes f a copy of groups of lists, each uop mapped through cu,
+// reusing f's storage.
+func (f *frozenLists) freeze(cu func(*UOp) *UOp, groups ...[][]*UOp) {
+	n, total := 0, 0
+	for _, g := range groups {
+		n += len(g)
+		total += listsLen(g)
 	}
-	backing := make([]*UOp, total)
-	out := make([][]*UOp, len(lists))
-	for i, l := range lists {
-		n := max(cap(l), minCap)
-		out[i] = backing[:len(l):n]
-		backing = backing[n:]
-		for j, u := range l {
-			out[i][j] = cu(u)
+	f.uops, f.ends = resize(f.uops, total)[:0], resize(f.ends, n)[:0]
+	for _, g := range groups {
+		for _, l := range g {
+			for _, u := range l {
+				f.uops = append(f.uops, cu(u))
+			}
+			f.ends = append(f.ends, uint32(len(f.uops)))
 		}
 	}
-	return out
+}
+
+// list returns list i.
+func (f *frozenLists) list(i int) []*UOp { return f.uops[f.start(i):f.ends[i]] }
+
+// start returns the offset of list i in uops: the total length of the
+// lists before it.
+func (f *frozenLists) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return int(f.ends[i-1])
+}
+
+// thaw copies the n lists from first, each uop mapped through cu, into
+// dst's lists when dst has n (a list that outgrows its storage reallocates
+// alone), else into lists carved fresh with room for their uops and at
+// least minCap.
+func (f *frozenLists) thaw(dst [][]*UOp, first, n, minCap int, cu func(*UOp) *UOp) [][]*UOp {
+	if len(dst) != n {
+		dst = carveLists(n, minCap, func(i int) int { return len(f.list(first + i)) })
+	}
+	for i := range dst {
+		d := dst[i][:0]
+		for _, u := range f.list(first + i) {
+			d = append(d, cu(u))
+		}
+		dst[i] = d
+	}
+	return dst
+}
+
+// equal reports whether f holds groups of lists equal by value, in order.
+func (f *frozenLists) equal(groups ...[][]*UOp) bool {
+	i := 0
+	for _, g := range groups {
+		for _, l := range g {
+			if i == len(f.ends) || !uopsEqual(l, f.list(i)) {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(f.ends)
 }
 
 func (m *Machine) setSlotReady(slot int)   { m.readyMask[slot>>6] |= 1 << (uint(slot) & 63) }

@@ -25,9 +25,13 @@ import (
 // campaign identity schema. 4: campaign plans fork and fast-forward from a
 // 500-cycle grid whatever the checkpoint interval, so a record's fork
 // cycle, fast-forward handoff and window figures differ from epoch 3's
-// under the same key. Fuzz-session cells (one per program) follow the
-// same rule: a change to what a fuzz record means bumps the epoch too.
-const FormatEpoch = 4
+// under the same key. 5: a spent campaign run compares against every kept
+// grid snapshot, not only at multiples of the interval, so a converged
+// record's cut cycle, and with it the simulated cycles it replays, differs
+// from epoch 4's under the same key. Fuzz-session cells (one per program)
+// follow the same rule: a change to what a fuzz record means bumps the
+// epoch too.
+const FormatEpoch = 5
 
 // EnvDir is the environment variable that opts a machine into caching:
 // when set, the CLIs default -cache-dir to its value.
@@ -61,6 +65,9 @@ type Stats struct {
 	Bytes             uint64
 	VerifyRuns        uint64
 	VerifyDivergences uint64
+	// PutErrors counts failed Puts: entries the store could not make
+	// durable, which a later run simulates again.
+	PutErrors uint64
 }
 
 // Store is an on-disk content-addressable store of run outcomes. Entries
@@ -83,6 +90,7 @@ type Store struct {
 	corrupt   atomic.Uint64
 	vruns     atomic.Uint64
 	vdiverge  atomic.Uint64
+	putErrs   atomic.Uint64
 }
 
 // Open opens (creating if needed) the store rooted at dir. maxBytes <= 0
@@ -158,8 +166,17 @@ func (s *Store) Get(id *Identity, out any) bool {
 // evicts oldest entries if the store exceeds its size bound. The entry is
 // durable when Put returns: its file is fsync'd before the rename and its
 // directory after, so a caller that reports a stored cell only after Put
-// loses no reported cell to a crash.
+// loses no reported cell to a crash. A failed Put is counted in
+// Stats.PutErrors.
 func (s *Store) Put(id *Identity, v any) error {
+	err := s.put(id, v)
+	if err != nil {
+		s.putErrs.Add(1)
+	}
+	return err
+}
+
+func (s *Store) put(id *Identity, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("runcache: encode: %w", err)
@@ -322,6 +339,7 @@ func (s *Store) Stats() Stats {
 		Bytes:             uint64(bytes),
 		VerifyRuns:        s.vruns.Load(),
 		VerifyDivergences: s.vdiverge.Load(),
+		PutErrors:         s.putErrs.Load(),
 	}
 }
 
@@ -337,6 +355,7 @@ func (s *Store) Export(reg *obs.Registry) {
 	reg.Counter("runcache.bytes").Add(st.Bytes)
 	reg.Counter("runcache.verify.runs").Add(st.VerifyRuns)
 	reg.Counter("runcache.verify.divergences").Add(st.VerifyDivergences)
+	reg.Counter("runcache.put_errors").Add(st.PutErrors)
 }
 
 // ShouldVerify deterministically samples id for trust-but-verify

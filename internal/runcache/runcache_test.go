@@ -325,6 +325,9 @@ func TestExportCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Get(id, &got) // hit
+	if err := s.Put(id, make(chan int)); err == nil {
+		t.Fatal("a Put of an unencodable value succeeded")
+	}
 	s.CountVerify(false)
 	s.CountVerify(true)
 	reg := obs.NewRegistry()
@@ -335,6 +338,7 @@ func TestExportCounters(t *testing.T) {
 		"runcache.puts":               1,
 		"runcache.verify.runs":        2,
 		"runcache.verify.divergences": 1,
+		"runcache.put_errors":         1,
 	} {
 		if got := reg.CounterValue(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

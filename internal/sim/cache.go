@@ -164,7 +164,10 @@ func cachedRun[T any](cfg Config, id *runcache.Identity, live func() (T, error),
 		res = cacheable
 	}
 	if ok && (!hit || diverged) {
-		_ = cfg.Cache.Put(id, cacheable) // fill, or heal a diverged entry; best-effort
+		// Fill, or heal a diverged entry. A failed write costs a later run
+		// this one again, never a result; the store counts it
+		// (runcache.Stats.PutErrors).
+		_ = cfg.Cache.Put(id, cacheable)
 	}
 	return res, hit, diverged, nil
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -43,6 +45,43 @@ func TestRunProgramCacheHitIdentical(t *testing.T) {
 	st := cfg.Cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", st.Hits, st.Misses)
+	}
+}
+
+// A store that cannot write changes no row: a campaign on it equals the
+// storeless campaign, and each run's failed write is counted. The store's
+// directory is replaced by a regular file, which fails every write even
+// when run as root, where a read-only mode would not.
+func TestCampaignCountsFailedStoreWrites(t *testing.T) {
+	cfg := Default(pipeline.ModeBlackJack, 3000)
+	cfg.CheckpointInterval = 500
+	sites := StandardSites(cfg.Machine)
+	opts := InjectOptions{SplitPayload: true}
+	want, err := Campaign(cfg, "gcc", sites, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := runcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = s
+	got, err := Campaign(cfg, "gcc", sites, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("rows on a store that cannot write differ from the storeless campaign:\n%+v\nwant %+v", got.Results, want.Results)
+	}
+	if st := s.Stats(); st.PutErrors != uint64(len(sites)) || st.Puts != 0 {
+		t.Errorf("%d puts, %d failed, want 0 and %d (one per run)", st.Puts, st.PutErrors, len(sites))
 	}
 }
 

@@ -19,10 +19,12 @@ import (
 // corrupts), snapshotting the machine on a grid of cycles (Config.planGrid)
 // and recording each site's first activation cycle on the pristine
 // trajectory. It keeps only the snapshots a run can read: fork sources, on
-// any grid point, and reconvergence references, on multiples of
-// CheckpointInterval (CampaignPlan.readable); the rest are rebuilt over in
-// place. A kept snapshot shares every memory and tag page that did not
-// change since the previous kept one (pipeline.Machine.SnapshotInto). Once
+// any grid point, and reconvergence references, after a one-shot
+// transient's shot on the next reconvergeSteps grid points and on multiples
+// of CheckpointInterval (CampaignPlan.readable); the rest are rebuilt over
+// in place. A spent run compares against every kept snapshot it passes. A
+// kept snapshot shares every memory and tag page that did not change since
+// the previous kept one (pipeline.Machine.SnapshotInto). Once
 // every site has fired on a list with no one-shot transient, no run can
 // read the rest of the warmup, and it ends there (CampaignPlan.warmup).
 // Each injection then forks from the latest checkpoint strictly preceding
@@ -133,9 +135,19 @@ type ffMark struct {
 // does not divide it (see Config.planGrid).
 const gridStep = 500
 
-// planGrid returns the cadence, in cycles, of the warmup's hook: its
-// fast-forward marks and fork-source snapshots lie on every multiple of it,
-// and it divides the reference cadence, CheckpointInterval. It is
+// reconvergeSteps is how many grid points from a one-shot transient's shot
+// on the plan keeps as reconvergence references, whatever
+// CheckpointInterval. Most masked shots reconverge within it: over the
+// transient lists of 16 seeded benchmarks (6,000 instructions, 500-cycle
+// grid), 312 of 345 converged runs matched within two grid steps of their
+// shot. Keeping every grid point instead simulated as many cycles, but
+// kept 4.7 times the checkpoints on a 120,000-instruction plan.
+const reconvergeSteps = 3
+
+// planGrid returns the cadence, in cycles, of the warmup's and the runs'
+// hooks: the warmup's fast-forward marks and snapshots lie on multiples of
+// it, and a run compares against a kept snapshot at any of them. It
+// divides CheckpointInterval, and it is
 // gcd(CheckpointInterval, gridStep) with checkpoints, gridStep with
 // fast-forward alone, and 0 (no hook) with neither.
 func (c Config) planGrid() int64 {
@@ -280,7 +292,7 @@ func (pl *CampaignPlan) warmup() {
 		// A fork source at cycle c serves only a site that first fires
 		// after c: once every site has fired, only a reference point can
 		// be read.
-		if snapshots && (!fired || pl.isReference(live.Cycle())) {
+		if snapshots && (!fired || pl.referenceAt(live.Cycle())) {
 			var prev *pipeline.Checkpoint
 			if n := len(pl.cps); n > 0 {
 				prev = pl.cps[n-1].snap
@@ -321,42 +333,53 @@ func (pl *CampaignPlan) invalidate() {
 //     is in (c, next], if the run does not fast-forward. It does not when
 //     forkBoundList (fast-forward off, or a site the handoff's timing
 //     cannot serve) or when ffHandoff fails for that fire.
-//   - as a reconvergence reference: run compares against c only at a
-//     reference point (isReference), and only once its injector is spent,
-//     when every site of the run is a one-shot transient past its shot. A
-//     run equals the warmup until its first
-//     corruption, which is one of its sites firing where the probe saw it
-//     fire; and a run with no corruption by c has seen the warmup's shots
-//     by c, one of which fires (else the run is served warm). Either way a
-//     transient of the list fired at or before c.
+//   - as a reconvergence reference: run compares against c only once its
+//     injector is spent, when every site of the run is a one-shot transient
+//     past its shot. A run equals the warmup until its first corruption,
+//     which is one of its sites firing where the probe saw it fire; and a
+//     run with no corruption by c has seen the warmup's shots by c, one of
+//     which fires (else the run is served warm). Either way a transient of
+//     the list fired at or before c. The plan keeps c as a reference for
+//     such a shot when referenceAt says so.
 //
-// Every latestBefore and checkpointAt a run makes therefore returns what it
-// would return with every snapshot kept.
+// Every latestBefore a run makes therefore returns what it would return
+// with every snapshot kept. A checkpointAt may not: a spent run passes
+// grid points the plan did not keep, and is cut at the first kept one it
+// equals. Any kept snapshot is the pristine state at its cycle, so the cut
+// is exact wherever it lands (see run).
 func (pl *CampaignPlan) readable(c, next int64, forkBoundList bool) bool {
+	if pl.referenceAt(c) {
+		return true
+	}
 	for i := range pl.sites {
 		fire := pl.probe.FireCycle(i)
-		switch {
-		case fire < 0:
-		case fire <= c:
-			if pl.sites[i].EffectiveKind() == fault.KindTransient && pl.isReference(c) {
-				return true
-			}
-		case fire <= next:
-			if forkBoundList {
-				return true
-			}
-			if _, _, ok := pl.ffHandoff(fire); !ok {
-				return true
-			}
+		if fire <= c || fire > next {
+			continue
+		}
+		if forkBoundList {
+			return true
+		}
+		if _, _, ok := pl.ffHandoff(fire); !ok {
+			return true
 		}
 	}
 	return false
 }
 
-// isReference reports whether cycle c is a reconvergence reference point:
-// a multiple of CheckpointInterval, the cadence at which run compares.
-func (pl *CampaignPlan) isReference(c int64) bool {
-	return c%pl.cfg.CheckpointInterval == 0
+// referenceAt reports whether grid point c is a reconvergence reference: a
+// one-shot transient of the list fired at or before c, and c is one of the
+// reconvergeSteps grid points from its shot on or a multiple of
+// CheckpointInterval.
+func (pl *CampaignPlan) referenceAt(c int64) bool {
+	steps := reconvergeSteps * pl.cfg.planGrid()
+	for i, s := range pl.sites {
+		fire := pl.probe.FireCycle(i)
+		if fire >= 0 && fire <= c && s.EffectiveKind() == fault.KindTransient &&
+			(c-fire < steps || c%pl.cfg.CheckpointInterval == 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // allFired reports whether every site has fired on the warmup so far.
@@ -565,28 +588,30 @@ func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi 
 }
 
 // run runs m, with injector inj installed, to the end of its instruction
-// budget — or until it reconverges with the golden warmup: at a reference
-// point (a multiple of CheckpointInterval), inj can never corrupt again (fault.Injector.Spent) and
-// m's whole state equals the checkpoint's (pipeline.Machine.Matches). A
-// run cut there returns the warmup's final statistics as warm (nil
-// otherwise), or an error if the warmup was itself cut early.
+// budget — or until it reconverges with the golden warmup: at a grid point
+// where the plan kept a snapshot (whether a fork source or a reference),
+// inj can never corrupt again (fault.Injector.Spent) and m's whole state
+// equals the snapshot's (pipeline.Machine.Matches). A run cut there returns
+// the warmup's final statistics as warm (nil otherwise), or an error if the
+// warmup was itself cut early.
 //
-// The cut is exact. The machine is deterministic, so from equal state at an
-// equal cycle, with an injector that corrupts nothing, the run replays the
-// warmup's tail cycle for cycle: the same statistics, the same stores and
-// no detection. A cut run is therefore served the warmup's final
-// statistics, and its own injector's activation count. A warmup that
-// reported a detection is never a reference, so a run that stops at its
-// first detection cannot be cut where it would have stopped later. (A
-// warmup cut early counts a prefix's detections; without a transient in
-// its list no injector of its plan is ever spent, so no run is cut.)
-// Without a plan or checkpoints, run is m.Run.
+// The cut is exact. Every kept snapshot is the pristine state at its cycle,
+// and the machine is deterministic, so from equal state at an equal cycle,
+// with an injector that corrupts nothing, the run replays the warmup's tail
+// cycle for cycle: the same statistics, the same stores and no detection.
+// A cut run is therefore served the warmup's final statistics, and its own
+// injector's activation count. A warmup that reported a detection is never
+// a reference, so a run that stops at its first detection cannot be cut
+// where it would have stopped later. (A warmup cut early counts a prefix's
+// detections; without a transient in its list no injector of its plan is
+// ever spent, so no run is cut.) Without a plan or checkpoints, run is
+// m.Run.
 func (pl *CampaignPlan) run(m *pipeline.Machine, inj *fault.Injector, maxInstrs int) (st, warm *pipeline.Stats, err error) {
 	if pl == nil || len(pl.cps) == 0 || pl.warm.Detections > 0 {
 		return m.Run(maxInstrs), nil, nil
 	}
 	converged := false
-	st = m.RunWithCheckpoints(maxInstrs, pl.cfg.CheckpointInterval, func(live *pipeline.Machine) {
+	st = m.RunWithCheckpoints(maxInstrs, pl.cfg.planGrid(), func(live *pipeline.Machine) {
 		if !inj.Spent() {
 			return
 		}

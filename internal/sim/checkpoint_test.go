@@ -188,6 +188,11 @@ func allSnapshots(t *testing.T, pl *CampaignPlan) []planCheckpoint {
 //     the same plan holding every snapshot;
 //   - with fast-forward on, the latent plan keeps no snapshot from the
 //     first mark whose handoff is usable on.
+//
+// Every list here with a transient runs at an interval equal to its grid,
+// so every grid point from its first shot on is a reference, and a spent
+// run is cut where it would be with every snapshot kept.
+// TestCampaignPlanConvergesAtKeptSnapshots covers a coarser interval.
 func TestCampaignPlanCheckpointsOnDemand(t *testing.T) {
 	mc := pipeline.DefaultConfig()
 	mixed := mixedSites(mc)

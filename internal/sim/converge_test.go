@@ -82,3 +82,59 @@ func TestCampaignPlanConvergedSubsets(t *testing.T) {
 		}
 	}
 }
+
+// A spent run compares against every snapshot its plan kept, fork sources
+// and the references after each shot alike, not only at multiples of the
+// interval. On the transient list at interval 2500, with fast-forward off
+// and on, every row equals the uncut row of a plan without checkpoints,
+// every cut lands on a kept snapshot, and some land between multiples of
+// the interval.
+func TestCampaignPlanConvergesAtKeptSnapshots(t *testing.T) {
+	const interval = 2500
+	p := prog.MustBenchmark("gcc")
+	for _, ff := range []bool{false, true} {
+		base := Default(pipeline.ModeBlackJack, 6000)
+		base.Parallel, base.FastForward = 1, ff
+		sites := TransientSites(base.Machine, 200)
+		plan := func(interval int64) *CampaignPlan {
+			cfg := base
+			cfg.CheckpointInterval = interval
+			pl, err := NewCampaignPlan(cfg, p, sites, InjectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}
+		uncut, pl := plan(0), plan(interval)
+		rs, uncutRS := newRunStorage(), newRunStorage()
+		converged, between := 0, 0
+		for i := range sites {
+			want, _, err := uncut.injectCtx(nil, i, i+1, uncutRS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, pi, err := pl.injectCtx(nil, i, i+1, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ff=%v site %d via %s: %+v, uncut %+v", ff, i, pi.Path, got, want)
+			}
+			if !pi.Converged {
+				continue
+			}
+			converged++
+			if pl.checkpointAt(pi.ConvergedAt) == nil {
+				t.Errorf("ff=%v site %d: cut at cycle %d, where the plan kept no snapshot", ff, i, pi.ConvergedAt)
+			}
+			if pi.ConvergedAt%interval != 0 {
+				between++
+			}
+		}
+		t.Logf("ff=%v: %d of %d runs cut, %d between multiples of %d; %d snapshots kept",
+			ff, converged, len(sites), between, interval, pl.Checkpoints())
+		if between == 0 {
+			t.Errorf("ff=%v: no run was cut between multiples of the interval", ff)
+		}
+	}
+}

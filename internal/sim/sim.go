@@ -35,13 +35,16 @@ type Config struct {
 	// CheckpointInterval, when positive, makes campaigns snapshot their
 	// fault-free warmup and fork each injection from the latest snapshot
 	// preceding its fault's first activation, instead of replaying the
-	// warmup prefix cold (see CampaignPlan). Fork sources, like
-	// fast-forward marks, lie on a grid of gcd(CheckpointInterval, 500)
-	// cycles; the interval itself sets the cadence of the reconvergence
-	// references, where a run whose faults are spent may end early.
-	// Results are byte-identical at every interval; only wall-clock and
-	// memory change (a retained snapshot holds the machine's state, sharing
-	// the pages that equal the previous one's). 0 disables checkpointing.
+	// warmup prefix cold (see CampaignPlan). Snapshots, like fast-forward
+	// marks, lie on a grid of gcd(CheckpointInterval, 500) cycles. A run
+	// whose faults are spent compares against every kept snapshot it
+	// passes, and ends early where its state equals one. Besides fork
+	// sources, the plan keeps as such reconvergence references the three
+	// grid points after each one-shot transient's shot and, once a shot
+	// has fired, every multiple of the interval. Results are byte-identical
+	// at every interval; only wall-clock and memory change (a retained
+	// snapshot holds the machine's state, sharing the pages that equal the
+	// previous one's). 0 disables checkpointing.
 	CheckpointInterval int64
 	// FastForward enables sampled campaign execution: an injection whose
 	// fault cannot corrupt anything before a known warmup cycle is served by

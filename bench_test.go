@@ -189,11 +189,27 @@ func BenchmarkExtDSlackSweep(b *testing.B) {
 // cost. bjbench's pipeline.blackjack.instr_per_s is the gated measurement
 // of the same rate (bounds in BENCHMARK.json).
 func BenchmarkBlackJackThroughput(b *testing.B) {
+	benchPipeline(b, pipeline.ModeBlackJack)
+}
+
+// BenchmarkPipelineModes measures the same rate in each of the four modes.
+// A change to the leading thread's work (loads, stores, wakeup) shows most
+// in single, whose time is all leading work, and least in the BlackJack
+// modes; bjbench's pipeline.<mode>.instr_per_s are the gated counterparts.
+func BenchmarkPipelineModes(b *testing.B) {
+	for _, mode := range []pipeline.Mode{pipeline.ModeSingle, pipeline.ModeSRT, pipeline.ModeBlackJackNS, pipeline.ModeBlackJack} {
+		b.Run(mode.String(), func(b *testing.B) { benchPipeline(b, mode) })
+	}
+}
+
+// benchPipeline runs gcc for 20k instructions in the given mode on a new
+// machine per iteration and reports committed instructions per second.
+func benchPipeline(b *testing.B, mode pipeline.Mode) {
 	p := prog.MustBenchmark("gcc")
 	const n = 20000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := pipeline.New(pipeline.DefaultConfig(), pipeline.ModeBlackJack, p)
+		m, err := pipeline.New(pipeline.DefaultConfig(), mode, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,9 +247,7 @@ func BenchmarkBlackJackThroughputObserved(b *testing.B) {
 // without observability sinks must stay within a fixed allocation budget.
 // The budget is generous, since the point is catching per-instruction or
 // per-cycle allocations, which would add tens of thousands. Campaign runs
-// have tighter per-run budgets in internal/sim's TestCampaignWorkFloors
-// (3,300 cold, 3,150 checkpointed and 130 fast-forwarded allocations per
-// run at 30k instructions, about 10% over the measured 2,999, 2,862 and 117).
+// have tighter per-run budgets, set in internal/sim's TestCampaignWorkFloors.
 func TestRunAllocBudget(t *testing.T) {
 	p := prog.MustBenchmark("gcc")
 	const n = 5000

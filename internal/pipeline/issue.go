@@ -58,8 +58,10 @@ func (m *Machine) issueStage() {
 		// Loads in cache-accessing threads wait until every older store in
 		// the LSQ has a known address, and until any older same-address
 		// store can actually forward its data.
+		var fwd forwarding
 		if u.Inst.IsLoad() && m.accessesCache(u) {
-			if !m.loadReady(u) {
+			var ready bool
+			if ready, fwd = m.loadReady(u); !ready {
 				continue
 			}
 		}
@@ -67,7 +69,7 @@ func (m *Machine) issueStage() {
 		if !ok {
 			continue
 		}
-		m.issueUOp(u, way)
+		m.issueUOp(u, way, fwd)
 		selected++
 		if usesDTQ && u.Thread == leadThread {
 			dtqReserved++
@@ -133,43 +135,66 @@ func (m *Machine) readySlots() []int {
 // in that order by the trailing thread's double rename), so a store must not
 // enter the order before its data producer.
 
-// loadReady reports whether a cache-side load may issue. The LSQ computes
-// store addresses early — as soon as a store's base register is ready, before
-// the store itself issues (a standard early-AGU disambiguation port) — so a
-// store waiting on slow *data* does not block younger independent loads:
+// loadReady reports whether a cache-side load may issue, and if so its
+// forwarding verdict. The LSQ computes store addresses early — from a
+// store's base register, known from its ready cycle on, before the store
+// itself issues (a standard early-AGU disambiguation port; see
+// resolveStore) — so a store waiting on slow *data* does not block younger
+// independent loads:
 //
 //   - an older store with an unknowable address (base register not yet
 //     produced) blocks the load;
 //   - the youngest older store whose (early) address matches must have issued
 //     (data available) so it can forward;
 //   - non-matching stores are bypassed.
-func (m *Machine) loadReady(u *UOp) bool {
+//
+// One scan of the LSQ's address arrays finds the first older store that is
+// not bypassed; only that store's uop is read.
+func (m *Machine) loadReady(u *UOp) (bool, forwarding) {
 	t := m.threads[u.Thread]
+	f := forwarding{addr: m.earlyAddr(u), ok: true}
+	if v, found := t.lsq.blockingStore(u.VirtLSQ, f.addr, m.cycle); found {
+		if f.src = t.lsq.at(v); !f.src.Issued {
+			return false, forwarding{} // address unknowable, or data not yet in hand
+		}
+	}
+	return true, f
+}
+
+// forwarding is loadReady's verdict on a load it lets issue: the load's
+// address before any fault and the store it forwards from (nil: none in the
+// LSQ). ok is false for no verdict.
+type forwarding struct {
+	addr uint64
+	src  *UOp
+	ok   bool
+}
+
+// earlyAddr returns the address a memory uop computes from its base
+// register's value, fault-free.
+func (m *Machine) earlyAddr(u *UOp) uint64 {
 	var v1 uint64
 	if u.PSrc1 != rename.None {
 		v1 = m.rf.Value(u.PSrc1)
 	}
-	addr := m.clamp(isa.Eval(u.Inst, v1, 0).Addr)
-	for v, ok := t.lsq.prevStore(u.VirtLSQ); ok; v, ok = t.lsq.prevStore(v) {
-		s := t.lsq.at(v)
-		if s.Issued {
-			if s.Addr == addr {
-				return true // forwarding source with data in hand
-			}
-			continue
-		}
-		if s.PSrc1 != rename.None && !m.rf.Ready(s.PSrc1, m.cycle) {
-			return false // address unknowable yet
-		}
-		var sv1 uint64
-		if s.PSrc1 != rename.None {
-			sv1 = m.rf.Value(s.PSrc1)
-		}
-		if m.clamp(isa.Eval(s.Inst, sv1, 0).Addr) == addr {
-			return false // must forward from this store; wait for its issue
-		}
+	return m.clamp(isa.Eval(u.Inst, v1, 0).Addr)
+}
+
+// resolveStore records in the LSQ the early address of a cache-side store
+// whose base register has its value (produced, or issued and due),
+// knowable from the base's ready cycle on. The store's issue replaces it.
+func (m *Machine) resolveStore(u *UOp) {
+	at := int64(0)
+	if u.PSrc1 != rename.None {
+		at = m.rf.ReadyAt(u.PSrc1)
 	}
-	return true
+	m.threads[u.Thread].lsq.resolveStore(u.VirtLSQ, m.earlyAddr(u), at)
+}
+
+// earlyStore reports whether u is a store the LSQ resolves early: a store
+// in a cache-accessing thread.
+func (m *Machine) earlyStore(u *UOp) bool {
+	return u.Inst.IsStore() && m.accessesCache(u)
 }
 
 // accessesCache reports whether the uop's loads go to the cache hierarchy
@@ -190,8 +215,9 @@ func (m *Machine) freeWay(class isa.UnitClass) (int, bool) {
 
 // issueUOp executes the uop's computation and schedules completion. Values
 // are computed at issue (the simulator's register file always holds produced
-// values; availability timing is tracked separately by ready cycles).
-func (m *Machine) issueUOp(u *UOp, way int) {
+// values; availability timing is tracked separately by ready cycles). fwd is
+// loadReady's verdict when u is a cache-side load.
+func (m *Machine) issueUOp(u *UOp, way int, fwd forwarding) {
 	u.Issued = true
 	m.leaveIQ(u)
 	m.clearSlotReady(u.IQSlot)
@@ -243,7 +269,7 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 		}
 		u.DoneCycle = m.cycle + int64(lat)
 	case inst.IsLoad():
-		m.issueLoad(u, inst, out.Addr)
+		m.issueLoad(u, inst, out.Addr, fwd)
 	case inst.IsStore():
 		addr := m.clamp(out.Addr)
 		if m.watches(fault.HookAddr, int(u.Class), way) {
@@ -268,6 +294,12 @@ func (m *Machine) issueUOp(u *UOp, way int) {
 			m.rf.SetReadyAt(u.PDest, u.DoneCycle)
 			m.wakeRegister(u.PDest)
 		}
+	}
+
+	// A store's issue address replaces its early address in the LSQ (0 when
+	// a payload fault issued it as a non-memory instruction).
+	if m.earlyStore(u) {
+		m.threads[u.Thread].lsq.resolveStore(u.VirtLSQ, u.Addr, 0)
 	}
 
 	// Leading issue in BlackJack modes allocates the DTQ entry, in issue
@@ -299,7 +331,7 @@ func (m *Machine) newEntry(u *UOp) *core.Entry {
 
 // issueLoad performs the memory access (cache for the leading/single thread,
 // LVQ for trailing threads) and schedules the result.
-func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
+func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64, fwd forwarding) {
 	addr := m.clamp(rawAddr)
 	if m.watches(fault.HookAddr, int(u.Class), u.BackWay) {
 		addr = m.clamp(m.inj.CorruptAddr(u.Class, u.BackWay, addr))
@@ -311,7 +343,7 @@ func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
 		lat int
 	)
 	if m.accessesCache(u) {
-		val = m.loadValue(m.threads[u.Thread], u)
+		val = m.loadValue(m.threads[u.Thread], u, fwd)
 		var ok bool
 		lat, ok = m.dcache.Access(addr, m.cycle)
 		if !ok {
@@ -338,13 +370,21 @@ func (m *Machine) issueLoad(u *UOp, inst isa.Inst, rawAddr uint64) {
 	}
 }
 
-// loadValue resolves a cache-side load's data: youngest older matching store
-// in the thread's LSQ, then the store buffer (committed but unreleased
-// leading stores), then memory.
-func (m *Machine) loadValue(t *thread, u *UOp) uint64 {
-	for v, ok := t.lsq.prevStore(u.VirtLSQ); ok; v, ok = t.lsq.prevStore(v) {
-		if s := t.lsq.at(v); s.Issued && s.Addr == u.Addr {
-			return s.StoreVal
+// loadValue resolves a cache-side load's data: youngest older matching
+// issued store in the thread's LSQ, then the store buffer (committed but
+// unreleased leading stores), then memory. loadReady's verdict fwd names
+// that store when the load issues at the address it was judged at; a load
+// whose address a fault changed walks the LSQ.
+func (m *Machine) loadValue(t *thread, u *UOp, fwd forwarding) uint64 {
+	if fwd.ok && fwd.addr == u.Addr {
+		if fwd.src != nil {
+			return fwd.src.StoreVal
+		}
+	} else {
+		for v, ok := t.lsq.prevStore(u.VirtLSQ); ok; v, ok = t.lsq.prevStore(v) {
+			if s := t.lsq.at(v); s.Issued && s.Addr == u.Addr {
+				return s.StoreVal
+			}
 		}
 	}
 	if m.sb != nil && t.id == leadThread {

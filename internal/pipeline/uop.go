@@ -33,7 +33,11 @@ type UOp struct {
 	Target    int
 	BranchSeq uint64
 
-	// Memory state.
+	// Memory state. Addr is 0 until issue, then the address issue computed,
+	// clamped and as any fault left it (0 for a uop issued as a non-memory
+	// instruction). A cache-side store's early address, which loads are
+	// disambiguated with before it issues, is kept in the LSQ (see
+	// resolveStore).
 	Addr     uint64
 	StoreVal uint64
 	LoadSeq  uint64

@@ -183,6 +183,9 @@ func (m *Machine) clearSlotReady(slot int) { m.readyMask[slot>>6] &^= 1 << (uint
 func (m *Machine) registerWakeup(u *UOp) {
 	u.WaitN = 0
 	u.InCal = false
+	if m.earlyStore(u) && (u.PSrc1 == rename.None || m.rf.ReadyAt(u.PSrc1) != rename.FarFuture) {
+		m.resolveStore(u)
+	}
 	rc := int64(0)
 	for _, p := range [2]rename.PhysReg{u.PSrc1, u.PSrc2} {
 		if p == rename.None {
@@ -212,13 +215,17 @@ func (m *Machine) registerWakeup(u *UOp) {
 // wakeRegister drains the waiter list of a physical register whose producer
 // just issued with the given availability cycle. Waiters whose last pending
 // operand this was move to the calendar (readyAt is strictly in the future:
-// every latency is at least one cycle).
+// every latency is at least one cycle), and a cache-side store whose base
+// this is gets its early address.
 func (m *Machine) wakeRegister(p rename.PhysReg) {
 	ws := m.regWaiters[p]
 	if len(ws) == 0 {
 		return
 	}
 	for _, u := range ws {
+		if u.PSrc1 == p && m.earlyStore(u) {
+			m.resolveStore(u)
+		}
 		u.WaitN--
 		if u.WaitN > 0 {
 			continue

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+
+	"blackjack/internal/rename"
 )
 
 // window is a virtual-index-addressed circular instruction window, used for
@@ -18,11 +20,18 @@ import (
 type window struct {
 	slots []*UOp
 	// stores, in a load/store queue only, has the bit of every slot holding
-	// a store set, so store-to-load checks step over stores alone.
-	stores []uint64
-	head   uint64 // virtual index of the oldest live entry
-	tail   uint64 // next in-order virtual index (in-order allocators only)
-	count  int
+	// a store set, so store-to-load checks step over stores alone. addr and
+	// knownAt hold per slot a store's address and the cycle from which a
+	// load may rely on it (see resolveStore): rename.FarFuture until it is
+	// resolved, 0 once the store has issued. Only the cache-side thread's
+	// stores are resolved, and a slot without a store holds zeros. The three
+	// are carved from one array (carveLSQ).
+	stores  []uint64
+	addr    []uint64
+	knownAt []uint64 // cycles; unsigned to share the bitmap's array
+	head    uint64   // virtual index of the oldest live entry
+	tail    uint64   // next in-order virtual index (in-order allocators only)
+	count   int
 }
 
 func newWindow(n int) *window {
@@ -38,35 +47,50 @@ func newLSQ(n int) *window {
 	return w
 }
 
-// init empties w and sizes it to n slots, with a store bitmap when
-// lsq is set, reusing its storage.
+// init empties w and sizes it to n slots, with a store bitmap and store
+// address arrays when lsq is set, reusing its storage.
 func (w *window) init(n int, lsq bool) {
 	if n <= 0 {
 		panic(fmt.Sprintf("pipeline: invalid window size %d", n))
 	}
-	slots := resize(w.slots, n)
+	slots, stores := resize(w.slots, n), w.stores
 	clear(slots)
-	var stores []uint64
+	*w = window{slots: slots}
 	if lsq {
-		stores = resize(w.stores, (n+63)/64)
-		clear(stores)
+		w.stores = stores
+		w.carveLSQ(n)
+		clear(w.stores)
+		clear(w.addr)
+		clear(w.knownAt)
 	}
-	*w = window{slots: slots, stores: stores}
 }
 
 // copyFrom makes w a deep copy of src, its uops mapped through cu, reusing
 // w's storage.
 func (w *window) copyFrom(src *window, cu func(*UOp) *UOp) {
-	slots := resize(w.slots, len(src.slots))
+	slots, stores := resize(w.slots, len(src.slots)), w.stores
 	for i, u := range src.slots {
 		slots[i] = cu(u)
 	}
-	var stores []uint64
-	if src.stores != nil {
-		stores = append(w.stores[:0], src.stores...)
-	}
 	*w = *src
-	w.slots, w.stores = slots, stores
+	w.slots = slots
+	if src.stores != nil {
+		w.stores = stores
+		w.carveLSQ(len(slots))
+		copy(w.stores, src.stores)
+		copy(w.addr, src.addr)
+		copy(w.knownAt, src.knownAt)
+	}
+}
+
+// carveLSQ points w's store bitmap and address arrays, for n slots, into
+// one array, in that order: the array w.stores was carved from when it is
+// large enough, else a new one. The bitmap keeps the whole array as its
+// capacity, so the next carve finds it. The contents are unspecified.
+func (w *window) carveLSQ(n int) {
+	nw := (n + 63) / 64
+	b := resize(w.stores[:cap(w.stores)], nw+2*n)
+	w.stores, w.addr, w.knownAt = b[:nw], b[nw:nw+n], b[nw+n:nw+2*n]
 }
 
 // resize returns s with length n, reusing its backing array when it is
@@ -107,6 +131,7 @@ func (w *window) place(v uint64, u *UOp) {
 	w.slots[i] = u
 	if w.stores != nil && u.Inst.IsStore() {
 		w.stores[i>>6] |= 1 << (i & 63)
+		w.knownAt[i] = uint64(rename.FarFuture)
 	}
 	w.count++
 	if v >= w.tail {
@@ -160,11 +185,19 @@ func (w *window) clearAt(v uint64) {
 	}
 }
 
-// clearStore clears physical slot i's store bit.
+// clearStore clears physical slot i's store bit and address.
 func (w *window) clearStore(i uint64) {
 	if w.stores != nil {
 		w.stores[i>>6] &^= 1 << (i & 63)
+		w.addr[i], w.knownAt[i] = 0, 0
 	}
+}
+
+// resolveStore records addr as the address of the store at virtual index
+// v, knowable from cycle knownAt on.
+func (w *window) resolveStore(v, addr uint64, knownAt int64) {
+	i := v % uint64(len(w.slots))
+	w.addr[i], w.knownAt[i] = addr, uint64(knownAt)
 }
 
 // prevStore returns the virtual index of the youngest store older than v:
@@ -180,6 +213,28 @@ func (w *window) prevStore(v uint64) (uint64, bool) {
 		word := w.stores[i>>6] << (63 - (i & 63)) // slot i at bit 63
 		if word &= ^uint64(0) << (64 - span); word != 0 {
 			return v - 1 - uint64(bits.LeadingZeros64(word)), true
+		}
+		v -= span
+	}
+	return 0, false
+}
+
+// blockingStore returns the virtual index of the youngest store older than
+// v whose address is addr or is not knowable at cycle: the store a load at
+// v with that address forwards from or waits for. It visits the store
+// bitmap as prevStore does, reading only the address arrays.
+func (w *window) blockingStore(v, addr uint64, cycle int64) (uint64, bool) {
+	n := uint64(len(w.slots))
+	for v > w.head {
+		i := (v - 1) % n
+		span := min(i&63+1, v-w.head)
+		word := w.stores[i>>6] << (63 - (i & 63)) // slot i at bit 63
+		for word &= ^uint64(0) << (64 - span); word != 0; {
+			k := uint64(bits.LeadingZeros64(word)) // slot i-k
+			if w.addr[i-k] == addr || w.knownAt[i-k] > uint64(cycle) {
+				return v - 1 - k, true
+			}
+			word &^= 1 << (63 - k)
 		}
 		v -= span
 	}

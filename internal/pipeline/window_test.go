@@ -141,3 +141,96 @@ func TestWindowPrevStoreMatchesWalk(t *testing.T) {
 		}
 	}
 }
+
+// blockingStore finds the same store as a walk over the uops that applies
+// loadReady's rules to each older store in turn (an issued store with the
+// address forwards; an unissued one blocks when its address is unknowable
+// or matches), over random placements, pops and squashes and random store
+// resolution and issue, in windows narrower and wider than one bitmap word
+// whose ring wraps. Addresses come from a set of four, so they alias.
+func TestWindowStoreBlockMatchesWalk(t *testing.T) {
+	store := isa.Inst{Op: isa.OpSt}
+	load := isa.Inst{Op: isa.OpLd}
+	for _, size := range []int{5, 64, 100} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		w := newLSQ(size)
+		knownAt := map[*UOp]int64{} // resolved stores' base ready cycles
+		var found [2]int            // walks ending at an issued, unissued store
+		for step := 0; step < 40_000; step++ {
+			// resolve gives the unissued store at v an address, then issues
+			// it or makes the address knowable from a random cycle on.
+			resolve := func(v uint64, u *UOp) {
+				u.Addr = 8 * uint64(rng.Intn(4))
+				if rng.Intn(3) == 0 {
+					u.Issued = true
+					w.resolveStore(v, u.Addr, 0)
+				} else {
+					knownAt[u] = int64(rng.Intn(40))
+					w.resolveStore(v, u.Addr, knownAt[u])
+				}
+			}
+			switch r := rng.Intn(12); {
+			case r < 5 && !w.full():
+				v := w.head + uint64(rng.Intn(size))
+				if w.at(v) == nil {
+					u := &UOp{Inst: load}
+					if rng.Intn(2) == 0 {
+						u.Inst = store
+					}
+					w.place(v, u)
+					if u.Inst.IsStore() && rng.Intn(4) != 0 {
+						resolve(v, u)
+					}
+				}
+			case r < 7:
+				// Resolve or issue a random unissued store.
+				v := w.head + uint64(rng.Intn(size))
+				if u := w.at(v); u != nil && u.Inst.IsStore() && !u.Issued {
+					resolve(v, u)
+				}
+			case r < 10 && w.headUop() != nil:
+				w.popHead()
+			default:
+				v := w.head + uint64(rng.Intn(size))
+				for x := w.tail; x > v; x-- {
+					w.clearAt(x - 1)
+				}
+				w.shrinkTail(v)
+			}
+			from := w.head + uint64(rng.Intn(size+1))
+			addr, cycle := 8*uint64(rng.Intn(4)), int64(rng.Intn(60))
+			got, gotOK := w.blockingStore(from, addr, cycle)
+			var want uint64
+			wantOK := false
+			for v := from; v > w.head && !wantOK; v-- {
+				u := w.at(v - 1)
+				if u == nil || !u.Inst.IsStore() {
+					continue
+				}
+				at, resolved := knownAt[u]
+				switch {
+				case u.Issued:
+					wantOK = u.Addr == addr
+				case !resolved || at > cycle:
+					wantOK = true
+				default:
+					wantOK = u.Addr == addr
+				}
+				if wantOK {
+					want = v - 1
+					if u.Issued {
+						found[0]++
+					} else {
+						found[1]++
+					}
+				}
+			}
+			if got != want || gotOK != wantOK {
+				t.Fatalf("size %d step %d: blockingStore(%d, %d, %d) = %d,%v; walk finds %d,%v", size, step, from, addr, cycle, got, gotOK, want, wantOK)
+			}
+		}
+		if found[0] < 500 || found[1] < 500 {
+			t.Errorf("size %d: walks found only %d issued and %d unissued stores", size, found[0], found[1])
+		}
+	}
+}

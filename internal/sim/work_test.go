@@ -102,14 +102,14 @@ func allocBudget(w campaignWork, budget uint64) error {
 //
 // Allocation budgets hold about 10% headroom over the 141 cold, 197
 // checkpointed and 67 fast-forwarded allocations per run measured when
-// they were set (205 checkpointed at the 500-cycle grid, whose extra
-// snapshots are rebuilt in the storage of dropped ones) (each worker builds every run into one recycled machine, and detection
-// events past the sink's limit are only counted, so what is left is mostly
-// the stored events' details, record-pool growth and the warmup's
-// snapshots); they catch a per-cycle or per-instruction allocation, which
-// would add thousands, and the fast-forwarded one also a run that builds
-// its machine from nothing again (117 per run). They are skipped under
-// -race.
+// they were set. The checkpointed count is 205 at the 500-cycle grid,
+// whose extra snapshots are rebuilt in the storage of dropped ones. Each
+// worker builds every run into one recycled machine, and detection events
+// past the sink's limit are only counted, so what is left is mostly the
+// stored events' details, record-pool growth and the warmup's snapshots.
+// The budgets catch a per-cycle or per-instruction allocation, which would
+// add thousands, and the fast-forwarded one also a run that builds its
+// machine from nothing again (117 per run). They are skipped under -race.
 func TestCampaignWorkFloors(t *testing.T) {
 	base := Default(pipeline.ModeBlackJack, 30_000)
 	base.Parallel = 1

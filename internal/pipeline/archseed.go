@@ -63,9 +63,9 @@ func (m *Machine) seedArch(arch *isa.ArchState) {
 }
 
 // WithStopOnDetect makes the run loop stop at the end of the first cycle
-// that records a detection event, setting Stats.StoppedOnDetect. Sampled
-// fault campaigns use this: once a checker has fired the outcome is Detected
-// regardless of the remainder of the run, so simulating on buys nothing.
+// that records a detection event, setting Stats.StoppedOnDetect. Every
+// fault-campaign run uses it: once a checker has fired the error is caught,
+// and simulating on buys nothing.
 func WithStopOnDetect() Option { return func(m *Machine) { m.stopOnDetect = true } }
 
 // CommittedInstrs returns each thread's committed-instruction count in

@@ -70,10 +70,10 @@ type Stats struct {
 	Interrupted bool
 
 	// StoppedOnDetect is set when the run stopped at its first detection
-	// event (WithStopOnDetect, sampled campaigns): the outcome is Detected
-	// by construction, but cycle counts and output accounting cover only
-	// the simulated window. Deliberately not exported by Export — it is a
-	// sampled-mode execution-path note, not a figure input.
+	// event (WithStopOnDetect, fault campaigns): the outcome is Detected by
+	// construction, but cycle counts and output accounting stop there.
+	// Deliberately not exported by Export — it is an execution-path note,
+	// not a figure input.
 	StoppedOnDetect bool
 }
 

@@ -195,3 +195,33 @@ func TestMultiFaultDetected(t *testing.T) {
 		t.Errorf("outcome = %v, want detected", r.Outcome)
 	}
 }
+
+// Every injection run stops at its first detection, so a run classifies
+// the same with and without fast-forward even where the machine would
+// wedge after detecting: this decode fault is caught, and run on, its
+// corrupted destination register later panics the rename bookkeeping.
+// (The coverage matrix's fetch-way cells hold this site.)
+func TestFailStopAgreesAcrossPlans(t *testing.T) {
+	p, err := prog.StressProgram(prog.DeriveSeed(1, 0), prog.StressMixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := fault.Site{Class: fault.FrontendWay, Way: 0, Field: fault.FieldRd, BitMask: 4}
+	cfg := Default(pipeline.ModeBlackJack, 5000)
+	cold, err := InjectProgram(cfg, p, site, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FastForward = true
+	ff, err := InjectProgram(cfg, p, site, InjectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Outcome != OutcomeDetected || ff.Outcome != OutcomeDetected {
+		t.Errorf("cold %v, fast-forwarded %v; want both detected", cold.Outcome, ff.Outcome)
+	}
+	if cold.Activations == 0 || cold.Detections != 1 {
+		t.Errorf("cold run: %d activations, %d detections; want activated, stopped at its first detection",
+			cold.Activations, cold.Detections)
+	}
+}

@@ -47,8 +47,7 @@ import (
 // golden ISA emulator — roughly two orders of magnitude faster than the
 // pipeline — and a warm cycle-accurate machine is seeded from the resulting
 // architectural state one warmup lead of instructions before the window
-// (pipeline.NewFromArch). Runs stop at their first detection event, whose
-// outcome is decided. This trades the forked path's bit-exactness for
+// (pipeline.NewFromArch). This trades the forked path's bit-exactness for
 // speed: outcome tables and detection classifications still match full
 // simulation (serve's TestCampaignPathMatrix checks this per site list),
 // but cycle counts, activation totals and detection latencies of
@@ -467,7 +466,7 @@ func (pl *CampaignPlan) injectCtx(ctx context.Context, lo, hi int, rs *runStorag
 	if pl.warmValid && pl.cfg.CheckpointInterval > 0 {
 		reason = reasonNoCheckpoint
 	}
-	r, pi, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, rs, pl.oracle, pl.cfg.FastForward, pl)
+	r, pi, err := injectSites(ctx, pl.cfg, pl.prog, subset, pl.opts, rs, pl.oracle, pl)
 	pi.Reason = reason
 	return r, pi, err
 }
@@ -539,10 +538,10 @@ func (pl *CampaignPlan) ffHandoff(minFire int64) (handoff uint64, uses []uint64,
 
 // ffRun serves one injection by sampled simulation: functional golden state
 // at the handoff, a warm arch-seeded machine, and a cycle-accurate run over
-// just the remainder — stopping at the first detection event, whose outcome
-// is already decided. Classification matches the cold and forked paths
-// exactly; Cycles, Activations and DetectionLatency are window-relative, so
-// the warmup's checkpoints are no convergence reference here.
+// just the remainder, to its first detection like every injection run.
+// Classification matches the cold and forked paths exactly; Cycles,
+// Activations and DetectionLatency are window-relative, so the warmup's
+// checkpoints are no convergence reference here.
 func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, uses []uint64, rs *runStorage) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	arch, err := pl.oracle.archAt(handoff)
@@ -551,7 +550,7 @@ func (pl *CampaignPlan) ffRun(ctx context.Context, lo, hi int, handoff uint64, u
 	}
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(uses[lo:hi])
-	if err := rs.machine().InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, rs.options(ctx, inj, true)...); err != nil {
+	if err := rs.machine().InitFromArch(pl.cfg.Machine, pl.cfg.Mode, pl.prog, arch, rs.options(ctx, inj)...); err != nil {
 		return InjectionResult{}, pathInfo{}, err
 	}
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, nil)
@@ -574,14 +573,12 @@ func (pl *CampaignPlan) latestBefore(cycle int64) *planCheckpoint {
 
 // forkRun resumes the warmup from a checkpoint with a real injector
 // installed, seeded so transient use counting continues where the probe's
-// left off, and reports reason as the run's path reason. Under
-// fast-forward the fork also stops at its first detection — same
-// sampled-campaign semantics, applied to the fork fallback.
+// left off, and reports reason as the run's path reason.
 func (pl *CampaignPlan) forkRun(ctx context.Context, cp *planCheckpoint, lo, hi int, rs *runStorage, reason string) (InjectionResult, pathInfo, error) {
 	subset := pl.sites[lo:hi]
 	inj := &fault.Injector{Sites: subset, SplitPayload: pl.opts.SplitPayload}
 	inj.SeedUses(cp.uses[lo:hi])
-	rs.machine().ForkFrom(cp.snap, rs.options(ctx, inj, pl.cfg.FastForward)...)
+	rs.machine().ForkFrom(cp.snap, rs.options(ctx, inj)...)
 	r, pi, err := execute(ctx, pl.cfg, pl.prog.Name, rs, inj, subset[0], pl.oracle, pl)
 	pi.Path, pi.ForkCycle, pi.Reason = pathForked, cp.cycle, reason
 	return r, pi, err

@@ -83,7 +83,7 @@ func TestCampaignPlanTakesCheckpoints(t *testing.T) {
 // injectCold is the cold multi-fault reference: a fresh machine from
 // cycle 0 with every site installed, outside any campaign, plan or cache.
 func injectCold(cfg Config, p *isa.Program, sites []fault.Site, opts InjectOptions) (InjectionResult, error) {
-	r, _, err := injectSites(nil, cfg, p, sites, opts, newRunStorage(), newGoldenOracle(p), cfg.FastForward, nil)
+	r, _, err := injectSites(nil, cfg, p, sites, opts, newRunStorage(), newGoldenOracle(p), nil)
 	return r, err
 }
 

@@ -12,10 +12,12 @@ import (
 
 // campaignWork is what one campaign plan cost: the cycle-accurate cycles its
 // live runs stepped (campaign.simulated_cycles) plus its warmup's, and the
-// heap allocations per run.
+// heap allocations per run; and how many runs it served by fast-forward and
+// by fork.
 type campaignWork struct {
-	cycles       uint64
-	allocsPerRun uint64
+	cycles         uint64
+	allocsPerRun   uint64
+	ffRuns, forked uint64
 }
 
 // latentCampaign runs the 16-site latent campaign on gcc with a fresh
@@ -44,6 +46,8 @@ func measureWork(t *testing.T, cfg Config) campaignWork {
 	w := campaignWork{
 		cycles:       reg.CounterValue("campaign.simulated_cycles"),
 		allocsPerRun: (after.Mallocs - before.Mallocs) / uint64(len(sum.Results)),
+		ffRuns:       reg.CounterValue("campaign.ff.runs"),
+		forked:       reg.CounterValue("campaign.forked_runs"),
 	}
 	if cfg.CheckpointInterval > 0 || cfg.FastForward {
 		pl, err := NewCampaignPlan(cfg, prog.MustBenchmark("gcc"), LatentSites(cfg.Machine), InjectOptions{SplitPayload: true})
@@ -75,6 +79,16 @@ func allCacheServed(sum *CampaignSummary, newMisses uint64) error {
 	return nil
 }
 
+// ffServed reports an error unless the plan served the latent list's five
+// wear-out sites, the ones that fire late enough for a handoff, by
+// fast-forward and forked none.
+func ffServed(w campaignWork) error {
+	if w.ffRuns != 5 || w.forked != 0 {
+		return fmt.Errorf("%d fast-forwarded and %d forked runs, want 5 and 0", w.ffRuns, w.forked)
+	}
+	return nil
+}
+
 // allocBudget reports an error when a plan allocates more per run than its
 // budget.
 func allocBudget(w campaignWork, budget uint64) error {
@@ -87,23 +101,31 @@ func allocBudget(w campaignWork, budget uint64) error {
 // The checkpoint, fast-forward and cache paths must keep removing work from
 // the 16-site latent BlackJack campaign on gcc. Work is counted exactly, in
 // simulated cycles, so host speed and load cannot move a verdict. The
-// floors are cold/checkpointed >= 3, cold/fast-forwarded >= 4 and
-// checkpointed/fast-forwarded >= 1.5 (measured 4.42x, 13.1x and 2.96x), and
-// a second pass over a filled cache serves every run. The first floor is 3,
-// not 2, because serving never-firing sites from the warmup alone gives
-// 2.19x: at 2 the floor would pass with forking switched off. Each check is
-// also run with the slow path in place of the fast one and must then fail,
-// so a check that can no longer fail cannot pass unnoticed.
+// floors are cold/checkpointed >= 3 and cold/fast-forwarded >= 4 (measured
+// 12.6x and 11.0x); the fast-forward plan serves the five fired sites it
+// can hand off by fast-forward and forks none; and a second pass over a
+// filled cache serves every run. The first floor is 3, not 2, because
+// serving never-firing sites from the warmup alone gives 2.84x: at 2 the
+// floor would pass with forking switched off. Each check is also run with
+// the slow path in place of the fast one and must then fail, so a check
+// that can no longer fail cannot pass unnoticed.
+//
+// No floor orders the checkpointed and fast-forwarded plans. Both run the
+// same 40,019-cycle warmup, and since every run stops at its first
+// detection, the forks from the 500-cycle grid step fewer cycles (3,960)
+// than the fast-forward runs with their 500-instruction handoff lead
+// (10,565).
 //
 // The cycle counts themselves are pinned too: every pipeline fast path is
 // exact, so a change to the machine's structures moves none of them. (The
 // checkpointed count moves with the plan grid, which sets the cycles a
-// forked run starts from: 154,188 at a 2,500-cycle grid, 149,688 at 500.)
+// forked run starts from.)
 //
 // Allocation budgets hold about 10% headroom over the 141 cold, 197
 // checkpointed and 67 fast-forwarded allocations per run measured when
 // they were set. The checkpointed count is 205 at the 500-cycle grid,
-// whose extra snapshots are rebuilt in the storage of dropped ones. Each
+// whose extra snapshots are rebuilt in the storage of dropped ones. Runs
+// that stop at their first detection allocate less: 47, 108 and 50. Each
 // worker builds every run into one recycled machine, and detection events
 // past the sink's limit are only counted, so what is left is mostly the
 // stored events' details, record-pool growth and the warmup's snapshots.
@@ -123,8 +145,8 @@ func TestCampaignWorkFloors(t *testing.T) {
 	ff := measureWork(t, plan(0, true))
 	t.Logf("simulated cycles: cold %d, checkpointed %d, fast-forwarded %d", cold.cycles, ckpt.cycles, ff.cycles)
 	t.Logf("allocs/run: cold %d, checkpointed %d, fast-forwarded %d", cold.allocsPerRun, ckpt.allocsPerRun, ff.allocsPerRun)
-	if cold.cycles != 661_859 || ckpt.cycles != 149_688 || ff.cycles != 50_584 {
-		t.Errorf("simulated cycles moved from cold 661859, checkpointed 149688, fast-forwarded 50584")
+	if cold.cycles != 556_150 || ckpt.cycles != 43_979 || ff.cycles != 50_584 {
+		t.Errorf("simulated cycles moved from cold 556150, checkpointed 43979, fast-forwarded 50584")
 	}
 
 	floors := []struct {
@@ -134,7 +156,6 @@ func TestCampaignWorkFloors(t *testing.T) {
 	}{
 		{"cold/checkpointed", cold, ckpt, 3},
 		{"cold/fast-forwarded", cold, ff, 4},
-		{"checkpointed/fast-forwarded", ckpt, ff, 1.5},
 	}
 	for _, f := range floors {
 		if err := workFloor(f.slow, f.fast, f.ratio); err != nil {
@@ -143,6 +164,12 @@ func TestCampaignWorkFloors(t *testing.T) {
 		if workFloor(f.slow, f.slow, f.ratio) == nil {
 			t.Errorf("%s: the floor passes with the slow path in place of the fast one", f.name)
 		}
+	}
+	if err := ffServed(ff); err != nil {
+		t.Errorf("fast-forwarded: %v", err)
+	}
+	if ffServed(ckpt) == nil {
+		t.Error("the fast-forward check passes with fast-forward switched off")
 	}
 
 	store := testStore(t)
@@ -177,7 +204,7 @@ func TestCampaignWorkFloors(t *testing.T) {
 			t.Errorf("%s: %v", b.name, err)
 		}
 	}
-	if allocBudget(cold, budgets[2].budget) == nil {
-		t.Error("the fast-forwarded budget passes with the cold path in its place")
+	if allocBudget(ckpt, budgets[2].budget) == nil {
+		t.Error("the fast-forwarded budget passes with the checkpointed path in its place")
 	}
 }
